@@ -9,7 +9,9 @@ end-to-end ``reconstruct_batch`` pair showing the compounding effect on
 the batched engine — and the generation-2 float32 tier
 (``TestKernelGen2``), whose ``gen2_speedup_x`` records track dense32
 against dense on the same hot kernels alongside the shared-memory
-BLAS-cap throughput probe.
+BLAS-cap throughput probe — and the compiled-design float32 Ψ block at
+the serve operating point (``TestCompiledBlockPsi``), recording ms per
+call and block bytes for B ∈ {1, 8, 64} against a float64 copy.
 """
 
 import time
@@ -19,7 +21,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.core.design import PoolingDesign, stream_design_stats
-from repro.core.signal import random_signal
+from repro.core.signal import random_signal, random_signals
 from repro.engine.backend import SerialBackend, SharedMemBackend
 from repro.engine.batch import reconstruct_batch, signals_oracle
 from repro.parallel.matvec import CSRMatrix
@@ -248,6 +250,42 @@ class TestKernelGen2:
         benchmark.extra_info["uncapped_threads"] = cpu_count()
         benchmark.extra_info["uncapped_s"] = round(uncapped, 6)
         benchmark.extra_info["capped_over_uncapped"] = round(capped / uncapped, 3)
+
+
+class TestCompiledBlockPsi:
+    """``CompiledDesign.psi`` through its resident float32 block at n=10⁴, m=2400.
+
+    The serve operating point (k=16): clean results sum to ~k·m/2, far
+    under the 2²³ per-call budget, so every call here takes the block GEMM.
+    Each B records ``ms_per_call`` and ``block_bytes``, plus the same GEMM
+    against a float64 copy of the block — the format designs of 2²³+ draws
+    used to keep — as ``float64_ms`` and ``speedup_x``.
+    """
+
+    N, M, K = 10_000, 2400, 16
+
+    @pytest.fixture(scope="class")
+    def served(self):
+        from repro.designs import DesignKey, compile_from_key
+
+        compiled = compile_from_key(DesignKey.for_stream(self.N, self.M, root_seed=7))
+        Y = compiled.query_results(random_signals(self.N, self.K, 64, np.random.default_rng(7)))
+        assert Y.sum(axis=1).max() < 2**23  # every row takes the block GEMM
+        return compiled, compiled.incidence_block().astype(np.float64), Y
+
+    @pytest.mark.parametrize("B", [1, 8, 64])
+    def test_compiled_block_psi(self, benchmark, served, B):
+        compiled, block64, Y = served
+        y = Y[:B]
+        assert np.array_equal(compiled.psi(y), compiled.design.psi(y))
+        float64_s = _best_of(lambda: (y.astype(np.float64) @ block64).astype(np.int64), repeats=5)
+        float32_s = _best_of(lambda: compiled.psi(y), repeats=5)
+        benchmark.pedantic(lambda: compiled.psi(y), rounds=10, iterations=1, warmup_rounds=1)
+        benchmark.extra_info.update(n=self.N, m=self.M, B=B, k=self.K, block_dtype=str(compiled.block_dtype))
+        benchmark.extra_info["block_bytes"] = compiled.block_bytes
+        benchmark.extra_info["ms_per_call"] = round(float32_s * 1e3, 3)
+        benchmark.extra_info["float64_ms"] = round(float64_s * 1e3, 3)
+        benchmark.extra_info["speedup_x"] = round(float64_s / float32_s, 2)
 
 
 class TestLinalgKernels:

@@ -65,10 +65,6 @@ def save_design(path: "str | Path", design: "PoolingDesign | CompiledDesign", y:
         payload["compiled_dstar"] = compiled.dstar
         payload["compiled_delta"] = compiled.delta
         payload["compiled_key"] = np.asarray(compiled.key.to_json())
-        # Provenance only: the Ψ-block precision the degree bounds licence
-        # (float32 under the 2²³ budget).  Derived deterministically from
-        # the design on load, so older files without it stay loadable.
-        payload["compiled_block_dtype"] = np.asarray(str(compiled.block_dtype))
     if y is not None:
         y = np.asarray(y, dtype=np.int64)
         if y.shape != (design.m,):
@@ -102,7 +98,6 @@ def _load_raw(path: "str | Path") -> "tuple[PoolingDesign, Optional[np.ndarray],
                     "dstar": data["compiled_dstar"].astype(np.int64),
                     "delta": data["compiled_delta"].astype(np.int64),
                     "key": str(data["compiled_key"]),
-                    "block_dtype": str(data["compiled_block_dtype"]) if "compiled_block_dtype" in data else None,
                 }
     except (FileNotFoundError, PermissionError, IsADirectoryError):
         raise  # access problems are caller/operator errors, not corruption
@@ -161,8 +156,6 @@ def load_compiled_design(path: "str | Path") -> "tuple[CompiledDesign, Optional[
     from repro.designs.compiled import DesignKey
 
     key = DesignKey.from_json(extras["key"])
-    compiled = CompiledDesign(design, dstar=dstar, delta=delta, key=key)
-    stored_dtype = extras.get("block_dtype")
-    if stored_dtype is not None and stored_dtype != str(compiled.block_dtype):
-        raise ValueError("stored block dtype is inconsistent with the design's degree bounds")
-    return compiled, y
+    # Older files may carry a ``compiled_block_dtype`` tag; it is ignored —
+    # the resident Ψ block is always float32, exactness is checked per call.
+    return CompiledDesign(design, dstar=dstar, delta=delta, key=key), y

@@ -50,27 +50,17 @@ __all__ = [
     "BLOCK_RESIDENCY_LIMIT",
 ]
 
-#: Largest dense incidence block (``(m, n)`` in the design's block dtype) a
-#: compiled design will keep resident, in bytes.  Beyond this, ``psi`` falls
-#: back to the chunked kernel path (same values, recomputed scatter) instead
-#: of pinning gigabytes.
+#: Largest dense float32 incidence block (``(m, n)``) a compiled design will
+#: keep resident, in bytes.  Beyond this, ``psi`` falls back to the chunked
+#: kernel path (same values, recomputed scatter) instead of pinning gigabytes.
 BLOCK_RESIDENCY_LIMIT = 256 * 1024 * 1024
 
-#: Conservative bound under which float64 integer accumulation is exact
-#: (mirrors :data:`repro.kernels.dense._EXACT_LIMIT`).
-_EXACT_LIMIT = float(2**52)
-
-#: Float32 sibling (mirrors :data:`repro.kernels.dense32._EXACT_LIMIT32`):
-#: 2²³ keeps a 2× margin under float32's 2²⁴ exact-integer ceiling.  A design
-#: whose *total draw count* sits below it gets a float32 Ψ block — every
-#: clean result is bounded by its pool size, so block-GEMM sums are provably
-#: exact; adversarial ``y`` beyond the budget is caught per call and routed
-#: through the kernel fallback.
+#: Per-call float32 exactness budget (mirrors
+#: :data:`repro.kernels.dense32._EXACT_LIMIT32`): 2²³ keeps a 2× margin
+#: under float32's 2²⁴ exact-integer ceiling.  A batch whose largest row sum
+#: ``Σ|y_b|`` stays below it runs the block GEMM; anything else takes the
+#: exact ``design.psi`` kernel path.
 _EXACT_LIMIT32 = float(2**23)
-
-#: Block dtypes :meth:`CompiledDesign.adopt_block` accepts — the two GEMM
-#: precisions of the kernel generations.
-_BLOCK_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 #: ``trial_key`` scheme tags for keys whose designs are *sampled* from a
 #: keyed generator (grid points) or *content-addressed* (hand-built designs)
@@ -295,17 +285,9 @@ class CompiledDesign:
         """Exact mean pool size (``Γ`` for regular designs)."""
         return self.design.mean_pool_size
 
-    @property
-    def block_dtype(self) -> np.dtype:
-        """Precision of the dense ``Ψ`` block, decided once from degree bounds.
-
-        Float32 when the design's total draw count fits the 2²³ budget
-        (then every clean result — and so every block-GEMM running sum —
-        is exactly representable), float64 otherwise.  Deterministic in
-        the design, so publishers and attachers always agree; recorded in
-        store/npz metadata as provenance.
-        """
-        return _BLOCK_DTYPES[0] if float(self.design.entries.size) < _EXACT_LIMIT32 else _BLOCK_DTYPES[1]
+    #: Precision of every resident dense ``Ψ`` block.  0/1 incidence is exact
+    #: in float32; exactness of each product is guarded per call by :meth:`psi`.
+    block_dtype = np.dtype(np.float32)
 
     @property
     def block_bytes(self) -> int:
@@ -336,9 +318,8 @@ class CompiledDesign:
     def incidence_block(self) -> "np.ndarray | None":
         """The ``(m, n)`` distinct-incidence block, materialised once.
 
-        Built in :attr:`block_dtype` (float32 for budget-eligible designs —
-        half the residency, shm and mmap footprint).  ``None`` when the
-        block exceeds :data:`BLOCK_RESIDENCY_LIMIT` — the ``psi`` path then
+        Always float32 (:attr:`block_dtype`).  ``None`` when the block
+        exceeds :data:`BLOCK_RESIDENCY_LIMIT` — the ``psi`` path then
         recomputes chunked scatters per call instead.
         """
         if not self.block_resident:
@@ -391,18 +372,14 @@ class CompiledDesign:
         The shared-memory layer (:mod:`repro.designs.sharing`) publishes
         the parent's ``(m, n)`` incidence block once; workers adopt the
         attached segment here so they never rebuild (or privately hold)
-        up to 256MB per process.  Either GEMM precision is accepted —
-        0/1 incidence is exact in both, and :meth:`psi` keys its budget
-        off the adopted dtype — so artifacts published before a design
-        became float32-eligible (or vice versa) remain attachable.  The
-        block's content is defined entirely by the design, so adopting a
-        published block can never change a decode — only skip its
-        materialisation.
+        up to 256MB per process.  Only float32 — the one resident block
+        format — is accepted.  The block's content is defined entirely by
+        the design, so adopting a published block can never change a
+        decode — only skip its materialisation.
         """
         block = np.asarray(block)
-        if block.shape != (self.m, self.n) or block.dtype not in _BLOCK_DTYPES:
-            accepted = " or ".join(str(d) for d in _BLOCK_DTYPES)
-            raise ValueError(f"adopted block must be ({self.m}, {self.n}) with dtype {accepted}, got {block.dtype} {block.shape}")
+        if block.shape != (self.m, self.n) or block.dtype != self.block_dtype:
+            raise ValueError(f"adopted block must be ({self.m}, {self.n}) float32, got {block.dtype} {block.shape}")
         if not self.block_resident:
             raise ValueError("design exceeds the block residency budget; nothing should adopt a block for it")
         block.setflags(write=False)
@@ -412,19 +389,18 @@ class CompiledDesign:
     def psi(self, y: np.ndarray) -> np.ndarray:
         """``Ψ`` for ``(m,)`` or ``(B, m)`` results — one GEMM against the block.
 
-        Bit-identical to :meth:`PoolingDesign.psi` under every kernel: all
-        quantities are integer-exact, guarded by the exactness budget of
-        the *resident block's* dtype (2²³ for float32, 2⁵² for float64)
-        with a fallback to the kernel path, so accumulation order cannot
-        matter.
+        Bit-identical to :meth:`PoolingDesign.psi` under every kernel: the
+        float32 GEMM runs only while every row's ``Σ|y_b|`` is under the
+        2²³ budget, so all its partial sums are exact integers and
+        accumulation order cannot matter; any other batch takes the exact
+        ``design.psi`` kernel path.
         """
         y = np.asarray(y, dtype=np.int64)
         y2 = y[None, :] if y.ndim == 1 else y
         if y2.ndim != 2 or y2.shape[1] != self.m or y2.shape[0] < 1:
             raise ValueError(f"y must have shape (m={self.m},) or (B, m={self.m})")
         block = self.incidence_block()
-        budget = _EXACT_LIMIT if block is None or block.dtype == np.float64 else _EXACT_LIMIT32
-        if block is None or (self.m and float(np.abs(y2).sum(axis=1, dtype=np.float64).max()) >= budget):
+        if block is None or (self.m and float(np.abs(y2).sum(axis=1, dtype=np.float64).max()) >= _EXACT_LIMIT32):
             psi = self.design.psi(y2)
         else:
             psi = (y2.astype(block.dtype) @ block).astype(np.int64)

@@ -22,10 +22,8 @@ materialises it once in the parent and places it in its own segment, and
 attachers adopt it zero-copy
 (:meth:`~repro.designs.compiled.CompiledDesign.adopt_block`) — so a pool
 of ``W`` workers holds **one** physical copy of the up-to-256MB block
-instead of ``W`` private rematerialisations.  The segment inherits the
-compiled design's :attr:`~repro.designs.compiled.CompiledDesign.block_dtype`
-(the descriptor carries it), so float32-eligible designs pay half the
-POSIX shared-memory footprint with no publisher/attacher coordination.
+instead of ``W`` private rematerialisations.  Every block is float32,
+so publisher and attacher never negotiate a precision.
 """
 
 from __future__ import annotations

@@ -138,9 +138,11 @@ DESIGN_STORE_BYTES_ENV = "REPRO_DESIGN_STORE_BYTES"
 
 #: On-disk entry format; bumped on layout changes so stale entries are
 #: treated as misses instead of being misread.  Version 2 added the
-#: per-file SHA-256 integrity manifest — version-1 entries (no manifest)
-#: read as misses and are recompiled, never half-trusted.
-STORE_FORMAT_VERSION = 2
+#: per-file SHA-256 integrity manifest; version 3 made ``block.npy``
+#: always float32 (version 2 stored float64 blocks for designs of 2²³+
+#: draws).  Stale entries read as misses — not as corrupt — and are
+#: replaced by a recompile, never half-trusted.
+STORE_FORMAT_VERSION = 3
 
 #: The compiled arrays every entry persists, in publication order.
 _ARRAY_FIELDS = ("entries", "indptr", "dstar", "delta")
@@ -155,6 +157,10 @@ _META_NAME = "meta.json"
 _LOCK_NAME = ".lock"
 _USED_NAME = ".last-used"
 _QUARANTINE_DIR = ".quarantine"
+
+
+class _StaleEntry(ValueError):
+    """A complete entry in an older on-disk format: a miss, not corruption."""
 
 
 @dataclass(frozen=True)
@@ -455,16 +461,21 @@ class DesignStore:
                 return None
         try:
             compiled = self._attach(path, key)
-        except (ValueError, OSError):
+        except (ValueError, OSError) as exc:
             # Truncated arrays, a manifest digest mismatch, a vanished file
             # mid-attach, or meta that no longer matches the key: never
             # serve garbage — quarantine the entry for post-mortem (best
             # effort; an entry locked by a healthy reader is left) and let
-            # the miss flow into the single-flight recompile path.
+            # the miss flow into the single-flight recompile path.  A
+            # stale-format entry is simply dropped so the recompile can
+            # republish it in the current format.
             if count:
                 self._misses += 1
                 self._bump(misses=1)
-            self._quarantine(path)
+            if isinstance(exc, _StaleEntry):
+                self._discard(path)
+            else:
+                self._quarantine(path)
             return None
         self._hits += 1
         self._bump(hits=1)
@@ -526,9 +537,9 @@ class DesignStore:
             with_block = self.keep_blocks and compiled.block_resident
             if with_block:
                 # Materialise (at most once — idempotent on the artifact)
-                # and persist the dense Ψ block: warm attachers then adopt
-                # it as a read-only mmap and skip the block rebuild that
-                # otherwise dominates a cold-process decode.
+                # and persist the float32 dense Ψ block: warm attachers then
+                # adopt it as a read-only mmap and skip the block rebuild
+                # that otherwise dominates a cold-process decode.
                 np.save(tmp / "block.npy", compiled.incidence_block())
                 nbytes += (tmp / "block.npy").stat().st_size
             (tmp / _LOCK_NAME).touch()
@@ -543,10 +554,6 @@ class DesignStore:
                 "m": compiled.m,
                 "nbytes": nbytes,
                 "block": with_block,
-                # Provenance: the persisted Ψ block's precision (float32 for
-                # budget-eligible designs — see CompiledDesign.block_dtype).
-                # Attachers adopt whatever dtype block.npy actually holds.
-                "block_dtype": str(compiled.block_dtype) if with_block else None,
                 # Integrity manifest: every payload file's SHA-256, checked
                 # at attach so bit rot and torn writes read as misses (the
                 # entry is quarantined and recompiled), never as garbage.
@@ -607,7 +614,7 @@ class DesignStore:
             raise ValueError(f"unreadable store entry {path.name}: {exc}") from exc
         if meta.get("format_version") != STORE_FORMAT_VERSION:
             read_lock.close()
-            raise ValueError(f"store entry {path.name} has unsupported format {meta.get('format_version')!r}")
+            raise _StaleEntry(f"store entry {path.name} has unsupported format {meta.get('format_version')!r}")
         stored_key = DesignKey.from_json(json.dumps(meta.get("key", {})))
         if stored_key != key:
             read_lock.close()
@@ -812,12 +819,18 @@ class DesignStore:
             try:
                 meta = unpack_entry(blob, entry_tmp)
                 if meta.get("format_version") != STORE_FORMAT_VERSION:
-                    raise ValueError(f"unsupported entry format {meta.get('format_version')!r}")
+                    raise _StaleEntry(f"unsupported entry format {meta.get('format_version')!r}")
                 stored_key = DesignKey.from_json(json.dumps(meta.get("key", {})))
                 if self.digest(stored_key) != digest:
                     raise ValueError("blob key does not hash to its digest")
                 if expected_key is not None and stored_key != expected_key:
                     raise ValueError("blob addresses a different key")
+            except _StaleEntry:
+                # An older-format blob is a miss, not corruption: the local
+                # recompile's write-through replaces it.
+                self._remote_misses += 1
+                self._bump(remote_misses=1)
+                return False
             except (OSError, ValueError):
                 self._quarantine_blob(digest, blob)
                 return False
@@ -1075,9 +1088,10 @@ class DesignStore:
 
         Verification reads metadata and streams file hashes — no numpy
         attach, no mmap, so auditing a large store never perturbs reader
-        page caches.  Entries failing any digest (or predating the
-        manifest format) are quarantined exactly as a corrupt attach
-        would be.  Exposed as ``design store fsck`` on the CLI.
+        page caches.  Entries failing any digest are quarantined exactly
+        as a corrupt attach would be; stale-format entries are dropped
+        (the next lookup recompiles them).  Exposed as ``design store
+        fsck`` on the CLI.
 
         With ``remote=True`` (CLI: ``fsck --remote``) the fleet tier is
         audited too: every remote blob is fetched into scratch space and
@@ -1092,8 +1106,11 @@ class DesignStore:
             try:
                 meta = json.loads((entry.path / _META_NAME).read_text())
                 if meta.get("format_version") != STORE_FORMAT_VERSION:
-                    raise ValueError(f"unsupported format {meta.get('format_version')!r}")
+                    raise _StaleEntry(f"unsupported format {meta.get('format_version')!r}")
                 self._verify_manifest(entry.path, meta)
+            except _StaleEntry:
+                self._discard(entry.path)  # stale, not corrupt: the next lookup recompiles
+                continue
             except (OSError, ValueError):
                 if self._quarantine(entry.path):
                     bad.append(entry.digest)

@@ -346,7 +346,13 @@ class Coalescer:
         circuit breaker.
         """
         key, decoder_name = bucket_key
+        admitted = len(pending)
+        # Timed-out or cancelled requests have no one waiting: decode only
+        # the live rows, and nothing at all when none are left.
+        pending = [p for p in pending if not p.future.done()]
         try:
+            if not pending:
+                return
             Y = np.stack([p.request.y for p in pending])
             ks = [p.request.k for p in pending]
             # Uniform weights keep the scalar-k selection path; mixed
@@ -395,7 +401,7 @@ class Coalescer:
             self.stats.requests += len(pending)
             self.stats.max_batch_seen = max(self.stats.max_batch_seen, len(pending))
         finally:
-            self.stats.admitted -= len(pending)
+            self.stats.admitted -= admitted
 
     @staticmethod
     def _fail(pending: "list[_Pending]", error: ProtocolError) -> None:

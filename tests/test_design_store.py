@@ -151,6 +151,44 @@ class TestStoreBasics:
         (entry / "meta.json").write_text(json.dumps(meta))
         assert store.get(KEY) is None
 
+    def test_v2_float64_entry_is_a_miss_and_republishes_as_v3(self, store):
+        import hashlib
+
+        # Rewrite a fresh entry into the version-2 layout: a float64 block
+        # with a matching manifest and the old block_dtype meta field.
+        store.publish(compile_from_key(KEY))
+        entry = store.entry_dir(KEY)
+        block64 = np.load(entry / "block.npy").astype(np.float64)
+        np.save(entry / "block.npy", block64)
+        meta = json.loads((entry / "meta.json").read_text())
+        meta.update(format_version=2, block_dtype="float64")
+        meta["sha256"]["block.npy"] = hashlib.sha256((entry / "block.npy").read_bytes()).hexdigest()
+        (entry / "meta.json").write_text(json.dumps(meta, sort_keys=True))
+
+        assert store.get(KEY) is None  # stale: a miss, never adopted
+        assert store.stats.quarantined == 0  # ... and not counted as corrupt
+        healed = store.get_or_compile(KEY, lambda: compile_from_key(KEY))
+        assert healed.incidence_block().dtype == np.dtype(np.float32)
+        meta = json.loads((entry / "meta.json").read_text())
+        assert meta["format_version"] == 3 and "block_dtype" not in meta
+        assert np.load(entry / "block.npy").dtype == np.dtype(np.float32)
+        assert store.stats.publishes == 2
+        warm = store.get(KEY)
+        sigma = np.zeros(KEY.n, dtype=np.int64)
+        sigma[:3] = 1
+        y = warm.query_results(sigma)
+        assert np.array_equal(warm.psi(y), compile_from_key(KEY).design.psi(y))
+
+    def test_fsck_drops_stale_format_entry_without_quarantine(self, store):
+        store.publish(compile_from_key(KEY))
+        meta_path = store.entry_dir(KEY) / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["format_version"] = 2
+        meta_path.write_text(json.dumps(meta))
+        report = store.fsck()
+        assert report.clean and report.checked == 0
+        assert KEY not in store
+
     def test_persistent_stats_accumulate_across_instances(self, store, tmp_path):
         store.get(KEY)  # miss
         store.get_or_compile(KEY, lambda: compile_from_key(KEY))

@@ -145,22 +145,40 @@ class TestCompiledDesign:
 
 
 class TestBlockDtype:
-    """Degree-bound-driven Ψ-block precision on CompiledDesign."""
+    """The one float32 Ψ block on CompiledDesign and its per-call exactness guard."""
 
     def test_small_design_gets_float32_block(self, compiled):
-        # entries.size ≪ 2²³ here, so every clean result sum fits float32.
         assert compiled.block_dtype == np.dtype(np.float32)
         block = compiled.incidence_block()
         assert block.dtype == np.dtype(np.float32)
         assert compiled.block_bytes == 4 * compiled.m * compiled.n  # half the float64 footprint
 
-    def test_big_design_gets_float64_block(self, key, monkeypatch):
+    def test_big_design_keeps_float32_block_exact_per_call(self, key, monkeypatch):
+        # The budget decides each call's path, never the block's dtype: at the
+        # real 2²³ budget and at a lowered one, y just under and just over it
+        # both match design.psi bit for bit (over-budget rows fall back).
         from repro.designs import compiled as compiled_mod
 
-        monkeypatch.setattr(compiled_mod, "_EXACT_LIMIT32", 1.0)
-        big = compile_from_key(key)
-        assert big.block_dtype == np.dtype(np.float64)
-        assert big.incidence_block().dtype == np.dtype(np.float64)
+        exact = PoolingDesign.psi
+        fallbacks = []
+
+        def spy(self, y, *args, **kwargs):
+            fallbacks.append(np.asarray(y).shape)
+            return exact(self, y, *args, **kwargs)
+
+        monkeypatch.setattr(PoolingDesign, "psi", spy)
+        rng = np.random.default_rng(5)
+        for budget in (2**23, 1000):
+            monkeypatch.setattr(compiled_mod, "_EXACT_LIMIT32", float(budget))
+            big = compile_from_key(key)
+            assert big.block_dtype == np.dtype(np.float32)
+            assert big.incidence_block().dtype == np.dtype(np.float32)
+            under, over = (rng.multinomial(total, np.full(M, 1 / M)).astype(np.int64) for total in (budget - 1, budget))
+            for y, falls_back in ((under, False), (over, True), (np.stack([under, over]), True)):
+                fallbacks.clear()
+                got = big.psi(y)
+                assert fallbacks == ([y.shape if y.ndim == 2 else (1, M)] if falls_back else [])
+                assert np.array_equal(got, exact(big.design, y))
 
     def test_psi_through_float32_block_is_exact(self, compiled, sigma):
         y = compiled.query_results(sigma)
@@ -180,43 +198,48 @@ class TestBlockDtype:
         y = np.array([big, 0, 0], dtype=np.int64)
         assert compiled.psi(y)[4] == big
 
-    def test_adopt_block_accepts_both_precisions(self, compiled):
-        for dtype in (np.float32, np.float64):
-            fresh = CompiledDesign(compiled.design, key=compiled.key)
-            block = np.zeros((fresh.m, fresh.n), dtype=dtype)
-            rows = np.repeat(np.arange(fresh.m), np.diff(fresh.design.indptr))
-            block[rows, fresh.design.entries] = 1.0
+    def test_adopt_block_rejects_float64(self, compiled):
+        fresh = CompiledDesign(compiled.design, key=compiled.key)
+        block = np.zeros((fresh.m, fresh.n), dtype=np.float64)
+        rows = np.repeat(np.arange(fresh.m), np.diff(fresh.design.indptr))
+        block[rows, fresh.design.entries] = 1.0
+        with pytest.raises(ValueError, match="float32"):
             fresh.adopt_block(block)
-            assert fresh.block_resident
-            y = np.arange(fresh.m, dtype=np.int64)
-            assert np.array_equal(fresh.psi(y), compiled.design.psi(y)), str(dtype)
+        fresh.adopt_block(block.astype(np.float32))  # the one accepted format
+        y = np.arange(fresh.m, dtype=np.int64)
+        assert np.array_equal(fresh.psi(y), compiled.design.psi(y))
 
     def test_adopt_block_rejects_bad_dtype_and_shape(self, compiled):
         fresh = CompiledDesign(compiled.design, key=compiled.key)
-        with pytest.raises(ValueError, match="float32 or float64"):
+        with pytest.raises(ValueError, match="float32"):
             fresh.adopt_block(np.zeros((fresh.m, fresh.n), dtype=np.int64))
-        with pytest.raises(ValueError, match="float32 or float64"):
+        with pytest.raises(ValueError, match="float32"):
             fresh.adopt_block(np.zeros((fresh.m + 1, fresh.n), dtype=np.float32))
 
-    def test_serialization_records_block_dtype(self, compiled, tmp_path):
+    def test_serialization_writes_no_block_dtype(self, compiled, tmp_path):
         from repro.core.serialization import load_compiled_design, save_design
 
         path = save_design(tmp_path / "d.npz", compiled)
         with np.load(path) as data:
-            assert str(data["compiled_block_dtype"]) == "float32"
+            assert "compiled_block_dtype" not in data
         loaded, _ = load_compiled_design(path)
         assert loaded.block_dtype == np.dtype(np.float32)
 
-    def test_serialization_rejects_inconsistent_block_dtype(self, compiled, tmp_path):
+    def test_serialization_loads_legacy_float64_tag(self, compiled, sigma, tmp_path):
+        # Older files tag designs of 2²³+ draws "float64"; the tag is ignored
+        # and the loaded artifact decodes exactly like the original.
         from repro.core.serialization import load_compiled_design, save_design
 
         path = save_design(tmp_path / "d.npz", compiled)
         with np.load(path) as data:
             payload = {name: data[name] for name in data.files}
-        payload["compiled_block_dtype"] = np.asarray("float64")  # lies about the bounds
+        payload["compiled_block_dtype"] = np.asarray("float64")
         np.savez_compressed(path, **payload)
-        with pytest.raises(ValueError, match="block dtype"):
-            load_compiled_design(path)
+        loaded, _ = load_compiled_design(path)
+        assert loaded.incidence_block().dtype == np.dtype(np.float32)
+        y = compiled.query_results(sigma)
+        assert np.array_equal(loaded.psi(y), compiled.psi(y))
+        assert np.array_equal(MNDecoder().compile(loaded).decode(y, 6), MNDecoder().compile(compiled).decode(y, 6))
 
 
 class TestDesignCache:

@@ -439,6 +439,37 @@ class TestDecodeServer:
 
         asyncio.run(run())
 
+    def test_timed_out_rows_are_dropped_before_decode(self, monkeypatch):
+        from repro.designs.serving import CompiledMNDecoder
+
+        seen = []
+        original = CompiledMNDecoder.decode_batch
+
+        def spy(self, Y, k):
+            seen.append(np.asarray(Y).shape[0])
+            return original(self, Y, k)
+
+        monkeypatch.setattr(CompiledMNDecoder, "decode_batch", spy)
+
+        async def run():
+            # Window far beyond the deadline; the second request fills the
+            # batch and flushes it, with the first row already timed out.
+            config = ServeConfig(batch_window_ms=10_000.0, max_batch=2, timeout_ms=300.0)
+            server, host, port = await self._start(config)
+            async with await ServeClient.connect(host, port) as client:
+                y_slow, _ = make_case(KEY_A, 3, seed=90)
+                y_live, offline = make_case(KEY_A, 3, seed=91)
+                slow = await client.decode(KEY_A, y_slow, 3, request_id="slow")
+                assert (slow["ok"], slow["error"]["code"], slow["request_id"]) == (False, "timeout", "slow")
+                live = await client.decode(KEY_A, y_live, 3, request_id="live")
+                assert live["ok"] and live["support"] == offline
+            await server.drain()
+            assert seen == [1]  # only the live row reached decode_batch
+            stats = server.coalescer.stats
+            assert (stats.admitted, stats.requests, stats.batches) == (0, 1, 1)
+
+        asyncio.run(run())
+
     def test_server_overload_response(self):
         async def run():
             config = ServeConfig(batch_window_ms=10_000.0, max_batch=1024, max_queue=2, timeout_ms=200.0)
