@@ -1,15 +1,16 @@
-"""Compiled baseline decoders: cold legacy per-call vs warm compiled (tracked).
+"""Compiled baseline decoders: cold one-shot vs warm compiled (tracked).
 
-Every baseline family (LP, OMP, AMP, binary-GT COMP/DD) re-derives its
-per-call O(m·n) state — dense/centred matrix, column norms, denoiser
-scaling, OR membership — on *every* legacy invocation.  The compiled
-ports (:mod:`repro.baselines.compiled`) hoist that state into the
-compiled-design artifact, so warm serving pays only the per-signal
-algorithm.  This benchmark measures that contract at paper-panel scale
-(``n = 10^4``): **cold** is the legacy one-shot function on the raw
-design, **warm** is the compiled decoder's ``decode`` against the
-pre-built artifact; the acceptance floor of the compiled-baselines PR is
-a >= 5x warm speedup for OMP and AMP (recorded in
+Every baseline family (LP, OMP, AMP, binary-GT COMP/DD) needs per-design
+O(m·n) state — dense/centred matrix, column norms, denoiser scaling, OR
+membership.  The compiled decoders (:mod:`repro.baselines.compiled`)
+hoist that state into the compiled-design artifact, so warm serving pays
+only the per-signal algorithm.  This benchmark measures that contract at
+paper-panel scale (``n = 10^4``): **cold** is the one-shot function on
+the raw design — for LP/OMP/AMP that is compile (content key, compiled
+design, decoder state) plus one ``decode``; for MN and COMP/DD the
+reference one-shots — and **warm** is the compiled decoder's ``decode``
+against the pre-built artifact.  The acceptance floor is a >= 5x warm
+speedup for OMP and AMP (recorded in
 ``benchmarks/results/BENCH_decoders.json``, ``extra.speedup_x``).  The
 ``B = 64`` records track batched serving throughput ((B,m)@(m,n) GEMMs
 instead of per-signal loops).
@@ -49,7 +50,9 @@ def _membership(design: PoolingDesign) -> np.ndarray:
     return member
 
 
-#: Legacy one-shot calls: everything per-call, nothing hoisted.
+#: Cold one-shot calls: everything per-call, nothing reused across calls.
+#: LP/OMP/AMP compile a private artifact and decode once (compile included);
+#: MN and COMP/DD run their reference one-shot implementations.
 LEGACY = {
     "mn": lambda d, y, k: mn_reconstruct(d, y, k),
     "lp": lambda d, y, k: basis_pursuit_decode(d, y, k),
@@ -108,7 +111,7 @@ def test_warm_vs_cold(name, panel, benchmark, repro_seed):
     )
     print(f"\n{name}: cold {cold_s * 1e3:.1f}ms vs warm {warm_s * 1e3:.2f}ms -> {speedup:.1f}x")
 
-    # B=1 decode replays the legacy op sequence — bit-identical.
+    # The one-shot runs the same decode on a fresh artifact — bit-identical.
     assert np.array_equal(np.asarray(cold_out), warm_out)
     floor = SPEEDUP_FLOORS.get(name)
     if floor is not None:

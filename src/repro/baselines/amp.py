@@ -17,6 +17,12 @@ Jordan 2019, who analysed exactly this decoder for the dense regime
 The decoder stops on convergence of the estimate or after ``max_iter``
 rounds, and the final binary estimate takes the top-``k`` posterior means
 (same rounding as every other decoder in the suite, for comparability).
+
+The iteration itself lives in
+:class:`~repro.baselines.compiled.CompiledAMPDecoder` (``run`` for one
+signal, ``decode_batch`` for many); :func:`amp_decode` is its one-shot
+form.  This module holds the pieces both share: the Bernoulli denoiser and
+the :class:`AMPResult` trajectory record.
 """
 
 from __future__ import annotations
@@ -25,17 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.centring import (
-    centre_matrix,
-    centre_observations,
-    check_observations,
-    column_mean,
-    pool_gamma,
-    pool_variance,
-)
 from repro.core.design import PoolingDesign
-from repro.parallel.sort import parallel_top_k
-from repro.util.validation import check_positive_int
 
 __all__ = ["amp_decode", "AMPResult"]
 
@@ -51,11 +47,12 @@ class AMPResult:
     tau_history: "tuple[float, ...]"
 
 
-def _denoise(r: np.ndarray, tau2: float, eps: float) -> "tuple[np.ndarray, np.ndarray]":
+def _denoise(r: np.ndarray, tau2: "float | np.ndarray", eps: "float | np.ndarray") -> "tuple[np.ndarray, np.ndarray]":
     """Posterior mean and derivative for the Bernoulli(eps) prior.
 
     ``x̂ = sigmoid(logit(eps) + (2r − 1)/(2τ²))``;
-    ``dx̂/dr = x̂(1 − x̂)/τ²``.
+    ``dx̂/dr = x̂(1 − x̂)/τ²``.  ``tau2``/``eps`` broadcast against ``r``
+    (scalars for one signal, ``(B, 1)`` columns for a batch).
     """
     a = np.log(eps / (1.0 - eps)) + (2.0 * r - 1.0) / (2.0 * tau2)
     # Clip the exponent for numerical safety deep in the tails.
@@ -73,6 +70,10 @@ def amp_decode(
 ) -> AMPResult:
     """Run AMP to convergence and round to a weight-``k`` estimate.
 
+    One-shot form of ``AMPDecoder(max_iter, tol).compile(...).run(y, k)``:
+    the design is compiled with no cache or store, so nothing is published
+    to an ambient ``REPRO_DESIGN_CACHE``/``REPRO_DESIGN_STORE``.
+
     Parameters
     ----------
     design:
@@ -89,50 +90,11 @@ def amp_decode(
     Raises
     ------
     ValueError
-        If ``k`` is not a positive integer < n, or ``y`` has the wrong
-        length or non-finite entries.
+        If ``k`` is not a positive integer < n, ``y`` has the wrong length
+        or non-finite entries, or the dense counts matrix exceeds the
+        block residency budget.
     """
-    k = check_positive_int(k, "k")
-    if k >= design.n:
-        raise ValueError(f"require k < n, got k={k}, n={design.n}")
-    y = check_observations(y, design.m)
-    max_iter = check_positive_int(max_iter, "max_iter")
+    from repro.baselines.compiled import AMPDecoder
+    from repro.designs.compiled import compile_design
 
-    n, m = design.n, design.m
-    a = design.counts_matrix().to_dense().astype(np.float64)
-    gamma = pool_gamma(design.indptr)
-    mu = column_mean(gamma, n)
-    v = pool_variance(gamma, n)
-    f = centre_matrix(a, mu) / np.sqrt(v * m)
-    y_t = centre_observations(y, k, mu) / np.sqrt(v * m)
-
-    eps = k / n
-    x = np.full(n, eps, dtype=np.float64)
-    z = y_t - f @ x
-    onsager_gain = 0.0
-    tau_hist: "list[float]" = []
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        z = y_t - f @ x + z * onsager_gain
-        tau2 = max(float(z @ z) / m, 1e-12)
-        tau_hist.append(tau2)
-        r = x + f.T @ z
-        x_new, dx = _denoise(r, tau2, eps)
-        onsager_gain = float(dx.mean()) * (n / m)
-        delta = float(np.abs(x_new - x).mean())
-        x = x_new
-        if delta < tol:
-            converged = True
-            break
-
-    top = parallel_top_k(x, k, blocks=1)
-    sigma_hat = np.zeros(n, dtype=np.int8)
-    sigma_hat[top] = 1
-    return AMPResult(
-        sigma_hat=sigma_hat,
-        posterior=x,
-        iterations=it,
-        converged=converged,
-        tau_history=tuple(tau_hist),
-    )
+    return AMPDecoder(max_iter=max_iter, tol=tol).compile(compile_design(design)).run(y, k)

@@ -7,15 +7,14 @@ message-passing step makes sense:
 
     Ã = A − Γ/n,    ỹ = y − k·Γ/n.
 
-For ragged designs (pools of unequal size) ``Γ`` is the *mean* pool size —
-the exact value ``float(np.diff(indptr).mean())`` the legacy decoders used,
-reproduced here bit-for-bit so the compiled decoder paths stay bit-identical
-to the one-shot functions.  AMP additionally needs the per-entry variance
-``v = Γ/n·(1 − 1/n)`` of the count distribution, also centralised here.
+For ragged designs (pools of unequal size) ``Γ`` is the *mean* pool size,
+``float(np.diff(indptr).mean())``.  AMP additionally needs the per-entry
+variance ``v = Γ/n·(1 − 1/n)`` of the count distribution, also centralised
+here.
 
 Every helper takes plain arrays (or a :class:`~repro.core.design.PoolingDesign`
-``indptr``) so both the legacy per-call path and the compiled artifacts can
-share one implementation.
+``indptr``); the compiled decoders in :mod:`repro.baselines.compiled` call
+them once per artifact.
 """
 
 from __future__ import annotations
@@ -36,9 +35,8 @@ __all__ = [
 def pool_gamma(indptr: np.ndarray) -> float:
     """Mean pool size ``Γ`` from a CSR ``indptr`` (ragged-design safe).
 
-    Bit-identical to the legacy decoders' ``float(np.diff(indptr).mean())``:
-    the sum of pool sizes is an exact integer, so the division is the same
-    single rounding every caller performed.
+    The sum of pool sizes is an exact integer, so the mean is a single
+    rounding.
     """
     return float(np.diff(np.asarray(indptr)).mean())
 

@@ -1,11 +1,8 @@
 """Compiled baseline decoders: LP/OMP/AMP/COMP/DD on the compiled-design substrate.
 
-The legacy one-shot functions (:func:`~repro.baselines.lp.basis_pursuit_decode`,
-:func:`~repro.baselines.omp.omp_decode`, :func:`~repro.baselines.amp.amp_decode`,
-:func:`~repro.baselines.bin_gt.comp_decode`/:func:`~repro.baselines.bin_gt.dd_decode`)
-rebuild a dense ``(m, n)`` float64 matrix and re-derive centring constants on
-**every call**.  This module splits each of them into the library's unified
-compile/decode lifecycle (:mod:`repro.designs.protocol`):
+This module is the one implementation of the LP/OMP/AMP baselines.  Each is
+split into the library's unified compile/decode lifecycle
+(:mod:`repro.designs.protocol`):
 
 * a frozen-dataclass **Decoder** (:class:`LPDecoder`, :class:`OMPDecoder`,
   :class:`AMPDecoder`, :class:`COMPDecoder`, :class:`DDDecoder`) whose
@@ -13,24 +10,37 @@ compile/decode lifecycle (:mod:`repro.designs.protocol`):
   counts materialisation (:meth:`~repro.designs.compiled.CompiledDesign.counts_block`),
   centring constants, column norms, AMP's standardised sensing matrix — into
 * a **Compiled** artifact (:class:`CompiledLPDecoder`, …) whose
-  ``decode(y, k)`` replays exactly the legacy op sequence against the hoisted
-  arrays (bit-identical output), and whose ``decode_batch(Y, k)`` runs the
-  per-round correlation / residual / message-passing updates as real
-  ``(B, m) @ (m, n)`` BLAS GEMMs instead of per-signal Python loops.
+  ``decode(y, k)`` runs the per-signal algorithm against the hoisted arrays,
+  and whose ``decode_batch(Y, k)`` runs the per-round correlation / residual /
+  message-passing updates as real ``(B, m) @ (m, n)`` BLAS GEMMs instead of
+  per-signal Python loops.
 
-Parity contract (asserted by ``tests/test_decoders.py``):
+The one-shot functions (:func:`~repro.baselines.lp.basis_pursuit_decode`,
+:func:`~repro.baselines.omp.omp_decode`, :func:`~repro.baselines.amp.amp_decode`)
+are thin ``compile(compile_design(design)).decode(y, k)`` calls into this
+module, compiled with no cache or store.  The binary group-testing decoders
+go the other way: :class:`CompiledGTDecoder` delegates its single-signal
+``decode`` to :func:`~repro.baselines.bin_gt.comp_decode`/
+:func:`~repro.baselines.bin_gt.dd_decode`.
 
-* ``decode`` is **bit-identical** to the legacy one-shot function — the
-  compiled artifact holds the same float64 arrays the legacy path rebuilt, and
-  replays the same operations on them.
+Residency bound: LP/OMP/AMP need the dense float64 counts matrix resident,
+so a design whose ``(m, n)`` float64 block exceeds
+:data:`~repro.designs.compiled.BLOCK_RESIDENCY_LIMIT` (256 MB, ``m·n`` up to
+~33.5M) raises :class:`ValueError` at compile time — one-shots included.
+
+Parity contract (asserted by ``tests/test_decoders.py``): single-signal
+``decode`` is the oracle for ``decode_batch``.
+
 * ``decode_batch`` rows are bit-identical for the integer-exact COMP/DD
   decoders (their products route through the kernel-dispatched
-  :meth:`~repro.designs.compiled.CompiledDesign.psi` seam).  For the float
-  decoders (LP/OMP/AMP) a batched GEMM may round differently from the
-  single-vector matvec in the last bits, so batch rows are guaranteed
-  *thresholded-identical* (same recovered support) rather than bit-identical
-  — the documented tolerance of the iterative baselines.  The float GEMMs are
-  precision-pinned to float64 so results do not depend on ``REPRO_KERNEL``.
+  :meth:`~repro.designs.compiled.CompiledDesign.psi` seam) and match the
+  reference :func:`~repro.baselines.bin_gt.comp_decode`/``dd_decode``.
+* For the float decoders (LP/OMP/AMP) a batched GEMM may round differently
+  from the single-vector matvec in the last bits, so batch rows are
+  guaranteed *thresholded-identical* (same recovered support) rather than
+  bit-identical — the documented tolerance of the iterative baselines.  The
+  float GEMMs are precision-pinned to float64 so results do not depend on
+  ``REPRO_KERNEL``.
 
 Compiled artifacts derive entirely from a :class:`CompiledDesign`, so they
 compose with :class:`~repro.designs.cache.DesignCache` /
@@ -46,6 +56,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.baselines.amp import AMPResult, _denoise
 from repro.baselines.bin_gt import BernoulliORDesign, comp_decode, dd_decode
 from repro.baselines.centring import (
     centre_matrix,
@@ -196,7 +207,7 @@ class CompiledLPDecoder(_CompiledBaseline):
 
     The LP itself is inherently per-signal (HiGHS solves one instance at a
     time), so ``decode_batch`` amortises only the matrix materialisation —
-    which is exactly the per-call ``O(m·n)`` cost the legacy path paid.
+    the per-call ``O(m·n)`` cost a one-shot pays.
     """
 
     def __init__(self, compiled: "CompiledDesign", decoder: LPDecoder):
@@ -222,7 +233,7 @@ class CompiledLPDecoder(_CompiledBaseline):
         return _scatter_support(n, parallel_top_k(x, k, blocks=self.decoder.effective_blocks))
 
     def decode(self, y: np.ndarray, k: int) -> np.ndarray:
-        """Bit-identical to ``basis_pursuit_decode(design, y, k)``."""
+        """Solve the box-constrained LP and round to weight ``k``."""
         k = check_positive_int(k, "k")
         if k > self.compiled.n:
             raise ValueError(f"k={k} exceeds n={self.compiled.n}")
@@ -258,7 +269,7 @@ class OMPDecoder(_BaselineDecoder):
 class CompiledOMPDecoder(_CompiledBaseline):
     """OMP against a pre-centred matrix with pre-computed column norms.
 
-    ``decode`` replays the legacy loop verbatim (bit-identical);
+    ``decode`` runs ``k`` greedy rounds for one signal;
     ``decode_batch`` turns each round's correlation into one
     ``(B, m) @ (m, n)`` GEMM across all still-active rows, with per-row
     least-squares refits (supports differ per row, so the refit cannot
@@ -275,7 +286,7 @@ class CompiledOMPDecoder(_CompiledBaseline):
         self.col_norms.setflags(write=False)
 
     def decode(self, y: np.ndarray, k: int) -> np.ndarray:
-        """Bit-identical to ``omp_decode(design, y, k)``."""
+        """``k`` rounds of select / least-squares refit / residual update."""
         n, m = self.compiled.n, self.compiled.m
         k = check_positive_int(k, "k")
         if k > n:
@@ -333,12 +344,7 @@ class CompiledOMPDecoder(_CompiledBaseline):
 
 @dataclass(frozen=True)
 class AMPDecoder(_BaselineDecoder):
-    """AMP decoder in compile/decode form (see :mod:`repro.baselines.amp`).
-
-    ``max_iter``/``tol`` default to the legacy one-shot values, so a
-    default-configured compiled decoder is bit-identical to
-    ``amp_decode(design, y, k)``.
-    """
+    """AMP decoder in compile/decode form (see :mod:`repro.baselines.amp`)."""
 
     max_iter: int = 50
     tol: float = 1e-7
@@ -361,12 +367,13 @@ class AMPDecoder(_BaselineDecoder):
 class CompiledAMPDecoder(_CompiledBaseline):
     """AMP against a pre-standardised sensing matrix.
 
-    ``decode`` replays the legacy iteration verbatim (bit-identical,
-    including the ``AMPResult``-visible trajectory).  ``decode_batch``
-    vectorises the iteration across rows — the two matrix products per
-    round become ``(B, m) @ (m, n)`` GEMMs — with per-row effective-noise
-    tracking and per-row convergence freezing, so each row follows the
-    same trajectory the scalar path would (up to GEMM-vs-matvec rounding).
+    :meth:`run` holds the scalar iteration for one signal and returns its
+    trajectory (:class:`~repro.baselines.amp.AMPResult`); ``decode`` is its
+    ``sigma_hat``.  ``decode_batch`` vectorises the iteration across rows —
+    the two matrix products per round become ``(B, m) @ (m, n)`` GEMMs —
+    with per-row effective-noise tracking and per-row convergence freezing,
+    so each row follows the same trajectory the scalar path would (up to
+    GEMM-vs-matvec rounding).
     """
 
     def __init__(self, compiled: "CompiledDesign", decoder: AMPDecoder):
@@ -379,9 +386,8 @@ class CompiledAMPDecoder(_CompiledBaseline):
         self.f = centre_matrix(counts, self.mu) / self.scale
         self.f.setflags(write=False)
 
-    def decode(self, y: np.ndarray, k: int) -> np.ndarray:
-        """Bit-identical to ``amp_decode(design, y, k).sigma_hat``."""
-        from repro.baselines.amp import _denoise
+    def run(self, y: np.ndarray, k: int) -> AMPResult:
+        """Iterate AMP on one signal to convergence (or ``max_iter``) and round to weight ``k``."""
         from repro.parallel.sort import parallel_top_k
 
         n, m = self.compiled.n, self.compiled.m
@@ -396,17 +402,31 @@ class CompiledAMPDecoder(_CompiledBaseline):
         x = np.full(n, eps, dtype=np.float64)
         z = y_t - f @ x
         onsager_gain = 0.0
-        for _ in range(1, self.decoder.max_iter + 1):
+        tau_hist: "list[float]" = []
+        converged = False
+        it = 0
+        for it in range(1, self.decoder.max_iter + 1):
             z = y_t - f @ x + z * onsager_gain
             tau2 = max(float(z @ z) / m, 1e-12)
+            tau_hist.append(tau2)
             r = x + f.T @ z
             x_new, dx = _denoise(r, tau2, eps)
             onsager_gain = float(dx.mean()) * (n / m)
             delta = float(np.abs(x_new - x).mean())
             x = x_new
             if delta < self.decoder.tol:
+                converged = True
                 break
-        return _scatter_support(n, parallel_top_k(x, k, blocks=self.decoder.effective_blocks))
+        return AMPResult(
+            sigma_hat=_scatter_support(n, parallel_top_k(x, k, blocks=self.decoder.effective_blocks)),
+            posterior=x,
+            iterations=it,
+            converged=converged,
+            tau_history=tuple(tau_hist),
+        )
+
+    def decode(self, y: np.ndarray, k: int) -> np.ndarray:
+        return self.run(y, k).sigma_hat
 
     def decode_batch(self, Y: np.ndarray, k: "int | np.ndarray") -> np.ndarray:
         from repro.parallel.sort import parallel_top_k
@@ -419,7 +439,6 @@ class CompiledAMPDecoder(_CompiledBaseline):
         Y_t = centre_observations(Y, k_arr, self.mu) / self.scale
 
         eps = k_arr.astype(np.float64) / n  # per-row prior
-        logit = np.log(eps / (1.0 - eps))
         X = np.tile(eps[:, None], (1, n))
         Z = Y_t - X @ f.T
         onsager = np.zeros(batch, dtype=np.float64)
@@ -431,10 +450,7 @@ class CompiledAMPDecoder(_CompiledBaseline):
             Za = Y_t[rows] - X[rows] @ f.T + Z[rows] * onsager[rows, None]
             tau2 = np.maximum(np.einsum("bm,bm->b", Za, Za) / m, 1e-12)
             R = X[rows] + Za @ f  # (B, m) @ (m, n): the pseudo-data GEMM
-            a = logit[rows, None] + (2.0 * R - 1.0) / (2.0 * tau2[:, None])
-            a = np.clip(a, -60.0, 60.0)
-            eta = 1.0 / (1.0 + np.exp(-a))
-            deta = eta * (1.0 - eta) / tau2[:, None]
+            eta, deta = _denoise(R, tau2[:, None], eps[rows, None])
             onsager[rows] = deta.mean(axis=1) * (n / m)
             delta = np.abs(eta - X[rows]).mean(axis=1)
             X[rows] = eta
@@ -461,7 +477,7 @@ class CompiledGTDecoder(_CompiledBaseline):
     noise-free additive data this is sound: ``y_j = 0`` iff pool ``j``
     contains no one-entry.
 
-    ``decode`` delegates to the legacy :func:`comp_decode`/:func:`dd_decode`
+    ``decode`` delegates to the reference :func:`comp_decode`/:func:`dd_decode`
     on the equivalent :class:`BernoulliORDesign` view (bit-identical by
     construction); ``decode_batch`` expresses both phases as integer-exact
     products through the kernel-dispatched

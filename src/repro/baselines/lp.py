@@ -17,23 +17,28 @@ The paper's asymptotic count for this family is ``(2 + o(1))·k·ln(n/k)``,
 about ``2·ln k / (2)``× the IT threshold — the benchmarks confirm basis
 pursuit needs several times more queries than exhaustive decoding and
 roughly the same order as MN.
+
+The LP is solved by :class:`~repro.baselines.compiled.CompiledLPDecoder`;
+:func:`basis_pursuit_decode` is its one-shot form.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 
-from repro.baselines.centring import check_observations
+from repro.baselines.compiled import LPDecoder
 from repro.core.design import PoolingDesign
-from repro.parallel.sort import parallel_top_k
-from repro.util.validation import check_positive_int
+from repro.designs.compiled import compile_design
 
 __all__ = ["basis_pursuit_decode"]
 
 
 def basis_pursuit_decode(design: PoolingDesign, y: np.ndarray, k: int) -> np.ndarray:
     """Decode via the box-constrained ℓ1 LP and round to weight ``k``.
+
+    One-shot form of ``LPDecoder().compile(...).decode(y, k)``: the design
+    is compiled with no cache or store, so nothing is published to an
+    ambient ``REPRO_DESIGN_CACHE``/``REPRO_DESIGN_STORE``.
 
     Parameters
     ----------
@@ -51,28 +56,11 @@ def basis_pursuit_decode(design: PoolingDesign, y: np.ndarray, k: int) -> np.nda
 
     Raises
     ------
+    ValueError
+        If ``k`` exceeds n, ``y`` is malformed, or the dense counts matrix
+        exceeds the block residency budget.
     RuntimeError
         If the LP solver fails (infeasibility cannot happen for genuine
         ``(design, y)`` pairs since the ground truth is feasible).
     """
-    k = check_positive_int(k, "k")
-    if k > design.n:
-        raise ValueError(f"k={k} exceeds n={design.n}")
-    y = check_observations(y, design.m)
-
-    a_dense = design.counts_matrix().to_dense().astype(np.float64)
-    n = design.n
-    result = linprog(
-        c=np.ones(n),
-        A_eq=a_dense,
-        b_eq=y,
-        bounds=[(0.0, 1.0)] * n,
-        method="highs",
-    )
-    if not result.success:
-        raise RuntimeError(f"basis pursuit LP failed: {result.message}")
-    x = np.clip(result.x, 0.0, 1.0)
-    top = parallel_top_k(x, k, blocks=1)
-    sigma_hat = np.zeros(n, dtype=np.int8)
-    sigma_hat[top] = 1
-    return sigma_hat
+    return LPDecoder().compile(compile_design(design)).decode(y, k)

@@ -12,28 +12,28 @@ Iterations then follow the textbook recipe — select the column most
 correlated with the residual, re-fit by least squares on the support,
 update the residual — for exactly ``k`` rounds, after which the support is
 declared one (the discrete projection step).
+
+The rounds run in :class:`~repro.baselines.compiled.CompiledOMPDecoder`;
+:func:`omp_decode` is its one-shot form.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.centring import (
-    centre_matrix,
-    centre_observations,
-    check_observations,
-    column_mean,
-    column_norms,
-    pool_gamma,
-)
+from repro.baselines.compiled import OMPDecoder
 from repro.core.design import PoolingDesign
-from repro.util.validation import check_positive_int
+from repro.designs.compiled import compile_design
 
 __all__ = ["omp_decode"]
 
 
 def omp_decode(design: PoolingDesign, y: np.ndarray, k: int) -> np.ndarray:
     """Decode pooled data with centred OMP.
+
+    One-shot form of ``OMPDecoder().compile(...).decode(y, k)``: the design
+    is compiled with no cache or store, so nothing is published to an
+    ambient ``REPRO_DESIGN_CACHE``/``REPRO_DESIGN_STORE``.
 
     Parameters
     ----------
@@ -52,34 +52,8 @@ def omp_decode(design: PoolingDesign, y: np.ndarray, k: int) -> np.ndarray:
     Raises
     ------
     ValueError
-        If ``k`` is not a positive integer ≤ n, or ``y`` has the wrong
-        length or non-finite entries.
+        If ``k`` is not a positive integer ≤ n, ``y`` has the wrong length
+        or non-finite entries, or the dense counts matrix exceeds the block
+        residency budget.
     """
-    k = check_positive_int(k, "k")
-    if k > design.n:
-        raise ValueError(f"k={k} exceeds n={design.n}")
-    y = check_observations(y, design.m)
-
-    a = design.counts_matrix().to_dense().astype(np.float64)
-    mean = column_mean(pool_gamma(design.indptr), design.n)
-    a_c = centre_matrix(a, mean)
-    y_c = centre_observations(y, k, mean)
-
-    col_norms = column_norms(a_c)
-
-    support: "list[int]" = []
-    residual = y_c.copy()
-    available = np.ones(design.n, dtype=bool)
-    for _ in range(k):
-        corr = np.abs(a_c.T @ residual) / col_norms
-        corr[~available] = -np.inf
-        pick = int(np.argmax(corr))
-        support.append(pick)
-        available[pick] = False
-        sub = a_c[:, support]
-        coef, *_ = np.linalg.lstsq(sub, y_c, rcond=None)
-        residual = y_c - sub @ coef
-
-    sigma_hat = np.zeros(design.n, dtype=np.int8)
-    sigma_hat[np.asarray(support, dtype=np.int64)] = 1
-    return sigma_hat
+    return OMPDecoder().compile(compile_design(design)).decode(y, k)

@@ -13,7 +13,6 @@ claims       the §VI in-text claim table
 it           empirical Theorem-2 phase transition (exhaustive)
 thresh       threshold constants table across θ
 design       compiled-design lifecycle: build | info | decode | store
-tune         kernel autotuner: probe (kernel, blas_threads) combos
 serve        async decode service with request coalescing (NDJSON)
 ===========  =====================================================
 
@@ -239,24 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"default registry decoder for requests without a 'decoder' field (default mn, or ${{{_serve_env('DECODER')}}}); every registered decoder stays servable by name",
     )
     ps.add_argument("--store", type=str, default=None, help="design-store directory for read-through compiles (default: $REPRO_DESIGN_STORE)")
-
-    ptu = sub.add_parser("tune", help="kernel autotuner: probe (kernel, blas_threads) combos")
-    tsub = ptu.add_subparsers(dest="tune_command", required=True)
-    tk = tsub.add_parser("kernels", help="time the hot kernels and report the fastest configuration")
-    tk.add_argument("--n", type=int, default=10000, help="probe signal length")
-    tk.add_argument("--m", type=int, default=256, help="probe query count")
-    tk.add_argument("--batch", type=int, default=32, help="probe decode batch size")
-    tk.add_argument("--repeats", type=int, default=3, help="best-of repeats per probe")
-    tk.add_argument("--kernels", type=str, nargs="+", default=None, help="kernel subset (default: all registered)")
-    tk.add_argument("--threads", type=int, nargs="+", default=None, help="BLAS thread candidates (default: power-of-two ladder)")
-    tk.add_argument(
-        "--save",
-        type=str,
-        nargs="?",
-        const="",
-        default=None,
-        help="persist the winner as JSON; with no path, next to the design store (see REPRO_KERNEL_TUNING)",
-    )
 
     return parser
 
@@ -707,36 +688,6 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_tune(args) -> int:
-    from repro.kernels import tune
-    from repro.kernels.threads import machine_provenance
-
-    result = tune.tune_kernels(
-        args.n,
-        args.m,
-        args.batch,
-        kernels=tuple(args.kernels) if args.kernels else None,
-        thread_candidates=tuple(args.threads) if args.threads else None,
-        repeats=args.repeats,
-    )
-    machine = machine_provenance()
-    print(f"machine: {machine['cpu_count']} cores, BLAS {machine['blas_vendor']} (numpy {machine['numpy']})")
-    rows = [
-        (t.op, t.kernel, str(t.blas_threads), f"{t.seconds * 1e3:.2f}")
-        for t in sorted(result.timings, key=lambda t: (t.op, t.kernel, t.blas_threads))
-    ]
-    print(format_table(["op", "kernel", "threads", "best ms"], rows))
-    print(f"winner: kernel={result.kernel} blas_threads={result.blas_threads} (summed time over {', '.join(sorted({t.op for t in result.timings}))})")
-    if args.save is not None:
-        path = args.save or tune.default_tuning_path()
-        if path is None:
-            print("error: --save needs a path or REPRO_DESIGN_STORE set", file=sys.stderr)
-            return 2
-        out = tune.save_tuning(result, path)
-        print(f"tuning written to {out} (export REPRO_KERNEL_TUNING={out} to apply)")
-    return 0
-
-
 def main(argv: "Optional[Sequence[str]]" = None) -> int:
     """Entry point; returns an exit code."""
     args = build_parser().parse_args(argv)
@@ -760,8 +711,6 @@ def main(argv: "Optional[Sequence[str]]" = None) -> int:
         return _cmd_design(args)
     if args.command == "serve":
         return _cmd_serve(args)
-    if args.command == "tune":
-        return _cmd_tune(args)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

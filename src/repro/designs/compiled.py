@@ -485,13 +485,13 @@ def resolve_compiled(
     resolve through the ambient ``REPRO_DESIGN_CACHE``/``REPRO_DESIGN_STORE``
     configuration exactly as ``MNDecoder.compile`` always did.
     """
+    if isinstance(design, CompiledDesign):
+        return design
     from repro.designs.cache import resolve_design_cache
     from repro.designs.store import resolve_design_store
 
     cache_obj = resolve_design_cache(cache)
     store_obj = resolve_design_store(store)
-    if isinstance(design, CompiledDesign):
-        return design
     if isinstance(design, DesignKey):
         return compile_from_key(design, cache=cache_obj, store=store_obj)
     if isinstance(design, PoolingDesign):

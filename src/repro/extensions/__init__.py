@@ -1,8 +1,7 @@
 """Extensions beyond the paper's core results (§VI "open problems").
 
 * noisy additive queries grew into the first-class :mod:`repro.noise`
-  subsystem; :mod:`repro.extensions.noise` remains as a deprecated
-  re-export shim (imports warn, behavior is bit-identical).
+  subsystem, whose main names are re-exported here.
 * :mod:`repro.extensions.threshold_gt` — the threshold-group-testing
   variant the paper names as future work: a query reports only whether its
   count exceeds a threshold ``T``; we port the MN scoring idea to it.
@@ -15,8 +14,6 @@ These are clearly-labelled *extensions*: useful, tested, but not claims of
 the paper.
 """
 
-# Imported from the first-class subsystem, not the deprecated shim, so
-# `import repro.extensions` stays warning-free.
 from repro.noise.models import NoiseModel, GaussianNoise, DropoutNoise
 from repro.noise.trial import run_noisy_mn_trial
 from repro.extensions.threshold_gt import ThresholdDesign, threshold_mn_decode, run_threshold_trial

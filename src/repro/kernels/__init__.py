@@ -31,9 +31,7 @@ Selection, in precedence order:
 2. the ``kernel=`` field of the active
    :class:`~repro.engine.backend.Backend`;
 3. the ``REPRO_KERNEL`` environment variable;
-4. an applied autotuning result (:mod:`repro.kernels.tune` — in-memory,
-   or loaded once from the file named by ``REPRO_KERNEL_TUNING``);
-5. the library default, :data:`DEFAULT_KERNEL` (``"dense"``).
+4. the library default, :data:`DEFAULT_KERNEL` (``"dense"``).
 
 Kernel-module contract (what :func:`dispatch` returns)
 ------------------------------------------------------
@@ -79,8 +77,7 @@ __all__ = [
 #: Environment variable overriding the default kernel for the process.
 KERNEL_ENV = "REPRO_KERNEL"
 
-#: Library default when neither argument, backend, environment nor an
-#: applied tuning result chooses.
+#: Library default when neither argument, backend nor environment chooses.
 DEFAULT_KERNEL = "dense"
 
 #: Registry: kernel name → module implementing the contract above.  New
@@ -111,27 +108,22 @@ def check_kernel(name: "str | None", *, source: "str | None" = None) -> "str | N
 
 
 def resolve_kernel(name: "str | None" = None) -> str:
-    """Concrete kernel name for ``name`` (argument > environment > tuning > default)."""
+    """Concrete kernel name for ``name`` (argument > environment > default)."""
     if name is not None:
         return check_kernel(name)  # type: ignore[return-value]
     env = os.environ.get(KERNEL_ENV)
     if env:
         check_kernel(env, source=KERNEL_ENV)
         return env
-    from repro.kernels import tune  # deferred: tune imports this module
-
-    tuned = tune.tuned_kernel()
-    if tuned is not None:
-        return tuned
     return DEFAULT_KERNEL
 
 
 def dispatch(name: "str | None" = None) -> ModuleType:
     """The kernel module implementing the contract above for ``name``.
 
-    ``None`` resolves through ``REPRO_KERNEL`` / tuning /
-    :data:`DEFAULT_KERNEL`.  Imports lazily so that ``repro.kernels``
-    itself stays import-cycle-free (the kernel modules import
-    :mod:`repro.core.design` types for annotations only).
+    ``None`` resolves through ``REPRO_KERNEL`` / :data:`DEFAULT_KERNEL`.
+    Imports lazily so that ``repro.kernels`` itself stays import-cycle-free
+    (the kernel modules import :mod:`repro.core.design` types for
+    annotations only).
     """
     return importlib.import_module(_REGISTRY[resolve_kernel(name)])

@@ -47,20 +47,8 @@ _DECODERS = ("mn", "lp", "omp", "amp", "comp", "dd")
 
 
 def _decode(decoder: str, design: "PoolingDesign | CompiledDesign", y: np.ndarray, k: int) -> np.ndarray:
-    # The legacy branches run the historical code paths bit for bit; the
-    # registry branch serves every newer family through the compiled port
-    # (single-signal decode is bit-identical to the legacy functions by
-    # the parity contract in repro.baselines.compiled).
     if decoder == "mn":
         return mn_reconstruct(design, y, k)
-    if decoder == "lp":
-        from repro.baselines.lp import basis_pursuit_decode
-
-        return basis_pursuit_decode(design, y, k)
-    if decoder == "omp":
-        from repro.baselines.omp import omp_decode
-
-        return omp_decode(design, y, k)
     if decoder in _DECODERS:
         from repro.designs import make_decoder
 
@@ -169,12 +157,10 @@ def run_noisy_mn_trial(
     y_noisy = average_replicas(replicas)
     if decoder == "mn" and compiled is not None:
         sigma_hat = MNDecoder().decode(compiled.stats_for(y_noisy), k)
-    elif compiled is not None and decoder not in ("mn", "lp", "omp"):
+    else:
         # Registry decoders compile against the already-resolved artifact,
         # so the cache/store hit is reused rather than re-deriving Ψ.
-        sigma_hat = _decode(decoder, compiled, y_noisy, k)
-    else:
-        sigma_hat = _decode(decoder, design_obj, y_noisy, k)
+        sigma_hat = _decode(decoder, compiled if compiled is not None else design_obj, y_noisy, k)
     return MNTrialResult(
         n=n,
         k=k,

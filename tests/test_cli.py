@@ -280,36 +280,3 @@ class TestFleetCLI:
         rc = main(["design", "store", "sync", "--store", str(tmp_path / "b"), "--remote", str(remote)])
         assert rc == 1
         assert "1 corrupt" in capsys.readouterr().out
-
-
-class TestTuneCLI:
-    def test_tune_requires_subcommand(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["tune"])
-
-    def test_tune_kernels_reports_winner(self, capsys):
-        assert main(["tune", "kernels", "--n", "64", "--m", "8", "--batch", "2", "--repeats", "1", "--threads", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "winner: kernel=" in out and "blas_threads=1" in out
-        assert "dense32" in out and "machine:" in out
-
-    def test_tune_kernels_save_to_path(self, tmp_path, capsys):
-        target = tmp_path / "tuning.json"
-        args = ["tune", "kernels", "--n", "64", "--m", "8", "--batch", "2", "--repeats", "1", "--threads", "1"]
-        assert main(args + ["--save", str(target)]) == 0
-        assert "REPRO_KERNEL_TUNING" in capsys.readouterr().out
-        from repro.kernels.tune import load_tuning
-
-        assert load_tuning(target).blas_threads == 1
-
-    def test_tune_kernels_save_default_needs_store(self, monkeypatch, capsys):
-        monkeypatch.delenv("REPRO_DESIGN_STORE", raising=False)
-        args = ["tune", "kernels", "--n", "64", "--m", "8", "--batch", "2", "--repeats", "1", "--threads", "1", "--save"]
-        assert main(args) == 2
-        assert "REPRO_DESIGN_STORE" in capsys.readouterr().err
-
-    def test_tune_kernels_save_default_beside_store(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_DESIGN_STORE", str(tmp_path / "store"))
-        args = ["tune", "kernels", "--n", "64", "--m", "8", "--batch", "2", "--repeats", "1", "--threads", "1", "--save"]
-        assert main(args) == 0
-        assert (tmp_path / "store" / "kernel-tuning.json").exists()

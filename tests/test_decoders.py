@@ -2,13 +2,17 @@
 
 The contract (module docstring of :mod:`repro.baselines.compiled`):
 
-* single-signal ``decode`` replays the legacy op sequence — **bit-identical**
-  to ``basis_pursuit_decode`` / ``omp_decode`` / ``amp_decode`` /
-  ``comp_decode`` / ``dd_decode`` on every design;
-* ``decode_batch`` rows are bit-identical for the integer-exact COMP/DD
-  decoders (they route through the kernel-dispatched ``Ψ`` seam) and
-  support-identical (same thresholded output) for the float LP/OMP/AMP
-  decoders, whose GEMMs round differently from per-signal matvecs;
+* the one-shot ``basis_pursuit_decode`` / ``omp_decode`` / ``amp_decode``
+  are the registry decoders compiled with no cache or store — same output,
+  nothing published to an ambient cache/store, same residency bound;
+  ``CompiledGTDecoder.decode`` matches ``comp_decode`` / ``dd_decode``;
+* single-signal ``decode`` supports are pinned as literal index lists, so
+  drift in the one remaining float op sequence shows up here;
+* single-signal ``decode`` is the oracle for ``decode_batch``: rows are
+  bit-identical for the integer-exact COMP/DD decoders (they route through
+  the kernel-dispatched ``Ψ`` seam) and support-identical (same thresholded
+  output) for the float LP/OMP/AMP decoders, whose GEMMs round differently
+  from per-signal matvecs;
 * results are independent of how the artifact was obtained — direct
   compile, cache/store read-through, or shared-memory attach.
 
@@ -39,8 +43,13 @@ from repro.designs import (
     available_decoders,
     compile_design,
     compile_from_key,
+    default_design_cache,
     make_decoder,
+    reset_default_design_cache,
+    reset_default_design_store,
+    resolve_design_store,
 )
+from repro.designs import compiled as compiled_mod
 from repro.designs.sharing import SharedCompiledDesign, attach_compiled
 
 N, M, K = 300, 120, 4
@@ -57,7 +66,7 @@ def _membership(design: PoolingDesign) -> np.ndarray:
     return member
 
 
-def _legacy(name: str, design: PoolingDesign, y: np.ndarray, k: int) -> np.ndarray:
+def _one_shot(name: str, design: PoolingDesign, y: np.ndarray, k: int) -> np.ndarray:
     if name == "lp":
         return basis_pursuit_decode(design, y, k)
     if name == "omp":
@@ -83,23 +92,25 @@ def instance(request):
 
 @pytest.mark.parametrize("name", FLOAT_DECODERS + GT_DECODERS)
 class TestSingleSignalParity:
+    """The one-shot functions and the registry decoders agree on every design."""
+
     def test_clean_bit_identical(self, name, instance):
         design, compiled, Y, _ = instance
         decoder = make_decoder(name).compile(compiled)
         for i in range(2):
-            assert np.array_equal(decoder.decode(Y[i], K), _legacy(name, design, Y[i], K))
+            assert np.array_equal(decoder.decode(Y[i], K), _one_shot(name, design, Y[i], K))
 
     def test_noisy_bit_identical(self, name, instance):
         """Corrupted counts: identical outputs — or the identical failure.
 
         LP's equality constraints can go infeasible under corruption; the
-        compiled port must then fail exactly as the legacy call does.
+        registry decoder must then fail exactly as the one-shot does.
         """
         design, compiled, _, noisy = instance
         decoder = make_decoder(name).compile(compiled)
         for i in range(2):
             try:
-                expected = _legacy(name, design, noisy[i], K)
+                expected = _one_shot(name, design, noisy[i], K)
             except RuntimeError:
                 with pytest.raises(RuntimeError, match="basis pursuit"):
                     decoder.decode(noisy[i], K)
@@ -107,16 +118,40 @@ class TestSingleSignalParity:
             assert np.array_equal(decoder.decode(noisy[i], K), expected)
 
 
+#: Single-signal ``decode`` supports of the first two clean rows of each
+#: fixture.  A mismatch means the LP/OMP/AMP float op sequence changed.  On
+#: Γ=1 the zero-coverage columns tie exactly, so those supports also pin the
+#: tie-break.
+PINNED_SUPPORTS = {
+    ("ragged", "lp"): [[75, 150, 241, 289], [53, 93, 134, 170]],
+    ("ragged", "omp"): [[75, 150, 241, 289], [53, 93, 134, 170]],
+    ("ragged", "amp"): [[75, 150, 241, 289], [53, 93, 134, 170]],
+    ("gamma1", "lp"): [[0, 1, 2, 24], [0, 1, 2, 219]],
+    ("gamma1", "omp"): [[1, 2, 3, 24], [1, 2, 3, 219]],
+    ("gamma1", "amp"): [[0, 1, 2, 24], [0, 1, 2, 219]],
+}
+
+
+@pytest.mark.parametrize("name", FLOAT_DECODERS)
+def test_pinned_single_signal_supports(name, instance, request):
+    _, compiled, Y, _ = instance
+    family = request.node.callspec.params["instance"]
+    decoder = make_decoder(name).compile(compiled)
+    got = [np.flatnonzero(decoder.decode(Y[i], K)).tolist() for i in range(2)]
+    assert got == PINNED_SUPPORTS[family, name]
+
+
 @pytest.mark.parametrize("name", GT_DECODERS)
 class TestGTBatchParity:
     def test_batch_rows_bit_identical_to_legacy(self, name, instance):
+        """Rows match the ``comp_decode``/``dd_decode`` reference on the OR view."""
         design, compiled, Y, noisy = instance
         decoder = make_decoder(name).compile(compiled)
         for observed in (Y, noisy):
             out = decoder.decode_batch(observed, K)
             assert out.shape == (BATCH, N)
             for i in range(BATCH):
-                assert np.array_equal(out[i], _legacy(name, design, observed[i], K))
+                assert np.array_equal(out[i], _one_shot(name, design, observed[i], K))
 
     def test_b1_batch_equals_decode(self, name, instance):
         _, compiled, Y, _ = instance
@@ -225,13 +260,14 @@ class TestRegistry:
             make_decoder(name, blocks=2)
 
 
-class TestGuards:
-    @pytest.fixture(scope="class")
-    def small(self):
-        design = PoolingDesign.sample(60, 30, np.random.default_rng(1))
-        sigma = random_signal(60, 3, np.random.default_rng(2))
-        return design, compile_design(design), design.query_results(sigma)
+@pytest.fixture(scope="module")
+def small():
+    design = PoolingDesign.sample(60, 30, np.random.default_rng(1))
+    sigma = random_signal(60, 3, np.random.default_rng(2))
+    return design, compile_design(design), design.query_results(sigma)
 
+
+class TestGuards:
     @pytest.mark.parametrize("legacy", [basis_pursuit_decode, omp_decode, amp_decode])
     def test_legacy_rejects_nonfinite_y(self, legacy, small):
         design, _, y = small
@@ -253,7 +289,7 @@ class TestGuards:
         with pytest.raises(ValueError, match="finite"):
             decoder.decode_batch(batch, 3)
 
-    @pytest.mark.parametrize("legacy", [omp_decode, amp_decode])
+    @pytest.mark.parametrize("legacy", [omp_decode, amp_decode, basis_pursuit_decode])
     def test_legacy_rejects_k_zero(self, legacy, small):
         design, _, y = small
         with pytest.raises(ValueError):
@@ -265,3 +301,47 @@ class TestGuards:
         decoder = make_decoder(name).compile(compiled)
         with pytest.raises(ValueError):
             decoder.decode(y, 0)
+
+
+ONE_SHOTS = [basis_pursuit_decode, omp_decode, amp_decode]
+
+
+class TestOneShots:
+    """The one-shot forms compile privately and share the compiled residency bound."""
+
+    @pytest.fixture
+    def ambient(self, tmp_path, monkeypatch):
+        """Arm the ambient cache and store, fresh for this test only."""
+        monkeypatch.setenv("REPRO_DESIGN_CACHE", "1")
+        monkeypatch.setenv("REPRO_DESIGN_STORE", str(tmp_path / "store"))
+        reset_default_design_cache()
+        reset_default_design_store()
+        yield
+        reset_default_design_cache()
+        reset_default_design_store()
+
+    @pytest.mark.parametrize("one_shot", ONE_SHOTS)
+    def test_publishes_nothing_to_ambient_cache_or_store(self, one_shot, small, ambient):
+        design, _, y = small
+        one_shot(design, y, 3)
+        stats = default_design_cache().stats
+        assert (stats.hits, stats.misses, stats.entries) == (0, 0, 0)
+        assert len(resolve_design_store()) == 0
+        # The registry path over the same design does publish — the ambient layers are armed.
+        make_decoder("omp").compile(design).decode(y, 3)
+        assert default_design_cache().stats.misses == 1
+        assert len(resolve_design_store()) == 1
+
+    @pytest.mark.parametrize("one_shot", ONE_SHOTS)
+    def test_residency_bound_raises(self, one_shot, small, monkeypatch):
+        design, _, y = small
+        monkeypatch.setattr(compiled_mod, "BLOCK_RESIDENCY_LIMIT", 8 * design.m * design.n - 1)
+        with pytest.raises(ValueError, match="residency"):
+            one_shot(design, y, 3)
+
+    def test_amp_result_matches_registry_decode(self, small):
+        design, _, y = small
+        result = amp_decode(design, y, 3, max_iter=7, tol=1e-3)
+        compiled = make_decoder("amp", max_iter=7, tol=1e-3).compile(compile_design(design))
+        assert np.array_equal(result.sigma_hat, compiled.decode(y, 3))
+        assert result.iterations == len(result.tau_history) <= 7

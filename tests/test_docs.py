@@ -69,7 +69,6 @@ class TestDocsSite:
             "REPRO_DESIGN_STORE",
             "REPRO_KERNEL",
             "REPRO_BLAS_THREADS",
-            "REPRO_KERNEL_TUNING",
             "REPRO_FAULT_PLAN",
             "REPRO_SERVE_BREAKER_THRESHOLD",
             "REPRO_SERVE_BREAKER_COOLDOWN_MS",

@@ -1,9 +1,5 @@
 """Tests for the §VI extensions: noise, threshold queries, adaptive rounds."""
 
-import importlib
-import sys
-import warnings
-
 import numpy as np
 import pytest
 
@@ -13,52 +9,6 @@ from repro.extensions.adaptive import adaptive_reconstruct
 from repro.extensions.threshold_gt import ThresholdDesign, run_threshold_trial, threshold_mn_decode
 from repro.noise.models import DropoutNoise, GaussianNoise
 from repro.noise.trial import run_noisy_mn_trial
-
-
-class TestNoiseShimDeprecation:
-    """repro.extensions.noise: warns on import, re-exports stay bit-identical."""
-
-    @staticmethod
-    def _fresh_shim():
-        """Re-import the shim as if for the first time (the warning is per-import)."""
-        sys.modules.pop("repro.extensions.noise", None)
-        return importlib.import_module("repro.extensions.noise")
-
-    @staticmethod
-    def _quiet_shim():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            return TestNoiseShimDeprecation._fresh_shim()
-
-    def test_import_emits_deprecation_pointing_at_repro_noise(self):
-        with pytest.warns(DeprecationWarning, match="repro.noise") as records:
-            self._fresh_shim()
-        assert any("repro.extensions.noise is deprecated" in str(r.message) for r in records)
-
-    def test_extensions_package_import_stays_warning_free(self):
-        sys.modules.pop("repro.extensions", None)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            importlib.import_module("repro.extensions")
-
-    def test_reexports_are_the_canonical_objects(self):
-        shim = self._quiet_shim()
-        from repro.noise.models import DropoutNoise as canonical_dropout
-        from repro.noise.models import GaussianNoise as canonical_gaussian
-        from repro.noise.models import NoiseModel as canonical_model
-        from repro.noise.trial import run_noisy_mn_trial as canonical_trial
-
-        assert shim.NoiseModel is canonical_model
-        assert shim.GaussianNoise is canonical_gaussian
-        assert shim.DropoutNoise is canonical_dropout
-        assert shim.run_noisy_mn_trial is canonical_trial
-
-    def test_shim_trial_bit_identical_to_canonical(self):
-        shim = self._quiet_shim()
-        kwargs = dict(theta=0.3, root_seed=11, trial=2)
-        via_shim = shim.run_noisy_mn_trial(150, 160, shim.GaussianNoise(1.5), **kwargs)
-        canonical = run_noisy_mn_trial(150, 160, GaussianNoise(1.5), **kwargs)
-        assert via_shim == canonical
 
 
 class TestNoiseModels:

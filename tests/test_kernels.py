@@ -8,7 +8,7 @@ serial and multi-worker), materialised designs (regular and ragged),
 batched query evaluation, odd shapes (``B = 1``, last short batch,
 ``Γ = 1``), the precision-tier boundaries (float32's 2²⁴ and float64's
 2⁵³ exact-integer limits, below and above), the BLAS threadpool governor,
-the autotuner, and the top-k fast path.
+and the top-k fast path.
 """
 
 import numpy as np
@@ -19,7 +19,7 @@ from repro.core.design import PoolingDesign, stream_design_stats
 from repro.core.signal import random_signal
 from repro.engine.backend import SerialBackend, SharedMemBackend, resolve_backend
 from repro.engine.batch import reconstruct_batch, signals_oracle
-from repro.kernels import threads, tune
+from repro.kernels import threads
 from repro.noise.models import DropoutNoise, GaussianNoise
 from repro.parallel.sort import parallel_top_k
 
@@ -436,80 +436,6 @@ class TestThreadGovernor:
         with SharedMemBackend(workers, kernel="dense32", blas_threads=1, pin_workers=True) as backend:
             got = stream_design_stats(sigma, 21, root_seed=9, batch_queries=8, backend=backend)
         assert_stats_equal(got, serial, f"(workers={workers}, capped+pinned)")
-
-
-class TestTuner:
-    """repro.kernels.tune: probing, persistence, and dispatch precedence."""
-
-    @pytest.fixture(autouse=True)
-    def _clean_tuning_state(self, monkeypatch):
-        monkeypatch.delenv(tune.TUNING_ENV, raising=False)
-        monkeypatch.delenv(kernels.KERNEL_ENV, raising=False)
-        tune.clear_tuning()
-        yield
-        tune.clear_tuning()
-
-    def _tiny(self):
-        return tune.tune_kernels(64, 8, 2, thread_candidates=(1,), repeats=1)
-
-    def test_tune_kernels_probes_every_cell(self):
-        result = self._tiny()
-        assert result.kernel in kernels.available_kernels()
-        assert result.blas_threads == 1
-        seen = {(t.op, t.kernel) for t in result.timings}
-        assert seen == {(op, k) for op in ("stream", "psi", "queries") for k in kernels.available_kernels()}
-        assert all(t.seconds >= 0 for t in result.timings)
-        assert result.best("psi").seconds <= max(t.seconds for t in result.timings)
-
-    def test_save_load_round_trip(self, tmp_path):
-        result = self._tiny()
-        path = tune.save_tuning(result, tmp_path / "tuning.json")
-        loaded = tune.load_tuning(path)
-        assert loaded.kernel == result.kernel
-        assert loaded.blas_threads == result.blas_threads
-        assert loaded.to_payload() == result.to_payload()
-
-    def test_load_rejects_corrupt_and_unknown(self, tmp_path):
-        bad = tmp_path / "tuning.json"
-        bad.write_text("{not json")
-        with pytest.raises(ValueError, match="unreadable"):
-            tune.load_tuning(bad)
-        bad.write_text('{"format_version": 1, "kernel": "turbo", "blas_threads": 1, "shape": {}, "timings": []}')
-        with pytest.raises(ValueError, match="unknown kernel"):
-            tune.load_tuning(bad)
-        with pytest.raises(ValueError, match="unreadable"):
-            tune.load_tuning(tmp_path / "missing.json")
-
-    def test_applied_tuning_feeds_dispatch(self):
-        result = self._tiny()
-        tune.apply_tuning(result)
-        assert kernels.resolve_kernel(None) == result.kernel
-        assert tune.tuned_blas_threads() == 1
-        # Explicit choices still win over tuning.
-        assert kernels.resolve_kernel("legacy") == "legacy"
-        tune.clear_tuning()
-        assert kernels.resolve_kernel(None) == kernels.DEFAULT_KERNEL
-
-    def test_env_kernel_beats_tuning(self, monkeypatch):
-        result = self._tiny()
-        tune.apply_tuning(result)
-        monkeypatch.setenv(kernels.KERNEL_ENV, "legacy")
-        assert kernels.resolve_kernel(None) == "legacy"
-
-    def test_env_tuning_file_loaded_lazily(self, tmp_path, monkeypatch):
-        result = self._tiny()
-        path = tune.save_tuning(result, tmp_path / "tuning.json")
-        monkeypatch.setenv(tune.TUNING_ENV, str(path))
-        tune.clear_tuning()  # re-arm the lazy load
-        assert kernels.resolve_kernel(None) == result.kernel
-
-    def test_default_tuning_path(self, tmp_path, monkeypatch):
-        from repro.designs.store import DESIGN_STORE_ENV
-
-        monkeypatch.delenv(DESIGN_STORE_ENV, raising=False)
-        assert tune.default_tuning_path() is None
-        monkeypatch.setenv(DESIGN_STORE_ENV, str(tmp_path))
-        assert tune.default_tuning_path() == tmp_path / tune.TUNING_FILE_NAME
 
 
 class TestTopKFastPath:

@@ -297,19 +297,6 @@ class TestThresholdDecode:
 
 
 class TestNoisyTrialHooks:
-    def test_legacy_import_path_still_works(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            # The shim is deprecated (its own suite asserts the warning);
-            # here we only care that the re-exports stay the same objects.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.extensions.noise import DropoutNoise as D
-            from repro.extensions.noise import GaussianNoise as G
-            from repro.extensions.noise import run_noisy_mn_trial as legacy
-
-        assert G is GaussianNoise and D is DropoutNoise and legacy is run_noisy_mn_trial
-
     def test_deterministic(self):
         a = run_noisy_mn_trial(200, 200, GaussianNoise(2.0), theta=0.3, root_seed=3, trial=1)
         b = run_noisy_mn_trial(200, 200, GaussianNoise(2.0), theta=0.3, root_seed=3, trial=1)
