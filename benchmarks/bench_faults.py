@@ -18,13 +18,22 @@ and recovery is *affordable*.  This module prices the affordable half:
   ``verify=True``: manifest hashing runs *once at attach* and never on
   the per-decode hot path, so over an attach + decode-loop session the
   overhead must stay **< 3 %** (asserted, min-of-interleaved-runs).
+* **fresh-process integrity tax** — the same hash priced where it is not
+  amortised: a new child process's attach plus first decode at
+  ``n = 10^4``, ``m ∈ {600, 2400}``, ``verify=True`` against
+  ``verify=False`` (recorded, not asserted).
 """
 
 import dataclasses
+import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.core.mn import MNDecoder
 from repro.core.signal import random_signal
@@ -45,6 +54,32 @@ KEY = DesignKey.for_stream(N, M, root_seed=SEED, batch_queries=256)
 #: attach.  ``100 × 64``-wide batches ≈ 6 400 decodes ≈ half a second.
 BATCH = 64
 BATCHES_PER_SESSION = 100
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+#: The fresh-process leg: a new interpreter attaches one entry (verified or
+#: trusted) and runs its first decode, timed inside the child so the record
+#: isolates attach + verify + first decode from interpreter startup.
+FRESH_N = 10_000
+FRESH_K = 16
+_FRESH_CHILD = r"""
+import json, sys, time
+import numpy as np
+from repro.core.mn import MNDecoder
+from repro.designs import DesignKey, DesignStore
+
+root, y_path, verify = sys.argv[1], sys.argv[2], sys.argv[3] == "1"
+n, m, k, seed = (int(a) for a in sys.argv[4:8])
+key = DesignKey.for_stream(n, m, root_seed=seed, batch_queries=256)
+y = np.load(y_path)
+t0 = time.perf_counter()
+compiled = DesignStore(root, verify=verify).get(key)
+assert compiled is not None, "store miss in fresh child"
+attach_s = time.perf_counter() - t0
+sigma_hat = MNDecoder().compile(compiled).decode(y, k)
+seconds = time.perf_counter() - t0
+print(json.dumps({"seconds": seconds, "attach_s": attach_s, "support": np.flatnonzero(sigma_hat).tolist()}))
+"""
 
 
 def _sleep_task(payload, cache):
@@ -246,3 +281,57 @@ class TestIntegrityTax:
         # The acceptance bar: amortised over a warm session, verification
         # must cost < 3% because hashing never runs on the decode hot path.
         assert overhead < 0.03
+
+
+def _fresh_child(root: Path, y_path: Path, m: int, verify: bool) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = _SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    argv = [str(root), str(y_path), "1" if verify else "0", str(FRESH_N), str(m), str(FRESH_K), str(SEED)]
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_CHILD, *argv], capture_output=True, text=True, env=env, check=True
+    )
+    return json.loads(proc.stdout)
+
+
+class TestFreshProcessTax:
+    @pytest.mark.parametrize("m", [600, 2400])
+    def test_fresh_process_attach_and_first_decode(self, benchmark, repro_seed, tmp_path, m):
+        key = DesignKey.for_stream(FRESH_N, m, root_seed=SEED, batch_queries=256)
+        compiled = compile_from_key(key)
+        DesignStore(tmp_path / "store").publish(compiled)
+        y_path = tmp_path / "y.npy"
+        np.save(y_path, compiled.query_results(random_signal(FRESH_N, FRESH_K, np.random.default_rng(7))))
+        del compiled
+
+        # Interleave the arms; each child is a new process with a cold
+        # import but a warm page cache (the entry was just written).
+        rounds = 3
+        verified, trusting = [], []
+        for _ in range(rounds):
+            verified.append(_fresh_child(tmp_path / "store", y_path, m, verify=True))
+            trusting.append(_fresh_child(tmp_path / "store", y_path, m, verify=False))
+        assert len({tuple(r["support"]) for r in verified + trusting}) == 1
+
+        def median(runs, field):
+            return float(np.median([r[field] for r in runs]))
+
+        verified_s, trusting_s = median(verified, "seconds"), median(trusting, "seconds")
+        benchmark.pedantic(lambda: _fresh_child(tmp_path / "store", y_path, m, verify=True), rounds=1, iterations=1)
+        benchmark.extra_info.update(
+            {
+                "n": FRESH_N,
+                "m": m,
+                "k": FRESH_K,
+                "backend": "subprocess",
+                "verified_s": round(verified_s, 5),
+                "trusting_s": round(trusting_s, 5),
+                "verified_attach_s": round(median(verified, "attach_s"), 5),
+                "trusting_attach_s": round(median(trusting, "attach_s"), 5),
+                "fresh_process_tax_ms": round((verified_s - trusting_s) * 1e3, 2),
+                "fresh_process_tax_pct": round((verified_s / trusting_s - 1.0) * 100.0, 1),
+            }
+        )
+        print(
+            f"\nfresh process m={m}: attach+first decode {verified_s * 1e3:.1f}ms verified vs "
+            f"{trusting_s * 1e3:.1f}ms unverified -> +{(verified_s - trusting_s) * 1e3:.1f}ms"
+        )

@@ -15,6 +15,7 @@ Three contracts under test:
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -64,8 +65,6 @@ def _keys(count, n=240, m=30):
 
 def _set_used(store, key, epoch):
     """Pin an entry's recency marker (mtime granularity makes touches tie)."""
-    import os
-
     os.utime(store.entry_dir(key) / ".last-used", (epoch, epoch))
 
 
@@ -487,3 +486,114 @@ class TestCrossProcess:
         # The shared stats.json agrees with the per-process views.
         cumulative = DesignStore(root).persistent_stats()
         assert cumulative["publishes"] == 1 and cumulative["hits"] == 1
+
+
+_BUMP_SCRIPT = """
+import sys
+import repro.designs.store as store_mod
+from repro.designs import DesignKey, DesignStore
+
+root, compact_bytes = sys.argv[1], int(sys.argv[2])
+if compact_bytes:
+    store_mod._STATS_COMPACT_BYTES = compact_bytes
+store = DesignStore(root)
+warm = DesignKey.for_stream(300, 40, root_seed=11)
+cold = DesignKey.for_stream(300, 40, root_seed=12)
+for _ in range(150):
+    assert store.get(warm) is not None
+    assert store.get(cold) is None
+"""
+
+
+class TestStatsLog:
+    """The cross-process counters: an append-only delta log over a base."""
+
+    def test_torn_trailing_record_is_skipped_and_earlier_totals_survive(self, store):
+        store.get(KEY)  # miss
+        store.get_or_compile(KEY, lambda: compile_from_key(KEY))  # miss + publish
+        store.get(KEY)  # hit
+        before = store.persistent_stats()
+        assert (before["misses"], before["publishes"], before["hits"]) == (2, 1, 1)
+        with open(store.root / "stats.log", "ab") as log:
+            log.write(b'{"hits":40')  # a writer crashed mid-record
+        assert store.persistent_stats() == before
+        store.get(KEY)  # the next writer starts a fresh line
+        assert store.persistent_stats() == {**before, "hits": before["hits"] + 1}
+
+    def test_forced_compaction_preserves_totals_and_empties_the_log(self, store, monkeypatch):
+        import repro.designs.store as store_mod
+
+        store.publish(compile_from_key(KEY))
+        for _ in range(4):
+            store.get(KEY)
+        store.get(DesignKey.for_stream(300, 40, root_seed=12))  # miss
+        expected = store.persistent_stats()
+        assert (expected["publishes"], expected["hits"], expected["misses"]) == (1, 4, 1)
+        monkeypatch.setattr(store_mod, "_STATS_COMPACT_BYTES", 1)
+        store.get(KEY)  # this append crosses the threshold and compacts
+        expected["hits"] += 1
+        assert store.persistent_stats() == expected
+        assert not (store.root / "stats.log").exists()
+        assert json.loads((store.root / "stats.json").read_text()) == expected
+        assert not list(store.root.glob(".stats-*"))  # no compaction residue
+        monkeypatch.undo()
+        store.get(KEY)  # the log starts over on top of the new base
+        assert (store.root / "stats.log").stat().st_size > 0
+        assert store.persistent_stats() == {**expected, "hits": expected["hits"] + 1}
+
+    def test_compaction_residue_is_not_counted_and_is_reaped(self, store):
+        store.get(KEY)  # miss
+        expected = store.persistent_stats()
+        # A compaction that crashed after setting the log aside.
+        (store.root / ".stats-4242-deadbeef.log").write_text('{"hits":7}\n{"misses":3}\n')
+        assert store.persistent_stats() == expected
+        assert store.fsck().residue == 1
+        assert store.reap_residue(grace_s=0.0) == 1
+        assert not list(store.root.glob(".stats-*"))
+        assert store.persistent_stats() == expected
+
+    @pytest.mark.parametrize("compact_bytes", [0, 512], ids=["append-only", "compacting"])
+    def test_concurrent_processes_count_exactly(self, tmp_path, compact_bytes):
+        root = tmp_path / "store"
+        DesignStore(root).publish(compile_from_key(KEY))
+        env = {"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"), "PATH": "/usr/bin:/bin"}
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", _BUMP_SCRIPT, str(root), str(compact_bytes)],
+                env=env,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            for _ in range(2)
+        ]
+        for proc in procs:
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+        cumulative = DesignStore(root).persistent_stats()
+        assert cumulative["hits"] == 300 and cumulative["misses"] == 300
+        assert cumulative["publishes"] == 1
+        assert not list(root.glob(".stats-*"))
+
+    def test_lookups_rename_no_file(self, store, monkeypatch):
+        calls = []
+        real_rename, real_replace = os.rename, os.replace
+
+        def spy(real, name):
+            def wrapper(src, dst, *args, **kwargs):
+                calls.append((name, Path(src).name, Path(dst).name))
+                return real(src, dst, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(os, "rename", spy(real_rename, "rename"))
+        monkeypatch.setattr(os, "replace", spy(real_replace, "replace"))
+        assert store.get(KEY) is None  # get miss
+        assert calls == []
+        store.get_or_compile(KEY, lambda: compile_from_key(KEY))  # get_or_compile miss
+        # The only rename is the entry's own atomic publication.
+        assert [(name, dst) for name, _, dst in calls] == [("rename", store.digest(KEY))]
+        calls.clear()
+        assert store.get(KEY) is not None  # get hit
+        store.get_or_compile(KEY, lambda: pytest.fail("a warm key must not compile"))  # get_or_compile hit
+        assert calls == []
+        assert store.persistent_stats()["hits"] == 2

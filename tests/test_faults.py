@@ -206,10 +206,11 @@ class TestStoreIntegrity:
         store.publish(compile_from_key(KEY))
         return store
 
+    @pytest.mark.parametrize("payload", ["entries", "indptr", "dstar", "delta", "block"])
     @pytest.mark.parametrize("corrupt", [bitflip_file, truncate_file])
-    def test_corrupt_artifact_quarantines_and_recompiles_bit_identically(self, tmp_path, corrupt):
+    def test_corrupt_artifact_quarantines_and_recompiles_bit_identically(self, tmp_path, corrupt, payload):
         store = self._publish(tmp_path / "store")
-        corrupt(store.entry_dir(KEY) / "dstar.npy")
+        corrupt(store.entry_dir(KEY) / f"{payload}.npy")
         assert store.get(KEY) is None  # integrity manifest catches it: clean miss
         assert store.stats.quarantined == 1
         assert store.persistent_stats()["quarantined"] == 1
@@ -220,6 +221,35 @@ class TestStoreIntegrity:
         assert np.array_equal(np.asarray(healed.dstar), fresh.dstar)
         assert np.array_equal(np.asarray(healed.delta), fresh.delta)
         assert np.array_equal(np.asarray(healed.design.entries), fresh.design.entries)
+        assert np.array_equal(np.asarray(healed.design.indptr), fresh.design.indptr)
+        assert np.array_equal(np.asarray(healed.incidence_block()), fresh.incidence_block())
+
+    def test_missing_payload_file_is_reported_by_name(self, tmp_path):
+        store = self._publish(tmp_path / "store")
+        path = store.entry_dir(KEY)
+        meta = json.loads((path / "meta.json").read_text())
+        (path / "delta.npy").unlink()
+        with pytest.raises(ValueError) as excinfo:
+            DesignStore._verify_manifest(path, meta)
+        assert str(excinfo.value) == f"integrity: store entry {path.name} is missing delta.npy"
+        assert store.get(KEY) is None and store.stats.quarantined == 1
+
+    def test_forked_workers_attach_after_the_parent_verified(self, tmp_path):
+        store = DesignStore(tmp_path / "store")
+        grid = dict(theta=0.2, trials=4, root_seed=3, store=store)
+        plain = run_trial_grid(160, [30, 60], theta=0.2, trials=4, root_seed=3, backend=SerialBackend())
+        run_trial_grid(160, [30, 60], backend=SerialBackend(), **grid)  # publishes
+        run_trial_grid(160, [30, 60], backend=SerialBackend(), **grid)  # the parent attaches + verifies
+        hits_before = store.persistent_stats()["hits"]
+        assert hits_before >= 2
+        # Fork only now, after the parent's verify thread pools have run.
+        with SharedMemBackend(2) as backend:
+            forked = run_trial_grid(160, [30, 60], backend=backend, **grid)
+        for a, b in zip(plain, forked):
+            assert np.array_equal(a.success, b.success)
+            assert np.array_equal(a.overlap, b.overlap)
+        assert store.persistent_stats()["hits"] >= hits_before + 2  # the workers attached
+        assert store.persistent_stats()["publishes"] == 2
 
     def test_publish_fault_site_corrupts_then_store_self_repairs(self, tmp_path, ambient_fault):
         ambient_fault(FaultPlan.parse("store.publish:bitflip=dstar.npy"))
