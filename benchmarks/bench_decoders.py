@@ -1,10 +1,10 @@
 """Compiled baseline decoders: cold one-shot vs warm compiled (tracked).
 
 Every baseline family (LP, OMP, AMP, binary-GT COMP/DD) needs per-design
-O(m·n) state — dense/centred matrix, column norms, denoiser scaling, OR
-membership.  The compiled decoders (:mod:`repro.baselines.compiled`)
-hoist that state into the compiled-design artifact, so warm serving pays
-only the per-signal algorithm.  This benchmark measures that contract at
+state — the dense counts block (shared by LP/OMP/AMP), OMP's centred
+column norms, OR membership.  The compiled decoders
+(:mod:`repro.baselines.compiled`) build that state once per artifact, so
+warm serving pays only the per-signal algorithm.  This benchmark measures that contract at
 paper-panel scale (``n = 10^4``): **cold** is the one-shot function on
 the raw design — for LP/OMP/AMP that is compile (content key, compiled
 design, decoder state) plus one ``decode``; for MN and COMP/DD the

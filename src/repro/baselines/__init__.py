@@ -29,11 +29,9 @@ from repro.baselines.bin_gt import (
     run_gt_trial,
 )
 from repro.baselines.centring import (
-    centre_matrix,
     centre_observations,
     check_observations,
     column_mean,
-    column_norms,
     pool_gamma,
     pool_variance,
 )
@@ -71,9 +69,7 @@ __all__ = [
     "pool_gamma",
     "column_mean",
     "pool_variance",
-    "centre_matrix",
     "centre_observations",
-    "column_norms",
     "check_observations",
     "BernoulliORDesign",
     "comp_decode",

@@ -7,7 +7,8 @@ Jordan 2019, who analysed exactly this decoder for the dense regime
 * The count matrix has i.i.d.-like entries with mean ``μ = Γ/n`` and
   variance ``v ≈ Γ/n·(1−1/n) ≈ 1/2``.  Centre and scale to get the
   standardised sensing matrix ``F = (A − μ)/√(v·m)`` whose entries have
-  variance ``1/m`` — the normalisation AMP theory assumes.
+  variance ``1/m`` — the normalisation AMP theory assumes.  ``F`` is never
+  formed: ``F x = (A x − μ·Σx)/√(v·m)``, and likewise for ``Fᵀz``.
 * Scalar denoiser = posterior mean of a Bernoulli(``k/n``) prior under
   Gaussian noise: a sigmoid in the pseudo-data, with closed-form derivative
   for the Onsager term.

@@ -1,11 +1,14 @@
 """Shared centring algebra for the compressed-sensing baselines.
 
-LP, OMP and AMP all work on the *centred* count matrix: the pooled-count
-columns have mean ``Γ/n`` (``Γ`` = pool size, ``1/2·n`` by default), so the
-matrix and the observation must be shifted before any correlation or
+OMP and AMP work on the *centred* count matrix: the pooled-count columns
+have mean ``Γ/n`` (``Γ`` = pool size, ``1/2·n`` by default), so the matrix
+and the observation must be shifted before any correlation or
 message-passing step makes sense:
 
     Ã = A − Γ/n,    ỹ = y − k·Γ/n.
+
+Only ``ỹ`` is materialised; ``Ã`` is applied inside each product instead,
+``v @ Ã = v @ A − Γ/n·Σv``.
 
 For ragged designs (pools of unequal size) ``Γ`` is the *mean* pool size,
 ``float(np.diff(indptr).mean())``.  AMP additionally needs the per-entry
@@ -13,8 +16,8 @@ variance ``v = Γ/n·(1 − 1/n)`` of the count distribution, also centralised
 here.
 
 Every helper takes plain arrays (or a :class:`~repro.core.design.PoolingDesign`
-``indptr``); the compiled decoders in :mod:`repro.baselines.compiled` call
-them once per artifact.
+``indptr``); the compiled decoders in :mod:`repro.baselines.compiled` take
+the constants once per artifact and centre observations per decode.
 """
 
 from __future__ import annotations
@@ -25,9 +28,7 @@ __all__ = [
     "pool_gamma",
     "column_mean",
     "pool_variance",
-    "centre_matrix",
     "centre_observations",
-    "column_norms",
     "check_observations",
 ]
 
@@ -56,11 +57,6 @@ def pool_variance(gamma: float, n: int) -> float:
     return gamma * (1.0 / n) * (1.0 - 1.0 / n)
 
 
-def centre_matrix(a: np.ndarray, mean: float) -> np.ndarray:
-    """Centred matrix ``Ã = A − μ`` (new float64 array)."""
-    return np.asarray(a, dtype=np.float64) - mean
-
-
 def centre_observations(y: np.ndarray, k: "int | np.ndarray", mean: float) -> np.ndarray:
     """Centred observations ``ỹ = y − k·μ`` for scalar or per-row ``k``.
 
@@ -71,17 +67,6 @@ def centre_observations(y: np.ndarray, k: "int | np.ndarray", mean: float) -> np
     if np.ndim(k) > 0 and y.ndim == 2:
         return y - np.asarray(k, dtype=np.float64)[:, None] * mean
     return y - np.asarray(k, dtype=np.float64) * mean
-
-
-def column_norms(a_c: np.ndarray) -> np.ndarray:
-    """ℓ2 norms per centred column, with zero norms mapped to 1.
-
-    The zero-norm guard keeps OMP's correlation ratio finite for columns
-    the design never sampled (possible in tiny ragged designs).
-    """
-    norms = np.linalg.norm(a_c, axis=0)
-    norms[norms == 0] = 1.0
-    return norms
 
 
 def check_observations(y: np.ndarray, m: int, *, name: str = "y") -> np.ndarray:

@@ -8,12 +8,15 @@ split into the library's unified compile/decode lifecycle
   :class:`AMPDecoder`, :class:`COMPDecoder`, :class:`DDDecoder`) whose
   ``compile(design)`` hoists all signal-independent ``O(m·n)`` work — dense
   counts materialisation (:meth:`~repro.designs.compiled.CompiledDesign.counts_block`),
-  centring constants, column norms, AMP's standardised sensing matrix — into
+  centring constants, OMP's column norms — into
 * a **Compiled** artifact (:class:`CompiledLPDecoder`, …) whose
   ``decode(y, k)`` runs the per-signal algorithm against the hoisted arrays,
   and whose ``decode_batch(Y, k)`` runs the per-round correlation / residual /
   message-passing updates as real ``(B, m) @ (m, n)`` BLAS GEMMs instead of
   per-signal Python loops.
+
+LP, OMP and AMP hold one ``(m, n)`` operand, the counts block ``C``; OMP and
+AMP centre algebraically, ``v @ (C − μ) = v @ C − μ·Σv``.
 
 The one-shot functions (:func:`~repro.baselines.lp.basis_pursuit_decode`,
 :func:`~repro.baselines.omp.omp_decode`, :func:`~repro.baselines.amp.amp_decode`)
@@ -42,11 +45,10 @@ Parity contract (asserted by ``tests/test_decoders.py``): single-signal
   float GEMMs are precision-pinned to float64 so results do not depend on
   ``REPRO_KERNEL``.
 
-Compiled artifacts derive entirely from a :class:`CompiledDesign`, so they
-compose with :class:`~repro.designs.cache.DesignCache` /
-:class:`~repro.designs.store.DesignStore` lookup and the shared-memory block
-publication exactly like the MN path: the expensive object is the compiled
-design; each decoder's extra precomputation is derived once per artifact.
+Compiled artifacts derive entirely from a :class:`CompiledDesign`, obtained
+through cache/store lookup and shared-memory attach exactly like the MN path.
+Only the compiled design is cached, persisted and shared; the counts block is
+rebuilt once per process and is not in ``CompiledDesign.nbytes``.
 """
 
 from __future__ import annotations
@@ -59,11 +61,9 @@ import numpy as np
 from repro.baselines.amp import AMPResult, _denoise
 from repro.baselines.bin_gt import BernoulliORDesign, comp_decode, dd_decode
 from repro.baselines.centring import (
-    centre_matrix,
     centre_observations,
     check_observations,
     column_mean,
-    column_norms,
     pool_gamma,
     pool_variance,
 )
@@ -105,6 +105,13 @@ def _counts_or_raise(compiled: "CompiledDesign") -> np.ndarray:
     return counts
 
 
+def _centred_product(v: np.ndarray, a: np.ndarray, mean: float) -> np.ndarray:
+    """``v @ (A − μ)`` without forming ``A − μ``: ``v @ A − μ·Σv`` per row of ``v``."""
+    out = v @ a
+    out -= mean * v.sum(axis=-1, keepdims=True)
+    return out
+
+
 def _check_batch(Y: np.ndarray, m: int) -> np.ndarray:
     """Validate a ``(B, m)`` float observation batch (finite, right width)."""
     Y = np.asarray(Y, dtype=np.float64)
@@ -140,9 +147,9 @@ class _CompiledBaseline:
 
     Like :class:`~repro.designs.serving.CompiledMNDecoder`, instances are
     context managers; the baselines hold no shared-memory residency of
-    their own (their arrays derive from the compiled design, whose block
-    the sharing layer publishes), so ``close()`` is a no-op kept for
-    protocol symmetry with long-lived serving processes.
+    their own (their ``(m, n)`` operand is one of the compiled design's
+    blocks), so ``close()`` is a no-op kept for protocol symmetry with
+    long-lived serving processes.
     """
 
     def __init__(self, compiled: "CompiledDesign", decoder):
@@ -212,7 +219,7 @@ class CompiledLPDecoder(_CompiledBaseline):
 
     def __init__(self, compiled: "CompiledDesign", decoder: LPDecoder):
         super().__init__(compiled, decoder)
-        self.a_dense = _counts_or_raise(compiled)
+        self.counts = _counts_or_raise(compiled)
 
     def _solve(self, y: np.ndarray, k: int) -> np.ndarray:
         from scipy.optimize import linprog
@@ -220,7 +227,7 @@ class CompiledLPDecoder(_CompiledBaseline):
         n = self.compiled.n
         result = linprog(
             c=np.ones(n),
-            A_eq=self.a_dense,
+            A_eq=self.counts,
             b_eq=y,
             bounds=[(0.0, 1.0)] * n,
             method="highs",
@@ -262,12 +269,12 @@ class OMPDecoder(_BaselineDecoder):
         cache: "DesignCache | None" = None,
         store: "DesignStore | None" = None,
     ) -> "CompiledOMPDecoder":
-        """Hoist the centred matrix and column norms; decodes pay greedy rounds only."""
+        """Hoist the counts block and centred column norms; decodes pay greedy rounds only."""
         return CompiledOMPDecoder(_resolve(design, cache=cache, store=store), self)
 
 
 class CompiledOMPDecoder(_CompiledBaseline):
-    """OMP against a pre-centred matrix with pre-computed column norms.
+    """OMP against the counts block, centred algebraically, with pre-computed column norms.
 
     ``decode`` runs ``k`` greedy rounds for one signal;
     ``decode_batch`` turns each round's correlation into one
@@ -278,11 +285,13 @@ class CompiledOMPDecoder(_CompiledBaseline):
 
     def __init__(self, compiled: "CompiledDesign", decoder: OMPDecoder):
         super().__init__(compiled, decoder)
-        counts = _counts_or_raise(compiled)
+        self.counts = _counts_or_raise(compiled)
         self.mean = column_mean(pool_gamma(compiled.design.indptr), compiled.n)
-        self.a_c = centre_matrix(counts, self.mean)
-        self.a_c.setflags(write=False)
-        self.col_norms = column_norms(self.a_c)
+        # ‖c_j − μ‖² = Σ_i C_ij² − 2μ·Δ_j + m·μ² (Δ_j = Σ_i C_ij); a column
+        # equal to μ throughout has norm 0, mapped to 1 to keep corr finite.
+        sq_norms = np.einsum("ij,ij->j", self.counts, self.counts) - 2.0 * self.mean * compiled.delta + compiled.m * self.mean**2
+        self.col_norms = np.sqrt(sq_norms)
+        self.col_norms[self.col_norms == 0] = 1.0
         self.col_norms.setflags(write=False)
 
     def decode(self, y: np.ndarray, k: int) -> np.ndarray:
@@ -298,12 +307,12 @@ class CompiledOMPDecoder(_CompiledBaseline):
         residual = y_c.copy()
         available = np.ones(n, dtype=bool)
         for _ in range(k):
-            corr = np.abs(self.a_c.T @ residual) / self.col_norms
+            corr = np.abs(_centred_product(residual, self.counts, self.mean)) / self.col_norms
             corr[~available] = -np.inf
             pick = int(np.argmax(corr))
             support.append(pick)
             available[pick] = False
-            sub = self.a_c[:, support]
+            sub = self.counts[:, support] - self.mean
             coef, *_ = np.linalg.lstsq(sub, y_c, rcond=None)
             residual = y_c - sub @ coef
         return _scatter_support(n, np.asarray(support, dtype=np.int64))
@@ -322,14 +331,14 @@ class CompiledOMPDecoder(_CompiledBaseline):
         for round_i in range(int(k_arr.max())):
             active = np.flatnonzero(k_arr > round_i)
             # One GEMM for every active row's correlation with all n columns.
-            corr = np.abs(residuals[active] @ self.a_c) / self.col_norms
+            corr = np.abs(_centred_product(residuals[active], self.counts, self.mean)) / self.col_norms
             corr[~available[active]] = -np.inf
             picks = np.argmax(corr, axis=1)
             for row, pick in zip(active, picks):
                 support = supports[row]
                 support.append(int(pick))
                 available[row, pick] = False
-                sub = self.a_c[:, support]
+                sub = self.counts[:, support] - self.mean
                 coef, *_ = np.linalg.lstsq(sub, Y_c[row], rcond=None)
                 residuals[row] = Y_c[row] - sub @ coef
         for row, support in enumerate(supports):
@@ -352,6 +361,8 @@ class AMPDecoder(_BaselineDecoder):
     def __post_init__(self) -> None:
         super().__post_init__()
         check_positive_int(self.max_iter, "max_iter")
+        if not (np.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
 
     def compile(
         self,
@@ -360,12 +371,12 @@ class AMPDecoder(_BaselineDecoder):
         cache: "DesignCache | None" = None,
         store: "DesignStore | None" = None,
     ) -> "CompiledAMPDecoder":
-        """Hoist the standardised sensing matrix ``F``; decodes pay iterations only."""
+        """Hoist the counts block and the standardising constants; decodes pay iterations only."""
         return CompiledAMPDecoder(_resolve(design, cache=cache, store=store), self)
 
 
 class CompiledAMPDecoder(_CompiledBaseline):
-    """AMP against a pre-standardised sensing matrix.
+    """AMP against the counts block; ``F = (C − μ)/s`` is applied, never formed.
 
     :meth:`run` holds the scalar iteration for one signal and returns its
     trajectory (:class:`~repro.baselines.amp.AMPResult`); ``decode`` is its
@@ -378,13 +389,10 @@ class CompiledAMPDecoder(_CompiledBaseline):
 
     def __init__(self, compiled: "CompiledDesign", decoder: AMPDecoder):
         super().__init__(compiled, decoder)
-        counts = _counts_or_raise(compiled)
-        n, m = compiled.n, compiled.m
+        self.counts = _counts_or_raise(compiled)
         gamma = pool_gamma(compiled.design.indptr)
-        self.mu = column_mean(gamma, n)
-        self.scale = np.sqrt(pool_variance(gamma, n) * m)
-        self.f = centre_matrix(counts, self.mu) / self.scale
-        self.f.setflags(write=False)
+        self.mu = column_mean(gamma, compiled.n)
+        self.scale = np.sqrt(pool_variance(gamma, compiled.n) * compiled.m)
 
     def run(self, y: np.ndarray, k: int) -> AMPResult:
         """Iterate AMP on one signal to convergence (or ``max_iter``) and round to weight ``k``."""
@@ -395,21 +403,21 @@ class CompiledAMPDecoder(_CompiledBaseline):
         if k >= n:
             raise ValueError(f"require k < n, got k={k}, n={n}")
         y = check_observations(y, m)
-        f = self.f
-        y_t = centre_observations(y, k, self.mu) / self.scale
+        c, mu, scale = self.counts, self.mu, self.scale
+        y_t = centre_observations(y, k, mu) / scale
 
         eps = k / n
         x = np.full(n, eps, dtype=np.float64)
-        z = y_t - f @ x
+        z = y_t - _centred_product(x, c.T, mu) / scale
         onsager_gain = 0.0
         tau_hist: "list[float]" = []
         converged = False
         it = 0
         for it in range(1, self.decoder.max_iter + 1):
-            z = y_t - f @ x + z * onsager_gain
+            z = y_t - _centred_product(x, c.T, mu) / scale + z * onsager_gain
             tau2 = max(float(z @ z) / m, 1e-12)
             tau_hist.append(tau2)
-            r = x + f.T @ z
+            r = x + _centred_product(z / scale, c, mu)
             x_new, dx = _denoise(r, tau2, eps)
             onsager_gain = float(dx.mean()) * (n / m)
             delta = float(np.abs(x_new - x).mean())
@@ -435,21 +443,21 @@ class CompiledAMPDecoder(_CompiledBaseline):
         Y = _check_batch(Y, m)
         batch = Y.shape[0]
         k_arr = _batch_weights(k, batch, n, strict_upper=True)
-        f = self.f
-        Y_t = centre_observations(Y, k_arr, self.mu) / self.scale
+        c, mu, scale = self.counts, self.mu, self.scale
+        Y_t = centre_observations(Y, k_arr, mu) / scale
 
         eps = k_arr.astype(np.float64) / n  # per-row prior
         X = np.tile(eps[:, None], (1, n))
-        Z = Y_t - X @ f.T
+        Z = Y_t - _centred_product(X, c.T, mu) / scale
         onsager = np.zeros(batch, dtype=np.float64)
         active = np.ones(batch, dtype=bool)
         for _ in range(1, self.decoder.max_iter + 1):
             if not active.any():
                 break
             rows = np.flatnonzero(active)
-            Za = Y_t[rows] - X[rows] @ f.T + Z[rows] * onsager[rows, None]
+            Za = Y_t[rows] - _centred_product(X[rows], c.T, mu) / scale + Z[rows] * onsager[rows, None]
             tau2 = np.maximum(np.einsum("bm,bm->b", Za, Za) / m, 1e-12)
-            R = X[rows] + Za @ f  # (B, m) @ (m, n): the pseudo-data GEMM
+            R = X[rows] + _centred_product(Za / scale, c, mu)  # (B, m) @ (m, n): the pseudo-data GEMM
             eta, deta = _denoise(R, tau2[:, None], eps[rows, None])
             onsager[rows] = deta.mean(axis=1) * (n / m)
             delta = np.abs(eta - X[rows]).mean(axis=1)

@@ -8,6 +8,8 @@ The contract (module docstring of :mod:`repro.baselines.compiled`):
   ``CompiledGTDecoder.decode`` matches ``comp_decode`` / ``dd_decode``;
 * single-signal ``decode`` supports are pinned as literal index lists, so
   drift in the one remaining float op sequence shows up here;
+* LP/OMP/AMP decode against the compiled design's one counts block and
+  hold no ``(m, n)`` array of their own;
 * single-signal ``decode`` is the oracle for ``decode_batch``: rows are
   bit-identical for the integer-exact COMP/DD decoders (they route through
   the kernel-dispatched ``Ψ`` seam) and support-identical (same thresholded
@@ -78,16 +80,27 @@ def _one_shot(name: str, design: PoolingDesign, y: np.ndarray, k: int) -> np.nda
     return comp_decode(gt, binary) if name == "comp" else dd_decode(gt, binary)
 
 
-@pytest.fixture(scope="module", params=["ragged", "gamma1"])
+#: Queries of the paper-density fixture: few enough that LP, OMP and AMP
+#: all miss part of a support, so its pinned supports are op-sequence sensitive.
+M_PAPER = 20
+
+
+@pytest.fixture(scope="module", params=["ragged", "gamma1", "paper"])
 def instance(request):
-    """One design family: naturally ragged pools, or degenerate Γ=1."""
-    rng = np.random.default_rng(11 if request.param == "ragged" else 13)
-    gamma = None if request.param == "ragged" else 1
-    design = PoolingDesign.sample(N, M, rng, gamma=gamma)
+    """One design family: naturally ragged pools, degenerate Γ=1, or the streamed Γ=n/2 design."""
+    if request.param == "paper":
+        rng = np.random.default_rng(17)
+        compiled = compile_from_key(DesignKey.for_stream(N, M_PAPER, root_seed=17))
+        design = compiled.design
+    else:
+        rng = np.random.default_rng(11 if request.param == "ragged" else 13)
+        gamma = None if request.param == "ragged" else 1
+        design = PoolingDesign.sample(N, M, rng, gamma=gamma)
+        compiled = compile_design(design)
     sigmas = random_signals(N, K, BATCH, rng)
     Y = design.query_results(sigmas)
     noisy = Y + rng.integers(-1, 2, size=Y.shape)
-    return design, compile_design(design), Y, noisy
+    return design, compiled, Y, noisy
 
 
 @pytest.mark.parametrize("name", FLOAT_DECODERS + GT_DECODERS)
@@ -129,6 +142,9 @@ PINNED_SUPPORTS = {
     ("gamma1", "lp"): [[0, 1, 2, 24], [0, 1, 2, 219]],
     ("gamma1", "omp"): [[1, 2, 3, 24], [1, 2, 3, 219]],
     ("gamma1", "amp"): [[0, 1, 2, 24], [0, 1, 2, 219]],
+    ("paper", "lp"): [[32, 48, 220, 251], [63, 64, 230, 254]],
+    ("paper", "omp"): [[14, 179, 220, 232], [34, 130, 154, 264]],
+    ("paper", "amp"): [[48, 220, 251, 283], [28, 36, 88, 103]],
 }
 
 
@@ -139,6 +155,25 @@ def test_pinned_single_signal_supports(name, instance, request):
     decoder = make_decoder(name).compile(compiled)
     got = [np.flatnonzero(decoder.decode(Y[i], K)).tolist() for i in range(2)]
     assert got == PINNED_SUPPORTS[family, name]
+
+
+def test_float_decoders_share_the_counts_block(instance):
+    """Every ``(m, n)`` array LP/OMP/AMP hold *is* the compiled counts block."""
+    _, compiled, _, _ = instance
+    counts = compiled.counts_block()
+    for name in FLOAT_DECODERS:
+        decoder = make_decoder(name).compile(compiled)
+        held = [v for v in vars(decoder).values() if isinstance(v, np.ndarray) and v.size == compiled.m * compiled.n]
+        assert held and all(v is counts for v in held), name
+    # n=3, Γ=3: μ = 1 and item 0 sits once in every pool, so its centred
+    # column is all zeros and the zero-norm guard must map its norm to 1.
+    flat = compile_design(PoolingDesign(3, np.array([0, 1, 2, 0, 1, 1, 0, 2, 2, 0, 1, 2]), np.arange(0, 13, 3)))
+    for design in (compiled, flat):
+        omp = make_decoder("omp").compile(design)
+        expected = np.linalg.norm(design.counts_block() - omp.mean, axis=0)
+        expected[expected == 0] = 1.0
+        np.testing.assert_allclose(omp.col_norms, expected, rtol=1e-12)
+    assert omp.mean == 1.0 and (flat.counts_block()[:, 0] == 1.0).all() and omp.col_norms[0] == 1.0
 
 
 @pytest.mark.parametrize("name", GT_DECODERS)
@@ -288,6 +323,15 @@ class TestGuards:
         batch[1, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             decoder.decode_batch(batch, 3)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-3])
+    def test_amp_rejects_bad_tol(self, tol, small):
+        """A NaN ``tol`` would freeze ``decode_batch`` rows that ``run`` keeps iterating."""
+        design, _, y = small
+        with pytest.raises(ValueError, match="tol"):
+            make_decoder("amp", tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            amp_decode(design, y, 3, tol=tol)
 
     @pytest.mark.parametrize("legacy", [omp_decode, amp_decode, basis_pursuit_decode])
     def test_legacy_rejects_k_zero(self, legacy, small):
