@@ -20,10 +20,8 @@ The ``design`` group is the deploy-time face of the sample→compile→decode
 lifecycle: ``build`` compiles a stream-keyed design once and persists the
 artifact, ``info`` inspects it, ``decode`` serves observed result vectors
 against it without ever re-streaming the design, and ``store`` manages
-the cross-process compiled-design store (``ls | gc | stats``, plus the
-fleet tier's ``sync | push | pull`` and ``fsck --remote``; see
-``REPRO_DESIGN_STORE`` / ``REPRO_DESIGN_STORE_REMOTE`` and
-``docs/fleet.md``).  ``serve`` runs the long-lived decode service:
+the cross-process compiled-design store (``ls | gc | fsck | stats``; see
+``REPRO_DESIGN_STORE``).  ``serve`` runs the long-lived decode service:
 concurrent single-signal requests coalesce into micro-batches against
 store-attached compiled designs (see ``docs/serving.md``).
 
@@ -159,16 +157,13 @@ def build_parser() -> argparse.ArgumentParser:
     dd.add_argument("--blocks", type=int, default=1, help="top-k decomposition width")
     dd.add_argument("--decoder", type=str, default="mn", help="registry decoder to run (mn, lp, omp, amp, comp, dd)")
 
-    ds = dsub.add_parser("store", help="cross-process design store: ls | gc | fsck | stats | sync | push | pull")
+    ds = dsub.add_parser("store", help="cross-process design store: ls | gc | fsck | stats")
     ssub = ds.add_subparsers(dest="store_command", required=True)
     for name, help_text in (
         ("ls", "list persisted compiled designs (most recently used first)"),
         ("gc", "reap crash residue, then evict LRU entries down to a byte budget"),
         ("fsck", "verify every entry's integrity manifest; quarantine failures"),
         ("stats", "footprint and cumulative cross-process counters"),
-        ("sync", "anti-entropy sweep against the fleet remote (pull + push + manifest repair)"),
-        ("push", "upload local-only entries to the fleet remote"),
-        ("pull", "download remote-only entries from the fleet remote"),
     ):
         sp = ssub.add_parser(name, help=help_text)
         sp.add_argument(
@@ -180,22 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "gc":
             sp.add_argument("--max-bytes", type=int, default=None, help="byte budget (default: the store's configured budget; none = residue reaping only)")
             sp.add_argument("--grace-s", type=float, default=None, help="age (seconds) before crash residue is reaped (default 3600)")
-        if name in ("sync", "push", "pull"):
-            sp.add_argument(
-                "--remote",
-                type=str,
-                default=None,
-                help="remote tier: a directory or s3://bucket/prefix (default: $REPRO_DESIGN_STORE_REMOTE)",
-            )
-        if name == "fsck":
-            sp.add_argument(
-                "--remote",
-                type=str,
-                nargs="?",
-                const="",
-                default=None,
-                help="also audit every remote blob (optionally naming the remote; default: $REPRO_DESIGN_STORE_REMOTE)",
-            )
 
     ps = sub.add_parser("serve", help="async decode service with request coalescing (NDJSON over stdio or TCP)")
     mode = ps.add_mutually_exclusive_group()
@@ -455,31 +434,10 @@ def _design_rows(compiled, y) -> "list[tuple[str, str]]":
     ]
 
 
-def _resolve_store_arg(path: "Optional[str]", remote: "Optional[str]" = None):
-    """The store a ``design store`` subcommand operates on (arg wins over env).
-
-    ``remote`` (the ``--remote`` value; ``""`` means "use the ambient
-    spec") attaches the fleet tier — required by sync/push/pull, optional
-    for fsck.
-    """
-    import os
-
+def _resolve_store_arg(path: "Optional[str]"):
+    """The store a ``design store`` subcommand operates on (arg wins over env)."""
     from repro.designs import DesignStore, resolve_design_store
 
-    if remote is not None:
-        from repro.designs.remote import FLEET_REMOTE_ENV
-
-        spec = remote.strip() or os.environ.get(FLEET_REMOTE_ENV, "").strip()
-        if not spec:
-            print("error: no remote given; pass --remote or set REPRO_DESIGN_STORE_REMOTE", file=sys.stderr)
-            return None
-        if path is None:
-            ambient = resolve_design_store(None)
-            if ambient is None:
-                print("error: no store given; pass --store or set REPRO_DESIGN_STORE", file=sys.stderr)
-                return None
-            path = ambient.root
-        return DesignStore(path, remote=spec)
     if path is not None:
         return DesignStore(path)
     store = resolve_design_store(None)
@@ -489,29 +447,9 @@ def _resolve_store_arg(path: "Optional[str]", remote: "Optional[str]" = None):
 
 
 def _cmd_design_store(args) -> int:
-    remote = getattr(args, "remote", None)
-    if args.store_command in ("sync", "push", "pull") and remote is None:
-        remote = ""  # fleet commands always need a remote: fall back to the ambient spec
-    store = _resolve_store_arg(args.store, remote)
+    store = _resolve_store_arg(args.store)
     if store is None:
         return 2
-    if args.store_command in ("sync", "push", "pull"):
-        report = store.anti_entropy(
-            push=args.store_command in ("sync", "push"),
-            pull=args.store_command in ("sync", "pull"),
-        )
-        for digest in report.pulled:
-            print(f"pulled {digest[:12]}")
-        for digest in report.pushed:
-            print(f"pushed {digest[:12]}")
-        for digest in report.corrupt:
-            print(f"corrupt remote blob {digest[:12]} (quarantined; not attached)")
-        print(
-            f"{len(report.pulled)} pulled, {len(report.pushed)} pushed, "
-            f"{len(report.corrupt)} corrupt; manifest generation {report.generation}; "
-            f"{len(store.ls())} entries local"
-        )
-        return 0 if not report.corrupt else 1
     if args.store_command == "ls":
         entries = store.ls()
         rows = [
@@ -538,7 +476,7 @@ def _cmd_design_store(args) -> int:
         print(f"freed {sum(e.nbytes for e in evicted)} bytes; {store.nbytes} bytes remain (budget {budget})")
         return 0
     if args.store_command == "fsck":
-        report = store.fsck(remote=store.remote is not None)
+        report = store.fsck()
         for digest in report.quarantined:
             print(f"quarantined {digest[:12]} (integrity check failed)")
         print(
@@ -546,10 +484,6 @@ def _cmd_design_store(args) -> int:
             f"{len(report.quarantined)} quarantined; {report.residue} residue item(s), "
             f"{report.quarantine_held} held in quarantine"
         )
-        if store.remote is not None:
-            for digest in report.remote_bad:
-                print(f"bad remote blob {digest[:12]} (verification failed; run sync from a healthy replica)")
-            print(f"checked {report.remote_checked} remote blobs: {len(report.remote_ok)} ok, {len(report.remote_bad)} bad")
         return 0 if report.clean else 1
     if args.store_command == "stats":
         s = store.stats
@@ -564,9 +498,6 @@ def _cmd_design_store(args) -> int:
             ("publishes (all processes)", str(cumulative["publishes"])),
             ("evictions (all processes)", str(cumulative["evictions"])),
             ("quarantined (all processes)", str(cumulative["quarantined"])),
-            ("remote hits (all processes)", str(cumulative["remote_hits"])),
-            ("remote publishes (all processes)", str(cumulative["remote_publishes"])),
-            ("remote corrupt (all processes)", str(cumulative["remote_corrupt"])),
         ]
         print(format_table(["field", "value"], rows))
         return 0

@@ -53,20 +53,6 @@ from repro.designs.compiled import (
     resolve_compiled,
 )
 from repro.designs.protocol import CompiledDecoder, Decoder
-from repro.designs.remote import (
-    FLEET_KEY_ENV,
-    FLEET_REMOTE_ENV,
-    FleetManifest,
-    LocalDirRemote,
-    ManifestError,
-    RemoteError,
-    RemoteStat,
-    RemoteTier,
-    S3Remote,
-    parse_remote_spec,
-    resolve_fleet_key,
-    resolve_remote_tier,
-)
 from repro.designs.registry import (
     DEFAULT_DECODER,
     available_decoders,
@@ -78,7 +64,6 @@ from repro.designs.sharing import CompiledDesignDescriptor, SharedCompiledDesign
 from repro.designs.store import (
     DESIGN_STORE_BYTES_ENV,
     DESIGN_STORE_ENV,
-    AntiEntropyReport,
     DesignStore,
     FsckReport,
     StoreEntry,
@@ -109,25 +94,12 @@ __all__ = [
     "StoreStats",
     "StoreEntry",
     "FsckReport",
-    "AntiEntropyReport",
     "fetch_compiled",
     "resolve_design_store",
     "default_design_store",
     "reset_default_design_store",
     "DESIGN_STORE_ENV",
     "DESIGN_STORE_BYTES_ENV",
-    "RemoteTier",
-    "RemoteStat",
-    "RemoteError",
-    "LocalDirRemote",
-    "S3Remote",
-    "FleetManifest",
-    "ManifestError",
-    "parse_remote_spec",
-    "resolve_remote_tier",
-    "resolve_fleet_key",
-    "FLEET_REMOTE_ENV",
-    "FLEET_KEY_ENV",
     "Decoder",
     "CompiledDecoder",
     "CompiledMNDecoder",

@@ -19,7 +19,7 @@ directory so that every process on the machine shares one compilation:
   entry (a lost publication race is silently discarded);
 * **single-flight compilation** — :meth:`get_or_compile` serialises cold
   compilations of one key *across processes* through an advisory
-  ``flock``, so a fleet of workers starting together compiles once;
+  ``flock``, so many workers starting together compile once;
 * **byte-budgeted eviction** — :meth:`gc` removes least-recently-used
   entries over the budget, skipping any entry currently mmap-attached by
   a reader (readers hold a shared lock for the life of their mapping) —
@@ -43,24 +43,17 @@ directory so that every process on the machine shares one compilation:
   ``stats.json`` base (tmp + ``os.replace``) once the log passes 64 KiB.
   A torn trailing line from a crashed writer is skipped, never misread.
 
-* **fleet tier (L3)** — an optional :class:`~repro.designs.remote.RemoteTier`
-  transport (``remote=``, or ambient via ``REPRO_DESIGN_STORE_REMOTE``)
-  extends the corpus across machines: a local miss **reads through** to
-  the remote (blob fetched, verified against the signed
-  ``fleet-manifest.json``, unpacked and verified again at attach — a
-  corrupt blob is quarantined exactly like a corrupt local entry), a
-  local publish **writes through** (sync, async or not at all via
-  ``remote_mode=``), and :meth:`anti_entropy` pulls missing digests,
-  pushes local-only ones and reconciles the manifest so divergent
-  replicas converge without coordination (``design store sync``).
-
-Layered lookups go **L1 → L2 → L3 → compile**: :func:`fetch_compiled`
+Layered lookups go **L1 → L2 → compile**: :func:`fetch_compiled`
 composes a :class:`DesignCache` over a :class:`DesignStore` so a hit in
 any layer skips compilation and a miss publishes to all.  Like the cache,
 the store is opt-in: entry points take ``store=``, and the ambient default
 (:func:`resolve_design_store`) is **off** unless ``REPRO_DESIGN_STORE``
 names a directory.  Equal keys address bit-identical designs, so no
-layer can ever change a result — only skip work.
+layer can ever change a result — only skip work.  The store is
+machine-local: a ``stream``/``sampled`` design recompiles from its key on
+any machine, and a design that cannot (``content``/``custom``) travels as
+a :func:`~repro.core.serialization.save_design` ``.npz`` that the
+receiving machine loads and publishes (see ``docs/design-lifecycle.md``).
 
 Examples
 --------
@@ -92,17 +85,6 @@ from typing import TYPE_CHECKING, Callable, Iterator
 import numpy as np
 
 from repro.designs.compiled import CompiledDesign, DesignKey
-from repro.designs.remote import (
-    FLEET_REMOTE_ENV,
-    FleetManifest,
-    ManifestError,
-    RemoteTier,
-    pack_entry,
-    resolve_fleet_key,
-    resolve_remote_tier,
-    sha256_file,
-    unpack_entry,
-)
 from repro.faults import trip as _fault_trip
 from repro.kernels.threads import cpu_count
 
@@ -122,7 +104,6 @@ __all__ = [
     "StoreStats",
     "StoreEntry",
     "FsckReport",
-    "AntiEntropyReport",
     "fetch_compiled",
     "resolve_design_store",
     "default_design_store",
@@ -176,11 +157,6 @@ _STAT_KEYS = (
     "evictions",
     "publishes",
     "quarantined",
-    "remote_hits",
-    "remote_misses",
-    "remote_publishes",
-    "remote_corrupt",
-    "remote_manifest_rejected",
 )
 
 
@@ -196,12 +172,7 @@ class StoreStats:
     in-process view); ``publishes`` counts artifacts this instance wrote
     and ``quarantined`` the corrupt entries this instance set aside.
     ``entries``/``nbytes`` describe the directory *now* — shared state, so
-    they reflect every process's activity.  The ``remote_*`` counters
-    cover the fleet tier (all zero while no remote is configured):
-    read-through fetches that attached (``remote_hits``) or found nothing
-    (``remote_misses``), blobs pushed (``remote_publishes``), corrupt
-    blobs set aside (``remote_corrupt``) and fleet manifests rejected for
-    a bad signature or malformed contents (``remote_manifest_rejected``).
+    they reflect every process's activity.
     """
 
     hits: int
@@ -211,11 +182,6 @@ class StoreStats:
     entries: int
     nbytes: int
     quarantined: int = 0
-    remote_hits: int = 0
-    remote_misses: int = 0
-    remote_publishes: int = 0
-    remote_corrupt: int = 0
-    remote_manifest_rejected: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -252,9 +218,6 @@ class FsckReport:
     quarantined: "tuple[str, ...]" = field(default=())
     residue: int = 0
     quarantine_held: int = 0
-    remote_checked: int = 0
-    remote_ok: "tuple[str, ...]" = field(default=())
-    remote_bad: "tuple[str, ...]" = field(default=())
 
     @property
     def clean(self) -> bool:
@@ -262,38 +225,9 @@ class FsckReport:
 
         Held quarantine items count against cleanliness: they are evidence
         of past corruption awaiting post-mortem or reaping, and a clean
-        bill of health should not paper over them.  When the remote tier
-        was audited (``fsck --remote``), any bad remote blob dirties the
-        report the same way.
+        bill of health should not paper over them.
         """
-        return (
-            not self.quarantined
-            and self.residue == 0
-            and self.quarantine_held == 0
-            and not self.remote_bad
-        )
-
-
-@dataclass(frozen=True)
-class AntiEntropyReport:
-    """One :meth:`DesignStore.anti_entropy` sweep's outcome.
-
-    ``pulled``/``pushed`` name the digests that crossed the wire this
-    sweep; ``corrupt`` names remote digests whose blobs failed
-    verification (set aside, never attached); ``generation`` is the fleet
-    manifest generation after the sweep (``0`` when nothing needed
-    writing and no manifest existed).
-    """
-
-    pulled: "tuple[str, ...]" = field(default=())
-    pushed: "tuple[str, ...]" = field(default=())
-    corrupt: "tuple[str, ...]" = field(default=())
-    generation: int = 0
-
-    @property
-    def changed(self) -> bool:
-        """Did this sweep move any blob in either direction?"""
-        return bool(self.pulled or self.pushed)
+        return not self.quarantined and self.residue == 0 and self.quarantine_held == 0
 
 
 def _sha256_file(path: Path) -> str:
@@ -310,6 +244,19 @@ def _sha256_file(path: Path) -> str:
         while size := f.readinto(buf):
             h.update(view[:size])
     return h.hexdigest()
+
+
+def _remove(path: Path) -> bool:
+    """Delete a file or a directory tree; True only when ``path`` is gone.
+
+    Files are unlinked: ``shutil.rmtree`` on a file fails, and under
+    ``ignore_errors`` it fails silently.
+    """
+    if path.is_dir():
+        shutil.rmtree(path, ignore_errors=True)
+    else:
+        path.unlink()
+    return not os.path.lexists(path)
 
 
 class _EntryReadLock:
@@ -384,24 +331,6 @@ class DesignStore:
         per core; it never runs on the decode hot path.  Pass ``False`` to
         trust the filesystem (e.g. an immutable read-only image already
         verified once).
-    remote:
-        The fleet tier (L3): a :class:`~repro.designs.remote.RemoteTier`
-        transport, or a spec string/path (``s3://bucket/prefix`` or a
-        directory).  ``None`` (default) leaves the store machine-local —
-        bit-identical to the fleet tier never existing.  Note the
-        constructor never reads ``REPRO_DESIGN_STORE_REMOTE``; ambient
-        opt-in flows through :func:`resolve_design_store` only.
-    fleet_key:
-        HMAC key signing/verifying ``fleet-manifest.json`` (``str`` or
-        ``bytes``).  Defaults to ``REPRO_STORE_FLEET_KEY``; unset means
-        unsigned manifests (blob/entry digests still guard all content).
-    remote_mode:
-        Write-through policy for local publishes: ``"sync"`` (default —
-        publish returns after the remote push), ``"async"`` (push from a
-        daemon thread) or ``"readonly"`` (read-through and explicit
-        :meth:`anti_entropy` only).  A failed push never fails the local
-        publish — the entry lands locally and anti-entropy repairs the
-        fleet later.
 
     Examples
     --------
@@ -422,25 +351,13 @@ class DesignStore:
         *,
         keep_blocks: bool = True,
         verify: bool = True,
-        remote: "RemoteTier | str | Path | None" = None,
-        fleet_key: "bytes | str | None" = None,
-        remote_mode: str = "sync",
     ):
         if max_bytes is not None and max_bytes <= 0:
             raise ValueError("max_bytes must be positive (or None for unbounded)")
-        if remote_mode not in ("sync", "async", "readonly"):
-            raise ValueError(f"remote_mode must be 'sync', 'async' or 'readonly', not {remote_mode!r}")
         self.root = Path(root)
         self.max_bytes = int(max_bytes) if max_bytes is not None else None
         self.keep_blocks = bool(keep_blocks)
         self.verify = bool(verify)
-        # The fleet tier: explicit only here (str/Path specs are parsed);
-        # ambient REPRO_DESIGN_STORE_REMOTE is resolve_design_store's job.
-        self.remote: "RemoteTier | None" = (
-            resolve_remote_tier(remote) if isinstance(remote, (str, Path)) else remote
-        )
-        self.remote_mode = remote_mode
-        self._fleet_key = resolve_fleet_key(fleet_key)
         self._locks = self.root / ".locks"
         self._locks.mkdir(parents=True, exist_ok=True)
         self._quarantine_dir = self.root / _QUARANTINE_DIR
@@ -449,11 +366,6 @@ class DesignStore:
         self._evictions = 0
         self._publishes = 0
         self._quarantined = 0
-        self._remote_hits = 0
-        self._remote_misses = 0
-        self._remote_publishes = 0
-        self._remote_corrupt = 0
-        self._remote_manifest_rejected = 0
 
     # -- addressing -------------------------------------------------------------
 
@@ -485,15 +397,10 @@ class DesignStore:
     def _lookup(self, key: DesignKey, count: bool) -> "CompiledDesign | None":
         path = self.entry_dir(key)
         if not (path / _META_NAME).is_file():
-            # L3 read-through: a local miss consults the fleet tier before
-            # giving up.  A successful pull installs a complete, verified
-            # entry at `path` and the normal attach path takes over (so a
-            # remote-warm lookup still counts as a hit below).
-            if self.remote is None or not self._remote_fetch(key):
-                if count:
-                    self._misses += 1
-                    self._bump(misses=1)
-                return None
+            if count:
+                self._misses += 1
+                self._bump(misses=1)
+            return None
         try:
             compiled = self._attach(path, key)
         except (ValueError, OSError) as exc:
@@ -619,18 +526,6 @@ class DesignStore:
         self._publishes += 1
         self._bump(publishes=1)
         _fault_trip("store.publish", path=path)
-        if self.remote is not None and self.remote_mode != "readonly":
-            # Write-through to the fleet tier.  A push failure never fails
-            # the local publish: the entry landed on this machine, and
-            # anti_entropy repairs the fleet on the next sweep.
-            if self.remote_mode == "async":
-                import threading
-
-                threading.Thread(
-                    target=self._remote_publish_quietly, args=(compiled.key,), daemon=True
-                ).start()
-            else:
-                self._remote_publish_quietly(compiled.key)
         if self.max_bytes is not None:
             self.gc()
         return path
@@ -703,267 +598,6 @@ class DesignStore:
                     f"integrity: store entry {path.name} file {name} hash mismatch "
                     f"(expected {expected[:12]}…, found {actual[:12]}…)"
                 )
-
-    # -- the fleet tier (L3) ----------------------------------------------------
-
-    def _read_fleet_manifest(self) -> "FleetManifest | None":
-        """The remote's verified fleet manifest, or ``None``.
-
-        A manifest that fails parsing, validation or — when a fleet key is
-        configured — signature verification is **rejected wholesale** and
-        counted; callers then fall back to the transport listing plus full
-        per-entry verification, so a tampered manifest can only cost
-        staleness, never correctness.
-        """
-        assert self.remote is not None
-        try:
-            data = self.remote.get_manifest()
-        except (OSError, RuntimeError):
-            return None
-        if data is None:
-            return None
-        try:
-            return FleetManifest.from_bytes(data, self._fleet_key)
-        except ManifestError:
-            self._remote_manifest_rejected += 1
-            self._bump(remote_manifest_rejected=1)
-            return None
-
-    def _update_fleet_manifest(self, updates: "dict[str, dict]") -> int:
-        """Fold blob records into the remote manifest (read-modify-write).
-
-        Held under the transport's advisory lock where it has one; the
-        ``remote.manifest`` fault site sits between the blob uploads that
-        preceded this call and the manifest write itself — the classic
-        crashed-publisher window anti-entropy must heal.  Returns the new
-        generation.
-        """
-        assert self.remote is not None
-        with self.remote.lock():
-            current = self._read_fleet_manifest() or FleetManifest()
-            current.entries.update(updates)
-            manifest = FleetManifest(entries=current.entries, generation=current.generation + 1)
-            _fault_trip("remote.manifest")
-            self.remote.put_manifest(manifest.to_bytes(self._fleet_key))
-        return manifest.generation
-
-    def _push_digest(self, digest: str, *, upload: bool = True) -> "dict | None":
-        """Pack one local entry into its blob; optionally upload it.
-
-        Returns the entry's fleet-manifest record, or ``None`` when the
-        local entry is incomplete.  Packing is deterministic, so every
-        replica computes identical blob bytes (and hashes) for one key —
-        which is what lets a manifest record be rebuilt locally without
-        re-downloading the blob.
-        """
-        path = self.root / digest
-        try:
-            meta = json.loads((path / _META_NAME).read_text())
-            key_doc = meta["key"]
-        except (OSError, ValueError, KeyError):
-            return None
-        staging = self.root / f".tmp-push-{digest[:16]}-{os.getpid()}-{uuid.uuid4().hex[:8]}"
-        staging.mkdir(parents=True)
-        try:
-            blob = staging / "blob.tar"
-            blob_sha = pack_entry(path, blob)
-            record = {"sha256": blob_sha, "nbytes": blob.stat().st_size, "key": key_doc}
-            if upload:
-                assert self.remote is not None
-                _fault_trip("remote.publish", path=blob)
-                self.remote.publish(digest, blob)
-            return record
-        finally:
-            shutil.rmtree(staging, ignore_errors=True)
-
-    def remote_publish(self, key: DesignKey) -> bool:
-        """Push one locally present entry to the fleet tier (blob + manifest).
-
-        Returns ``False`` when the entry is absent or incomplete locally.
-        Raises on transport failure — callers on the publish hot path wrap
-        this (:meth:`_remote_publish_quietly`); ``design store push`` and
-        :meth:`anti_entropy` surface the counts instead.
-        """
-        if self.remote is None:
-            raise RuntimeError("no remote tier configured (pass remote= or set REPRO_DESIGN_STORE_REMOTE)")
-        digest = self.digest(key)
-        record = self._push_digest(digest)
-        if record is None:
-            return False
-        self._update_fleet_manifest({digest: record})
-        self._remote_publishes += 1
-        self._bump(remote_publishes=1)
-        return True
-
-    def _remote_publish_quietly(self, key: DesignKey) -> None:
-        """Write-through push that degrades to a no-op on any remote failure."""
-        try:
-            self.remote_publish(key)
-        except (OSError, ValueError, RuntimeError):
-            pass  # local publish already succeeded; anti-entropy repairs later
-
-    def _quarantine_blob(self, digest: str, blob: Path) -> None:
-        """Park a corrupt fetched blob in ``.quarantine/`` for post-mortem."""
-        self._remote_corrupt += 1
-        self._bump(remote_corrupt=1)
-        try:
-            self._quarantine_dir.mkdir(parents=True, exist_ok=True)
-            os.replace(blob, self._quarantine_dir / f"remote-{digest[:16]}-{os.getpid()}-{uuid.uuid4().hex[:8]}.tar")
-        except OSError:
-            pass  # the staging dir cleanup will drop it; the count stands
-
-    def _remote_fetch(self, key: DesignKey) -> bool:
-        """Read-through pull of ``key``'s blob (see :meth:`_pull_digest`)."""
-        return self._pull_digest(self.digest(key), expected_key=key)
-
-    def _pull_digest(self, digest: str, expected_key: "DesignKey | None" = None) -> bool:
-        """Fetch, verify and install one remote blob as a local entry.
-
-        Verification is belt-and-braces: the blob hash against the signed
-        fleet manifest (when it has a record), then the unpacked entry's
-        own per-file manifest at attach time.  Any failure — torn
-        download, bit-flipped blob, a blob whose inner key does not hash
-        to its digest — quarantines the blob and reads as a miss; corrupt
-        bytes can never be attached.
-        """
-        if self.remote is None:
-            return False
-        manifest = self._read_fleet_manifest()
-        record = manifest.entries.get(digest) if manifest is not None else None
-        staging = self.root / f".tmp-remote-{digest[:16]}-{os.getpid()}-{uuid.uuid4().hex[:8]}"
-        try:
-            staging.mkdir(parents=True)
-            blob = staging / "blob.tar"
-            try:
-                if record is None and self.remote.stat(digest) is None:
-                    self._remote_misses += 1
-                    self._bump(remote_misses=1)
-                    return False
-                self.remote.fetch(digest, blob)
-                # The chaos window for a torn/corrupted transfer: truncate
-                # or bitflip here is indistinguishable from a mid-stream
-                # network fault, and must be caught below, never attached.
-                _fault_trip("remote.fetch", path=blob)
-            except KeyError:
-                self._remote_misses += 1
-                self._bump(remote_misses=1)
-                return False
-            except (OSError, RuntimeError):
-                # Transport failure (including injected ones): degrade to a
-                # local miss so the caller compiles locally; never fatal.
-                self._remote_misses += 1
-                self._bump(remote_misses=1)
-                return False
-            if record is not None and sha256_file(blob) != record["sha256"]:
-                self._quarantine_blob(digest, blob)
-                return False
-            entry_tmp = staging / "entry"
-            try:
-                meta = unpack_entry(blob, entry_tmp)
-                if meta.get("format_version") != STORE_FORMAT_VERSION:
-                    raise _StaleEntry(f"unsupported entry format {meta.get('format_version')!r}")
-                stored_key = DesignKey.from_json(json.dumps(meta.get("key", {})))
-                if self.digest(stored_key) != digest:
-                    raise ValueError("blob key does not hash to its digest")
-                if expected_key is not None and stored_key != expected_key:
-                    raise ValueError("blob addresses a different key")
-            except _StaleEntry:
-                # An older-format blob is a miss, not corruption: the local
-                # recompile's write-through replaces it.
-                self._remote_misses += 1
-                self._bump(remote_misses=1)
-                return False
-            except (OSError, ValueError):
-                self._quarantine_blob(digest, blob)
-                return False
-            dest = self.root / digest
-            try:
-                os.rename(entry_tmp, dest)
-            except OSError:
-                if not (dest / _META_NAME).is_file():
-                    # A partial directory squats on the address; clear it
-                    # and retry once (mirrors the local publish path).
-                    self._discard(dest)
-                    try:
-                        os.rename(entry_tmp, dest)
-                    except OSError:
-                        return (dest / _META_NAME).is_file()
-                # else: lost the race to an identical entry — that is a hit.
-            self._remote_hits += 1
-            self._bump(remote_hits=1)
-            return True
-        finally:
-            shutil.rmtree(staging, ignore_errors=True)
-
-    def anti_entropy(self, *, push: bool = True, pull: bool = True) -> AntiEntropyReport:
-        """One self-stabilising sweep: converge this replica with the fleet.
-
-        Pulls every remote digest missing locally (each verified exactly
-        like a read-through fetch), pushes every local-only entry, then
-        reconciles the signed fleet manifest so it records every blob this
-        replica can vouch for — including blobs a crashed publisher
-        uploaded without ever updating the manifest.  Any replica may run
-        this at any time, concurrently with any other; repeated sweeps
-        across divergent replicas converge them to identical entry sets
-        (``design store sync``).
-        """
-        if self.remote is None:
-            raise RuntimeError("no remote tier configured (pass remote= or set REPRO_DESIGN_STORE_REMOTE)")
-        local = {entry.digest for entry in self.ls()}
-        try:
-            remote_digests = set(self.remote.list())
-        except (OSError, RuntimeError):
-            remote_digests = set()
-        manifest = self._read_fleet_manifest()
-        known_remote = remote_digests | (set(manifest.entries) if manifest is not None else set())
-        pulled: "list[str]" = []
-        corrupt: "list[str]" = []
-        if pull:
-            for digest in sorted(known_remote - local):
-                failures_before = self._remote_corrupt
-                if self._pull_digest(digest):
-                    pulled.append(digest)
-                elif self._remote_corrupt > failures_before:
-                    corrupt.append(digest)
-        pushed: "list[str]" = []
-        updates: "dict[str, dict]" = {}
-        local_now = {entry.digest for entry in self.ls()}
-        if push:
-            for digest in sorted(local_now - remote_digests):
-                try:
-                    record = self._push_digest(digest)
-                except (OSError, ValueError, RuntimeError):
-                    continue
-                if record is None:
-                    continue
-                pushed.append(digest)
-                updates[digest] = record
-                self._remote_publishes += 1
-                self._bump(remote_publishes=1)
-        # Manifest repair: record every local entry the manifest does not
-        # know yet (e.g. a blob uploaded by a publisher that crashed before
-        # its manifest update).  Deterministic packing means the record can
-        # be rebuilt locally without re-downloading anything.
-        recorded = set(manifest.entries) if manifest is not None else set()
-        for digest in sorted((local_now & known_remote) - recorded - set(updates)):
-            try:
-                record = self._push_digest(digest, upload=False)
-            except (OSError, ValueError, RuntimeError):
-                continue
-            if record is not None:
-                updates[digest] = record
-        generation = manifest.generation if manifest is not None else 0
-        if updates:
-            try:
-                generation = self._update_fleet_manifest(updates)
-            except (OSError, RuntimeError):
-                pass  # manifest write lost; blobs landed, the next sweep repairs
-        return AntiEntropyReport(
-            pulled=tuple(pulled),
-            pushed=tuple(pushed),
-            corrupt=tuple(corrupt),
-            generation=generation,
-        )
 
     def _touch(self, path: Path) -> None:
         """Refresh the entry's recency marker (LRU input for :meth:`gc`)."""
@@ -1062,31 +696,18 @@ class DesignStore:
         cutoff = time.time() - max(0.0, float(grace_s))
         reaped = 0
         try:
-            children = list(self.root.iterdir())
+            residue = [c for c in self.root.iterdir() if c.name.startswith((".tmp-", ".stats-"))]
+            if self._quarantine_dir.is_dir():
+                residue += list(self._quarantine_dir.iterdir())
         except OSError:
             return 0
-        for child in children:
-            if not (child.name.startswith(".tmp-") or child.name.startswith(".stats-")):
-                continue
+        for item in residue:
             try:
-                if child.stat().st_mtime > cutoff:
+                if item.stat().st_mtime > cutoff:
                     continue
-                if child.is_dir():
-                    shutil.rmtree(child, ignore_errors=True)
-                else:
-                    child.unlink()
-                reaped += 1
+                reaped += _remove(item)
             except OSError:
                 continue  # raced with the owner finishing; leave it
-        if self._quarantine_dir.is_dir():
-            for held in list(self._quarantine_dir.iterdir()):
-                try:
-                    if held.stat().st_mtime > cutoff:
-                        continue
-                    shutil.rmtree(held, ignore_errors=True)
-                    reaped += 1
-                except OSError:
-                    continue
         return reaped
 
     def gc(self, max_bytes: "int | None" = None, *, residue_grace_s: float = RESIDUE_GRACE_S) -> "list[StoreEntry]":
@@ -1127,7 +748,7 @@ class DesignStore:
                 self._evictions += 1
                 self._bump(evictions=1)
 
-    def fsck(self, *, remote: bool = False) -> FsckReport:
+    def fsck(self) -> FsckReport:
         """Audit every entry's integrity manifest; quarantine failures.
 
         Verification reads metadata and streams file hashes — no numpy
@@ -1136,13 +757,6 @@ class DesignStore:
         as a corrupt attach would be; stale-format entries are dropped
         (the next lookup recompiles them).  Exposed as ``design store
         fsck`` on the CLI.
-
-        With ``remote=True`` (CLI: ``fsck --remote``) the fleet tier is
-        audited too: every remote blob is fetched into scratch space and
-        verified — against the signed fleet manifest's record when it has
-        one, else by unpacking and checking the entry's own per-file
-        manifest.  Remote blobs are *reported*, never quarantined: another
-        replica may hold the good copy, and repair is anti-entropy's job.
         """
         ok: "list[str]" = []
         bad: "list[str]" = []
@@ -1166,56 +780,13 @@ class DesignStore:
             if child.name.startswith(".tmp-") or child.name.startswith(".stats-")
         )
         held = len(list(self._quarantine_dir.iterdir())) if self._quarantine_dir.is_dir() else 0
-        remote_ok: "list[str]" = []
-        remote_bad: "list[str]" = []
-        if remote and self.remote is not None:
-            remote_ok, remote_bad = self._fsck_remote()
         return FsckReport(
             checked=len(ok) + len(bad),
             ok=tuple(ok),
             quarantined=tuple(bad),
             residue=residue,
             quarantine_held=held,
-            remote_checked=len(remote_ok) + len(remote_bad),
-            remote_ok=tuple(remote_ok),
-            remote_bad=tuple(remote_bad),
         )
-
-    def _fsck_remote(self) -> "tuple[list[str], list[str]]":
-        """Verify every remote blob (manifest record or full unpack check)."""
-        assert self.remote is not None
-        manifest = self._read_fleet_manifest()
-        records = manifest.entries if manifest is not None else {}
-        try:
-            remote_digests = set(self.remote.list())
-        except (OSError, RuntimeError):
-            remote_digests = set()
-        ok: "list[str]" = []
-        bad: "list[str]" = []
-        for digest in sorted(remote_digests | set(records)):
-            staging = self.root / f".tmp-fsck-{digest[:16]}-{os.getpid()}-{uuid.uuid4().hex[:8]}"
-            try:
-                staging.mkdir(parents=True)
-                blob = staging / "blob.tar"
-                try:
-                    self.remote.fetch(digest, blob)
-                except (KeyError, OSError, RuntimeError):
-                    bad.append(digest)  # manifest names a blob the remote lost
-                    continue
-                record = records.get(digest)
-                if record is not None:
-                    good = sha256_file(blob) == record["sha256"]
-                else:
-                    try:
-                        meta = unpack_entry(blob, staging / "entry")
-                        self._verify_manifest(staging / "entry", meta)
-                        good = self.digest(DesignKey.from_json(json.dumps(meta.get("key", {})))) == digest
-                    except (OSError, ValueError):
-                        good = False
-                (ok if good else bad).append(digest)
-            finally:
-                shutil.rmtree(staging, ignore_errors=True)
-        return ok, bad
 
     # -- telemetry --------------------------------------------------------------
 
@@ -1239,11 +810,6 @@ class DesignStore:
             entries=len(entries),
             nbytes=sum(e.nbytes for e in entries),
             quarantined=self._quarantined,
-            remote_hits=self._remote_hits,
-            remote_misses=self._remote_misses,
-            remote_publishes=self._remote_publishes,
-            remote_corrupt=self._remote_corrupt,
-            remote_manifest_rejected=self._remote_manifest_rejected,
         )
 
     def persistent_stats(self) -> "dict[str, int]":
@@ -1352,19 +918,15 @@ def fetch_compiled(
     return factory()
 
 
-_default_stores: "dict[tuple[str, int | None, str | None], DesignStore]" = {}
+_default_stores: "dict[tuple[str, int | None], DesignStore]" = {}
 
 
-def default_design_store(
-    root: "str | Path",
-    max_bytes: "int | None" = None,
-    remote: "str | None" = None,
-) -> DesignStore:
+def default_design_store(root: "str | Path", max_bytes: "int | None" = None) -> DesignStore:
     """The process-wide store for ``root`` (one instance per configuration)."""
-    spec = (str(Path(root)), max_bytes, remote)
+    spec = (str(Path(root)), max_bytes)
     store = _default_stores.get(spec)
     if store is None:
-        store = _default_stores[spec] = DesignStore(root, max_bytes=max_bytes, remote=remote)
+        store = _default_stores[spec] = DesignStore(root, max_bytes=max_bytes)
     return store
 
 
@@ -1373,11 +935,8 @@ def resolve_design_store(store: "DesignStore | None" = None) -> "DesignStore | N
 
     An explicit store wins; otherwise ``REPRO_DESIGN_STORE`` (a directory
     path) opts the process into a shared ambient store, optionally
-    budgeted by ``REPRO_DESIGN_STORE_BYTES`` and extended to the fleet
-    tier by ``REPRO_DESIGN_STORE_REMOTE`` (a directory or
-    ``s3://bucket/prefix`` spec; manifests signed when
-    ``REPRO_STORE_FLEET_KEY`` is set).  Unset means ``None`` — all paths
-    bit-identical to the store never existing.
+    budgeted by ``REPRO_DESIGN_STORE_BYTES``.  Unset means ``None`` — all
+    paths bit-identical to the store never existing.
     """
     if store is not None:
         return store
@@ -1386,8 +945,7 @@ def resolve_design_store(store: "DesignStore | None" = None) -> "DesignStore | N
         return None
     raw_bytes = os.environ.get(DESIGN_STORE_BYTES_ENV, "").strip()
     max_bytes = int(raw_bytes) if raw_bytes else None
-    remote = os.environ.get(FLEET_REMOTE_ENV, "").strip() or None
-    return default_design_store(root, max_bytes=max_bytes, remote=remote)
+    return default_design_store(root, max_bytes=max_bytes)
 
 
 def reset_default_design_store() -> None:

@@ -6,8 +6,7 @@ or installed programmatically) schedules worker kills, publisher crashes,
 store corruption, transient decode exceptions and artificial latency at
 named **trip sites** planted in the production code —
 ``worker.task`` (:mod:`repro.parallel.pool`),
-``store.publish.pre_rename`` / ``store.publish`` and the fleet-tier
-sites ``remote.fetch`` / ``remote.publish`` / ``remote.manifest``
+``store.publish.pre_rename`` / ``store.publish``
 (:mod:`repro.designs.store`) and ``serve.decode``
 (:mod:`repro.serve.coalescer`).  Identical plans replay identical fault
 sequences, so CI asserts that every *recovered* result is bit-identical

@@ -196,87 +196,3 @@ class TestDesignStoreCLI:
         assert "reaped 1 residue item(s)" in out
         assert not (ambient_store / ".tmp-deadbeef-1-abc").exists()
 
-
-class TestFleetCLI:
-    @pytest.fixture(autouse=True)
-    def _no_ambient_fleet(self, monkeypatch):
-        from repro.designs import reset_default_design_store
-
-        monkeypatch.delenv("REPRO_DESIGN_STORE", raising=False)
-        monkeypatch.delenv("REPRO_DESIGN_STORE_REMOTE", raising=False)
-        monkeypatch.delenv("REPRO_STORE_FLEET_KEY", raising=False)
-        reset_default_design_store()
-        yield
-        reset_default_design_store()
-
-    def _seed(self, root, remote):
-        from repro.designs import DesignKey, DesignStore, compile_from_key
-
-        key = DesignKey.for_stream(180, 24, root_seed=31)
-        DesignStore(root, remote=str(remote)).get_or_compile(key, lambda: compile_from_key(key))
-        return key
-
-    def test_sync_pulls_a_remote_corpus_into_a_fresh_store(self, tmp_path, capsys):
-        remote = tmp_path / "remote"
-        self._seed(tmp_path / "a", remote)
-        capsys.readouterr()
-        rc = main(["design", "store", "sync", "--store", str(tmp_path / "b"), "--remote", str(remote)])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "1 pulled, 0 pushed, 0 corrupt" in out and "1 entries local" in out
-        assert main(["design", "store", "ls", "--store", str(tmp_path / "b")]) == 0
-        assert "1 entries" in capsys.readouterr().out
-
-    def test_push_and_pull_are_one_directional(self, tmp_path, capsys):
-        from repro.designs import DesignKey, DesignStore, compile_from_key
-
-        remote = tmp_path / "remote"
-        self._seed(tmp_path / "a", remote)
-        b_root = tmp_path / "b"
-        other = DesignKey.for_stream(180, 24, root_seed=32)
-        DesignStore(b_root).get_or_compile(other, lambda: compile_from_key(other))  # offline
-        capsys.readouterr()
-        assert main(["design", "store", "push", "--store", str(b_root), "--remote", str(remote)]) == 0
-        assert "0 pulled, 1 pushed" in capsys.readouterr().out
-        assert main(["design", "store", "pull", "--store", str(b_root), "--remote", str(remote)]) == 0
-        assert "1 pulled, 0 pushed" in capsys.readouterr().out
-        assert main(["design", "store", "ls", "--store", str(b_root)]) == 0
-        assert "2 entries" in capsys.readouterr().out
-
-    def test_remote_env_configures_the_sync_target(self, tmp_path, monkeypatch, capsys):
-        remote = tmp_path / "remote"
-        self._seed(tmp_path / "a", remote)
-        monkeypatch.setenv("REPRO_DESIGN_STORE_REMOTE", str(remote))
-        capsys.readouterr()
-        assert main(["design", "store", "sync", "--store", str(tmp_path / "b")]) == 0
-        assert "1 pulled" in capsys.readouterr().out
-
-    def test_sync_without_a_remote_errors_cleanly(self, tmp_path, capsys):
-        assert main(["design", "store", "sync", "--store", str(tmp_path / "b")]) == 2
-        assert "REPRO_DESIGN_STORE_REMOTE" in capsys.readouterr().err
-
-    def test_fsck_remote_flags_a_corrupt_blob(self, tmp_path, capsys):
-        from repro.designs import DesignStore
-        from repro.faults import bitflip_file
-
-        remote = tmp_path / "remote"
-        key = self._seed(tmp_path / "a", remote)
-        capsys.readouterr()
-        args = ["design", "store", "fsck", "--store", str(tmp_path / "a"), "--remote", str(remote)]
-        assert main(args) == 0
-        assert "1 ok, 0 bad" in capsys.readouterr().out
-        bitflip_file(remote / "blobs" / f"{DesignStore.digest(key)}.tar")
-        assert main(args) == 1
-        assert "0 ok, 1 bad" in capsys.readouterr().out
-
-    def test_sync_reports_corrupt_pulls_with_exit_one(self, tmp_path, capsys):
-        from repro.designs import DesignStore
-        from repro.faults import bitflip_file
-
-        remote = tmp_path / "remote"
-        key = self._seed(tmp_path / "a", remote)
-        bitflip_file(remote / "blobs" / f"{DesignStore.digest(key)}.tar")
-        capsys.readouterr()
-        rc = main(["design", "store", "sync", "--store", str(tmp_path / "b"), "--remote", str(remote)])
-        assert rc == 1
-        assert "1 corrupt" in capsys.readouterr().out

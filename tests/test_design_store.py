@@ -597,3 +597,67 @@ class TestStatsLog:
         store.get_or_compile(KEY, lambda: pytest.fail("a warm key must not compile"))  # get_or_compile hit
         assert calls == []
         assert store.persistent_stats()["hits"] == 2
+
+
+class TestMachineLocalStore:
+    """The store is machine-local: roots written when it had a fleet tier
+    keep working, and non-regenerable designs travel as ``.npz`` files."""
+
+    def test_reap_residue_removes_quarantined_files(self, store):
+        held = store.root / ".quarantine" / "remote-deadbeef-1-abc.tar"
+        held.parent.mkdir()
+        held.write_bytes(b"torn blob")
+        assert store.fsck().quarantine_held == 1
+        assert store.reap_residue(grace_s=0.0) == 1
+        assert not held.exists()
+        assert store.fsck().clean
+
+    def test_fleet_era_root_reads_local_counters_and_cleans_up(self, tmp_path):
+        root = tmp_path / "store"
+        root.mkdir()
+        (root / "stats.json").write_text(
+            '{"hits": 3, "misses": 2, "evictions": 1, "publishes": 2, "quarantined": 1, "remote_hits": 5, '
+            '"remote_misses": 1, "remote_publishes": 2, "remote_corrupt": 1, "remote_manifest_rejected": 0}'
+        )
+        (root / "stats.log").write_text(
+            '{"misses":1,"remote_hits":1}\n{"publishes":1,"remote_publishes":1}\n{"remote_corrupt":1}\n'
+        )
+        staging = root / ".tmp-remote-0123456789abcdef-77-deadbeef"
+        staging.mkdir()
+        (staging / "blob.tar").write_bytes(b"partial download")
+        (root / ".quarantine").mkdir()
+        (root / ".quarantine" / "remote-0123456789ab-77-cafebabe.tar").write_bytes(b"corrupt blob")
+
+        DesignStore(root).publish(compile_from_key(KEY))
+        warm = DesignStore(root).get(KEY)
+        assert warm is not None
+        assert np.array_equal(np.asarray(warm.dstar), compile_from_key(KEY).dstar)
+        assert DesignStore(root).persistent_stats() == {"hits": 4, "misses": 3, "evictions": 1, "publishes": 4, "quarantined": 1}
+
+        store = DesignStore(root)
+        assert not store.fsck().clean  # the staging dir and the held blob
+        store.gc(residue_grace_s=0)
+        report = store.fsck()
+        assert report.clean and report.ok == (store.digest(KEY),)
+
+    def test_shipped_npz_publishes_into_another_store(self, tmp_path):
+        from repro import load_compiled_design, save_design
+        from repro.core.design import PoolingDesign
+        from repro.designs import compile_design
+
+        compiled = compile_design(PoolingDesign.sample(240, 30, np.random.default_rng(5)))
+        assert compiled.key.scheme == "content"
+        with pytest.raises(ValueError):
+            compile_from_key(compiled.key)  # cannot be rebuilt on another machine
+
+        shipped = save_design(tmp_path / "deployed", compiled)
+        restored, _ = load_compiled_design(shipped)
+        DesignStore(tmp_path / "receiver").publish(restored)
+
+        attached = DesignStore(tmp_path / "receiver").get(compiled.key)
+        assert attached is not None
+        for name in ("dstar", "delta"):
+            assert np.array_equal(np.asarray(getattr(attached, name)), getattr(compiled, name))
+        assert np.array_equal(np.asarray(attached.design.entries), compiled.design.entries)
+        y = compiled.query_results(np.arange(240) < 6)
+        assert np.array_equal(MNDecoder().compile(attached).decode(y, 6), MNDecoder().compile(compiled).decode(y, 6))

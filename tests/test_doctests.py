@@ -16,7 +16,6 @@ MODULES_WITH_DOCTESTS = [
     "repro.designs.compiled",
     "repro.designs.protocol",
     "repro.designs.registry",
-    "repro.designs.remote",
     "repro.designs.store",
     "repro.faults.plan",
     "repro.serve.breaker",

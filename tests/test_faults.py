@@ -12,11 +12,7 @@ real fault fire at a production trip site, and asserts two things:
 Covered here: SIGKILL'd workers mid-map, bit-flipped and truncated store
 artifacts, a publisher killed between tmp-write and rename, decode
 failures healing through retry and the circuit breaker's half-open probe,
-client reconnect-with-replay across a dropped connection, and the fleet
-tier's failure domain — torn fetches, bit-flipped remote blobs, a
-publisher crashed between blob upload and manifest update, and racing
-concurrent syncs (``remote.fetch`` / ``remote.publish`` /
-``remote.manifest`` trip sites).
+and client reconnect-with-replay across a dropped connection.
 """
 
 import asyncio
@@ -344,134 +340,6 @@ class TestStoreIntegrity:
         store.gc(residue_grace_s=0.0)
         assert not [p for p in root.iterdir() if p.name.startswith(".tmp-")]
         assert KEY in store
-
-
-class TestRemoteChaos:
-    """The fleet tier under injected remote faults.
-
-    The invariant mirrors the local store's: any remote fault — torn
-    transfer, corrupt blob, crashed publisher, racing sync — reads as a
-    *miss* (healed by recompile or a later sweep), never as a wrong or
-    corrupt attach, and every recovered decode is bit-identical to a
-    fault-free run.
-    """
-
-    def _fleet(self, tmp_path, name, **kwargs):
-        from repro.designs import DesignStore, LocalDirRemote
-
-        return DesignStore(tmp_path / name, remote=LocalDirRemote(tmp_path / "remote"), **kwargs)
-
-    def test_truncated_fetch_is_a_clean_miss_then_heals(self, tmp_path, ambient_fault):
-        a = self._fleet(tmp_path, "a")
-        a.publish(compile_from_key(KEY))  # write-through seeds the remote
-        b = self._fleet(tmp_path, "b")
-        ambient_fault(FaultPlan.parse("remote.fetch:truncate@1"))
-        assert b.get(KEY) is None  # torn transfer: quarantined, never attached
-        reset_ambient_plan()
-        assert b.stats.remote_corrupt == 1
-        held = list((b.root / ".quarantine").glob("remote-*.tar"))
-        assert len(held) == 1  # the torn blob is parked for post-mortem
-        healed = b.get(KEY)  # the remote blob itself was never damaged
-        assert healed is not None
-        assert np.array_equal(np.asarray(healed.dstar), compile_from_key(KEY).dstar)
-
-    def test_bitflipped_remote_blob_quarantines_then_refetches(self, tmp_path):
-        a = self._fleet(tmp_path, "a")
-        a.publish(compile_from_key(KEY))
-        digest = a.digest(KEY)
-        blob = tmp_path / "remote" / "blobs" / f"{digest}.tar"
-        bitflip_file(blob)
-        b = self._fleet(tmp_path, "b")
-        assert b.get(KEY) is None  # manifest hash mismatch: set aside, clean miss
-        assert b.stats.remote_corrupt == 1
-        assert b.remote_publish(KEY) is False  # nothing local to repair with yet
-        a.remote_publish(KEY)  # the healthy replica re-uploads the clean blob
-        healed = b.get(KEY)
-        assert healed is not None and b.stats.remote_hits == 1
-        assert np.array_equal(np.asarray(healed.dstar), compile_from_key(KEY).dstar)
-
-    def test_corrupting_publish_is_detected_by_every_fetcher(self, tmp_path, ambient_fault):
-        # The bitflip lands on the staged blob *after* its hash is recorded,
-        # so the remote holds corrupt bytes under a clean manifest record —
-        # exactly what a mid-upload corruption looks like.
-        ambient_fault(FaultPlan.parse("remote.publish:bitflip"))
-        a = self._fleet(tmp_path, "a")
-        a.publish(compile_from_key(KEY))
-        reset_ambient_plan()
-        b = self._fleet(tmp_path, "b")
-        assert b.get(KEY) is None and b.stats.remote_corrupt == 1
-        report = b.fsck(remote=True)  # the audit sees it too
-        assert report.remote_bad == (a.digest(KEY),)
-
-    def test_publisher_crash_between_blob_and_manifest_heals_via_anti_entropy(self, tmp_path):
-        remote_root = tmp_path / "remote"
-        child = (
-            "import sys, json\n"
-            "import numpy as np\n"
-            "from repro.designs import DesignKey, DesignStore, compile_from_key\n"
-            "key = DesignKey.for_stream(160, 30, root_seed=21)\n"
-            "store = DesignStore(sys.argv[1], remote=sys.argv[2])\n"
-            "c = store.get_or_compile(key, lambda: compile_from_key(key))\n"
-            "print(json.dumps({'dstar_sum': int(np.asarray(c.dstar).sum())}))\n"
-        )
-        base_env = {"PYTHONPATH": _SRC, "PATH": "/usr/bin:/bin"}
-        crashed = subprocess.run(
-            [sys.executable, "-c", child, str(tmp_path / "a"), str(remote_root)],
-            capture_output=True,
-            text=True,
-            env={**base_env, FAULT_PLAN_ENV: "remote.manifest:crash@1"},
-        )
-        assert crashed.returncode == 70  # died between blob upload and manifest write
-        from repro.designs import DesignStore, LocalDirRemote
-
-        remote = LocalDirRemote(remote_root)
-        digest = DesignStore.digest(KEY)
-        assert remote.list() == [digest]  # the blob landed...
-        assert remote.get_manifest() is None  # ...the manifest never did
-        b = DesignStore(tmp_path / "b", remote=remote)
-        report = b.anti_entropy()  # the sweep finds it through the listing
-        assert report.pulled == (digest,) and report.generation >= 1
-        assert digest in json.loads(remote.get_manifest())["entries"]  # repaired
-        healed = b.get(KEY)
-        assert np.array_equal(np.asarray(healed.dstar), compile_from_key(KEY).dstar)
-
-    def test_concurrent_syncs_converge_to_identical_entry_sets(self, tmp_path):
-        from repro.designs import DesignKey, DesignStore, LocalDirRemote, compile_from_key
-
-        remote_root = tmp_path / "remote"
-        keys = [KEY, DesignKey.for_stream(160, 30, root_seed=22)]
-        for name, key in zip(("a", "b"), keys):
-            DesignStore(tmp_path / name).publish(compile_from_key(key))  # divergent, offline
-        child = (
-            "import sys\n"
-            "from repro.designs import DesignStore\n"
-            "report = DesignStore(sys.argv[1], remote=sys.argv[2]).anti_entropy()\n"
-            "sys.exit(0 if not report.corrupt else 3)\n"
-        )
-        env = {"PYTHONPATH": _SRC, "PATH": "/usr/bin:/bin"}
-
-        def sync_both():
-            procs = [
-                subprocess.Popen(
-                    [sys.executable, "-c", child, str(tmp_path / name), str(remote_root)],
-                    env=env,
-                )
-                for name in ("a", "b")
-            ]
-            assert [p.wait(timeout=120) for p in procs] == [0, 0]
-
-        sync_both()  # racing first sweeps: each may miss the other's push
-        sync_both()  # the second round must converge them
-        remote = LocalDirRemote(remote_root)
-        expected = {DesignStore.digest(k) for k in keys}
-        ls_a = {e.digest for e in DesignStore(tmp_path / "a").ls()}
-        ls_b = {e.digest for e in DesignStore(tmp_path / "b").ls()}
-        assert ls_a == ls_b == expected == set(remote.list())
-        for key in keys:  # converged *content*, not just names
-            da = DesignStore(tmp_path / "a").get(key)
-            db = DesignStore(tmp_path / "b").get(key)
-            assert np.array_equal(np.asarray(da.dstar), np.asarray(db.dstar))
-            assert np.array_equal(np.asarray(da.design.entries), np.asarray(db.design.entries))
 
 
 class TestSharedMemoryIntegrity:

@@ -5,12 +5,9 @@ over randomly generated instances — the strongest guard against silent
 drift between the design, the statistics, the decoders and the theory.
 """
 
-import hashlib
-import json
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -154,24 +151,6 @@ def _draw_key(seed):
     return DesignKey.for_sampled(n, m, root_seed=root_seed, tag=int(rng.integers(0, 100)), index=int(rng.integers(0, 10**6)))
 
 
-def _draw_manifest(seed):
-    """A random valid FleetManifest (0–4 entries over random valid keys)."""
-    from repro.designs import FleetManifest
-    from repro.designs.store import DesignStore
-
-    rng = np.random.default_rng(seed)
-    manifest = FleetManifest(generation=int(rng.integers(0, 10**6)))
-    for i in range(int(rng.integers(0, 5))):
-        key = _draw_key(int(rng.integers(0, 2**31)) + i)
-        manifest.record(
-            DesignStore.digest(key),
-            sha256=hashlib.sha256(rng.bytes(8)).hexdigest(),
-            nbytes=int(rng.integers(0, 10**9)),
-            key=json.loads(key.to_json()),
-        )
-    return manifest
-
-
 def _mutate(data: bytes, rng) -> bytes:
     """One random byte-level mutation: flip, delete or insert."""
     buf = bytearray(data)
@@ -187,7 +166,7 @@ def _mutate(data: bytes, rng) -> bytes:
 
 
 class TestSerializationRoundTrips:
-    """The fleet tier's wire formats: round-trip exactly, reject mutations.
+    """The design key's wire format: round-trip exactly, reject mutations.
 
     The store's correctness rests on content addressing — a key's digest
     *is* its identity — so serialization must never let mutated bytes
@@ -228,51 +207,6 @@ class TestSerializationRoundTrips:
         # that differs from the original must hash to a different digest.
         if parsed != key:
             assert DesignStore.digest(parsed) != DesignStore.digest(key)
-
-    @given(instances)
-    @settings(max_examples=40, deadline=None)
-    def test_fleet_manifest_roundtrip_signed_and_unsigned(self, seed):
-        from repro.designs import FleetManifest
-
-        manifest = _draw_manifest(seed)
-        for fleet_key in (None, b"fleet-secret"):
-            recovered = FleetManifest.from_bytes(manifest.to_bytes(fleet_key), fleet_key)
-            assert recovered.entries == manifest.entries
-            assert recovered.generation == manifest.generation
-
-    @given(instances)
-    @settings(max_examples=60, deadline=None)
-    def test_mutated_manifest_bytes_never_accepted_as_different(self, seed):
-        from repro.designs import FleetManifest, ManifestError
-
-        rng = np.random.default_rng(seed)
-        manifest = _draw_manifest(seed)
-        fleet_key = b"fleet-secret"
-        payload = manifest.to_bytes(fleet_key)
-        mutated = _mutate(payload, rng)
-        if mutated == payload:
-            return
-        try:
-            recovered = FleetManifest.from_bytes(mutated, fleet_key)
-        except ManifestError:
-            return  # rejected wholesale: the signature or validation caught it
-        # Only JSON-whitespace-equivalent mutations may survive the HMAC
-        # (the signature covers the canonical form); they must parse to
-        # exactly the original manifest — never a different one.
-        assert recovered.entries == manifest.entries
-        assert recovered.generation == manifest.generation
-
-    @given(instances)
-    @settings(max_examples=30, deadline=None)
-    def test_wrong_fleet_key_always_rejects(self, seed):
-        from repro.designs import FleetManifest, ManifestError
-
-        manifest = _draw_manifest(seed)
-        with pytest.raises(ManifestError):
-            FleetManifest.from_bytes(manifest.to_bytes(b"right-key"), b"wrong-key")
-        with pytest.raises(ManifestError):  # unsigned bytes in a keyed fleet
-            FleetManifest.from_bytes(manifest.to_bytes(None), b"right-key")
-
 
 class TestTheoryConsistency:
     @given(st.integers(50, 10**5), st.floats(0.1, 0.7))
