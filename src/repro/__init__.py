@@ -35,8 +35,8 @@ True
 
 Batch-axis conventions: per-signal arrays (``sigma``, ``y``, ``psi``)
 optionally grow a leading ``B`` axis; design-level arrays (``dstar``,
-``delta``) never do.  Execution (process count, decomposition width,
-streaming batch size) is configured once via a ``Backend``
+``delta``) never do.  Execution (process count, streaming batch size,
+kernel) is configured once via a ``Backend``
 (:class:`SerialBackend` or the fork+shared-memory
 :class:`SharedMemBackend`) and threaded through every entry point as
 ``backend=``.
@@ -63,7 +63,7 @@ Package map
 ``repro.kernels``     dispatchable hot kernels: dense blocks + BLAS vs legacy
 ``repro.noise``       noisy channels: models, keyed streams, robust decoding
 ``repro.rng``         MT19937-64 (paper parity) + deterministic substreams
-``repro.parallel``    shared-memory worker pool, sort/matvec primitives
+``repro.parallel``    shared-memory worker pool, top-k selection, CSR matrix
 ``repro.machine``     simulated lab: latency models, L-unit scheduling
 ``repro.baselines``   basis pursuit, OMP, AMP, binary group testing
 ``repro.experiments`` figure/claim regeneration drivers

@@ -74,7 +74,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.designs.compiled import CompiledDesign, DesignKey
     from repro.designs.store import DesignStore
     from repro.core.design import PoolingDesign
-    from repro.engine.backend import Backend
 
 __all__ = [
     "LPDecoder",
@@ -169,33 +168,13 @@ class _CompiledBaseline:
         return f"{type(self).__name__}(compiled={self.compiled!r}, decoder={self.decoder!r})"
 
 
-@dataclass(frozen=True)
-class _BaselineDecoder:
-    """Shared configuration surface of the baseline ``Decoder`` dataclasses.
-
-    ``blocks``/``backend`` mirror :class:`~repro.core.mn.MNDecoder`: they
-    control the parallel top-k decomposition only (any value yields
-    identical output), and a backend's ``blocks`` supersedes the field.
-    """
-
-    blocks: int = 1
-    backend: "Backend | None" = None
-
-    def __post_init__(self) -> None:
-        check_positive_int(self.blocks, "blocks")
-
-    @property
-    def effective_blocks(self) -> int:
-        return self.backend.blocks if self.backend is not None else self.blocks
-
-
 # ---------------------------------------------------------------------------
 # LP — box-constrained basis pursuit
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class LPDecoder(_BaselineDecoder):
+class LPDecoder:
     """Basis-pursuit decoder in compile/decode form (see :mod:`repro.baselines.lp`)."""
 
     def compile(
@@ -237,7 +216,7 @@ class CompiledLPDecoder(_CompiledBaseline):
         x = np.clip(result.x, 0.0, 1.0)
         from repro.parallel.sort import parallel_top_k
 
-        return _scatter_support(n, parallel_top_k(x, k, blocks=self.decoder.effective_blocks))
+        return _scatter_support(n, parallel_top_k(x, k))
 
     def decode(self, y: np.ndarray, k: int) -> np.ndarray:
         """Solve the box-constrained LP and round to weight ``k``."""
@@ -259,7 +238,7 @@ class CompiledLPDecoder(_CompiledBaseline):
 
 
 @dataclass(frozen=True)
-class OMPDecoder(_BaselineDecoder):
+class OMPDecoder:
     """Centred-OMP decoder in compile/decode form (see :mod:`repro.baselines.omp`)."""
 
     def compile(
@@ -352,14 +331,13 @@ class CompiledOMPDecoder(_CompiledBaseline):
 
 
 @dataclass(frozen=True)
-class AMPDecoder(_BaselineDecoder):
+class AMPDecoder:
     """AMP decoder in compile/decode form (see :mod:`repro.baselines.amp`)."""
 
     max_iter: int = 50
     tol: float = 1e-7
 
     def __post_init__(self) -> None:
-        super().__post_init__()
         check_positive_int(self.max_iter, "max_iter")
         if not (np.isfinite(self.tol) and self.tol >= 0):
             raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
@@ -426,7 +404,7 @@ class CompiledAMPDecoder(_CompiledBaseline):
                 converged = True
                 break
         return AMPResult(
-            sigma_hat=_scatter_support(n, parallel_top_k(x, k, blocks=self.decoder.effective_blocks)),
+            sigma_hat=_scatter_support(n, parallel_top_k(x, k)),
             posterior=x,
             iterations=it,
             converged=converged,
@@ -466,7 +444,7 @@ class CompiledAMPDecoder(_CompiledBaseline):
             active[rows] = delta >= self.decoder.tol
         sigma_hat = np.zeros((batch, n), dtype=np.int8)
         for row in range(batch):
-            top = parallel_top_k(X[row], int(k_arr[row]), blocks=self.decoder.effective_blocks)
+            top = parallel_top_k(X[row], int(k_arr[row]))
             sigma_hat[row, top] = 1
         return sigma_hat
 
@@ -541,7 +519,7 @@ class CompiledGTDecoder(_CompiledBaseline):
 
 
 @dataclass(frozen=True)
-class COMPDecoder(_BaselineDecoder):
+class COMPDecoder:
     """COMP decoder in compile/decode form (see :mod:`repro.baselines.bin_gt`)."""
 
     def compile(
@@ -556,7 +534,7 @@ class COMPDecoder(_BaselineDecoder):
 
 
 @dataclass(frozen=True)
-class DDDecoder(_BaselineDecoder):
+class DDDecoder:
     """DD decoder in compile/decode form (see :mod:`repro.baselines.bin_gt`)."""
 
     def compile(

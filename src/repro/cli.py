@@ -154,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     dd.add_argument("path", type=str, help="design .npz file")
     dd.add_argument("--k", type=int, required=True, help="signal weight")
     dd.add_argument("--y-file", type=str, default=None, help="whitespace-separated result counts (default: results stored in the artifact)")
-    dd.add_argument("--blocks", type=int, default=1, help="top-k decomposition width")
     dd.add_argument("--decoder", type=str, default="mn", help="registry decoder to run (mn, lp, omp, amp, comp, dd)")
 
     ds = dsub.add_parser("store", help="cross-process design store: ls | gc | fsck | stats")
@@ -209,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"open-breaker cooldown before a half-open probe (default 5000, or ${{{_serve_env('BREAKER_COOLDOWN_MS')}}})",
     )
     ps.add_argument("--decode-retries", type=int, default=1, help="failed-batch retries on a freshly attached decoder")
-    ps.add_argument("--blocks", type=int, default=1, help="top-k decomposition width of the MN decoder")
     ps.add_argument(
         "--decoder",
         type=str,
@@ -547,7 +545,7 @@ def _cmd_design(args) -> int:
         if y.shape != (compiled.m,):
             print(f"error: expected {compiled.m} result counts, got {y.shape}", file=sys.stderr)
             return 2
-        decoder = make_decoder(args.decoder, blocks=args.blocks).compile(compiled)
+        decoder = make_decoder(args.decoder).compile(compiled)
         sigma_hat = decoder.decode(y, args.k)
         support = np.flatnonzero(sigma_hat)
         print(f"decoder = {args.decoder}")
@@ -601,7 +599,7 @@ def _cmd_serve(args) -> int:
     store = DesignStore(args.store) if args.store is not None else resolve_design_store(None)
     # The server types against the Decoder protocol; the registry supplies
     # every servable family, so one process answers any decoder by name.
-    decoders = {name: make_decoder(name, blocks=args.blocks) for name in available_decoders()}
+    decoders = {name: make_decoder(name) for name in available_decoders()}
     try:
         asyncio.run(
             serve_forever(

@@ -114,7 +114,7 @@ def robust_calibrate_k(calibrations: np.ndarray, *, n: "int | None" = None) -> n
     return k_arr
 
 
-def decode_with_estimated_k(stats: DesignStats, blocks: int = 1) -> "tuple[np.ndarray, KEstimate]":
+def decode_with_estimated_k(stats: DesignStats) -> "tuple[np.ndarray, KEstimate]":
     """MN decoding with ``k`` estimated from the same observations.
 
     Returns the estimate alongside so callers can audit ``reliable``.
@@ -127,5 +127,5 @@ def decode_with_estimated_k(stats: DesignStats, blocks: int = 1) -> "tuple[np.nd
     est = estimate_k(stats)
     if est.k_hat == 0:
         raise RuntimeError("estimated weight is 0 — no one-entries observable in y")
-    sigma_hat = MNDecoder(blocks=blocks).decode(stats, est.k_hat)
+    sigma_hat = MNDecoder().decode(stats, est.k_hat)
     return sigma_hat, est

@@ -71,14 +71,11 @@ class MNDecoder:
 
     Parameters
     ----------
-    blocks:
-        Logical processor count for the parallel top-k selection (Lines
-        7–9).  Any value yields identical output; it controls decomposition
-        only.
     backend:
-        Optional :class:`~repro.engine.backend.Backend`; when given, its
-        ``blocks`` supersedes the explicit ``blocks`` field so one object
-        configures the whole pipeline.
+        Optional :class:`~repro.engine.backend.Backend` the compiled
+        decoder fans ``decode_batch``'s Ψ rows over
+        (:class:`~repro.designs.serving.CompiledMNDecoder`).  Output never
+        depends on it.
 
     Examples
     --------
@@ -93,16 +90,7 @@ class MNDecoder:
     True
     """
 
-    blocks: int = 1
     backend: "Backend | None" = None
-
-    def __post_init__(self) -> None:
-        check_positive_int(self.blocks, "blocks")
-
-    @property
-    def effective_blocks(self) -> int:
-        """Decomposition width actually used (backend wins over ``blocks``)."""
-        return self.backend.blocks if self.backend is not None else self.blocks
 
     def decode(self, stats: DesignStats, k: "int | np.ndarray") -> np.ndarray:
         """Estimate ``σ̂`` from accumulated query statistics.
@@ -124,7 +112,7 @@ class MNDecoder:
         if k > stats.n:
             raise ValueError(f"k={k} exceeds n={stats.n}")
         scores = mn_scores(stats, k)
-        top = parallel_top_k(scores, k, blocks=self.effective_blocks)
+        top = parallel_top_k(scores, k)
         if stats.batch is None:
             sigma_hat = np.zeros(stats.n, dtype=np.int8)
             sigma_hat[top] = 1
@@ -181,8 +169,7 @@ class MNDecoder:
         """Full score ranking — the literal Lines 7–9 of Algorithm 1.
 
         Returns all ``n`` entry indices sorted by decreasing score (ties
-        towards smaller indices), computed with the parallel sample-sort
-        decomposition.  The decoder itself only needs the top ``k``
+        towards smaller indices).  The decoder itself only needs the top ``k``
         (:meth:`decode` uses selection, which is cheaper), but the full
         ranking is what triage-style applications consume: entries near
         the top are the likeliest ones even when ``m`` is far below the
@@ -191,22 +178,19 @@ class MNDecoder:
         The first ``k`` ranked entries always coincide with
         :meth:`decode`'s support (asserted by the test suite).
         """
-        from repro.parallel.sort import parallel_argsort
-
         if stats.batch is not None:
             raise ValueError("rank_entries needs single-signal stats; rank per signal via stats.signal(b)")
         k = check_positive_int(k, "k")
         if k > stats.n:
             raise ValueError(f"k={k} exceeds n={stats.n}")
         scores = mn_scores(stats, k)
-        return parallel_argsort(scores, blocks=self.effective_blocks, descending=True)
+        return np.argsort(-scores, kind="stable")
 
 
 def mn_reconstruct(
     design: PoolingDesign,
     y: np.ndarray,
     k: "int | np.ndarray",
-    blocks: int = 1,
     backend: "Backend | None" = None,
 ) -> np.ndarray:
     """One-call MN decoding against a materialised design.
@@ -222,12 +206,9 @@ def mn_reconstruct(
     k:
         Signal weight (exact or calibrated); with batched ``y`` optionally
         a length-``B`` array of per-signal weights.
-    blocks:
-        Parallel top-k decomposition width.
     backend:
-        Optional unified execution configuration; supersedes ``blocks``
-        and selects the Ψ/Δ* kernel through its ``kernel`` field
-        (:mod:`repro.kernels`).
+        Optional unified execution configuration; selects the Ψ/Δ* kernel
+        through its ``kernel`` field (:mod:`repro.kernels`).
     """
     kernel = getattr(backend, "kernel", None)
     y = np.asarray(y, dtype=np.int64)
@@ -247,7 +228,7 @@ def mn_reconstruct(
         # first pool's size is arbitrary there).
         gamma=design.mean_pool_size,
     )
-    return MNDecoder(blocks=blocks, backend=backend).decode(stats, k)
+    return MNDecoder().decode(stats, k)
 
 
 @dataclass(frozen=True)
@@ -337,8 +318,7 @@ def run_mn_trial(
         store=store,
     )
     k_used = int(sigma.sum()) if calibrate_k else k
-    decoder_blocks = backend.blocks if backend is not None else max(1, workers)
-    sigma_hat = MNDecoder(blocks=decoder_blocks).decode(stats, k_used)
+    sigma_hat = MNDecoder().decode(stats, k_used)
     return MNTrialResult(
         n=n,
         k=k,

@@ -86,7 +86,7 @@ def bayes_marginal_decode(design: PoolingDesign, y: np.ndarray, k: int) -> "tupl
     every efficient algorithm — a useful yardstick in the benchmarks.
     """
     posterior = exact_posterior(design, y, k)
-    top = parallel_top_k(posterior.marginals, k, blocks=1)
+    top = parallel_top_k(posterior.marginals, k)
     sigma_hat = np.zeros(design.n, dtype=np.int8)
     sigma_hat[top] = 1
     return sigma_hat, posterior

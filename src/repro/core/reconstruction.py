@@ -67,7 +67,6 @@ def reconstruct(
     k: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
     gamma: Optional[int] = None,
-    blocks: int = 1,
     backend: "Backend | None" = None,
     noise: "NoiseModel | None" = None,
     noise_seed: int = 0,
@@ -98,12 +97,10 @@ def reconstruct(
         Randomness for the design (default: fresh ``default_rng()``).
     gamma:
         Pool size override (default ``n // 2``).
-    blocks:
-        Parallel decomposition width for the decoder's top-k step.
     backend:
-        Optional :class:`~repro.engine.backend.Backend`; supersedes
-        ``blocks``.  For reconstructing many signals against one shared
-        design in a single call, see
+        Optional :class:`~repro.engine.backend.Backend`; selects the Ψ/Δ*
+        kernel through its ``kernel`` field.  For reconstructing many
+        signals against one shared design in a single call, see
         :func:`~repro.engine.batch.reconstruct_batch`.
     noise:
         Optional :class:`~repro.noise.models.NoiseModel` simulating a noisy
@@ -203,9 +200,9 @@ def reconstruct(
         # bit-identical to mn_reconstruct (integer-exact throughout).
         from repro.core.mn import MNDecoder
 
-        sigma_hat = MNDecoder(blocks=blocks, backend=backend).decode(compiled.stats_for(y), k)
+        sigma_hat = MNDecoder().decode(compiled.stats_for(y), k)
     else:
-        sigma_hat = mn_reconstruct(design, y, k, blocks=blocks, backend=backend)
+        sigma_hat = mn_reconstruct(design, y, k, backend=backend)
     return ReconstructionReport(sigma_hat=sigma_hat, k=k, design=design, y=y, calibrated=calibrated)
 
 

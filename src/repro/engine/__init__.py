@@ -4,8 +4,8 @@ This layer turns the single-signal reproduction into a throughput-oriented
 system without touching its semantics:
 
 * :mod:`repro.engine.backend` — the :class:`Backend` protocol unifying the
-  library's execution knobs (``pool=``, ``workers=``, ``blocks=``,
-  ``batch_queries=``) behind one object, with :class:`SerialBackend` and
+  library's execution knobs (``pool=``, ``workers=``, ``batch_queries=``,
+  ``kernel=``) behind one object, with :class:`SerialBackend` and
   :class:`SharedMemBackend` implementations.
 * :mod:`repro.engine.batch` — :func:`reconstruct_batch`, the batched
   sibling of :func:`repro.reconstruct`: one shared pooling design decodes

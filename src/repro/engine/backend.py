@@ -2,11 +2,10 @@
 
 Historically every parallel entry point in the library grew its own knobs:
 ``pool=`` (an externally managed :class:`~repro.parallel.pool.WorkerPool`),
-``workers=`` (spawn-my-own process count), ``blocks=`` (logical
-decomposition width for the sort/top-k kernels), ``batch_queries=``
+``workers=`` (spawn-my-own process count), ``batch_queries=``
 (streaming batch size) and — since the dense-kernel layer — ``kernel=``
 (the :mod:`repro.kernels` implementation the hot paths run on).  A
-:class:`Backend` bundles all five behind one
+:class:`Backend` bundles all four behind one
 protocol so that callers configure execution once and thread a single
 object through :func:`~repro.core.reconstruction.reconstruct`,
 :func:`~repro.core.mn.run_mn_trial`, :class:`~repro.core.mn.MNDecoder`,
@@ -67,24 +66,18 @@ class Backend(Protocol):
     ----------
     workers:
         Concrete process count (``1`` means "run inline in the caller").
-    blocks:
-        Logical decomposition width handed to the sort/top-k kernels.
-        Any value yields identical output; it controls decomposition only.
     batch_queries:
         Streaming batch size for :func:`~repro.core.design.stream_design_stats`.
     kernel:
         Execution-kernel choice for the engine's hot paths
         (:mod:`repro.kernels`): ``"dense"``, ``"legacy"``, or ``None`` to
-        defer to ``REPRO_KERNEL`` / the library default.  Like ``blocks``
-        it never changes output — kernels are bit-identical — so it is a
-        pure performance knob.
+        defer to ``REPRO_KERNEL`` / the library default.  It never
+        changes output — kernels are bit-identical — so it is a pure
+        performance knob.
     """
 
     @property
     def workers(self) -> int: ...
-
-    @property
-    def blocks(self) -> int: ...
 
     @property
     def batch_queries(self) -> int: ...
@@ -116,19 +109,17 @@ class SerialBackend:
     Examples
     --------
     >>> from repro.engine.backend import SerialBackend
-    >>> with SerialBackend(blocks=4) as backend:
-    ...     (backend.workers, backend.blocks)
-    (1, 4)
+    >>> with SerialBackend(batch_queries=128) as backend:
+    ...     (backend.workers, backend.batch_queries)
+    (1, 128)
     """
 
     def __init__(
         self,
-        blocks: int = 1,
         batch_queries: int = DEFAULT_BATCH_QUERIES,
         kernel: "str | None" = None,
         blas_threads: "int | None" = None,
     ):
-        self._blocks = check_positive_int(blocks, "blocks")
         self._batch_queries = check_positive_int(batch_queries, "batch_queries")
         self._kernel = check_kernel(kernel)
         self._blas_threads = resolve_blas_threads(blas_threads)
@@ -138,10 +129,6 @@ class SerialBackend:
     @property
     def workers(self) -> int:
         return 1
-
-    @property
-    def blocks(self) -> int:
-        return self._blocks
 
     @property
     def batch_queries(self) -> int:
@@ -178,7 +165,7 @@ class SerialBackend:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"SerialBackend(blocks={self._blocks}, batch_queries={self._batch_queries}, "
+            f"SerialBackend(batch_queries={self._batch_queries}, "
             f"kernel={self._kernel!r}, blas_threads={self._blas_threads})"
         )
 
@@ -191,8 +178,6 @@ class SharedMemBackend:
     workers:
         Process count; ``None``/``0`` means all available cores.  Ignored
         when ``pool`` is given.
-    blocks:
-        Decomposition width for sort/top-k (default: the worker count).
     batch_queries:
         Streaming batch size (default :data:`DEFAULT_BATCH_QUERIES`).
     pool:
@@ -213,8 +198,7 @@ class SharedMemBackend:
         defers to the ``REPRO_PIN_WORKERS`` env switch (default off).
 
     The owned pool is created lazily on first :meth:`map`, so constructing
-    a backend is free and a backend that only ever configures ``blocks``
-    never forks.
+    a backend is free and a backend that never maps never forks.
 
     Failure semantics (see ``docs/robustness.md``): a worker that dies
     mid-task is healed by the pool itself — respawned and its task
@@ -229,7 +213,6 @@ class SharedMemBackend:
         self,
         workers: "int | None" = None,
         *,
-        blocks: "int | None" = None,
         batch_queries: int = DEFAULT_BATCH_QUERIES,
         pool: "WorkerPool | None" = None,
         kernel: "str | None" = None,
@@ -242,7 +225,6 @@ class SharedMemBackend:
             self._workers = resolve_workers(workers)
         self._pool: "WorkerPool | None" = pool
         self._owns_pool = pool is None
-        self._blocks = check_positive_int(blocks, "blocks") if blocks is not None else max(1, self._workers)
         self._batch_queries = check_positive_int(batch_queries, "batch_queries")
         self._kernel = check_kernel(kernel)
         explicit = resolve_blas_threads(blas_threads)
@@ -255,10 +237,6 @@ class SharedMemBackend:
     @property
     def workers(self) -> int:
         return self._workers
-
-    @property
-    def blocks(self) -> int:
-        return self._blocks
 
     @property
     def batch_queries(self) -> int:
@@ -308,8 +286,7 @@ class SharedMemBackend:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"SharedMemBackend(workers={self._workers}, blocks={self._blocks}, "
-            f"batch_queries={self._batch_queries}, kernel={self._kernel!r}, "
+            f"SharedMemBackend(workers={self._workers}, batch_queries={self._batch_queries}, kernel={self._kernel!r}, "
             f"blas_threads={self._blas_threads}, owns_pool={self._owns_pool})"
         )
 
@@ -319,7 +296,6 @@ def resolve_backend(
     *,
     pool: "WorkerPool | None" = None,
     workers: "int | None" = None,
-    blocks: "int | None" = None,
     batch_queries: "int | None" = None,
     kernel: "str | None" = None,
 ) -> "tuple[Backend, bool]":
@@ -332,9 +308,9 @@ def resolve_backend(
     Resolution rules, in order:
 
     1. An explicit ``backend`` wins; combining it with *any* legacy knob —
-       ``pool=``, ``workers=``, ``blocks=``, ``batch_queries=``,
-       ``kernel=`` — is an error (two sources of truth for how work runs;
-       silently ignoring the knob would mask configuration bugs).
+       ``pool=``, ``workers=``, ``batch_queries=``, ``kernel=`` — is an
+       error (two sources of truth for how work runs; silently ignoring
+       the knob would mask configuration bugs).
     2. A legacy ``pool=`` is wrapped in a borrowing :class:`SharedMemBackend`.
     3. ``workers=1`` — the historical default of the wrapped entry points —
        gives a :class:`SerialBackend`.  Any other value keeps the library's
@@ -347,17 +323,17 @@ def resolve_backend(
             raise ValueError("pass either backend= or the legacy pool=, not both")
         if workers not in (None, 1):
             raise ValueError("pass either backend= or the legacy workers=, not both")
-        for name, value in (("blocks", blocks), ("batch_queries", batch_queries), ("kernel", kernel)):
+        for name, value in (("batch_queries", batch_queries), ("kernel", kernel)):
             if value is not None:
                 raise ValueError(f"pass either backend= or the legacy {name}=, not both")
         return backend, False
     bq = DEFAULT_BATCH_QUERIES if batch_queries is None else batch_queries
     if pool is not None:
-        return SharedMemBackend(pool=pool, blocks=blocks, batch_queries=bq, kernel=kernel), True
+        return SharedMemBackend(pool=pool, batch_queries=bq, kernel=kernel), True
     resolved = 1 if workers == 1 else resolve_workers(workers)
     if resolved == 1:
-        return SerialBackend(blocks=blocks if blocks is not None else 1, batch_queries=bq, kernel=kernel), True
-    return SharedMemBackend(resolved, blocks=blocks, batch_queries=bq, kernel=kernel), True
+        return SerialBackend(batch_queries=bq, kernel=kernel), True
+    return SharedMemBackend(resolved, batch_queries=bq, kernel=kernel), True
 
 
 @contextmanager
@@ -366,7 +342,6 @@ def resolved_backend(
     *,
     pool: "WorkerPool | None" = None,
     workers: "int | None" = None,
-    blocks: "int | None" = None,
     batch_queries: "int | None" = None,
     kernel: "str | None" = None,
 ) -> Iterator[Backend]:
@@ -382,9 +357,7 @@ def resolved_backend(
     map-scoped cap alone would miss it.  Multi-worker backends apply the
     cap inside each worker instead.
     """
-    exec_backend, owned = resolve_backend(
-        backend, pool=pool, workers=workers, blocks=blocks, batch_queries=batch_queries, kernel=kernel
-    )
+    exec_backend, owned = resolve_backend(backend, pool=pool, workers=workers, batch_queries=batch_queries, kernel=kernel)
     # getattr, not attribute access: Backend is a runtime_checkable Protocol
     # and third-party backends predating the thread governor remain valid.
     scoped_cap = getattr(exec_backend, "blas_threads", None) if exec_backend.workers == 1 else None

@@ -119,7 +119,6 @@ def reconstruct_batch(
     k: "int | np.ndarray | None" = None,
     rng: Optional[np.random.Generator] = None,
     gamma: Optional[int] = None,
-    blocks: int = 1,
     backend: "Backend | None" = None,
     noise: "NoiseModel | None" = None,
     noise_seed: int = 0,
@@ -157,12 +156,10 @@ def reconstruct_batch(
         Randomness for the design (default: fresh ``default_rng()``).
     gamma:
         Pool size override (default ``n // 2``).
-    blocks:
-        Parallel decomposition width for the decoder.
     backend:
-        Optional :class:`~repro.engine.backend.Backend`; supersedes
-        ``blocks`` and selects the statistics kernel through its
-        ``kernel`` field (:mod:`repro.kernels`).
+        Optional :class:`~repro.engine.backend.Backend`; selects the
+        statistics kernel through its ``kernel`` field
+        (:mod:`repro.kernels`).
     noise:
         Optional :class:`~repro.noise.models.NoiseModel` simulating a noisy
         channel between the oracle and the decoder.  Signal ``b``'s results
@@ -263,7 +260,7 @@ def reconstruct_batch(
             m=m,
             gamma=design.mean_pool_size,
         )
-    decoder = MNDecoder(blocks=blocks, backend=backend)
+    decoder = MNDecoder()
     # Uniform weights take the vectorised top-k path; ragged weights rank.
     if int(k_arr.min()) == int(k_arr.max()):
         sigma_hat = decoder.decode(stats, int(k_arr[0]))

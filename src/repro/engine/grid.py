@@ -73,7 +73,6 @@ def run_batched_point(
     root_seed: int = 0,
     point_id: int = 0,
     gamma: Optional[int] = None,
-    blocks: int = 1,
     noise: "NoiseModel | None" = None,
     repeats: int = 1,
     kernel: "str | None" = None,
@@ -105,9 +104,7 @@ def run_batched_point(
     repeats = check_positive_int(repeats, "repeats")
     design, compiled, sigmas, k = _point_first_stage(n, m, theta, k, trials, root_seed, point_id, gamma, cache, store)
     y_clean = design.query_results(sigmas, kernel=kernel)
-    return _decode_noisy_point(
-        design, sigmas, y_clean, k, root_seed, point_id, blocks, noise, repeats, kernel=kernel, compiled=compiled, decoder=decoder
-    )
+    return _decode_noisy_point(design, sigmas, y_clean, k, root_seed, point_id, noise, repeats, kernel=kernel, compiled=compiled, decoder=decoder)
 
 
 def _point_first_stage(
@@ -170,7 +167,6 @@ def _decode_noisy_point(
     k: int,
     root_seed: int,
     point_id: int,
-    blocks: int,
     noise: "NoiseModel | None",
     repeats: int,
     kernel: "str | None" = None,
@@ -203,7 +199,7 @@ def _decode_noisy_point(
         # ports ((B,m)@(m,n) GEMMs); the artifact is reused when resolved.
         from repro.designs import make_decoder
 
-        compiled_dec = make_decoder(decoder, blocks=blocks).compile(compiled if compiled is not None else design)
+        compiled_dec = make_decoder(decoder).compile(compiled if compiled is not None else design)
         sigma_hat = compiled_dec.decode_batch(np.asarray(y, dtype=np.float64), k)
         return BatchedPointResult(
             n=design.n,
@@ -224,7 +220,7 @@ def _decode_noisy_point(
             m=design.m,
             gamma=design.mean_pool_size,
         )
-    sigma_hat = MNDecoder(blocks=blocks).decode(stats, k)
+    sigma_hat = MNDecoder().decode(stats, k)
     return BatchedPointResult(
         n=design.n,
         m=design.m,
@@ -245,7 +241,6 @@ def run_batched_point_sweep(
     root_seed: int = 0,
     point_id: int = 0,
     gamma: Optional[int] = None,
-    blocks: int = 1,
     repeats: int = 1,
     kernel: "str | None" = None,
     decoder: str = "mn",
@@ -266,9 +261,7 @@ def run_batched_point_sweep(
     design, compiled, sigmas, k = _point_first_stage(n, m, theta, k, trials, root_seed, point_id, gamma, cache, store)
     y_clean = design.query_results(sigmas, kernel=kernel)
     return [
-        _decode_noisy_point(
-            design, sigmas, y_clean, k, root_seed, point_id, blocks, model, repeats, kernel=kernel, compiled=compiled, decoder=decoder
-        )
+        _decode_noisy_point(design, sigmas, y_clean, k, root_seed, point_id, model, repeats, kernel=kernel, compiled=compiled, decoder=decoder)
         for model in models
     ]
 
@@ -297,7 +290,7 @@ def _grid_point_task(payload, cache) -> BatchedPointResult:
     directory, so all workers share one on-disk compilation.  The serial
     path pre-seeds both slots with the caller's objects directly.
     """
-    n, m, theta, k, trials, root_seed, point_id, gamma, blocks, noise, repeats, kernel, decoder, cache_bytes, store_spec = payload
+    n, m, theta, k, trials, root_seed, point_id, gamma, noise, repeats, kernel, decoder, cache_bytes, store_spec = payload
     if cache_bytes is None:
         # Caching explicitly off for this grid: also release any cache a
         # previous grid left behind in this worker (the opt-in contract
@@ -328,7 +321,6 @@ def _grid_point_task(payload, cache) -> BatchedPointResult:
         root_seed=root_seed,
         point_id=point_id,
         gamma=gamma,
-        blocks=blocks,
         noise=noise,
         repeats=repeats,
         kernel=kernel,
@@ -392,7 +384,7 @@ def run_trial_grid(
         store_obj = resolve_design_store(store)
         store_spec = (str(store_obj.root), store_obj.max_bytes, store_obj.keep_blocks) if store_obj is not None else None
         payloads = [
-            (n, int(m), theta, k, trials, root_seed, idx, gamma, exec_backend.blocks, noise, repeats, kernel, decoder, cache_bytes, store_spec)
+            (n, int(m), theta, k, trials, root_seed, idx, gamma, noise, repeats, kernel, decoder, cache_bytes, store_spec)
             for idx, m in enumerate(ms)
         ]
         if exec_backend.workers == 1:

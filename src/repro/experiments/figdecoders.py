@@ -49,7 +49,7 @@ def _figdecoders_cell_task(payload, cache):
     is preserved anyway since the design/signal streams are keyed by
     (seed, point) only.
     """
-    n, m_theta, theta, trials, seed_theta, blocks, decoder = payload
+    n, m_theta, theta, trials, seed_theta, decoder = payload
     from repro.engine.grid import run_batched_point
 
     return run_batched_point(
@@ -59,7 +59,6 @@ def _figdecoders_cell_task(payload, cache):
         trials=trials,
         root_seed=seed_theta,
         point_id=0,
-        blocks=blocks,
         decoder=decoder,
     )
 
@@ -163,7 +162,7 @@ def run_figdecoders(
 
     with resolved_backend(workers=workers) as exec_backend:
         payloads = [
-            (n, m_theta, theta, trials, seed_theta, exec_backend.blocks, decoder)
+            (n, m_theta, theta, trials, seed_theta, decoder)
             for theta, seed_theta, m_theta, _ in rows_spec
             for decoder in decoders
         ]

@@ -68,7 +68,7 @@ def _fignoise_row_task(payload, cache):
     (design, signals, clean results) is paid once per row regardless of
     how many levels it spans.
     """
-    n, m_theta, theta, trials, seed_theta, repeats, blocks, models = payload
+    n, m_theta, theta, trials, seed_theta, repeats, models = payload
     from repro.engine.grid import run_batched_point_sweep
 
     return run_batched_point_sweep(
@@ -79,7 +79,6 @@ def _fignoise_row_task(payload, cache):
         trials=trials,
         root_seed=seed_theta,
         point_id=0,
-        blocks=blocks,
         repeats=repeats,
     )
 
@@ -209,7 +208,7 @@ def run_fignoise(
 
         with resolved_backend(workers=workers) as exec_backend:
             payloads = [
-                (n, m_theta, theta, trials, seed_theta, repeats, exec_backend.blocks, models)
+                (n, m_theta, theta, trials, seed_theta, repeats, models)
                 for theta, seed_theta, m_theta, _ in rows_spec
             ]
             if exec_backend.workers == 1:

@@ -74,7 +74,7 @@ def threshold_mn_decode(tdesign: ThresholdDesign, b: np.ndarray, k: int) -> np.n
     dstar = design.dstar()
     rate = float(b.mean())
     scores = psi_pos.astype(np.float64) - dstar.astype(np.float64) * rate
-    top = parallel_top_k(scores, k, blocks=1)
+    top = parallel_top_k(scores, k)
     sigma_hat = np.zeros(design.n, dtype=np.int8)
     sigma_hat[top] = 1
     return sigma_hat

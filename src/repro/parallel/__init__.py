@@ -6,44 +6,33 @@ provides the canonical Python workaround (see the HPC guides): a fork-based
 **process pool** communicating through POSIX shared memory, with NumPy doing
 the vectorised inner loops inside each worker.
 
-Layers, bottom-up:
+Modules:
 
-* :mod:`repro.parallel.partition` — balanced index-range partitioning.
+* :mod:`repro.parallel.partition` — chunk counts for the batched query
+  streams.
 * :mod:`repro.parallel.sharedmem` — named shared NumPy arrays.
 * :mod:`repro.parallel.pool` — a persistent worker pool with task
   submission, error propagation and clean shutdown.
-* :mod:`repro.parallel.primitives` — parallel map / reduce / element-wise
-  accumulate / prefix scan built on the pool.
-* :mod:`repro.parallel.sort` — parallel sample sort and top-k selection
-  (the paper's Lines 7–9 of Algorithm 1 cite parallel sorting surveys).
-* :mod:`repro.parallel.matvec` — row-partitioned CSR mat-vec used for
-  ``Ψ = Mᵀy`` and ``Δ* = Mᵀ1``.
+* :mod:`repro.parallel.sort` — top-k selection (Lines 7–9 of
+  Algorithm 1).
+* :mod:`repro.parallel.matvec` — the CSR matrix behind ``Ψ = Mᵀy`` and
+  ``Δ* = Mᵀ1``.
 
 Everything degrades gracefully to serial execution when ``workers=1`` —
 results are bit-identical by construction.
 """
 
-from repro.parallel.partition import split_range, split_evenly
 from repro.parallel.sharedmem import SharedArray
 from repro.parallel.pool import WorkerPool, PoolError, WorkerCrashError, RetryableTaskError
-from repro.parallel.primitives import parallel_map, parallel_reduce, parallel_elementwise_sum
-from repro.parallel.sort import parallel_sample_sort, parallel_argsort, parallel_top_k
-from repro.parallel.matvec import CSRMatrix, parallel_csr_matvec
+from repro.parallel.sort import parallel_top_k
+from repro.parallel.matvec import CSRMatrix
 
 __all__ = [
-    "split_range",
-    "split_evenly",
     "SharedArray",
     "WorkerPool",
     "PoolError",
     "WorkerCrashError",
     "RetryableTaskError",
-    "parallel_map",
-    "parallel_reduce",
-    "parallel_elementwise_sum",
-    "parallel_sample_sort",
-    "parallel_argsort",
     "parallel_top_k",
     "CSRMatrix",
-    "parallel_csr_matvec",
 ]

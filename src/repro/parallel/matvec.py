@@ -1,30 +1,19 @@
-"""CSR sparse matrix and row-partitioned parallel mat-vec.
+"""CSR sparse matrix for the MN score mat-vecs.
 
 The paper observes (§I-C, "Parallelized Reconstruction") that the MN score
 computation is two matrix–vector products with the unweighted biadjacency
 matrix ``M`` of the pooling graph: ``Δ* = M·1`` and ``Ψ = M·y`` (with ``M``
 in entry-major orientation).  This module provides exactly that kernel:
-
-* :class:`CSRMatrix` — a from-scratch compressed-sparse-row container with
-  validated construction, transpose, dense round-trip, and ``@`` products
-  (vectorised with ``np.add.reduceat`` — no Python per-row loop).
-* :func:`parallel_csr_matvec` — row-block decomposition executed over the
-  :class:`~repro.parallel.pool.WorkerPool`, each worker computing a
-  contiguous slice of the output through shared memory.
+:class:`CSRMatrix`, a from-scratch compressed-sparse-row container with
+validated construction, transpose, dense round-trip, and ``@`` products
+(vectorised with ``np.add.reduceat`` — no Python per-row loop).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
-from repro.parallel.partition import split_range
-from repro.parallel.pool import WorkerPool
-from repro.parallel.sharedmem import SharedArray, SharedArrayDescriptor
-
-__all__ = ["CSRMatrix", "parallel_csr_matvec"]
+__all__ = ["CSRMatrix"]
 
 
 class CSRMatrix:
@@ -185,64 +174,3 @@ class CSRMatrix:
             raise ValueError("invalid row slice")
         a, b = int(self.indptr[lo]), int(self.indptr[hi])
         return CSRMatrix(self.indptr[lo : hi + 1] - self.indptr[lo], self.indices[a:b], self.data[a:b], (hi - lo, self.shape[1]))
-
-
-# -- parallel kernel ----------------------------------------------------------------
-
-
-def _matvec_block(payload, cache) -> "tuple[int, np.ndarray]":
-    """Worker task: compute a row block of ``A @ x`` from shared memory."""
-    (lo, hi, indptr_d, indices_d, data_d, x_d, rows, cols) = payload
-    key = (indptr_d.name, indices_d.name, data_d.name, x_d.name)
-    if key not in cache:
-        cache[key] = tuple(SharedArray.attach(d) for d in (indptr_d, indices_d, data_d, x_d))
-    indptr_s, indices_s, data_s, x_s = cache[key]
-    block = CSRMatrix(
-        indptr_s.array[lo : hi + 1] - indptr_s.array[lo],
-        indices_s.array[int(indptr_s.array[lo]) : int(indptr_s.array[hi])],
-        data_s.array[int(indptr_s.array[lo]) : int(indptr_s.array[hi])],
-        (hi - lo, cols),
-    )
-    return lo, block.matvec(x_s.array)
-
-
-def parallel_csr_matvec(
-    matrix: CSRMatrix,
-    x: np.ndarray,
-    pool: "WorkerPool | None" = None,
-    workers: int = 1,
-) -> np.ndarray:
-    """``A @ x`` computed over row blocks on the worker pool.
-
-    Operands travel through shared memory once; workers cache attachments
-    in their task-local ``cache`` dict.  Bit-identical to :meth:`CSRMatrix.matvec`.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    own_pool = pool is None
-    pool = pool if pool is not None else WorkerPool(workers)
-    try:
-        if pool.workers == 1:
-            return matrix.matvec(x)
-        shared = [
-            SharedArray.from_array(matrix.indptr),
-            SharedArray.from_array(matrix.indices),
-            SharedArray.from_array(matrix.data.astype(np.float64, copy=False)),
-            SharedArray.from_array(x),
-        ]
-        try:
-            descs = [s.descriptor for s in shared]
-            payloads = [
-                (lo, hi, *descs, matrix.shape[0], matrix.shape[1])
-                for lo, hi in split_range(matrix.shape[0], pool.workers)
-                if hi > lo
-            ]
-            out = np.zeros(matrix.shape[0], dtype=np.float64)
-            for lo, part in pool.map(_matvec_block, payloads):
-                out[lo : lo + part.size] = part
-            return out
-        finally:
-            for s in shared:
-                s.destroy()
-    finally:
-        if own_pool:
-            pool.shutdown()

@@ -1,51 +1,25 @@
-"""Balanced partitioning of index ranges across workers.
+"""Chunk arithmetic for the batched query streams.
 
-These helpers define the *logical* decomposition used everywhere in the
-library.  Keeping the decomposition purely index-based (independent of which
-process executes which part) is what makes parallel runs bit-identical to
-serial runs.
+Streaming designs are drawn in fixed-size query batches, each keyed by its
+batch index; the stream path and the compiled-design regeneration count
+those batches with the same helper.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.util.validation import check_nonneg_int, check_positive_int
 
-__all__ = ["split_range", "split_evenly", "chunk_count"]
-
-
-def split_range(total: int, parts: int) -> "list[tuple[int, int]]":
-    """Split ``range(total)`` into ``parts`` contiguous half-open slices.
-
-    The first ``total % parts`` slices get one extra element, so slice sizes
-    differ by at most one.  Empty slices are returned (rather than dropped)
-    when ``parts > total`` so that callers can zip slices with workers.
-
-    Examples
-    --------
-    >>> split_range(10, 3)
-    [(0, 4), (4, 7), (7, 10)]
-    """
-    total = check_nonneg_int(total, "total")
-    parts = check_positive_int(parts, "parts")
-    base, extra = divmod(total, parts)
-    out = []
-    start = 0
-    for p in range(parts):
-        size = base + (1 if p < extra else 0)
-        out.append((start, start + size))
-        start += size
-    return out
-
-
-def split_evenly(items: Sequence, parts: int) -> "list[Sequence]":
-    """Split a sequence into ``parts`` contiguous chunks of near-equal size."""
-    return [items[lo:hi] for lo, hi in split_range(len(items), parts)]
+__all__ = ["chunk_count"]
 
 
 def chunk_count(total: int, chunk: int) -> int:
-    """Number of fixed-size chunks needed to cover ``total`` items."""
+    """Number of fixed-size chunks needed to cover ``total`` items.
+
+    Examples
+    --------
+    >>> chunk_count(10, 3)
+    4
+    """
     total = check_nonneg_int(total, "total")
     chunk = check_positive_int(chunk, "chunk")
     return -(-total // chunk)

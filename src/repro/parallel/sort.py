@@ -1,192 +1,68 @@
-"""Parallel sample sort, argsort, and top-k selection.
+"""Top-k selection for Lines 7–9 of Algorithm 1.
 
-Lines 7–9 of Algorithm 1 sort the score vector; the paper points at the
-parallel-sorting literature (Singh et al. 2018) for this step.  We provide
-the classic **sample sort** decomposition:
-
-1. each of ``P`` logical blocks is sorted locally;
-2. ``P−1`` splitters are chosen from a regular sample of the sorted blocks;
-3. every block is partitioned by the splitters (vectorised
-   ``np.searchsorted``);
-4. the per-(block, bucket) runs are concatenated per bucket and merged.
-
-Top-k selection — all the MN decoder actually needs — is implemented as a
-parallel *partial* selection: each block contributes its local top-k
-(``np.argpartition``), and the final top-k is selected among ``P·k``
-candidates, which is exact because the global top-k is a subset of the
-union of local top-ks.
+The MN decoder declares the ``k`` highest-scoring entries one.  It needs
+a *selection*, not a sort: :func:`parallel_top_k` partitions for the
+``k``-th largest score with ``np.argpartition`` (``O(n)``) and breaks
+ties deterministically towards smaller indices.  The same function
+serves every decoder family (MN, LP/OMP/AMP rounding, the posterior and
+threshold-GT), for one score vector or a ``(B, n)`` batch.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.parallel.partition import split_range
 from repro.util.validation import check_positive_int
 
-__all__ = ["parallel_sample_sort", "parallel_argsort", "parallel_top_k"]
+__all__ = ["parallel_top_k"]
 
 
-def parallel_sample_sort(values: np.ndarray, blocks: int = 4, oversample: int = 8) -> np.ndarray:
-    """Sort a 1-D array with the sample-sort decomposition.
-
-    Equivalent to ``np.sort`` (the tests assert equality); exists to express
-    and validate the decomposition that a multi-process or GPU deployment
-    would use.  ``blocks`` plays the role of the processor count.
-
-    Parameters
-    ----------
-    values:
-        1-D array of comparable values.
-    blocks:
-        Number of logical processors.
-    oversample:
-        Sample multiplier for splitter selection; larger values give more
-        even buckets.
-    """
-    values = np.asarray(values)
-    if values.ndim != 1:
-        raise ValueError("parallel_sample_sort expects a 1-D array")
-    blocks = check_positive_int(blocks, "blocks")
-    check_positive_int(oversample, "oversample")
-    n = values.size
-    if n <= 1 or blocks == 1:
-        return np.sort(values, kind="stable")
-
-    ranges = split_range(n, blocks)
-    local = [np.sort(values[lo:hi], kind="stable") for lo, hi in ranges]
-
-    # Regular sampling from each sorted block, then splitter selection.
-    sample = []
-    per_block = blocks * oversample
-    for arr in local:
-        if arr.size:
-            idx = np.linspace(0, arr.size - 1, num=min(arr.size, per_block)).astype(np.intp)
-            sample.append(arr[idx])
-    sample = np.sort(np.concatenate(sample), kind="stable")
-    cut = np.linspace(0, sample.size, num=blocks + 1).astype(np.intp)[1:-1]
-    splitters = sample[np.clip(cut, 0, sample.size - 1)] if sample.size else np.empty(0, values.dtype)
-
-    # Partition every block by the splitters and concatenate per bucket.
-    buckets: "list[list[np.ndarray]]" = [[] for _ in range(blocks)]
-    for arr in local:
-        if not arr.size:
-            continue
-        bounds = np.searchsorted(arr, splitters, side="right")
-        bounds = np.concatenate(([0], bounds, [arr.size]))
-        for b in range(blocks):
-            piece = arr[bounds[b] : bounds[b + 1]]
-            if piece.size:
-                buckets[b].append(piece)
-
-    out = np.empty_like(values)
-    pos = 0
-    for b in range(blocks):
-        if not buckets[b]:
-            continue
-        merged = np.sort(np.concatenate(buckets[b]), kind="stable")
-        out[pos : pos + merged.size] = merged
-        pos += merged.size
-    assert pos == n, "sample sort lost elements"
-    return out
-
-
-def parallel_argsort(values: np.ndarray, blocks: int = 4, descending: bool = False) -> np.ndarray:
-    """Index permutation sorting ``values``; ties broken by index (stable).
-
-    Implemented as a key-value sample sort over ``(value, index)`` pairs,
-    realised with a structured view so the heavy lifting stays in NumPy.
-    """
-    values = np.asarray(values)
-    if values.ndim != 1:
-        raise ValueError("parallel_argsort expects a 1-D array")
-    blocks = check_positive_int(blocks, "blocks")
-    n = values.size
-    keys = -values if descending else values
-    if blocks == 1 or n <= 1:
-        return np.argsort(keys, kind="stable")
-    ranges = split_range(n, blocks)
-    locals_sorted = []
-    for lo, hi in ranges:
-        order = np.argsort(keys[lo:hi], kind="stable") + lo
-        locals_sorted.append(order)
-    # Merge P sorted index runs by (key, index).
-    merged = np.concatenate(locals_sorted)
-    order = np.lexsort((merged, keys[merged]))
-    return merged[order]
-
-
-def parallel_top_k(scores: np.ndarray, k: int, blocks: int = 4) -> np.ndarray:
-    """Indices of the ``k`` largest scores, smallest-index-first on ties.
-
-    Exactness argument: every member of the global top-k is in the top-k of
-    its own block, hence among the ``blocks*k`` candidates.
+def parallel_top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the ``k`` largest scores, ascending, smallest-index-first on ties.
 
     Batch-aware: a ``(B, n)`` score matrix selects per row and returns a
     ``(B, k)`` index matrix; row ``b`` equals the 1-D call on
-    ``scores[b]``, using the same block decomposition.
+    ``scores[b]``.
 
-    ``blocks == 1`` takes an ``np.argpartition`` fast path (the block
-    machinery exists to express the multi-processor decomposition, which a
-    single block does not need): partition for the ``k``-th largest value,
-    then realise the deterministic smallest-index-first tie-break by
-    taking every index strictly above the threshold plus the lowest tied
-    indices.  Selection is identical to the block path — asserted by the
-    regression tests — at ``O(n)`` instead of ``O(n log n)``.
+    Partition for the ``k``-th largest value, then realise the
+    tie-break by taking every index strictly above the threshold plus the
+    lowest tied indices.  NaN scores defeat the threshold comparisons;
+    they fall back to a whole-array ``(-score, index)`` ranking, which
+    ranks NaN last.
+
+    Examples
+    --------
+    >>> import numpy as np
+    >>> parallel_top_k(np.array([0.5, 2.0, 1.0, 2.0]), 2)
+    array([1, 3])
     """
     scores = np.asarray(scores)
     if scores.ndim == 2:
-        return _batch_top_k(scores, k, blocks)
+        return _batch_top_k(scores, k)
     if scores.ndim != 1:
         raise ValueError("parallel_top_k expects a 1-D or (B, n) array")
     k = check_positive_int(k, "k")
-    blocks = check_positive_int(blocks, "blocks")
     n = scores.size
     if k > n:
         raise ValueError(f"k={k} exceeds array length {n}")
     if k == n:
         return np.arange(n)
-    if blocks == 1:
-        thresh = scores[np.argpartition(scores, n - k)[n - k :]].min()
-        above = np.flatnonzero(scores > thresh)
-        sel = np.concatenate((above, np.flatnonzero(scores == thresh)[: k - above.size]))
-        if sel.size == k:
-            return np.sort(sel)
-        # NaN scores defeat the threshold comparisons (both > and == come
-        # back empty); fall through to the lexsort path rather than
-        # silently returning fewer than k indices.
-
-    candidates = []
-    for lo, hi in split_range(n, blocks):
-        size = hi - lo
-        if size == 0:
-            continue
-        kk = min(k, size)
-        # Deterministic local selection by (-score, index): argpartition's
-        # arbitrary tie handling would make the candidate set depend on the
-        # block decomposition, breaking block invariance under ties.
-        block_scores = scores[lo:hi]
-        local = np.lexsort((np.arange(lo, hi), -block_scores))[:kk] + lo
-        candidates.append(local)
-    cand = np.concatenate(candidates)
-    # Deterministic tie-break: sort candidates by (-score, index), take k.
-    order = np.lexsort((cand, -scores[cand]))
-    return np.sort(cand[order[:k]])
+    thresh = scores[np.argpartition(scores, n - k)[n - k :]].min()
+    above = np.flatnonzero(scores > thresh)
+    sel = np.concatenate((above, np.flatnonzero(scores == thresh)[: k - above.size]))
+    if sel.size != k:  # NaN scores: both comparisons come back short
+        sel = np.lexsort((np.arange(n), -scores))[:k]
+    return np.sort(sel)
 
 
-def _batch_top_k(scores: np.ndarray, k: int, blocks: int) -> np.ndarray:
-    """Row-wise exact top-k over a ``(B, n)`` score matrix.
+def _batch_top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Row-wise :func:`parallel_top_k` over a ``(B, n)`` score matrix.
 
-    The same candidate construction as the 1-D path — each block
-    contributes its local top-k, the winner set is selected among the
-    ``blocks*k`` candidates — vectorised over the batch axis with stable
-    argsorts (stable on ``-scores`` realises the smallest-index-first
-    tie-break).  ``blocks == 1`` takes the row-wise ``argpartition`` fast
-    path (see :func:`parallel_top_k`), vectorised over rows with a
-    cumulative tie-rank mask.
+    The argpartition selection vectorised over rows with a cumulative
+    tie-rank mask; a batch holding NaN falls back to a stable argsort of
+    ``-scores`` (stable realises the smallest-index-first tie-break).
     """
     k = check_positive_int(k, "k")
-    blocks = check_positive_int(blocks, "blocks")
     if scores.shape[0] < 1:
         raise ValueError("batched scores must hold at least one row")
     n = scores.shape[1]
@@ -194,32 +70,16 @@ def _batch_top_k(scores: np.ndarray, k: int, blocks: int) -> np.ndarray:
         raise ValueError(f"k={k} exceeds array length {n}")
     if k == n:
         return np.tile(np.arange(n), (scores.shape[0], 1))
-    if blocks == 1:
-        part = np.argpartition(scores, n - k, axis=1)[:, n - k :]
-        thresh = np.take_along_axis(scores, part, axis=1).min(axis=1, keepdims=True)
-        above = scores > thresh
-        ties = scores == thresh
-        need = k - above.sum(axis=1, keepdims=True)
-        chosen = above | (ties & (np.cumsum(ties, axis=1) <= need))
-        # Every row holds exactly k marks (NaN scores would break this —
-        # fall through to the block path instead of a reshape error);
-        # nonzero walks row-major, so the reshape yields ascending indices
-        # per row.
-        if int(chosen.sum()) == scores.shape[0] * k:
-            return np.nonzero(chosen)[1].reshape(scores.shape[0], k)
-
-    candidates = []
-    for lo, hi in split_range(n, blocks):
-        size = hi - lo
-        if size == 0:
-            continue
-        kk = min(k, size)
-        local = np.argsort(-scores[:, lo:hi], axis=1, kind="stable")[:, :kk] + lo
-        candidates.append(local)
-    cand = np.concatenate(candidates, axis=1)
-    cand.sort(axis=1)  # ascending index so the stable final sort breaks ties low
-    cand_scores = np.take_along_axis(scores, cand, axis=1)
-    sel = np.argsort(-cand_scores, axis=1, kind="stable")[:, :k]
-    top = np.take_along_axis(cand, sel, axis=1)
+    part = np.argpartition(scores, n - k, axis=1)[:, n - k :]
+    thresh = np.take_along_axis(scores, part, axis=1).min(axis=1, keepdims=True)
+    above = scores > thresh
+    ties = scores == thresh
+    need = k - above.sum(axis=1, keepdims=True)
+    chosen = above | (ties & (np.cumsum(ties, axis=1) <= need))
+    # Every row holds exactly k marks unless NaN broke the comparisons;
+    # nonzero walks row-major, so the reshape yields ascending indices.
+    if int(chosen.sum()) == scores.shape[0] * k:
+        return np.nonzero(chosen)[1].reshape(scores.shape[0], k)
+    top = np.argsort(-scores, axis=1, kind="stable")[:, :k]
     top.sort(axis=1)
     return top

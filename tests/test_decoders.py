@@ -290,10 +290,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown decoder 'nope'.*mn"):
             make_decoder("nope")
 
-    def test_registered_decoders_accept_blocks(self):
-        for name in available_decoders():
-            make_decoder(name, blocks=2)
-
 
 @pytest.fixture(scope="module")
 def small():

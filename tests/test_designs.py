@@ -448,15 +448,15 @@ class TestGridAndNoisyTrialCaching:
         assert len(tiny) == 0  # nothing fit the budget
         # The worker-side task builds its private cache at the same budget
         # (trailing None: no design store for this grid).
-        payload = (200, 60, 0.2, None, 5, 3, 0, None, 1, None, 1, "dense", "mn", tiny.max_bytes, None)
+        payload = (200, 60, 0.2, None, 5, 3, 0, None, None, 1, "dense", "mn", tiny.max_bytes, None)
         worker_cache: dict = {}
         _grid_point_task(payload, worker_cache)
         assert worker_cache[_WORKER_CACHE_SLOT].max_bytes == 1
         # A later grid with a different budget replaces the worker cache ...
-        _grid_point_task(payload[:13] + (1 << 20, None), worker_cache)
+        _grid_point_task(payload[:12] + (1 << 20, None), worker_cache)
         assert worker_cache[_WORKER_CACHE_SLOT].max_bytes == 1 << 20
         # ... and caching-off actually releases it (memory contract).
-        _grid_point_task(payload[:13] + (None, None), worker_cache)
+        _grid_point_task(payload[:12] + (None, None), worker_cache)
         assert _WORKER_CACHE_SLOT not in worker_cache
 
     def test_trial_grid_cache_parity_sharedmem(self):

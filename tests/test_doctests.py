@@ -24,6 +24,7 @@ MODULES_WITH_DOCTESTS = [
     "repro.noise.models",
     "repro.rng.mt19937",
     "repro.parallel.partition",
+    "repro.parallel.sort",
 ]
 
 

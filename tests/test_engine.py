@@ -24,18 +24,13 @@ from repro.parallel.pool import WorkerPool
 class TestBackends:
     def test_serial_defaults(self):
         b = SerialBackend()
-        assert b.workers == 1 and b.blocks == 1 and b.batch_queries == 256
+        assert b.workers == 1 and b.batch_queries == 256
 
     def test_serial_map_runs_inline_with_persistent_cache(self):
         b = SerialBackend()
         out = b.map(lambda p, cache: cache.setdefault("hits", []).append(p) or p * 2, [1, 2, 3])
         assert out == [2, 4, 6]
         assert b._cache["hits"] == [1, 2, 3]
-
-    def test_sharedmem_blocks_default_to_workers(self):
-        b = SharedMemBackend(3)
-        assert b.workers == 3 and b.blocks == 3
-        b.shutdown()  # never forked: lazy pool
 
     def test_sharedmem_borrowed_pool_not_shut_down(self):
         with WorkerPool(2) as pool:
@@ -63,7 +58,7 @@ class TestBackends:
             with pytest.raises(ValueError, match="not both"):
                 resolve_backend(SerialBackend(), pool=pool)
 
-    @pytest.mark.parametrize("knob", [{"workers": 4}, {"blocks": 2}, {"batch_queries": 128}, {"kernel": "legacy"}])
+    @pytest.mark.parametrize("knob", [{"workers": 4}, {"workers": 0}, {"batch_queries": 128}, {"kernel": "legacy"}])
     def test_resolve_rejects_backend_plus_any_legacy_knob(self, knob):
         # An explicit backend with a loose knob is two sources of truth;
         # every knob must be rejected loudly, not silently ignored.
@@ -71,7 +66,7 @@ class TestBackends:
             resolve_backend(SerialBackend(), **knob)
 
     def test_resolve_explicit_backend_not_owned(self):
-        b = SerialBackend(blocks=4)
+        b = SerialBackend(batch_queries=128)
         backend, owned = resolve_backend(b)
         assert backend is b and not owned
 
@@ -140,7 +135,7 @@ class TestBackendEquivalence:
         sigma = random_signal(300, 3, np.random.default_rng(5))
         oracle = lambda pools: [int(sigma[p].sum()) for p in pools]
         base = reconstruct(300, 200, oracle, k=3, rng=np.random.default_rng(0))
-        alt = reconstruct(300, 200, oracle, k=3, rng=np.random.default_rng(0), backend=SerialBackend(blocks=7))
+        alt = reconstruct(300, 200, oracle, k=3, rng=np.random.default_rng(0), backend=SerialBackend(kernel="legacy"))
         assert np.array_equal(base.sigma_hat, alt.sigma_hat)
         assert np.array_equal(base.y, alt.y)
 
@@ -231,12 +226,12 @@ class TestBatchedStats:
         sigmas = random_signals(150, 3, 4, rng)
         stats = design.stats(sigmas)
         scores = mn_scores(stats, 3)
-        decoded = MNDecoder(blocks=3).decode(stats, 3)
+        decoded = MNDecoder().decode(stats, 3)
         assert scores.shape == (4, 150) and decoded.shape == (4, 150)
         for b in range(4):
             s_single = stats.signal(b)
             assert np.array_equal(scores[b], mn_scores(s_single, 3))
-            assert np.array_equal(decoded[b], MNDecoder(blocks=3).decode(s_single, 3))
+            assert np.array_equal(decoded[b], MNDecoder().decode(s_single, 3))
 
     def test_per_signal_k_decode(self):
         rng = np.random.default_rng(4)

@@ -439,31 +439,34 @@ class TestThreadGovernor:
 
 
 class TestTopKFastPath:
-    """blocks == 1 argpartition path selects exactly what the block path does."""
+    """The argpartition selection picks exactly the lexsort oracle's set."""
+
+    @staticmethod
+    def _oracle(scores, k):
+        return np.sort(np.lexsort((np.arange(scores.size), -scores))[:k])
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_1d_matches_block_path(self, seed):
+    def test_1d_matches_lexsort_oracle(self, seed):
         rng = np.random.default_rng(seed)
         for _ in range(40):
             n = int(rng.integers(2, 150))
             k = int(rng.integers(1, n + 1))
             ties_heavy = rng.random() < 0.5
             scores = rng.integers(0, 4, size=n) if ties_heavy else rng.standard_normal(n)
-            expected = parallel_top_k(scores, k, blocks=int(rng.integers(2, 6)))
-            assert np.array_equal(parallel_top_k(scores, k, blocks=1), expected)
+            assert np.array_equal(parallel_top_k(scores, k), self._oracle(scores, k))
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_batch_matches_block_path(self, seed):
+    def test_batch_matches_lexsort_oracle(self, seed):
         rng = np.random.default_rng(100 + seed)
         for _ in range(25):
             B = int(rng.integers(1, 6))
             n = int(rng.integers(2, 90))
             k = int(rng.integers(1, n + 1))
             scores = rng.integers(0, 3, size=(B, n))
-            expected = parallel_top_k(scores, k, blocks=3)
-            assert np.array_equal(parallel_top_k(scores, k, blocks=1), expected)
+            expected = np.stack([self._oracle(row, k) for row in scores])
+            assert np.array_equal(parallel_top_k(scores, k), expected)
 
     def test_all_tied(self):
         scores = np.zeros(10)
-        assert np.array_equal(parallel_top_k(scores, 4, blocks=1), np.arange(4))
-        assert np.array_equal(parallel_top_k(np.zeros((2, 10)), 4, blocks=1), np.tile(np.arange(4), (2, 1)))
+        assert np.array_equal(parallel_top_k(scores, 4), np.arange(4))
+        assert np.array_equal(parallel_top_k(np.zeros((2, 10)), 4), np.tile(np.arange(4), (2, 1)))

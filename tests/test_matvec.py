@@ -1,4 +1,4 @@
-"""Tests for the from-scratch CSR matrix and the parallel mat-vec."""
+"""Tests for the from-scratch CSR matrix."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.parallel.matvec import CSRMatrix, parallel_csr_matvec
-from repro.parallel.pool import WorkerPool
+from repro.parallel.matvec import CSRMatrix
 
 
 def _random_dense(rng, rows, cols, density=0.3):
@@ -109,29 +108,3 @@ class TestProducts:
         mat = CSRMatrix.from_dense(dense)
         x, z = rng.random(8), rng.random(8)
         assert np.allclose(mat.matvec(x + z), mat.matvec(x) + mat.matvec(z))
-
-
-class TestParallelMatvec:
-    def test_serial_path(self):
-        rng = np.random.default_rng(5)
-        dense = _random_dense(rng, 30, 20)
-        x = rng.random(20)
-        mat = CSRMatrix.from_dense(dense)
-        assert np.allclose(parallel_csr_matvec(mat, x, workers=1), dense @ x)
-
-    def test_parallel_equals_serial(self):
-        rng = np.random.default_rng(6)
-        dense = _random_dense(rng, 64, 40)
-        x = rng.random(40)
-        mat = CSRMatrix.from_dense(dense)
-        serial = parallel_csr_matvec(mat, x, workers=1)
-        with WorkerPool(3) as pool:
-            par = parallel_csr_matvec(mat, x, pool=pool)
-        assert np.array_equal(serial, par)
-
-    def test_more_workers_than_rows(self):
-        dense = np.eye(2)
-        mat = CSRMatrix.from_dense(dense)
-        with WorkerPool(4) as pool:
-            out = parallel_csr_matvec(mat, np.array([1.0, 2.0]), pool=pool)
-        assert np.allclose(out, [1.0, 2.0])

@@ -29,16 +29,6 @@ class TestDecoder:
         sigma_hat = mn_reconstruct(design, design.query_results(sigma), k)
         assert sigma_hat.sum() == k
 
-    def test_blocks_do_not_change_output(self):
-        rng = np.random.default_rng(2)
-        n, k, m = 300, 5, 200
-        sigma = random_signal(n, k, rng)
-        design = PoolingDesign.sample(n, m, rng)
-        y = design.query_results(sigma)
-        a = mn_reconstruct(design, y, k, blocks=1)
-        b = mn_reconstruct(design, y, k, blocks=7)
-        assert np.array_equal(a, b)
-
     def test_permutation_equivariance(self):
         # Relabeling entries must relabel the estimate identically.
         rng = np.random.default_rng(3)
@@ -66,10 +56,6 @@ class TestDecoder:
         design = PoolingDesign.sample(10, 5, rng)
         with pytest.raises(ValueError):
             mn_reconstruct(design, np.zeros(4, dtype=np.int64), 2)
-
-    def test_decoder_rejects_bad_blocks(self):
-        with pytest.raises(ValueError):
-            MNDecoder(blocks=0)
 
     def test_ragged_design_gamma_is_mean_pool_size(self):
         # Regression: gamma used to be read off the *first* pool only,
@@ -138,6 +124,12 @@ class TestTrials:
         assert a.success == b.success
         assert a.overlap == b.overlap
 
+    def test_workers_none_means_all_cores(self):
+        # Regression: the documented all-cores value crashed after the simulation.
+        a = run_mn_trial(500, 200, theta=0.3, root_seed=3, trial=1, workers=None)
+        b = run_mn_trial(500, 200, theta=0.3, root_seed=3, trial=1, workers=1)
+        assert a == b
+
     def test_as_row(self):
         r = run_mn_trial(200, 100, k=3, root_seed=0)
         row = r.as_row()
@@ -158,6 +150,7 @@ class TestTrials:
 class TestRanking:
     def test_ranking_prefix_equals_decode_support(self):
         from repro.core.design import stream_design_stats
+        from repro.core.scores import mn_scores
         from repro.core.signal import random_signal
         import numpy as np
 
@@ -168,10 +161,13 @@ class TestRanking:
             m = int(rng.integers(5, 200))
             sigma = random_signal(n, k, rng)
             stats = stream_design_stats(sigma, m, root_seed=seed)
-            dec = MNDecoder(blocks=3)
+            dec = MNDecoder()
             ranking = dec.rank_entries(stats, k)
             support = np.flatnonzero(dec.decode(stats, k))
             assert sorted(ranking[:k].tolist()) == support.tolist()
+            # Independent oracle: decreasing score, smallest index first on ties.
+            scores = mn_scores(stats, k)
+            assert np.array_equal(ranking, np.lexsort((np.arange(n), -scores)))
 
     def test_ranking_is_permutation(self):
         from repro.core.design import stream_design_stats
@@ -182,17 +178,6 @@ class TestRanking:
         stats = stream_design_stats(sigma, 50, root_seed=0)
         ranking = MNDecoder().rank_entries(stats, 3)
         assert sorted(ranking.tolist()) == list(range(100))
-
-    def test_ranking_block_invariance(self):
-        from repro.core.design import stream_design_stats
-        from repro.core.signal import random_signal
-        import numpy as np
-
-        sigma = random_signal(120, 4, np.random.default_rng(1))
-        stats = stream_design_stats(sigma, 80, root_seed=1)
-        a = MNDecoder(blocks=1).rank_entries(stats, 4)
-        b = MNDecoder(blocks=5).rank_entries(stats, 4)
-        assert np.array_equal(a, b)
 
     def test_ranking_front_loaded_with_ones(self):
         """Above threshold, the k one-entries occupy the first k ranks."""

@@ -1,60 +1,8 @@
-"""Tests for range partitioning (repro.parallel.partition)."""
+"""Tests for chunk counting (repro.parallel.partition)."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from repro.parallel.partition import chunk_count, split_evenly, split_range
-
-
-class TestSplitRange:
-    def test_example(self):
-        assert split_range(10, 3) == [(0, 4), (4, 7), (7, 10)]
-
-    def test_exact_division(self):
-        assert split_range(9, 3) == [(0, 3), (3, 6), (6, 9)]
-
-    def test_more_parts_than_items(self):
-        parts = split_range(2, 5)
-        assert len(parts) == 5
-        assert parts[0] == (0, 1)
-        assert parts[-1] == (2, 2)  # empty tail slices kept
-
-    def test_zero_total(self):
-        assert split_range(0, 3) == [(0, 0), (0, 0), (0, 0)]
-
-    def test_rejects_zero_parts(self):
-        with pytest.raises(ValueError):
-            split_range(5, 0)
-
-    def test_rejects_negative_total(self):
-        with pytest.raises(ValueError):
-            split_range(-1, 2)
-
-    @given(st.integers(0, 10_000), st.integers(1, 64))
-    def test_cover_exactly_once(self, total, parts):
-        slices = split_range(total, parts)
-        assert slices[0][0] == 0
-        assert slices[-1][1] == total
-        for (a0, a1), (b0, b1) in zip(slices, slices[1:]):
-            assert a1 == b0
-            assert a0 <= a1
-
-    @given(st.integers(0, 10_000), st.integers(1, 64))
-    def test_balanced_within_one(self, total, parts):
-        sizes = [hi - lo for lo, hi in split_range(total, parts)]
-        assert max(sizes) - min(sizes) <= 1
-
-
-class TestSplitEvenly:
-    def test_preserves_order(self):
-        chunks = split_evenly(list(range(7)), 3)
-        assert [list(c) for c in chunks] == [[0, 1, 2], [3, 4], [5, 6]]
-
-    def test_concatenation_identity(self):
-        items = list("abcdefghij")
-        chunks = split_evenly(items, 4)
-        assert [x for c in chunks for x in c] == items
+from repro.parallel.partition import chunk_count
 
 
 class TestChunkCount:

@@ -101,17 +101,6 @@ class TestDecoderProperties:
         b = mn_reconstruct(design, y, k)
         assert np.array_equal(a, b)
 
-    @given(instances, st.integers(1, 8))
-    @settings(max_examples=30, deadline=None)
-    def test_blocks_invariance(self, seed, blocks):
-        """The parallel top-k decomposition never changes the estimate."""
-        design, sigma, k = _draw_instance(seed)
-        y = design.query_results(sigma)
-        assert np.array_equal(
-            mn_reconstruct(design, y, k, blocks=1),
-            mn_reconstruct(design, y, k, blocks=blocks),
-        )
-
     @given(instances)
     @settings(max_examples=20, deadline=None)
     def test_scores_shift_invariance_in_k(self, seed):

@@ -83,14 +83,14 @@ class TestReconstruct:
         with pytest.raises(TypeError, match="int"):
             reconstruct(50, 10, lambda pools: [0] * len(pools), k=2.0)
 
-    def test_backend_equals_blocks_path(self):
+    def test_backend_equals_default_path(self):
         from repro.engine import SerialBackend
 
         rng = np.random.default_rng(10)
         sigma = random_signal(400, 4, rng)
         base = reconstruct(400, 300, _oracle_for(sigma), k=4, rng=np.random.default_rng(11))
         via_backend = reconstruct(
-            400, 300, _oracle_for(sigma), k=4, rng=np.random.default_rng(11), backend=SerialBackend(blocks=5)
+            400, 300, _oracle_for(sigma), k=4, rng=np.random.default_rng(11), backend=SerialBackend(kernel="legacy")
         )
         assert np.array_equal(base.sigma_hat, via_backend.sigma_hat)
         assert np.array_equal(base.y, via_backend.y)

@@ -1,85 +1,22 @@
-"""Tests for parallel sample sort / argsort / top-k."""
+"""Tests for top-k selection."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.parallel.sort import parallel_argsort, parallel_sample_sort, parallel_top_k
+from repro.parallel.sort import parallel_top_k
 
 
-class TestSampleSort:
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(0)
-        x = rng.integers(0, 100, 1000)
-        assert np.array_equal(parallel_sample_sort(x, blocks=4), np.sort(x))
-
-    def test_single_block_passthrough(self):
-        x = np.array([3, 1, 2])
-        assert np.array_equal(parallel_sample_sort(x, blocks=1), np.array([1, 2, 3]))
-
-    def test_empty_and_singleton(self):
-        assert parallel_sample_sort(np.array([]), blocks=3).size == 0
-        assert np.array_equal(parallel_sample_sort(np.array([7]), blocks=3), np.array([7]))
-
-    def test_all_equal_values(self):
-        x = np.full(100, 5)
-        assert np.array_equal(parallel_sample_sort(x, blocks=5), x)
-
-    def test_floats(self):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal(500)
-        assert np.array_equal(parallel_sample_sort(x, blocks=7), np.sort(x))
-
-    def test_rejects_2d(self):
-        with pytest.raises(ValueError):
-            parallel_sample_sort(np.zeros((2, 3)))
-
-    def test_rejects_zero_blocks(self):
-        with pytest.raises(ValueError):
-            parallel_sample_sort(np.arange(4), blocks=0)
-
-    @given(
-        st.lists(st.integers(-10**6, 10**6), min_size=0, max_size=500),
-        st.integers(1, 16),
-        st.integers(1, 16),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_property_equals_numpy_sort(self, values, blocks, oversample):
-        x = np.asarray(values, dtype=np.int64)
-        assert np.array_equal(parallel_sample_sort(x, blocks=blocks, oversample=oversample), np.sort(x))
-
-
-class TestArgsort:
-    def test_matches_numpy_stable(self):
-        rng = np.random.default_rng(2)
-        x = rng.integers(0, 10, 300)  # many ties
-        assert np.array_equal(parallel_argsort(x, blocks=5), np.argsort(x, kind="stable"))
-
-    def test_descending(self):
-        x = np.array([1, 3, 2, 3])
-        order = parallel_argsort(x, blocks=2, descending=True)
-        assert x[order[0]] == 3
-        # stable: first 3 (index 1) before second 3 (index 3)
-        assert list(order[:2]) == [1, 3]
-
-    def test_single_block(self):
-        x = np.array([2.0, 1.0])
-        assert np.array_equal(parallel_argsort(x, blocks=1), np.array([1, 0]))
-
-    @given(st.lists(st.integers(0, 50), min_size=0, max_size=300), st.integers(1, 8))
-    @settings(max_examples=50, deadline=None)
-    def test_property_valid_permutation_and_sorted(self, values, blocks):
-        x = np.asarray(values, dtype=np.int64)
-        order = parallel_argsort(x, blocks=blocks)
-        assert sorted(order.tolist()) == list(range(len(values)))
-        assert np.array_equal(x[order], np.sort(x))
+def _oracle(x: np.ndarray, k: int) -> np.ndarray:
+    """Independent reference: rank by (-score, index), keep k, ascending."""
+    return np.sort(np.lexsort((np.arange(x.size), -x))[:k])
 
 
 class TestTopK:
     def test_basic(self):
         x = np.array([5.0, 1.0, 9.0, 3.0, 7.0])
-        assert np.array_equal(parallel_top_k(x, 2, blocks=2), np.array([2, 4]))
+        assert np.array_equal(parallel_top_k(x, 2), np.array([2, 4]))
 
     def test_k_equals_n(self):
         x = np.array([1.0, 2.0])
@@ -87,7 +24,7 @@ class TestTopK:
 
     def test_ties_prefer_small_indices(self):
         x = np.zeros(10)
-        assert np.array_equal(parallel_top_k(x, 3, blocks=4), np.array([0, 1, 2]))
+        assert np.array_equal(parallel_top_k(x, 3), np.array([0, 1, 2]))
 
     def test_k_too_large(self):
         with pytest.raises(ValueError):
@@ -102,10 +39,10 @@ class TestTopK:
     def test_batch_rows_match_single_calls(self):
         rng = np.random.default_rng(11)
         scores = rng.integers(-3, 3, size=(5, 40)).astype(np.float64)  # many ties
-        batch = parallel_top_k(scores, 4, blocks=3)
+        batch = parallel_top_k(scores, 4)
         assert batch.shape == (5, 4)
         for b in range(5):
-            assert np.array_equal(batch[b], parallel_top_k(scores[b], 4, blocks=3))
+            assert np.array_equal(batch[b], parallel_top_k(scores[b], 4))
 
     def test_batch_k_equals_n(self):
         scores = np.zeros((3, 4))
@@ -113,25 +50,57 @@ class TestTopK:
 
     @given(
         st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=300),
-        st.integers(1, 16),
         st.data(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_property_selects_k_largest(self, values, blocks, data):
+    def test_property_selects_k_largest(self, values, data):
         x = np.asarray(values, dtype=np.float64)
         k = data.draw(st.integers(1, len(values)))
-        idx = parallel_top_k(x, k, blocks=blocks)
-        assert idx.size == k
-        assert len(set(idx.tolist())) == k
-        # Selected multiset of values equals the k largest values.
-        assert np.allclose(np.sort(x[idx]), np.sort(x)[-k:])
+        # Exact selection, smallest-index-first on ties.
+        assert np.array_equal(parallel_top_k(x, k), _oracle(x, k))
 
-    @given(st.integers(1, 12), st.integers(1, 6))
-    @settings(max_examples=30, deadline=None)
-    def test_property_block_invariance(self, k_raw, blocks):
-        rng = np.random.default_rng(k_raw * 31 + blocks)
-        x = rng.integers(0, 5, 40).astype(np.float64)  # heavy ties
-        k = min(k_raw, x.size)
-        a = parallel_top_k(x, k, blocks=1)
-        b = parallel_top_k(x, k, blocks=blocks)
-        assert np.array_equal(a, b)
+
+class TestTopKNaN:
+    """NaN scores take the whole-array ranking fallback: exactly k, NaN last."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_1d_matches_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(30):
+            n = int(rng.integers(2, 60))
+            k = int(rng.integers(1, n))
+            x = rng.integers(0, 4, size=n).astype(np.float64)
+            x[rng.random(n) < 0.3] = np.nan
+            idx = parallel_top_k(x, k)
+            assert idx.shape == (k,)
+            assert np.all(np.diff(idx) > 0)
+            assert np.array_equal(idx, _oracle(x, k))
+            # NaN ranks last: a NaN is only chosen once every number is.
+            if np.isnan(x[idx]).any():
+                assert set(np.flatnonzero(~np.isnan(x))) <= set(idx.tolist())
+
+    def test_nan_ranks_last(self):
+        x = np.array([np.nan, 1.0, np.nan, 0.0, 2.0])
+        assert np.array_equal(parallel_top_k(x, 3), np.array([1, 3, 4]))
+        assert np.array_equal(parallel_top_k(x, 4), np.array([0, 1, 3, 4]))
+
+    def test_all_nan(self):
+        x = np.full(6, np.nan)
+        assert np.array_equal(parallel_top_k(x, 2), np.array([0, 1]))
+        assert np.array_equal(parallel_top_k(np.full((2, 6), np.nan), 2), np.array([[0, 1], [0, 1]]))
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_batch_rows_match_single_calls(self, rows):
+        rng = np.random.default_rng(40 + rows)
+        for _ in range(20):
+            n = int(rng.integers(2, 50))
+            k = int(rng.integers(1, n))
+            scores = rng.integers(0, 3, size=(rows, n)).astype(np.float64)
+            scores[rng.random((rows, n)) < 0.3] = np.nan
+            if rows == 2 and rng.random() < 0.3:
+                scores[1] = np.nan  # an all-NaN row next to a mixed one
+            batch = parallel_top_k(scores, k)
+            assert batch.shape == (rows, k)
+            for b in range(rows):
+                assert np.array_equal(batch[b], parallel_top_k(scores[b], k))
+                assert np.array_equal(batch[b], _oracle(scores[b], k))
