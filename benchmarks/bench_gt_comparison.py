@@ -13,6 +13,7 @@ import pytest
 from conftest import emit
 from repro.baselines.bin_gt import run_gt_trial
 from repro.core.signal import theta_to_k
+from repro.engine.backend import backend_for_workers
 from repro.experiments.runner import run_trials
 from repro.util.asciiplot import format_table
 
@@ -31,15 +32,16 @@ def _unit(n, theta):
 def sweep(workers, repro_seed):
     unit = _unit(N, THETA)
     rows = []
-    for i, rate in enumerate(RATES):
-        m = max(1, int(round(rate * unit)))
-        mn = run_trials(N, m, theta=THETA, trials=TRIALS, root_seed=repro_seed, point_id=i, workers=workers)
-        mn_rate = sum(r.success for r in mn) / TRIALS
-        dd_rate = (
-            sum(run_gt_trial(N, m, theta=THETA, seed=repro_seed + 37 * i * TRIALS + t).dd_success for t in range(TRIALS))
-            / TRIALS
-        )
-        rows.append({"rate": rate, "m": m, "mn": mn_rate, "dd": dd_rate})
+    with backend_for_workers(workers) as backend:
+        for i, rate in enumerate(RATES):
+            m = max(1, int(round(rate * unit)))
+            mn = run_trials(N, m, theta=THETA, trials=TRIALS, root_seed=repro_seed, point_id=i, backend=backend)
+            mn_rate = sum(r.success for r in mn) / TRIALS
+            dd_rate = (
+                sum(run_gt_trial(N, m, theta=THETA, seed=repro_seed + 37 * i * TRIALS + t).dd_success for t in range(TRIALS))
+                / TRIALS
+            )
+            rows.append({"rate": rate, "m": m, "mn": mn_rate, "dd": dd_rate})
     return rows
 
 

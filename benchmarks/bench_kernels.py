@@ -87,7 +87,7 @@ class TestDenseVsLegacy:
         m = 200
 
         def run(kernel):
-            return stream_design_stats(sigma, m, root_seed=1, kernel=kernel)
+            return stream_design_stats(sigma, m, root_seed=1, backend=SerialBackend(kernel=kernel))
 
         assert np.array_equal(run("dense").psi, run("legacy").psi)
         legacy_s = _best_of(lambda: run("legacy"))
@@ -199,7 +199,7 @@ class TestKernelGen2:
         sigma = random_signal(self.N, 16, np.random.default_rng(0))
 
         def run(kernel):
-            return stream_design_stats(sigma, 200, root_seed=1, kernel=kernel).psi
+            return stream_design_stats(sigma, 200, root_seed=1, backend=SerialBackend(kernel=kernel)).psi
 
         self._record(benchmark, run, lambda psi: psi.shape == (self.N,))
 

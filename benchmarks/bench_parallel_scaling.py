@@ -14,7 +14,7 @@ import pytest
 from conftest import emit
 from repro.core.design import stream_design_stats
 from repro.core.signal import random_signal
-from repro.parallel.pool import WorkerPool
+from repro.engine.backend import SerialBackend, SharedMemBackend
 from repro.util.asciiplot import format_table
 
 N, K, M = 20_000, 20, 1500
@@ -26,20 +26,21 @@ def sigma():
     return random_signal(N, K, np.random.default_rng(0))
 
 
-def _run(sigma, workers, pool=None):
-    return stream_design_stats(sigma, M, root_seed=7, batch_queries=BATCH, pool=pool, workers=workers)
+def _run(sigma, backend):
+    return stream_design_stats(sigma, M, root_seed=7, batch_queries=BATCH, backend=backend)
 
 
 def test_kernel_serial(benchmark, sigma):
-    stats = benchmark.pedantic(lambda: _run(sigma, 1), rounds=3, iterations=1)
+    with SerialBackend() as backend:
+        stats = benchmark.pedantic(lambda: _run(sigma, backend), rounds=3, iterations=1)
     assert stats.m == M
 
 
 def test_kernel_parallel(benchmark, sigma, workers):
     if workers < 2:
         pytest.skip("single-core host")
-    with WorkerPool(workers) as pool:
-        stats = benchmark.pedantic(lambda: _run(sigma, workers, pool=pool), rounds=3, iterations=1)
+    with SharedMemBackend(workers) as backend:
+        stats = benchmark.pedantic(lambda: _run(sigma, backend), rounds=3, iterations=1)
     assert stats.m == M
 
 
@@ -50,15 +51,15 @@ def test_scaling_table_and_equality(sigma, workers, check):
         baseline = None
         rows = []
         t0 = time.perf_counter()
-        serial = _run(sigma, 1)
+        serial = _run(sigma, SerialBackend())
         t_serial = time.perf_counter() - t0
         rows.append((1, f"{t_serial:.2f}s", "1.00x"))
         for w in (2, 4, workers):
             if w < 2 or w > workers:
                 continue
-            with WorkerPool(w) as pool:
+            with SharedMemBackend(w) as backend:
                 t0 = time.perf_counter()
-                stats = _run(sigma, w, pool=pool)
+                stats = _run(sigma, backend)
                 dt = time.perf_counter() - t0
             rows.append((w, f"{dt:.2f}s", f"{t_serial / dt:.2f}x"))
             for field in ("y", "psi", "dstar", "delta"):
@@ -75,12 +76,12 @@ def test_speedup_on_multicore(sigma, workers, check):
         if workers < 4:
             pytest.skip("need ≥4 cores for the speedup assertion")
         t0 = time.perf_counter()
-        _run(sigma, 1)
+        _run(sigma, SerialBackend())
         t_serial = time.perf_counter() - t0
-        with WorkerPool(4) as pool:
-            _run(sigma, 4, pool=pool)  # warm the pool
+        with SharedMemBackend(4) as backend:
+            _run(sigma, backend)  # warm the pool
             t0 = time.perf_counter()
-            _run(sigma, 4, pool=pool)
+            _run(sigma, backend)
             t_par = time.perf_counter() - t0
         assert t_par < t_serial / 1.2, f"serial {t_serial:.2f}s vs 4 workers {t_par:.2f}s"
 

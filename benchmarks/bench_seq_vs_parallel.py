@@ -22,6 +22,7 @@ from conftest import emit
 from repro.baselines.sequential import adaptive_binary_splitting, oracle_from_signal
 from repro.core.signal import random_signal
 from repro.core.thresholds import m_counting_sequential, m_information_parallel, m_mn_threshold
+from repro.engine.backend import backend_for_workers
 from repro.experiments.runner import run_trials
 from repro.util.asciiplot import format_table
 
@@ -59,7 +60,8 @@ def test_seq_vs_parallel_table(seq_stats, repro_seed, workers, check):
     def _():
         k = seq_stats["k"]
         m_mn = int(round(1.3 * m_mn_threshold(N, THETA)))
-        mn = run_trials(N, m_mn, theta=THETA, trials=TRIALS, root_seed=repro_seed, workers=workers)
+        with backend_for_workers(workers) as backend:
+            mn = run_trials(N, m_mn, theta=THETA, trials=TRIALS, root_seed=repro_seed, backend=backend)
         mn_success = sum(r.success for r in mn) / TRIALS
         rows = [
             ("sequential splitting", f"{seq_stats['queries']:.0f}", f"{seq_stats['rounds']:.1f}", "1.00"),

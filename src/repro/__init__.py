@@ -35,8 +35,8 @@ True
 
 Batch-axis conventions: per-signal arrays (``sigma``, ``y``, ``psi``)
 optionally grow a leading ``B`` axis; design-level arrays (``dstar``,
-``delta``) never do.  Execution (process count, streaming batch size,
-kernel) is configured once via a ``Backend``
+``delta``) never do.  Execution (process count and kernel) is
+configured once via a ``Backend``
 (:class:`SerialBackend` or the fork+shared-memory
 :class:`SharedMemBackend`) and threaded through every entry point as
 ``backend=``.

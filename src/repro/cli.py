@@ -54,6 +54,26 @@ def _serve_env(suffix: str) -> str:
     return f"REPRO_SERVE_{suffix}"
 
 
+def _workers_count(value: str) -> int:
+    """argparse ``type=`` of every ``--workers`` flag: a count ``>= 0``."""
+    try:
+        workers = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}") from None
+    if workers < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0 (0 = all cores), got {workers}")
+    return workers
+
+
+def _add_workers(parser: argparse.ArgumentParser, default: int) -> None:
+    parser.add_argument(
+        "--workers",
+        type=_workers_count,
+        default=default,
+        help=f"worker processes: 0 = all cores, 1 = inline (default: {default})",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree (exposed for the CLI tests)."""
     parser = argparse.ArgumentParser(prog="pooled-repro", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -65,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p2.add_argument("--ns", type=int, nargs="+", default=None, help="signal lengths")
     p2.add_argument("--thetas", type=float, nargs="+", default=[0.1, 0.2, 0.3, 0.4])
     p2.add_argument("--trials", type=int, default=10)
-    p2.add_argument("--workers", type=int, default=0)
+    _add_workers(p2, 0)
     p2.add_argument("--seed", type=int, default=0)
 
     for name in ("fig3", "fig4"):
@@ -74,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--thetas", type=float, nargs="+", default=[0.1, 0.2, 0.3, 0.4])
         p.add_argument("--points", type=int, default=12)
         p.add_argument("--trials", type=int, default=20)
-        p.add_argument("--workers", type=int, default=0)
+        _add_workers(p, 0)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument(
             "--engine",
@@ -97,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     pn.add_argument("--m", type=int, default=None, help="shared query budget (default: 1.25x the per-theta threshold)")
     pn.add_argument("--repeats", type=int, default=1, help="repeat-query averaging factor")
     pn.add_argument("--trials", type=int, default=20)
-    pn.add_argument("--workers", type=int, default=1)
+    _add_workers(pn, 1)
     pn.add_argument("--seed", type=int, default=0)
     pn.add_argument(
         "--engine",
@@ -118,18 +138,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pg.add_argument("--m", type=int, default=None, help="shared query budget (default: 1.25x the per-theta threshold)")
     pg.add_argument("--trials", type=int, default=20)
-    pg.add_argument("--workers", type=int, default=1)
+    _add_workers(pg, 1)
     pg.add_argument("--seed", type=int, default=0)
 
     pc = sub.add_parser("claims", help="§VI in-text claim table")
     pc.add_argument("--trials", type=int, default=50)
-    pc.add_argument("--workers", type=int, default=0)
+    _add_workers(pc, 0)
 
     pi = sub.add_parser("it", help="Theorem-2 phase transition (exhaustive decoder)")
     pi.add_argument("--n", type=int, default=30)
     pi.add_argument("--k", type=int, default=3)
     pi.add_argument("--trials", type=int, default=20)
-    pi.add_argument("--workers", type=int, default=0)
+    _add_workers(pi, 0)
     pi.add_argument("--seed", type=int, default=0)
 
     pt = sub.add_parser("thresh", help="threshold constants table")

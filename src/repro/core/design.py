@@ -13,8 +13,8 @@ Two execution paths are provided:
   biadjacency matrix (exhaustive/LP/OMP/AMP) and by the Fig. 1 example.
 * :func:`stream_design_stats` — computes everything the MN decoder needs
   (``y, Ψ, Δ, Δ*``) in fixed-size query batches without ever holding the
-  graph, optionally fanned out over a :class:`~repro.parallel.pool.WorkerPool`
-  or any :class:`~repro.engine.backend.Backend`.  Batches are keyed by
+  graph, optionally fanned out over any
+  :class:`~repro.engine.backend.Backend`.  Batches are keyed by
   logical batch index, so for a fixed batch size the result is
   bit-identical for any worker count — the library's central
   reproducibility invariant.
@@ -52,7 +52,6 @@ from repro.kernels import dispatch as dispatch_kernel
 from repro.kernels import resolve_kernel
 from repro.parallel.matvec import CSRMatrix
 from repro.parallel.partition import chunk_count
-from repro.parallel.pool import WorkerPool
 from repro.parallel.sharedmem import SharedArray, SharedArrayDescriptor
 from repro.rng.streams import StreamFamily
 from repro.util.validation import check_binary_batch, check_binary_signal, check_positive_int
@@ -64,7 +63,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine builds on cor
     from repro.engine.backend import Backend
     from repro.noise.models import NoiseModel
 
-__all__ = ["PoolingDesign", "DesignStats", "stream_design_stats", "default_gamma"]
+__all__ = ["PoolingDesign", "DesignStats", "stream_design_stats", "default_gamma", "DEFAULT_BATCH_QUERIES"]
+
+#: Default streaming batch size.  Part of the design key: changing it draws a
+#: different (identically distributed) design, whatever the backend.
+DEFAULT_BATCH_QUERIES = 256
 
 
 def default_gamma(n: int) -> int:
@@ -436,12 +439,9 @@ def stream_design_stats(
     root_seed: int,
     trial_key: "tuple[int, ...]" = (),
     gamma: Optional[int] = None,
-    batch_queries: Optional[int] = None,
-    pool: "WorkerPool | None" = None,
-    workers: int = 1,
+    batch_queries: int = DEFAULT_BATCH_QUERIES,
     backend: "Backend | None" = None,
     noise: "NoiseModel | None" = None,
-    kernel: "str | None" = None,
     design: "CompiledDesign | None" = None,
     cache: "DesignCache | None" = None,
     store: "DesignStore | None" = None,
@@ -451,9 +451,9 @@ def stream_design_stats(
     The design is *not* materialised: each fixed-size batch of queries is
     generated from a generator keyed by ``(root_seed, *trial_key, batch)``,
     evaluated, folded into ``Ψ/Δ*/Δ`` and discarded.  Passing a backend
-    with ``workers > 1`` (or the legacy ``pool=``/``workers=`` knobs)
-    distributes batches; output is bit-identical to the serial path because
-    accumulation happens in batch order in the parent.
+    with ``workers > 1`` distributes batches; output is bit-identical to
+    the serial path because accumulation happens in batch order in the
+    parent.
 
     With ``design=`` (a :class:`~repro.designs.compiled.CompiledDesign`
     whose key matches this call) or a ``cache=`` hit, streaming is skipped
@@ -473,15 +473,16 @@ def stream_design_stats(
     gamma:
         Pool size (default ``n // 2``).
     batch_queries:
-        Queries per batch (default: the backend's, normally 256).  Part of
+        Queries per batch (default :data:`DEFAULT_BATCH_QUERIES`).  Part of
         the *design key*: different batch sizes draw different (identically
         distributed) designs, because streams are keyed per batch.  For a
         fixed batch size, results never depend on the worker count.
-    pool, workers:
-        Legacy execution knobs (see :class:`~repro.parallel.pool.WorkerPool`).
     backend:
-        Unified execution configuration (see
-        :class:`~repro.engine.backend.Backend`); supersedes ``pool``/``workers``.
+        Where the work runs (see :class:`~repro.engine.backend.Backend`;
+        default: inline).  Its ``kernel`` field picks the execution kernel
+        for the per-batch statistics (:mod:`repro.kernels`), then
+        ``REPRO_KERNEL``, then ``"dense"`` — a pure performance choice,
+        since kernels are bit-identical on the same sampled edges.
     noise:
         Optional :class:`~repro.noise.models.NoiseModel`: each batch of
         results is corrupted before its Ψ contribution is folded in, using
@@ -489,13 +490,6 @@ def stream_design_stats(
         — so like the design itself, the noisy statistics depend on
         ``batch_queries`` but never on the worker count.  ``None`` is the
         exact channel, bit-identical to the historical behaviour.
-    kernel:
-        Execution kernel for the per-batch statistics
-        (:mod:`repro.kernels`): ``"dense"`` (scatter-dedup + BLAS GEMM) or
-        ``"legacy"`` (sort-based dedup).  Defaults to the backend's
-        ``kernel`` field, then ``REPRO_KERNEL``, then ``"dense"``.  A pure
-        performance knob — kernels are bit-identical on the same sampled
-        edges, so it is *not* part of the design key.
     design:
         An explicit compiled design to decode against.  Its key must match
         this call's ``(n, m, gamma, root_seed, trial_key, batch_queries)``
@@ -522,12 +516,9 @@ def stream_design_stats(
     n = sigma.shape[0]
     m = check_positive_int(m, "m")
     gamma = default_gamma(n) if gamma is None else check_positive_int(gamma, "gamma")
+    batch_queries = check_positive_int(batch_queries, "batch_queries")
 
-    with resolved_backend(backend, pool=pool, workers=workers) as exec_backend:
-        if batch_queries is None:
-            batch_queries = exec_backend.batch_queries
-        batch_queries = check_positive_int(batch_queries, "batch_queries")
-
+    with resolved_backend(backend) as exec_backend:
         key = None
         cache_obj = resolve_design_cache(cache)
         store_obj = resolve_design_store(store)
@@ -556,11 +547,10 @@ def stream_design_stats(
             hi = min(m, lo + batch_queries)
             batches.append((b, lo, hi))
 
-        # Explicit kernel= wins over the backend's configured kernel; both
-        # resolve through REPRO_KERNEL / the library default.  Resolve to a
-        # concrete name here so worker processes never consult their own
-        # environment.
-        kernel_name = resolve_kernel(kernel if kernel is not None else getattr(exec_backend, "kernel", None))
+        # The backend's kernel resolves through REPRO_KERNEL / the library
+        # default.  Resolve to a concrete name here so worker processes never
+        # consult their own environment.
+        kernel_name = resolve_kernel(getattr(exec_backend, "kernel", None))
         kern = dispatch_kernel(kernel_name)
 
         y = np.zeros(m, dtype=np.int64)

@@ -24,10 +24,9 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.core.design import DesignStats, PoolingDesign, stream_design_stats
+from repro.core.design import DEFAULT_BATCH_QUERIES, DesignStats, PoolingDesign, stream_design_stats
 from repro.core.scores import mn_scores
 from repro.core.signal import exact_recovery, overlap_fraction, random_signal, theta_to_k
-from repro.parallel.pool import WorkerPool
 from repro.parallel.sort import parallel_top_k
 from repro.rng.streams import batch_generator
 from repro.util.validation import check_positive_int, check_weight_vector
@@ -256,9 +255,7 @@ def run_mn_trial(
     root_seed: int = 0,
     trial: int = 0,
     calibrate_k: bool = False,
-    batch_queries: "int | None" = None,
-    pool: "WorkerPool | None" = None,
-    workers: int = 1,
+    batch_queries: int = DEFAULT_BATCH_QUERIES,
     backend: "Backend | None" = None,
     noise: "NoiseModel | None" = None,
     design: "CompiledDesign | None" = None,
@@ -274,14 +271,13 @@ def run_mn_trial(
     construction, always returns ``k``) instead of the model parameter —
     operationally identical, but it documents the k-free mode.
 
-    Execution is configured either through the legacy ``pool``/``workers``
-    knobs or a unified ``backend``
-    (:class:`~repro.engine.backend.Backend`); the result is bit-identical
-    for every backend at a fixed ``batch_queries``.  With ``noise`` given,
-    the streaming results pass through the noisy channel before Ψ
-    accumulation (see :func:`~repro.core.design.stream_design_stats`);
-    ``calibrate_k`` still hands the decoder the exact weight, matching the
-    paper's accounting where the calibration query is separate.
+    Execution runs on ``backend`` (:class:`~repro.engine.backend.Backend`;
+    default: inline); the result is bit-identical for every backend at a
+    fixed ``batch_queries``.  With ``noise`` given, the streaming results
+    pass through the noisy channel before Ψ accumulation (see
+    :func:`~repro.core.design.stream_design_stats`); ``calibrate_k`` still
+    hands the decoder the exact weight, matching the paper's accounting
+    where the calibration query is separate.
 
     ``design``/``cache``/``store`` forward to
     :func:`~repro.core.design.stream_design_stats`: a compiled design with
@@ -309,8 +305,6 @@ def run_mn_trial(
         root_seed=root_seed,
         trial_key=(trial,),
         batch_queries=batch_queries,
-        pool=pool,
-        workers=workers,
         backend=backend,
         noise=noise,
         design=design,

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.core.design import DesignStats, PoolingDesign, default_gamma
+from repro.core.design import DEFAULT_BATCH_QUERIES, DesignStats, PoolingDesign, default_gamma
 from repro.parallel.partition import chunk_count
 from repro.rng.streams import StreamFamily, batch_generator
 from repro.util.validation import check_nonneg_int, check_positive_int
@@ -103,7 +103,7 @@ class DesignKey:
         root_seed: int,
         trial_key: "tuple[int, ...]" = (),
         gamma: Optional[int] = None,
-        batch_queries: int = 256,
+        batch_queries: int = DEFAULT_BATCH_QUERIES,
     ) -> "DesignKey":
         """The key of :func:`~repro.core.design.stream_design_stats`'s design."""
         n = check_positive_int(n, "n")

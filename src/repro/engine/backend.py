@@ -1,31 +1,29 @@
 """Execution backends — one object answering "where does the work run?".
 
-Historically every parallel entry point in the library grew its own knobs:
-``pool=`` (an externally managed :class:`~repro.parallel.pool.WorkerPool`),
-``workers=`` (spawn-my-own process count), ``batch_queries=``
-(streaming batch size) and — since the dense-kernel layer — ``kernel=``
-(the :mod:`repro.kernels` implementation the hot paths run on).  A
-:class:`Backend` bundles all four behind one
-protocol so that callers configure execution once and thread a single
-object through :func:`~repro.core.reconstruction.reconstruct`,
+A :class:`Backend` is the library's single execution argument: the
+process count and the :mod:`repro.kernels` implementation the hot paths
+run on.  Callers configure execution once and thread the one object
+through :func:`~repro.core.reconstruction.reconstruct`,
 :func:`~repro.core.mn.run_mn_trial`, :class:`~repro.core.mn.MNDecoder`,
-:func:`~repro.core.design.stream_design_stats` and the batched engine.
+:func:`~repro.core.design.stream_design_stats`, the experiment runners
+and the batched engine — ``backend=`` is the only way to say where work
+runs.
 
 Two implementations ship:
 
 * :class:`SerialBackend` — everything inline in the calling process.  The
   reference for bit-reproducibility and the default.
-* :class:`SharedMemBackend` — wraps a :class:`~repro.parallel.pool.WorkerPool`
-  (owned and lazily created, or borrowed via ``pool=``), fanning tasks out
-  over fork+shared-memory workers.
+* :class:`SharedMemBackend` — owns a lazily created
+  :class:`~repro.parallel.pool.WorkerPool`, fanning tasks out over
+  fork+shared-memory workers.
 
-Invariant: for a fixed ``batch_queries`` every backend produces
-bit-identical results — ``batch_queries`` is part of the *design key* (see
-:func:`~repro.core.design.stream_design_stats`), the worker count is not.
+:func:`backend_for_workers` turns a plain worker count (the CLI's
+``--workers``) into one of the two.
 
-Legacy call sites keep working: :func:`resolve_backend` translates the old
-``pool=``/``workers=`` arguments into a backend, so ``backend=`` and the
-historical knobs coexist (passing both is rejected loudly).
+Invariant: every backend produces bit-identical results.  The streaming
+batch size is part of the *design key*, not of execution, so it is a
+per-call argument of :func:`~repro.core.design.stream_design_stats`
+rather than a backend field.
 """
 
 from __future__ import annotations
@@ -42,20 +40,14 @@ from repro.kernels.threads import (
     worker_thread_budget,
 )
 from repro.parallel.pool import RetryableTaskError, WorkerPool, resolve_workers
-from repro.util.validation import check_positive_int
 
 __all__ = [
     "Backend",
     "SerialBackend",
     "SharedMemBackend",
-    "resolve_backend",
+    "backend_for_workers",
     "resolved_backend",
-    "DEFAULT_BATCH_QUERIES",
 ]
-
-#: Default streaming batch size.  Part of the design key: changing it draws a
-#: different (identically distributed) design, so all backends share it.
-DEFAULT_BATCH_QUERIES = 256
 
 
 @runtime_checkable
@@ -66,8 +58,6 @@ class Backend(Protocol):
     ----------
     workers:
         Concrete process count (``1`` means "run inline in the caller").
-    batch_queries:
-        Streaming batch size for :func:`~repro.core.design.stream_design_stats`.
     kernel:
         Execution-kernel choice for the engine's hot paths
         (:mod:`repro.kernels`): ``"dense"``, ``"legacy"``, or ``None`` to
@@ -78,9 +68,6 @@ class Backend(Protocol):
 
     @property
     def workers(self) -> int: ...
-
-    @property
-    def batch_queries(self) -> int: ...
 
     @property
     def kernel(self) -> "str | None": ...
@@ -109,18 +96,12 @@ class SerialBackend:
     Examples
     --------
     >>> from repro.engine.backend import SerialBackend
-    >>> with SerialBackend(batch_queries=128) as backend:
-    ...     (backend.workers, backend.batch_queries)
-    (1, 128)
+    >>> with SerialBackend(kernel="legacy") as backend:
+    ...     (backend.workers, backend.kernel)
+    (1, 'legacy')
     """
 
-    def __init__(
-        self,
-        batch_queries: int = DEFAULT_BATCH_QUERIES,
-        kernel: "str | None" = None,
-        blas_threads: "int | None" = None,
-    ):
-        self._batch_queries = check_positive_int(batch_queries, "batch_queries")
+    def __init__(self, kernel: "str | None" = None, blas_threads: "int | None" = None):
         self._kernel = check_kernel(kernel)
         self._blas_threads = resolve_blas_threads(blas_threads)
         self._cache: dict = {}
@@ -129,10 +110,6 @@ class SerialBackend:
     @property
     def workers(self) -> int:
         return 1
-
-    @property
-    def batch_queries(self) -> int:
-        return self._batch_queries
 
     @property
     def kernel(self) -> "str | None":
@@ -164,10 +141,7 @@ class SerialBackend:
         self.shutdown()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"SerialBackend(batch_queries={self._batch_queries}, "
-            f"kernel={self._kernel!r}, blas_threads={self._blas_threads})"
-        )
+        return f"SerialBackend(kernel={self._kernel!r}, blas_threads={self._blas_threads})"
 
 
 class SharedMemBackend:
@@ -176,15 +150,9 @@ class SharedMemBackend:
     Parameters
     ----------
     workers:
-        Process count; ``None``/``0`` means all available cores.  Ignored
-        when ``pool`` is given.
-    batch_queries:
-        Streaming batch size (default :data:`DEFAULT_BATCH_QUERIES`).
-    pool:
-        Borrow an externally managed pool instead of owning one.  Borrowed
-        pools are never shut down by the backend — and they keep their own
-        thread policy (``blas_threads``/``pin_workers`` here only shape the
-        pool this backend creates itself).
+        Process count; ``None``/``0`` means all available cores.
+    kernel:
+        Execution kernel for the hot paths (see :class:`Backend`).
     blas_threads:
         Per-worker BLAS threadpool cap.  ``None`` defers to
         ``REPRO_BLAS_THREADS`` and, absent that, to the oversubscription
@@ -197,8 +165,8 @@ class SharedMemBackend:
         (:func:`~repro.kernels.threads.worker_core_slices`).  ``None``
         defers to the ``REPRO_PIN_WORKERS`` env switch (default off).
 
-    The owned pool is created lazily on first :meth:`map`, so constructing
-    a backend is free and a backend that never maps never forks.
+    The pool is created lazily on first :meth:`map`, so constructing a
+    backend is free and a backend that never maps never forks.
 
     Failure semantics (see ``docs/robustness.md``): a worker that dies
     mid-task is healed by the pool itself — respawned and its task
@@ -213,19 +181,12 @@ class SharedMemBackend:
         self,
         workers: "int | None" = None,
         *,
-        batch_queries: int = DEFAULT_BATCH_QUERIES,
-        pool: "WorkerPool | None" = None,
         kernel: "str | None" = None,
         blas_threads: "int | None" = None,
         pin_workers: "bool | None" = None,
     ):
-        if pool is not None:
-            self._workers = pool.workers
-        else:
-            self._workers = resolve_workers(workers)
-        self._pool: "WorkerPool | None" = pool
-        self._owns_pool = pool is None
-        self._batch_queries = check_positive_int(batch_queries, "batch_queries")
+        self._workers = resolve_workers(workers)
+        self._pool: "WorkerPool | None" = None
         self._kernel = check_kernel(kernel)
         explicit = resolve_blas_threads(blas_threads)
         if explicit is None and self._workers > 1:
@@ -239,16 +200,12 @@ class SharedMemBackend:
         return self._workers
 
     @property
-    def batch_queries(self) -> int:
-        return self._batch_queries
-
-    @property
     def kernel(self) -> "str | None":
         return self._kernel
 
     @property
     def blas_threads(self) -> "int | None":
-        """Effective per-worker BLAS cap this backend applies to owned pools."""
+        """Effective per-worker BLAS cap this backend applies to its pool."""
         return self._blas_threads
 
     @property
@@ -257,7 +214,7 @@ class SharedMemBackend:
 
     @property
     def pool(self) -> WorkerPool:
-        """The underlying pool, created on first use when owned."""
+        """The underlying pool, created on first use."""
         if self._pool is None:
             if self._closed:
                 raise RuntimeError("backend already shut down")
@@ -266,15 +223,14 @@ class SharedMemBackend:
         return self._pool
 
     def map(self, fn: Callable[[Any, dict], Any], payloads: Sequence[Any]) -> "list[Any]":
-        # Uniform post-shutdown contract with SerialBackend — also covers the
-        # borrowed-pool case, where the pool itself outlives this backend.
+        # Uniform post-shutdown contract with SerialBackend.
         if self._closed:
             raise RuntimeError("backend already shut down")
         return self.pool.map(fn, payloads)
 
     def shutdown(self) -> None:
         self._closed = True
-        if self._owns_pool and self._pool is not None:
+        if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
 
@@ -285,71 +241,34 @@ class SharedMemBackend:
         self.shutdown()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"SharedMemBackend(workers={self._workers}, batch_queries={self._batch_queries}, kernel={self._kernel!r}, "
-            f"blas_threads={self._blas_threads}, owns_pool={self._owns_pool})"
-        )
+        return f"SharedMemBackend(workers={self._workers}, kernel={self._kernel!r}, blas_threads={self._blas_threads})"
 
 
-def resolve_backend(
-    backend: "Backend | None" = None,
-    *,
-    pool: "WorkerPool | None" = None,
-    workers: "int | None" = None,
-    batch_queries: "int | None" = None,
-    kernel: "str | None" = None,
-) -> "tuple[Backend, bool]":
-    """Translate a ``backend=`` argument or the legacy knobs into a backend.
+def backend_for_workers(workers: "int | None") -> "SerialBackend | SharedMemBackend":
+    """The backend a plain worker count asks for.
 
-    Returns ``(backend, owned)``; callers shut down owned backends after
-    use (shutting down a backend that merely borrows a user pool never
-    touches that pool).
+    ``None``/``0`` means all available cores
+    (:func:`~repro.parallel.pool.resolve_workers`); a count that resolves
+    to ``1`` runs inline on a :class:`SerialBackend`, any other count on a
+    :class:`SharedMemBackend`.  The caller owns the result.
 
-    Resolution rules, in order:
-
-    1. An explicit ``backend`` wins; combining it with *any* legacy knob —
-       ``pool=``, ``workers=``, ``batch_queries=``, ``kernel=`` — is an
-       error (two sources of truth for how work runs; silently ignoring
-       the knob would mask configuration bugs).
-    2. A legacy ``pool=`` is wrapped in a borrowing :class:`SharedMemBackend`.
-    3. ``workers=1`` — the historical default of the wrapped entry points —
-       gives a :class:`SerialBackend`.  Any other value keeps the library's
-       ``None``/``0`` = "all available cores" convention
-       (:func:`~repro.parallel.pool.resolve_workers`); if that resolves to
-       a single core the result degrades to a :class:`SerialBackend`.
+    Examples
+    --------
+    >>> from repro.engine.backend import backend_for_workers
+    >>> type(backend_for_workers(1)).__name__
+    'SerialBackend'
     """
-    if backend is not None:
-        if pool is not None:
-            raise ValueError("pass either backend= or the legacy pool=, not both")
-        if workers not in (None, 1):
-            raise ValueError("pass either backend= or the legacy workers=, not both")
-        for name, value in (("batch_queries", batch_queries), ("kernel", kernel)):
-            if value is not None:
-                raise ValueError(f"pass either backend= or the legacy {name}=, not both")
-        return backend, False
-    bq = DEFAULT_BATCH_QUERIES if batch_queries is None else batch_queries
-    if pool is not None:
-        return SharedMemBackend(pool=pool, batch_queries=bq, kernel=kernel), True
-    resolved = 1 if workers == 1 else resolve_workers(workers)
-    if resolved == 1:
-        return SerialBackend(batch_queries=bq, kernel=kernel), True
-    return SharedMemBackend(resolved, batch_queries=bq, kernel=kernel), True
+    resolved = resolve_workers(workers)
+    return SerialBackend() if resolved == 1 else SharedMemBackend(resolved)
 
 
 @contextmanager
-def resolved_backend(
-    backend: "Backend | None" = None,
-    *,
-    pool: "WorkerPool | None" = None,
-    workers: "int | None" = None,
-    batch_queries: "int | None" = None,
-    kernel: "str | None" = None,
-) -> Iterator[Backend]:
-    """:func:`resolve_backend` as a context manager.
+def resolved_backend(backend: "Backend | None" = None) -> Iterator[Backend]:
+    """Yield ``backend``, or a :class:`SerialBackend` this call owns when ``None``.
 
-    The single shape every wrapped entry point uses: yields the resolved
-    backend and shuts it down on exit only when this call owns it (an
-    explicit ``backend=`` is left untouched for the caller to reuse).
+    The single shape every entry point uses: an explicit ``backend=`` is
+    left running for the caller to reuse; the default one is shut down on
+    exit.
 
     For inline (``workers == 1``) backends the backend's ``blas_threads``
     cap is held for the whole ``with`` body, not just inside ``map`` —
@@ -357,7 +276,7 @@ def resolved_backend(
     map-scoped cap alone would miss it.  Multi-worker backends apply the
     cap inside each worker instead.
     """
-    exec_backend, owned = resolve_backend(backend, pool=pool, workers=workers, batch_queries=batch_queries, kernel=kernel)
+    exec_backend: Backend = SerialBackend() if backend is None else backend
     # getattr, not attribute access: Backend is a runtime_checkable Protocol
     # and third-party backends predating the thread governor remain valid.
     scoped_cap = getattr(exec_backend, "blas_threads", None) if exec_backend.workers == 1 else None
@@ -365,5 +284,5 @@ def resolved_backend(
         with blas_thread_limit(scoped_cap):
             yield exec_backend
     finally:
-        if owned:
+        if backend is None:
             exec_backend.shutdown()

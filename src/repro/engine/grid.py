@@ -32,7 +32,6 @@ from repro.core.mn import POINT_TRIAL_STRIDE, SIGNAL_STREAM_TAG, MNDecoder
 from repro.core.signal import exact_recovery, overlap_fraction, random_signal, theta_to_k
 from repro.engine.backend import Backend, resolved_backend
 from repro.kernels import resolve_kernel
-from repro.parallel.pool import WorkerPool
 from repro.rng.streams import batch_generator
 from repro.util.validation import check_nonneg_int, check_positive_int
 
@@ -340,8 +339,6 @@ def run_trial_grid(
     root_seed: int = 0,
     gamma: Optional[int] = None,
     backend: "Backend | None" = None,
-    pool: "WorkerPool | None" = None,
-    workers: int = 1,
     noise: "NoiseModel | None" = None,
     repeats: int = 1,
     decoder: str = "mn",
@@ -375,7 +372,7 @@ def run_trial_grid(
     from repro.designs.cache import resolve_design_cache
     from repro.designs.store import resolve_design_store
 
-    with resolved_backend(backend, pool=pool, workers=workers) as exec_backend:
+    with resolved_backend(backend) as exec_backend:
         # Resolve to a concrete kernel name in the parent so workers never
         # consult their own environment.
         kernel = resolve_kernel(getattr(exec_backend, "kernel", None))

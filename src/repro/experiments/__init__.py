@@ -2,9 +2,10 @@
 
 Every driver
 
-* runs trials through :mod:`repro.experiments.runner` (which fans trials
-  out over a :class:`~repro.parallel.pool.WorkerPool` with deterministic
-  per-trial seeds),
+* takes a plain ``workers`` count, builds one backend from it
+  (:func:`~repro.engine.backend.backend_for_workers`) and threads that
+  backend down — through :mod:`repro.experiments.runner`, which fans
+  trials out over it with deterministic per-trial seeds,
 * writes machine-readable CSV through :mod:`repro.experiments.io`,
 * returns structured rows that the benchmark suite asserts *shape*
   properties on (thresholds, monotonicity, crossovers), and

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from repro.core.signal import theta_to_k
 from repro.core.thresholds import m_information_parallel, m_mn_threshold
+from repro.engine.backend import backend_for_workers
 from repro.experiments.io import write_csv
 from repro.experiments.runner import run_trials
 from repro.util.stats import SummaryStats, summarize_bool, summarize_float
@@ -51,27 +52,20 @@ def run_claim_table(
         ("thm1_recovery", 1000, 0.3, int(round(m_mn_threshold(1000, 0.3) * 1.3)), 1.0),
     ]
     rows: "list[ClaimRow]" = []
-    for i, (label, n, theta, m, paper_value) in enumerate(cells):
-        results = run_trials(
-            n,
-            m,
-            theta=theta,
-            trials=trials,
-            root_seed=root_seed,
-            point_id=i,
-            workers=workers,
-        )
-        rows.append(
-            ClaimRow(
-                label=label,
-                n=n,
-                theta=theta,
-                m=m,
-                paper_value=paper_value,
-                measured_overlap=summarize_float([r.overlap for r in results]),
-                measured_success=summarize_bool([r.success for r in results]),
+    with backend_for_workers(workers) as backend:
+        for i, (label, n, theta, m, paper_value) in enumerate(cells):
+            results = run_trials(n, m, theta=theta, trials=trials, root_seed=root_seed, point_id=i, backend=backend)
+            rows.append(
+                ClaimRow(
+                    label=label,
+                    n=n,
+                    theta=theta,
+                    m=m,
+                    paper_value=paper_value,
+                    measured_overlap=summarize_float([r.overlap for r in results]),
+                    measured_success=summarize_bool([r.success for r in results]),
+                )
             )
-        )
     if csv_name:
         write_csv(
             csv_name,

@@ -17,9 +17,9 @@ from typing import Sequence
 
 from repro.core.signal import theta_to_k
 from repro.core.thresholds import finite_size_factor, m_mn_threshold
+from repro.engine.backend import backend_for_workers
 from repro.experiments.io import write_csv
 from repro.experiments.search import minimal_queries_for_recovery
-from repro.parallel.pool import WorkerPool
 from repro.util.asciiplot import ascii_series_plot
 from repro.util.stats import SummaryStats, summarize_float
 from repro.util.validation import check_positive_int
@@ -78,13 +78,13 @@ def run_fig2(
     """
     trials = check_positive_int(trials, "trials")
     rows: "list[Fig2Row]" = []
-    with WorkerPool(workers) as pool:
+    with backend_for_workers(workers) as backend:
         for ti, theta in enumerate(thetas):
             for ni, n in enumerate(ns):
                 k = theta_to_k(n, theta)
                 point_seed = root_seed + 7_919 * (ti * len(ns) + ni)
                 payloads = [(n, theta, point_seed, t) for t in range(trials)]
-                required = pool.map(_fig2_task, payloads)
+                required = backend.map(_fig2_task, payloads)
                 theory = m_mn_threshold(n, theta)
                 corrected = theory * finite_size_factor(n, k, max(1, int(round(theory))))
                 rows.append(

@@ -18,9 +18,9 @@ import numpy as np
 
 from repro.core.signal import theta_to_k
 from repro.core.thresholds import m_mn_threshold
+from repro.engine.backend import backend_for_workers
 from repro.experiments.io import write_csv
 from repro.experiments.runner import CurvePoint, success_and_overlap_curve
-from repro.parallel.pool import WorkerPool
 from repro.util.asciiplot import ascii_series_plot
 
 __all__ = ["run_fig3", "Fig3Series", "default_m_grid"]
@@ -75,7 +75,7 @@ def run_fig3(
     """
     ms = tuple(ms) if ms is not None else default_m_grid(n)
     series: "list[Fig3Series]" = []
-    with WorkerPool(workers) as pool:
+    with backend_for_workers(workers) as backend:
         for ti, theta in enumerate(thetas):
             pts = success_and_overlap_curve(
                 n,
@@ -83,7 +83,7 @@ def run_fig3(
                 theta=theta,
                 trials=trials,
                 root_seed=root_seed + 104_729 * ti,
-                pool=pool,
+                backend=backend,
                 engine=engine,
             )
             series.append(

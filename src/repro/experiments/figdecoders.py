@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.core.signal import theta_to_k
 from repro.core.thresholds import m_mn_threshold
+from repro.engine.backend import backend_for_workers
 from repro.experiments.fignoise import DEFAULT_M_FACTOR, THETA_SEED_STRIDE
 from repro.experiments.io import write_csv
 from repro.util.asciiplot import ascii_series_plot
@@ -158,18 +159,13 @@ def run_figdecoders(
         m_theta = int(m) if m is not None else int(np.ceil(DEFAULT_M_FACTOR * m_mn_threshold(n, float(theta))))
         rows_spec.append((float(theta), seed_theta, m_theta, theta_to_k(n, float(theta))))
 
-    from repro.engine.backend import resolved_backend
-
-    with resolved_backend(workers=workers) as exec_backend:
-        payloads = [
-            (n, m_theta, theta, trials, seed_theta, decoder)
-            for theta, seed_theta, m_theta, _ in rows_spec
-            for decoder in decoders
-        ]
-        if exec_backend.workers == 1:
-            results = [_figdecoders_cell_task(p, {}) for p in payloads]
-        else:
-            results = exec_backend.map(_figdecoders_cell_task, payloads)
+    payloads = [
+        (n, m_theta, theta, trials, seed_theta, decoder)
+        for theta, seed_theta, m_theta, _ in rows_spec
+        for decoder in decoders
+    ]
+    with backend_for_workers(workers) as backend:
+        results = backend.map(_figdecoders_cell_task, payloads)
 
     cells: "dict[tuple[str, float], FigdecodersPoint]" = {}
     flat = iter(results)

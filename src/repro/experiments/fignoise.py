@@ -30,6 +30,7 @@ import numpy as np
 from repro.core.mn import run_mn_trial
 from repro.core.signal import theta_to_k
 from repro.core.thresholds import m_mn_threshold
+from repro.engine.backend import backend_for_workers
 from repro.experiments.io import write_csv
 from repro.noise.models import NoiseModel
 from repro.util.asciiplot import ascii_series_plot
@@ -201,51 +202,45 @@ def run_fignoise(
         rows_spec.append((float(theta), seed_theta, m_theta, theta_to_k(n, float(theta))))
 
     models = tuple(noise.with_level(level) for level in level_grid)
-    if engine == "batched":
-        # One first stage (design + signals + clean results) per θ-row,
-        # shared across every level of that row; rows fan out over workers.
-        from repro.engine.backend import resolved_backend
-
-        with resolved_backend(workers=workers) as exec_backend:
+    with backend_for_workers(workers) as backend:
+        if engine == "batched":
+            # One first stage (design + signals + clean results) per θ-row,
+            # shared across every level of that row; rows fan out over workers.
             payloads = [
                 (n, m_theta, theta, trials, seed_theta, repeats, models)
                 for theta, seed_theta, m_theta, _ in rows_spec
             ]
-            if exec_backend.workers == 1:
-                rows = [_fignoise_row_task(p, {}) for p in payloads]
-            else:
-                rows = exec_backend.map(_fignoise_row_task, payloads)
-        summaries = [
-            [
-                (summarize_bool([bool(s) for s in r.success]), summarize_float([float(o) for o in r.overlap]))
-                for r in row
-            ]
-            for row in rows
-        ]
-    else:
-        summaries = []
-        for theta, seed_theta, m_theta, _ in rows_spec:
-            row = []
-            for model in models:
-                results = [
-                    run_mn_trial(
-                        n,
-                        m_theta,
-                        theta=theta,
-                        root_seed=seed_theta,
-                        trial=t,  # point_id 0 of the fig3 trial-id convention
-                        workers=workers,
-                        noise=model,
-                    )
-                    for t in range(trials)
+            summaries = [
+                [
+                    (summarize_bool([bool(s) for s in r.success]), summarize_float([float(o) for o in r.overlap]))
+                    for r in row
                 ]
-                row.append(
-                    (
-                        summarize_bool([res.success for res in results]),
-                        summarize_float([res.overlap for res in results]),
+                for row in backend.map(_fignoise_row_task, payloads)
+            ]
+        else:
+            summaries = []
+            for theta, seed_theta, m_theta, _ in rows_spec:
+                row = []
+                for model in models:
+                    results = [
+                        run_mn_trial(
+                            n,
+                            m_theta,
+                            theta=theta,
+                            root_seed=seed_theta,
+                            trial=t,  # point_id 0 of the fig3 trial-id convention
+                            backend=backend,
+                            noise=model,
+                        )
+                        for t in range(trials)
+                    ]
+                    row.append(
+                        (
+                            summarize_bool([res.success for res in results]),
+                            summarize_float([res.overlap for res in results]),
+                        )
                     )
-                )
-            summaries.append(row)
+                summaries.append(row)
 
     series: "list[FignoiseSeries]" = []
     for (theta, _, m_theta, k), row in zip(rows_spec, summaries):

@@ -24,8 +24,8 @@ from repro.core.design import PoolingDesign
 from repro.core.exhaustive import exhaustive_decode
 from repro.core.signal import random_signal
 from repro.core.thresholds import m_counting_sequential
+from repro.engine.backend import backend_for_workers
 from repro.experiments.io import write_csv
-from repro.parallel.pool import WorkerPool
 from repro.util.stats import SummaryStats, summarize_bool
 from repro.util.validation import check_positive_int
 
@@ -68,11 +68,11 @@ def run_it_threshold(
     k = check_positive_int(k, "k")
     base = m_counting_sequential(n, k)
     points: "list[ITPoint]" = []
-    with WorkerPool(workers) as pool:
+    with backend_for_workers(workers) as backend:
         for ci, c in enumerate(cs):
             m = max(1, int(round(c * base)))
             payloads = [(n, k, m, root_seed + 7001 * ci * trials + t) for t in range(trials)]
-            unique = pool.map(_it_task, payloads)
+            unique = backend.map(_it_task, payloads)
             points.append(ITPoint(c=float(c), m=m, unique=summarize_bool(unique)))
     if csv_name:
         write_csv(

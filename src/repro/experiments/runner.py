@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.core.mn import POINT_TRIAL_STRIDE, MNTrialResult, run_mn_trial
-from repro.parallel.pool import WorkerPool
 from repro.util.stats import SummaryStats, summarize_bool, summarize_float
 from repro.util.validation import check_nonneg_int, check_positive_int
 
@@ -36,8 +35,8 @@ __all__ = ["run_trials", "success_and_overlap_curve", "CurvePoint"]
 
 def _trial_task(payload, cache) -> MNTrialResult:
     """Module-level worker task (picklable) running one MN trial."""
-    n, m, theta, k, root_seed, trial, batch_queries = payload
-    return run_mn_trial(n, m, theta=theta, k=k, root_seed=root_seed, trial=trial, batch_queries=batch_queries)
+    n, m, theta, k, root_seed, trial = payload
+    return run_mn_trial(n, m, theta=theta, k=k, root_seed=root_seed, trial=trial)
 
 
 def run_trials(
@@ -49,16 +48,13 @@ def run_trials(
     trials: int = 20,
     root_seed: int = 0,
     point_id: int = 0,
-    pool: "WorkerPool | None" = None,
-    workers: int = 1,
     backend: "Backend | None" = None,
 ) -> "list[MNTrialResult]":
     """Run ``trials`` independent MN trials at one ``(n, m)`` point.
 
     ``point_id`` disambiguates seeds across sweep points so that two points
-    of the same sweep never share designs.  Execution is configured via a
-    unified ``backend`` or the legacy ``pool``/``workers`` knobs; results
-    are identical either way.
+    of the same sweep never share designs.  Trials fan out over
+    ``backend`` (default: inline); results never depend on it.
     """
     from repro.engine.backend import resolved_backend
 
@@ -66,15 +62,8 @@ def run_trials(
     check_positive_int(m, "m")
     trials = check_positive_int(trials, "trials")
     check_nonneg_int(point_id, "point_id")
-    with resolved_backend(backend, pool=pool, workers=workers) as exec_backend:
-        # batch_queries is part of the design key, so the backend's value
-        # must reach each trial — not just the fan-out.
-        payloads = [
-            (n, m, theta, k, root_seed, point_id * POINT_TRIAL_STRIDE + t, exec_backend.batch_queries)
-            for t in range(trials)
-        ]
-        if exec_backend.workers == 1:
-            return [_trial_task(p, {}) for p in payloads]
+    with resolved_backend(backend) as exec_backend:
+        payloads = [(n, m, theta, k, root_seed, point_id * POINT_TRIAL_STRIDE + t) for t in range(trials)]
         return exec_backend.map(_trial_task, payloads)
 
 
@@ -110,8 +99,6 @@ def success_and_overlap_curve(
     k: Optional[int] = None,
     trials: int = 20,
     root_seed: int = 0,
-    pool: "WorkerPool | None" = None,
-    workers: int = 1,
     backend: "Backend | None" = None,
     engine: str = "trial",
 ) -> "list[CurvePoint]":
@@ -131,7 +118,7 @@ def success_and_overlap_curve(
     if engine not in ("trial", "batched"):
         raise ValueError(f"unknown engine {engine!r}; expected 'trial' or 'batched'")
     points: "list[CurvePoint]" = []
-    with resolved_backend(backend, pool=pool, workers=workers) as exec_backend:
+    with resolved_backend(backend) as exec_backend:
         if engine == "batched":
             from repro.engine.grid import run_trial_grid
 

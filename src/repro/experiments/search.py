@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.mn import run_mn_trial
-from repro.parallel.pool import WorkerPool
 from repro.util.validation import check_nonneg_int, check_positive_int
 
 __all__ = ["minimal_queries_for_recovery"]

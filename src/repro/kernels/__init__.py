@@ -25,11 +25,13 @@ noise-corruption ordering).
 
 Selection, in precedence order:
 
-1. an explicit ``kernel=`` argument on the entry point
-   (:func:`~repro.core.design.stream_design_stats`,
+1. an explicit ``kernel=`` argument on a materialised-design method
+   (:meth:`~repro.core.design.PoolingDesign.query_results`,
    :meth:`~repro.core.design.PoolingDesign.psi`, …);
-2. the ``kernel=`` field of the active
-   :class:`~repro.engine.backend.Backend`;
+2. the ``kernel`` field of the active
+   :class:`~repro.engine.backend.Backend` — the only kernel choice of
+   :func:`~repro.core.design.stream_design_stats` and the engine's
+   entry points;
 3. the ``REPRO_KERNEL`` environment variable;
 4. the library default, :data:`DEFAULT_KERNEL` (``"dense"``).
 

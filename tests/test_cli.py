@@ -23,6 +23,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig9"])
 
+    @pytest.mark.parametrize("command", ["fig2", "fig3", "fig4", "fignoise", "figdecoders", "claims", "it"])
+    def test_negative_workers_is_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--workers", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--workers" in err and ">= 0" in err
+
+    @pytest.mark.parametrize(
+        "command, default", [("fig2", 0), ("fig3", 0), ("fig4", 0), ("fignoise", 1), ("figdecoders", 1), ("claims", 0), ("it", 0)]
+    )
+    def test_workers_defaults(self, command, default):
+        assert build_parser().parse_args([command]).workers == default
+
 
 class TestCommands:
     def test_fig1(self, capsys):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.design import DesignStats, PoolingDesign, default_gamma, stream_design_stats
 from repro.core.signal import random_signal
-from repro.parallel.pool import WorkerPool
+from repro.engine.backend import SharedMemBackend
 
 
 @pytest.fixture
@@ -159,8 +159,8 @@ class TestStreaming:
     def test_worker_count_invariance(self):
         sigma = random_signal(300, 6, np.random.default_rng(1))
         serial = stream_design_stats(sigma, 700, root_seed=9, batch_queries=64)
-        with WorkerPool(3) as pool:
-            par = stream_design_stats(sigma, 700, root_seed=9, batch_queries=64, pool=pool)
+        with SharedMemBackend(3) as backend:
+            par = stream_design_stats(sigma, 700, root_seed=9, batch_queries=64, backend=backend)
         for field in ("y", "psi", "dstar", "delta"):
             assert np.array_equal(getattr(serial, field), getattr(par, field))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.design import DesignStats, PoolingDesign, stream_design_stats
-from repro.core.mn import MNDecoder, mn_reconstruct
+from repro.core.mn import MNDecoder, mn_reconstruct, run_mn_trial
 from repro.core.reconstruction import reconstruct
 from repro.core.scores import mn_scores
 from repro.core.signal import exact_recovery, overlap_fraction, random_signal, random_signals
@@ -12,19 +12,32 @@ from repro.engine import (
     BatchReconstructionReport,
     SerialBackend,
     SharedMemBackend,
+    backend_for_workers,
     reconstruct_batch,
-    resolve_backend,
     run_batched_point,
     run_trial_grid,
     signals_oracle,
 )
-from repro.parallel.pool import WorkerPool
+from repro.engine.backend import resolved_backend
+from repro.experiments.runner import run_trials, success_and_overlap_curve
+from repro.parallel.pool import WorkerPool, resolve_workers
+
+# The five library entry points whose one execution argument is backend=,
+# each bound to a tiny valid call.
+_SIGMA = random_signal(60, 2, np.random.default_rng(0))
+ENTRY_POINTS = {
+    "stream_design_stats": lambda **kw: stream_design_stats(_SIGMA, 20, root_seed=0, **kw),
+    "run_mn_trial": lambda **kw: run_mn_trial(60, 20, k=2, **kw),
+    "run_trials": lambda **kw: run_trials(60, 20, k=2, trials=1, **kw),
+    "success_and_overlap_curve": lambda **kw: success_and_overlap_curve(60, [20], k=2, trials=1, **kw),
+    "run_trial_grid": lambda **kw: run_trial_grid(60, [20], k=2, trials=1, **kw),
+}
 
 
 class TestBackends:
     def test_serial_defaults(self):
         b = SerialBackend()
-        assert b.workers == 1 and b.batch_queries == 256
+        assert b.workers == 1 and b.kernel is None
 
     def test_serial_map_runs_inline_with_persistent_cache(self):
         b = SerialBackend()
@@ -32,43 +45,71 @@ class TestBackends:
         assert out == [2, 4, 6]
         assert b._cache["hits"] == [1, 2, 3]
 
-    def test_sharedmem_borrowed_pool_not_shut_down(self):
-        with WorkerPool(2) as pool:
-            b = SharedMemBackend(pool=pool)
-            assert b.workers == 2
-            assert b.map(_double_task, [1, 2]) == [2, 4]
-            b.shutdown()
-            # The borrowed pool must survive the backend's shutdown.
-            assert pool.map(_double_task, [3]) == [6]
-
     def test_resolve_legacy_workers_one_is_serial(self):
-        backend, owned = resolve_backend(None, workers=1)
-        assert isinstance(backend, SerialBackend) and owned
+        with backend_for_workers(1) as backend:
+            assert isinstance(backend, SerialBackend)
 
-    def test_resolve_legacy_pool_wraps(self):
-        with WorkerPool(2) as pool:
-            backend, owned = resolve_backend(None, pool=pool)
-            assert isinstance(backend, SharedMemBackend) and owned
-            assert backend.workers == 2
-            backend.shutdown()
-            assert pool.map(_double_task, [5]) == [10]
+    @pytest.mark.parametrize("workers", [0, None])
+    def test_backend_for_workers_all_cores(self, workers):
+        # 0/None resolve to every core; one core degrades to inline.
+        cores = resolve_workers(None)
+        with backend_for_workers(workers) as backend:
+            assert backend.workers == cores
+            assert isinstance(backend, SerialBackend if cores == 1 else SharedMemBackend)
+
+    def test_backend_for_workers_count(self):
+        with backend_for_workers(3) as backend:
+            assert isinstance(backend, SharedMemBackend) and backend.workers == 3
+
+    def test_backend_for_workers_rejects_negative(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            backend_for_workers(-1)
 
     def test_resolve_rejects_backend_plus_pool(self):
-        with WorkerPool(2) as pool:
-            with pytest.raises(ValueError, match="not both"):
-                resolve_backend(SerialBackend(), pool=pool)
+        # backend= is the one execution argument: the pre-backend pool=
+        # is no longer a parameter of any entry point.
+        with WorkerPool(1) as pool:
+            for call in ENTRY_POINTS.values():
+                with pytest.raises(TypeError, match="pool"):
+                    call(backend=SerialBackend(), pool=pool)
 
     @pytest.mark.parametrize("knob", [{"workers": 4}, {"workers": 0}, {"batch_queries": 128}, {"kernel": "legacy"}])
     def test_resolve_rejects_backend_plus_any_legacy_knob(self, knob):
         # An explicit backend with a loose knob is two sources of truth;
-        # every knob must be rejected loudly, not silently ignored.
-        with pytest.raises(ValueError, match="not both"):
-            resolve_backend(SerialBackend(), **knob)
+        # every knob must be rejected loudly, not silently ignored.  The
+        # runners and the grid accept none of them any more.
+        for name in ("run_trials", "success_and_overlap_curve", "run_trial_grid"):
+            with pytest.raises(TypeError, match=next(iter(knob))):
+                ENTRY_POINTS[name](backend=SerialBackend(), **knob)
+
+    @pytest.mark.parametrize("name", ["stream_design_stats", "run_mn_trial"])
+    def test_streaming_entry_points_reject_workers_and_kernel(self, name):
+        # batch_queries stays a per-call design-key argument here; the
+        # execution knobs are gone.
+        for knob in ({"workers": 2}, {"pool": None}, {"kernel": "legacy"}):
+            with pytest.raises(TypeError, match=next(iter(knob))):
+                ENTRY_POINTS[name](**knob)
+
+    @pytest.mark.parametrize("cls", [SerialBackend, SharedMemBackend])
+    def test_backends_take_no_batch_queries_or_pool(self, cls):
+        assert not hasattr(cls, "batch_queries")
+        with pytest.raises(TypeError, match="batch_queries"):
+            cls(batch_queries=128)
+        if cls is SharedMemBackend:
+            with pytest.raises(TypeError, match="pool"):
+                cls(2, pool=None)
 
     def test_resolve_explicit_backend_not_owned(self):
-        b = SerialBackend(batch_queries=128)
-        backend, owned = resolve_backend(b)
-        assert backend is b and not owned
+        b = SerialBackend()
+        with resolved_backend(b) as backend:
+            assert backend is b
+        assert b.map(_double_task, [1]) == [2]  # still running
+
+    def test_resolved_default_backend_is_owned(self):
+        with resolved_backend() as backend:
+            assert isinstance(backend, SerialBackend)
+        with pytest.raises(RuntimeError, match="backend already shut down"):
+            backend.map(_double_task, [1])
 
     def test_serial_map_after_shutdown_raises(self):
         b = SerialBackend()
@@ -81,16 +122,6 @@ class TestBackends:
         b.shutdown()  # lazy pool: never forked
         with pytest.raises(RuntimeError, match="backend already shut down"):
             b.map(_double_task, [1])
-
-    def test_sharedmem_borrowed_pool_map_after_shutdown_raises(self):
-        # The borrowed pool survives, but the backend must still refuse:
-        # same post-shutdown contract as every other backend.
-        with WorkerPool(2) as pool:
-            b = SharedMemBackend(pool=pool)
-            b.shutdown()
-            with pytest.raises(RuntimeError, match="backend already shut down"):
-                b.map(_double_task, [1])
-            assert pool.map(_double_task, [2]) == [4]
 
 
 def _double_task(payload, cache):
@@ -117,19 +148,15 @@ class TestBackendEquivalence:
             assert np.array_equal(a.success, b.success)
             assert np.array_equal(a.overlap, b.overlap)
 
-    def test_run_trials_honors_backend_batch_queries(self):
-        # batch_queries is part of the design key: run_trials with a
-        # configured backend must match run_mn_trial with the same backend.
-        from repro.core.mn import POINT_TRIAL_STRIDE, run_mn_trial
-        from repro.experiments.runner import run_trials
+    def test_run_trials_matches_run_mn_trial(self):
+        # Trials fanned out over a multi-worker backend are the same trials
+        # run_mn_trial draws one at a time (same stream keys).
+        from repro.core.mn import POINT_TRIAL_STRIDE
 
-        be = SerialBackend(batch_queries=64)
-        batch = run_trials(300, 120, k=5, trials=3, root_seed=7, point_id=1, backend=be)
+        with SharedMemBackend(2) as backend:
+            batch = run_trials(300, 120, k=5, trials=3, root_seed=7, point_id=1, backend=backend)
         for t, r in enumerate(batch):
-            single = run_mn_trial(
-                300, 120, k=5, root_seed=7, trial=POINT_TRIAL_STRIDE + t, batch_queries=64
-            )
-            assert r == single
+            assert r == run_mn_trial(300, 120, k=5, root_seed=7, trial=POINT_TRIAL_STRIDE + t)
 
     def test_reconstruct_backend_only_affects_decomposition(self):
         sigma = random_signal(300, 3, np.random.default_rng(5))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.engine.backend import SharedMemBackend
 from repro.experiments.claims import run_claim_table, threshold_summary
 from repro.experiments.fig2 import run_fig2
 from repro.experiments.fig3 import default_m_grid, run_fig3
@@ -54,8 +55,9 @@ class TestRunner:
         assert [x.overlap for x in a] != [y.overlap for y in b]
 
     def test_parallel_equals_serial(self):
-        a = run_trials(200, 100, k=3, trials=6, root_seed=2, workers=1)
-        b = run_trials(200, 100, k=3, trials=6, root_seed=2, workers=3)
+        a = run_trials(200, 100, k=3, trials=6, root_seed=2)
+        with SharedMemBackend(3) as backend:
+            b = run_trials(200, 100, k=3, trials=6, root_seed=2, backend=backend)
         assert a == b
 
     def test_curve_monotone_shape(self):
@@ -132,6 +134,22 @@ class TestClaims:
         assert rows[0].label == "sec6_99pct_overlap"
         assert rows[0].m == 220
         assert 0.5 <= rows[0].measured_overlap.mean <= 1.0
+
+    def test_claim_cells_share_one_pool(self, monkeypatch):
+        from repro.parallel.pool import WorkerPool
+
+        inits = []
+        real_init = WorkerPool.__init__
+
+        def counting_init(self, *args, **kwargs):
+            inits.append(args)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(WorkerPool, "__init__", counting_init)
+        parallel = run_claim_table(trials=2, workers=2, csv_name=None)
+        assert len(inits) == 1
+        serial = run_claim_table(trials=2, workers=1, csv_name=None)
+        assert [r.measured_overlap for r in parallel] == [r.measured_overlap for r in serial]
 
     def test_threshold_summary(self):
         info = threshold_summary(1000, 0.3)

@@ -144,6 +144,21 @@ class TestPhaseDiagram:
                 assert pa.success.mean == pb.success.mean
                 assert pa.overlap.mean == pb.overlap.mean
 
+    def test_trial_engine_forks_one_pool_per_call(self, monkeypatch):
+        """Every trial of the grid shares the one backend run_fignoise builds."""
+        from repro.parallel.pool import WorkerPool
+
+        inits = []
+        real_init = WorkerPool.__init__
+
+        def counting_init(self, *args, **kwargs):
+            inits.append(args)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(WorkerPool, "__init__", counting_init)
+        run_fignoise(n=N, thetas=(0.3,), levels=(0.0, 1.0), trials=3, root_seed=SEED, m=M, engine="trial", workers=2)
+        assert len(inits) == 1
+
     def test_sweep_matches_per_level_points(self):
         from repro.engine.grid import run_batched_point, run_batched_point_sweep
 

@@ -11,8 +11,8 @@ import pytest
 from repro import (
     MNDecoder,
     PoolingDesign,
+    SharedMemBackend,
     SimulatedLab,
-    WorkerPool,
     exact_recovery,
     m_information_parallel,
     m_mn_threshold,
@@ -118,12 +118,12 @@ class TestFullPipelines:
 
 class TestParallelIntegration:
     def test_shared_pool_across_stages(self):
-        """One pool serves streaming stats for several trials and m values."""
+        """One backend serves streaming stats for several trials and m values."""
         rng = np.random.default_rng(9)
         sigma = random_signal(300, 4, rng)
-        with WorkerPool(3) as pool:
+        with SharedMemBackend(3) as backend:
             for m in (50, 120, 300):
-                stats = stream_design_stats(sigma, m, root_seed=21, trial_key=(m,), pool=pool)
+                stats = stream_design_stats(sigma, m, root_seed=21, trial_key=(m,), backend=backend)
                 assert stats.m == m
                 serial = stream_design_stats(sigma, m, root_seed=21, trial_key=(m,))
                 assert np.array_equal(stats.psi, serial.psi)
@@ -132,10 +132,10 @@ class TestParallelIntegration:
         """Interleaving pool tasks with decoding does not corrupt state."""
         rng = np.random.default_rng(10)
         sigma = random_signal(300, 4, rng)
-        with WorkerPool(2) as pool:
-            stats1 = stream_design_stats(sigma, 250, root_seed=31, pool=pool)
+        with SharedMemBackend(2) as backend:
+            stats1 = stream_design_stats(sigma, 250, root_seed=31, backend=backend)
             est1 = MNDecoder().decode(stats1, 4)
-            stats2 = stream_design_stats(sigma, 250, root_seed=32, pool=pool)
+            stats2 = stream_design_stats(sigma, 250, root_seed=32, backend=backend)
             est2 = MNDecoder().decode(stats2, 4)
         assert exact_recovery(sigma, est1)
         assert exact_recovery(sigma, est2)

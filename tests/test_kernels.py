@@ -17,7 +17,7 @@ import pytest
 from repro import kernels
 from repro.core.design import PoolingDesign, stream_design_stats
 from repro.core.signal import random_signal
-from repro.engine.backend import SerialBackend, SharedMemBackend, resolve_backend
+from repro.engine.backend import SerialBackend, SharedMemBackend
 from repro.engine.batch import reconstruct_batch, signals_oracle
 from repro.kernels import threads
 from repro.noise.models import DropoutNoise, GaussianNoise
@@ -67,8 +67,6 @@ class TestDispatch:
         assert SharedMemBackend(2, kernel="dense").kernel == "dense"
         with pytest.raises(ValueError, match="unknown kernel"):
             SerialBackend(kernel="turbo")
-        backend, owned = resolve_backend(workers=1, kernel="legacy")
-        assert owned and backend.kernel == "legacy"
 
 
 class TestStreamParity:
@@ -86,17 +84,17 @@ class TestStreamParity:
     )
     def test_noiseless(self, n, m, gamma, batch_queries):
         sigma = random_signal(n, max(1, n // 8), np.random.default_rng(0))
-        legacy = stream_design_stats(sigma, m, root_seed=7, gamma=gamma, batch_queries=batch_queries, kernel="legacy")
+        legacy = stream_design_stats(sigma, m, root_seed=7, gamma=gamma, batch_queries=batch_queries, backend=SerialBackend(kernel="legacy"))
         for kernel in ("dense", "dense32"):
-            got = stream_design_stats(sigma, m, root_seed=7, gamma=gamma, batch_queries=batch_queries, kernel=kernel)
+            got = stream_design_stats(sigma, m, root_seed=7, gamma=gamma, batch_queries=batch_queries, backend=SerialBackend(kernel=kernel))
             assert_stats_equal(got, legacy, f"(kernel={kernel}, n={n}, m={m}, gamma={gamma}, bq={batch_queries})")
 
     @pytest.mark.parametrize("noise", [GaussianNoise(1.5), DropoutNoise(0.2)])
     def test_noisy(self, noise):
         sigma = random_signal(90, 11, np.random.default_rng(1))
-        legacy = stream_design_stats(sigma, 41, root_seed=3, batch_queries=8, noise=noise, kernel="legacy")
+        legacy = stream_design_stats(sigma, 41, root_seed=3, batch_queries=8, noise=noise, backend=SerialBackend(kernel="legacy"))
         for kernel in ("dense", "dense32"):
-            got = stream_design_stats(sigma, 41, root_seed=3, batch_queries=8, noise=noise, kernel=kernel)
+            got = stream_design_stats(sigma, 41, root_seed=3, batch_queries=8, noise=noise, backend=SerialBackend(kernel=kernel))
             assert_stats_equal(got, legacy, f"(kernel={kernel}, {noise!r})")
 
     @pytest.mark.parametrize("kernel", list(ALL_KERNELS))
@@ -104,17 +102,43 @@ class TestStreamParity:
     def test_worker_count_invariance(self, kernel, noise):
         """workers ∈ {1, 2} never changes output, whatever the kernel."""
         sigma = random_signal(80, 9, np.random.default_rng(2))
-        serial = stream_design_stats(sigma, 33, root_seed=5, batch_queries=8, noise=noise, kernel=kernel)
+        serial = stream_design_stats(sigma, 33, root_seed=5, batch_queries=8, noise=noise, backend=SerialBackend(kernel=kernel))
         with SharedMemBackend(2, kernel=kernel) as backend:
             forked = stream_design_stats(sigma, 33, root_seed=5, batch_queries=8, noise=noise, backend=backend)
         assert_stats_equal(serial, forked, f"(kernel={kernel}, noise={noise!r})")
 
-    def test_backend_kernel_field_is_honoured(self):
-        """An explicit kernel= argument beats the backend's field."""
+    def test_backend_kernel_field_is_honoured(self, monkeypatch):
+        """The backend's kernel field picks the kernel module that runs —
+        in the streaming path and in the inline grid path — and the
+        default runs dense."""
+        from repro.engine.grid import run_trial_grid
+        from repro.kernels import dense, legacy
+
+        for env in (kernels.KERNEL_ENV, "REPRO_DESIGN_CACHE", "REPRO_DESIGN_STORE"):
+            monkeypatch.delenv(env, raising=False)
+        ran = []
+
+        def spy_on(module, fn):
+            real = getattr(module, fn)
+
+            def spy(*args, **kwargs):
+                ran.append((module.NAME, fn))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, fn, spy)
+
+        for module in (dense, legacy):
+            spy_on(module, "stream_batch")
+            spy_on(module, "query_results_batch")
+
         sigma = random_signal(60, 7, np.random.default_rng(3))
-        via_backend = stream_design_stats(sigma, 21, root_seed=1, backend=SerialBackend(kernel="legacy"))
-        explicit = stream_design_stats(sigma, 21, root_seed=1, backend=SerialBackend(kernel="legacy"), kernel="dense")
-        assert_stats_equal(via_backend, explicit)
+        for backend, expected in ((SerialBackend(kernel="legacy"), "legacy"), (None, "dense")):
+            ran.clear()
+            stream_design_stats(sigma, 21, root_seed=1, backend=backend)
+            assert set(ran) == {(expected, "stream_batch")}
+            ran.clear()
+            run_trial_grid(60, [21], k=3, trials=2, root_seed=1, backend=backend)
+            assert set(ran) == {(expected, "query_results_batch")}
 
     def test_reuses_workspace_across_batches(self):
         """The dense stream loop reuses one scratch block per loop."""
@@ -353,7 +377,7 @@ class TestExactnessBoundaries:
         serial and across a worker pool."""
         sigma = random_signal(16, 3, np.random.default_rng(5))
         noise = GaussianNoise(5e6)  # |y| ~ 5·10⁶ ≫ 2²³/m: every batch over budget
-        legacy = stream_design_stats(sigma, 33, root_seed=2, batch_queries=8, noise=noise, kernel="legacy")
+        legacy = stream_design_stats(sigma, 33, root_seed=2, batch_queries=8, noise=noise, backend=SerialBackend(kernel="legacy"))
         assert float(np.abs(legacy.y).sum()) > 2**23  # the guard genuinely trips
         with SharedMemBackend(workers, kernel="dense32") as backend:
             got = stream_design_stats(sigma, 33, root_seed=2, batch_queries=8, noise=noise, backend=backend)
@@ -432,7 +456,7 @@ class TestThreadGovernor:
     def test_capped_pool_end_to_end(self, workers):
         """A worker pool under the thread cap + pinning still bit-matches serial."""
         sigma = random_signal(60, 7, np.random.default_rng(6))
-        serial = stream_design_stats(sigma, 21, root_seed=9, batch_queries=8, kernel="dense32")
+        serial = stream_design_stats(sigma, 21, root_seed=9, batch_queries=8, backend=SerialBackend(kernel="dense32"))
         with SharedMemBackend(workers, kernel="dense32", blas_threads=1, pin_workers=True) as backend:
             got = stream_design_stats(sigma, 21, root_seed=9, batch_queries=8, backend=backend)
         assert_stats_equal(got, serial, f"(workers={workers}, capped+pinned)")

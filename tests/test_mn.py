@@ -9,6 +9,7 @@ from repro.core.design import PoolingDesign
 from repro.core.mn import MNDecoder, mn_reconstruct, run_mn_trial
 from repro.core.signal import random_signal
 from repro.core.thresholds import m_mn_threshold
+from repro.engine.backend import SharedMemBackend, backend_for_workers
 
 
 class TestDecoder:
@@ -119,15 +120,17 @@ class TestTrials:
             assert r.overlap == 1.0
 
     def test_parallel_trial_equals_serial(self):
-        a = run_mn_trial(400, 300, theta=0.3, root_seed=11, trial=5, workers=1)
-        b = run_mn_trial(400, 300, theta=0.3, root_seed=11, trial=5, workers=3)
+        a = run_mn_trial(400, 300, theta=0.3, root_seed=11, trial=5)
+        with SharedMemBackend(3) as backend:
+            b = run_mn_trial(400, 300, theta=0.3, root_seed=11, trial=5, backend=backend)
         assert a.success == b.success
         assert a.overlap == b.overlap
 
     def test_workers_none_means_all_cores(self):
         # Regression: the documented all-cores value crashed after the simulation.
-        a = run_mn_trial(500, 200, theta=0.3, root_seed=3, trial=1, workers=None)
-        b = run_mn_trial(500, 200, theta=0.3, root_seed=3, trial=1, workers=1)
+        with backend_for_workers(None) as backend:
+            a = run_mn_trial(500, 200, theta=0.3, root_seed=3, trial=1, backend=backend)
+        b = run_mn_trial(500, 200, theta=0.3, root_seed=3, trial=1)
         assert a == b
 
     def test_as_row(self):

@@ -8,6 +8,7 @@ from repro.core.design import DesignStats, PoolingDesign, stream_design_stats
 from repro.core.estimate import robust_calibrate_k
 from repro.core.mn import run_mn_trial
 from repro.core.reconstruction import reconstruct
+from repro.engine.backend import SharedMemBackend
 from repro.engine.batch import reconstruct_batch, signals_oracle
 from repro.noise import (
     DropoutNoise,
@@ -204,7 +205,8 @@ class TestStreamingNoise:
     def test_noise_worker_invariant(self):
         sig = _signals(1, 300, 5)[0]
         a = stream_design_stats(sig, 600, root_seed=4, noise=GaussianNoise(2.0))
-        b = stream_design_stats(sig, 600, root_seed=4, noise=GaussianNoise(2.0), workers=2)
+        with SharedMemBackend(2) as backend:
+            b = stream_design_stats(sig, 600, root_seed=4, noise=GaussianNoise(2.0), backend=backend)
         assert np.array_equal(a.y, b.y)
         assert np.array_equal(a.psi, b.psi)
 

@@ -50,13 +50,13 @@ def test_stream_equals_materialised(batch_queries):
 
 
 def test_stream_equals_materialised_parallel():
-    from repro.parallel.pool import WorkerPool
+    from repro.engine.backend import SharedMemBackend
 
     rng = np.random.default_rng(1)
     n, k, m = 150, 4, 120
     sigma = random_signal(n, k, rng)
-    with WorkerPool(3) as pool:
-        stats = stream_design_stats(sigma, m, root_seed=23, trial_key=(1,), batch_queries=32, pool=pool)
+    with SharedMemBackend(3) as backend:
+        stats = stream_design_stats(sigma, m, root_seed=23, trial_key=(1,), batch_queries=32, backend=backend)
     design = _materialise_stream(n, m, 23, (1,), 32)
     ref = design.stats(sigma)
     for field in ("y", "psi", "dstar", "delta"):
