@@ -12,10 +12,8 @@ PR claims, at paper-panel scale (``n = 10^4``):
   store and decodes; measured inside the child, against a cold child that
   compiles from the key.  Acceptance: warm beats cold by >= 5x, with
   bit-identical output.
-* **Ψ-block sharing** — ``SharedMemBackend`` workers adopt the parent's
-  published block zero-copy: every worker reports a GEMM-ready block on
-  attach (no per-worker rematerialisation), cutting per-worker resident
-  growth by the block size (``block_bytes`` per worker, recorded).
+* **in-process steady state** — with an L1 ``DesignCache`` above the
+  store, repeated fetches never touch disk.
 
 ``DesignStore.stats`` / ``DesignCache.stats`` ride along in the JSON
 payloads so hit/eviction rates are tracked across PRs.
@@ -26,15 +24,12 @@ import json
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
-from repro.core.mn import MNDecoder
 from repro.core.signal import random_signals
-from repro.designs import DesignCache, DesignKey, DesignStore, attach_compiled, compile_from_key, fetch_compiled
-from repro.engine import SharedMemBackend
+from repro.designs import DesignCache, DesignKey, DesignStore, compile_from_key, fetch_compiled
 
 N = 10_000
 M = 600
@@ -52,7 +47,6 @@ _SRC = str(Path(__file__).resolve().parent.parent / "src")
 _CHILD = r"""
 import json, sys, time
 import numpy as np
-from repro.core.mn import MNDecoder
 from repro.designs import DesignKey, DesignStore, compile_from_key
 
 mode, root, y_path = sys.argv[1], sys.argv[2], sys.argv[3]
@@ -152,52 +146,3 @@ class TestWarmCrossProcessDecode:
         )
         assert compiled.key == KEY
         assert cache.stats.hit_rate > 0.9  # steady state never touches disk
-
-
-def _block_probe_task(payload, cache):
-    """Worker probe: is the Ψ block GEMM-ready *at attach*, pre-decode?"""
-    (descriptor,) = payload
-    compiled = attach_compiled(descriptor, cache)
-    return compiled._block is not None
-
-
-class TestSharedBlockResidency:
-    def test_workers_adopt_published_block(self, benchmark, repro_seed, tmp_path):
-        store = DesignStore(tmp_path / "store")
-        compiled = store.get_or_compile(KEY, lambda: compile_from_key(KEY))
-        Y = _observed(B)
-        workers = 2
-
-        serial_out = MNDecoder().compile(compiled).decode_batch(Y, K)
-        with SharedMemBackend(workers) as backend:
-            with MNDecoder(backend=backend).compile(compiled) as decoder:
-                decoder.decode_batch(Y, K)  # publish + first fan-out
-                descriptor = decoder._residency.descriptor
-                probes = backend.map(_block_probe_task, [(descriptor,)] * workers)
-                t0 = time.perf_counter()
-                fanned = benchmark(lambda: decoder.decode_batch(Y, K))
-                elapsed = time.perf_counter() - t0
-
-        benchmark.extra_info.update(
-            {
-                "n": N,
-                "m": M,
-                "k": K,
-                "B": B,
-                "backend": f"sharedmem[{workers}]",
-                "block_bytes": compiled.block_bytes,
-                "workers": workers,
-                "block_preattached_workers": int(sum(probes)),
-                "per_worker_bytes_avoided": compiled.block_bytes,
-                "store_stats": dataclasses.asdict(store.stats),
-            }
-        )
-        print(
-            f"\nΨ block {compiled.block_bytes / 1e6:.0f}MB shared across {workers} workers "
-            f"(all pre-attached: {all(probes)}); warm decode_batch {elapsed * 1e3:.1f}ms"
-        )
-
-        assert np.array_equal(serial_out, fanned)
-        # Every worker adopted the published block instead of rebuilding it:
-        # per-worker resident growth excludes the block entirely.
-        assert all(probes)

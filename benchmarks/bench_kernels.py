@@ -1,7 +1,7 @@
 """Microbenchmarks of the hot kernels (regression tracking, not a figure).
 
 Covers: MT19937-64 raw generation, design sampling, the batched Ψ/Δ*
-accumulation kernel, CSR mat-vec vs SciPy, parallel top-k — and the
+accumulation kernel, parallel top-k — and the
 dense-vs-legacy kernel pairs (``TestDenseVsLegacy``), whose
 ``speedup_x`` extra records track the dense incidence-block layer's win
 over the sort-based reference at several problem sizes, plus one
@@ -18,13 +18,11 @@ import time
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from repro.core.design import PoolingDesign, stream_design_stats
 from repro.core.signal import random_signal, random_signals
 from repro.engine.backend import SerialBackend, SharedMemBackend
 from repro.engine.batch import reconstruct_batch, signals_oracle
-from repro.parallel.matvec import CSRMatrix
 from repro.parallel.sort import parallel_top_k
 from repro.rng.mt19937 import MT19937_64
 
@@ -286,32 +284,6 @@ class TestCompiledBlockPsi:
         benchmark.extra_info["ms_per_call"] = round(float32_s * 1e3, 3)
         benchmark.extra_info["float64_ms"] = round(float64_s * 1e3, 3)
         benchmark.extra_info["speedup_x"] = round(float64_s / float32_s, 2)
-
-
-class TestLinalgKernels:
-    @pytest.fixture(scope="class")
-    def csr_pair(self):
-        rng = np.random.default_rng(2)
-        dense = rng.random((2000, 1500))
-        dense[dense > 0.05] = 0.0
-        ours = CSRMatrix.from_dense(dense)
-        ref = sp.csr_matrix(dense)
-        x = rng.random(1500)
-        return ours, ref, x
-
-    def test_csr_matvec_ours(self, benchmark, csr_pair):
-        ours, _, x = csr_pair
-        out = benchmark(lambda: ours.matvec(x))
-        assert out.shape == (2000,)
-
-    def test_csr_matvec_scipy_reference(self, benchmark, csr_pair):
-        _, ref, x = csr_pair
-        out = benchmark(lambda: ref @ x)
-        assert out.shape == (2000,)
-
-    def test_csr_close_to_scipy(self, csr_pair):
-        ours, ref, x = csr_pair
-        assert np.allclose(ours.matvec(x), ref @ x)
 
 
 class TestSortKernels:

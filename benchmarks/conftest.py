@@ -77,12 +77,21 @@ def check(benchmark):
 
 
 _DESELECTED_MODULES: set = set()
+_FAILED_NODEIDS: set = set()
 
 
 def pytest_deselected(items):
     """Track modules with filtered-out tests (-k/-m) for the JSON emitter."""
     for item in items:
         _DESELECTED_MODULES.add(Path(str(item.fspath)).stem)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_makereport(item, call):
+    """Remember every test that failed in any phase, so its row is not recorded."""
+    outcome = yield
+    if outcome.get_result().failed:
+        _FAILED_NODEIDS.add(item.nodeid)
 
 
 def pytest_sessionfinish(session, exitstatus):
@@ -92,13 +101,15 @@ def pytest_sessionfinish(session, exitstatus):
     ``bench_kernels.py`` writes ``benchmarks/results/BENCH_kernels.json``.
     Each record carries the median wall time (seconds), rounds, and the
     test's ``extra_info`` (params, backend, derived metrics like speedups).
+    A test that failed — even after its ``benchmark()`` call finished —
+    writes no row, and the file keeps that test's previous record.
     """
     bench_session = getattr(session.config, "_benchmarksession", None)
     if bench_session is None or not bench_session.benchmarks:
         return
     by_module: "dict[str, list]" = {}
     for bench in bench_session.benchmarks:
-        if bench.has_error or not bench.stats:
+        if bench.has_error or not bench.stats or bench.fullname in _FAILED_NODEIDS:
             continue
         module = Path(bench.fullname.split("::", 1)[0]).stem
         by_module.setdefault(module, []).append(
@@ -129,8 +140,8 @@ def pytest_sessionfinish(session, exitstatus):
     for module, results in by_module.items():
         # A complete, clean run of the module is authoritative: replace the
         # file so records for renamed/deleted tests don't linger.  A
-        # filtered (-k/-m) or aborted (-x) run merges by test id instead,
-        # refreshing only what it measured.  The measurement context
+        # filtered (-k/-m), aborted (-x) or failing run merges by test id
+        # instead, refreshing only what passed.  The measurement context
         # travels per record, so retained rows keep the environment they
         # were actually measured under.
         name = module[len("bench_"):] if module.startswith("bench_") else module

@@ -63,7 +63,7 @@ Package map
 ``repro.kernels``     dispatchable hot kernels: dense blocks + BLAS vs legacy
 ``repro.noise``       noisy channels: models, keyed streams, robust decoding
 ``repro.rng``         MT19937-64 (paper parity) + deterministic substreams
-``repro.parallel``    shared-memory worker pool, top-k selection, CSR matrix
+``repro.parallel``    shared-memory worker pool, top-k selection
 ``repro.machine``     simulated lab: latency models, L-unit scheduling
 ``repro.baselines``   basis pursuit, OMP, AMP, binary group testing
 ``repro.experiments`` figure/claim regeneration drivers

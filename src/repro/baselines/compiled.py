@@ -46,9 +46,9 @@ Parity contract (asserted by ``tests/test_decoders.py``): single-signal
   ``REPRO_KERNEL``.
 
 Compiled artifacts derive entirely from a :class:`CompiledDesign`, obtained
-through cache/store lookup and shared-memory attach exactly like the MN path.
-Only the compiled design is cached, persisted and shared; the counts block is
-rebuilt once per process and is not in ``CompiledDesign.nbytes``.
+through cache/store lookup exactly like the MN path.  Only the compiled
+design is cached and persisted; the counts block is rebuilt once per process
+and is not in ``CompiledDesign.nbytes``.
 """
 
 from __future__ import annotations
@@ -142,27 +142,16 @@ def _scatter_support(n: int, support: np.ndarray) -> np.ndarray:
 
 
 class _CompiledBaseline:
-    """Shared lifecycle of the compiled baseline artifacts.
+    """Common base of the compiled baseline artifacts: the design and its decoder.
 
-    Like :class:`~repro.designs.serving.CompiledMNDecoder`, instances are
-    context managers; the baselines hold no shared-memory residency of
-    their own (their ``(m, n)`` operand is one of the compiled design's
-    blocks), so ``close()`` is a no-op kept for protocol symmetry with
-    long-lived serving processes.
+    Like :class:`~repro.designs.serving.CompiledMNDecoder`, instances hold
+    nothing to release — their ``(m, n)`` operand is one of the compiled
+    design's blocks — so dropping the last reference frees them.
     """
 
     def __init__(self, compiled: "CompiledDesign", decoder):
         self.compiled = compiled
         self.decoder = decoder
-
-    def close(self) -> None:
-        """Release held resources.  Idempotent."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(compiled={self.compiled!r}, decoder={self.decoder!r})"

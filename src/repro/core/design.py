@@ -50,7 +50,6 @@ import numpy as np
 
 from repro.kernels import dispatch as dispatch_kernel
 from repro.kernels import resolve_kernel
-from repro.parallel.matvec import CSRMatrix
 from repro.parallel.partition import chunk_count
 from repro.parallel.sharedmem import SharedArray, SharedArrayDescriptor
 from repro.rng.streams import StreamFamily
@@ -292,15 +291,15 @@ class PoolingDesign:
 
     # -- matrices -------------------------------------------------------------------
 
-    def counts_matrix(self) -> CSRMatrix:
-        """Biadjacency *count* matrix ``A`` (queries × entries), ``A_ij = #draws``."""
-        rows = np.repeat(np.arange(self.m, dtype=np.int64), np.diff(self.indptr))
-        return CSRMatrix.from_coo(rows, self.entries, np.ones(self.entries.size, dtype=np.int64), (self.m, self.n))
+    def dense_counts(self) -> np.ndarray:
+        """Dense biadjacency *count* matrix ``A`` (queries × entries), ``A_ij = #draws``.
 
-    def indicator_matrix(self) -> CSRMatrix:
-        """Unweighted biadjacency ``M`` (queries × entries), ``M_ij = 1{A_ij>0}``."""
-        counts = self.counts_matrix()
-        return CSRMatrix(counts.indptr, counts.indices, np.ones(counts.nnz, dtype=np.int64), counts.shape)
+        A fresh ``(m, n)`` int64 array; the unweighted biadjacency is
+        ``A > 0``.  Holds ``m·n`` cells, so callers guard its size.
+        """
+        rows = np.repeat(np.arange(self.m, dtype=np.int64), np.diff(self.indptr))
+        flat = np.bincount(rows * self.n + self.entries, minlength=self.m * self.n)
+        return flat.astype(np.int64, copy=False).reshape(self.m, self.n)
 
     # -- neighbourhood statistics ------------------------------------------------------
 

@@ -39,7 +39,7 @@ def _candidate_guard(n: int, k: int) -> int:
 
 def _counts_transpose(design: PoolingDesign) -> np.ndarray:
     """Dense ``(n, m)`` count matrix ``Aᵀ`` for vectorised candidate scoring."""
-    return design.counts_matrix().to_dense().T.astype(np.int64)
+    return design.dense_counts().T
 
 
 def consistent_supports(design: PoolingDesign, y: np.ndarray, k: int, batch: int = 2048) -> "List[np.ndarray]":

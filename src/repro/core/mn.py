@@ -66,15 +66,9 @@ class MNDecoder:
     The reference implementation of the unified
     :class:`~repro.designs.protocol.Decoder` protocol: :meth:`compile`
     binds it to a design and returns the decode-only
-    :class:`~repro.designs.serving.CompiledMNDecoder`.
-
-    Parameters
-    ----------
-    backend:
-        Optional :class:`~repro.engine.backend.Backend` the compiled
-        decoder fans ``decode_batch``'s Ψ rows over
-        (:class:`~repro.designs.serving.CompiledMNDecoder`).  Output never
-        depends on it.
+    :class:`~repro.designs.serving.CompiledMNDecoder`.  It has no
+    configuration: the algorithm is fixed by the paper, and where the
+    ``Ψ`` product runs is the compiled design's business.
 
     Examples
     --------
@@ -88,8 +82,6 @@ class MNDecoder:
     >>> bool(np.array_equal(mn_reconstruct(design, y, k=3), sigma))
     True
     """
-
-    backend: "Backend | None" = None
 
     def decode(self, stats: DesignStats, k: "int | np.ndarray") -> np.ndarray:
         """Estimate ``σ̂`` from accumulated query statistics.

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.special import gammaln
-
 from repro.core.signal import theta_to_k
 from repro.util.validation import check_in_open_unit_interval, check_positive_int
 
@@ -56,6 +54,9 @@ THETA_STAR_GT: float = math.log(2.0) / (1.0 + math.log(2.0))
 
 def log_binom(n: int, k: int) -> float:
     """``ln C(n, k)`` via log-gamma (exact enough for n in the billions)."""
+    # Imported here so that importing the package never loads SciPy.
+    from scipy.special import gammaln
+
     n = check_positive_int(n, "n")
     if not (0 <= k <= n):
         raise ValueError(f"k={k} must lie in [0, n={n}]")

@@ -4,7 +4,9 @@ This package turns the pooling design into a first-class deployable
 artifact.  The paper's structure — one signal-independent design, one
 round of parallel queries, then reconstruction — means everything the MN
 decoder needs besides the observed results can be *compiled* ahead of
-time and reused across calls, batches and processes:
+time and reused across calls, batches and processes.  Two scopes amortise
+it: the in-process cache (L1) and the machine-local store (L2); within a
+process, BLAS runs the ``Ψ`` GEMM on every core:
 
 * :mod:`repro.designs.compiled` — :class:`DesignKey` (the content address:
   ``(n, m, gamma, root_seed, trial_key, batch_queries)``) and
@@ -16,10 +18,6 @@ time and reused across calls, batches and processes:
   mmap-read, cross-process L2 beneath the cache (content-addressed
   directory, atomic publication, single-flight compilation across
   processes, byte-budgeted GC; ambient opt-in via ``REPRO_DESIGN_STORE``);
-* :mod:`repro.designs.sharing` — shared-memory residency so
-  :class:`~repro.engine.backend.SharedMemBackend` workers attach to a
-  compiled design — dense ``Ψ`` block included — zero-copy instead of
-  re-deriving state per task;
 * :mod:`repro.designs.serving` — :class:`CompiledMNDecoder`, the
   decode-only hot path behind ``MNDecoder.compile(...)``;
 * :mod:`repro.designs.protocol` — the unified :class:`Decoder` /
@@ -60,7 +58,6 @@ from repro.designs.registry import (
     register_decoder,
 )
 from repro.designs.serving import CompiledMNDecoder
-from repro.designs.sharing import CompiledDesignDescriptor, SharedCompiledDesign, attach_compiled
 from repro.designs.store import (
     DESIGN_STORE_BYTES_ENV,
     DESIGN_STORE_ENV,
@@ -103,7 +100,4 @@ __all__ = [
     "Decoder",
     "CompiledDecoder",
     "CompiledMNDecoder",
-    "SharedCompiledDesign",
-    "CompiledDesignDescriptor",
-    "attach_compiled",
 ]

@@ -18,8 +18,8 @@ a reusable artifact between them:
 
 Every compiled quantity is integer-exact, so decoding through a compiled
 design is **bit-identical** to the historical one-shot paths — asserted by
-the test suite for the serial and shared-memory backends, with and without
-noise.
+the test suite for every kernel tier, cache layer and backend, with and
+without noise.
 """
 
 from __future__ import annotations
@@ -218,8 +218,7 @@ class CompiledDesign:
     Wraps the materialised design together with every signal-independent
     statistic the MN decoder needs — so repeated decodes pay only the
     ``Ψ`` product and the top-k selection.  Instances are safe to share
-    across calls and (via :mod:`repro.designs.sharing`) across processes:
-    the compiled arrays are marked read-only.
+    across calls and threads: the compiled arrays are marked read-only.
 
     Parameters
     ----------
@@ -234,7 +233,7 @@ class CompiledDesign:
     copy:
         Pass ``False`` to adopt ``dstar``/``delta`` zero-copy — the arrays
         are then frozen *in place*.  Reserved for owners of the buffers,
-        such as shared-memory attachers wrapping their own segments.
+        such as the store's attach wrapping its own read-only mmaps.
 
     Examples
     --------
@@ -344,8 +343,9 @@ class CompiledDesign:
         times in one pool; this block keeps those multiplicities, unlike
         :meth:`incidence_block` which collapses duplicates to 0/1.  The
         compressed-sensing baselines (LP/OMP/AMP) decode against counts —
-        value-identical to ``design.counts_matrix().to_dense()`` (counts
-        are small integers, exact in float64).  Always float64: centred
+        value-identical to :meth:`PoolingDesign.dense_counts
+        <repro.core.design.PoolingDesign.dense_counts>` (counts are small
+        integers, exact in float64).  Always float64: centred
         arithmetic downstream is float, and the counts block is a
         baseline-decoder artifact, not a ``Ψ`` operand.
 
@@ -358,10 +358,7 @@ class CompiledDesign:
         if self._counts is None:
             with self._block_lock:
                 if self._counts is None:
-                    design = self.design
-                    rows = np.repeat(np.arange(self.m, dtype=np.int64), np.diff(design.indptr))
-                    flat = np.bincount(rows * self.n + design.entries, minlength=self.m * self.n)
-                    counts = flat.reshape(self.m, self.n).astype(np.float64)
+                    counts = self.design.dense_counts().astype(np.float64)
                     counts.setflags(write=False)
                     self._counts = counts
         return self._counts
@@ -369,13 +366,12 @@ class CompiledDesign:
     def adopt_block(self, block: np.ndarray) -> None:
         """Adopt an externally materialised dense block zero-copy.
 
-        The shared-memory layer (:mod:`repro.designs.sharing`) publishes
-        the parent's ``(m, n)`` incidence block once; workers adopt the
-        attached segment here so they never rebuild (or privately hold)
-        up to 256MB per process.  Only float32 — the one resident block
-        format — is accepted.  The block's content is defined entirely by
-        the design, so adopting a published block can never change a
-        decode — only skip its materialisation.
+        The store (:mod:`repro.designs.store`) persists the ``(m, n)``
+        incidence block with each entry; attaching processes adopt its
+        read-only mmap here so they never rebuild it.  Only float32 — the
+        one resident block format — is accepted.  The block's content is
+        defined entirely by the design, so adopting a persisted block can
+        never change a decode — only skip its materialisation.
         """
         block = np.asarray(block)
         if block.shape != (self.m, self.n) or block.dtype != self.block_dtype:

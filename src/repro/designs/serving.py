@@ -8,13 +8,9 @@ every call is one ``Ψ`` GEMM against the resident incidence block plus the
 top-k selection.  This is the hot path a deployment serves — observed
 result vectors arriving against a small set of deployed designs.
 
-Execution composes with the backend layer: a
-:class:`~repro.engine.backend.SharedMemBackend` fans ``decode_batch`` rows
-over workers that attach the compiled design zero-copy
-(:mod:`repro.designs.sharing`) — the design crosses the process boundary
-once per worker, never per call.  All paths are bit-identical to the
-one-shot :func:`~repro.core.mn.mn_reconstruct` because every intermediate
-is integer-exact.
+The GEMM runs in-process (BLAS already uses every core) and is
+bit-identical to the one-shot :func:`~repro.core.mn.mn_reconstruct`
+because every intermediate is integer-exact.
 """
 
 from __future__ import annotations
@@ -24,26 +20,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.designs.compiled import CompiledDesign
-from repro.designs.sharing import SharedCompiledDesign, attach_compiled
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.mn import MNDecoder
 
 __all__ = ["CompiledMNDecoder"]
-
-
-def _psi_rows_task(payload, cache):
-    """Worker task: ``Ψ`` rows for a slice of the result batch.
-
-    The compiled design arrives as a shared-memory descriptor and is
-    attached (and structurally validated) once per worker.  The dense
-    incidence block travels with the publication, so workers adopt the
-    parent's block zero-copy and every task — including the first — runs
-    a single GEMM with no per-worker block materialisation.
-    """
-    descriptor, y_rows = payload
-    compiled = attach_compiled(descriptor, cache)
-    return compiled.psi(y_rows)
 
 
 class CompiledMNDecoder:
@@ -54,16 +35,14 @@ class CompiledMNDecoder:
     above (the serve front-end, cross-decoder benchmarks) type against
     that protocol, not this class.
 
-    Create via :meth:`repro.core.mn.MNDecoder.compile`.  Instances hold the
-    (optional) shared-memory residency of their design, so long-lived
-    serving processes should ``close()`` them (or use ``with``) when the
-    design is undeployed.
+    Create via :meth:`repro.core.mn.MNDecoder.compile`.  Instances hold
+    nothing beyond the compiled design, so there is nothing to release:
+    dropping the last reference frees them.
     """
 
     def __init__(self, compiled: CompiledDesign, decoder: "MNDecoder"):
         self.compiled = compiled
         self.decoder = decoder
-        self._residency: "SharedCompiledDesign | None" = None
 
     # -- the hot path -----------------------------------------------------------
 
@@ -81,56 +60,14 @@ class CompiledMNDecoder:
     def decode_batch(self, Y: np.ndarray, k: "int | np.ndarray") -> np.ndarray:
         """Decode a ``(B, m)`` batch of observed results in one pass.
 
-        With a multi-worker backend on the bound decoder, the ``Ψ`` rows fan
-        out over workers attached to the shared-memory residency; the top-k
-        selection stays in the parent.  Output is bit-identical for every
-        backend (``Ψ`` is integer-exact).
+        One ``Ψ`` GEMM against the compiled block, then a batched top-k.
+        Row ``b`` is bit-identical to ``decode(Y[b], k)`` (``Ψ`` is
+        integer-exact).
         """
         Y = np.asarray(Y, dtype=np.int64)
         if Y.ndim != 2 or Y.shape[1] != self.compiled.m or Y.shape[0] < 1:
             raise ValueError(f"Y must have shape (B, m={self.compiled.m})")
-        stats = self._stats_batch(Y, self.decoder.backend)
-        return self.decoder.decode(stats, k)
-
-    def _stats_batch(self, Y: np.ndarray, backend) -> "object":
-        from repro.core.design import DesignStats
-
-        if backend is not None and backend.workers > 1 and Y.shape[0] > 1:
-            psi = self._psi_sharedmem(Y, backend)
-        else:
-            psi = self.compiled.psi(Y)
-        return DesignStats(
-            y=Y,
-            psi=psi,
-            dstar=self.compiled.dstar,
-            delta=self.compiled.delta,
-            n=self.compiled.n,
-            m=self.compiled.m,
-            gamma=self.compiled.gamma,
-        )
-
-    def _psi_sharedmem(self, Y: np.ndarray, backend) -> np.ndarray:
-        """``Ψ`` rows computed by workers against the published design."""
-        if self._residency is None:
-            self._residency = SharedCompiledDesign.publish(self.compiled)
-        descriptor = self._residency.descriptor
-        splits = np.array_split(Y, min(backend.workers, Y.shape[0]))
-        payloads = [(descriptor, rows) for rows in splits if rows.shape[0]]
-        return np.concatenate(backend.map(_psi_rows_task, payloads), axis=0)
-
-    # -- lifecycle --------------------------------------------------------------
-
-    def close(self) -> None:
-        """Release the shared-memory residency (if any).  Idempotent."""
-        if self._residency is not None:
-            self._residency.destroy()
-            self._residency = None
-
-    def __enter__(self) -> "CompiledMNDecoder":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+        return self.decoder.decode(self.compiled.stats_for(Y), k)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CompiledMNDecoder(compiled={self.compiled!r}, decoder={self.decoder!r})"

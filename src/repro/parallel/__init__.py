@@ -15,8 +15,10 @@ Modules:
   submission, error propagation and clean shutdown.
 * :mod:`repro.parallel.sort` — top-k selection (Lines 7–9 of
   Algorithm 1).
-* :mod:`repro.parallel.matvec` — the CSR matrix behind ``Ψ = Mᵀy`` and
-  ``Δ* = Mᵀ1``.
+
+The ``Ψ = Mᵀy`` and ``Δ* = Mᵀ1`` products themselves are not here: they
+are the kernel tiers (:mod:`repro.kernels`) and the compiled design's dense
+block (:meth:`~repro.designs.compiled.CompiledDesign.psi`).
 
 Everything degrades gracefully to serial execution when ``workers=1`` —
 results are bit-identical by construction.
@@ -25,7 +27,6 @@ results are bit-identical by construction.
 from repro.parallel.sharedmem import SharedArray
 from repro.parallel.pool import WorkerPool, PoolError, WorkerCrashError, RetryableTaskError
 from repro.parallel.sort import parallel_top_k
-from repro.parallel.matvec import CSRMatrix
 
 __all__ = [
     "SharedArray",
@@ -34,5 +35,4 @@ __all__ = [
     "WorkerCrashError",
     "RetryableTaskError",
     "parallel_top_k",
-    "CSRMatrix",
 ]

@@ -101,8 +101,7 @@ class DecoderPool:
     on the executor, single-flight per entry — concurrent batches for one
     cold entry await one compilation.  The pool holds at most
     ``max_designs`` attached decoders; the least recently *served* one is
-    evicted (and closed, releasing any shared-memory residency) when a new
-    entry crowds it out.
+    dropped when a new entry crowds it out.
 
     ``decoder`` may be a single :class:`~repro.designs.protocol.Decoder`
     (the historical single-algorithm pool; served under the name ``mn``)
@@ -186,11 +185,8 @@ class DecoderPool:
         self._entries[entry_key] = compiled
         self._entries.move_to_end(entry_key)
         while len(self._entries) > self.max_designs:
-            _, evicted = self._entries.popitem(last=False)
+            self._entries.popitem(last=False)
             self.evictions += 1
-            close = getattr(evicted, "close", None)
-            if callable(close):
-                close()
         return compiled
 
     def _compile(self, entry_key: "tuple[DesignKey, str]") -> "CompiledDecoder":
@@ -199,7 +195,7 @@ class DecoderPool:
         return self._decoders[name].compile(key, cache=self._cache, store=self._store)
 
     def evict(self, key: "DesignKey", decoder: "str | None" = None) -> bool:
-        """Drop (and close) the ``(key, decoder)`` attached decoder, if any.
+        """Drop the ``(key, decoder)`` attached decoder, if any.
 
         The retry path calls this after a failed ``decode_batch`` so the
         next :meth:`get` attaches a *fresh* decoder — recompiling through
@@ -207,22 +203,14 @@ class DecoderPool:
         heals.  Returns whether an entry was evicted.
         """
         name = self.default_decoder if decoder is None else decoder
-        entry = self._entries.pop((key, name), None)
-        if entry is None:
+        if self._entries.pop((key, name), None) is None:
             return False
         self.evictions += 1
-        close = getattr(entry, "close", None)
-        if callable(close):
-            close()
         return True
 
     def close(self) -> None:
-        """Close every attached decoder (drain-time cleanup)."""
-        while self._entries:
-            _, entry = self._entries.popitem(last=False)
-            close = getattr(entry, "close", None)
-            if callable(close):
-                close()
+        """Drop every attached decoder (drain-time cleanup)."""
+        self._entries.clear()
 
 
 @dataclass

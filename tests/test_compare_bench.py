@@ -1,10 +1,12 @@
-"""Tests for the CI benchmark-regression gate (benchmarks/compare_bench.py)."""
+"""Tests for the CI benchmark-regression gate (benchmarks/compare_bench.py) and the BENCH recorder."""
 
 import importlib.util
 import json
 from pathlib import Path
 
 import pytest
+
+pytest_plugins = ["pytester"]
 
 _SPEC = importlib.util.spec_from_file_location(
     "compare_bench", Path(__file__).resolve().parent.parent / "benchmarks" / "compare_bench.py"
@@ -135,3 +137,39 @@ class TestMain:
         _write_bench(base, "kernels", {"t": 0.10})
         _write_bench(fresh, "kernels", {"t": 0.15})
         assert compare_bench.main([str(base), str(fresh), "--threshold", "1.2"]) == 1
+
+
+_BENCH_CONFTEST = Path(__file__).resolve().parent.parent / "benchmarks" / "conftest.py"
+
+_DEMO_BENCH = """
+def test_ok(benchmark):
+    benchmark.extra_info["speedup_x"] = 6.0
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+
+
+def test_bad(benchmark):
+    benchmark.extra_info["speedup_x"] = 2.8
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    assert benchmark.extra_info["speedup_x"] >= 5, "gate"
+"""
+
+
+class TestRecorder:
+    """The session-end BENCH_*.json writer in benchmarks/conftest.py."""
+
+    def test_failed_test_keeps_its_previous_record(self, pytester):
+        previous = [
+            {"test": "test_bad", "median_s": 123.0, "extra": {"speedup_x": 11.0}},
+            {"test": "test_gone", "median_s": 1.0},
+        ]
+        pytester.makeconftest(_BENCH_CONFTEST.read_text())
+        pytester.makepyfile(bench_demo=_DEMO_BENCH)
+        record = pytester.path / "results" / "BENCH_demo.json"
+        record.parent.mkdir()
+        record.write_text(json.dumps({"bench": "demo", "results": previous}))
+        outcome = pytester.runpytest_inprocess("bench_demo.py", "--benchmark-only", "-q", "-p", "no:cacheprovider")
+        outcome.assert_outcomes(passed=1, failed=1)
+        rows = {r["test"]: r for r in json.loads(record.read_text())["results"]}
+        assert rows["test_bad"] == previous[0]  # the failing run wrote nothing for it
+        assert rows["test_ok"]["extra"] == {"speedup_x": 6.0}
+        assert "test_gone" in rows  # a failing run merges; it never replaces the file

@@ -16,7 +16,7 @@ The contract (module docstring of :mod:`repro.baselines.compiled`):
   output) for the float LP/OMP/AMP decoders, whose GEMMs round differently
   from per-signal matvecs;
 * results are independent of how the artifact was obtained — direct
-  compile, cache/store read-through, or shared-memory attach.
+  compile or cache/store read-through.
 
 Run under ``REPRO_KERNEL=dense|dense32|legacy`` in CI: the float paths
 are float64-pinned (kernel-independent by construction) and the GT paths
@@ -52,7 +52,6 @@ from repro.designs import (
     resolve_design_store,
 )
 from repro.designs import compiled as compiled_mod
-from repro.designs.sharing import SharedCompiledDesign, attach_compiled
 
 N, M, K = 300, 120, 4
 BATCH = 5
@@ -262,20 +261,6 @@ class TestArtifactPathIndependence:
             assert np.array_equal(via_cache.decode(y, K), expected)
             assert np.array_equal(via_store.decode(y, K), expected)
 
-    def test_sharedmem_attach(self):
-        """Decoders against a shared-memory-attached artifact match the parent."""
-        key = DesignKey.for_stream(N, M, root_seed=9)
-        compiled = compile_from_key(key)
-        sigma = random_signal(N, K, np.random.default_rng(4))
-        y = compiled.query_results(sigma)
-        worker_cache: dict = {}
-        with SharedCompiledDesign.publish(compiled) as shared:
-            attached = attach_compiled(shared.descriptor, worker_cache)
-            for name in ("omp", "amp", "comp", "dd"):
-                parent = make_decoder(name).compile(compiled).decode(y, K)
-                worker = make_decoder(name).compile(attached).decode(y, K)
-                assert np.array_equal(parent, worker)
-
 
 class TestRegistry:
     def test_every_name_satisfies_the_protocols(self):
@@ -284,7 +269,11 @@ class TestRegistry:
         for name in available_decoders():
             decoder = make_decoder(name)
             assert isinstance(decoder, Decoder)
-            assert isinstance(decoder.compile(compiled), CompiledDecoder)
+            compiled_decoder = decoder.compile(compiled)
+            assert isinstance(compiled_decoder, CompiledDecoder)
+            # Compiled decoders hold only the compiled design: nothing to release.
+            for hook in ("close", "__enter__", "__exit__"):
+                assert not hasattr(compiled_decoder, hook), (name, hook)
 
     def test_unknown_name_lists_the_menu(self):
         with pytest.raises(ValueError, match="unknown decoder 'nope'.*mn"):

@@ -109,19 +109,23 @@ class TestStatistics:
         assert lhs == int(stats.y.sum())
 
     def test_matrices_consistent(self, small_instance):
+        from repro.designs import compile_design
+
         design, sigma = small_instance
-        counts = design.counts_matrix().to_dense()
+        counts = design.dense_counts()
+        assert counts.shape == (design.m, design.n) and counts.dtype == np.int64
         assert counts.sum() == design.m * design.gamma
         y_via_matrix = counts @ sigma.astype(np.int64)
         assert np.array_equal(y_via_matrix, design.query_results(sigma))
-        indicator = design.indicator_matrix().to_dense()
-        assert set(np.unique(indicator)).issubset({0, 1})
+        indicator = (counts > 0).astype(np.int64)
         assert np.array_equal(indicator.sum(axis=0), design.dstar())
+        # The baselines' float64 counts block is this matrix, value for value.
+        assert np.array_equal(compile_design(design).counts_block(), counts)
 
     def test_psi_via_indicator_matrix(self, small_instance):
         design, sigma = small_instance
         y = design.query_results(sigma)
-        indicator = design.indicator_matrix().to_dense()
+        indicator = (design.dense_counts() > 0).astype(np.int64)
         assert np.array_equal(indicator.T @ y, design.psi(y))
 
     def test_stats_validation(self):

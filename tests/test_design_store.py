@@ -31,8 +31,6 @@ from repro.designs import (
     DesignCache,
     DesignKey,
     DesignStore,
-    SharedCompiledDesign,
-    attach_compiled,
     compile_from_key,
     fetch_compiled,
     reset_default_design_store,
@@ -403,49 +401,6 @@ class TestStoreParityAcceptance:
         assert np.array_equal(plain.sigma_hat, stored.sigma_hat)
         assert np.array_equal(plain.sigma_hat, again.sigma_hat)
         assert store.stats.publishes == 1  # content-addressed artifact persisted once
-
-
-class TestSharedBlockResidency:
-    def test_publication_ships_the_dense_block(self):
-        compiled = compile_from_key(KEY)
-        parent_block = compiled.incidence_block()
-        with SharedCompiledDesign.publish(compiled) as shared:
-            descriptor = shared.descriptor
-            assert descriptor.block is not None
-            cache: dict = {}
-            attached = attach_compiled(descriptor, cache)
-            # GEMM-ready before any decode: the worker adopted the parent's
-            # block instead of rematerialising its own copy ...
-            assert attached._block is not None
-            assert not attached._block.flags.writeable
-            assert np.array_equal(attached._block, parent_block)
-            # ... and decodes are bit-identical through it.
-            y = compiled.query_results(np.ones(KEY.n, dtype=np.int8))
-            assert np.array_equal(attached.psi(y), compiled.psi(y))
-
-    def test_oversized_designs_publish_without_block(self, monkeypatch):
-        import repro.designs.compiled as compiled_mod
-
-        compiled = compile_from_key(KEY)
-        monkeypatch.setattr(compiled_mod, "BLOCK_RESIDENCY_LIMIT", 8)
-        assert not compiled.block_resident
-        with SharedCompiledDesign.publish(compiled) as shared:
-            assert shared.descriptor.block is None
-            attached = attach_compiled(shared.descriptor, {})
-            assert attached._block is None  # chunked fallback, like the parent
-
-    def test_decode_batch_sharedmem_with_block_sharing(self):
-        compiled = compile_from_key(KEY)
-        rng = np.random.default_rng(2)
-        sigmas = np.zeros((8, KEY.n), dtype=np.int8)
-        for b in range(8):
-            sigmas[b, rng.choice(KEY.n, size=5, replace=False)] = 1
-        Y = compiled.query_results(sigmas)
-        serial = MNDecoder().compile(compiled).decode_batch(Y, 5)
-        with SharedMemBackend(2) as backend:
-            with MNDecoder(backend=backend).compile(compiled) as decoder:
-                fanned = decoder.decode_batch(Y, 5)
-        assert np.array_equal(serial, fanned)
 
 
 _CHILD_SCRIPT = """

@@ -1,7 +1,9 @@
-"""Run the doctests embedded in module/class docstrings.
+"""Run the doctests embedded in module/class docstrings, and check exports.
 
 Executable examples in docstrings rot silently unless exercised; this
-module collects them across the package so CI keeps them honest.
+module collects them across the package so CI keeps them honest.  The
+export checks keep each subpackage's ``__all__`` importable and free of
+names the library no longer has.
 """
 
 import doctest
@@ -53,3 +55,32 @@ def test_doctest_inventory_is_complete():
         if has_examples and info.name not in MODULES_WITH_DOCTESTS:
             missing.append(info.name)
     assert not missing, f"modules with unchecked doctests: {missing}"
+
+
+@pytest.mark.parametrize("package", ["repro", "repro.designs", "repro.parallel"])
+def test_every_exported_name_resolves(package):
+    module = importlib.import_module(package)
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing, f"{package}.__all__ names missing attributes: {missing}"
+
+
+@pytest.mark.parametrize(
+    "package, name",
+    [
+        ("repro.designs", "SharedCompiledDesign"),
+        ("repro.designs", "CompiledDesignDescriptor"),
+        ("repro.designs", "attach_compiled"),
+        ("repro.parallel", "CSRMatrix"),
+        ("repro", "CSRMatrix"),
+    ],
+)
+def test_deleted_names_are_not_exported(package, name):
+    module = importlib.import_module(package)
+    assert name not in getattr(module, "__all__", ())
+    assert not hasattr(module, name)
+
+
+@pytest.mark.parametrize("module_name", ["repro.designs.sharing", "repro.parallel.matvec"])
+def test_deleted_modules_are_gone(module_name):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module_name)

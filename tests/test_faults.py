@@ -304,6 +304,29 @@ class TestStoreIntegrity:
         finally:
             store_mod._sha256_file = original
 
+    def test_pinned_corrupt_entry_misses_then_quarantines_on_release(self, tmp_path):
+        """A verified reader's pin defers quarantine; it never lets bytes through.
+
+        Corrupting the on-disk entry while a verified attachment still
+        maps it must make every fresh attach a clean miss.  Quarantine
+        waits for the pin to go (the reader's mmap view predates the
+        corruption) and happens on the first attach after release.
+        """
+        import gc
+
+        store = DesignStore(tmp_path / "store")
+        store.publish(compile_from_key(KEY))
+        attached = store.get(KEY)  # verified against the integrity manifest here
+        bitflip_file(store.entry_dir(KEY) / "dstar.npy")
+        fresh_store = DesignStore(tmp_path / "store")
+        assert fresh_store.get(KEY) is None
+        assert fresh_store.stats.quarantined == 0
+        del attached  # release the reader's pin
+        gc.collect()
+        unpinned = DesignStore(tmp_path / "store")
+        assert unpinned.get(KEY) is None
+        assert unpinned.stats.quarantined == 1  # now it is set aside for good
+
     def test_publisher_crash_leaves_no_entry_and_second_process_heals(self, tmp_path):
         root = tmp_path / "store"
         child = (
@@ -340,43 +363,6 @@ class TestStoreIntegrity:
         store.gc(residue_grace_s=0.0)
         assert not [p for p in root.iterdir() if p.name.startswith(".tmp-")]
         assert KEY in store
-
-
-class TestSharedMemoryIntegrity:
-    def test_corrupt_disk_entry_cannot_reach_workers_via_a_stale_shm_descriptor(self, tmp_path):
-        """The SHM path serves bytes verified at publish time, never raw disk.
-
-        ``SharedCompiledDesign.publish`` copies the already-verified arrays
-        into named segments, so corrupting the on-disk entry *after* the
-        copy must not leak through a descriptor a worker attaches later —
-        and any fresh store attach must quarantine the corrupt entry
-        instead of serving it.
-        """
-        from repro.designs import DesignStore, SharedCompiledDesign, attach_compiled
-
-        store = DesignStore(tmp_path / "store")
-        store.publish(compile_from_key(KEY))
-        attached = store.get(KEY)  # verified against the integrity manifest here
-        with SharedCompiledDesign.publish(attached) as shared:
-            bitflip_file(store.entry_dir(KEY) / "dstar.npy")  # corrupt *after* the copy
-            worker_cache = {}  # the per-worker memo keeps the attachments mapped
-            worker_view = attach_compiled(shared.descriptor, cache=worker_cache)
-            fresh = compile_from_key(KEY)
-            assert np.array_equal(np.asarray(worker_view.dstar), fresh.dstar)
-            assert np.array_equal(np.asarray(worker_view.design.entries), fresh.design.entries)
-            # A fresh attach of the now-corrupt disk entry is a clean miss;
-            # quarantine is deferred while the verified reader still pins
-            # the entry (its mmap view predates the corruption).
-            fresh_store = DesignStore(tmp_path / "store")
-            assert fresh_store.get(KEY) is None
-            assert fresh_store.stats.quarantined == 0
-        import gc
-
-        del attached, shared, worker_view, worker_cache  # release the reader's pin
-        gc.collect()
-        unpinned = DesignStore(tmp_path / "store")
-        assert unpinned.get(KEY) is None
-        assert unpinned.stats.quarantined == 1  # now it is set aside for good
 
 
 class TestCircuitBreaker:

@@ -116,6 +116,10 @@ class TestDecoderPool:
             assert pool.evictions == 1
             await pool.get(KEY_A)  # A was evicted: recompiles
             assert pool.misses == 3
+            # Drain-time close drops every entry; entries need no close hook.
+            assert not hasattr(await pool.get(KEY_A), "close")
+            pool.close()
+            assert len(pool) == 0
 
         asyncio.run(run())
 

@@ -1,6 +1,9 @@
 """Tests for the closed-form thresholds."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +46,22 @@ class TestLogBinom:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             log_binom(5, 6)
+
+    @pytest.mark.parametrize("module", ["repro", "repro.cli", "repro.serve.server"])
+    def test_import_does_not_load_scipy(self, module):
+        # SciPy is imported inside log_binom, so every cold start (CLI
+        # call, server spawn) skips it until a threshold is computed.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        probe = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+            timeout=60,
+            check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestCountingBounds:
