@@ -21,7 +21,7 @@ import pytest
 
 from repro.core.design import PoolingDesign, stream_design_stats
 from repro.core.signal import random_signal, random_signals
-from repro.engine.backend import SerialBackend, SharedMemBackend
+from repro.engine.backend import SerialBackend
 from repro.engine.batch import reconstruct_batch, signals_oracle
 from repro.parallel.sort import parallel_top_k
 from repro.rng.mt19937 import MT19937_64
@@ -219,35 +219,6 @@ class TestKernelGen2:
             return design.query_results(sigmas, kernel=kernel)
 
         self._record(benchmark, run, lambda out: out.shape == (self.B, self.M))
-
-    def test_sharedmem_blas_cap_throughput(self, benchmark):
-        """The W-worker BLAS cap must not regress multi-worker throughput.
-
-        Runs the streaming sweep end to end through a 2-worker pool with
-        the oversubscription cap (the SharedMemBackend default) and with
-        the cap explicitly widened to the full machine, recording the
-        ratio — on any machine the capped run should be at least
-        comparable (≤ ~1 is a win; > 1.15 would mean the governor hurts).
-        """
-        sigma = random_signal(self.N, 16, np.random.default_rng(3))
-
-        def run(blas_threads):
-            with SharedMemBackend(2, kernel="dense32", blas_threads=blas_threads) as backend:
-                return stream_design_stats(sigma, 200, root_seed=1, backend=backend)
-
-        from repro.kernels.threads import cpu_count, worker_thread_budget
-
-        capped = _best_of(lambda: run(None), repeats=3)  # default: cores // 2 cap
-        uncapped = _best_of(lambda: run(cpu_count()), repeats=3)
-        stats = benchmark.pedantic(lambda: run(None), rounds=2, iterations=1)
-        assert stats.m == 200
-        benchmark.extra_info.update(n=self.N, m=200, workers=2, kernel="dense32")
-        # On a 1-core runner both configurations resolve to 1 thread and the
-        # ratio is pure fork jitter; the recorded thread counts disambiguate.
-        benchmark.extra_info["capped_threads"] = worker_thread_budget(2)
-        benchmark.extra_info["uncapped_threads"] = cpu_count()
-        benchmark.extra_info["uncapped_s"] = round(uncapped, 6)
-        benchmark.extra_info["capped_over_uncapped"] = round(capped / uncapped, 3)
 
 
 class TestCompiledBlockPsi:

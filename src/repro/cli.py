@@ -49,11 +49,6 @@ from repro.util.asciiplot import format_table
 __all__ = ["main", "build_parser"]
 
 
-def _serve_env(suffix: str) -> str:
-    """Environment-variable name for a ``serve`` knob (help-text helper)."""
-    return f"REPRO_SERVE_{suffix}"
-
-
 def _workers_count(value: str) -> int:
     """argparse ``type=`` of every ``--workers`` flag: a count ``>= 0``."""
     try:
@@ -195,44 +190,37 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--max-bytes", type=int, default=None, help="byte budget (default: the store's configured budget; none = residue reaping only)")
             sp.add_argument("--grace-s", type=float, default=None, help="age (seconds) before crash residue is reaped (default 3600)")
 
-    ps = sub.add_parser("serve", help="async decode service with request coalescing (NDJSON over stdio or TCP)")
+    ps = sub.add_parser(
+        "serve",
+        help="async decode service with request coalescing (NDJSON over stdio or TCP)",
+        epilog="An omitted tuning flag keeps its ServeConfig default (listed in docs/cli.md).",
+    )
     mode = ps.add_mutually_exclusive_group()
     mode.add_argument("--stdio", action="store_true", help="speak the protocol on stdin/stdout instead of TCP")
     mode.add_argument("--host", type=str, default=None, help="TCP bind address (default 127.0.0.1)")
     ps.add_argument("--port", type=int, default=0, help="TCP port (0 = ephemeral; the bound port is printed on startup)")
-    ps.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=None,
-        help=f"coalescing deadline per design key (default 2.0, or ${{{_serve_env('WINDOW_MS')}}})",
-    )
-    ps.add_argument("--max-batch", type=int, default=None, help=f"flush a bucket at this size (default 64, or ${{{_serve_env('MAX_BATCH')}}})")
+    # Every tuning flag defaults to None: an omitted flag keeps its
+    # ServeConfig field default, the one place those defaults live.
+    ps.add_argument("--batch-window-ms", type=float, default=None, help="coalescing deadline per design key")
+    ps.add_argument("--max-batch", type=int, default=None, help="flush a bucket at this size")
     ps.add_argument(
         "--max-queue",
         type=int,
         default=None,
-        help=f"admission bound on pending requests; beyond it requests get a structured 'overloaded' error (default 1024, or ${{{_serve_env('MAX_QUEUE')}}})",
+        help="admission bound on pending requests; beyond it requests get a structured 'overloaded' error",
     )
-    ps.add_argument("--timeout-ms", type=float, default=10_000.0, help="per-request deadline, window wait included")
-    ps.add_argument("--max-designs", type=int, default=8, help="LRU capacity of attached decoders (designs served concurrently)")
-    ps.add_argument(
-        "--breaker-threshold",
-        type=int,
-        default=None,
-        help=f"consecutive batch failures that open a key's circuit breaker (default 5, or ${{{_serve_env('BREAKER_THRESHOLD')}}})",
-    )
-    ps.add_argument(
-        "--breaker-cooldown-ms",
-        type=float,
-        default=None,
-        help=f"open-breaker cooldown before a half-open probe (default 5000, or ${{{_serve_env('BREAKER_COOLDOWN_MS')}}})",
-    )
-    ps.add_argument("--decode-retries", type=int, default=1, help="failed-batch retries on a freshly attached decoder")
+    ps.add_argument("--timeout-ms", type=float, default=None, help="per-request deadline, window wait included")
+    ps.add_argument("--max-designs", type=int, default=None, help="LRU capacity of attached decoders (designs served concurrently)")
+    ps.add_argument("--breaker-threshold", type=int, default=None, help="consecutive batch failures that open a key's circuit breaker")
+    ps.add_argument("--breaker-cooldown-ms", type=float, default=None, help="open-breaker cooldown before a half-open probe")
+    ps.add_argument("--decode-retries", type=int, default=None, help="failed-batch retries on a freshly attached decoder")
     ps.add_argument(
         "--decoder",
+        dest="default_decoder",
+        metavar="DECODER",
         type=str,
         default=None,
-        help=f"default registry decoder for requests without a 'decoder' field (default mn, or ${{{_serve_env('DECODER')}}}); every registered decoder stays servable by name",
+        help="default registry decoder for requests without a 'decoder' field; every registered decoder stays servable by name",
     )
     ps.add_argument("--store", type=str, default=None, help="design-store directory for read-through compiles (default: $REPRO_DESIGN_STORE)")
 
@@ -458,7 +446,11 @@ def _resolve_store_arg(path: "Optional[str]"):
 
     if path is not None:
         return DesignStore(path)
-    store = resolve_design_store(None)
+    try:
+        store = resolve_design_store(None)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
     if store is None:
         print("error: no store given; pass --store or set REPRO_DESIGN_STORE", file=sys.stderr)
     return store
@@ -533,7 +525,12 @@ def _cmd_design(args) -> int:
         key = DesignKey.for_stream(args.n, args.m, root_seed=args.seed, gamma=args.gamma, batch_queries=args.batch_queries)
         # Ambient REPRO_DESIGN_STORE makes repeated CLI builds of one key
         # attach the persisted compilation instead of redoing it.
-        compiled = compile_from_key(key, cache=resolve_design_cache(None), store=resolve_design_store(None))
+        try:
+            store = resolve_design_store(None)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        compiled = compile_from_key(key, cache=resolve_design_cache(None), store=store)
         path = save_design(args.out, compiled)
         print(f"compiled design written to {path}")
         print(format_table(["field", "value"], _design_rows(compiled, None)))
@@ -575,18 +572,9 @@ def _cmd_design(args) -> int:
     raise AssertionError(f"unhandled design command {args.design_command!r}")
 
 
-def _serve_knob(arg_value, env_suffix: str, default, cast):
-    """One serve knob: explicit argument > REPRO_SERVE_* environment > default."""
-    import os
-
-    if arg_value is not None:
-        return arg_value
-    raw = os.environ.get(_serve_env(env_suffix), "").strip()
-    return cast(raw) if raw else default
-
-
 def _cmd_serve(args) -> int:
     import asyncio
+    from dataclasses import fields
 
     from repro.designs import (
         DesignStore,
@@ -597,26 +585,16 @@ def _cmd_serve(args) -> int:
     )
     from repro.serve import ServeConfig, serve_forever
 
-    default_decoder = str(_serve_knob(args.decoder, "DECODER", "mn", str))
-    if default_decoder not in available_decoders():
-        print(f"error: unknown decoder {default_decoder!r}; available: {', '.join(available_decoders())}", file=sys.stderr)
-        return 2
+    # An omitted flag parses as None and keeps the ServeConfig field default.
+    overrides = {f.name: getattr(args, f.name) for f in fields(ServeConfig) if getattr(args, f.name, None) is not None}
     try:
-        config = ServeConfig(
-            batch_window_ms=float(_serve_knob(args.batch_window_ms, "WINDOW_MS", 2.0, float)),
-            max_batch=int(_serve_knob(args.max_batch, "MAX_BATCH", 64, int)),
-            max_queue=int(_serve_knob(args.max_queue, "MAX_QUEUE", 1024, int)),
-            timeout_ms=args.timeout_ms,
-            max_designs=args.max_designs,
-            decode_retries=args.decode_retries,
-            breaker_threshold=int(_serve_knob(args.breaker_threshold, "BREAKER_THRESHOLD", 5, int)),
-            breaker_cooldown_ms=float(_serve_knob(args.breaker_cooldown_ms, "BREAKER_COOLDOWN_MS", 5000.0, float)),
-            default_decoder=default_decoder,
-        )
+        config = ServeConfig(**overrides)
+        if config.default_decoder not in available_decoders():
+            raise ValueError(f"unknown decoder {config.default_decoder!r}; available: {', '.join(available_decoders())}")
+        store = DesignStore(args.store) if args.store is not None else resolve_design_store(None)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    store = DesignStore(args.store) if args.store is not None else resolve_design_store(None)
     # The server types against the Decoder protocol; the registry supplies
     # every servable family, so one process answers any decoder by name.
     decoders = {name: make_decoder(name) for name in available_decoders()}

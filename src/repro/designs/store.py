@@ -315,14 +315,6 @@ class DesignStore:
     max_bytes:
         Byte budget enforced after every publication (and by :meth:`gc`).
         ``None`` (default) disables automatic eviction.
-    keep_blocks:
-        Persist the dense ``Ψ`` incidence block alongside the structural
-        arrays for residency-eligible designs (the default).  Publication
-        then materialises the block once, and every warm attach adopts it
-        as a read-only memory map — so a second CLI invocation or forked
-        worker decodes with **no** block rebuild (the dominant warm-path
-        cost) and all attached processes share one page-cached copy.
-        Pass ``False`` for a lean store holding structure only.
     verify:
         Check each entry's SHA-256 manifest on attach (the default).  The
         cost is one streaming hash of every payload file on *every*
@@ -344,19 +336,11 @@ class DesignStore:
     (1, 1)
     """
 
-    def __init__(
-        self,
-        root: "str | Path",
-        max_bytes: "int | None" = None,
-        *,
-        keep_blocks: bool = True,
-        verify: bool = True,
-    ):
+    def __init__(self, root: "str | Path", max_bytes: "int | None" = None, *, verify: bool = True):
         if max_bytes is not None and max_bytes <= 0:
             raise ValueError("max_bytes must be positive (or None for unbounded)")
         self.root = Path(root)
         self.max_bytes = int(max_bytes) if max_bytes is not None else None
-        self.keep_blocks = bool(keep_blocks)
         self.verify = bool(verify)
         self._locks = self.root / ".locks"
         self._locks.mkdir(parents=True, exist_ok=True)
@@ -457,7 +441,10 @@ class DesignStore:
         The arrays are written into a hidden temp directory and renamed
         into place, so concurrent readers only ever see complete entries.
         Losing a publication race to another process is silent — the
-        surviving entry is bit-identical by the key invariant.
+        surviving entry is bit-identical by the key invariant.  A design
+        whose ``block_resident`` is true also persists its dense ``Ψ``
+        block as ``block.npy``, which every warm attach adopts as a
+        read-only memory map.
         """
         path = self.entry_dir(compiled.key)
         if (path / _META_NAME).is_file():
@@ -476,7 +463,7 @@ class DesignStore:
             for name in _ARRAY_FIELDS:
                 np.save(tmp / f"{name}.npy", np.ascontiguousarray(arrays[name]))
                 nbytes += (tmp / f"{name}.npy").stat().st_size
-            with_block = self.keep_blocks and compiled.block_resident
+            with_block = compiled.block_resident
             if with_block:
                 # Materialise (at most once — idempotent on the artifact)
                 # and persist the float32 dense Ψ block: warm attachers then
@@ -936,7 +923,8 @@ def resolve_design_store(store: "DesignStore | None" = None) -> "DesignStore | N
     An explicit store wins; otherwise ``REPRO_DESIGN_STORE`` (a directory
     path) opts the process into a shared ambient store, optionally
     budgeted by ``REPRO_DESIGN_STORE_BYTES``.  Unset means ``None`` — all
-    paths bit-identical to the store never existing.
+    paths bit-identical to the store never existing.  A budget that is
+    not a positive integer raises :class:`ValueError` naming the variable.
     """
     if store is not None:
         return store
@@ -944,7 +932,14 @@ def resolve_design_store(store: "DesignStore | None" = None) -> "DesignStore | N
     if not root:
         return None
     raw_bytes = os.environ.get(DESIGN_STORE_BYTES_ENV, "").strip()
-    max_bytes = int(raw_bytes) if raw_bytes else None
+    max_bytes = None
+    if raw_bytes:
+        try:
+            max_bytes = int(raw_bytes)
+        except ValueError:
+            max_bytes = 0
+        if max_bytes <= 0:
+            raise ValueError(f"{DESIGN_STORE_BYTES_ENV}={raw_bytes!r} is not a positive integer byte budget")
     return default_design_store(root, max_bytes=max_bytes)
 
 

@@ -29,16 +29,9 @@ rather than a backend field.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Optional, Protocol, Sequence, runtime_checkable
+from typing import Any, Callable, Iterator, Protocol, Sequence, runtime_checkable
 
 from repro.kernels import check_kernel
-from repro.kernels.threads import (
-    blas_thread_limit,
-    pin_workers_default,
-    resolve_blas_threads,
-    worker_core_slices,
-    worker_thread_budget,
-)
 from repro.parallel.pool import RetryableTaskError, WorkerPool, resolve_workers
 
 __all__ = [
@@ -87,11 +80,7 @@ class SerialBackend:
     The reference backend: no subprocesses, no shared memory, trivially
     debuggable.  ``map`` preserves the per-worker ``cache`` contract of
     :class:`~repro.parallel.pool.WorkerPool` with a single persistent dict.
-
-    ``blas_threads`` caps the BLAS threadpool for the duration of each
-    :meth:`map` call (scoped — the process-wide setting is restored on
-    exit); ``None`` defers to ``REPRO_BLAS_THREADS`` and, absent that,
-    leaves the BLAS library's own default untouched.
+    It leaves the BLAS threadpool as the process configured it.
 
     Examples
     --------
@@ -101,9 +90,8 @@ class SerialBackend:
     (1, 'legacy')
     """
 
-    def __init__(self, kernel: "str | None" = None, blas_threads: "int | None" = None):
+    def __init__(self, kernel: "str | None" = None):
         self._kernel = check_kernel(kernel)
-        self._blas_threads = resolve_blas_threads(blas_threads)
         self._cache: dict = {}
         self._closed = False
 
@@ -115,16 +103,11 @@ class SerialBackend:
     def kernel(self) -> "str | None":
         return self._kernel
 
-    @property
-    def blas_threads(self) -> "int | None":
-        return self._blas_threads
-
     def map(self, fn: Callable[[Any, dict], Any], payloads: Sequence[Any]) -> "list[Any]":
         if self._closed:
             raise RuntimeError("backend already shut down")
         try:
-            with blas_thread_limit(self._blas_threads):
-                return [fn(p, self._cache) for p in payloads]
+            return [fn(p, self._cache) for p in payloads]
         except (MemoryError, BrokenPipeError) as exc:
             # Same structured, retryable shape the worker path reports —
             # transient resource pressure is not a caller logic error.
@@ -141,7 +124,7 @@ class SerialBackend:
         self.shutdown()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SerialBackend(kernel={self._kernel!r}, blas_threads={self._blas_threads})"
+        return f"SerialBackend(kernel={self._kernel!r})"
 
 
 class SharedMemBackend:
@@ -153,17 +136,12 @@ class SharedMemBackend:
         Process count; ``None``/``0`` means all available cores.
     kernel:
         Execution kernel for the hot paths (see :class:`Backend`).
-    blas_threads:
-        Per-worker BLAS threadpool cap.  ``None`` defers to
-        ``REPRO_BLAS_THREADS`` and, absent that, to the oversubscription
-        guard :func:`~repro.kernels.threads.worker_thread_budget` —
-        ``max(1, cores // workers)`` — whenever more than one worker runs.
-        Without the cap, ``W`` workers each spin up a ``cores``-wide BLAS
-        pool and the dense GEMM kernels fight themselves for the machine.
-    pin_workers:
-        Pin worker ``i`` to a contiguous core slice
-        (:func:`~repro.kernels.threads.worker_core_slices`).  ``None``
-        defers to the ``REPRO_PIN_WORKERS`` env switch (default off).
+
+    Each worker runs its BLAS threadpool at
+    :func:`~repro.kernels.threads.worker_thread_budget` —
+    ``max(1, cores // workers)`` — which the pool applies itself.  Without
+    the cap, ``W`` workers each spin up a ``cores``-wide BLAS pool and the
+    dense GEMM kernels fight themselves for the machine.
 
     The pool is created lazily on first :meth:`map`, so constructing a
     backend is free and a backend that never maps never forks.
@@ -177,22 +155,10 @@ class SharedMemBackend:
     raw multiprocessing traceback.
     """
 
-    def __init__(
-        self,
-        workers: "int | None" = None,
-        *,
-        kernel: "str | None" = None,
-        blas_threads: "int | None" = None,
-        pin_workers: "bool | None" = None,
-    ):
+    def __init__(self, workers: "int | None" = None, *, kernel: "str | None" = None):
         self._workers = resolve_workers(workers)
         self._pool: "WorkerPool | None" = None
         self._kernel = check_kernel(kernel)
-        explicit = resolve_blas_threads(blas_threads)
-        if explicit is None and self._workers > 1:
-            explicit = worker_thread_budget(self._workers)
-        self._blas_threads = explicit
-        self._pin_workers = pin_workers_default() if pin_workers is None else bool(pin_workers)
         self._closed = False
 
     @property
@@ -204,22 +170,12 @@ class SharedMemBackend:
         return self._kernel
 
     @property
-    def blas_threads(self) -> "int | None":
-        """Effective per-worker BLAS cap this backend applies to its pool."""
-        return self._blas_threads
-
-    @property
-    def pin_workers(self) -> bool:
-        return self._pin_workers
-
-    @property
     def pool(self) -> WorkerPool:
         """The underlying pool, created on first use."""
         if self._pool is None:
             if self._closed:
                 raise RuntimeError("backend already shut down")
-            pin_cores = worker_core_slices(self._workers) if self._pin_workers else None
-            self._pool = WorkerPool(self._workers, blas_threads=self._blas_threads, pin_cores=pin_cores)
+            self._pool = WorkerPool(self._workers)
         return self._pool
 
     def map(self, fn: Callable[[Any, dict], Any], payloads: Sequence[Any]) -> "list[Any]":
@@ -241,7 +197,7 @@ class SharedMemBackend:
         self.shutdown()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SharedMemBackend(workers={self._workers}, kernel={self._kernel!r}, blas_threads={self._blas_threads})"
+        return f"SharedMemBackend(workers={self._workers}, kernel={self._kernel!r})"
 
 
 def backend_for_workers(workers: "int | None") -> "SerialBackend | SharedMemBackend":
@@ -269,20 +225,10 @@ def resolved_backend(backend: "Backend | None" = None) -> Iterator[Backend]:
     The single shape every entry point uses: an explicit ``backend=`` is
     left running for the caller to reuse; the default one is shut down on
     exit.
-
-    For inline (``workers == 1``) backends the backend's ``blas_threads``
-    cap is held for the whole ``with`` body, not just inside ``map`` —
-    entry points run most of their GEMM work directly in the caller, so a
-    map-scoped cap alone would miss it.  Multi-worker backends apply the
-    cap inside each worker instead.
     """
     exec_backend: Backend = SerialBackend() if backend is None else backend
-    # getattr, not attribute access: Backend is a runtime_checkable Protocol
-    # and third-party backends predating the thread governor remain valid.
-    scoped_cap = getattr(exec_backend, "blas_threads", None) if exec_backend.workers == 1 else None
     try:
-        with blas_thread_limit(scoped_cap):
-            yield exec_backend
+        yield exec_backend
     finally:
         if backend is None:
             exec_backend.shutdown()

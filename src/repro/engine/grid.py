@@ -307,10 +307,10 @@ def _grid_point_task(payload, cache) -> BatchedPointResult:
         design_store = None
     else:
         design_store = cache.get(_WORKER_STORE_SLOT)
-        if design_store is None or (str(design_store.root), design_store.max_bytes, design_store.keep_blocks) != store_spec:
+        if design_store is None or (str(design_store.root), design_store.max_bytes) != store_spec:
             from repro.designs.store import DesignStore
 
-            design_store = cache[_WORKER_STORE_SLOT] = DesignStore(store_spec[0], max_bytes=store_spec[1], keep_blocks=store_spec[2])
+            design_store = cache[_WORKER_STORE_SLOT] = DesignStore(*store_spec)
     return run_batched_point(
         n,
         m,
@@ -379,7 +379,7 @@ def run_trial_grid(
         cache_obj = resolve_design_cache(cache)
         cache_bytes = cache_obj.max_bytes if cache_obj is not None else None
         store_obj = resolve_design_store(store)
-        store_spec = (str(store_obj.root), store_obj.max_bytes, store_obj.keep_blocks) if store_obj is not None else None
+        store_spec = (str(store_obj.root), store_obj.max_bytes) if store_obj is not None else None
         payloads = [
             (n, int(m), theta, k, trials, root_seed, idx, gamma, noise, repeats, kernel, decoder, cache_bytes, store_spec)
             for idx, m in enumerate(ms)

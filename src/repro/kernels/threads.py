@@ -1,23 +1,22 @@
-"""BLAS threadpool governor: dependency-light thread-count and affinity control.
+"""BLAS threadpool governor: dependency-light thread-count control.
 
 The GEMM kernels run on whatever BLAS NumPy linked — which manages its own
 thread pool, invisibly to the library.  That is fine for one serial
-process, but a :class:`~repro.engine.backend.SharedMemBackend` forking
-``W`` workers silently oversubscribes the machine ``W × T``-fold (every
-worker inherits the full-machine default ``T``).  This module provides
-the minimal control surface to stop that, with **no** new dependencies:
+process, but a :class:`~repro.parallel.pool.WorkerPool` forking ``W``
+workers would oversubscribe the machine ``W × T``-fold (every worker
+inherits the full-machine default ``T``).  This module provides the
+minimal control surface to stop that, with **no** new dependencies:
 
 * **detection** — scan ``/proc/self/maps`` for the loaded BLAS shared
   object (OpenBLAS — including SciPy's ``scipy_openblas`` wheels, whose
   symbols carry a vendor prefix and ``64_`` suffix — MKL, BLIS) and bind
   its get/set thread functions through :mod:`ctypes`;
-* **get/set** — :func:`get_blas_threads` / :func:`set_blas_threads`, plus
-  the scoped :func:`blas_thread_limit` used around serial hot paths;
-* **policy** — ``REPRO_BLAS_THREADS`` / ``blas_threads=`` resolution
-  (:func:`resolve_blas_threads`), the ``max(1, cores // W)`` per-worker
-  budget (:func:`worker_thread_budget`) and contiguous per-worker core
-  slices for optional ``os.sched_setaffinity`` pinning
-  (:func:`worker_core_slices`);
+* **get/set** — :func:`get_blas_threads` / :func:`set_blas_threads`;
+* **policy** — the one rule: a forked worker of a ``W``-worker pool sets
+  its BLAS pool to :func:`worker_thread_budget` ``= max(1, cores // W)``.
+  Inline execution leaves BLAS alone; the vendor's own
+  ``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS`` / ``MKL_NUM_THREADS``
+  size the calling process's pool;
 * **provenance** — :func:`machine_provenance`, stamped into every
   ``BENCH_*.json`` payload so perf trajectories are comparable across
   machines.
@@ -31,37 +30,20 @@ from __future__ import annotations
 
 import ctypes
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 __all__ = [
-    "BLAS_THREADS_ENV",
-    "PIN_WORKERS_ENV",
     "BlasControl",
     "detect_blas",
-    "blas_vendor",
     "get_blas_threads",
     "set_blas_threads",
-    "blas_thread_limit",
-    "resolve_blas_threads",
     "worker_thread_budget",
-    "worker_core_slices",
-    "pin_workers_default",
     "cpu_count",
     "machine_provenance",
 ]
-
-#: Environment variable fixing the BLAS thread count for the process (and,
-#: through the backends, for every forked worker).  An explicit
-#: ``blas_threads=`` argument always wins.
-BLAS_THREADS_ENV = "REPRO_BLAS_THREADS"
-
-#: Truthy values opt sharedmem workers into ``sched_setaffinity`` pinning
-#: (each worker confined to a contiguous slice of the available cores).
-PIN_WORKERS_ENV = "REPRO_PIN_WORKERS"
 
 #: Shared-object basename fragments identifying each vendor.  SciPy/NumPy
 #: wheels ship OpenBLAS as ``libscipy_openblas…``; conda/MKL environments
@@ -147,22 +129,16 @@ def _probe() -> "Optional[BlasControl]":
 _CONTROL: "BlasControl | None | bool" = False
 
 
-def detect_blas(refresh: bool = False) -> "Optional[BlasControl]":
+def detect_blas() -> "Optional[BlasControl]":
     """The process's controllable BLAS pool, or ``None``.  Memoised.
 
     NumPy is imported by this module, so its BLAS is guaranteed to be
     mapped before the first probe runs.
     """
     global _CONTROL
-    if _CONTROL is False or refresh:
+    if _CONTROL is False:
         _CONTROL = _probe()
     return _CONTROL  # type: ignore[return-value]
-
-
-def blas_vendor() -> str:
-    """Detected vendor name (``"openblas"``/``"mkl"``/``"blis"``) or ``"unknown"``."""
-    control = detect_blas()
-    return control.vendor if control is not None else "unknown"
 
 
 def get_blas_threads() -> int:
@@ -183,45 +159,6 @@ def set_blas_threads(threads: int) -> int:
     return control.set_threads(threads)
 
 
-@contextmanager
-def blas_thread_limit(threads: "int | None") -> Iterator[None]:
-    """Scoped BLAS thread cap: set on entry, restore the old count on exit.
-
-    ``None`` (or an undetected pool) makes the context a pure no-op, so
-    call sites can apply a possibly-unset policy unconditionally.
-    """
-    if threads is None or detect_blas() is None:
-        yield
-        return
-    previous = set_blas_threads(threads)
-    try:
-        yield
-    finally:
-        set_blas_threads(previous)
-
-
-def resolve_blas_threads(blas_threads: "int | None" = None) -> "int | None":
-    """Resolve a ``blas_threads=`` argument (argument > environment > ``None``).
-
-    ``None`` means "no explicit policy" — backends then apply their own
-    default (the sharedmem per-worker budget) or leave the pool alone.
-    """
-    if blas_threads is not None:
-        if not isinstance(blas_threads, int) or isinstance(blas_threads, bool) or blas_threads < 1:
-            raise ValueError(f"blas_threads must be a positive int, got {blas_threads!r}")
-        return blas_threads
-    raw = os.environ.get(BLAS_THREADS_ENV, "").strip()
-    if not raw:
-        return None
-    try:
-        parsed = int(raw)
-    except ValueError:
-        parsed = 0
-    if parsed < 1:
-        raise ValueError(f"{BLAS_THREADS_ENV}={raw!r} is not a positive integer")
-    return parsed
-
-
 def cpu_count() -> int:
     """Usable core count, respecting CPU affinity where the platform has it."""
     try:
@@ -239,43 +176,6 @@ def worker_thread_budget(workers: int, cores: "int | None" = None) -> int:
     """
     total = cpu_count() if cores is None else max(1, int(cores))
     return max(1, total // max(1, int(workers)))
-
-
-def worker_core_slices(workers: int, cores: "int | list[int] | None" = None) -> "list[tuple[int, ...]]":
-    """Contiguous core slices for pinning ``workers`` processes.
-
-    ``cores`` is the available core-id list (default: this process's
-    affinity set; an int means ``range(cores)``).  They are split into
-    ``workers`` near-equal contiguous runs (remainder cores go to the
-    first slices); with more workers than cores, workers share cores
-    round-robin.  Every returned slice is non-empty, so it is always a
-    valid ``sched_setaffinity`` mask.
-    """
-    if cores is None:
-        try:
-            cores = sorted(os.sched_getaffinity(0))
-        except AttributeError:  # pragma: no cover - non-Linux
-            cores = list(range(cpu_count()))
-    elif isinstance(cores, int):
-        cores = list(range(max(1, cores)))
-    count = max(1, int(workers))
-    if not cores:
-        cores = [0]
-    if len(cores) < count:
-        return [(cores[i % len(cores)],) for i in range(count)]
-    per, extra = divmod(len(cores), count)
-    slices: "list[tuple[int, ...]]" = []
-    start = 0
-    for i in range(count):
-        size = per + (1 if i < extra else 0)
-        slices.append(tuple(cores[start : start + size]))
-        start += size
-    return slices
-
-
-def pin_workers_default() -> bool:
-    """Whether ``REPRO_PIN_WORKERS`` opts this process into worker pinning."""
-    return os.environ.get(PIN_WORKERS_ENV, "").strip().lower() in ("1", "true", "yes", "on")
 
 
 def machine_provenance() -> "dict[str, object]":

@@ -123,11 +123,7 @@ def resolve_workers(workers: "int | None") -> int:
     return workers
 
 
-def _worker_loop(
-    conn: "mp_connection.Connection",
-    blas_threads: "int | None" = None,
-    cores: "tuple[int, ...] | None" = None,
-) -> None:
+def _worker_loop(conn: "mp_connection.Connection", blas_threads: int) -> None:
     """Worker main: recv ``(kind, task_id, fn, payload)``, send results.
 
     All traffic flows over the worker's private duplex ``conn`` — sends
@@ -135,22 +131,15 @@ def _worker_loop(
     the process dies (or is killed) only at well-defined points and no
     shared lock can be orphaned (see the module docstring).
 
-    ``blas_threads``/``cores`` apply the pool's thread-governance policy
-    inside the worker itself (not at fork time), so it holds for spawned
-    workers and survives anything the parent does to its own pool after
-    forking.
+    ``blas_threads`` (the pool's :func:`~repro.kernels.threads.worker_thread_budget`)
+    is applied inside the worker itself (not at fork time), so it holds
+    for spawned workers and survives anything the parent does to its own
+    pool after forking.
     """
-    if cores:
-        try:
-            os.sched_setaffinity(0, cores)
-        except (AttributeError, OSError):  # pragma: no cover - non-Linux / revoked cores
-            pass
-    if blas_threads is not None:
-        from repro.kernels.threads import set_blas_threads
-
-        set_blas_threads(blas_threads)
     from repro.faults import trip
+    from repro.kernels.threads import set_blas_threads
 
+    set_blas_threads(blas_threads)
     cache: dict = {}
     while True:
         try:
@@ -190,13 +179,10 @@ class WorkerPool:
     (no subprocess at all), which makes single-worker runs trivially
     debuggable and exactly as reproducible as the parallel path.
 
-    ``blas_threads`` caps each worker's BLAS threadpool (applied inside the
-    worker via :mod:`repro.kernels.threads` — the cure for ``W × T``
-    oversubscription); ``pin_cores`` optionally pins worker ``i`` to the
-    ``i``-th core tuple via ``sched_setaffinity``.  In the inline
-    (``workers == 1``) case the cap is applied scoped around each
-    :meth:`map` call instead, so the parent's pool configuration is
-    restored afterwards.
+    Each forked worker sets its BLAS threadpool to
+    :func:`~repro.kernels.threads.worker_thread_budget` of the pool's
+    worker count — ``max(1, cores // W)``, the cure for ``W × T``
+    oversubscription.  The inline case leaves the parent's pool alone.
 
     ``max_task_retries`` bounds crash healing: a task whose worker dies is
     re-dispatched to a respawned worker at most this many times before
@@ -208,16 +194,12 @@ class WorkerPool:
         self,
         workers: "int | None" = None,
         *,
-        blas_threads: "int | None" = None,
-        pin_cores: "Sequence[tuple[int, ...]] | None" = None,
         max_task_retries: int = 2,
     ):
         if max_task_retries < 0:
             raise ValueError("max_task_retries must be >= 0")
         self.workers = resolve_workers(workers)
-        self.blas_threads = blas_threads
         self.max_task_retries = int(max_task_retries)
-        self._pin_cores = [tuple(c) for c in pin_cores] if pin_cores else None
         self._ctx: "mp.context.BaseContext | None" = None
         self._members: "list[_Worker]" = []
         self._inline_cache: dict = {}
@@ -225,19 +207,17 @@ class WorkerPool:
         self._dead_pids: "list[int]" = []  #: every crashed-worker pid this pool healed
         self._respawns = 0  #: how many replacement workers were forked
         if self.workers > 1:
-            self._ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
-            for i in range(self.workers):
-                self._members.append(self._spawn_member(i))
+            from repro.kernels.threads import worker_thread_budget
 
-    def _spawn_member(self, index: int) -> _Worker:
+            self._blas_threads = worker_thread_budget(self.workers)
+            self._ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
+            for _ in range(self.workers):
+                self._members.append(self._spawn_member())
+
+    def _spawn_member(self) -> _Worker:
         assert self._ctx is not None
-        cores = self._pin_cores[index % len(self._pin_cores)] if self._pin_cores else None
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        proc = self._ctx.Process(
-            target=_worker_loop,
-            args=(child_conn, self.blas_threads, cores),
-            daemon=True,
-        )
+        proc = self._ctx.Process(target=_worker_loop, args=(child_conn, self._blas_threads), daemon=True)
         proc.start()
         # Drop the parent's copy of the child end: the worker is then the
         # *only* writer, so its death closes the channel and the parent
@@ -274,10 +254,7 @@ class WorkerPool:
         if not payloads:
             return []
         if self.workers == 1:
-            from repro.kernels.threads import blas_thread_limit
-
-            with blas_thread_limit(self.blas_threads):
-                return [fn(p, self._inline_cache) for p in payloads]
+            return [fn(p, self._inline_cache) for p in payloads]
         n = len(payloads)
         results: "list[Any]" = [None] * n
         done = [False] * n
@@ -372,7 +349,7 @@ class WorkerPool:
                     )
                 pending.appendleft(lost)  # re-dispatch first: the oldest task is the most waited-on
             member.conn.close()
-            self._members[index] = self._spawn_member(index)
+            self._members[index] = self._spawn_member()
             self._respawns += 1
         return True
 

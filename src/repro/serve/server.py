@@ -55,18 +55,14 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 
 __all__ = ["ServeConfig", "DecodeServer", "serve_forever"]
 
-#: Environment defaults for the CLI knobs (README env table).
-SERVE_WINDOW_ENV = "REPRO_SERVE_WINDOW_MS"
-SERVE_MAX_BATCH_ENV = "REPRO_SERVE_MAX_BATCH"
-SERVE_MAX_QUEUE_ENV = "REPRO_SERVE_MAX_QUEUE"
-SERVE_BREAKER_THRESHOLD_ENV = "REPRO_SERVE_BREAKER_THRESHOLD"
-SERVE_BREAKER_COOLDOWN_ENV = "REPRO_SERVE_BREAKER_COOLDOWN_MS"
-SERVE_DECODER_ENV = "REPRO_SERVE_DECODER"
-
 
 @dataclass(frozen=True)
 class ServeConfig:
     """Tuning knobs of one serve process (see ``docs/serving.md``).
+
+    The field defaults are the only defaults: each ``pooled-repro serve``
+    flag overrides its field (``--max-batch`` sets ``max_batch``,
+    ``--decoder`` sets ``default_decoder``), and an omitted flag keeps it.
 
     ``batch_window_ms`` trades tail latency for throughput: each key's
     first pending request waits at most this long for company before its
@@ -79,8 +75,7 @@ class ServeConfig:
     ``unavailable`` until a half-open probe succeeds).
 
     ``default_decoder`` names the registry decoder a request without an
-    explicit ``decoder`` field runs under (``REPRO_SERVE_DECODER`` sets it
-    from the environment via the CLI).
+    explicit ``decoder`` field runs under.
     """
 
     batch_window_ms: float = 2.0

@@ -201,6 +201,21 @@ class TestDesignStoreCLI:
         assert main(["design", "store", "ls"]) == 2
         assert "REPRO_DESIGN_STORE" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["design", "build", "--n", "200", "--m", "24", "--out", "{tmp}/d"],
+            ["design", "store", "ls"],
+            ["serve", "--stdio"],
+        ],
+        ids=["design-build", "design-store-ls", "serve"],
+    )
+    def test_bad_byte_budget_exits_2_naming_the_variable(self, tmp_path, ambient_store, monkeypatch, capsys, argv):
+        monkeypatch.setenv("REPRO_DESIGN_STORE_BYTES", "12MB")
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: REPRO_DESIGN_STORE_BYTES='12MB'") and "Traceback" not in err
+
     def test_gc_without_budget_reaps_residue_only(self, tmp_path, ambient_store, capsys):
         # No byte budget: nothing is evicted, but crash residue (orphaned
         # publication temp dirs past the grace period) is still reaped.
@@ -210,3 +225,38 @@ class TestDesignStoreCLI:
         assert "reaped 1 residue item(s)" in out
         assert not (ambient_store / ".tmp-deadbeef-1-abc").exists()
 
+
+class TestServeFlags:
+    @pytest.fixture
+    def served_config(self, monkeypatch):
+        """Run ``main`` up to the server start and return the ServeConfig it built."""
+        import repro.serve
+
+        seen = []
+
+        async def fake_serve_forever(decoders, config, **kwargs):
+            seen.append(config)
+
+        monkeypatch.setattr(repro.serve, "serve_forever", fake_serve_forever)
+
+        def run(*flags):
+            assert main(["serve", "--stdio", *flags]) == 0
+            return seen.pop()
+
+        return run
+
+    def test_omitted_flags_keep_the_serveconfig_defaults(self, served_config):
+        from repro.serve import ServeConfig
+
+        assert served_config() == ServeConfig()
+
+    def test_flags_override_their_fields(self, served_config):
+        from repro.serve import ServeConfig
+
+        config = served_config("--max-batch", "7", "--timeout-ms", "50", "--decoder", "comp", "--breaker-cooldown-ms", "0")
+        assert config == ServeConfig(max_batch=7, timeout_ms=50.0, default_decoder="comp", breaker_cooldown_ms=0.0)
+
+    @pytest.mark.parametrize("flags", [["--decoder", "martian"], ["--max-batch", "0"]])
+    def test_bad_flag_exits_2(self, flags, capsys):
+        assert main(["serve", "--stdio", *flags]) == 2
+        assert capsys.readouterr().err.startswith("error: ")

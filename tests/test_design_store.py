@@ -16,6 +16,7 @@ Three contracts under test:
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -299,6 +300,13 @@ class TestResolveAmbient:
         monkeypatch.setenv(DESIGN_STORE_ENV, str(tmp_path / "ambient"))
         monkeypatch.setenv(DESIGN_STORE_BYTES_ENV, str(1 << 20))
         assert resolve_design_store(None).max_bytes == 1 << 20
+
+    @pytest.mark.parametrize("raw", ["12MB", "1.5", "0", "-5"])
+    def test_bad_env_byte_budget_names_the_variable(self, monkeypatch, tmp_path, raw):
+        monkeypatch.setenv(DESIGN_STORE_ENV, str(tmp_path / "ambient"))
+        monkeypatch.setenv(DESIGN_STORE_BYTES_ENV, raw)
+        with pytest.raises(ValueError, match=f"^{DESIGN_STORE_BYTES_ENV}='{re.escape(raw)}' is not a positive integer"):
+            resolve_design_store(None)
 
     def test_fetch_compiled_layers_cache_over_store(self, store):
         cache = DesignCache()

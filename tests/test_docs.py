@@ -7,6 +7,7 @@ pytest, so the container suite fails fast without needing mkdocs
 installed.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -22,6 +23,24 @@ def _nav_pages() -> "list[str]":
     pages = re.findall(r":\s*([\w./-]+\.md)\s*$", MKDOCS_YML.read_text(), flags=re.M)
     assert pages, "mkdocs.yml nav parsed to nothing — did its format change?"
     return pages
+
+
+def _source_env_vars() -> "set[str]":
+    """Every ``"REPRO_…"`` string literal under ``src/`` — the variables the library reads."""
+    names = set()
+    for path in (REPO / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and re.fullmatch(r"REPRO_[A-Z0-9_]+", node.value):
+                names.add(node.value)
+    assert names, "no REPRO_* literal found under src/ — did the layout change?"
+    return names
+
+
+def _env_table(page: Path) -> "set[str]":
+    """The ``REPRO_*`` names of the page's "Environment variables" table."""
+    section = re.search(r"^#+ Environment variables\n(.*?)(?=^#)", page.read_text(), flags=re.M | re.S)
+    assert section, f"{page.name} has no 'Environment variables' section"
+    return set(re.findall(r"^\| `(REPRO_[A-Z0-9_]+)` \|", section.group(1), flags=re.M))
 
 
 class TestDocsSite:
@@ -62,21 +81,15 @@ class TestDocsSite:
         readme = (REPO / "README.md").read_text()
         assert "docs/" in readme, "README should link into the docs site"
 
-    @pytest.mark.parametrize(
-        "env_var",
-        [
-            "REPRO_DESIGN_CACHE",
-            "REPRO_DESIGN_STORE",
-            "REPRO_KERNEL",
-            "REPRO_BLAS_THREADS",
-            "REPRO_FAULT_PLAN",
-            "REPRO_SERVE_BREAKER_THRESHOLD",
-            "REPRO_SERVE_BREAKER_COOLDOWN_MS",
-        ],
-    )
+    @pytest.mark.parametrize("env_var", sorted(_source_env_vars()))
     def test_env_var_table_documents(self, env_var):
-        assert env_var in (DOCS / "index.md").read_text()
-        assert env_var in (REPO / "README.md").read_text()
+        for page in ("README.md", "docs/index.md"):
+            assert env_var in _env_table(REPO / page), f"{page}'s env table lacks {env_var}"
+
+    @pytest.mark.parametrize("page", ["README.md", "docs/index.md"])
+    def test_env_var_table_lists_only_read_variables(self, page):
+        extra = _env_table(REPO / page) - _source_env_vars()
+        assert not extra, f"{page}'s env table lists variables no source file names: {sorted(extra)}"
 
 
 class TestCliReferenceCompleteness:
@@ -92,3 +105,20 @@ class TestCliReferenceCompleteness:
             assert f"design {design_cmd}" in cli_page
         for store_cmd in ("ls", "gc", "stats", "fsck"):
             assert store_cmd in cli_page
+
+    def test_serve_defaults_match_serveconfig(self):
+        """docs/cli.md's serve table states the ServeConfig field defaults, the one place they live."""
+        from dataclasses import fields
+
+        from repro.serve import ServeConfig
+
+        defaults = {f.name: f.default for f in fields(ServeConfig)}
+        rows = re.findall(r"^\| `--([a-z-]+)` \| `([^`]+)` \|", (DOCS / "cli.md").read_text(), flags=re.M)
+        checked = set()
+        for flag, documented in rows:
+            field = "default_decoder" if flag == "decoder" else flag.replace("-", "_")
+            if field in defaults:
+                default = defaults[field]
+                assert type(default)(documented) == default, f"--{flag}: docs say {documented}, ServeConfig says {default}"
+                checked.add(field)
+        assert checked == set(defaults) - {"drain_timeout_s"}, f"serve flags missing from docs/cli.md: {set(defaults) - checked}"

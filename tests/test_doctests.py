@@ -11,6 +11,10 @@ import importlib
 
 import pytest
 
+from repro.designs import DesignStore
+from repro.engine.backend import SerialBackend, SharedMemBackend
+from repro.parallel.pool import WorkerPool
+
 MODULES_WITH_DOCTESTS = [
     "repro",
     "repro.core.mn",
@@ -72,12 +76,41 @@ def test_every_exported_name_resolves(package):
         ("repro.designs", "attach_compiled"),
         ("repro.parallel", "CSRMatrix"),
         ("repro", "CSRMatrix"),
+        ("repro.kernels.threads", "BLAS_THREADS_ENV"),
+        ("repro.kernels.threads", "PIN_WORKERS_ENV"),
+        ("repro.kernels.threads", "resolve_blas_threads"),
+        ("repro.kernels.threads", "blas_thread_limit"),
+        ("repro.kernels.threads", "worker_core_slices"),
+        ("repro.kernels.threads", "pin_workers_default"),
+        ("repro.kernels.threads", "blas_vendor"),
     ],
 )
 def test_deleted_names_are_not_exported(package, name):
     module = importlib.import_module(package)
     assert name not in getattr(module, "__all__", ())
     assert not hasattr(module, name)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda root: SerialBackend(blas_threads=1),
+        lambda root: SharedMemBackend(2, blas_threads=1),
+        lambda root: SharedMemBackend(2, pin_workers=True),
+        lambda root: WorkerPool(2, pin_cores=[(0,)]),
+        lambda root: DesignStore(root, keep_blocks=False),
+    ],
+    ids=[
+        "SerialBackend-blas_threads",
+        "SharedMemBackend-blas_threads",
+        "SharedMemBackend-pin_workers",
+        "WorkerPool-pin_cores",
+        "DesignStore-keep_blocks",
+    ],
+)
+def test_deleted_arguments_are_rejected(make, tmp_path):
+    with pytest.raises(TypeError):
+        make(tmp_path)
 
 
 @pytest.mark.parametrize("module_name", ["repro.designs.sharing", "repro.parallel.matvec"])

@@ -387,41 +387,11 @@ class TestExactnessBoundaries:
 class TestThreadGovernor:
     """repro.kernels.threads: detection-tolerant governor behaviour."""
 
-    def test_resolve_blas_threads(self, monkeypatch):
-        monkeypatch.delenv(threads.BLAS_THREADS_ENV, raising=False)
-        assert threads.resolve_blas_threads(None) is None
-        assert threads.resolve_blas_threads(3) == 3
-        monkeypatch.setenv(threads.BLAS_THREADS_ENV, "2")
-        assert threads.resolve_blas_threads(None) == 2
-        assert threads.resolve_blas_threads(5) == 5  # argument beats env
-        with pytest.raises(ValueError):
-            threads.resolve_blas_threads(0)
-        monkeypatch.setenv(threads.BLAS_THREADS_ENV, "zero")
-        with pytest.raises(ValueError):
-            threads.resolve_blas_threads(None)
-
     def test_worker_thread_budget(self):
         assert threads.worker_thread_budget(2, cores=8) == 4
         assert threads.worker_thread_budget(3, cores=8) == 2
         assert threads.worker_thread_budget(16, cores=8) == 1  # never zero
         assert threads.worker_thread_budget(1, cores=8) == 8
-
-    def test_worker_core_slices(self):
-        assert threads.worker_core_slices(2, cores=8) == [(0, 1, 2, 3), (4, 5, 6, 7)]
-        slices = threads.worker_core_slices(3, cores=8)
-        assert sorted(c for s in slices for c in s) == list(range(8))  # full coverage, no overlap
-        assert all(s for s in slices)
-        # More workers than cores: round-robin, never an empty affinity set.
-        assert threads.worker_core_slices(3, cores=1) == [(0,), (0,), (0,)]
-
-    def test_blas_thread_limit_scoped(self):
-        before = threads.get_blas_threads()
-        with threads.blas_thread_limit(1):
-            if threads.detect_blas() is not None:
-                assert threads.get_blas_threads() == 1
-        assert threads.get_blas_threads() == before
-        with threads.blas_thread_limit(None):  # explicit no-op
-            assert threads.get_blas_threads() == before
 
     def test_machine_provenance(self):
         prov = threads.machine_provenance()
@@ -430,36 +400,14 @@ class TestThreadGovernor:
         assert isinstance(prov["blas_vendor"], str)
         assert prov["numpy"] == np.__version__
 
-    def test_pin_workers_default(self, monkeypatch):
-        monkeypatch.delenv(threads.PIN_WORKERS_ENV, raising=False)
-        assert threads.pin_workers_default() is False
-        for value in ("1", "true", "YES", "on"):
-            monkeypatch.setenv(threads.PIN_WORKERS_ENV, value)
-            assert threads.pin_workers_default() is True
-        monkeypatch.setenv(threads.PIN_WORKERS_ENV, "0")
-        assert threads.pin_workers_default() is False
-
-    def test_backend_governance_defaults(self, monkeypatch):
-        monkeypatch.delenv(threads.BLAS_THREADS_ENV, raising=False)
-        monkeypatch.delenv(threads.PIN_WORKERS_ENV, raising=False)
-        assert SerialBackend().blas_threads is None
-        assert SerialBackend(blas_threads=2).blas_threads == 2
-        multi = SharedMemBackend(4)
-        assert multi.blas_threads == threads.worker_thread_budget(4)  # oversubscription guard
-        assert SharedMemBackend(4, blas_threads=3).blas_threads == 3
-        assert multi.pin_workers is False
-        monkeypatch.setenv(threads.BLAS_THREADS_ENV, "2")
-        assert SerialBackend().blas_threads == 2
-        assert SharedMemBackend(4).blas_threads == 2
-
     @pytest.mark.parametrize("workers", [1, 2])
     def test_capped_pool_end_to_end(self, workers):
-        """A worker pool under the thread cap + pinning still bit-matches serial."""
+        """A worker pool under its per-worker BLAS budget still bit-matches serial."""
         sigma = random_signal(60, 7, np.random.default_rng(6))
         serial = stream_design_stats(sigma, 21, root_seed=9, batch_queries=8, backend=SerialBackend(kernel="dense32"))
-        with SharedMemBackend(workers, kernel="dense32", blas_threads=1, pin_workers=True) as backend:
+        with SharedMemBackend(workers, kernel="dense32") as backend:
             got = stream_design_stats(sigma, 21, root_seed=9, batch_queries=8, backend=backend)
-        assert_stats_equal(got, serial, f"(workers={workers}, capped+pinned)")
+        assert_stats_equal(got, serial, f"(workers={workers}, capped)")
 
 
 class TestTopKFastPath:

@@ -73,45 +73,35 @@ class TestInlineMode:
                 pool.map(_boom, [13])
 
 
-def _thread_policy(payload, cache):
-    """What the worker actually runs under: (affinity set, BLAS threads)."""
+def _blas_threads_inside(expected, cache):
+    """Asserted in the process that runs the task: its BLAS pool size."""
     from repro.kernels.threads import detect_blas, get_blas_threads
 
-    try:
-        cores = sorted(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        cores = None
-    return cores, get_blas_threads() if detect_blas() is not None else None
+    if detect_blas() is not None:
+        assert get_blas_threads() == expected, (get_blas_threads(), expected)
+    return os.getpid()
 
 
 class TestThreadGovernance:
-    def test_inline_cap_is_scoped_to_map(self):
-        from repro.kernels.threads import detect_blas, get_blas_threads
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_workers_run_at_the_thread_budget(self, workers):
+        """Each forked worker of a W-worker pool runs ``worker_thread_budget(W)`` BLAS threads."""
+        from repro.kernels.threads import worker_thread_budget
 
-        before = get_blas_threads()
-        with WorkerPool(1, blas_threads=1) as pool:
-            (_, inside), = pool.map(_thread_policy, [None])
-        if detect_blas() is not None:
-            assert inside == 1
-        assert get_blas_threads() == before  # parent's setting restored
-
-    def test_workers_apply_cap_and_pinning(self):
-        from repro.kernels.threads import detect_blas, worker_core_slices
-
-        slices = worker_core_slices(2)
-        with WorkerPool(2, blas_threads=1, pin_cores=slices) as pool:
-            policies = pool.map(_thread_policy, [0, 1, 2, 3])
-        allowed = {s for s in slices}
-        for cores, blas in policies:
-            if cores is not None:
-                assert tuple(cores) in allowed
-            if detect_blas() is not None:
-                assert blas == 1
+        with WorkerPool(workers) as pool:
+            pids = pool.map(_blas_threads_inside, [worker_thread_budget(workers)] * (2 * workers))
+        assert os.getpid() not in pids
 
     def test_uncapped_pool_unchanged(self):
+        """The inline (one-worker) pool runs in the caller and leaves its BLAS pool alone."""
+        from repro.kernels.threads import get_blas_threads
+
+        before = get_blas_threads()
+        with WorkerPool(1) as pool:
+            assert pool.map(_blas_threads_inside, [before]) == [os.getpid()]
         with WorkerPool(2) as pool:
             assert pool.map(_square, [1, 2, 3]) == [1, 4, 9]
-        assert WorkerPool(1).blas_threads is None
+        assert get_blas_threads() == before
 
 
 class TestParallelMode:

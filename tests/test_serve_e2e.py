@@ -37,8 +37,8 @@ def make_cases(key, k, count, seed0):
     return cases
 
 
-def spawn_server(*extra_args, env_extra=None):
-    env = dict(os.environ, PYTHONPATH="src", **(env_extra or {}))
+def spawn_server(*extra_args):
+    env = dict(os.environ, PYTHONPATH="src")
     return subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", *extra_args],
         stdin=subprocess.PIPE,
@@ -177,9 +177,8 @@ class TestMultiDecoderEndToEnd:
                 proc.kill()
                 proc.wait()
 
-    def test_decoder_env_sets_the_default(self):
-        env_override = {"REPRO_SERVE_DECODER": "comp"}
-        proc = spawn_server("--port", "0", "--batch-window-ms", "1", env_extra=env_override)
+    def test_decoder_flag_sets_the_default(self):
+        proc = spawn_server("--port", "0", "--batch-window-ms", "1", "--decoder", "comp")
         try:
             host, port = read_banner(proc)
             compiled = compile_from_key(KEY_A)
