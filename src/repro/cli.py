@@ -615,9 +615,34 @@ def _cmd_serve(args) -> int:
     return 0
 
 
+#: Commands that run simulations, and so read ``REPRO_KERNEL`` and the
+#: ambient design store somewhere inside the sweep.
+_SWEEP_COMMANDS = ("fig2", "fig3", "fig4", "fignoise", "figdecoders", "claims", "it")
+
+
+def _check_ambient_settings() -> bool:
+    """Resolve ``REPRO_KERNEL`` and the ambient store before a sweep starts.
+
+    A malformed value then ends the command with ``error: …`` naming the
+    variable, instead of a traceback from deep inside the first trial.
+    """
+    from repro.designs import resolve_design_store
+    from repro.kernels import resolve_kernel
+
+    try:
+        resolve_kernel(None)
+        resolve_design_store(None)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def main(argv: "Optional[Sequence[str]]" = None) -> int:
     """Entry point; returns an exit code."""
     args = build_parser().parse_args(argv)
+    if args.command in _SWEEP_COMMANDS and not _check_ambient_settings():
+        return 2
     if args.command == "fig1":
         return _cmd_fig1()
     if args.command == "fig2":

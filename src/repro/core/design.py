@@ -297,9 +297,22 @@ class PoolingDesign:
         A fresh ``(m, n)`` int64 array; the unweighted biadjacency is
         ``A > 0``.  Holds ``m·n`` cells, so callers guard its size.
         """
-        rows = np.repeat(np.arange(self.m, dtype=np.int64), np.diff(self.indptr))
-        flat = np.bincount(rows * self.n + self.entries, minlength=self.m * self.n)
+        flat = np.bincount(self.incidence_cells(0, self.m), minlength=self.m * self.n)
         return flat.astype(np.int64, copy=False).reshape(self.m, self.n)
+
+    def incidence_cells(self, lo: int, hi: int) -> np.ndarray:
+        """Flat cell ``(j − lo)·n + i`` of every draw ``i`` of queries ``lo ≤ j < hi``.
+
+        Indexes the row-major ``(hi − lo, n)`` block of those queries, so
+        ``block.reshape(-1)[cells] = 1`` marks the distinct incidence in one
+        flat scatter and a ``bincount`` gives the counts.  The dtype is
+        intp, which fancy indexing consumes natively; a narrower index
+        would be cast to intp first, costing more than it saves.
+        """
+        sizes = self.indptr[lo + 1 : hi + 1] - self.indptr[lo:hi]
+        cells = np.repeat(np.arange(0, (hi - lo) * self.n, self.n, dtype=np.intp), sizes)
+        cells += self.entries[int(self.indptr[lo]) : int(self.indptr[hi])]
+        return cells
 
     # -- neighbourhood statistics ------------------------------------------------------
 

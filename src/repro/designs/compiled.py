@@ -328,10 +328,8 @@ class CompiledDesign:
             # not each build (and briefly double-hold) the up-to-256MB block.
             with self._block_lock:
                 if self._block is None:
-                    design = self.design
                     block = np.zeros((self.m, self.n), dtype=self.block_dtype)
-                    rows = np.repeat(np.arange(self.m, dtype=np.int64), np.diff(design.indptr))
-                    block[rows, design.entries] = 1.0
+                    block.reshape(-1)[self.design.incidence_cells(0, self.m)] = 1.0
                     block.setflags(write=False)
                     self._block = block
         return self._block

@@ -7,23 +7,34 @@ the incidence structure is dense, not sparse.  These kernels exploit that:
 * **Dedup by scatter** — marking ``block[row, edges] = 1`` on a dense
   ``(b, n)`` block resolves distinctness for free (duplicate draws land on
   the same cell), replacing the legacy ``O(b·Γ·log Γ)`` row sorts with an
-  ``O(b·Γ)`` scatter.
+  ``O(b·Γ)`` scatter.  The materialised pass writes it as one flat
+  scatter, ``block.reshape(-1)[row·n + edge] = 1``
+  (:meth:`~repro.core.design.PoolingDesign.incidence_cells`): cheaper
+  than the 2-D fancy index, which resolves two index arrays per cell.
 * **Ψ as GEMM** — with the block in hand, the per-entry result sums for a
   whole batch of signals collapse into one BLAS call:
   ``Ψ += y @ block`` (in the streaming kernel ``Δ*`` rides along as the
   all-ones row of the same product).
 * **Queries as GEMM** — batched query evaluation builds the per-chunk
-  *count* block with one ``bincount`` over linearised ``(row, entry)``
+  *count* block with one ``bincount`` over linearised ``(row, column)``
   indices (multiplicities preserved) and evaluates all ``B`` signals as
-  ``σ @ countsᵀ``, replacing the per-signal gather loop.
+  ``σ @ countsᵀ``, replacing the per-signal gather loop.  Only columns
+  some signal touches can contribute, and in the paper's sparse regime
+  (``k = n^θ``) the batch's union support ``u`` is a small fraction of
+  ``n``; so the count block spans just those ``u`` columns plus one
+  spare column that absorbs every untouched entry (its signal
+  coefficient is zero), and the GEMM is ``[σ[:, support], 0] @ countsᵀ``.
+  A support covering all ``n`` columns maps every column to itself and
+  costs what the full ``(rc, n)`` count block does.
 
 Blocks are stored in a floating dtype so the products run through BLAS,
 and chunked over queries so peak scratch stays cache-sized: streaming
 blocks target :data:`STREAM_BLOCK_BYTES` (the scatter is the bottleneck
 there and wants L2-resident blocks), materialised ones :data:`BLOCK_BYTES`
-(larger, to amortise the per-chunk ``(B, n)`` accumulate).  Chunk row and
-count indices are kept int32 where the linearised index space provably
-fits, halving the index traffic of the scatter/bincount.
+(larger, to amortise the per-chunk ``(B, n)`` accumulate).  Full-width
+cell indices are intp, the dtype fancy indexing consumes without a cast;
+the support-restricted query index is int32 where its cell space provably
+fits, halving the index traffic of the bincount.
 
 Exactness: every output is integer-valued, and float64 accumulation of
 integers is exact while all running sums stay below 2⁵³ — guarded per
@@ -269,16 +280,10 @@ def psi_pass(
     tmp = np.empty((B, n), dtype=work_dtype) if dtype is not None else None
     dstar_f = np.zeros(n, dtype=work_dtype) if with_dstar else None
     yf = y.astype(work_dtype) if dtype is not None else None
-    indptr, entries = design.indptr, design.entries
-    idx = _index_dtype(rows_per)  # row indices only — always fits int32
     for qlo in range(0, m, rows_per):
         qhi = min(m, qlo + rows_per)
-        rc = qhi - qlo
-        sizes = indptr[qlo + 1 : qhi + 1] - indptr[qlo:qhi]
-        rows_local = np.repeat(np.arange(rc, dtype=idx), sizes)
-        ents = entries[int(indptr[qlo]) : int(indptr[qhi])]
-        blk = block[:rc]
-        blk[rows_local, ents] = 1.0
+        blk = block[: qhi - qlo]
+        blk.reshape(-1)[design.incidence_cells(qlo, qhi)] = 1.0
         if with_dstar:
             dstar_f += blk.sum(axis=0)
         if dtype is not None:
@@ -321,28 +326,45 @@ def materialised_dstar(design: "PoolingDesign") -> np.ndarray:
 def query_pass(design: "PoolingDesign", batch: np.ndarray, dtype: "np.dtype | type") -> np.ndarray:
     """Chunked count-block ``σ @ countsᵀ`` evaluation in ``dtype``.
 
+    Only the columns some signal of the batch touches can contribute, so
+    the count block spans the batch's union support ``cols`` (``u``
+    columns) plus one spare column: an int32 ``remap`` table sends each
+    entry to its position in ``cols``, and every untouched entry to the
+    spare column ``u``, whose coefficient in ``[σ[:, cols], 0]`` is zero.
+    No edge is filtered out and no case is special: at ``u = n`` the remap
+    is the identity and the pass costs what a full ``(rc, n)`` count block
+    does.  Chunks keep the full-width row count, so a chunk's count block
+    is at most one column wider than the unrestricted ``(rc, n)`` block.
+
     The caller guarantees every count product is exactly representable in
-    ``dtype`` (results are bounded by total draws).  Linearised
-    ``(row, entry)`` bincount indices are int32 whenever the chunk's cell
-    space fits, halving the index traffic of the dominant bincount.
+    ``dtype`` (results are bounded by total draws).  The linearised
+    ``(row, column)`` bincount index is int32 whenever the chunk's cell
+    space fits, halving its index traffic.
     """
     B, n = batch.shape
     m = design.m
     work_dtype = np.dtype(dtype)
     out = np.zeros((B, m), dtype=np.int64)
-    entries, indptr = design.entries, design.indptr
-    bf = batch.astype(work_dtype)
+    cols = np.flatnonzero(batch.any(axis=0))
+    u = cols.size
+    if u == 0:
+        return out
+    width = u + 1  # the support, then the spare column for untouched entries
+    remap = np.full(n, u, dtype=np.int32)
+    remap[cols] = np.arange(u, dtype=np.int32)
+    bf = np.zeros((B, width), dtype=work_dtype)
+    bf[:, :u] = batch[:, cols]
     rows_per = _rows_per_block(n, BLOCK_BYTES, work_dtype.itemsize)
-    idx = _index_dtype(rows_per * n)
+    idx = _index_dtype(rows_per * width)
+    entries, indptr = design.entries, design.indptr
     tmp = np.empty((B, min(m, rows_per)), dtype=work_dtype)
     for qlo in range(0, m, rows_per):
         qhi = min(m, qlo + rows_per)
         rc = qhi - qlo
         sizes = indptr[qlo + 1 : qhi + 1] - indptr[qlo:qhi]
-        rows_local = np.repeat(np.arange(rc, dtype=idx), sizes)
-        ents = entries[int(indptr[qlo]) : int(indptr[qhi])]
-        lin = np.add(np.multiply(rows_local, n, dtype=idx), ents, dtype=idx)
-        counts = np.bincount(lin, minlength=rc * n).reshape(rc, n)
+        lin = np.repeat(np.arange(0, rc * width, width, dtype=idx), sizes)
+        lin += np.take(remap, entries[int(indptr[qlo]) : int(indptr[qhi])])
+        counts = np.bincount(lin, minlength=rc * width).reshape(rc, width)
         np.matmul(bf, counts.astype(work_dtype).T, out=tmp[:, :rc])
         out[:, qlo:qhi] = tmp[:, :rc]
     return out
@@ -353,7 +375,8 @@ def query_results_batch(design: "PoolingDesign", batch: np.ndarray) -> np.ndarra
 
     The per-chunk *count* block (multiplicities preserved, unlike the
     deduplicating scatter) is built with a single ``bincount`` over
-    linearised ``(row, entry)`` indices; all ``B`` signals then evaluate
+    linearised ``(row, column)`` indices, the columns being the batch's
+    union support (:func:`query_pass`); all ``B`` signals then evaluate
     against it in one BLAS call.  The bincount is paid once per chunk and
     amortised over the whole batch, which is why this beats the
     cache-friendly per-signal gather loop for every ``B > 1``.

@@ -112,6 +112,16 @@ def check_weight_vector(value: Any, batch: int, *, n: int | None = None, name: s
     return arr.astype(np.int64)
 
 
+def _is_binary(arr: np.ndarray) -> bool:
+    """Whether every cell is 0 or 1: one ``O(size)`` comparison pass, no sort.
+
+    NaN, 2, −1 and 0.5 all fail both comparisons; an empty array passes.
+    ``np.all`` rather than ``.all()``: a NumPy that compares a string
+    array to an int as the scalar ``False`` then rejects it cleanly.
+    """
+    return bool(np.all((arr == 0) | (arr == 1)))
+
+
 def check_binary_signal(value: Any, name: str = "sigma", *, length: int | None = None) -> np.ndarray:
     """Validate a 0/1 signal vector and return it as ``int8``.
 
@@ -119,7 +129,7 @@ def check_binary_signal(value: Any, name: str = "sigma", *, length: int | None =
     required; callers must not mutate it.
     """
     arr = check_array_1d(value, name, length=length)
-    if arr.size and not np.isin(np.unique(arr), (0, 1)).all():
+    if not _is_binary(arr):
         raise ValueError(f"{name} must contain only 0/1 entries")
     return arr.astype(np.int8, copy=False)
 
@@ -135,6 +145,6 @@ def check_binary_batch(value: Any, name: str = "sigma", *, length: int | None = 
         raise ValueError(f"{name} must have shape (B, n) with B >= 1, got {arr.shape}")
     if length is not None and arr.shape[1] != length:
         raise ValueError(f"{name} must have row length {length}, got {arr.shape[1]}")
-    if arr.size and not np.isin(np.unique(arr), (0, 1)).all():
+    if not _is_binary(arr):
         raise ValueError(f"{name} must contain only 0/1 entries")
     return arr.astype(np.int8, copy=False)

@@ -226,6 +226,52 @@ class TestDesignStoreCLI:
         assert not (ambient_store / ".tmp-deadbeef-1-abc").exists()
 
 
+#: One small invocation per sweep command (the ambient check runs before any of it).
+SMALL_SWEEPS = {
+    "fig2": ["fig2", "--ns", "100", "--thetas", "0.3", "--trials", "2", "--workers", "1"],
+    "fig3": ["fig3", "--n", "100", "--thetas", "0.3", "--points", "2", "--trials", "2", "--workers", "1", "--engine", "batched"],
+    "fig4": ["fig4", "--n", "100", "--thetas", "0.3", "--points", "2", "--trials", "2", "--workers", "1"],
+    "fignoise": ["fignoise", "--n", "100", "--thetas", "0.3", "--points", "2", "--trials", "2"],
+    "figdecoders": ["figdecoders", "--n", "100", "--thetas", "0.3", "--decoders", "mn", "--trials", "2"],
+    "claims": ["claims", "--trials", "2", "--workers", "1"],
+    "it": ["it", "--n", "12", "--k", "2", "--trials", "2", "--workers", "1"],
+}
+
+
+class TestAmbientSettings:
+    """A malformed ambient variable ends a sweep with ``error: …`` and exit 2."""
+
+    @pytest.fixture
+    def fresh_store(self):
+        from repro.designs import reset_default_design_store
+
+        reset_default_design_store()
+        yield
+        reset_default_design_store()
+
+    @pytest.mark.parametrize("command", sorted(SMALL_SWEEPS))
+    def test_bad_kernel_exits_2_naming_the_variable(self, monkeypatch, capsys, command):
+        monkeypatch.setenv("REPRO_KERNEL", "foo")
+        assert main(SMALL_SWEEPS[command]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: REPRO_KERNEL='foo' is not a known kernel") and "Traceback" not in captured.err
+        assert captured.out == ""  # rejected before the sweep started
+
+    @pytest.mark.parametrize("command", sorted(SMALL_SWEEPS))
+    def test_bad_byte_budget_exits_2_naming_the_variable(self, tmp_path, monkeypatch, capsys, fresh_store, command):
+        monkeypatch.setenv("REPRO_DESIGN_STORE", str(tmp_path / "store"))
+        monkeypatch.setenv("REPRO_DESIGN_STORE_BYTES", "12MB")
+        assert main(SMALL_SWEEPS[command]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: REPRO_DESIGN_STORE_BYTES='12MB'") and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_valid_settings_still_run(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_KERNEL", "legacy")
+        assert main(SMALL_SWEEPS["fig3"]) == 0
+        assert "success" in capsys.readouterr().out
+
+
 class TestServeFlags:
     @pytest.fixture
     def served_config(self, monkeypatch):

@@ -102,6 +102,18 @@ class TestCompiledDesign:
         with pytest.raises(ValueError):
             block[0, 0] = 2.0
 
+    @pytest.mark.parametrize("which", ["fig1-multi-edge", "sampled"])
+    def test_incidence_block_is_distinct_incidence(self, which):
+        # Multi-edges collapse to one cell: the block is the count matrix's support.
+        if which == "fig1-multi-edge":
+            design, _ = PoolingDesign.fig1_example()
+        else:
+            design = PoolingDesign.sample(97, 41, np.random.default_rng(3))
+        counts = design.dense_counts()
+        assert which == "sampled" or counts.max() > 1
+        block = compile_design(design).incidence_block()
+        assert np.array_equal(block, (counts > 0).astype(block.dtype))
+
     def test_caller_arrays_not_frozen(self):
         # The constructor copies by default: handing it your own degree
         # vectors must not make *your* arrays read-only.

@@ -225,6 +225,71 @@ class TestMaterialisedParity:
         assert np.array_equal(fresh.dstar(kernel="legacy"), d1)
 
 
+class TestSupportRestrictedQueries:
+    """``query_pass`` counts only the batch's union support: dense == dense32 == legacy.
+
+    Each case also checks the int64 oracle ``σ @ countsᵀ`` over the full
+    count matrix, which shares no code with either kernel.
+    """
+
+    @staticmethod
+    def assert_queries_agree(design, batch):
+        expected = batch.astype(np.int64) @ design.dense_counts().T
+        for kernel in ALL_KERNELS:
+            fresh = PoolingDesign(design.n, design.entries, design.indptr)
+            got = fresh.query_results(batch, kernel=kernel)
+            assert got.dtype == np.int64 and got.shape == (batch.shape[0], design.m)
+            assert np.array_equal(got, expected), f"kernel={kernel}"
+
+    @pytest.fixture
+    def sampled(self):
+        return PoolingDesign.sample(60, 23, np.random.default_rng(8))
+
+    def test_all_zero_batch(self, sampled):
+        self.assert_queries_agree(sampled, np.zeros((3, sampled.n), dtype=np.int8))
+
+    def test_all_zero_rows(self, sampled):
+        batch = np.zeros((4, sampled.n), dtype=np.int8)
+        batch[1, [3, 17]] = 1
+        batch[3, 40] = 1
+        self.assert_queries_agree(sampled, batch)
+
+    def test_union_covers_every_column(self, sampled):
+        rng = np.random.default_rng(1)
+        batch = (rng.random((5, sampled.n)) < 0.3).astype(np.int8)
+        batch[0] = 1  # union = all n columns
+        self.assert_queries_agree(sampled, batch)
+
+    @pytest.mark.parametrize("col", [0, 31, 59])
+    def test_single_shared_column(self, sampled, col):
+        batch = np.zeros((3, sampled.n), dtype=np.int8)
+        batch[:, col] = 1
+        self.assert_queries_agree(sampled, batch)
+
+    def test_ragged_pools_with_empty_pool_and_multi_edges(self):
+        pools = [[0, 1, 2, 2, 5], [3], [], [6, 6, 6], [0, 5, 1], list(range(7)), [4, 4]]
+        design = PoolingDesign.from_pools(7, pools)
+        batch = np.array([[0, 0, 1, 0, 0, 0, 1], [0, 0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 1, 0, 0]], dtype=np.int8)
+        self.assert_queries_agree(design, batch)
+
+    @pytest.mark.parametrize("density", [0.004, 0.6], ids=["sparse-support", "dense-support"])
+    def test_m_spans_several_chunks(self, density):
+        # n=2000 gives 524 float64 / 1048 float32 rows per chunk: m=1200 is
+        # three chunks under dense, two under dense32, the last one short.
+        design = PoolingDesign.sample(2000, 1200, np.random.default_rng(5))
+        batch = (np.random.default_rng(6).random((6, design.n)) < density).astype(np.int8)
+        self.assert_queries_agree(design, batch)
+
+    @pytest.mark.parametrize("density", [0.05, 0.6], ids=["sparse-support", "dense-support"])
+    def test_tiny_chunks(self, monkeypatch, density):
+        from repro.kernels import dense
+
+        design = PoolingDesign.sample(50, 17, np.random.default_rng(2))
+        batch = (np.random.default_rng(3).random((4, design.n)) < density).astype(np.int8)
+        monkeypatch.setattr(dense, "BLOCK_BYTES", 8 * design.n * 3)  # 3 rows per float64 chunk
+        self.assert_queries_agree(design, batch)
+
+
 class TestEndToEndParity:
     def test_reconstruct_batch_kernels_identical(self):
         n, m, B = 120, 70, 6

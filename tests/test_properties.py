@@ -154,6 +154,38 @@ def _mutate(data: bytes, rng) -> bytes:
     return bytes(buf)
 
 
+class TestKernelParity:
+    """Dense kernels equal the legacy reference on arbitrary ragged designs.
+
+    The ambient kernel (``REPRO_KERNEL``, dense by default) and the explicit
+    dense generations are all checked, so each CI kernel leg runs its own
+    tier here.
+    """
+
+    @given(instances)
+    @settings(max_examples=60, deadline=None)
+    def test_ragged_design_random_batch(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        m = int(rng.integers(1, 25))
+        # Ragged pools: empty ones, singletons and multi-edges all occur.
+        pools = [rng.integers(0, n, size=int(rng.integers(0, 2 * n + 1))) for _ in range(m)]
+        design = PoolingDesign.from_pools(n, pools)
+        density = float(rng.choice([0.0, 0.03, 0.2, 0.7, 1.0]))
+        batch = (rng.random((int(rng.integers(1, 6)), n)) < density).astype(np.int8)
+        y = rng.integers(0, 3 * n, size=(batch.shape[0], m))
+
+        def fresh():
+            return PoolingDesign(n, design.entries, design.indptr)
+
+        expected_y = fresh().query_results(batch, kernel="legacy")
+        expected_psi = fresh().psi(y, kernel="legacy")
+        assert np.array_equal(expected_y, batch.astype(np.int64) @ design.dense_counts().T)
+        for kernel in (None, "dense", "dense32"):
+            assert np.array_equal(fresh().query_results(batch, kernel=kernel), expected_y), kernel
+            assert np.array_equal(fresh().psi(y, kernel=kernel), expected_psi), kernel
+
+
 class TestSerializationRoundTrips:
     """The design key's wire format: round-trip exactly, reject mutations.
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.util.validation import (
     check_array_1d,
+    check_binary_batch,
     check_binary_signal,
     check_in_open_unit_interval,
     check_nonneg_int,
@@ -118,3 +119,43 @@ class TestCheckBinarySignal:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             check_binary_signal([0, 1], length=3)
+
+
+class TestBinaryChecksAgree:
+    """Both binary checks reject the same cells with their own messages."""
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan], ids=["two", "minus-one", "half", "nan"])
+    def test_signal_rejects(self, bad):
+        with pytest.raises(ValueError, match=r"^sigma must contain only 0/1 entries$"):
+            check_binary_signal(np.array([0, 1, bad, 1]))
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan], ids=["two", "minus-one", "half", "nan"])
+    def test_batch_rejects(self, bad):
+        arr = np.array([[0, 1, 1, 0], [1, 0, bad, 1]])
+        with pytest.raises(ValueError, match=r"^sigmas must contain only 0/1 entries$"):
+            check_binary_batch(arr, "sigmas")
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.int64, np.float32, np.float64])
+    def test_accepts_every_zero_one_dtype(self, dtype):
+        row = np.array([0, 1, 1, 0], dtype=dtype)
+        signal = check_binary_signal(row)
+        batch = check_binary_batch(np.stack([row, row[::-1]]))
+        assert signal.dtype == batch.dtype == np.int8
+        assert signal.tolist() == [0, 1, 1, 0]
+        assert batch.tolist() == [[0, 1, 1, 0], [0, 1, 1, 0]]
+
+    def test_string_arrays_rejected_with_value_error(self):
+        with pytest.raises(ValueError, match=r"^sigma must contain only 0/1 entries$"):
+            check_binary_signal(np.array(["0", "1"]))
+        with pytest.raises(ValueError, match=r"^sigma must contain only 0/1 entries$"):
+            check_binary_batch(np.array([["a", "b"]]))
+
+    def test_accepts_all_zero_and_all_one(self):
+        assert check_binary_batch(np.zeros((2, 3))).sum() == 0
+        assert check_binary_batch(np.ones((2, 3))).sum() == 6
+
+    def test_batch_shape_messages_unchanged(self):
+        with pytest.raises(ValueError, match=r"must have shape \(B, n\) with B >= 1"):
+            check_binary_batch(np.zeros(3))
+        with pytest.raises(ValueError, match="must have row length 4, got 3"):
+            check_binary_batch(np.zeros((2, 3)), length=4)
