@@ -23,6 +23,7 @@ from repro.core.design import PoolingDesign, stream_design_stats
 from repro.core.signal import random_signal, random_signals
 from repro.engine.backend import SerialBackend
 from repro.engine.batch import reconstruct_batch, signals_oracle
+from repro.kernels import dense
 from repro.parallel.sort import parallel_top_k
 from repro.rng.mt19937 import MT19937_64
 
@@ -169,8 +170,10 @@ class TestKernelGen2:
     ``gen2_speedup_x`` records dense/dense32 time per hot kernel at
     n=10⁴ — the acceptance gate asks for ≥ 1.3× on at least one (the
     GEMM-bound Ψ pass is the expected winner: half the memory traffic,
-    twice the SIMD lanes).  Parity is asserted once per pairing; the full
-    boundary matrix lives in tests/test_kernels.py.
+    twice the SIMD lanes).  The Ψ record pits ``psi_pass`` in float64
+    against float32, the tier every kernel's materialised Ψ now picks
+    when the budget allows.  Parity is asserted once per pairing; the
+    full boundary matrix lives in tests/test_kernels.py.
     """
 
     N, M, B = 10_000, 400, 64
@@ -202,11 +205,14 @@ class TestKernelGen2:
         self._record(benchmark, run, lambda psi: psi.shape == (self.N,))
 
     def test_materialised_psi_dense32_vs_dense(self, benchmark, workload):
+        # Every kernel's materialised Ψ picks its float tier per call, so the
+        # two operands are that pass (Ψ with Δ* in the ones row) in each
+        # dtype: "dense" runs float64, "dense32" float32.
         design, _, y = workload
+        dtypes = {"dense": np.float64, "dense32": np.float32}
 
         def run(kernel):
-            fresh = PoolingDesign(design.n, design.entries, design.indptr)  # cold caches
-            return fresh.psi(y, kernel=kernel)
+            return dense.psi_pass(design, y, True, dtypes[kernel])[0]
 
         self._record(benchmark, run, lambda out: out.shape == (self.B, self.N))
         # The GEMM-bound pass is where the float32 tier must pay off.

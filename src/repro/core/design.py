@@ -94,7 +94,9 @@ class DesignStats:
         ``(n,)``: a property of the design, shared across the batch.
     delta:
         ``Δ_i`` — number of query slots occupied by ``i`` (with
-        multiplicity).  Always ``(n,)``.
+        multiplicity), ``(n,)``; ``None`` when not computed (the MN
+        decode reads only ``psi`` and ``dstar``).  Readers of ``Δ`` go
+        through :meth:`require_delta`.
     n, m, gamma:
         Model parameters.  ``gamma`` is the integer ``Γ`` for regular
         designs and the exact mean pool size ``entries.size / m`` (a
@@ -104,7 +106,7 @@ class DesignStats:
     y: np.ndarray
     psi: np.ndarray
     dstar: np.ndarray
-    delta: np.ndarray
+    delta: "np.ndarray | None"
     n: int
     m: int
     gamma: "int | float"
@@ -123,9 +125,16 @@ class DesignStats:
                 raise ValueError("y must have length m")
             if self.psi.shape != (self.n,):
                 raise ValueError("psi must have length n")
-        for name in ("dstar", "delta"):
-            if getattr(self, name).shape != (self.n,):
-                raise ValueError(f"{name} must have length n")
+        if self.dstar.shape != (self.n,):
+            raise ValueError("dstar must have length n")
+        if self.delta is not None and self.delta.shape != (self.n,):
+            raise ValueError("delta must have length n")
+
+    def require_delta(self, caller: str) -> np.ndarray:
+        """``Δ``, or a ``ValueError`` naming ``caller`` when it was not computed."""
+        if self.delta is None:
+            raise ValueError(f"{caller} needs Δ (stats.delta), which these stats did not compute")
+        return self.delta
 
     @property
     def batch(self) -> "int | None":

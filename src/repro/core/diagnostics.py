@@ -146,7 +146,8 @@ def concentration_event_holds(stats: DesignStats, slack: float = 4.0) -> bool:
     """
     if stats.n < 2:
         raise ValueError("need n >= 2 for the ln n window")
+    delta = stats.require_delta("concentration_event_holds")
     window = slack * math.sqrt(stats.m * math.log(stats.n))
-    delta_ok = np.all(np.abs(stats.delta - stats.m / 2.0) <= window)
+    delta_ok = np.all(np.abs(delta - stats.m / 2.0) <= window)
     dstar_ok = np.all(np.abs(stats.dstar - GAMMA * stats.m) <= window)
     return bool(delta_ok and dstar_ok)

@@ -212,7 +212,7 @@ def mn_reconstruct(
         y=y,
         psi=design.psi(y, kernel=kernel),
         dstar=design.dstar(kernel=kernel),
-        delta=design.delta(),
+        delta=None,  # MN reads only Ψ and Δ*
         n=design.n,
         m=design.m,
         # Mean pool size: correct for ragged hand-built designs too (the

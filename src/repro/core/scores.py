@@ -68,9 +68,9 @@ def phi_from_psi(stats: DesignStats, sigma: np.ndarray) -> np.ndarray:
                 "for one signal use stats.signal(b)"
             )
         rows = check_binary_batch(sigma, length=stats.n)
-        return stats.psi - rows.astype(np.int64) * stats.delta
+        return stats.psi - rows.astype(np.int64) * stats.require_delta("phi_from_psi")
     sigma = check_binary_signal(sigma, length=stats.n)
-    return stats.psi - sigma.astype(np.int64) * stats.delta
+    return stats.psi - sigma.astype(np.int64) * stats.require_delta("phi_from_psi")
 
 
 def psi_phi_identity_check(stats: DesignStats, sigma: np.ndarray) -> bool:
@@ -84,7 +84,7 @@ def psi_phi_identity_check(stats: DesignStats, sigma: np.ndarray) -> bool:
     if stats.batch is not None:
         raise ValueError("psi_phi_identity_check needs single-signal stats; check per signal via stats.signal(b)")
     sigma = check_binary_signal(sigma, length=stats.n)
-    lhs = int((sigma.astype(np.int64) * stats.delta).sum())
+    lhs = int((sigma.astype(np.int64) * stats.require_delta("psi_phi_identity_check")).sum())
     rhs = int(stats.y.sum())
     return lhs == rhs
 

@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from repro.core.design import DEFAULT_BATCH_QUERIES, DesignStats, PoolingDesign, default_gamma
+from repro.kernels.dense import _EXACT_LIMIT32
 from repro.parallel.partition import chunk_count
 from repro.rng.streams import StreamFamily, batch_generator
 from repro.util.validation import check_nonneg_int, check_positive_int
@@ -54,13 +55,6 @@ __all__ = [
 #: keep resident, in bytes.  Beyond this, ``psi`` falls back to the chunked
 #: kernel path (same values, recomputed scatter) instead of pinning gigabytes.
 BLOCK_RESIDENCY_LIMIT = 256 * 1024 * 1024
-
-#: Per-call float32 exactness budget (mirrors
-#: :data:`repro.kernels.dense32._EXACT_LIMIT32`): 2²³ keeps a 2× margin
-#: under float32's 2²⁴ exact-integer ceiling.  A batch whose largest row sum
-#: ``Σ|y_b|`` stays below it runs the block GEMM; anything else takes the
-#: exact ``design.psi`` kernel path.
-_EXACT_LIMIT32 = float(2**23)
 
 #: ``trial_key`` scheme tags for keys whose designs are *sampled* from a
 #: keyed generator (grid points) or *content-addressed* (hand-built designs)

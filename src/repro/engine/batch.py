@@ -255,7 +255,7 @@ def reconstruct_batch(
             y=y,
             psi=design.psi(y, kernel=kernel),
             dstar=design.dstar(kernel=kernel),
-            delta=design.delta(),
+            delta=None,  # MN reads only Ψ and Δ*
             n=n,
             m=m,
             gamma=design.mean_pool_size,

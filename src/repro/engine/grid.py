@@ -214,7 +214,7 @@ def _decode_noisy_point(
             y=y,
             psi=design.psi(y, kernel=kernel),
             dstar=design.dstar(kernel=kernel),
-            delta=design.delta(),
+            delta=None,  # MN reads only Ψ and Δ*
             n=design.n,
             m=design.m,
             gamma=design.mean_pool_size,

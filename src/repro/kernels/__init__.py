@@ -8,12 +8,15 @@ in three interchangeable implementations:
   (``Γ = n/2`` means every query touches ~39% of all entries *distinctly*):
   distinctness is resolved by scattering into a dense ``(b, n)`` incidence
   block (duplicate draws land on the same cell, so the scatter *is* the
-  dedup) and ``Ψ`` becomes one BLAS GEMM against that block.
-* :mod:`repro.kernels.dense32` — the second kernel generation: the same
-  scatter+GEMM structure run in float32 (half the memory traffic, twice
-  the SIMD width) whenever a per-call exactness budget proves the integer
-  results cannot round, with automatic fallback to the float64 ``dense``
-  tier (and from there to exact integer matmul) when they could.
+  dedup) and ``Ψ`` becomes one BLAS GEMM against that block, with ``Δ*``
+  as its all-ones row — in float32 whenever a per-call exactness budget
+  proves the integer results cannot round, else float64, else exact
+  integer matmul.
+* :mod:`repro.kernels.dense32` — the second kernel generation: the
+  stream and query passes run in float32 (half the memory traffic, twice
+  the SIMD width) under the same per-call budget, with automatic fallback
+  to the float64 ``dense`` tier (and from there to exact integer matmul)
+  when they could round.
 * :mod:`repro.kernels.legacy` — the historical sort-based dedup and
   per-row accumulation, kept as the bit-exact reference.
 

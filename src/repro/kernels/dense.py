@@ -7,14 +7,14 @@ the incidence structure is dense, not sparse.  These kernels exploit that:
 * **Dedup by scatter** — marking ``block[row, edges] = 1`` on a dense
   ``(b, n)`` block resolves distinctness for free (duplicate draws land on
   the same cell), replacing the legacy ``O(b·Γ·log Γ)`` row sorts with an
-  ``O(b·Γ)`` scatter.  The materialised pass writes it as one flat
-  scatter, ``block.reshape(-1)[row·n + edge] = 1``
-  (:meth:`~repro.core.design.PoolingDesign.incidence_cells`): cheaper
+  ``O(b·Γ)`` scatter.  Both passes write it as one flat scatter,
+  ``block.reshape(-1)[row·n + edge] = 1`` (the materialised pass through
+  :meth:`~repro.core.design.PoolingDesign.incidence_cells`): cheaper
   than the 2-D fancy index, which resolves two index arrays per cell.
 * **Ψ as GEMM** — with the block in hand, the per-entry result sums for a
   whole batch of signals collapse into one BLAS call:
-  ``Ψ += y @ block`` (in the streaming kernel ``Δ*`` rides along as the
-  all-ones row of the same product).
+  ``Ψ += y @ block``, with ``Δ*`` riding along as an all-ones row
+  appended to ``y`` — one ``(B + 1, rc) @ (rc, n)`` product per chunk.
 * **Queries as GEMM** — batched query evaluation builds the per-chunk
   *count* block with one ``bincount`` over linearised ``(row, column)``
   indices (multiplicities preserved) and evaluates all ``B`` signals as
@@ -36,21 +36,25 @@ cell indices are intp, the dtype fancy indexing consumes without a cast;
 the support-restricted query index is int32 where its cell space provably
 fits, halving the index traffic of the bincount.
 
-Exactness: every output is integer-valued, and float64 accumulation of
-integers is exact while all running sums stay below 2⁵³ — guarded per
-call (:data:`_EXACT_LIMIT`, a 2× safety margin); beyond the guard the
-kernels fall back to exact integer matmul.  Dense and legacy kernels are
-therefore bit-identical on identical sampled edges *always*, not just
-typically.  Scratch blocks are reset by re-zeroing only the touched rows
-and reused across batches via :class:`DenseStreamWorkspace`, so the
+Exactness: every output is integer-valued, and float accumulation of
+integers is exact while all running sums stay below the mantissa limit.
+The materialised Ψ/Δ* pass (:func:`materialised_psi`) picks the cheapest
+exact tier per call: float32 while every ``Σ|y[b]|`` — and, with ``Δ*``
+in the ones row, ``m`` — is below 2²³ (:data:`_EXACT_LIMIT32`, a 2× margin
+under float32's 2²⁴); else float64 below 2⁵² (:data:`_EXACT_LIMIT`, the
+same margin under 2⁵³); else exact integer matmul.  The streaming and
+query passes run float64 under the 2⁵² guard.  Dense and legacy kernels
+are therefore bit-identical on identical sampled edges *always*, not
+just typically.  Scratch blocks are reset by re-zeroing only the touched
+rows and reused across batches via :class:`DenseStreamWorkspace`, so the
 steady-state streaming loop performs no ``O(b·n)`` allocations.
 
 This module also hosts the shared machinery of the second kernel
 generation: the workspace, :func:`stream_y`, :func:`fold_stream`,
 :func:`psi_pass` and :func:`query_pass` are all parametrised by the GEMM
-dtype so :mod:`repro.kernels.dense32` is the same code run in float32
-under a tighter (2²³) budget — which is what makes the two generations
-bit-identical by construction.
+dtype so :mod:`repro.kernels.dense32` runs the stream and query passes
+in float32 under the same 2²³ budget — which is what makes the two
+generations bit-identical by construction.
 """
 
 from __future__ import annotations
@@ -78,6 +82,10 @@ STREAM_BLOCK_BYTES = 1024 * 1024
 #: (2⁵² leaves a 2× margin over the true 2⁵³ mantissa limit, absorbing the
 #: rounding of the guard computation itself).
 _EXACT_LIMIT = float(2**52)
+
+#: Bound under which float32 integer accumulation is exact: 2²³ leaves the
+#: same 2× margin over float32's 2²⁴ mantissa limit.
+_EXACT_LIMIT32 = float(2**23)
 
 
 def _rows_per_block(n: int, block_bytes: int = BLOCK_BYTES, itemsize: int = 8) -> int:
@@ -111,7 +119,8 @@ class DenseStreamWorkspace:
         self._coef: "np.ndarray | None" = None
         self._acc: "np.ndarray | None" = None
         self._tmp: "np.ndarray | None" = None
-        self._rows: "np.ndarray | None" = None
+        self._offsets: "np.ndarray | None" = None
+        self._n = 0
 
     def block(self, rows: int, n: int) -> np.ndarray:
         """An all-zero ``(rows, n)`` block (callers must re-zero it)."""
@@ -143,11 +152,12 @@ class DenseStreamWorkspace:
             self._tmp = np.empty((2, n), dtype=self.dtype)
         return self._tmp
 
-    def row_index(self, rows: int) -> np.ndarray:
-        """``(rows, 1)`` broadcastable row indices for the block scatter."""
-        if self._rows is None or self._rows.shape[0] < rows:
-            self._rows = np.arange(rows, dtype=np.int32)[:, None]
-        return self._rows[:rows]
+    def row_offsets(self, rows: int, n: int) -> np.ndarray:
+        """``(rows, 1)`` intp flat offsets ``row·n`` for the block scatter."""
+        if self._offsets is None or self._offsets.shape[0] < rows or self._n != n:
+            self._offsets = np.arange(0, rows * n, n, dtype=np.intp)[:, None]
+            self._n = n
+        return self._offsets[:rows]
 
 
 def make_stream_workspace() -> DenseStreamWorkspace:
@@ -204,7 +214,7 @@ def fold_stream(
         rc = hi - lo
         sub = edges[lo:hi]
         blk = workspace.block(min(b, rows_per), n)[:rc]
-        blk[workspace.row_index(rc), sub] = 1.0
+        blk.reshape(-1)[workspace.row_offsets(rc, n) + sub] = 1.0
         if exact:
             out = acc if first else workspace.tmp(n)
             coef = workspace.coef(rc)
@@ -266,35 +276,44 @@ def psi_pass(
 
     ``dtype`` selects the GEMM precision; the caller guarantees every
     running sum (``Σ|y[b]|`` per signal; ``m`` for ``Δ*``) is exactly
-    representable in it.  ``None`` runs the exact integer-matmul tier
-    (``Δ*`` then still accumulates in float64 — bounded by ``m``, far
-    below its mantissa limit).
+    representable in it.  In a float tier ``Δ*`` is the all-ones row
+    appended to the coefficients, so one ``(B + 1, rc) @ (rc, n)`` GEMM
+    per chunk yields both.  ``None`` runs the exact integer-matmul tier
+    (``Δ*`` then accumulates as float64 column sums — bounded by ``m``,
+    far below its mantissa limit).  ``y`` may hold zero rows, which
+    leaves ``Δ*`` alone in the GEMM.
     """
     n, m = design.n, design.m
     B = y.shape[0]
     work_dtype = np.dtype(np.float64 if dtype is None else dtype)
     rows_per = _rows_per_block(n, BLOCK_BYTES, work_dtype.itemsize)
     block = np.zeros((min(max(m, 1), rows_per), n), dtype=work_dtype)
-    psi_f = np.zeros((B, n), dtype=work_dtype) if dtype is not None else None
-    psi_i = None if dtype is not None else np.zeros((B, n), dtype=np.int64)
-    tmp = np.empty((B, n), dtype=work_dtype) if dtype is not None else None
-    dstar_f = np.zeros(n, dtype=work_dtype) if with_dstar else None
-    yf = y.astype(work_dtype) if dtype is not None else None
+    if dtype is not None:
+        coef = np.empty((B + int(with_dstar), m), dtype=work_dtype)
+        coef[:B] = y
+        coef[B:] = 1.0
+        acc = np.zeros((coef.shape[0], n), dtype=work_dtype)
+        tmp = np.empty_like(acc)
+    else:
+        psi_i = np.zeros((B, n), dtype=np.int64)
+        dstar_f = np.zeros(n, dtype=work_dtype) if with_dstar else None
     for qlo in range(0, m, rows_per):
         qhi = min(m, qlo + rows_per)
         blk = block[: qhi - qlo]
         blk.reshape(-1)[design.incidence_cells(qlo, qhi)] = 1.0
-        if with_dstar:
-            dstar_f += blk.sum(axis=0)
         if dtype is not None:
-            np.matmul(yf[:, qlo:qhi], blk, out=tmp)
-            psi_f += tmp
+            out = acc if qlo == 0 else tmp
+            np.matmul(coef[:, qlo:qhi], blk, out=out)
+            if out is tmp:
+                acc += tmp
         else:
+            if with_dstar:
+                dstar_f += blk.sum(axis=0)
             psi_i += y[:, qlo:qhi] @ (blk != 0)
         blk.fill(0.0)
-    psi = psi_f.astype(np.int64) if dtype is not None else psi_i
-    dstar = dstar_f.astype(np.int64) if with_dstar else None
-    return psi, dstar
+    if dtype is None:
+        return psi_i, dstar_f.astype(np.int64) if with_dstar else None
+    return acc[:B].astype(np.int64), acc[B].astype(np.int64) if with_dstar else None
 
 
 def materialised_psi(
@@ -303,23 +322,33 @@ def materialised_psi(
     """``(B, n)`` ``Ψ`` for a ``(B, m)`` int64 result batch — one GEMM per chunk.
 
     The per-``B`` Python loop of the legacy path collapses into
-    ``y[:, chunk] @ block``; ``Δ*`` optionally rides along from the same
-    scattered blocks (column sums), so :meth:`PoolingDesign.stats` pays a
-    single pass over the incidence structure.
+    ``y[:, chunk] @ block``; ``Δ*`` optionally rides along as the ones
+    row of the same GEMM, so :meth:`PoolingDesign.stats` pays a single
+    pass over the incidence structure.  Each call runs the cheapest
+    exact tier: float32 while every ``Σ|y[b]|`` (and, with ``Δ*``, ``m``)
+    is below :data:`_EXACT_LIMIT32`, float64 below :data:`_EXACT_LIMIT`,
+    exact integer matmul beyond.
     """
     m = design.m
-    exact = bool(np.abs(y).sum(axis=1, dtype=np.float64).max() < _EXACT_LIMIT) if m else True
-    return psi_pass(design, y, with_dstar, np.float64 if exact else None)
+    bound = float(np.abs(y).sum(axis=1, dtype=np.float64).max()) if m else 0.0
+    if bound < _EXACT_LIMIT32 and (not with_dstar or m < _EXACT_LIMIT32):
+        dtype: "type | None" = np.float32
+    elif bound < _EXACT_LIMIT:
+        dtype = np.float64
+    else:
+        dtype = None
+    return psi_pass(design, y, with_dstar, dtype)
 
 
 def materialised_dstar(design: "PoolingDesign") -> np.ndarray:
     """``Δ*`` from scattered incidence blocks (no sort, no pair list).
 
-    Runs :func:`materialised_psi`'s block pass with a zero result batch —
-    the Ψ GEMM against zeros is negligible next to the scatter, and it
-    keeps the chunking/re-zero discipline in exactly one place.
+    Runs :func:`psi_pass` with a zero-row result batch, so the ones row
+    is the whole GEMM — float32 while ``m`` is below the float32 budget
+    (``Δ*`` counts are bounded by the query count), float64 beyond.
     """
-    _, dstar = materialised_psi(design, np.zeros((1, design.m), dtype=np.int64), with_dstar=True)
+    dtype = np.float32 if design.m < _EXACT_LIMIT32 else np.float64
+    _, dstar = psi_pass(design, np.zeros((0, design.m), dtype=np.int64), True, dtype)
     return dstar
 
 

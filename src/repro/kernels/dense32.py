@@ -1,16 +1,21 @@
-"""Generation-2 dense kernels: float32 GEMM under a provable exactness budget.
+"""Generation-2 dense kernels: the float32 stream and query passes.
 
 Same scatter-dedup + BLAS GEMM structure as :mod:`repro.kernels.dense`
-(whose dtype-parametrised passes this module runs), but every block,
-coefficient and accumulator is float32: half the memory traffic through
-the scatter/bincount-bound chunks and twice the SIMD lanes through the
-GEMMs, which is where the generation-over-generation speedup comes from.
+(whose dtype-parametrised passes this module runs), with float32 blocks,
+coefficients and accumulators: half the memory traffic through the
+scatter/bincount-bound chunks and twice the SIMD lanes through the GEMMs.
+
+What this tier still owns is the streaming kernel and the batched query
+pass.  The materialised Ψ/Δ* pass is the dense kernel's own: it picks
+float32 per call whenever the budget allows, so ``materialised_psi`` and
+``materialised_dstar`` here are the dense functions under their contract
+names.
 
 Exactness tiers — decided **per call**, mirroring the float64 guard:
 
 * float32 integer accumulation is exact while every running sum stays
-  below 2²⁴; the guard :data:`_EXACT_LIMIT32` (2²³) keeps the same 2×
-  safety margin as :data:`repro.kernels.dense._EXACT_LIMIT`;
+  below 2²⁴; the guard :data:`repro.kernels.dense._EXACT_LIMIT32` (2²³)
+  keeps the same 2× safety margin as :data:`repro.kernels.dense._EXACT_LIMIT`;
 * over budget, the call falls back to the float64 ``dense`` tier
   verbatim (guarded at 2⁵² as ever);
 * beyond *that*, the exact integer-matmul tier.
@@ -28,18 +33,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.kernels import dense
-from repro.kernels.dense import _EXACT_LIMIT, DenseStreamWorkspace
+from repro.kernels.dense import _EXACT_LIMIT, _EXACT_LIMIT32, DenseStreamWorkspace
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.core.design import PoolingDesign
     from repro.noise.models import NoiseModel
 
 NAME = "dense32"
-
-#: Bound under which float32 integer accumulation is exact: 2²³ leaves a
-#: 2× margin over the true 2²⁴ mantissa limit, mirroring the float64
-#: guard's discipline.
-_EXACT_LIMIT32 = float(2**23)
 
 
 class Dense32StreamWorkspace:
@@ -93,28 +93,10 @@ def stream_batch(
     return y
 
 
-def materialised_psi(
-    design: "PoolingDesign", y: np.ndarray, with_dstar: bool = False
-) -> "tuple[np.ndarray, np.ndarray | None]":
-    """``(B, n)`` ``Ψ`` in float32 when the per-signal budget allows.
-
-    Eligibility requires every ``Σ|y[b]|`` below the float32 budget (the
-    Ψ sums and the cast ``y`` coefficients) and — when ``Δ*`` rides along
-    in the same float32 blocks — ``m`` below it too (``Δ*`` counts are
-    bounded by the query count).  Otherwise the call *is* the float64
-    generation's, fallback tiers included.
-    """
-    m = design.m
-    bound = float(np.abs(y).sum(axis=1, dtype=np.float64).max()) if m else 0.0
-    if bound < _EXACT_LIMIT32 and (not with_dstar or m < _EXACT_LIMIT32):
-        return dense.psi_pass(design, y, with_dstar, np.float32)
-    return dense.materialised_psi(design, y, with_dstar)
-
-
-def materialised_dstar(design: "PoolingDesign") -> np.ndarray:
-    """``Δ*`` via the float32 block pass (float64 when ``m`` ≥ the budget)."""
-    _, dstar = materialised_psi(design, np.zeros((1, design.m), dtype=np.int64), with_dstar=True)
-    return dstar
+#: The materialised Ψ/Δ* pass already picks its tier per call in
+#: :mod:`repro.kernels.dense`; the names stay for the dispatch contract.
+materialised_psi = dense.materialised_psi
+materialised_dstar = dense.materialised_dstar
 
 
 def query_results_batch(design: "PoolingDesign", batch: np.ndarray) -> np.ndarray:

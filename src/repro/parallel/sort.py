@@ -58,8 +58,9 @@ def parallel_top_k(scores: np.ndarray, k: int) -> np.ndarray:
 def _batch_top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """Row-wise :func:`parallel_top_k` over a ``(B, n)`` score matrix.
 
-    The argpartition selection vectorised over rows with a cumulative
-    tie-rank mask; a batch holding NaN falls back to a stable argsort of
+    The argpartition selection vectorised over rows, with a cumulative
+    tie-rank mask on the rows whose threshold ties outnumber their free
+    slots; a batch holding NaN falls back to a stable argsort of
     ``-scores`` (stable realises the smallest-index-first tie-break).
     """
     k = check_positive_int(k, "k")
@@ -74,8 +75,14 @@ def _batch_top_k(scores: np.ndarray, k: int) -> np.ndarray:
     thresh = np.take_along_axis(scores, part, axis=1).min(axis=1, keepdims=True)
     above = scores > thresh
     ties = scores == thresh
-    need = k - above.sum(axis=1, keepdims=True)
-    chosen = above | (ties & (np.cumsum(ties, axis=1) <= need))
+    need = k - np.count_nonzero(above, axis=1)
+    chosen = above | ties
+    # Only a row holding more threshold ties than it needs drops its
+    # highest-index ties; the cumulative tie rank runs on those rows alone.
+    surplus = np.flatnonzero(np.count_nonzero(ties, axis=1) > need)
+    if surplus.size:
+        t = ties[surplus]
+        chosen[surplus] = above[surplus] | (t & (np.cumsum(t, axis=1) <= need[surplus, None]))
     # Every row holds exactly k marks unless NaN broke the comparisons;
     # nonzero walks row-major, so the reshape yields ascending indices.
     if int(chosen.sum()) == scores.shape[0] * k:

@@ -93,3 +93,11 @@ class TestConcentrationEvent:
         )
         with pytest.raises(ValueError):
             concentration_event_holds(stats)
+
+    def test_rejects_stats_without_delta(self):
+        import dataclasses
+
+        sigma = random_signal(2000, 10, np.random.default_rng(2))
+        stats = stream_design_stats(sigma, 400, root_seed=3)
+        with pytest.raises(ValueError, match="concentration_event_holds needs Δ"):
+            concentration_event_holds(dataclasses.replace(stats, delta=None))

@@ -150,6 +150,21 @@ class TestStreamParity:
         assert ws.block(2, 50).base is block_a.base  # smaller slice, same buffer
         assert not ws.block(4, 50).any()  # and it stays all-zero
 
+    @pytest.mark.parametrize("kernel", ["dense", "dense32"])
+    def test_workspace_follows_a_new_width(self, kernel):
+        """A worker's cached workspace serves streams of several ``n``: each
+        batch scatters at its own width, matching a fresh workspace."""
+        mod = kernels.dispatch(kernel)
+        ws = mod.make_stream_workspace()
+        for n in (50, 60, 50, 40):
+            edges = np.random.default_rng(n).integers(0, n, size=(5, 9))
+            sigma = random_signal(n, 4, np.random.default_rng(1))
+            got, want = ([np.zeros(n, dtype=np.int64) for _ in range(3)] for _ in range(2))
+            mod.stream_batch(edges, sigma, n, None, None, *got, ws)
+            mod.stream_batch(edges, sigma, n, None, None, *want, mod.make_stream_workspace())
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b), f"n={n}"
+
 
 class TestMaterialisedParity:
     """PoolingDesign.stats / psi / dstar / query_results across kernels."""
@@ -402,7 +417,8 @@ class TestExactnessBoundaries:
             (2**52 + 10, "exact-int"),  # over both: integer matmul
         ],
     )
-    def test_psi_tier_and_value(self, value, tier, monkeypatch):
+    @pytest.mark.parametrize("kernel", ["dense", "dense32"])
+    def test_psi_tier_and_value(self, value, tier, kernel, monkeypatch):
         from repro.kernels import dense
 
         dtypes = []
@@ -415,7 +431,7 @@ class TestExactnessBoundaries:
         monkeypatch.setattr(dense, "psi_pass", spy)
         design = PoolingDesign.from_pools(5, [[4], [0, 1], [2, 3]])  # entry 4 in exactly one query
         y = np.array([value, 0, 0], dtype=np.int64)
-        got = design.psi(y, kernel="dense32")
+        got = design.psi(y, kernel=kernel)
         assert got[4] == value  # Ψ_4 = y of entry 4's only query, bit-exact
         assert dtypes == [tier]
         fresh = PoolingDesign(design.n, design.entries, design.indptr)
@@ -447,6 +463,97 @@ class TestExactnessBoundaries:
         with SharedMemBackend(workers, kernel="dense32") as backend:
             got = stream_design_stats(sigma, 33, root_seed=2, batch_queries=8, noise=noise, backend=backend)
         assert_stats_equal(got, legacy, f"(workers={workers})")
+
+
+class TestDstarOnesRow:
+    """Δ* as the all-ones row of the Ψ GEMM equals legacy's distinct counts."""
+
+    @staticmethod
+    def assert_matches_legacy(design, y, kernel):
+        mod = kernels.dispatch(kernel)
+        reference = PoolingDesign(design.n, design.entries, design.indptr)
+        want_psi, want_dstar = reference.psi(y, kernel="legacy"), reference.dstar(kernel="legacy")
+        psi, dstar = mod.materialised_psi(design, y, with_dstar=True)
+        assert psi.dtype == dstar.dtype == np.int64
+        assert np.array_equal(psi, want_psi), kernel
+        assert np.array_equal(dstar, want_dstar), kernel
+        assert np.array_equal(mod.materialised_dstar(design), want_dstar), kernel
+
+    @pytest.mark.parametrize("kernel", ALL_KERNELS)
+    def test_fig1_multi_edge_design(self, kernel):
+        design, sigma = PoolingDesign.fig1_example()
+        self.assert_matches_legacy(design, design.query_results(np.stack([sigma, 1 - sigma])), kernel)
+
+    @pytest.mark.parametrize("kernel", ALL_KERNELS)
+    def test_ragged_with_empty_pool(self, kernel):
+        design = PoolingDesign.from_pools(7, [[0, 1, 2, 2, 5], [3], [], [6, 6, 6], [0, 5, 1], list(range(7))])
+        y = np.array([[3, 1, 0, 2, 4, 7], [0, 0, 0, 0, 0, 0]], dtype=np.int64)
+        self.assert_matches_legacy(design, y, kernel)
+
+    @pytest.mark.parametrize("kernel", ALL_KERNELS)
+    def test_m_spans_several_chunks(self, kernel, monkeypatch):
+        from repro.kernels import dense
+
+        design = PoolingDesign.sample(50, 17, np.random.default_rng(2))
+        monkeypatch.setattr(dense, "BLOCK_BYTES", 4 * design.n * 3)  # 3 rows per float32 chunk
+        sigmas = np.stack([random_signal(50, 4, np.random.default_rng(i)) for i in range(3)])
+        self.assert_matches_legacy(design, design.query_results(sigmas), kernel)
+
+    @pytest.mark.parametrize("kernel", ["dense", "dense32"])
+    def test_dstar_over_float32_budget_takes_float64(self, kernel, monkeypatch):
+        from repro.kernels import dense
+
+        design = PoolingDesign.sample(30, 17, np.random.default_rng(3))
+        y = np.zeros((2, design.m), dtype=np.int64)
+        y[0, 4], y[1, 9] = 3, 5  # Σ|y[b]| ≤ 5 < 8 ≤ m = 17
+        monkeypatch.setattr(dense, "_EXACT_LIMIT32", 8.0)
+        dtypes = []
+        real = dense.psi_pass
+
+        def spy(design, y, with_dstar, dtype):
+            dtypes.append((with_dstar, str(np.dtype(dtype))))
+            return real(design, y, with_dstar, dtype)
+
+        monkeypatch.setattr(dense, "psi_pass", spy)
+        self.assert_matches_legacy(design, y, kernel)
+        kernels.dispatch(kernel).materialised_psi(design, y)
+        # Ψ + Δ* and Δ* alone go float64 (m over budget); Ψ alone stays float32.
+        assert dtypes == [(True, "float64"), (True, "float64"), (False, "float32")]
+
+
+class TestMNSkipsDelta:
+    """MN-only decodes read Ψ and Δ*; nothing builds Δ for them."""
+
+    @pytest.fixture
+    def no_delta(self, monkeypatch):
+        calls = []
+        real = PoolingDesign.delta
+
+        def spy(self):
+            calls.append(1)
+            return real(self)
+
+        monkeypatch.setattr(PoolingDesign, "delta", spy)
+        return calls
+
+    def test_batched_grid_point(self, no_delta):
+        from repro.engine.grid import run_batched_point
+
+        got = {kernel: run_batched_point(90, 60, theta=0.35, trials=5, root_seed=11, kernel=kernel) for kernel in ALL_KERNELS}
+        assert no_delta == []
+        for kernel in ("dense", "dense32"):
+            assert np.array_equal(got[kernel].success, got["legacy"].success), kernel
+            assert np.array_equal(got[kernel].overlap, got["legacy"].overlap), kernel
+
+    def test_mn_reconstruct_and_reconstruct_batch(self, no_delta):
+        from repro.core.mn import mn_reconstruct
+
+        design, sigma = PoolingDesign.fig1_example()
+        assert np.array_equal(mn_reconstruct(design, design.query_results(sigma), 3), sigma)
+        sigmas = np.stack([random_signal(120, 5, np.random.default_rng(i)) for i in range(4)])
+        report = reconstruct_batch(120, 70, signals_oracle(sigmas), 4, rng=np.random.default_rng(9))
+        assert report.sigma_hat.shape == sigmas.shape
+        assert no_delta == []
 
 
 class TestThreadGovernor:
@@ -502,6 +609,31 @@ class TestTopKFastPath:
             scores = rng.integers(0, 3, size=(B, n))
             expected = np.stack([self._oracle(row, k) for row in scores])
             assert np.array_equal(parallel_top_k(scores, k), expected)
+
+    def test_batch_mixes_surplus_tie_rows_and_plain_rows(self, monkeypatch):
+        # k=3: row 0 has four ties at the threshold (surplus), row 1 exactly
+        # the ties it needs, row 2 none, row 3 a surplus after a strict top.
+        # Finite scores must be answered by the selection itself, not by
+        # the NaN fallback's argsort (which would mask a wrong tie mask).
+        scores = np.array(
+            [
+                [1, 2, 2, 0, 2, 2, 0, 1],
+                [5, 1, 3, 3, 0, 0, 1, 1],
+                [7, 6, 5, 4, 3, 2, 1, 0],
+                [9, 4, 4, 0, 4, 9, 4, 0],
+            ],
+            dtype=np.float64,
+        )
+        rows = np.stack([parallel_top_k(row, 3) for row in scores])
+
+        def no_fallback(*args, **kwargs):
+            raise AssertionError("finite scores fell back to the argsort ranking")
+
+        monkeypatch.setattr(np, "argsort", no_fallback)
+        got = parallel_top_k(scores, 3)
+        monkeypatch.undo()
+        assert np.array_equal(got, rows)
+        assert np.array_equal(got, np.stack([self._oracle(row, 3) for row in scores]))
 
     def test_all_tied(self):
         scores = np.zeros(10)

@@ -66,6 +66,16 @@ class TestPhi:
         )
         assert not psi_phi_identity_check(corrupted, sigma)
 
+    def test_readers_of_delta_reject_stats_without_it(self, instance):
+        import dataclasses
+
+        stats, sigma, _ = instance
+        no_delta = dataclasses.replace(stats, delta=None)
+        assert np.array_equal(mn_scores(no_delta, 3), mn_scores(stats, 3))  # MN needs only Ψ and Δ*
+        for reader in (phi_from_psi, psi_phi_identity_check):
+            with pytest.raises(ValueError, match=rf"{reader.__name__} needs Δ"):
+                reader(no_delta, sigma)
+
 
 class TestExpectedGap:
     def test_value(self):
