@@ -50,6 +50,7 @@ import numpy as np
 
 from repro.kernels import dispatch as dispatch_kernel
 from repro.kernels import resolve_kernel
+from repro.kernels.dense import row_cells
 from repro.parallel.partition import chunk_count
 from repro.parallel.sharedmem import SharedArray, SharedArrayDescriptor
 from repro.rng.streams import StreamFamily
@@ -175,6 +176,23 @@ class PoolingDesign:
     """
 
     def __init__(self, n: int, entries: np.ndarray, indptr: np.ndarray):
+        self._setup(n, entries, indptr, None)
+
+    @classmethod
+    def _with_range(cls, n: int, entries: np.ndarray, indptr: np.ndarray, entry_range: "tuple[int, int]") -> "PoolingDesign":
+        """Build from ``entries`` whose values are known to lie in ``[lo, hi]``.
+
+        The range check runs on ``entry_range`` instead of a scan of
+        ``entries``: an out-of-range bound raises exactly as the public
+        constructor does.  For callers that already hold the bound — the
+        store's verify pass, which observed it while hashing the file, and
+        :meth:`sample`, whose draws are ``integers(0, n)``.
+        """
+        design = cls.__new__(cls)
+        design._setup(n, entries, indptr, entry_range)
+        return design
+
+    def _setup(self, n: int, entries: np.ndarray, indptr: np.ndarray, entry_range: "tuple[int, int] | None") -> None:
         self.n = check_positive_int(n, "n")
         self.entries = np.asarray(entries, dtype=np.int64)
         self.indptr = np.asarray(indptr, dtype=np.int64)
@@ -182,8 +200,10 @@ class PoolingDesign:
             raise ValueError("indptr must be 1-D starting at 0")
         if np.any(np.diff(self.indptr) < 0) or self.indptr[-1] != self.entries.size:
             raise ValueError("indptr inconsistent with entries")
-        if self.entries.size and (self.entries.min() < 0 or self.entries.max() >= n):
-            raise ValueError("entry index out of range")
+        if self.entries.size:
+            lo, hi = (self.entries.min(), self.entries.max()) if entry_range is None else entry_range
+            if lo < 0 or hi >= n:
+                raise ValueError("entry index out of range")
         self._distinct_cache: "tuple[np.ndarray, np.ndarray] | None" = None
         self._entry_groups_cache: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None
         self._dstar_cache: "np.ndarray | None" = None
@@ -198,7 +218,7 @@ class PoolingDesign:
         gamma = default_gamma(n) if gamma is None else check_positive_int(gamma, "gamma")
         entries = rng.integers(0, n, size=m * gamma, dtype=np.int64)
         indptr = np.arange(m + 1, dtype=np.int64) * gamma
-        return cls(n, entries, indptr)
+        return cls._with_range(n, entries, indptr, (0, n - 1))
 
     @classmethod
     def from_pools(cls, n: int, pools: Sequence[Sequence[int]]) -> "PoolingDesign":
@@ -318,10 +338,8 @@ class PoolingDesign:
         intp, which fancy indexing consumes natively; a narrower index
         would be cast to intp first, costing more than it saves.
         """
-        sizes = self.indptr[lo + 1 : hi + 1] - self.indptr[lo:hi]
-        cells = np.repeat(np.arange(0, (hi - lo) * self.n, self.n, dtype=np.intp), sizes)
-        cells += self.entries[int(self.indptr[lo]) : int(self.indptr[hi])]
-        return cells
+        draws = self.entries[int(self.indptr[lo]) : int(self.indptr[hi])]
+        return row_cells(self.indptr, lo, hi, self.n, draws, np.intp)
 
     # -- neighbourhood statistics ------------------------------------------------------
 

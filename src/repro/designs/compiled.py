@@ -505,7 +505,8 @@ def compile_from_key(key: DesignKey, *, cache: "DesignCache | None" = None, stor
         gamma = int(key.gamma)
         entries = _stream_entries(key)
         indptr = np.arange(key.m + 1, dtype=np.int64) * gamma
-        return CompiledDesign(PoolingDesign(key.n, entries, indptr), key=key)
+        # Every draw is integers(0, n): the bound is known, no scan needed.
+        return CompiledDesign(PoolingDesign._with_range(key.n, entries, indptr, (0, key.n - 1)), key=key)
     if key.scheme == "sampled":
         _, tag, index = key.trial_key
         rng = batch_generator(key.root_seed, int(tag), int(index))

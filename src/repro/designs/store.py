@@ -29,7 +29,11 @@ directory so that every process on the machine shares one compilation:
 * **integrity + self-repair** — every publication writes a per-file
   SHA-256 manifest into ``meta.json``; every attach re-hashes every
   payload file against it (skippable via ``verify=False``; the files are
-  hashed side by side on a per-call thread pool), and a corrupt or torn
+  hashed side by side on a per-call thread pool).  The entry range check
+  rides in the same read: the hash of ``entries.npy`` also takes the
+  ``(min, max)`` of its values, so an attach never scans the mapped
+  entries, and an MN attach (whose decode reads only the Ψ block and
+  ``Δ*``) maps no entries page at all.  A corrupt, torn or out-of-range
   entry is **quarantined** — renamed into ``.quarantine/`` for
   post-mortem, counted in :class:`StoreStats` — then transparently
   recompiled through the existing single-flight path.  :meth:`fsck`
@@ -231,7 +235,20 @@ class FsckReport:
 
 
 def _sha256_file(path: Path) -> str:
-    """Streaming SHA-256 of one file (256 KiB reads into one reused buffer).
+    """Streaming SHA-256 of one file (256 KiB reads into one reused buffer)."""
+    return _sha256_and_range(path)[0]
+
+
+def _sha256_and_range(path: Path, data: "np.memmap | None" = None) -> "tuple[str, tuple[int, int] | None]":
+    """SHA-256 of one file and the ``(min, max)`` of its ``.npy`` values, in one read.
+
+    ``data`` is the file's own ``np.load(mmap_mode="r")`` map: its
+    ``offset`` and ``nbytes`` locate the values in the file, and its dtype
+    reads them.  The map itself is never touched — the values are read
+    out of the buffer the hash streams through, so the range costs no
+    second pass over the file and faults no page of the map.  The range
+    is returned only for non-empty native int64 data read to its end;
+    otherwise it is ``None`` and the caller checks the values itself.
 
     One small buffer reused across reads keeps the memory that each
     verify thread's malloc arena retains after the call to about one
@@ -240,10 +257,31 @@ def _sha256_file(path: Path) -> str:
     h = hashlib.sha256()
     buf = bytearray(1 << 18)
     view = memoryview(buf)
+    start = stop = 0
+    if data is not None and data.dtype == np.int64 and data.size:
+        start, stop = int(data.offset), int(data.offset) + data.nbytes
+    lo, hi = np.iinfo(np.int64).max, np.iinfo(np.int64).min
+    pos = 0
     with open(path, "rb", buffering=0) as f:
-        while size := f.readinto(buf):
+        # The header is read on its own, and every later read fills the
+        # whole buffer (short only at EOF), so each chunk of values starts
+        # on a whole element.
+        while size := _read_full(f, view[: start - pos] if pos < start else view):
             h.update(view[:size])
-    return h.hexdigest()
+            count = (min(pos + size, stop) - pos) // 8 if start <= pos < stop else 0
+            if count:
+                values = np.frombuffer(buf, dtype=np.int64, count=count)
+                lo, hi = min(lo, int(values.min())), max(hi, int(values.max()))
+            pos += size
+    return h.hexdigest(), ((lo, hi) if stop and pos >= stop else None)
+
+
+def _read_full(f, view: memoryview) -> int:
+    """``readinto`` until ``view`` is full or the file ends; returns the bytes read."""
+    got = 0
+    while got < len(view) and (size := f.readinto(view[got:])):
+        got += size
+    return got
 
 
 def _remove(path: Path) -> bool:
@@ -320,9 +358,11 @@ class DesignStore:
         cost is one streaming hash of every payload file on *every*
         attach — including each re-attach after an L1 or decoder-pool
         eviction — with the files hashed side by side on up to one thread
-        per core; it never runs on the decode hot path.  Pass ``False`` to
-        trust the filesystem (e.g. an immutable read-only image already
-        verified once).
+        per core; it never runs on the decode hot path.  The same read of
+        ``entries.npy`` yields the entry range check, so a verified attach
+        never touches the mapped entries.  Pass ``False`` to trust the
+        filesystem (e.g. an immutable read-only image already verified
+        once); the entry range is then checked by a scan of the map.
 
     Examples
     --------
@@ -536,15 +576,26 @@ class DesignStore:
         if stored_key != key:
             read_lock.close()
             raise ValueError(f"store entry {path.name} addresses a different key")
+        try:
+            # Maps only: headers are parsed, no data page is touched.
+            loaded = {name: np.load(path / f"{name}.npy", mmap_mode="r") for name in _ARRAY_FIELDS}
+        except Exception as exc:
+            read_lock.close()
+            raise ValueError(f"corrupt store entry {path.name}: {exc}") from exc
+        entry_range = None
         if self.verify:
             try:
-                self._verify_manifest(path, meta)
+                entry_range = self._verify_manifest(path, meta, entries=loaded["entries"])
             except ValueError:
                 read_lock.close()
                 raise
         try:
-            loaded = {name: np.load(path / f"{name}.npy", mmap_mode="r") for name in _ARRAY_FIELDS}
-            design = PoolingDesign(key.n, loaded["entries"], loaded["indptr"])
+            if entry_range is None:  # no range from a hash pass: the constructor scans the map
+                design = PoolingDesign(key.n, loaded["entries"], loaded["indptr"])
+            else:
+                # The range the hash pass read: an MN attach never maps an
+                # entries page (its decode reads only Ψ's block and Δ*).
+                design = PoolingDesign._with_range(key.n, loaded["entries"], loaded["indptr"], entry_range)
             compiled = CompiledDesign(design, dstar=loaded["dstar"], delta=loaded["delta"], key=key, copy=False)
             if meta.get("block") and (path / "block.npy").is_file():
                 # Adopt the persisted Ψ block zero-copy: decode-ready with
@@ -558,7 +609,7 @@ class DesignStore:
         return compiled
 
     @staticmethod
-    def _verify_manifest(path: Path, meta: dict) -> None:
+    def _verify_manifest(path: Path, meta: dict, *, entries: "np.memmap | None" = None) -> "tuple[int, int] | None":
         """Check every payload file against the entry's SHA-256 manifest.
 
         Raises ``ValueError`` on a missing manifest, a missing file or a
@@ -570,6 +621,11 @@ class DesignStore:
         compared in manifest order, so the first reported failure is the
         same as a one-by-one check.  The pool is joined before returning:
         no thread outlives the call or crosses a fork.
+
+        With ``entries`` (the attach's map of ``entries.npy``), the hash of
+        that file also takes the ``(min, max)`` of its values from the same
+        read, and the range is returned once every digest matched — the
+        attach's entry range check.  ``None`` when no range was taken.
         """
         manifest = meta.get("sha256")
         if not isinstance(manifest, dict) or not manifest:
@@ -577,14 +633,23 @@ class DesignStore:
         for name in manifest:
             if not (path / name).is_file():
                 raise ValueError(f"integrity: store entry {path.name} is missing {name}")
+
+        def digest(name: str) -> "tuple[str, tuple[int, int] | None]":
+            if name == "entries.npy" and entries is not None:
+                return _sha256_and_range(path / name, entries)
+            return _sha256_file(path / name), None
+
         with ThreadPoolExecutor(max_workers=min(len(manifest), cpu_count())) as pool:
-            digests = list(pool.map(_sha256_file, [path / name for name in manifest]))
-        for (name, expected), actual in zip(manifest.items(), digests):
+            results = list(pool.map(digest, manifest))
+        entry_range = None
+        for (name, expected), (actual, observed) in zip(manifest.items(), results):
             if actual != expected:
                 raise ValueError(
                     f"integrity: store entry {path.name} file {name} hash mismatch "
                     f"(expected {expected[:12]}…, found {actual[:12]}…)"
                 )
+            entry_range = observed or entry_range
+        return entry_range
 
     def _touch(self, path: Path) -> None:
         """Refresh the entry's recency marker (LRU input for :meth:`gc`)."""

@@ -98,6 +98,23 @@ def _index_dtype(cells: int) -> np.dtype:
     return np.dtype(np.int32) if cells < 2**31 else np.dtype(np.int64)
 
 
+def row_cells(indptr: np.ndarray, lo: int, hi: int, width: int, values: np.ndarray, dtype: "np.dtype | type") -> np.ndarray:
+    """Flat cell ``(j − lo)·width + values[d]`` of every draw ``d`` of queries ``lo ≤ j < hi``.
+
+    ``values`` holds one column per draw of those queries, in CSR order.
+    When every pool in the range has the same size, the row offsets
+    broadcast over a ``(hi − lo, Γ)`` view of ``values``; ragged ranges
+    repeat each offset by its pool size.  Both give the same index.
+    """
+    sizes = indptr[lo + 1 : hi + 1] - indptr[lo:hi]
+    offsets = np.arange(0, (hi - lo) * width, width, dtype=dtype)
+    if sizes.size and (sizes == sizes[0]).all():
+        return (offsets[:, None] + values.reshape(hi - lo, int(sizes[0]))).reshape(-1)
+    cells = np.repeat(offsets, sizes)
+    cells += values
+    return cells
+
+
 class DenseStreamWorkspace:
     """Reusable scratch buffers for :func:`stream_batch`.
 
@@ -390,9 +407,7 @@ def query_pass(design: "PoolingDesign", batch: np.ndarray, dtype: "np.dtype | ty
     for qlo in range(0, m, rows_per):
         qhi = min(m, qlo + rows_per)
         rc = qhi - qlo
-        sizes = indptr[qlo + 1 : qhi + 1] - indptr[qlo:qhi]
-        lin = np.repeat(np.arange(0, rc * width, width, dtype=idx), sizes)
-        lin += np.take(remap, entries[int(indptr[qlo]) : int(indptr[qhi])])
+        lin = row_cells(indptr, qlo, qhi, width, np.take(remap, entries[int(indptr[qlo]) : int(indptr[qhi])]), idx)
         counts = np.bincount(lin, minlength=rc * width).reshape(rc, width)
         np.matmul(bf, counts.astype(work_dtype).T, out=tmp[:, :rc])
         out[:, qlo:qhi] = tmp[:, :rc]

@@ -42,10 +42,14 @@ Robustness is structural, not best-effort:
   probe; one good batch closes the breaker.  One persistently bad design
   degrades; every other key serves normally.
 
-CPU-heavy work (compilation, the batched GEMM + top-k) runs on a
-single-thread executor so the event loop keeps accepting, parsing and
-timing out requests while NumPy (which releases the GIL in the hot
-kernels) decodes.
+CPU-heavy work runs off the event loop on two single-thread executors,
+so the loop keeps accepting, parsing and timing out requests while NumPy
+and ``hashlib`` (which release the GIL in their hot loops) work: the
+coalescer's executor runs every batched GEMM + top-k, one at a time in
+submission order, and the pool's executor runs admission — store attach,
+verify and compile — so a cold key never holds up a warm key's decode.
+The :class:`~repro.serve.server.DecodeServer` owns both threads
+(``repro-serve-decode`` and ``repro-serve-admit``).
 """
 
 from __future__ import annotations
@@ -98,8 +102,9 @@ class DecoderPool:
 
     ``get`` is read-through: an entry served for the first time compiles
     (or mmap-attaches from the L2 :class:`~repro.designs.store.DesignStore`)
-    on the executor, single-flight per entry — concurrent batches for one
-    cold entry await one compilation.  The pool holds at most
+    on ``executor`` — the server's admission thread, not its decode
+    thread — single-flight per entry: concurrent batches for one cold
+    entry await one compilation.  The pool holds at most
     ``max_designs`` attached decoders; the least recently *served* one is
     dropped when a new entry crowds it out.
 

@@ -145,17 +145,21 @@ class DecodeServer:
         store: "DesignStore | None" = None,
     ):
         self.config = config if config is not None else ServeConfig()
-        # One executor thread: decodes serialise (one GEMM at a time keeps
-        # BLAS unconflicted) while the loop keeps admitting and timing out.
+        # Two single-thread executors.  Decodes serialise on one (one GEMM
+        # at a time keeps BLAS unconflicted); store attach, verify and
+        # compile run on the other, so a cold key's admission never queues
+        # a warm key's decode behind it.  The loop keeps admitting and
+        # timing out requests meanwhile.
         from concurrent.futures import ThreadPoolExecutor
 
         self._executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-serve-decode")
+        self._admit_executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-serve-admit")
         self.pool = DecoderPool(
             decoder,
             max_designs=self.config.max_designs,
             cache=cache,
             store=store,
-            executor=self._executor,
+            executor=self._admit_executor,
         )
         self.coalescer = Coalescer(
             self.pool,
@@ -283,7 +287,8 @@ class DecodeServer:
         1. stop accepting connections; 2. flush every open bucket and
         refuse new submissions (``shutting_down``); 3. wait for dispatched
         batches; 4. wait for response writes (bounded by
-        ``drain_timeout_s``); 5. close connections and decoders.
+        ``drain_timeout_s``); 5. close connections and decoders, and join
+        the decode and admission threads.
         """
         if self._tcp_server is not None:
             self._tcp_server.close()
@@ -311,6 +316,7 @@ class DecodeServer:
             await self._tcp_server.wait_closed()
         self.pool.close()
         self._executor.shutdown(wait=True)
+        self._admit_executor.shutdown(wait=True)
 
 
 async def serve_forever(

@@ -624,3 +624,156 @@ class TestMachineLocalStore:
         assert np.array_equal(np.asarray(attached.design.entries), compiled.design.entries)
         y = compiled.query_results(np.arange(240) < 6)
         assert np.array_equal(MNDecoder().compile(attached).decode(y, 6), MNDecoder().compile(compiled).decode(y, 6))
+
+
+#: Elements of an int64 ``.npy`` file in its first 256 KiB hash read (the
+#: 128-byte header is read on its own): entry 32752 opens the second read.
+_FIRST_READ_VALUES = ((1 << 18) - 128) // 8
+
+
+def _forge_entry(store, key, position, value):
+    """Write ``value`` into ``entries.npy`` and rewrite its manifest digest to match."""
+    import hashlib
+
+    path = store.entry_dir(key)
+    entries = np.load(path / "entries.npy")
+    entries[position] = value
+    np.save(path / "entries.npy", entries)
+    meta = json.loads((path / "meta.json").read_text())
+    meta["sha256"]["entries.npy"] = hashlib.sha256((path / "entries.npy").read_bytes()).hexdigest()
+    (path / "meta.json").write_text(json.dumps(meta, sort_keys=True))
+    return path
+
+
+class TestEntryRangeInHashPass:
+    """The verify pass takes the entry range from the bytes it hashes."""
+
+    WIDE = DesignKey.for_stream(2000, 120, root_seed=3)  # 120 000 entries: four hash reads
+
+    @pytest.mark.parametrize("position", [0, _FIRST_READ_VALUES - 1, _FIRST_READ_VALUES, -1])
+    @pytest.mark.parametrize("bad", ["n", "negative"])
+    def test_verified_attach_rejects_and_quarantines(self, store, position, bad):
+        store.publish(compile_from_key(self.WIDE))
+        path = _forge_entry(store, self.WIDE, position, self.WIDE.n if bad == "n" else -1)
+        with pytest.raises(ValueError, match="entry index out of range"):
+            store._attach(path, self.WIDE)
+        assert store.get(self.WIDE) is None  # a miss, never a design with a wild index
+        assert store.stats.quarantined == 1 and not path.exists()
+
+    def test_unverified_attach_still_rejects(self, tmp_path):
+        DesignStore(tmp_path / "store").publish(compile_from_key(self.WIDE))
+        trusting = DesignStore(tmp_path / "store", verify=False)
+        path = _forge_entry(trusting, self.WIDE, -1, self.WIDE.n)
+        with pytest.raises(ValueError, match="entry index out of range"):
+            trusting._attach(path, self.WIDE)
+        assert trusting.get(self.WIDE) is None
+
+    @pytest.mark.parametrize("verify", [True, False])
+    def test_only_a_verified_attach_hands_over_the_range(self, tmp_path, monkeypatch, verify):
+        from repro.core.design import PoolingDesign
+
+        DesignStore(tmp_path / "store").publish(compile_from_key(self.WIDE))
+        seen = []
+        original = PoolingDesign._setup
+
+        def spy(self, n, entries, indptr, entry_range):
+            seen.append(entry_range)
+            return original(self, n, entries, indptr, entry_range)
+
+        monkeypatch.setattr(PoolingDesign, "_setup", spy)
+        attached = DesignStore(tmp_path / "store", verify=verify).get(self.WIDE)
+        assert attached is not None
+        entries = np.asarray(attached.design.entries)
+        expected = (int(entries.min()), int(entries.max())) if verify else None
+        assert seen == [expected]
+
+    @pytest.mark.parametrize("size", [1, _FIRST_READ_VALUES, _FIRST_READ_VALUES + 1, 100_003])
+    @pytest.mark.parametrize("max_read", [None, 7], ids=["full-reads", "short-reads"])
+    def test_hash_and_range_match_a_direct_read(self, tmp_path, monkeypatch, size, max_read):
+        import builtins
+        import hashlib
+
+        import repro.designs.store as store_mod
+
+        values = np.random.default_rng(size).integers(-(2**40), 2**40, size=size, dtype=np.int64)
+        np.save(tmp_path / "v.npy", values)
+        if max_read is not None:
+            # A file object whose reads stop short at odd byte counts: values
+            # then straddle reads, and the range must not change.
+            class Short:
+                def __init__(self, f):
+                    self._f = f
+
+                def readinto(self, view):
+                    return self._f.readinto(memoryview(view)[:max_read])
+
+                def __enter__(self):
+                    return self
+
+                def __exit__(self, *exc):
+                    self._f.close()
+
+            monkeypatch.setattr(store_mod, "open", lambda *a, **k: Short(builtins.open(*a, **k)), raising=False)
+        digest, observed = store_mod._sha256_and_range(tmp_path / "v.npy", np.load(tmp_path / "v.npy", mmap_mode="r"))
+        assert digest == hashlib.sha256((tmp_path / "v.npy").read_bytes()).hexdigest()
+        assert observed == (int(values.min()), int(values.max()))
+
+    def test_a_file_cut_short_after_mapping_leaves_the_range_to_the_caller(self, tmp_path):
+        import repro.designs.store as store_mod
+
+        np.save(tmp_path / "v.npy", np.arange(100_000, dtype=np.int64))
+        mapped = np.load(tmp_path / "v.npy", mmap_mode="r")
+        os.truncate(tmp_path / "v.npy", mapped.offset + 8 * 40_000)  # the map's pages stay untouched
+        digest, observed = store_mod._sha256_and_range(tmp_path / "v.npy", mapped)
+        assert digest == store_mod._sha256_file(tmp_path / "v.npy") and observed is None
+
+    def test_other_dtypes_leave_the_range_to_the_caller(self, tmp_path):
+        import repro.designs.store as store_mod
+
+        np.save(tmp_path / "v.npy", np.arange(10, dtype=np.int32))
+        digest, observed = store_mod._sha256_and_range(tmp_path / "v.npy", np.load(tmp_path / "v.npy", mmap_mode="r"))
+        assert digest == store_mod._sha256_file(tmp_path / "v.npy") and observed is None
+
+
+_RSS_SCRIPT = """
+import json, sys
+import numpy as np
+from repro.core.mn import MNDecoder
+from repro.designs import DesignKey, DesignStore
+
+def rss_file_bytes():
+    with open("/proc/self/status") as f:
+        for line in f:
+            if line.startswith("RssFile:"):
+                return int(line.split()[1]) * 1024
+
+store = DesignStore(sys.argv[1])
+# A small attach and decode first, so every lazily loaded module is mapped
+# before the measured one starts.
+small = store.get(DesignKey.for_stream(300, 40, root_seed=11))
+MNDecoder().compile(small).decode_batch(np.ones((2, 40), dtype=np.int64), 3)
+key = DesignKey.for_stream(10_000, 600, root_seed=5)
+before = rss_file_bytes()
+compiled = store.get(key)
+MNDecoder().compile(compiled).decode_batch(np.ones((2, key.m), dtype=np.int64), 3)
+print(json.dumps({
+    "grew": rss_file_bytes() - before,
+    "entries": compiled.design.entries.nbytes,
+    "block": compiled.block_bytes,
+}))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads RssFile from /proc (Linux)")
+def test_mn_attach_and_decode_map_no_entries_pages(tmp_path):
+    store = DesignStore(tmp_path / "store")
+    store.publish(compile_from_key(KEY))
+    store.publish(compile_from_key(DesignKey.for_stream(10_000, 600, root_seed=5)))
+    env = {"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"), "PATH": "/usr/bin:/bin"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _RSS_SCRIPT, str(store.root)], capture_output=True, text=True, env=env, check=True
+    )
+    run = json.loads(proc.stdout)
+    # The decode faults in the whole Ψ block; the entries (24 MB here, as
+    # large as the block) are hashed with read(), never mapped page by page.
+    assert run["grew"] - run["block"] < run["entries"] / 2, run

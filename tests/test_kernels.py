@@ -305,6 +305,52 @@ class TestSupportRestrictedQueries:
         self.assert_queries_agree(design, batch)
 
 
+class TestRowCells:
+    """Broadcast row offsets for equal-size pools, ``np.repeat`` for ragged ones: one index."""
+
+    @staticmethod
+    def reference(design, lo, hi, width, values):
+        sizes = np.diff(design.indptr)[lo:hi]
+        return np.repeat(np.arange(hi - lo) * width, sizes) + values
+
+    @pytest.mark.parametrize(
+        "pools",
+        [
+            [[0, 3, 3], [1, 2, 4], [4, 4, 0], [2, 0, 1]],
+            [[0, 1, 2, 2, 5], [3], [], [6, 6, 6], [0, 5, 1], [4, 4]],
+            [[], [], []],
+            [[1, 2], [3, 4], [5, 6, 0], [0]],
+        ],
+        ids=["regular", "ragged", "all-empty", "regular-prefix"],
+    )
+    def test_every_range_matches_the_repeat_index(self, pools):
+        design = PoolingDesign.from_pools(7, pools)
+        for lo in range(design.m + 1):
+            for hi in range(lo, design.m + 1):
+                draws = design.entries[design.indptr[lo] : design.indptr[hi]]
+                got = design.incidence_cells(lo, hi)
+                assert np.array_equal(got, self.reference(design, lo, hi, design.n, draws)), (lo, hi)
+                assert got.dtype == np.intp
+                narrow = kernels.dense.row_cells(design.indptr, lo, hi, 11, draws.astype(np.int32), np.int32)
+                assert narrow.dtype == np.int32
+                assert np.array_equal(narrow, self.reference(design, lo, hi, 11, draws)), (lo, hi)
+
+    def test_ragged_design_with_regular_chunks_counts_exactly(self, monkeypatch):
+        from repro.kernels import dense
+
+        # Chunks of two rows: [0, 1] and [4, 5] are regular, [2, 3] is ragged.
+        pools = [[0, 1, 1], [2, 3, 4], [5], [6, 6, 0, 1], [3, 2], [4, 4]]
+        design = PoolingDesign.from_pools(7, pools)
+        batch = np.array([[1, 1, 0, 1, 0, 0, 1], [0, 0, 1, 0, 1, 1, 0]], dtype=np.int8)
+        monkeypatch.setattr(dense, "BLOCK_BYTES", 8 * design.n * 2)
+        y = design.query_results(batch, kernel="legacy")  # a per-row gather: no cell index
+        psi = design.psi(y, kernel="legacy")
+        for kernel in ALL_KERNELS:
+            fresh = PoolingDesign(design.n, design.entries, design.indptr)
+            assert np.array_equal(fresh.query_results(batch, kernel=kernel), y), kernel
+            assert np.array_equal(fresh.psi(y, kernel=kernel), psi), kernel
+
+
 class TestEndToEndParity:
     def test_reconstruct_batch_kernels_identical(self):
         n, m, B = 120, 70, 6

@@ -229,6 +229,32 @@ class TestSerializationRoundTrips:
         if parsed != key:
             assert DesignStore.digest(parsed) != DesignStore.digest(key)
 
+class TestSampledEntryRange:
+    """Sampled and stream-regenerated designs skip the constructor's range scan.
+
+    Both build through the checked-range path with the bound of their own
+    ``integers(0, n)`` draws, so every entry must lie in ``[0, n)``, and
+    the public constructor's own scan must accept the same arrays.
+    """
+
+    @given(st.integers(1, 400), st.integers(1, 30), st.integers(1, 80), instances)
+    @settings(max_examples=60, deadline=None)
+    def test_every_sampled_entry_lies_in_range(self, n, m, gamma, seed):
+        design = PoolingDesign.sample(n, m, np.random.default_rng(seed), gamma=gamma)
+        assert design.entries.size == m * gamma
+        assert 0 <= design.entries.min() and design.entries.max() < n
+        PoolingDesign(n, design.entries, design.indptr)
+
+    @given(st.integers(2, 400), st.integers(1, 30), st.integers(1, 12), instances)
+    @settings(max_examples=40, deadline=None)
+    def test_every_stream_regenerated_entry_lies_in_range(self, n, m, batch_queries, seed):
+        from repro.designs import DesignKey, compile_from_key
+
+        design = compile_from_key(DesignKey.for_stream(n, m, root_seed=seed, batch_queries=batch_queries)).design
+        assert 0 <= design.entries.min() and design.entries.max() < n
+        PoolingDesign(n, design.entries, design.indptr)
+
+
 class TestTheoryConsistency:
     @given(st.integers(50, 10**5), st.floats(0.1, 0.7))
     @settings(max_examples=50, deadline=None)

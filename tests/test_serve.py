@@ -535,3 +535,105 @@ class TestServeConfig:
         config = ServeConfig(batch_window_ms=2.5, timeout_ms=1500.0)
         assert config.window_s == pytest.approx(0.0025)
         assert config.timeout_s == pytest.approx(1.5)
+
+
+class TestAdmissionThread:
+    """Admission (attach, verify, compile) runs off the decode thread."""
+
+    def test_warm_key_decodes_while_a_cold_compile_is_blocked(self):
+        started, gate = threading.Event(), threading.Event()
+
+        class GatedCold(_FakeDecoder):
+            def compile(self, key, *, cache=None, store=None):
+                if key == KEY_B:
+                    started.set()
+                    gate.wait(30)
+                return super().compile(key, cache=cache, store=store)
+
+        async def run():
+            server = DecodeServer(GatedCold(), ServeConfig(batch_window_ms=0.0))
+            zeros = {key: np.zeros(key.m, dtype=np.int64) for key in (KEY_A, KEY_B)}
+            try:
+                await asyncio.wait_for(server.coalescer.submit(_request(KEY_A, zeros[KEY_A], 1, "warm-0")), 5)
+                cold = server.coalescer.submit(_request(KEY_B, zeros[KEY_B], 1, "cold"))
+                while not started.is_set():  # KEY_B's compile now holds the admission thread
+                    await asyncio.sleep(0.001)
+                warm = await asyncio.wait_for(server.coalescer.submit(_request(KEY_A, zeros[KEY_A], 1, "warm-1")), 5)
+                assert warm.tolist() == []
+                assert not cold.done()
+            finally:
+                gate.set()
+            assert (await asyncio.wait_for(cold, 5)).tolist() == []
+            await server.drain()
+
+        asyncio.run(run())
+
+    def test_churn_across_both_threads_stays_bit_identical(self):
+        """Attach/compile on one thread, decodes on the other, shared L1 artifacts.
+
+        A two-entry pool over three keys and two decoders keeps admission
+        busy while decodes run; with one L1 cache, both threads use the same
+        ``CompiledDesign`` objects (their lazy blocks sit behind its lock).
+        """
+        import sys
+
+        from repro.designs import DesignCache, make_decoder
+
+        keys = [DesignKey.for_stream(90 + 10 * i, 30, root_seed=40 + i) for i in range(3)]
+        names = ("mn", "comp")
+        cases = []
+        for i in range(48):
+            key, name = keys[i % 3], names[(i // 3) % 2]
+            compiled = compile_from_key(key)
+            y = compiled.query_results(random_signal(key.n, 3, np.random.default_rng(200 + i)))
+            cases.append((key, name, y, np.flatnonzero(make_decoder(name).compile(compiled).decode(y, 3)).tolist()))
+
+        async def run():
+            server = DecodeServer(
+                {name: make_decoder(name) for name in names}, ServeConfig(batch_window_ms=0.5, max_designs=2), cache=DesignCache()
+            )
+            submits = [server.coalescer.submit(_request(key, y, 3, f"r{i}", decoder=name)) for i, (key, name, y, _) in enumerate(cases)]
+            supports = await asyncio.wait_for(asyncio.gather(*submits), 60)
+            await server.drain()
+            return supports, server.pool.evictions
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            supports, evictions = asyncio.run(run())
+        finally:
+            sys.setswitchinterval(previous)
+        assert [s.tolist() for s in supports] == [expected for *_, expected in cases]
+        assert evictions > 0  # the pool really churned
+
+    def test_drain_leaves_no_serve_thread_alive(self, monkeypatch):
+        from repro.serve import server as server_mod
+
+        servers = []
+
+        class Recording(server_mod.DecodeServer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                servers.append(self)
+
+        monkeypatch.setattr(server_mod, "DecodeServer", Recording)
+        before = set(threading.enumerate())
+
+        def serve_threads():
+            return sorted(t.name for t in threading.enumerate() if t not in before and t.name.startswith("repro-serve-"))
+
+        async def run():
+            ready = asyncio.get_running_loop().create_future()
+            config = ServeConfig(batch_window_ms=0.0)
+            task = asyncio.ensure_future(server_mod.serve_forever(MNDecoder(), config, ready=ready, install_signal_handlers=False))
+            host, port = await asyncio.wait_for(ready, 5)
+            y, offline = make_case(KEY_B, 4, seed=7)
+            async with await ServeClient.connect(host, port) as client:
+                response = await client.decode(KEY_B, y, 4)
+            assert response["ok"] and response["support"] == offline
+            assert [name.rsplit("_", 1)[0] for name in serve_threads()] == ["repro-serve-admit", "repro-serve-decode"]
+            servers[0].request_stop()
+            await asyncio.wait_for(task, 10)
+
+        asyncio.run(run())
+        assert serve_threads() == []
