@@ -11,7 +11,9 @@ the batched engine — and the generation-2 float32 tier
 against dense on the same hot kernels alongside the shared-memory
 BLAS-cap throughput probe — and the compiled-design float32 Ψ block at
 the serve operating point (``TestCompiledBlockPsi``), recording ms per
-call and block bytes for B ∈ {1, 8, 64} against a float64 copy.
+call and block bytes for B ∈ {1, 8, 64} against a float64 copy — and the
+fused query + Ψ/Δ* pass of a noiseless grid point against the two passes
+it replaces (``TestFusedStats``).
 """
 
 import time
@@ -261,6 +263,41 @@ class TestCompiledBlockPsi:
         benchmark.extra_info["ms_per_call"] = round(float32_s * 1e3, 3)
         benchmark.extra_info["float64_ms"] = round(float64_s * 1e3, 3)
         benchmark.extra_info["speedup_x"] = round(float64_s / float32_s, 2)
+
+
+class TestFusedStats:
+    """The fused query + Ψ/Δ* pass against the two passes it replaces.
+
+    One paper-sweep grid point: n=10⁴, m=832, B=64, θ=0.3.  The fused
+    pass (``materialised_stats``) counts each chunk's draws once and reads
+    the results, Ψ and Δ* off that block; the two-pass operand runs
+    ``query_results_batch`` and then ``materialised_psi`` with Δ*.
+    ``speedup_x`` is two-pass time over fused time.
+    """
+
+    N, M, B, THETA = 10_000, 832, 64, 0.3
+
+    def test_fused_vs_two_passes(self, benchmark):
+        from repro.core.signal import theta_to_k
+
+        design = PoolingDesign.sample(self.N, self.M, np.random.default_rng(11))
+        k = theta_to_k(self.N, self.THETA)
+        sigmas = np.stack([random_signal(self.N, k, np.random.default_rng(i)) for i in range(self.B)])
+
+        def two_passes():
+            y = dense.query_results_batch(design, sigmas)
+            return (y, *dense.materialised_psi(design, y, with_dstar=True))
+
+        for got, want in zip(dense.materialised_stats(design, sigmas), two_passes()):
+            assert np.array_equal(got, want)
+        two_s = _best_of(two_passes, repeats=3)
+        fused_s = _best_of(lambda: dense.materialised_stats(design, sigmas), repeats=3)
+        benchmark.pedantic(lambda: dense.materialised_stats(design, sigmas), rounds=3, iterations=1)
+        benchmark.extra_info.update(n=self.N, m=self.M, B=self.B, k=k, kernel="dense")
+        benchmark.extra_info["two_pass_ms"] = round(two_s * 1e3, 3)
+        benchmark.extra_info["fused_ms"] = round(fused_s * 1e3, 3)
+        benchmark.extra_info["speedup_x"] = round(two_s / fused_s, 2)
+        assert two_s / fused_s > 1.0
 
 
 class TestSortKernels:

@@ -420,12 +420,23 @@ class PoolingDesign:
         (``y``/``psi`` gain a leading batch axis, ``dstar``/``delta`` stay
         shared).  ``kernel`` selects the execution kernel
         (:mod:`repro.kernels`); the result is bit-identical either way.
+        ``y``, ``Ψ`` and ``Δ*`` come from the kernel's ``materialised_stats``
+        (one walk over the draws under the dense kernels).
         """
-        y = self.query_results(sigma, kernel=kernel)
+        sigma = np.asarray(sigma)
+        if sigma.ndim == 2:
+            batch = check_binary_batch(sigma, length=self.n)
+        else:
+            batch = check_binary_signal(sigma, length=self.n)[None, :]
+        y, psi, dstar = dispatch_kernel(kernel).materialised_stats(self, batch)
+        if self._dstar_cache is None:
+            self._dstar_cache = dstar
+        if sigma.ndim != 2:
+            y, psi = y[0], psi[0]
         return DesignStats(
             y=y,
-            psi=self.psi(y, kernel=kernel),
-            dstar=self.dstar(kernel=kernel),
+            psi=psi,
+            dstar=self._dstar_cache,
             delta=self.delta(),
             n=self.n,
             m=self.m,

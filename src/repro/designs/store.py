@@ -276,6 +276,20 @@ def _sha256_and_range(path: Path, data: "np.memmap | None" = None) -> "tuple[str
     return h.hexdigest(), ((lo, hi) if stop and pos >= stop else None)
 
 
+def _design_from_maps(n: int, entries: np.ndarray, indptr: np.ndarray, entry_range: "tuple[int, int] | None") -> "PoolingDesign":
+    """The entry's design over its maps, with the constructor's checks.
+
+    With the ``(min, max)`` a hash pass read, the range check runs on it
+    and no entries page is mapped (an MN decode reads only Ψ's block and
+    Δ*); without one, the constructor scans the map.
+    """
+    from repro.core.design import PoolingDesign
+
+    if entry_range is None:
+        return PoolingDesign(n, entries, indptr)
+    return PoolingDesign._with_range(n, entries, indptr, entry_range)
+
+
 def _read_full(f, view: memoryview) -> int:
     """``readinto`` until ``view`` is full or the file ends; returns the bytes read."""
     got = 0
@@ -561,8 +575,6 @@ class DesignStore:
 
     def _attach(self, path: Path, key: DesignKey) -> CompiledDesign:
         """Build a read-only, mmap-backed artifact from a complete entry."""
-        from repro.core.design import PoolingDesign
-
         read_lock = _EntryReadLock(path / _LOCK_NAME)
         try:
             meta = json.loads((path / _META_NAME).read_text())
@@ -590,12 +602,7 @@ class DesignStore:
                 read_lock.close()
                 raise
         try:
-            if entry_range is None:  # no range from a hash pass: the constructor scans the map
-                design = PoolingDesign(key.n, loaded["entries"], loaded["indptr"])
-            else:
-                # The range the hash pass read: an MN attach never maps an
-                # entries page (its decode reads only Ψ's block and Δ*).
-                design = PoolingDesign._with_range(key.n, loaded["entries"], loaded["indptr"], entry_range)
+            design = _design_from_maps(key.n, loaded["entries"], loaded["indptr"], entry_range)
             compiled = CompiledDesign(design, dstar=loaded["dstar"], delta=loaded["delta"], key=key, copy=False)
             if meta.get("block") and (path / "block.npy").is_file():
                 # Adopt the persisted Ψ block zero-copy: decode-ready with
@@ -803,12 +810,15 @@ class DesignStore:
     def fsck(self) -> FsckReport:
         """Audit every entry's integrity manifest; quarantine failures.
 
-        Verification reads metadata and streams file hashes — no numpy
-        attach, no mmap, so auditing a large store never perturbs reader
-        page caches.  Entries failing any digest are quarantined exactly
-        as a corrupt attach would be; stale-format entries are dropped
-        (the next lookup recompiles them).  Exposed as ``design store
-        fsck`` on the CLI.
+        Verification reads metadata and streams file hashes, taking the
+        entry range from the ``entries.npy`` bytes it hashes; the arrays
+        are mapped for their headers only, so auditing a large store never
+        perturbs reader page caches.  The entry then passes the attach's
+        design checks (entry range, ``indptr`` shape), so ``fsck`` and
+        :meth:`get` agree on every entry.  Entries failing any check are
+        quarantined exactly as a corrupt attach would be; stale-format
+        entries are dropped (the next lookup recompiles them).  Exposed as
+        ``design store fsck`` on the CLI.
         """
         ok: "list[str]" = []
         bad: "list[str]" = []
@@ -817,7 +827,9 @@ class DesignStore:
                 meta = json.loads((entry.path / _META_NAME).read_text())
                 if meta.get("format_version") != STORE_FORMAT_VERSION:
                     raise _StaleEntry(f"unsupported format {meta.get('format_version')!r}")
-                self._verify_manifest(entry.path, meta)
+                loaded = {name: np.load(entry.path / f"{name}.npy", mmap_mode="r") for name in ("entries", "indptr")}
+                entry_range = self._verify_manifest(entry.path, meta, entries=loaded["entries"])
+                _design_from_maps(entry.key.n, loaded["entries"], loaded["indptr"], entry_range)
             except _StaleEntry:
                 self._discard(entry.path)  # stale, not corrupt: the next lookup recompiles
                 continue

@@ -31,6 +31,7 @@ from repro.core.design import DesignStats, PoolingDesign
 from repro.core.mn import POINT_TRIAL_STRIDE, SIGNAL_STREAM_TAG, MNDecoder
 from repro.core.signal import exact_recovery, overlap_fraction, random_signal, theta_to_k
 from repro.engine.backend import Backend, resolved_backend
+from repro.kernels import dispatch as dispatch_kernel
 from repro.kernels import resolve_kernel
 from repro.rng.streams import batch_generator
 from repro.util.validation import check_nonneg_int, check_positive_int
@@ -98,10 +99,20 @@ def run_batched_point(
 
     ``decoder`` selects the registry decoder the point runs under
     (default ``"mn"``); baselines decode the same signals and corrupted
-    results through their compiled batch ports.
+    results through their compiled batch ports.  A noiseless MN point
+    without a compiled artifact takes ``y``, ``Ψ`` and ``Δ*`` from the
+    kernel's fused ``materialised_stats`` pass; every other point runs
+    query → corrupt → ``Ψ``.
     """
     repeats = check_positive_int(repeats, "repeats")
     design, compiled, sigmas, k = _point_first_stage(n, m, theta, k, trials, root_seed, point_id, gamma, cache, store)
+    if noise is None and decoder == "mn" and compiled is None:
+        # Nothing sits between the results and Ψ: the kernel's fused pass
+        # gives y, Ψ and Δ* in one walk over the draws (the sampled
+        # signals are 0/1 int8 by construction).
+        y, psi, dstar = dispatch_kernel(kernel).materialised_stats(design, sigmas)
+        stats = DesignStats(y=y, psi=psi, dstar=dstar, delta=None, n=design.n, m=design.m, gamma=design.mean_pool_size)
+        return _point_result(design, sigmas, MNDecoder().decode(stats, k), k)
     y_clean = design.query_results(sigmas, kernel=kernel)
     return _decode_noisy_point(design, sigmas, y_clean, k, root_seed, point_id, noise, repeats, kernel=kernel, compiled=compiled, decoder=decoder)
 
@@ -199,14 +210,7 @@ def _decode_noisy_point(
         from repro.designs import make_decoder
 
         compiled_dec = make_decoder(decoder).compile(compiled if compiled is not None else design)
-        sigma_hat = compiled_dec.decode_batch(np.asarray(y, dtype=np.float64), k)
-        return BatchedPointResult(
-            n=design.n,
-            m=design.m,
-            k=k,
-            success=np.asarray(exact_recovery(sigmas, sigma_hat)),
-            overlap=np.asarray(overlap_fraction(sigmas, sigma_hat)),
-        )
+        return _point_result(design, sigmas, compiled_dec.decode_batch(np.asarray(y, dtype=np.float64), k), k)
     if compiled is not None:
         stats = compiled.stats_for(y)
     else:
@@ -219,7 +223,11 @@ def _decode_noisy_point(
             m=design.m,
             gamma=design.mean_pool_size,
         )
-    sigma_hat = MNDecoder().decode(stats, k)
+    return _point_result(design, sigmas, MNDecoder().decode(stats, k), k)
+
+
+def _point_result(design: PoolingDesign, sigmas: np.ndarray, sigma_hat: np.ndarray, k: int) -> BatchedPointResult:
+    """Score a point's decoded batch against its ground-truth signals."""
     return BatchedPointResult(
         n=design.n,
         m=design.m,

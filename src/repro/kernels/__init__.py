@@ -1,8 +1,9 @@
 """Hot-kernel implementations behind a single dispatch seam.
 
-The engine's three hot kernels — per-batch streaming statistics,
-materialised ``Ψ``/``Δ*`` accumulation, and batched query evaluation — ship
-in three interchangeable implementations:
+The engine's hot kernels — per-batch streaming statistics, materialised
+``Ψ``/``Δ*`` accumulation, batched query evaluation, and the fused query +
+``Ψ``/``Δ*`` pass of a noiseless batch — ship in three interchangeable
+implementations:
 
 * :mod:`repro.kernels.dense` — exploits the density of the paper's design
   (``Γ = n/2`` means every query touches ~39% of all entries *distinctly*):
@@ -62,6 +63,10 @@ Kernel-module contract (what :func:`dispatch` returns)
 ``query_results_batch(design, sigma_batch)``
     ``(B, m)`` additive query results for a validated ``(B, n)`` int8
     signal batch, multiplicities counted.
+``materialised_stats(design, sigma_batch)``
+    ``(y, Ψ, Δ*)`` for a validated ``(B, n)`` int8 signal batch: the
+    ``query_results_batch`` results and their ``materialised_psi`` with
+    ``Δ*``, which a kernel may compute in one walk over the draws.
 """
 
 from __future__ import annotations

@@ -26,6 +26,16 @@ the incidence structure is dense, not sparse.  These kernels exploit that:
   coefficient is zero), and the GEMM is ``[σ[:, support], 0] @ countsᵀ``.
   A support covering all ``n`` columns maps every column to itself and
   costs what the full ``(rc, n)`` count block does.
+* **One counting scatter for y, Ψ and Δ*** — a noiseless batch needs its
+  results only to weight its own Ψ, so :func:`materialised_stats` walks
+  the draws once: per chunk, ``np.add.at`` counts the draws into the
+  block, ``σ[:, cols] @ blk[:, cols]ᵀ`` reads the chunk's results off
+  the counts, ``np.minimum(blk, 1)`` clips them to the distinct
+  incidence and the Ψ/Δ* GEMM runs as in :func:`psi_pass`.  The scatter
+  takes NumPy's indexed ``ufunc.at`` loop (NumPy ≥ 1.25) only when its
+  value is a scalar of the block's own dtype: on a 2-vCPU host, 1M cells
+  of a float32 block took 240 ms with a Python ``1.0`` against 5.8 ms
+  with ``np.float32(1)``.  The index is intp: an int32 one took 12 ms.
 
 Blocks are stored in a floating dtype so the products run through BLAS,
 and chunked over queries so peak scratch stays cache-sized: streaming
@@ -42,19 +52,21 @@ The materialised Ψ/Δ* pass (:func:`materialised_psi`) picks the cheapest
 exact tier per call: float32 while every ``Σ|y[b]|`` — and, with ``Δ*``
 in the ones row, ``m`` — is below 2²³ (:data:`_EXACT_LIMIT32`, a 2× margin
 under float32's 2²⁴); else float64 below 2⁵² (:data:`_EXACT_LIMIT`, the
-same margin under 2⁵³); else exact integer matmul.  The streaming and
-query passes run float64 under the 2⁵² guard.  Dense and legacy kernels
-are therefore bit-identical on identical sampled edges *always*, not
-just typically.  Scratch blocks are reset by re-zeroing only the touched
+same margin under 2⁵³); else exact integer matmul.  The fused pass
+(:func:`materialised_stats`) takes the same two float tiers on
+``max(entries.size, m)`` and beyond them runs the two separate passes.
+The streaming and query passes run float64 under the 2⁵² guard.  Dense
+and legacy kernels are therefore bit-identical on identical sampled
+edges *always*, not just typically.  Scratch blocks are reset by re-zeroing only the touched
 rows and reused across batches via :class:`DenseStreamWorkspace`, so the
 steady-state streaming loop performs no ``O(b·n)`` allocations.
 
 This module also hosts the shared machinery of the second kernel
 generation: the workspace, :func:`stream_y`, :func:`fold_stream`,
-:func:`psi_pass` and :func:`query_pass` are all parametrised by the GEMM
-dtype so :mod:`repro.kernels.dense32` runs the stream and query passes
-in float32 under the same 2²³ budget — which is what makes the two
-generations bit-identical by construction.
+:func:`psi_pass`, :func:`stats_pass` and :func:`query_pass` are all
+parametrised by the GEMM dtype so :mod:`repro.kernels.dense32` runs the
+stream and query passes in float32 under the same 2²³ budget — which is
+what makes the two generations bit-identical by construction.
 """
 
 from __future__ import annotations
@@ -64,6 +76,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from collections.abc import Callable, Iterator
+
     from repro.core.design import PoolingDesign
     from repro.noise.models import NoiseModel
 
@@ -286,6 +300,51 @@ def stream_batch(
     return y
 
 
+def _chunk_block(design: "PoolingDesign", dtype: np.dtype) -> np.ndarray:
+    """The all-zero ``dtype`` block one chunk of ``_rows_per_block(n, BLOCK_BYTES, itemsize)`` queries fills.
+
+    The pass allocates it first and holds it until it returns, past its
+    int64 casts: a loop that freed the block before them raised
+    perfbench serve-churn's peak RSS from 604.9 to 616.6 MB.
+    """
+    rows_per = _rows_per_block(design.n, BLOCK_BYTES, dtype.itemsize)
+    return np.zeros((min(max(design.m, 1), rows_per), design.n), dtype=dtype)
+
+
+def _incidence_chunks(design: "PoolingDesign", block: np.ndarray) -> "Iterator[tuple[int, int, np.ndarray]]":
+    """Yield ``(qlo, qhi, blk)`` per query chunk of :func:`_chunk_block`'s ``block``.
+
+    ``blk`` is the chunk's all-zero ``(qhi − qlo, n)`` slice of ``block``,
+    which the caller marks and reads before asking for the next chunk.  The
+    block is re-zeroed between chunks.
+    """
+    rows_per = block.shape[0]
+    for qlo in range(0, design.m, rows_per):
+        qhi = min(design.m, qlo + rows_per)
+        blk = block[: qhi - qlo]
+        yield qlo, qhi, blk
+        blk.fill(0)
+
+
+def _gemm_pass(design: "PoolingDesign", coef: np.ndarray, block: np.ndarray, mark: "Callable[[int, int, np.ndarray], None]") -> np.ndarray:
+    """``coef @ incidence`` accumulated over :func:`_incidence_chunks`, in ``coef``'s dtype.
+
+    ``mark(qlo, qhi, blk)`` leaves the chunk's 0/1 distinct incidence in
+    ``blk`` (and may fill ``coef[:, qlo:qhi]`` on the way); one
+    ``(rows, rc) @ (rc, n)`` GEMM per chunk then adds ``coef[:, qlo:qhi] @
+    blk``.  The first chunk writes straight into the accumulator.
+    """
+    acc = np.zeros((coef.shape[0], design.n), dtype=coef.dtype)
+    tmp = np.empty_like(acc)
+    for qlo, qhi, blk in _incidence_chunks(design, block):
+        mark(qlo, qhi, blk)
+        out = acc if qlo == 0 else tmp
+        np.matmul(coef[:, qlo:qhi], blk, out=out)
+        if out is tmp:
+            acc += tmp
+    return acc
+
+
 def psi_pass(
     design: "PoolingDesign", y: np.ndarray, with_dstar: bool, dtype: "np.dtype | type | None"
 ) -> "tuple[np.ndarray, np.ndarray | None]":
@@ -300,37 +359,26 @@ def psi_pass(
     far below its mantissa limit).  ``y`` may hold zero rows, which
     leaves ``Δ*`` alone in the GEMM.
     """
-    n, m = design.n, design.m
     B = y.shape[0]
-    work_dtype = np.dtype(np.float64 if dtype is None else dtype)
-    rows_per = _rows_per_block(n, BLOCK_BYTES, work_dtype.itemsize)
-    block = np.zeros((min(max(m, 1), rows_per), n), dtype=work_dtype)
+    block = _chunk_block(design, np.dtype(np.float64 if dtype is None else dtype))
+
+    def mark(qlo: int, qhi: int, blk: np.ndarray) -> None:
+        blk.reshape(-1)[design.incidence_cells(qlo, qhi)] = 1  # duplicates land on one cell: the dedup
+
     if dtype is not None:
-        coef = np.empty((B + int(with_dstar), m), dtype=work_dtype)
+        coef = np.empty((B + int(with_dstar), design.m), dtype=dtype)
         coef[:B] = y
-        coef[B:] = 1.0
-        acc = np.zeros((coef.shape[0], n), dtype=work_dtype)
-        tmp = np.empty_like(acc)
-    else:
-        psi_i = np.zeros((B, n), dtype=np.int64)
-        dstar_f = np.zeros(n, dtype=work_dtype) if with_dstar else None
-    for qlo in range(0, m, rows_per):
-        qhi = min(m, qlo + rows_per)
-        blk = block[: qhi - qlo]
-        blk.reshape(-1)[design.incidence_cells(qlo, qhi)] = 1.0
-        if dtype is not None:
-            out = acc if qlo == 0 else tmp
-            np.matmul(coef[:, qlo:qhi], blk, out=out)
-            if out is tmp:
-                acc += tmp
-        else:
-            if with_dstar:
-                dstar_f += blk.sum(axis=0)
-            psi_i += y[:, qlo:qhi] @ (blk != 0)
-        blk.fill(0.0)
-    if dtype is None:
-        return psi_i, dstar_f.astype(np.int64) if with_dstar else None
-    return acc[:B].astype(np.int64), acc[B].astype(np.int64) if with_dstar else None
+        coef[B:] = 1
+        acc = _gemm_pass(design, coef, block, mark)
+        return acc[:B].astype(np.int64), acc[B].astype(np.int64) if with_dstar else None
+    psi_i = np.zeros((B, design.n), dtype=np.int64)
+    dstar_f = np.zeros(design.n, dtype=np.float64)
+    for qlo, qhi, blk in _incidence_chunks(design, block):
+        mark(qlo, qhi, blk)
+        if with_dstar:
+            dstar_f += blk.sum(axis=0)
+        psi_i += y[:, qlo:qhi] @ (blk != 0)
+    return psi_i, dstar_f.astype(np.int64) if with_dstar else None
 
 
 def materialised_psi(
@@ -367,6 +415,65 @@ def materialised_dstar(design: "PoolingDesign") -> np.ndarray:
     dtype = np.float32 if design.m < _EXACT_LIMIT32 else np.float64
     _, dstar = psi_pass(design, np.zeros((0, design.m), dtype=np.int64), True, dtype)
     return dstar
+
+
+def stats_pass(design: "PoolingDesign", batch: np.ndarray, dtype: "np.dtype | type") -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """``(y, Ψ, Δ*)`` of a ``(B, n)`` signal batch from one counting scatter per chunk.
+
+    Each chunk of :func:`_incidence_chunks` is walked once:
+
+    1. ``np.add.at`` counts the chunk's draws into the zeroed block, so a
+       cell holds its multiplicity;
+    2. the chunk's results are ``σ[:, cols] @ blk[:, cols]ᵀ`` over the
+       batch's union support ``cols`` (no other column can contribute),
+       written straight into the chunk's coefficient rows;
+    3. ``np.minimum(blk, 1)`` clips the counts to the distinct incidence;
+    4. the ``(B + 1, rc) @ (rc, n)`` GEMM of :func:`psi_pass` adds the
+       chunk's ``Ψ`` rows and, in the all-ones row, its ``Δ*``.
+
+    The caller guarantees every count, result, ``Ψ`` sum and ``Δ*`` is
+    exactly representable in ``dtype``: all are bounded by
+    ``max(entries.size, m)``.
+    """
+    B = batch.shape[0]
+    work = np.dtype(dtype)
+    block = _chunk_block(design, work)
+    # ``ufunc.at`` takes its fast indexed loop only for a value of the
+    # block's own dtype (see the module docstring).
+    one = work.type(1)
+    cols = np.flatnonzero(batch.any(axis=0))
+    support = batch[:, cols].astype(work)
+    coef = np.empty((B + 1, design.m), dtype=work)
+    coef[B] = one
+
+    def mark(qlo: int, qhi: int, blk: np.ndarray) -> None:
+        np.add.at(blk.reshape(-1), design.incidence_cells(qlo, qhi), one)
+        np.matmul(support, blk[:, cols].T, out=coef[:B, qlo:qhi])
+        np.minimum(blk, one, out=blk)
+
+    acc = _gemm_pass(design, coef, block, mark)
+    return coef[:B].astype(np.int64), acc[:B].astype(np.int64), acc[B].astype(np.int64)
+
+
+def materialised_stats(design: "PoolingDesign", batch: np.ndarray) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """``(y, Ψ, Δ*)`` for a validated ``(B, n)`` int8 signal batch in one pass.
+
+    The results and the ``Ψ``/``Δ*`` GEMM share one walk over the draws
+    (:func:`stats_pass`).  Every count, result ``y[b, a] ≤ |a|``, ``Ψ``
+    sum ``≤ Σ_a y[b, a] ≤ entries.size`` and ``Δ* ≤ m`` is bounded by
+    ``max(entries.size, m)``, so that bound picks the tier: float32 below
+    :data:`_EXACT_LIMIT32`, float64 below :data:`_EXACT_LIMIT`, and
+    beyond that the two separate passes (:func:`query_results_batch`,
+    then :func:`materialised_psi` with ``Δ*``).
+    """
+    bound = float(max(design.entries.size, design.m))
+    if bound < _EXACT_LIMIT32:
+        return stats_pass(design, batch, np.float32)
+    if bound < _EXACT_LIMIT:
+        return stats_pass(design, batch, np.float64)
+    y = query_results_batch(design, batch)
+    psi, dstar = materialised_psi(design, y, with_dstar=True)
+    return y, psi, dstar  # type: ignore[return-value]
 
 
 def query_pass(design: "PoolingDesign", batch: np.ndarray, dtype: "np.dtype | type") -> np.ndarray:

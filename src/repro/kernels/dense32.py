@@ -6,9 +6,10 @@ coefficients and accumulators: half the memory traffic through the
 scatter/bincount-bound chunks and twice the SIMD lanes through the GEMMs.
 
 What this tier still owns is the streaming kernel and the batched query
-pass.  The materialised Ψ/Δ* pass is the dense kernel's own: it picks
-float32 per call whenever the budget allows, so ``materialised_psi`` and
-``materialised_dstar`` here are the dense functions under their contract
+pass.  The materialised Ψ/Δ* pass and the fused query + Ψ/Δ* pass are
+the dense kernel's own: they pick float32 per call whenever the budget
+allows, so ``materialised_psi``, ``materialised_dstar`` and
+``materialised_stats`` here are the dense functions under their contract
 names.
 
 Exactness tiers — decided **per call**, mirroring the float64 guard:
@@ -93,10 +94,12 @@ def stream_batch(
     return y
 
 
-#: The materialised Ψ/Δ* pass already picks its tier per call in
-#: :mod:`repro.kernels.dense`; the names stay for the dispatch contract.
+#: The materialised Ψ/Δ* and fused stats passes already pick their tier
+#: per call in :mod:`repro.kernels.dense`; the names stay for the dispatch
+#: contract.
 materialised_psi = dense.materialised_psi
 materialised_dstar = dense.materialised_dstar
+materialised_stats = dense.materialised_stats
 
 
 def query_results_batch(design: "PoolingDesign", batch: np.ndarray) -> np.ndarray:

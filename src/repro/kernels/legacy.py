@@ -120,6 +120,13 @@ def materialised_dstar(design: "PoolingDesign") -> np.ndarray:
     return np.bincount(dent, minlength=design.n).astype(np.int64)
 
 
+def materialised_stats(design: "PoolingDesign", batch: np.ndarray) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """``(y, Ψ, Δ*)``: the per-row query results, then the integer Ψ pass with Δ*."""
+    y = query_results_batch(design, batch)
+    psi, dstar = materialised_psi(design, y, with_dstar=True)
+    return y, psi, dstar  # type: ignore[return-value]
+
+
 def query_results_batch(design: "PoolingDesign", batch: np.ndarray) -> np.ndarray:
     """Per-row segment sums — one gather kernel invocation per signal.
 

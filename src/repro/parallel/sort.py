@@ -58,35 +58,33 @@ def parallel_top_k(scores: np.ndarray, k: int) -> np.ndarray:
 def _batch_top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """Row-wise :func:`parallel_top_k` over a ``(B, n)`` score matrix.
 
-    The argpartition selection vectorised over rows, with a cumulative
-    tie-rank mask on the rows whose threshold ties outnumber their free
-    slots; a batch holding NaN falls back to a stable argsort of
-    ``-scores`` (stable realises the smallest-index-first tie-break).
+    The argpartition's own ``k`` columns, sorted, are the answer on every
+    row whose threshold ties all fall inside the partition.  A row whose
+    ties spill outside it refills the partition's tie slots with its
+    lowest-index ties.  A batch holding NaN falls back to a stable argsort
+    of ``-scores`` (stable realises the smallest-index-first tie-break).
     """
     k = check_positive_int(k, "k")
     if scores.shape[0] < 1:
         raise ValueError("batched scores must hold at least one row")
-    n = scores.shape[1]
+    B, n = scores.shape
     if k > n:
         raise ValueError(f"k={k} exceeds array length {n}")
     if k == n:
-        return np.tile(np.arange(n), (scores.shape[0], 1))
+        return np.tile(np.arange(n), (B, 1))
     part = np.argpartition(scores, n - k, axis=1)[:, n - k :]
-    thresh = np.take_along_axis(scores, part, axis=1).min(axis=1, keepdims=True)
-    above = scores > thresh
+    top = np.take_along_axis(scores, part, axis=1)
+    thresh = top.min(axis=1, keepdims=True)
+    if (thresh != thresh).any():  # NaN sorts last in argpartition, so it reaches thresh
+        ranked = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+        ranked.sort(axis=1)
+        return ranked
+    # Every score above the threshold is in the partition; only its tie
+    # slots can be wrong, and only on a row holding ties outside it.
+    slots = top == thresh
+    need = np.count_nonzero(slots, axis=1)
     ties = scores == thresh
-    need = k - np.count_nonzero(above, axis=1)
-    chosen = above | ties
-    # Only a row holding more threshold ties than it needs drops its
-    # highest-index ties; the cumulative tie rank runs on those rows alone.
-    surplus = np.flatnonzero(np.count_nonzero(ties, axis=1) > need)
-    if surplus.size:
-        t = ties[surplus]
-        chosen[surplus] = above[surplus] | (t & (np.cumsum(t, axis=1) <= need[surplus, None]))
-    # Every row holds exactly k marks unless NaN broke the comparisons;
-    # nonzero walks row-major, so the reshape yields ascending indices.
-    if int(chosen.sum()) == scores.shape[0] * k:
-        return np.nonzero(chosen)[1].reshape(scores.shape[0], k)
-    top = np.argsort(-scores, axis=1, kind="stable")[:, :k]
-    top.sort(axis=1)
-    return top
+    for r in np.flatnonzero(np.count_nonzero(ties, axis=1) > need):
+        part[r, slots[r]] = np.flatnonzero(ties[r])[: need[r]]
+    part.sort(axis=1)
+    return part

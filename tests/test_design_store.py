@@ -660,6 +660,28 @@ class TestEntryRangeInHashPass:
         assert store.get(self.WIDE) is None  # a miss, never a design with a wild index
         assert store.stats.quarantined == 1 and not path.exists()
 
+    @pytest.mark.parametrize("bad", ["n", "negative"])
+    def test_fsck_quarantines_a_forged_index_like_get(self, tmp_path, bad):
+        """An out-of-range index under a matching digest fails fsck, as it fails every attach."""
+        good = DesignKey.for_stream(2000, 30, root_seed=4)
+        store = DesignStore(tmp_path / "store")
+        for key in (self.WIDE, good):
+            store.publish(compile_from_key(key))
+        path = _forge_entry(store, self.WIDE, -1, self.WIDE.n if bad == "n" else -1)
+        with pytest.raises(ValueError, match="entry index out of range"):
+            store._attach(path, self.WIDE)  # what every get would meet
+        report = store.fsck()
+        assert report.quarantined == (store.digest(self.WIDE),)
+        assert report.ok == (store.digest(good),)
+        assert not path.exists() and report.quarantine_held == 1
+        assert store.get(self.WIDE) is None
+        assert store.get(good) is not None
+
+    def test_fsck_and_get_agree_on_an_intact_entry(self, store):
+        store.publish(compile_from_key(self.WIDE))
+        assert store.fsck().ok == (store.digest(self.WIDE),)
+        assert store.get(self.WIDE) is not None
+
     def test_unverified_attach_still_rejects(self, tmp_path):
         DesignStore(tmp_path / "store").publish(compile_from_key(self.WIDE))
         trusting = DesignStore(tmp_path / "store", verify=False)

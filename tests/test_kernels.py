@@ -109,7 +109,8 @@ class TestStreamParity:
 
     def test_backend_kernel_field_is_honoured(self, monkeypatch):
         """The backend's kernel field picks the kernel module that runs —
-        in the streaming path and in the inline grid path — and the
+        in the streaming path and in the inline grid path, whose noiseless
+        MN points run the fused ``materialised_stats`` pass — and the
         default runs dense."""
         from repro.engine.grid import run_trial_grid
         from repro.kernels import dense, legacy
@@ -129,7 +130,7 @@ class TestStreamParity:
 
         for module in (dense, legacy):
             spy_on(module, "stream_batch")
-            spy_on(module, "query_results_batch")
+            spy_on(module, "materialised_stats")
 
         sigma = random_signal(60, 7, np.random.default_rng(3))
         for backend, expected in ((SerialBackend(kernel="legacy"), "legacy"), (None, "dense")):
@@ -138,7 +139,7 @@ class TestStreamParity:
             assert set(ran) == {(expected, "stream_batch")}
             ran.clear()
             run_trial_grid(60, [21], k=3, trials=2, root_seed=1, backend=backend)
-            assert set(ran) == {(expected, "query_results_batch")}
+            assert set(ran) == {(expected, "materialised_stats")}
 
     def test_reuses_workspace_across_batches(self):
         """The dense stream loop reuses one scratch block per loop."""
@@ -567,6 +568,110 @@ class TestDstarOnesRow:
         assert dtypes == [(True, "float64"), (True, "float64"), (False, "float32")]
 
 
+class TestMaterialisedStats:
+    """``materialised_stats`` — one counting scatter per chunk — equals legacy's passes.
+
+    The reference is legacy's query results, Ψ of those results and Δ*,
+    each computed on its own design, so no kernel's fused pass checks
+    itself.
+    """
+
+    @staticmethod
+    def assert_matches_legacy(design, batch, kernel):
+        reference = PoolingDesign(design.n, design.entries, design.indptr)
+        want_y = reference.query_results(batch, kernel="legacy")
+        want = (want_y, reference.psi(want_y, kernel="legacy"), reference.dstar(kernel="legacy"))
+        got = kernels.dispatch(kernel).materialised_stats(PoolingDesign(design.n, design.entries, design.indptr), batch)
+        for name, left, right in zip(("y", "psi", "dstar"), got, want):
+            assert left.dtype == np.int64 and left.shape == right.shape, (kernel, name)
+            assert np.array_equal(left, right), (kernel, name)
+
+    @pytest.fixture
+    def tiers(self, monkeypatch):
+        """The dtype of every fused pass that runs."""
+        from repro.kernels import dense
+
+        taken = []
+        real = dense.stats_pass
+
+        def spy(design, batch, dtype):
+            taken.append(str(np.dtype(dtype)))
+            return real(design, batch, dtype)
+
+        monkeypatch.setattr(dense, "stats_pass", spy)
+        return taken
+
+    @pytest.mark.parametrize("kernel", ALL_KERNELS)
+    def test_fig1_multi_edge_design(self, kernel):
+        design, sigma = PoolingDesign.fig1_example()
+        self.assert_matches_legacy(design, np.stack([sigma, 1 - sigma, np.zeros_like(sigma)]), kernel)
+
+    @pytest.mark.parametrize("kernel", ALL_KERNELS)
+    def test_ragged_with_empty_pool(self, kernel):
+        design = PoolingDesign.from_pools(7, [[0, 1, 2, 2, 5], [3], [], [6, 6, 6], [0, 5, 1], list(range(7)), [4, 4]])
+        batch = np.array([[0, 0, 1, 0, 0, 0, 1], [0, 0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 1, 0, 0]], dtype=np.int8)
+        self.assert_matches_legacy(design, batch, kernel)
+
+    @pytest.mark.parametrize("kernel", ALL_KERNELS)
+    def test_all_zero_batch(self, kernel):
+        design = PoolingDesign.sample(60, 23, np.random.default_rng(8))
+        self.assert_matches_legacy(design, np.zeros((3, design.n), dtype=np.int8), kernel)
+
+    @pytest.mark.parametrize("kernel", ALL_KERNELS)
+    def test_full_width_bernoulli_half(self, kernel):
+        design = PoolingDesign.sample(80, 31, np.random.default_rng(9))
+        batch = (np.random.default_rng(10).random((6, design.n)) < 0.5).astype(np.int8)
+        batch[0] = 1  # the union support is every column
+        self.assert_matches_legacy(design, batch, kernel)
+
+    @pytest.mark.parametrize("kernel", ALL_KERNELS)
+    def test_m_spans_several_chunks(self, kernel, monkeypatch):
+        from repro.kernels import dense
+
+        design = PoolingDesign.sample(50, 17, np.random.default_rng(2))
+        monkeypatch.setattr(dense, "BLOCK_BYTES", 4 * design.n * 3)  # 3 rows per float32 chunk, the last short
+        batch = np.stack([random_signal(50, 4, np.random.default_rng(i)) for i in range(3)])
+        self.assert_matches_legacy(design, batch, kernel)
+
+    @pytest.mark.parametrize("kernel", ["dense", "dense32"])
+    def test_over_float32_budget_takes_float64(self, kernel, monkeypatch, tiers):
+        from repro.kernels import dense
+
+        design = PoolingDesign.sample(40, 13, np.random.default_rng(4))
+        batch = np.stack([random_signal(40, 5, np.random.default_rng(i)) for i in range(4)])
+        self.assert_matches_legacy(design, batch, kernel)
+        monkeypatch.setattr(dense, "_EXACT_LIMIT32", float(design.entries.size))  # entries.size is not below it
+        self.assert_matches_legacy(design, batch, kernel)
+        assert tiers == ["float32", "float64"]
+
+    @pytest.mark.parametrize("kernel", ["dense", "dense32"])
+    def test_over_float64_budget_runs_the_two_passes(self, kernel, monkeypatch, tiers):
+        from repro.kernels import dense
+
+        design = PoolingDesign.sample(40, 13, np.random.default_rng(5))
+        batch = np.stack([random_signal(40, 5, np.random.default_rng(i)) for i in range(4)])
+        ran = []
+        for name in ("query_results_batch", "materialised_psi"):
+            real = getattr(dense, name)
+            monkeypatch.setattr(dense, name, lambda *a, _real=real, _name=name, **kw: ran.append(_name) or _real(*a, **kw))
+        monkeypatch.setattr(dense, "_EXACT_LIMIT32", 1.0)
+        monkeypatch.setattr(dense, "_EXACT_LIMIT", float(design.m))  # m is not below it
+        self.assert_matches_legacy(design, batch, kernel)
+        assert tiers == [] and ran == ["query_results_batch", "materialised_psi"]
+
+    def test_block_is_left_zeroed_and_reused(self, monkeypatch):
+        """One block serves every chunk: each chunk starts from zero counts."""
+        from repro.kernels import dense
+
+        design = PoolingDesign.from_pools(5, [[0, 0, 0], [0], [1, 1, 4], [0, 2], [3, 3, 3, 3]])
+        monkeypatch.setattr(dense, "BLOCK_BYTES", 4 * design.n * 2)  # 2 rows per chunk
+        batch = np.array([[1, 1, 0, 1, 0]], dtype=np.int8)
+        y, psi, dstar = dense.materialised_stats(design, batch)
+        assert y.tolist() == [[3, 1, 2, 1, 4]]
+        assert dstar.tolist() == [3, 1, 1, 1, 1]
+        assert psi.tolist() == [[3 + 1 + 1, 2, 1, 4, 2]]
+
+
 class TestMNSkipsDelta:
     """MN-only decodes read Ψ and Δ*; nothing builds Δ for them."""
 
@@ -680,6 +785,47 @@ class TestTopKFastPath:
         monkeypatch.undo()
         assert np.array_equal(got, rows)
         assert np.array_equal(got, np.stack([self._oracle(row, 3) for row in scores]))
+
+    def test_spilled_ties_keep_the_lowest_indices(self):
+        # Row 0: eight ties for two free slots behind a strict top, so ties
+        # lie outside the partition and the tie mask must run; row 1 has
+        # no tie at its threshold and keeps the sorted partition.
+        scores = np.array([[1, 1, 1, 1, 1, 1, 1, 1, 2, 0], [0, 9, 1, 8, 2, 7, 3, 6, 4, 5]], dtype=np.float64)
+        got = parallel_top_k(scores, 3)
+        assert got.tolist() == [[0, 1, 8], [1, 3, 5]]
+        assert np.array_equal(got, np.stack([self._oracle(row, 3) for row in scores]))
+
+    @pytest.mark.parametrize("k", [1, 3, 7, 39])
+    def test_spilled_and_settled_rows_share_a_batch(self, monkeypatch, k):
+        # Three score levels over 40 columns: most rows hold ties outside
+        # the partition, some do not; every finite row is answered by the
+        # selection itself, never by the NaN fallback's argsort.
+        scores = np.random.default_rng(k).integers(0, 3, size=(32, 40)).astype(np.float64)
+        scores[0] = np.arange(40)  # no ties at all
+        expected = np.stack([self._oracle(row, k) for row in scores])
+
+        def no_fallback(*args, **kwargs):
+            raise AssertionError("finite scores fell back to the argsort ranking")
+
+        monkeypatch.setattr(np, "argsort", no_fallback)
+        got = parallel_top_k(scores, k)
+        monkeypatch.undo()
+        assert np.array_equal(got, expected)
+
+    def test_all_tie_rows(self):
+        scores = np.array([[4, 4, 4, 4, 4, 4], [0, 1, 2, 3, 4, 5], [7, 7, 7, 7, 7, 7]], dtype=np.float64)
+        got = parallel_top_k(scores, 2)
+        assert got.tolist() == [[0, 1], [4, 5], [0, 1]]
+
+    def test_nan_rows_rank_nan_last(self):
+        scores = np.array([[np.nan, 1, 3, np.nan, 2, 0], [1, 2, 3, 4, 5, 6], [np.nan] * 6])
+        got = parallel_top_k(scores, 3)
+        assert np.array_equal(got, np.stack([self._oracle(row, 3) for row in scores]))
+        assert got.tolist() == [[1, 2, 4], [3, 4, 5], [0, 1, 2]]
+
+    def test_k_equals_n(self):
+        scores = np.array([[3.0, np.nan, 1.0], [0.0, 0.0, 0.0]])
+        assert parallel_top_k(scores, 3).tolist() == [[0, 1, 2], [0, 1, 2]]
 
     def test_all_tied(self):
         scores = np.zeros(10)

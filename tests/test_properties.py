@@ -186,6 +186,36 @@ class TestKernelParity:
             assert np.array_equal(fresh().psi(y, kernel=kernel), expected_psi), kernel
 
 
+class TestFusedStatsParity:
+    """The fused query + Ψ/Δ* pass equals the legacy passes on ragged designs.
+
+    ``materialised_stats`` of the ambient kernel (each CI kernel leg's own)
+    and of both dense generations against legacy's query results, Ψ of
+    those results and Δ*, each computed on its own.
+    """
+
+    @given(instances)
+    @settings(max_examples=60, deadline=None)
+    def test_ragged_design_random_batch(self, seed):
+        from repro import kernels
+
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        m = int(rng.integers(1, 25))
+        pools = [rng.integers(0, n, size=int(rng.integers(0, 2 * n + 1))) for _ in range(m)]
+        design = PoolingDesign.from_pools(n, pools)
+        density = float(rng.choice([0.0, 0.03, 0.2, 0.7, 1.0]))
+        batch = (rng.random((int(rng.integers(1, 6)), n)) < density).astype(np.int8)
+
+        reference = PoolingDesign(n, design.entries, design.indptr)
+        want_y = reference.query_results(batch, kernel="legacy")
+        want = (want_y, reference.psi(want_y, kernel="legacy"), reference.dstar(kernel="legacy"))
+        for kernel in (None, "dense", "dense32"):
+            got = kernels.dispatch(kernel).materialised_stats(PoolingDesign(n, design.entries, design.indptr), batch)
+            for name, left, right in zip(("y", "psi", "dstar"), got, want):
+                assert left.dtype == np.int64 and np.array_equal(left, right), (kernel, name)
+
+
 class TestSerializationRoundTrips:
     """The design key's wire format: round-trip exactly, reject mutations.
 
