@@ -11,10 +11,11 @@ little as possible with the server under test:
 
 * **window sweep** — the 64-client load against four
   ``--batch-window-ms`` settings; per-request p50/p99 latency and
-  aggregate throughput recorded per window, showing the window knob
-  trading tail latency for GEMM amortisation.
-* **sequential baseline** — one client process, one request at a time,
-  window 0: what the same server does when coalescing can never happen.
+  aggregate throughput recorded per window, showing what an extra wait
+  at an idle bucket adds on top of the batches the decode lane forms.
+* **sequential baseline** — one client process with one request
+  outstanding at a time, so no request ever finds company in its bucket:
+  what the same server does when coalescing can never happen.
 
 Acceptance (the serve PR's headline claim): micro-batched throughput at
 64 concurrent clients beats the sequential baseline by >= 3x, with every
@@ -34,7 +35,7 @@ import numpy as np
 from repro.core.mn import mn_reconstruct
 from repro.core.signal import random_signals
 from repro.designs import DesignKey, DesignStore, compile_from_key
-from repro.serve import ServeConfig  # noqa: F401 - documents the knobs under test
+from repro.serve import ServeConfig
 
 def _cores() -> int:
     try:
@@ -187,7 +188,7 @@ class TestServeLoad:
 
         clients_per_proc = CLIENTS // CLIENT_PROCS
 
-        # Sequential baseline: one client, window 0 — no coalescing possible.
+        # Sequential baseline: one request outstanding, so nothing to coalesce with.
         proc, host, port = _spawn_server(store_root, window_ms=0.0)
         try:
             sequential = _drive(host, port, procs=1, clients_per_proc=1, per_client=2 * CLIENTS, data_path=data_path)
@@ -208,7 +209,7 @@ class TestServeLoad:
 
         # The tracked wall-time record: one concurrent burst at the default
         # window against a live warm server (boot cost excluded).
-        proc, host, port = _spawn_server(store_root, window_ms=2.0)
+        proc, host, port = _spawn_server(store_root, window_ms=ServeConfig().batch_window_ms)
         try:
             benchmark.pedantic(
                 lambda: _drive(host, port, CLIENT_PROCS, clients_per_proc, PER_CLIENT, data_path),

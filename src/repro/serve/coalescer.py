@@ -4,17 +4,23 @@ The serving economics of this codebase are batch-shaped — one
 ``(B, m) @ (m, n)`` GEMM amortises far better than ``B`` single-vector
 decodes (the engine and design PRs measured ~5× at ``B = 64``,
 ``n = 10⁴``) — but network clients arrive one signal at a time.  The
-:class:`Coalescer` bridges the two: concurrent requests for the *same
-design key* accumulate in a per-key bucket that flushes onto
-:meth:`~repro.designs.protocol.CompiledDecoder.decode_batch` when either
+:class:`Coalescer` bridges the two: requests for the same
+``(design key, decoder)`` pair share a per-key bucket, and a micro-batch
+forms when the **decode lane** takes it:
 
-* the **batch window** elapses (``--batch-window-ms`` — the latency an
-  idle request is willing to spend waiting for company), or
-* the bucket reaches **max batch** (``--max-batch`` — flush immediately,
-  a full GEMM is waiting).
+* a bucket with no batch in flight dispatches at once (after the
+  optional ``--batch-window-ms`` wait, the extra time a request at an
+  idle bucket spends waiting for company; default 0);
+* requests that arrive while that batch is being admitted or waits for
+  the lane join it when the lane takes it, up to ``--max-batch``;
+* requests that arrive while it decodes form the bucket's next batch,
+  which dispatches as soon as this one finishes.
 
-Row results demultiplex back to each awaiting request's future.  Because
-``decode_batch`` is bit-identical row-wise to ``decode`` (the
+Each bucket has at most one batch in flight, and every batch decodes
+through one FIFO lane, so a burst merges into as few GEMMs as the decode
+thread's pace allows, and a lone request at an idle server waits for
+nothing.  Row results demultiplex back to each awaiting request's future.
+Because ``decode_batch`` is bit-identical row-wise to ``decode`` (the
 :class:`~repro.designs.protocol.CompiledDecoder` contract), coalescing
 changes *when* work runs, never what any client gets back.
 
@@ -46,8 +52,9 @@ CPU-heavy work runs off the event loop on two single-thread executors,
 so the loop keeps accepting, parsing and timing out requests while NumPy
 and ``hashlib`` (which release the GIL in their hot loops) work: the
 coalescer's executor runs every batched GEMM + top-k, one at a time in
-submission order, and the pool's executor runs admission — store attach,
-verify and compile — so a cold key never holds up a warm key's decode.
+lane order, and the pool's executor runs admission — store attach,
+verify and compile.  A batch resolves its decoder before it queues for
+the lane, so a cold key's admission never holds up a warm key's decode.
 The :class:`~repro.serve.server.DecodeServer` owns both threads
 (``repro-serve-decode`` and ``repro-serve-admit``).
 """
@@ -225,13 +232,13 @@ class _Pending:
 
 
 class Coalescer:
-    """Groups admitted requests per design key into deadline/size batches."""
+    """Groups admitted requests per design key into batches formed at the decode lane."""
 
     def __init__(
         self,
         pool: DecoderPool,
         *,
-        window_s: float = 0.002,
+        window_s: float = 0.0,
         max_batch: int = 64,
         max_queue: int = 1024,
         executor: "Executor | None" = None,
@@ -260,6 +267,13 @@ class Coalescer:
         self._buckets: "dict[tuple[DesignKey, str], list[_Pending]]" = {}
         self._timers: "dict[tuple[DesignKey, str], asyncio.TimerHandle]" = {}
         self._breakers: "dict[tuple[DesignKey, str], CircuitBreaker]" = {}
+        # Buckets with a batch in flight: new requests only append, and the
+        # batch takes them when it reaches the lane (or they form the next
+        # batch once it finishes).
+        self._busy: "set[tuple[DesignKey, str]]" = set()
+        # The decode lane: asyncio.Lock wakes waiters first-in first-out,
+        # so batches decode in the order they became ready, across keys.
+        self._lane = asyncio.Lock()
         self._tasks: "set[asyncio.Task]" = set()
         self._draining = False
         self.stats = CoalescerStats()
@@ -308,93 +322,129 @@ class Coalescer:
         future: "asyncio.Future[np.ndarray]" = loop.create_future()
         bucket = self._buckets.setdefault(bucket_key, [])
         bucket.append(_Pending(request, future))
-        if len(bucket) >= self.max_batch:
+        if bucket_key in self._busy:
+            return future  # the batch in flight takes it at the lane, or the next one does
+        if len(bucket) >= self.max_batch or not self.window_s:
             self._flush(bucket_key)
         elif len(bucket) == 1:
-            # First request opens the batch window for its bucket; the timer
-            # is cancelled if the size trigger (or a drain) flushes first.
+            # First request at an idle bucket opens its window; the timer is
+            # cancelled if the size trigger (or a drain) flushes first.
             self._timers[bucket_key] = loop.call_later(self.window_s, self._flush, bucket_key)
         return future
 
     # -- dispatch ---------------------------------------------------------------
 
     def _flush(self, bucket_key: "tuple[DesignKey, str]") -> None:
+        """Dispatch the bucket's oldest ``max_batch`` requests unless a batch is in flight."""
         timer = self._timers.pop(bucket_key, None)
         if timer is not None:
             timer.cancel()
-        pending = self._buckets.pop(bucket_key, None)
+        if bucket_key in self._busy:
+            return
+        pending = self._take(bucket_key, [])
         if not pending:
             return
+        self._busy.add(bucket_key)
         task = asyncio.get_running_loop().create_task(self._run_batch(bucket_key, pending))
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
 
+    def _take(self, bucket_key: "tuple[DesignKey, str]", pending: "list[_Pending]") -> "list[_Pending]":
+        """Move the bucket's oldest requests into ``pending``, in place, up to ``max_batch``."""
+        bucket = self._buckets.get(bucket_key)
+        if bucket:
+            room = self.max_batch - len(pending)
+            pending.extend(bucket[:room])
+            del bucket[:room]
+        if not bucket:
+            self._buckets.pop(bucket_key, None)
+        return pending
+
     async def _run_batch(self, bucket_key: "tuple[DesignKey, str]", pending: "list[_Pending]") -> None:
         """Decode one micro-batch and demultiplex rows to the awaiting futures.
 
+        The decoder is resolved before the batch queues for the decode
+        lane, so an admission runs on the pool's thread while other batches
+        decode, and the reference held here survives an eviction by other
+        keys meanwhile.  Once the batch holds the lane, the requests that
+        joined its bucket move into ``pending`` (in place, up to
+        ``max_batch``) and the timed-out ones are dropped.
+
         A failed ``decode_batch`` evicts the key's decoder and retries on
-        a freshly attached one (up to ``decode_retries`` times) — the
-        store-level quarantine + recompile heals a corrupt artifact
-        underneath.  The batch outcome (after retries) feeds the key's
-        circuit breaker.
+        a freshly attached one (up to ``decode_retries`` times, each lookup
+        outside the lane) — the store-level quarantine + recompile heals a
+        corrupt artifact underneath.  The batch outcome (after retries)
+        feeds the key's circuit breaker.  When the batch ends, whatever the
+        bucket gathered meanwhile dispatches as its next batch.
         """
         key, decoder_name = bucket_key
-        admitted = len(pending)
-        # Timed-out or cancelled requests have no one waiting: decode only
-        # the live rows, and nothing at all when none are left.
-        pending = [p for p in pending if not p.future.done()]
         try:
-            if not pending:
+            # Timed-out or cancelled requests have no one waiting: with none
+            # live and none joined, there is nothing to look up or decode.
+            if all(p.future.done() for p in pending) and bucket_key not in self._buckets:
                 return
-            Y = np.stack([p.request.y for p in pending])
-            ks = [p.request.k for p in pending]
-            # Uniform weights keep the scalar-k selection path; mixed
-            # weights use the ragged-k batch decode.  Both are row-wise
-            # bit-identical to the single-signal decode (the protocol
-            # contract), so grouping by (key, decoder) alone is safe.
-            k_arg: "int | np.ndarray" = ks[0] if len(set(ks)) == 1 else np.asarray(ks, dtype=np.int64)
             loop = asyncio.get_running_loop()
+            live: "list[_Pending] | None" = None
             supports: "list[np.ndarray] | None" = None
             for attempt in range(self.decode_retries + 1):
                 try:
                     decoder = await self._pool.get(key, decoder_name)
-                except ProtocolError as exc:
-                    # A structured bad_key is the client's mistake, not
-                    # service ill-health — it never trips the breaker.
-                    self._fail(pending, exc)
-                    return
                 except Exception as exc:  # noqa: BLE001 - isolate arbitrary compile failures
-                    self.breaker(key, decoder_name).record_failure()
-                    self.stats.breaker_opens = sum(b.opens for b in self._breakers.values())
-                    self._fail(pending, ProtocolError("internal", f"compilation failed: {exc}"))
-                    return
-                try:
-                    supports = await loop.run_in_executor(self._executor, _decode_supports, decoder, Y, k_arg)
-                    if attempt:
-                        self.stats.retries += 1
-                    break
-                except Exception as exc:  # noqa: BLE001 - isolate arbitrary decode failures
-                    # A decoder that just failed is suspect: drop it so the
-                    # retry (or the next batch) attaches fresh through the
-                    # cache/store self-repair path.
-                    self._pool.evict(key, decoder_name)
-                    if attempt >= self.decode_retries:
+                    if isinstance(exc, ProtocolError):
+                        # A structured bad_key is the client's mistake, not
+                        # service ill-health — it never trips the breaker.
+                        error = exc
+                    else:
                         self.breaker(key, decoder_name).record_failure()
                         self.stats.breaker_opens = sum(b.opens for b in self._breakers.values())
-                        self._fail(pending, ProtocolError("internal", f"decode failed: {exc}"))
-                        return
-            assert supports is not None
+                        error = ProtocolError("internal", f"compilation failed: {exc}")
+                    if live is None:  # requests that joined during the admission fail with it
+                        self._take(bucket_key, pending)
+                    self._fail(pending, error)
+                    return
+                async with self._lane:
+                    if live is None:
+                        self._take(bucket_key, pending)
+                        live = [p for p in pending if not p.future.done()]
+                        if not live:
+                            return
+                        Y = np.stack([p.request.y for p in live])
+                        ks = [p.request.k for p in live]
+                        # Uniform weights keep the scalar-k selection path;
+                        # mixed weights use the ragged-k batch decode.  Both
+                        # are row-wise bit-identical to the single-signal
+                        # decode (the protocol contract), so grouping by
+                        # (key, decoder) alone is safe.
+                        k_arg: "int | np.ndarray" = ks[0] if len(set(ks)) == 1 else np.asarray(ks, dtype=np.int64)
+                    try:
+                        supports = await loop.run_in_executor(self._executor, _decode_supports, decoder, Y, k_arg)
+                        if attempt:
+                            self.stats.retries += 1
+                        break
+                    except Exception as exc:  # noqa: BLE001 - isolate arbitrary decode failures
+                        # A decoder that just failed is suspect: drop it so
+                        # the retry (or the next batch) attaches fresh
+                        # through the cache/store self-repair path.
+                        self._pool.evict(key, decoder_name)
+                        if attempt >= self.decode_retries:
+                            self.breaker(key, decoder_name).record_failure()
+                            self.stats.breaker_opens = sum(b.opens for b in self._breakers.values())
+                            self._fail(pending, ProtocolError("internal", f"decode failed: {exc}"))
+                            return
+            assert live is not None and supports is not None
             breaker = self._breakers.get(bucket_key)
             if breaker is not None:
                 breaker.record_success()
-            for p, support in zip(pending, supports):
+            for p, support in zip(live, supports):
                 if not p.future.done():  # timed-out/cancelled requests are skipped
                     p.future.set_result(support)
             self.stats.batches += 1
-            self.stats.requests += len(pending)
-            self.stats.max_batch_seen = max(self.stats.max_batch_seen, len(pending))
+            self.stats.requests += len(live)
+            self.stats.max_batch_seen = max(self.stats.max_batch_seen, len(live))
         finally:
-            self.stats.admitted -= admitted
+            self.stats.admitted -= len(pending)
+            self._busy.discard(bucket_key)
+            self._flush(bucket_key)
 
     @staticmethod
     def _fail(pending: "list[_Pending]", error: ProtocolError) -> None:
@@ -405,13 +455,21 @@ class Coalescer:
     # -- drain ------------------------------------------------------------------
 
     def begin_drain(self) -> None:
-        """Refuse new submissions and flush every open bucket immediately."""
+        """Refuse new submissions and flush every open bucket immediately.
+
+        A bucket with a batch in flight keeps its requests: that batch
+        takes them at the lane, or they dispatch when it finishes.
+        """
         self._draining = True
         for key in list(self._buckets):
             self._flush(key)
 
     async def drain(self) -> None:
-        """Wait for every dispatched batch to finish (call after ``begin_drain``)."""
+        """Wait for every dispatched batch to finish (call after ``begin_drain``).
+
+        A finishing batch dispatches what its bucket gathered, so this
+        loops until no batch is left in flight.
+        """
         while self._tasks:
             await asyncio.gather(*list(self._tasks), return_exceptions=True)
 

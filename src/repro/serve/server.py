@@ -64,9 +64,12 @@ class ServeConfig:
     flag overrides its field (``--max-batch`` sets ``max_batch``,
     ``--decoder`` sets ``default_decoder``), and an omitted flag keeps it.
 
-    ``batch_window_ms`` trades tail latency for throughput: each key's
-    first pending request waits at most this long for company before its
-    micro-batch flushes (a full ``max_batch`` flushes immediately).
+    ``batch_window_ms`` is the extra wait at an idle bucket: a request for
+    a ``(key, decoder)`` pair with no batch in flight waits this long for
+    company before it dispatches (a full ``max_batch`` dispatches at
+    once).  Batches form at the decode lane regardless — requests that
+    arrive while their key's batch is admitted or queued join it — so the
+    default 0 adds no latency and loses no coalescing.
 
     ``decode_retries`` failed ``decode_batch`` calls per micro-batch are
     retried on a freshly attached decoder before the batch fails;
@@ -78,7 +81,7 @@ class ServeConfig:
     explicit ``decoder`` field runs under.
     """
 
-    batch_window_ms: float = 2.0
+    batch_window_ms: float = 0.0
     max_batch: int = 64
     max_queue: int = 1024
     timeout_ms: float = 10_000.0

@@ -252,6 +252,191 @@ class TestCoalescerBatching:
         asyncio.run(run())
 
 
+class _LaneCompiled:
+    """Records each batch's request tags (``y[0]``) and decodes row ``b`` to support ``[tag_b]``."""
+
+    def __init__(self, name, log, gate, started):
+        self._name, self._log, self._gate, self._started = name, log, gate, started
+
+    def decode(self, y, k):
+        return self.decode_batch(y[None, :], k)[0]
+
+    def decode_batch(self, Y, k):
+        Y = np.atleast_2d(Y)
+        self._log.append((self._name, Y[:, 0].tolist()))
+        self._started.set()
+        assert self._gate.wait(30), "test gate never opened"
+        rows = np.zeros((len(Y), 64), dtype=np.int8)
+        rows[np.arange(len(Y)), Y[:, 0]] = 1
+        return rows
+
+
+class _LaneDecoder:
+    """Compiles :class:`_LaneCompiled` decoders that share one gate and one batch log."""
+
+    def __init__(self):
+        self.log = []
+        self.gate = threading.Event()
+        self.started = threading.Event()
+
+    def compile(self, key, *, cache=None, store=None):
+        return _LaneCompiled("A" if key == KEY_A else "B", self.log, self.gate, self.started)
+
+
+def _tagged(key, tag):
+    y = np.zeros(key.m, dtype=np.int64)
+    y[0] = tag
+    return _request(key, y, 1, f"{'A' if key == KEY_A else 'B'}{tag}")
+
+
+async def _until(condition, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        await asyncio.sleep(0.001)
+
+
+class TestLaneBatching:
+    """Batches form when the decode lane takes them, one batch in flight per key."""
+
+    @staticmethod
+    async def _busy(coalescer, decoder, key=KEY_A):
+        """Submit tag 0 for ``key`` and wait until its gated decode is running."""
+        first = coalescer.submit(_tagged(key, 0))
+        await _until(decoder.started.is_set)
+        return first
+
+    def test_requests_parked_across_loop_turns_form_one_next_batch(self):
+        async def run():
+            decoder = _LaneDecoder()
+            coalescer = Coalescer(DecoderPool(decoder), window_s=0.0)
+            futures = [await self._busy(coalescer, decoder)]
+            for tag in (1, 2, 3):
+                futures.append(coalescer.submit(_tagged(KEY_A, tag)))
+                await asyncio.sleep(0)  # each arrival on its own loop turn
+            decoder.gate.set()
+            supports = await asyncio.gather(*futures)
+            assert [s.tolist() for s in supports] == [[0], [1], [2], [3]]
+            assert decoder.log == [("A", [0]), ("A", [1, 2, 3])]
+            assert (coalescer.stats.batches, coalescer.stats.max_batch_seen) == (2, 3)
+
+        asyncio.run(run())
+
+    def test_bucket_past_max_batch_drains_in_arrival_order(self):
+        async def run():
+            decoder = _LaneDecoder()
+            coalescer = Coalescer(DecoderPool(decoder), window_s=0.0, max_batch=2)
+            futures = [await self._busy(coalescer, decoder)]
+            futures += [coalescer.submit(_tagged(KEY_A, tag)) for tag in range(1, 6)]
+            decoder.gate.set()
+            supports = await asyncio.gather(*futures)
+            assert [s.tolist() for s in supports] == [[tag] for tag in range(6)]
+            assert decoder.log == [("A", [0]), ("A", [1, 2]), ("A", [3, 4]), ("A", [5])]
+            assert coalescer.stats.admitted == 0
+
+        asyncio.run(run())
+
+    def test_busy_key_does_not_hold_back_another_key(self):
+        async def run():
+            decoder = _LaneDecoder()
+            pool = DecoderPool(decoder)
+            await pool.get(KEY_B)  # warm: B's batch goes straight to the lane
+            coalescer = Coalescer(pool, window_s=0.0)
+            a0 = await self._busy(coalescer, decoder)
+            a1 = coalescer.submit(_tagged(KEY_A, 1))  # parked behind A's batch
+            b0 = coalescer.submit(_tagged(KEY_B, 0))  # B is idle: queues for the lane
+            await asyncio.sleep(0.01)
+            decoder.gate.set()
+            await asyncio.gather(a0, a1, b0)
+            assert decoder.log == [("A", [0]), ("B", [0]), ("A", [1])]
+
+        asyncio.run(run())
+
+    def test_cold_key_compile_never_holds_the_lane(self):
+        started, gate = threading.Event(), threading.Event()
+
+        class GatedCold(_FakeDecoder):
+            def compile(self, key, *, cache=None, store=None):
+                if key == KEY_B:
+                    started.set()
+                    assert gate.wait(30), "test gate never opened"
+                return super().compile(key, cache=cache, store=store)
+
+        async def run():
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(1) as admit, ThreadPoolExecutor(1) as decode:
+                pool = DecoderPool(GatedCold(), executor=admit)
+                await pool.get(KEY_A)  # warm before KEY_B's compile takes the admission thread
+                coalescer = Coalescer(pool, window_s=0.0, executor=decode)
+                zeros = {key: np.zeros(key.m, dtype=np.int64) for key in (KEY_A, KEY_B)}
+                try:
+                    cold = coalescer.submit(_request(KEY_B, zeros[KEY_B], 1, "cold"))
+                    await _until(started.is_set)
+                    for i in range(3):  # warm-key batches keep flowing through the lane
+                        warm = await asyncio.wait_for(coalescer.submit(_request(KEY_A, zeros[KEY_A], 1, f"warm-{i}")), 5)
+                        assert warm.tolist() == []
+                    assert not cold.done()
+                finally:
+                    gate.set()
+                assert (await asyncio.wait_for(cold, 5)).tolist() == []
+                coalescer.begin_drain()
+                await coalescer.drain()
+
+        asyncio.run(run())
+
+    def test_parked_request_that_times_out_is_not_decoded(self):
+        async def run():
+            decoder = _LaneDecoder()
+            coalescer = Coalescer(DecoderPool(decoder), window_s=0.0)
+            first = await self._busy(coalescer, decoder)
+            late = coalescer.submit(_tagged(KEY_A, 1))
+            live = coalescer.submit(_tagged(KEY_A, 2))
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(late, 0.02)  # cancels the parked future
+            decoder.gate.set()
+            assert (await first).tolist() == [0]
+            assert (await live).tolist() == [2]
+            await _until(lambda: coalescer.stats.admitted == 0)
+            assert decoder.log == [("A", [0]), ("A", [2])]
+            assert coalescer.stats.requests == 2
+
+        asyncio.run(run())
+
+    def test_drain_during_a_running_batch_answers_every_parked_request(self):
+        async def run():
+            decoder = _LaneDecoder()
+            coalescer = Coalescer(DecoderPool(decoder), window_s=0.0, max_batch=2)
+            futures = [await self._busy(coalescer, decoder)]
+            futures += [coalescer.submit(_tagged(KEY_A, tag)) for tag in (1, 2, 3)]
+            coalescer.begin_drain()
+            with pytest.raises(ProtocolError) as err:
+                coalescer.submit(_tagged(KEY_A, 4))
+            assert err.value.code == "shutting_down"
+            asyncio.get_running_loop().call_later(0.02, decoder.gate.set)
+            await coalescer.drain()
+            assert all(f.done() for f in futures)  # answered before drain() returned
+            assert [f.result().tolist() for f in futures] == [[0], [1], [2], [3]]
+            assert decoder.log == [("A", [0]), ("A", [1, 2]), ("A", [3])]
+            assert coalescer.stats.admitted == 0
+
+        asyncio.run(run())
+
+    def test_pool_counts_one_lookup_per_batch(self):
+        async def run():
+            decoder = _LaneDecoder()
+            pool = DecoderPool(decoder)
+            coalescer = Coalescer(pool, window_s=0.0, max_batch=3)
+            futures = [await self._busy(coalescer, decoder)]
+            futures += [coalescer.submit(_tagged(key, tag)) for tag in range(1, 5) for key in (KEY_A, KEY_B)]
+            decoder.gate.set()
+            await asyncio.gather(*futures)
+            assert coalescer.stats.batches == len(decoder.log) > 2
+            assert pool.hits + pool.misses == coalescer.stats.batches
+
+        asyncio.run(run())
+
+
 class TestMultiDecoder:
     """One pool/coalescer serving several registry decoders, keyed (key, name)."""
 
@@ -530,6 +715,28 @@ class TestServeConfig:
     def test_rejects_bad_knobs(self, kwargs):
         with pytest.raises(ValueError):
             ServeConfig(**kwargs)
+
+    def test_coalescer_and_pool_defaults_follow_serveconfig(self):
+        """``ServeConfig`` holds the defaults; the components' keyword defaults equal them."""
+        import inspect
+
+        config = ServeConfig()
+        expected = {
+            (Coalescer, "window_s"): config.window_s,
+            (Coalescer, "max_batch"): config.max_batch,
+            (Coalescer, "max_queue"): config.max_queue,
+            (Coalescer, "decode_retries"): config.decode_retries,
+            (Coalescer, "breaker_threshold"): config.breaker_threshold,
+            (Coalescer, "breaker_cooldown_s"): config.breaker_cooldown_s,
+            (DecoderPool, "max_designs"): config.max_designs,
+        }
+        wiring = {"executor", "cache", "store"}  # objects, not settings
+        for cls in (Coalescer, DecoderPool):
+            params = inspect.signature(cls).parameters.values()
+            knobs = {p.name for p in params if p.default is not inspect.Parameter.empty} - wiring
+            assert knobs == {name for owner, name in expected if owner is cls}, f"unmapped {cls.__name__} knob"
+        for (cls, name), value in expected.items():
+            assert inspect.signature(cls).parameters[name].default == value, f"{cls.__name__}({name}=...)"
 
     def test_unit_conversions(self):
         config = ServeConfig(batch_window_ms=2.5, timeout_ms=1500.0)

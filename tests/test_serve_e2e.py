@@ -69,42 +69,48 @@ def finish(proc, expect_code=0, timeout=20):
     return stderr
 
 
+def concurrent_load_then_drain(*serve_args, clients=4):
+    """≥32 concurrent requests over two keys, bit-identity checked, then a SIGTERM drain."""
+    proc = spawn_server("--port", "0", *serve_args)
+    try:
+        host, port = read_banner(proc)
+        cases = make_cases(KEY_A, 5, 16, seed0=1000) + make_cases(KEY_B, 7, 16, seed0=2000)
+        assert len(cases) >= 32
+
+        async def drive():
+            conns = [await ServeClient.connect(host, port) for _ in range(clients)]
+            try:
+                responses = await asyncio.gather(
+                    *[conns[i % len(conns)].decode(key, y, k, request_id=i) for i, (key, y, k, _) in enumerate(cases)]
+                )
+            finally:
+                for conn in conns:
+                    await conn.close()
+            return responses
+
+        responses = asyncio.run(drive())
+        for i, (response, (_, _, _, offline)) in enumerate(zip(responses, cases)):
+            assert response["ok"], response
+            assert response["request_id"] == i
+            assert response["support"] == offline  # bit-identical to offline reconstruct
+
+        proc.send_signal(signal.SIGTERM)
+        stderr = finish(proc, expect_code=0)
+        assert "drained:" in stderr
+        assert f"{len(cases)} requests" in stderr
+    finally:
+        if proc.poll() is None:  # pragma: no cover - cleanup on assertion failure
+            proc.kill()
+            proc.wait()
+
+
 class TestTcpEndToEnd:
     def test_concurrent_load_bit_identity_then_sigterm_drain(self):
-        proc = spawn_server("--port", "0", "--batch-window-ms", "2")
-        try:
-            host, port = read_banner(proc)
-            cases = make_cases(KEY_A, 5, 16, seed0=1000) + make_cases(KEY_B, 7, 16, seed0=2000)
-            assert len(cases) >= 32
+        concurrent_load_then_drain("--batch-window-ms", "2")
 
-            async def drive():
-                clients = [await ServeClient.connect(host, port) for _ in range(4)]
-                try:
-                    responses = await asyncio.gather(
-                        *[
-                            clients[i % len(clients)].decode(key, y, k, request_id=i)
-                            for i, (key, y, k, _) in enumerate(cases)
-                        ]
-                    )
-                finally:
-                    for client in clients:
-                        await client.close()
-                return responses
-
-            responses = asyncio.run(drive())
-            for i, (response, (_, _, _, offline)) in enumerate(zip(responses, cases)):
-                assert response["ok"], response
-                assert response["request_id"] == i
-                assert response["support"] == offline  # bit-identical to offline reconstruct
-
-            proc.send_signal(signal.SIGTERM)
-            stderr = finish(proc, expect_code=0)
-            assert "drained:" in stderr
-            assert f"{len(cases)} requests" in stderr
-        finally:
-            if proc.poll() is None:  # pragma: no cover - cleanup on assertion failure
-                proc.kill()
-                proc.wait()
+    def test_concurrent_load_at_default_settings(self):
+        """No tuning flag: batches form at the decode lane with the default window."""
+        concurrent_load_then_drain(clients=8)
 
     def test_malformed_lines_answered_without_crash(self):
         proc = spawn_server("--port", "0", "--batch-window-ms", "1")
