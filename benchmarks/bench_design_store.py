@@ -1,22 +1,17 @@
 """Design-store serving: warm *cross-process* decode vs cold compile (tracked).
 
-PR 4's ``DesignCache`` amortised compilation within one process; the
-``DesignStore`` extends that across processes: a compiled design (entries,
-indptr, ``Δ*``, ``Δ`` **and** the dense ``Ψ`` block) persists in a
-content-addressed directory and later processes mmap-attach it instead of
-recompiling.  This benchmark measures exactly the two contracts the store
-PR claims, at paper-panel scale (``n = 10^4``):
+A process that holds a compiled design decodes warm; the ``DesignStore``
+extends that across processes: a compiled design (entries, indptr, ``Δ*``,
+``Δ`` **and** the dense ``Ψ`` block) persists in a content-addressed
+directory and later processes mmap-attach it instead of recompiling.  This
+benchmark measures the store's cross-process contract at paper-panel scale
+(``n = 10^4``): a *second* Python process (stand-in for a repeated CLI
+invocation or a forked grid worker) attaches from the store and decodes;
+measured inside the child, against a cold child that compiles from the
+key.  Acceptance: warm beats cold by >= 5x, with bit-identical output.
 
-* **cross-process warm decode** — a *second* Python process (stand-in for
-  a repeated CLI invocation or a forked grid worker) attaches from the
-  store and decodes; measured inside the child, against a cold child that
-  compiles from the key.  Acceptance: warm beats cold by >= 5x, with
-  bit-identical output.
-* **in-process steady state** — with an L1 ``DesignCache`` above the
-  store, repeated fetches never touch disk.
-
-``DesignStore.stats`` / ``DesignCache.stats`` ride along in the JSON
-payloads so hit/eviction rates are tracked across PRs.
+``DesignStore.stats`` rides along in the JSON payload so hit/eviction rates
+are tracked across PRs.
 """
 
 import dataclasses
@@ -29,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.signal import random_signals
-from repro.designs import DesignCache, DesignKey, DesignStore, compile_from_key, fetch_compiled
+from repro.designs import DesignKey, DesignStore, compile_from_key
 
 N = 10_000
 M = 600
@@ -47,6 +42,7 @@ _SRC = str(Path(__file__).resolve().parent.parent / "src")
 _CHILD = r"""
 import json, sys, time
 import numpy as np
+from repro.core.mn import MNDecoder
 from repro.designs import DesignKey, DesignStore, compile_from_key
 
 mode, root, y_path = sys.argv[1], sys.argv[2], sys.argv[3]
@@ -128,21 +124,3 @@ class TestWarmCrossProcessDecode:
         # processes (parent published; children only attached or compiled
         # throwaway artifacts in the cold arm, which never publish).
         assert store.persistent_stats()["publishes"] == 1
-
-    def test_layered_fetch_hits_in_process_first(self, benchmark, repro_seed, tmp_path):
-        store = DesignStore(tmp_path / "layered")
-        cache = DesignCache()
-        fetch_compiled(KEY, lambda: compile_from_key(KEY), cache=cache, store=store)
-
-        compiled = benchmark(lambda: fetch_compiled(KEY, lambda: compile_from_key(KEY), cache=cache, store=store))
-        benchmark.extra_info.update(
-            {
-                "n": N,
-                "m": M,
-                "backend": "serial",
-                "cache_stats": dataclasses.asdict(cache.stats),
-                "store_stats": dataclasses.asdict(store.stats),
-            }
-        )
-        assert compiled.key == KEY
-        assert cache.stats.hit_rate > 0.9  # steady state never touches disk

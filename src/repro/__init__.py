@@ -58,7 +58,7 @@ True
 Package map
 -----------
 ``repro.core``        model, MN decoder, thresholds, exhaustive decoder
-``repro.designs``     compiled-design lifecycle: compile, cache, serve
+``repro.designs``     compiled-design lifecycle: compile, store, serve
 ``repro.engine``      execution backends + batched multi-signal engine
 ``repro.kernels``     dispatchable hot kernels: dense blocks + BLAS vs legacy
 ``repro.noise``       noisy channels: models, keyed streams, robust decoding
@@ -116,7 +116,6 @@ from repro.engine import (
 from repro.designs import (
     CompiledDesign,
     CompiledMNDecoder,
-    DesignCache,
     DesignKey,
     DesignStore,
     compile_design,
@@ -153,7 +152,6 @@ __all__ = [
     "save_design",
     "CompiledDesign",
     "CompiledMNDecoder",
-    "DesignCache",
     "DesignKey",
     "DesignStore",
     "compile_design",

@@ -72,8 +72,8 @@ def amp_decode(
     """Run AMP to convergence and round to a weight-``k`` estimate.
 
     One-shot form of ``AMPDecoder(max_iter, tol).compile(...).run(y, k)``:
-    the design is compiled with no cache or store, so nothing is published
-    to an ambient ``REPRO_DESIGN_CACHE``/``REPRO_DESIGN_STORE``.
+    the design is compiled with no store, so nothing is published to an
+    ambient ``REPRO_DESIGN_STORE``.
 
     Parameters
     ----------

@@ -21,10 +21,10 @@ AMP centre algebraically, ``v @ (C − μ) = v @ C − μ·Σv``.
 The one-shot functions (:func:`~repro.baselines.lp.basis_pursuit_decode`,
 :func:`~repro.baselines.omp.omp_decode`, :func:`~repro.baselines.amp.amp_decode`)
 are thin ``compile(compile_design(design)).decode(y, k)`` calls into this
-module, compiled with no cache or store.  The binary group-testing decoders
-go the other way: :class:`CompiledGTDecoder` delegates its single-signal
-``decode`` to :func:`~repro.baselines.bin_gt.comp_decode`/
-:func:`~repro.baselines.bin_gt.dd_decode`.
+module, compiled with no store.  The binary group-testing decoders have one
+decode path, ``decode_batch``; the reference
+:func:`~repro.baselines.bin_gt.comp_decode`/
+:func:`~repro.baselines.bin_gt.dd_decode` stay as their test oracle.
 
 Residency bound: LP/OMP/AMP need the dense float64 counts matrix resident,
 so a design whose ``(m, n)`` float64 block exceeds
@@ -34,10 +34,11 @@ so a design whose ``(m, n)`` float64 block exceeds
 Parity contract (asserted by ``tests/test_decoders.py``): single-signal
 ``decode`` is the oracle for ``decode_batch``.
 
-* ``decode_batch`` rows are bit-identical for the integer-exact COMP/DD
-  decoders (their products route through the kernel-dispatched
+* COMP/DD ``decode`` is ``decode_batch`` on one row; both are integer-exact
+  (their products route through the kernel-dispatched
   :meth:`~repro.designs.compiled.CompiledDesign.psi` seam) and match the
-  reference :func:`~repro.baselines.bin_gt.comp_decode`/``dd_decode``.
+  reference :func:`~repro.baselines.bin_gt.comp_decode`/``dd_decode``
+  bit for bit.
 * For the float decoders (LP/OMP/AMP) a batched GEMM may round differently
   from the single-vector matvec in the last bits, so batch rows are
   guaranteed *thresholded-identical* (same recovered support) rather than
@@ -46,9 +47,9 @@ Parity contract (asserted by ``tests/test_decoders.py``): single-signal
   ``REPRO_KERNEL``.
 
 Compiled artifacts derive entirely from a :class:`CompiledDesign`, obtained
-through cache/store lookup exactly like the MN path.  Only the compiled
-design is cached and persisted; the counts block is rebuilt once per process
-and is not in ``CompiledDesign.nbytes``.
+through the store lookup exactly like the MN path.  Only the compiled design
+is persisted; the counts block is rebuilt once per process and is not in
+``CompiledDesign.nbytes``.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.baselines.amp import AMPResult, _denoise
-from repro.baselines.bin_gt import BernoulliORDesign, comp_decode, dd_decode
 from repro.baselines.centring import (
     centre_observations,
     check_observations,
@@ -67,10 +67,10 @@ from repro.baselines.centring import (
     pool_gamma,
     pool_variance,
 )
+from repro.designs.compiled import resolve_compiled
 from repro.util.validation import check_positive_int, check_weight_vector
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.designs.cache import DesignCache
     from repro.designs.compiled import CompiledDesign, DesignKey
     from repro.designs.store import DesignStore
     from repro.core.design import PoolingDesign
@@ -86,12 +86,6 @@ __all__ = [
     "CompiledAMPDecoder",
     "CompiledGTDecoder",
 ]
-
-
-def _resolve(design, cache, store) -> "CompiledDesign":
-    from repro.designs.compiled import resolve_compiled
-
-    return resolve_compiled(design, cache=cache, store=store)
 
 
 def _counts_or_raise(compiled: "CompiledDesign") -> np.ndarray:
@@ -170,11 +164,10 @@ class LPDecoder:
         self,
         design: "CompiledDesign | PoolingDesign | DesignKey",
         *,
-        cache: "DesignCache | None" = None,
         store: "DesignStore | None" = None,
     ) -> "CompiledLPDecoder":
         """Hoist the dense counts matrix; every decode is then LP-only."""
-        return CompiledLPDecoder(_resolve(design, cache=cache, store=store), self)
+        return CompiledLPDecoder(resolve_compiled(design, store=store), self)
 
 
 class CompiledLPDecoder(_CompiledBaseline):
@@ -234,11 +227,10 @@ class OMPDecoder:
         self,
         design: "CompiledDesign | PoolingDesign | DesignKey",
         *,
-        cache: "DesignCache | None" = None,
         store: "DesignStore | None" = None,
     ) -> "CompiledOMPDecoder":
         """Hoist the counts block and centred column norms; decodes pay greedy rounds only."""
-        return CompiledOMPDecoder(_resolve(design, cache=cache, store=store), self)
+        return CompiledOMPDecoder(resolve_compiled(design, store=store), self)
 
 
 class CompiledOMPDecoder(_CompiledBaseline):
@@ -335,11 +327,10 @@ class AMPDecoder:
         self,
         design: "CompiledDesign | PoolingDesign | DesignKey",
         *,
-        cache: "DesignCache | None" = None,
         store: "DesignStore | None" = None,
     ) -> "CompiledAMPDecoder":
         """Hoist the counts block and the standardising constants; decodes pay iterations only."""
-        return CompiledAMPDecoder(_resolve(design, cache=cache, store=store), self)
+        return CompiledAMPDecoder(resolve_compiled(design, store=store), self)
 
 
 class CompiledAMPDecoder(_CompiledBaseline):
@@ -452,13 +443,13 @@ class CompiledGTDecoder(_CompiledBaseline):
     noise-free additive data this is sound: ``y_j = 0`` iff pool ``j``
     contains no one-entry.
 
-    ``decode`` delegates to the reference :func:`comp_decode`/:func:`dd_decode`
-    on the equivalent :class:`BernoulliORDesign` view (bit-identical by
-    construction); ``decode_batch`` expresses both phases as integer-exact
-    products through the kernel-dispatched
-    :meth:`~repro.designs.compiled.CompiledDesign.psi` seam, so batch rows
-    are bit-identical too.  ``k`` is accepted for protocol compatibility
-    but unused — COMP/DD do not need the weight.
+    ``decode_batch`` expresses both phases as integer-exact products
+    through the kernel-dispatched
+    :meth:`~repro.designs.compiled.CompiledDesign.psi` seam and the
+    resident block; ``decode`` is its one-row case.  Both are bit-identical
+    to the reference :func:`~repro.baselines.bin_gt.comp_decode`/
+    :func:`~repro.baselines.bin_gt.dd_decode`.  ``k`` is accepted for
+    protocol compatibility but unused — COMP/DD do not need the weight.
     """
 
     def __init__(self, compiled: "CompiledDesign", decoder, *, definite_defectives: bool):
@@ -470,21 +461,13 @@ class CompiledGTDecoder(_CompiledBaseline):
                 "the binary-GT decoders need the dense membership resident"
             )
         self.block = block
-        self.membership = block > 0  # bool (m, n) view of the same incidence
-        self.gt_design = BernoulliORDesign(self.membership)
         self.definite_defectives = definite_defectives
-
-    def _binarise(self, y: np.ndarray) -> np.ndarray:
-        return (np.asarray(y) > 0).astype(np.int8)
 
     def decode(self, y: np.ndarray, k: int = 1) -> np.ndarray:
         y = np.asarray(y)
         if y.shape != (self.compiled.m,):
             raise ValueError(f"y must have length m={self.compiled.m}")
-        results = self._binarise(y)
-        if self.definite_defectives:
-            return dd_decode(self.gt_design, results)
-        return comp_decode(self.gt_design, results)
+        return self.decode_batch(y[None])[0]
 
     def decode_batch(self, Y: np.ndarray, k: "int | np.ndarray" = 1) -> np.ndarray:
         Y = np.asarray(Y)
@@ -515,11 +498,10 @@ class COMPDecoder:
         self,
         design: "CompiledDesign | PoolingDesign | DesignKey",
         *,
-        cache: "DesignCache | None" = None,
         store: "DesignStore | None" = None,
     ) -> CompiledGTDecoder:
-        """Hoist the dense membership; decodes are two integer products."""
-        return CompiledGTDecoder(_resolve(design, cache=cache, store=store), self, definite_defectives=False)
+        """Bind to the design's resident incidence block; decodes are two integer products."""
+        return CompiledGTDecoder(resolve_compiled(design, store=store), self, definite_defectives=False)
 
 
 @dataclass(frozen=True)
@@ -530,8 +512,7 @@ class DDDecoder:
         self,
         design: "CompiledDesign | PoolingDesign | DesignKey",
         *,
-        cache: "DesignCache | None" = None,
         store: "DesignStore | None" = None,
     ) -> CompiledGTDecoder:
-        """Hoist the dense membership; decodes are three integer products."""
-        return CompiledGTDecoder(_resolve(design, cache=cache, store=store), self, definite_defectives=True)
+        """Bind to the design's resident incidence block; decodes are three integer products."""
+        return CompiledGTDecoder(resolve_compiled(design, store=store), self, definite_defectives=True)

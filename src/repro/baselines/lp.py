@@ -37,8 +37,8 @@ def basis_pursuit_decode(design: PoolingDesign, y: np.ndarray, k: int) -> np.nda
     """Decode via the box-constrained ℓ1 LP and round to weight ``k``.
 
     One-shot form of ``LPDecoder().compile(...).decode(y, k)``: the design
-    is compiled with no cache or store, so nothing is published to an
-    ambient ``REPRO_DESIGN_CACHE``/``REPRO_DESIGN_STORE``.
+    is compiled with no store, so nothing is published to an ambient
+    ``REPRO_DESIGN_STORE``.
 
     Parameters
     ----------

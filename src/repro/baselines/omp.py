@@ -32,8 +32,8 @@ def omp_decode(design: PoolingDesign, y: np.ndarray, k: int) -> np.ndarray:
     """Decode pooled data with centred OMP.
 
     One-shot form of ``OMPDecoder().compile(...).decode(y, k)``: the design
-    is compiled with no cache or store, so nothing is published to an
-    ambient ``REPRO_DESIGN_CACHE``/``REPRO_DESIGN_STORE``.
+    is compiled with no store, so nothing is published to an ambient
+    ``REPRO_DESIGN_STORE``.
 
     Parameters
     ----------

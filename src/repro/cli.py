@@ -520,7 +520,7 @@ def _cmd_design(args) -> int:
     if args.design_command == "store":
         return _cmd_design_store(args)
     if args.design_command == "build":
-        from repro.designs import DesignKey, compile_from_key, resolve_design_cache, resolve_design_store
+        from repro.designs import DesignKey, resolve_compiled, resolve_design_store
 
         key = DesignKey.for_stream(args.n, args.m, root_seed=args.seed, gamma=args.gamma, batch_queries=args.batch_queries)
         # Ambient REPRO_DESIGN_STORE makes repeated CLI builds of one key
@@ -530,7 +530,7 @@ def _cmd_design(args) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        compiled = compile_from_key(key, cache=resolve_design_cache(None), store=store)
+        compiled = resolve_compiled(key, store=store)
         path = save_design(args.out, compiled)
         print(f"compiled design written to {path}")
         print(format_table(["field", "value"], _design_rows(compiled, None)))
@@ -580,7 +580,6 @@ def _cmd_serve(args) -> int:
         DesignStore,
         available_decoders,
         make_decoder,
-        resolve_design_cache,
         resolve_design_store,
     )
     from repro.serve import ServeConfig, serve_forever
@@ -606,7 +605,6 @@ def _cmd_serve(args) -> int:
                 stdio=args.stdio,
                 host=args.host if args.host is not None else "127.0.0.1",
                 port=args.port,
-                cache=resolve_design_cache(None),
                 store=store,
             )
         )

@@ -57,7 +57,6 @@ from repro.rng.streams import StreamFamily
 from repro.util.validation import check_binary_batch, check_binary_signal, check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine builds on core)
-    from repro.designs.cache import DesignCache
     from repro.designs.compiled import CompiledDesign
     from repro.designs.store import DesignStore
     from repro.engine.backend import Backend
@@ -493,7 +492,6 @@ def stream_design_stats(
     backend: "Backend | None" = None,
     noise: "NoiseModel | None" = None,
     design: "CompiledDesign | None" = None,
-    cache: "DesignCache | None" = None,
     store: "DesignStore | None" = None,
 ) -> DesignStats:
     """Simulate ``m`` parallel queries and accumulate MN statistics.
@@ -506,11 +504,11 @@ def stream_design_stats(
     parent.
 
     With ``design=`` (a :class:`~repro.designs.compiled.CompiledDesign`
-    whose key matches this call) or a ``cache=`` hit, streaming is skipped
+    whose key matches this call) or a ``store=`` hit, streaming is skipped
     entirely: results come from the compiled artifact, ``Δ*``/``Δ`` are
     precompiled and ``Ψ`` is one GEMM — bit-identical to the streamed
-    statistics, noise included.  On a cache miss the streamed design is
-    compiled and admitted, so the *next* call with this key is free.
+    statistics, noise included.  On a store miss the streamed design is
+    compiled and published, so the *next* call with this key is free.
 
     Parameters
     ----------
@@ -545,20 +543,14 @@ def stream_design_stats(
         this call's ``(n, m, gamma, root_seed, trial_key, batch_queries)``
         — a mismatch raises rather than silently computing statistics for
         a different design.
-    cache:
-        A :class:`~repro.designs.cache.DesignCache` (or ``None`` to use
-        the ambient ``REPRO_DESIGN_CACHE`` configuration): hits skip
-        streaming, misses stream once and admit the compiled design.
     store:
         A :class:`~repro.designs.store.DesignStore` (or ``None`` to use
-        the ambient ``REPRO_DESIGN_STORE`` configuration): the
-        cross-process L2 under the cache.  A store hit mmap-attaches the
-        persisted artifact (and warms the cache); a full miss streams
-        once and publishes, so *other processes* with this key decode
-        warm too.  Bit-identical either way — the store only ever skips
-        work.
+        the ambient ``REPRO_DESIGN_STORE`` configuration).  A store hit
+        mmap-attaches the persisted artifact; a miss streams once and
+        publishes, so later calls — in this process or any other — with
+        this key decode warm.  Bit-identical either way — the store only
+        ever skips work.
     """
-    from repro.designs.cache import resolve_design_cache
     from repro.designs.store import resolve_design_store
     from repro.engine.backend import resolved_backend
 
@@ -570,10 +562,9 @@ def stream_design_stats(
 
     with resolved_backend(backend) as exec_backend:
         key = None
-        cache_obj = resolve_design_cache(cache)
         store_obj = resolve_design_store(store)
         compiled = design
-        if design is not None or cache_obj is not None or store_obj is not None:
+        if design is not None or store_obj is not None:
             from repro.designs.compiled import DesignKey
 
             key = DesignKey.for_stream(
@@ -583,11 +574,7 @@ def stream_design_stats(
                 if design.key != key:
                     raise ValueError(f"design= key {design.key} does not match this call's key {key}")
             else:
-                compiled = cache_obj.get(key) if cache_obj is not None else None
-                if compiled is None and store_obj is not None:
-                    compiled = store_obj.get(key)
-                    if compiled is not None and cache_obj is not None:
-                        cache_obj.put(key, compiled)  # warm L1 from the L2 hit
+                compiled = store_obj.get(key)
         if compiled is not None:
             return _stats_from_compiled(compiled, sigma, noise, root_seed, tuple(trial_key), batch_queries, gamma)
 
@@ -608,9 +595,7 @@ def stream_design_stats(
         dstar = np.zeros(n, dtype=np.int64)
         delta = np.zeros(n, dtype=np.int64)
 
-        collected: "list[np.ndarray] | None" = (
-            [] if (cache_obj is not None or store_obj is not None) and exec_backend.workers == 1 else None
-        )
+        collected: "list[np.ndarray] | None" = [] if store_obj is not None and exec_backend.workers == 1 else None
         if exec_backend.workers == 1:
             family = StreamFamily(root_seed)
             workspace = kern.make_stream_workspace()
@@ -637,9 +622,9 @@ def stream_design_stats(
             finally:
                 shared_sigma.destroy()
 
-    if (cache_obj is not None or store_obj is not None) and key is not None:
+    if store_obj is not None:
         # Compile-on-miss: the streamed structure (Δ*/Δ already accumulated)
-        # becomes a cached artifact, so the next call with this key skips
+        # becomes a published artifact, so the next call with this key skips
         # streaming entirely.  The worker path never shipped edges back to
         # the parent, so it regenerates them — RNG draws only, no evaluation.
         from repro.designs.compiled import CompiledDesign, _stream_entries
@@ -647,12 +632,9 @@ def stream_design_stats(
         entries = np.concatenate(collected) if collected is not None and collected else _stream_entries(key)
         indptr = np.arange(m + 1, dtype=np.int64) * gamma
         # The constructor copies the degree vectors, so the writable arrays
-        # returned in this call's DesignStats stay independent of the cache.
+        # returned in this call's DesignStats stay independent of the artifact.
         artifact = CompiledDesign(PoolingDesign(n, entries, indptr), dstar=dstar, delta=delta, key=key)
-        if cache_obj is not None:
-            cache_obj.put(key, artifact)
-        if store_obj is not None:
-            store_obj.publish(artifact)  # the next *process* decodes warm too
+        store_obj.publish(artifact)
 
     return DesignStats(y=y, psi=psi, dstar=dstar, delta=delta, n=n, m=m, gamma=gamma)
 
@@ -671,7 +653,7 @@ def _stats_from_compiled(
     Bit-identical to the streamed accumulation: ``y`` is the same exact
     integer vector, per-batch corruption consumes the same keyed streams in
     the same order, and ``Ψ``/``Δ*``/``Δ`` are integer-exact under every
-    execution layout.  The degree vectors are copied so cached calls return
+    execution layout.  The degree vectors are copied so compiled calls return
     writable arrays exactly like the cold path (callers never alias the
     artifact through this function).
     """

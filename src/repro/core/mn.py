@@ -32,7 +32,6 @@ from repro.rng.streams import batch_generator
 from repro.util.validation import check_positive_int, check_weight_vector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine builds on core)
-    from repro.designs.cache import DesignCache
     from repro.designs.compiled import CompiledDesign, DesignKey
     from repro.designs.store import DesignStore
     from repro.designs.serving import CompiledMNDecoder
@@ -131,7 +130,6 @@ class MNDecoder:
         self,
         design: "CompiledDesign | PoolingDesign | DesignKey",
         *,
-        cache: "DesignCache | None" = None,
         store: "DesignStore | None" = None,
     ) -> "CompiledMNDecoder":
         """Bind this decoder to a compiled design for decode-only serving.
@@ -139,12 +137,10 @@ class MNDecoder:
         Accepts a ready :class:`~repro.designs.compiled.CompiledDesign`, a
         materialised :class:`PoolingDesign` (compiled content-addressed), or
         a :class:`~repro.designs.compiled.DesignKey` (design regenerated
-        from the key).  With ``cache=`` (or the ambient
-        ``REPRO_DESIGN_CACHE``), compilation is looked up / admitted there;
-        with ``store=`` (or the ambient ``REPRO_DESIGN_STORE``), the
-        file-backed cross-process L2 is consulted beneath the cache, so a
-        key any process on the machine already compiled mmap-attaches
-        instead of recompiling.
+        from the key).  With ``store=`` (or the ambient
+        ``REPRO_DESIGN_STORE``), the file-backed cross-process store is
+        consulted first, so a key any process on the machine already
+        compiled mmap-attaches instead of recompiling.
 
         The returned :class:`~repro.designs.serving.CompiledMNDecoder`
         exposes ``decode(y, k)`` / ``decode_batch(Y, k)`` — the hot path
@@ -154,7 +150,7 @@ class MNDecoder:
         from repro.designs.compiled import resolve_compiled
         from repro.designs.serving import CompiledMNDecoder
 
-        return CompiledMNDecoder(resolve_compiled(design, cache=cache, store=store), self)
+        return CompiledMNDecoder(resolve_compiled(design, store=store), self)
 
     def rank_entries(self, stats: DesignStats, k: int) -> np.ndarray:
         """Full score ranking — the literal Lines 7–9 of Algorithm 1.
@@ -251,7 +247,6 @@ def run_mn_trial(
     backend: "Backend | None" = None,
     noise: "NoiseModel | None" = None,
     design: "CompiledDesign | None" = None,
-    cache: "DesignCache | None" = None,
     store: "DesignStore | None" = None,
 ) -> MNTrialResult:
     """Simulate one full teacher–student round and decode with MN.
@@ -271,11 +266,11 @@ def run_mn_trial(
     hands the decoder the exact weight, matching the paper's accounting
     where the calibration query is separate.
 
-    ``design``/``cache``/``store`` forward to
+    ``design``/``store`` forward to
     :func:`~repro.core.design.stream_design_stats`: a compiled design with
-    this trial's stream key (or a cache/store hit on it) skips the
-    streaming simulation while producing bit-identical statistics — the
-    store making that amortisation hold across processes, not just calls.
+    this trial's stream key (or a store hit on it) skips the streaming
+    simulation while producing bit-identical statistics — the store making
+    that amortisation hold across calls and processes.
 
     Returns
     -------
@@ -300,7 +295,6 @@ def run_mn_trial(
         backend=backend,
         noise=noise,
         design=design,
-        cache=cache,
         store=store,
     )
     k_used = int(sigma.sum()) if calibrate_k else k

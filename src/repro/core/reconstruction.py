@@ -21,7 +21,6 @@ from repro.core.mn import mn_reconstruct
 from repro.util.validation import check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine builds on core)
-    from repro.designs.cache import DesignCache
     from repro.designs.compiled import CompiledDesign
     from repro.designs.store import DesignStore
     from repro.engine.backend import Backend
@@ -73,7 +72,6 @@ def reconstruct(
     noise_index: int = 0,
     repeats: int = 1,
     design: "CompiledDesign | PoolingDesign | None" = None,
-    cache: "DesignCache | None" = None,
     store: "DesignStore | None" = None,
 ) -> ReconstructionReport:
     """Recover a k-sparse binary signal through an additive query oracle.
@@ -129,16 +127,14 @@ def reconstruct(
         sampling a fresh one — ``rng``/``gamma`` are then unused and the
         decode consumes the precompiled ``Δ*``/``Ψ`` artifacts.  Results
         are bit-identical to a one-shot call that sampled this same design.
-    cache:
-        A :class:`~repro.designs.cache.DesignCache` used to look up /
-        admit the compiled form of ``design`` (content-addressed), so
-        repeated calls against one deployed design compile it once.
     store:
         A :class:`~repro.designs.store.DesignStore` — the file-backed,
-        cross-process L2 under the cache: the compiled form of ``design``
-        is mmap-attached from (or published to) the store, so repeated
-        *processes* serving one deployed design compile it once per
-        machine, not once per process.
+        cross-process store: the compiled form of ``design``
+        (content-addressed) is mmap-attached from (or published to) the
+        store, so repeated calls and processes serving one deployed design
+        compile it once per machine.  Within one process, pass the
+        :class:`~repro.designs.compiled.CompiledDesign` itself to skip the
+        lookup.
 
     Returns
     -------
@@ -155,7 +151,7 @@ def reconstruct(
     repeats = check_positive_int(repeats, "repeats")
     rng = rng if rng is not None else np.random.default_rng()
 
-    compiled = _resolve_reconstruct_design(design, cache, n, m, store=store)
+    compiled = _resolve_reconstruct_design(design, n, m, store=store)
     design = compiled.design if compiled is not None else PoolingDesign.sample(n, m, rng, gamma=gamma)
     pools = [design.pool(j) for j in range(design.m)]
     calibrated = k is None
@@ -208,7 +204,6 @@ def reconstruct(
 
 def _resolve_reconstruct_design(
     design: "CompiledDesign | PoolingDesign | None",
-    cache: "DesignCache | None",
     n: int,
     m: int,
     store: "DesignStore | None" = None,
@@ -216,15 +211,9 @@ def _resolve_reconstruct_design(
     """Validate and compile an explicit ``design=`` argument (``None`` passes through)."""
     if design is None:
         return None
-    from repro.designs.cache import resolve_design_cache
-    from repro.designs.compiled import CompiledDesign, compile_design
-    from repro.designs.store import resolve_design_store
+    from repro.designs.compiled import resolve_compiled
 
-    compiled = (
-        design
-        if isinstance(design, CompiledDesign)
-        else compile_design(design, cache=resolve_design_cache(cache), store=resolve_design_store(store))
-    )
+    compiled = resolve_compiled(design, store=store)
     if compiled.n != n or compiled.m != m:
         raise ValueError(f"design= has (n={compiled.n}, m={compiled.m}); this call asked for (n={n}, m={m})")
     return compiled

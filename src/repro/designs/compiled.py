@@ -18,7 +18,7 @@ a reusable artifact between them:
 
 Every compiled quantity is integer-exact, so decoding through a compiled
 design is **bit-identical** to the historical one-shot paths — asserted by
-the test suite for every kernel tier, cache layer and backend, with and
+the test suite for every kernel tier, store layer and backend, with and
 without noise.
 """
 
@@ -39,7 +39,6 @@ from repro.rng.streams import StreamFamily, batch_generator
 from repro.util.validation import check_nonneg_int, check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.designs.cache import DesignCache
     from repro.designs.store import DesignStore
 
 __all__ = [
@@ -69,7 +68,7 @@ class DesignKey:
     """Content address of a compiled design: ``(n, m, gamma, root_seed, trial_key, batch_queries)``.
 
     Two designs with equal keys hold bit-identical edge sets, which is what
-    makes the key safe to cache on:
+    makes the key safe to store under:
 
     * **streamed** designs (:meth:`for_stream`) are regenerated batch-by-batch
       from ``(root_seed, *trial_key, batch)`` streams, so the key *is* the
@@ -294,11 +293,11 @@ class CompiledDesign:
 
     @property
     def nbytes(self) -> int:
-        """Cache-accounting footprint.
+        """Resident footprint once the ``Ψ`` block is built.
 
         Includes the dense block whenever it is *eligible* for residency —
-        even before first use — so :class:`~repro.designs.cache.DesignCache`
-        budgets are stable under lazy materialisation.
+        even before first use — so the figure does not depend on whether a
+        decode has run yet.
         """
         base = self.design.entries.nbytes + self.design.indptr.nbytes + self.dstar.nbytes + self.delta.nbytes
         return base + (self.block_bytes if self.block_resident else 0)
@@ -434,73 +433,57 @@ def _stream_entries(key: DesignKey) -> np.ndarray:
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
-def compile_design(
-    design: PoolingDesign,
-    *,
-    key: "DesignKey | None" = None,
-    cache: "DesignCache | None" = None,
-    store: "DesignStore | None" = None,
-) -> CompiledDesign:
-    """Compile a materialised design (content-addressed unless ``key`` is given).
-
-    With ``cache`` and/or ``store`` given, the compiled artifact is looked
-    up **L1 cache → L2 store** and published to both on a miss
-    (:func:`~repro.designs.store.fetch_compiled`), so repeated
-    compilations of the same design content are free — across calls
-    (cache) and across processes (store).
-    """
-    resolved_key = key if key is not None else DesignKey.for_content(design)
-    if cache is None and store is None:
-        return CompiledDesign(design, key=resolved_key)
-    from repro.designs.store import fetch_compiled
-
-    return fetch_compiled(resolved_key, lambda: CompiledDesign(design, key=resolved_key), cache=cache, store=store)
+def compile_design(design: PoolingDesign, *, key: "DesignKey | None" = None) -> CompiledDesign:
+    """Compile a materialised design (content-addressed unless ``key`` is given)."""
+    return CompiledDesign(design, key=key if key is not None else DesignKey.for_content(design))
 
 
 def resolve_compiled(
     design: "CompiledDesign | PoolingDesign | DesignKey",
     *,
-    cache: "DesignCache | None" = None,
     store: "DesignStore | None" = None,
 ) -> CompiledDesign:
     """Resolve any design form a ``Decoder.compile`` accepts into an artifact.
 
-    The one shared front door for every decoder implementation (MN and the
-    compiled baselines alike): a ready :class:`CompiledDesign` passes
-    through, a :class:`DesignKey` regenerates via :func:`compile_from_key`,
-    and a materialised :class:`~repro.core.design.PoolingDesign` compiles
-    content-addressed via :func:`compile_design`.  ``cache``/``store``
-    resolve through the ambient ``REPRO_DESIGN_CACHE``/``REPRO_DESIGN_STORE``
-    configuration exactly as ``MNDecoder.compile`` always did.
+    The one layered front door (**store → compile**) for every decoder
+    implementation (MN and the compiled baselines alike) and every core
+    entry point: a ready :class:`CompiledDesign` passes through, a
+    :class:`DesignKey` regenerates via :func:`compile_from_key`, and a
+    materialised :class:`~repro.core.design.PoolingDesign` compiles
+    content-addressed via :func:`compile_design`.  ``store`` resolves
+    through the ambient ``REPRO_DESIGN_STORE``; with a store, a hit
+    mmap-attaches and a miss compiles once machine-wide and publishes.
     """
     if isinstance(design, CompiledDesign):
         return design
-    from repro.designs.cache import resolve_design_cache
     from repro.designs.store import resolve_design_store
 
-    cache_obj = resolve_design_cache(cache)
-    store_obj = resolve_design_store(store)
     if isinstance(design, DesignKey):
-        return compile_from_key(design, cache=cache_obj, store=store_obj)
-    if isinstance(design, PoolingDesign):
-        return compile_design(design, cache=cache_obj, store=store_obj)
-    raise TypeError(f"cannot compile a {type(design).__name__}; expected CompiledDesign, PoolingDesign or DesignKey")
+        key = design
+    elif isinstance(design, PoolingDesign):
+        key = DesignKey.for_content(design)
+    else:
+        raise TypeError(f"cannot compile a {type(design).__name__}; expected CompiledDesign, PoolingDesign or DesignKey")
+
+    def factory() -> CompiledDesign:
+        # A bare call through the module global keeps the regeneration one
+        # patchable, traceable seam whichever layer asked for it.
+        return compile_from_key(key) if isinstance(design, DesignKey) else compile_design(design, key=key)
+
+    store_obj = resolve_design_store(store)
+    return factory() if store_obj is None else store_obj.get_or_compile(key, factory)
 
 
-def compile_from_key(key: DesignKey, *, cache: "DesignCache | None" = None, store: "DesignStore | None" = None) -> CompiledDesign:
+def compile_from_key(key: DesignKey) -> CompiledDesign:
     """Regenerate and compile the design a :class:`DesignKey` addresses.
 
     Supports the ``stream`` scheme (batch-keyed regeneration, exactly the
     edges :func:`~repro.core.design.stream_design_stats` would draw) and the
     ``sampled`` scheme (grid-point designs drawn whole from a keyed
     generator).  ``content`` keys address data that only ever existed
-    materialised — compile those via :func:`compile_design`.  ``cache``
-    and ``store`` layer the lookup as in :func:`compile_design`.
+    materialised — compile those via :func:`compile_design`.  A pure
+    compile: :func:`resolve_compiled` layers the store lookup over it.
     """
-    if cache is not None or store is not None:
-        from repro.designs.store import fetch_compiled
-
-        return fetch_compiled(key, lambda: compile_from_key(key), cache=cache, store=store)
     if key.scheme == "stream":
         gamma = int(key.gamma)
         entries = _stream_entries(key)

@@ -10,12 +10,11 @@ pair so that layers above the decoders — the serve front-end
 the seam instead of against :class:`~repro.core.mn.MNDecoder` concretely:
 
 * :class:`Decoder` — a configured algorithm; ``compile(design, *,
-  cache=, store=)`` accepts a :class:`~repro.designs.compiled.CompiledDesign`,
+  store=)`` accepts a :class:`~repro.designs.compiled.CompiledDesign`,
   a :class:`~repro.core.design.PoolingDesign` or a
   :class:`~repro.designs.compiled.DesignKey` and returns a
-  :class:`CompiledDecoder`, consulting the L1
-  :class:`~repro.designs.cache.DesignCache` / L2
-  :class:`~repro.designs.store.DesignStore` layers when given;
+  :class:`CompiledDecoder`, consulting the
+  :class:`~repro.designs.store.DesignStore` when given;
 * :class:`CompiledDecoder` — the artifact bound to one design;
   ``decode(y, k)`` serves a single ``(m,)`` result vector and
   ``decode_batch(Y, k)`` a ``(B, m)`` micro-batch (``k`` scalar or
@@ -50,7 +49,6 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.core.design import PoolingDesign
-    from repro.designs.cache import DesignCache
     from repro.designs.compiled import CompiledDesign, DesignKey
     from repro.designs.store import DesignStore
 
@@ -82,8 +80,7 @@ class Decoder(Protocol):
         self,
         design: "CompiledDesign | PoolingDesign | DesignKey",
         *,
-        cache: "DesignCache | None" = None,
         store: "DesignStore | None" = None,
     ) -> CompiledDecoder:
-        """Bind to a design (cache/store read-through) for decode-only serving."""
+        """Bind to a design (store read-through) for decode-only serving."""
         ...  # pragma: no cover - protocol stub

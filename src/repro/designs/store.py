@@ -1,10 +1,10 @@
-"""The cross-process compiled-design store: a file-backed L2 under the cache.
+"""The cross-process compiled-design store: a file-backed tier above compile.
 
-:class:`~repro.designs.cache.DesignCache` amortises compilation *within*
-one process; it dies with the process.  Forked grid workers and repeated
-CLI invocations therefore each re-compile the same
-:class:`~repro.designs.compiled.DesignKey` — exactly the redundancy a
-deployment serving one small set of designs cannot afford.
+A :class:`~repro.designs.compiled.CompiledDesign` held by one process dies
+with it.  Forked grid workers and repeated CLI invocations would therefore
+each re-compile the same :class:`~repro.designs.compiled.DesignKey` —
+exactly the redundancy a deployment serving one small set of designs
+cannot afford.
 :class:`DesignStore` persists compiled artifacts in a content-addressed
 directory so that every process on the machine shares one compilation:
 
@@ -40,17 +40,19 @@ directory so that every process on the machine shares one compilation:
   audits the whole store on demand (``design store fsck``).
   Verification runs *once per attach*, never on the decode hot path, so
   warm-decode cost is untouched;
-* **telemetry** — per-instance :attr:`stats` counters shaped like
-  :class:`~repro.designs.cache.CacheStats`, plus cumulative cross-process
+* **telemetry** — per-instance :attr:`stats` counters (hits, misses,
+  evictions, publishes, quarantines), plus cumulative cross-process
   counters: every lookup or publish appends one JSON delta line to
   ``stats.log`` (no rename on the lookup path), folded into the
   ``stats.json`` base (tmp + ``os.replace``) once the log passes 64 KiB.
   A torn trailing line from a crashed writer is skipped, never misread.
 
-Layered lookups go **L1 → L2 → compile**: :func:`fetch_compiled`
-composes a :class:`DesignCache` over a :class:`DesignStore` so a hit in
-any layer skips compilation and a miss publishes to all.  Like the cache,
-the store is opt-in: entry points take ``store=``, and the ambient default
+Layered lookups go **store → compile**:
+:func:`~repro.designs.compiled.resolve_compiled` calls
+:meth:`DesignStore.get_or_compile` with a bare compile as the factory, so
+a hit skips compilation and a miss publishes.  Within one process, reuse
+is the caller's: hold the artifact, or pass it as ``design=``.  The store
+is opt-in: entry points take ``store=``, and the ambient default
 (:func:`resolve_design_store`) is **off** unless ``REPRO_DESIGN_STORE``
 names a directory.  Equal keys address bit-identical designs, so no
 layer can ever change a result — only skip work.  The store is
@@ -84,16 +86,13 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from repro.designs.compiled import CompiledDesign, DesignKey
 from repro.faults import trip as _fault_trip
 from repro.kernels.threads import cpu_count
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.designs.cache import DesignCache
 
 try:  # POSIX advisory locking; degraded (still correct single-process) elsewhere
     import fcntl
@@ -108,7 +107,6 @@ __all__ = [
     "StoreStats",
     "StoreEntry",
     "FsckReport",
-    "fetch_compiled",
     "resolve_design_store",
     "default_design_store",
     "reset_default_design_store",
@@ -170,7 +168,7 @@ class _StaleEntry(ValueError):
 
 @dataclass(frozen=True)
 class StoreStats:
-    """Counters snapshot, unified with :class:`~repro.designs.cache.CacheStats`.
+    """Counters snapshot of one store instance and its directory.
 
     ``hits``/``misses``/``evictions`` count this instance's lifetime (the
     in-process view); ``publishes`` counts artifacts this instance wrote
@@ -370,9 +368,9 @@ class DesignStore:
     verify:
         Check each entry's SHA-256 manifest on attach (the default).  The
         cost is one streaming hash of every payload file on *every*
-        attach — including each re-attach after an L1 or decoder-pool
-        eviction — with the files hashed side by side on up to one thread
-        per core; it never runs on the decode hot path.  The same read of
+        attach — including each re-attach after a decoder-pool eviction —
+        with the files hashed side by side on up to one thread per core;
+        it never runs on the decode hot path.  The same read of
         ``entries.npy`` yields the entry range check, so a verified attach
         never touches the mapped entries.  Pass ``False`` to trust the
         filesystem (e.g. an immutable read-only image already verified
@@ -467,9 +465,7 @@ class DesignStore:
 
         Cold keys are compiled by exactly one process machine-wide: the
         compilation runs under an exclusive per-key file lock, and every
-        waiter re-checks the store once the leader publishes.  Mirrors
-        :meth:`DesignCache.get_or_compile
-        <repro.designs.cache.DesignCache.get_or_compile>` one level down.
+        waiter re-checks the store once the leader publishes.
         """
         compiled = self.get(key)
         if compiled is not None:
@@ -956,30 +952,6 @@ class DesignStore:
             f"DesignStore(root={str(self.root)!r}, entries={s.entries}, nbytes={s.nbytes}, "
             f"hits={s.hits}, misses={s.misses}, publishes={s.publishes}, evictions={s.evictions})"
         )
-
-
-def fetch_compiled(
-    key: DesignKey,
-    factory: Callable[[], CompiledDesign],
-    *,
-    cache: "DesignCache | None" = None,
-    store: "DesignStore | None" = None,
-) -> CompiledDesign:
-    """Layered compiled-design lookup: **L1 cache → L2 store → compile**.
-
-    A cache hit costs a dict lookup; a store hit costs an mmap attach (and
-    is admitted into the cache); a full miss compiles once — single-flight
-    within the process (cache) *and* across processes (store) — and
-    publishes to both layers.  With neither layer configured this is just
-    ``factory()``.
-    """
-    if cache is not None:
-        if store is not None:
-            return cache.get_or_compile(key, lambda: store.get_or_compile(key, factory))
-        return cache.get_or_compile(key, factory)
-    if store is not None:
-        return store.get_or_compile(key, factory)
-    return factory()
 
 
 _default_stores: "dict[tuple[str, int | None], DesignStore]" = {}

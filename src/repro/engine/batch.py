@@ -30,7 +30,6 @@ from repro.engine.backend import Backend
 from repro.util.validation import check_positive_int, check_weight_vector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.designs.cache import DesignCache
     from repro.designs.compiled import CompiledDesign
     from repro.designs.store import DesignStore
     from repro.noise.models import NoiseModel
@@ -124,7 +123,6 @@ def reconstruct_batch(
     noise_seed: int = 0,
     repeats: int = 1,
     design: "CompiledDesign | PoolingDesign | None" = None,
-    cache: "DesignCache | None" = None,
     store: "DesignStore | None" = None,
 ) -> BatchReconstructionReport:
     """Recover ``B`` k-sparse binary signals through one shared design.
@@ -181,14 +179,10 @@ def reconstruct_batch(
         :class:`PoolingDesign`, compiled on the spot) shared by the batch
         instead of sampling via ``rng`` — the decode then consumes the
         precompiled ``Δ*`` and ``Ψ`` artifacts.
-    cache:
-        A :class:`~repro.designs.cache.DesignCache` for the compiled form
-        of ``design`` (content-addressed), amortising compilation across
-        calls.
     store:
-        A :class:`~repro.designs.store.DesignStore` — the cross-process
-        L2 under the cache, amortising compilation of the deployed
-        design across processes and CLI invocations.
+        A :class:`~repro.designs.store.DesignStore` for the compiled form
+        of ``design`` (content-addressed), amortising compilation of the
+        deployed design across calls, processes and CLI invocations.
 
     Raises
     ------
@@ -204,7 +198,7 @@ def reconstruct_batch(
 
     from repro.core.reconstruction import _resolve_reconstruct_design
 
-    compiled = _resolve_reconstruct_design(design, cache, n, m, store=store)
+    compiled = _resolve_reconstruct_design(design, n, m, store=store)
     design = compiled.design if compiled is not None else PoolingDesign.sample(n, m, rng, gamma=gamma)
     pools = [design.pool(j) for j in range(design.m)]
     calibrated = k is None

@@ -37,7 +37,6 @@ from repro.rng.streams import batch_generator
 from repro.util.validation import check_nonneg_int, check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.designs.cache import DesignCache
     from repro.designs.store import DesignStore
     from repro.noise.models import NoiseModel
 
@@ -77,7 +76,6 @@ def run_batched_point(
     repeats: int = 1,
     kernel: "str | None" = None,
     decoder: str = "mn",
-    cache: "DesignCache | None" = None,
     store: "DesignStore | None" = None,
 ) -> BatchedPointResult:
     """Run one grid point: ``trials`` signals decoded against one design.
@@ -85,9 +83,9 @@ def run_batched_point(
     The design is keyed by ``(root_seed, point_id)``; signal ``t`` is keyed
     exactly as the classic runner's trial ``point_id * 1_000_003 + t``.
     Deterministic in all arguments — worker counts never enter the keys.
-    With ``cache=`` (or the ambient ``REPRO_DESIGN_CACHE``), the point's
+    With ``store=`` (or the ambient ``REPRO_DESIGN_STORE``), the point's
     design is compiled under its sampled-scheme key and reused across
-    repeated sweeps — sampling, dedup and ``Δ*`` paid once per process.
+    repeated sweeps — sampling, dedup and ``Δ*`` paid once per machine.
 
     With ``noise`` given, each trial's results are corrupted through its
     own stream keyed ``(root_seed, NOISE_STREAM_TAG, point_id * 1_000_003
@@ -105,7 +103,7 @@ def run_batched_point(
     query → corrupt → ``Ψ``.
     """
     repeats = check_positive_int(repeats, "repeats")
-    design, compiled, sigmas, k = _point_first_stage(n, m, theta, k, trials, root_seed, point_id, gamma, cache, store)
+    design, compiled, sigmas, k = _point_first_stage(n, m, theta, k, trials, root_seed, point_id, gamma, store)
     if noise is None and decoder == "mn" and compiled is None:
         # Nothing sits between the results and Ψ: the kernel's fused pass
         # gives y, Ψ and Δ* in one walk over the draws (the sampled
@@ -126,16 +124,14 @@ def _point_first_stage(
     root_seed: int,
     point_id: int,
     gamma: Optional[int],
-    cache: "DesignCache | None" = None,
     store: "DesignStore | None" = None,
 ) -> "tuple[PoolingDesign, object, np.ndarray, int]":
     """Validate a grid point and draw its signal-independent first stage.
 
     Returns the keyed design, its compiled artifact (``None`` without a
-    cache), the ``(trials, n)`` signal stack and the resolved weight ``k``
+    store), the ``(trials, n)`` signal stack and the resolved weight ``k``
     — everything downstream of this is per-channel.
     """
-    from repro.designs.cache import resolve_design_cache
     from repro.designs.store import resolve_design_store
 
     n = check_positive_int(n, "n")
@@ -149,15 +145,14 @@ def _point_first_stage(
     k = check_positive_int(k, "k")
 
     compiled = None
-    cache_obj = resolve_design_cache(cache)
     store_obj = resolve_design_store(store)
-    if cache_obj is not None or store_obj is not None:
-        from repro.designs.compiled import DesignKey, compile_from_key
+    if store_obj is not None:
+        from repro.designs.compiled import DesignKey, resolve_compiled
 
         key = DesignKey.for_sampled(n, m, root_seed=root_seed, tag=_DESIGN_TAG, index=point_id, gamma=gamma)
-        # L1 cache -> L2 store -> sample+compile: on warm keys a forked
-        # worker (or a repeated CLI sweep) attaches, never compiles.
-        compiled = compile_from_key(key, cache=cache_obj, store=store_obj)
+        # Store -> sample+compile: on warm keys a forked worker (or a
+        # repeated CLI sweep) attaches, never compiles.
+        compiled = resolve_compiled(key, store=store_obj)
         design = compiled.design
     else:
         design = PoolingDesign.sample(n, m, batch_generator(root_seed, _DESIGN_TAG, point_id), gamma=gamma)
@@ -251,7 +246,6 @@ def run_batched_point_sweep(
     repeats: int = 1,
     kernel: "str | None" = None,
     decoder: str = "mn",
-    cache: "DesignCache | None" = None,
     store: "DesignStore | None" = None,
 ) -> "list[BatchedPointResult]":
     """One grid point swept over several noise channels, first stage shared.
@@ -265,7 +259,7 @@ def run_batched_point_sweep(
     comparison.
     """
     repeats = check_positive_int(repeats, "repeats")
-    design, compiled, sigmas, k = _point_first_stage(n, m, theta, k, trials, root_seed, point_id, gamma, cache, store)
+    design, compiled, sigmas, k = _point_first_stage(n, m, theta, k, trials, root_seed, point_id, gamma, store)
     y_clean = design.query_results(sigmas, kernel=kernel)
     return [
         _decode_noisy_point(design, sigmas, y_clean, k, root_seed, point_id, model, repeats, kernel=kernel, compiled=compiled, decoder=decoder)
@@ -273,43 +267,23 @@ def run_batched_point_sweep(
     ]
 
 
-#: Worker-cache slot holding each worker's private :class:`DesignCache` when
-#: a grid fans out with caching requested (the parent's cache object cannot
-#: cross the process boundary, but per-worker caches amortise repeated
-#: sweeps just the same).
-_WORKER_CACHE_SLOT = "grid-design-cache"
-
 #: Worker-cache slot holding each worker's :class:`DesignStore` handle.
-#: Unlike the cache, the store *is* shared across the process boundary —
-#: every worker opens the same directory, so on warm keys workers attach
-#: (mmap) instead of compiling, and a cold key is compiled by exactly one
-#: worker machine-wide (the store's advisory compile lock).
+#: The store is shared across the process boundary — every worker opens
+#: the same directory, so on warm keys workers attach (mmap) instead of
+#: compiling, and a cold key is compiled by exactly one worker
+#: machine-wide (the store's advisory compile lock).
 _WORKER_STORE_SLOT = "grid-design-store"
 
 
 def _grid_point_task(payload, cache) -> BatchedPointResult:
     """Module-level worker task (picklable) running one batched grid point.
 
-    ``cache_bytes`` is the caller's cache budget: ``None`` disables design
-    caching; otherwise the worker's private :class:`DesignCache` is created
-    at that budget on first use.  ``store_spec`` is the caller's store as a
-    picklable ``(root, max_bytes)`` pair — the worker (re)opens the same
-    directory, so all workers share one on-disk compilation.  The serial
-    path pre-seeds both slots with the caller's objects directly.
+    ``store_spec`` is the caller's store as a picklable ``(root,
+    max_bytes)`` pair — the worker (re)opens the same directory, so all
+    workers share one on-disk compilation.  The serial path pre-seeds the
+    slot with the caller's store directly.
     """
-    n, m, theta, k, trials, root_seed, point_id, gamma, noise, repeats, kernel, decoder, cache_bytes, store_spec = payload
-    if cache_bytes is None:
-        # Caching explicitly off for this grid: also release any cache a
-        # previous grid left behind in this worker (the opt-in contract
-        # bounds memory, so "off" must actually free it).
-        cache.pop(_WORKER_CACHE_SLOT, None)
-        design_cache = None
-    else:
-        design_cache = cache.get(_WORKER_CACHE_SLOT)
-        if design_cache is None or design_cache.max_bytes != cache_bytes:
-            from repro.designs.cache import DesignCache
-
-            design_cache = cache[_WORKER_CACHE_SLOT] = DesignCache(cache_bytes)
+    n, m, theta, k, trials, root_seed, point_id, gamma, noise, repeats, kernel, decoder, store_spec = payload
     if store_spec is None:
         cache.pop(_WORKER_STORE_SLOT, None)
         design_store = None
@@ -332,7 +306,6 @@ def _grid_point_task(payload, cache) -> BatchedPointResult:
         repeats=repeats,
         kernel=kernel,
         decoder=decoder,
-        cache=design_cache,
         store=design_store,
     )
 
@@ -350,7 +323,6 @@ def run_trial_grid(
     noise: "NoiseModel | None" = None,
     repeats: int = 1,
     decoder: str = "mn",
-    cache: "DesignCache | None" = None,
     store: "DesignStore | None" = None,
 ) -> "list[BatchedPointResult]":
     """Sweep ``m`` over a grid with batched per-point execution.
@@ -362,43 +334,31 @@ def run_trial_grid(
     noisy channel into every point (models are plain frozen dataclasses,
     so they cross the process boundary with the payload).
 
-    ``cache=`` (or the ambient ``REPRO_DESIGN_CACHE``) compiles every
-    point's design under its sampled-scheme key: repeated sweeps over the
-    same grid reuse the compiled artifacts.  With a multi-worker backend
-    the cache object cannot cross the process boundary, so each worker
-    keeps a private cache at the caller's byte budget in its persistent
-    task cache — results are identical either way (cache hits never
-    change output).
-
-    ``store=`` (or the ambient ``REPRO_DESIGN_STORE``) additionally opens
-    the file-backed :class:`~repro.designs.store.DesignStore` in every
-    worker: the store *does* cross the process boundary (it is a shared
-    directory), so on a warm grid forked workers attach each point's
-    compiled design zero-copy and never compile, and a cold point is
-    compiled exactly once machine-wide.
+    ``store=`` (or the ambient ``REPRO_DESIGN_STORE``) compiles every
+    point's design under its sampled-scheme key and opens the file-backed
+    :class:`~repro.designs.store.DesignStore` in every worker: the store
+    crosses the process boundary (it is a shared directory), so on a warm
+    grid forked workers attach each point's compiled design zero-copy and
+    never compile, and a cold point is compiled exactly once machine-wide.
+    Results are identical either way (store hits never change output).
     """
-    from repro.designs.cache import resolve_design_cache
     from repro.designs.store import resolve_design_store
 
     with resolved_backend(backend) as exec_backend:
         # Resolve to a concrete kernel name in the parent so workers never
         # consult their own environment.
         kernel = resolve_kernel(getattr(exec_backend, "kernel", None))
-        cache_obj = resolve_design_cache(cache)
-        cache_bytes = cache_obj.max_bytes if cache_obj is not None else None
         store_obj = resolve_design_store(store)
         store_spec = (str(store_obj.root), store_obj.max_bytes) if store_obj is not None else None
         payloads = [
-            (n, int(m), theta, k, trials, root_seed, idx, gamma, noise, repeats, kernel, decoder, cache_bytes, store_spec)
+            (n, int(m), theta, k, trials, root_seed, idx, gamma, noise, repeats, kernel, decoder, store_spec)
             for idx, m in enumerate(ms)
         ]
         if exec_backend.workers == 1:
             # Inline execution shares one persistent task cache pre-seeded
-            # with the caller's cache and store objects, so both are used
-            # directly (same code path as the workers otherwise).
+            # with the caller's store, so it is used directly (same code
+            # path as the workers otherwise).
             task_cache: dict = {}
-            if cache_obj is not None:
-                task_cache[_WORKER_CACHE_SLOT] = cache_obj
             if store_obj is not None:
                 task_cache[_WORKER_STORE_SLOT] = store_obj
             return [_grid_point_task(p, task_cache) for p in payloads]

@@ -31,7 +31,6 @@ from repro.noise.models import NoiseModel
 from repro.util.validation import check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.designs.cache import DesignCache
     from repro.designs.compiled import CompiledDesign
     from repro.designs.store import DesignStore
 
@@ -68,7 +67,6 @@ def run_noisy_mn_trial(
     decoder: str = "mn",
     repeats: int = 1,
     design: "CompiledDesign | None" = None,
-    cache: "DesignCache | None" = None,
     store: "DesignStore | None" = None,
 ) -> MNTrialResult:
     """One trial through a noisy additive channel.
@@ -98,16 +96,12 @@ def run_noisy_mn_trial(
         trial's design stream (must match ``n``/``m``).  The signal and
         noise streams are independent children of the trial's seed
         sequence, so they are unaffected by skipping the design draw.
-    cache:
-        A :class:`~repro.designs.cache.DesignCache`: this trial's sampled
-        design is compiled under a trial-tagged key and reused across
-        repeated level sweeps — hits are bit-identical to re-sampling
-        because the key regenerates the same draw.
     store:
-        A :class:`~repro.designs.store.DesignStore` layered beneath the
-        cache: the trial-tagged artifact persists on disk, so repeated
-        sweep *processes* share one compilation (mmap-attached, still
-        bit-identical).
+        A :class:`~repro.designs.store.DesignStore`: this trial's sampled
+        design is compiled under a trial-tagged key and persisted, so
+        repeated level sweeps — in this process or another — share one
+        compilation (mmap-attached; bit-identical to re-sampling because
+        the key regenerates the same draw).
     """
     n = check_positive_int(n, "n")
     check_positive_int(m, "m")
@@ -122,7 +116,6 @@ def run_noisy_mn_trial(
     sig_rng, design_rng, noise_rng = (np.random.Generator(np.random.PCG64(s)) for s in seq.spawn(3))
     sigma = random_signal(n, k, sig_rng)
 
-    from repro.designs.cache import resolve_design_cache
     from repro.designs.store import resolve_design_store
 
     compiled = design
@@ -130,12 +123,10 @@ def run_noisy_mn_trial(
         if compiled.n != n or compiled.m != m:
             raise ValueError(f"design= has (n={compiled.n}, m={compiled.m}); this trial asked for (n={n}, m={m})")
     else:
-        cache_obj = resolve_design_cache(cache)
         store_obj = resolve_design_store(store)
-        if cache_obj is not None or store_obj is not None:
+        if store_obj is not None:
             from repro.core.design import default_gamma
             from repro.designs.compiled import CompiledDesign, DesignKey
-            from repro.designs.store import fetch_compiled
 
             key = DesignKey(
                 n=n,
@@ -145,12 +136,7 @@ def run_noisy_mn_trial(
                 trial_key=("noisy", NOISY_TRIAL_SPAWN_TAG, trial),
                 batch_queries=0,
             )
-            compiled = fetch_compiled(
-                key,
-                lambda: CompiledDesign(PoolingDesign.sample(n, m, design_rng), key=key),
-                cache=cache_obj,
-                store=store_obj,
-            )
+            compiled = store_obj.get_or_compile(key, lambda: CompiledDesign(PoolingDesign.sample(n, m, design_rng), key=key))
     design_obj = compiled.design if compiled is not None else PoolingDesign.sample(n, m, design_rng)
     y_clean = design_obj.query_results(sigma)
     replicas = np.stack([noise.corrupt(y_clean, noise_rng) for _ in range(repeats)])
@@ -159,7 +145,7 @@ def run_noisy_mn_trial(
         sigma_hat = MNDecoder().decode(compiled.stats_for(y_noisy), k)
     else:
         # Registry decoders compile against the already-resolved artifact,
-        # so the cache/store hit is reused rather than re-deriving Ψ.
+        # so the store hit is reused rather than re-deriving Ψ.
         sigma_hat = _decode(decoder, compiled if compiled is not None else design_obj, y_noisy, k)
     return MNTrialResult(
         n=n,

@@ -12,7 +12,7 @@ dependency-light newline-delimited-JSON protocol (stdin/stdout or TCP):
   (deadline- or size-triggered) onto
   :meth:`~repro.designs.protocol.CompiledDecoder.decode_batch`, the
   bounded admission queue, and the per-design decoder LRU over the
-  cache/store layers;
+  design store;
 * :mod:`repro.serve.breaker` — the per-design-key circuit breaker
   (closed → open → half-open) behind the structured ``unavailable``
   degradation path;

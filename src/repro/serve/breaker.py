@@ -1,7 +1,7 @@
 """Per-design circuit breaker: fail fast while a key is known-bad.
 
 A decoder that fails persistently for one design key (corrupt artifact a
-recompile cannot fix, a pathological key, a poisoned cache entry) must
+recompile cannot fix, a pathological key, a poisoned store entry) must
 not convert every incoming request into a slow ``internal`` error after a
 full batch dispatch — under the classic breaker discipline the serve
 layer trades that for an *immediate* structured ``unavailable`` response:
@@ -24,6 +24,7 @@ state transitions deterministically.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Callable
 
@@ -74,8 +75,8 @@ class CircuitBreaker:
     ):
         if threshold < 1:
             raise ValueError("threshold must be positive")
-        if cooldown_s < 0:
-            raise ValueError("cooldown_s must be non-negative")
+        if not math.isfinite(cooldown_s) or cooldown_s < 0:
+            raise ValueError(f"cooldown_s must be finite and non-negative, got {cooldown_s}")
         self.threshold = int(threshold)
         self.cooldown_s = float(cooldown_s)
         self._clock = clock

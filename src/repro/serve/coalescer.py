@@ -31,8 +31,8 @@ Robustness is structural, not best-effort:
   raises a structured ``overloaded`` error immediately instead of growing
   a queue without bound (degrade-and-recover, never crash-on-burst);
 * **per-design decoder LRU** — :class:`DecoderPool` holds at most
-  ``max_designs`` attached decoders, read-through compiled from the L1/L2
-  design cache/store on first request (single-flight per key), evicting
+  ``max_designs`` attached decoders, read-through compiled (or attached
+  from the design store) on first request (single-flight per key), evicting
   least-recently-served designs;
 * **isolation** — a failing compile or decode fails exactly the requests
   in that batch, each with a structured error; the loop, the pool and
@@ -76,7 +76,6 @@ from repro.serve.protocol import DecodeRequest, ProtocolError
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from concurrent.futures import Executor
 
-    from repro.designs.cache import DesignCache
     from repro.designs.compiled import DesignKey
     from repro.designs.protocol import CompiledDecoder, Decoder
     from repro.designs.store import DesignStore
@@ -105,10 +104,10 @@ class CoalescerStats:
 
 
 class DecoderPool:
-    """Per-``(design, decoder)`` LRU of attached decoders over the cache/store layers.
+    """Per-``(design, decoder)`` LRU of attached decoders over the design store.
 
     ``get`` is read-through: an entry served for the first time compiles
-    (or mmap-attaches from the L2 :class:`~repro.designs.store.DesignStore`)
+    (or mmap-attaches from the :class:`~repro.designs.store.DesignStore`)
     on ``executor`` — the server's admission thread, not its decode
     thread — single-flight per entry: concurrent batches for one cold
     entry await one compilation.  The pool holds at most
@@ -127,7 +126,6 @@ class DecoderPool:
         decoder: "Decoder | Mapping[str, Decoder]",
         *,
         max_designs: int = 8,
-        cache: "DesignCache | None" = None,
         store: "DesignStore | None" = None,
         executor: "Executor | None" = None,
     ):
@@ -141,7 +139,6 @@ class DecoderPool:
             self._decoders = {"mn": decoder}
         self.default_decoder = next(iter(self._decoders))
         self.max_designs = int(max_designs)
-        self._cache = cache
         self._store = store
         self._executor = executor
         self._entries: "OrderedDict[tuple[DesignKey, str], CompiledDecoder]" = OrderedDict()
@@ -204,15 +201,15 @@ class DecoderPool:
     def _compile(self, entry_key: "tuple[DesignKey, str]") -> "CompiledDecoder":
         """Executor-side compile — the only place the Decoder protocol is used."""
         key, name = entry_key
-        return self._decoders[name].compile(key, cache=self._cache, store=self._store)
+        return self._decoders[name].compile(key, store=self._store)
 
     def evict(self, key: "DesignKey", decoder: "str | None" = None) -> bool:
         """Drop the ``(key, decoder)`` attached decoder, if any.
 
         The retry path calls this after a failed ``decode_batch`` so the
         next :meth:`get` attaches a *fresh* decoder — recompiling through
-        the cache/store layers, where a corrupt L2 entry quarantines and
-        heals.  Returns whether an entry was evicted.
+        the store, where a corrupt entry quarantines and heals.  Returns
+        whether an entry was evicted.
         """
         name = self.default_decoder if decoder is None else decoder
         if self._entries.pop((key, name), None) is None:
@@ -424,7 +421,7 @@ class Coalescer:
                     except Exception as exc:  # noqa: BLE001 - isolate arbitrary decode failures
                         # A decoder that just failed is suspect: drop it so
                         # the retry (or the next batch) attaches fresh
-                        # through the cache/store self-repair path.
+                        # through the store's self-repair path.
                         self._pool.evict(key, decoder_name)
                         if attempt >= self.decode_retries:
                             self.breaker(key, decoder_name).record_failure()

@@ -1,7 +1,7 @@
 """The asyncio decode service behind ``pooled-repro serve``.
 
 One long-lived process owning a :class:`~repro.serve.coalescer.DecoderPool`
-(attached decoders over the design cache/store) and a
+(attached decoders over the design store) and a
 :class:`~repro.serve.coalescer.Coalescer` (per-key micro-batching), fed by
 either transport:
 
@@ -33,6 +33,7 @@ implementation the CLI plugs in.
 from __future__ import annotations
 
 import asyncio
+import math
 import signal
 import sys
 from collections.abc import Mapping
@@ -49,7 +50,6 @@ from repro.serve.protocol import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.designs.cache import DesignCache
     from repro.designs.protocol import Decoder
     from repro.designs.store import DesignStore
 
@@ -93,6 +93,11 @@ class ServeConfig:
     default_decoder: str = "mn"
 
     def __post_init__(self) -> None:
+        # NaN passes every ordered comparison below, and asyncio takes a NaN
+        # or infinite timeout as "no deadline": check finiteness first.
+        for name in ("batch_window_ms", "timeout_ms", "drain_timeout_s", "breaker_cooldown_ms"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.batch_window_ms < 0:
             raise ValueError("batch_window_ms must be non-negative")
         if self.max_batch < 1 or self.max_queue < 1 or self.max_designs < 1:
@@ -105,6 +110,8 @@ class ServeConfig:
             raise ValueError("breaker_threshold must be positive")
         if self.breaker_cooldown_ms < 0:
             raise ValueError("breaker_cooldown_ms must be non-negative")
+        if self.drain_timeout_s < 0:
+            raise ValueError("drain_timeout_s must be non-negative")
         if not self.default_decoder or not isinstance(self.default_decoder, str):
             raise ValueError("default_decoder must be a non-empty string")
 
@@ -133,10 +140,11 @@ class DecodeServer:
         served under the ``"mn"`` name for back-compat.
     config:
         The :class:`ServeConfig` knobs.
-    cache, store:
-        Optional L1/L2 compiled-design layers handed to every read-through
-        ``compile`` (ambient ``REPRO_DESIGN_CACHE``/``REPRO_DESIGN_STORE``
-        resolution happens in the CLI, not here).
+    store:
+        Optional :class:`~repro.designs.store.DesignStore` handed to every
+        read-through ``compile`` (ambient ``REPRO_DESIGN_STORE``
+        resolution happens in the CLI, not here).  The pool is the only
+        in-process tier: one attached decoder per ``(key, decoder)``.
     """
 
     def __init__(
@@ -144,7 +152,6 @@ class DecodeServer:
         decoder: "Decoder | Mapping[str, Decoder]",
         config: "ServeConfig | None" = None,
         *,
-        cache: "DesignCache | None" = None,
         store: "DesignStore | None" = None,
     ):
         self.config = config if config is not None else ServeConfig()
@@ -160,7 +167,6 @@ class DecodeServer:
         self.pool = DecoderPool(
             decoder,
             max_designs=self.config.max_designs,
-            cache=cache,
             store=store,
             executor=self._admit_executor,
         )
@@ -329,7 +335,6 @@ async def serve_forever(
     stdio: bool = False,
     host: str = "127.0.0.1",
     port: int = 0,
-    cache: "DesignCache | None" = None,
     store: "DesignStore | None" = None,
     ready: "Optional[asyncio.Future]" = None,
     install_signal_handlers: bool = True,
@@ -341,7 +346,7 @@ async def serve_forever(
     benchmark learn the ephemeral port.  In stdio mode it resolves to
     ``None`` when the stream handler is up.
     """
-    server = DecodeServer(decoder, config, cache=cache, store=store)
+    server = DecodeServer(decoder, config, store=store)
     loop = asyncio.get_running_loop()
     if install_signal_handlers:
         for sig in (signal.SIGTERM, signal.SIGINT):

@@ -306,3 +306,19 @@ class TestServeFlags:
     def test_bad_flag_exits_2(self, flags, capsys):
         assert main(["serve", "--stdio", *flags]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--batch-window-ms", "--timeout-ms", "--breaker-cooldown-ms"])
+    def test_non_finite_flag_exits_2_naming_the_field(self, flag, value, capsys, monkeypatch):
+        import repro.serve
+
+        started = []
+
+        async def fake_serve_forever(decoders, config, **kwargs):
+            started.append(config)
+
+        monkeypatch.setattr(repro.serve, "serve_forever", fake_serve_forever)
+        assert main(["serve", "--stdio", flag, value]) == 2
+        assert not started
+        field = flag.lstrip("-").replace("-", "_")
+        assert capsys.readouterr().err.startswith(f"error: {field} must be finite")

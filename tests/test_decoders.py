@@ -39,15 +39,12 @@ from repro.core.signal import random_signal, random_signals
 from repro.designs import (
     CompiledDecoder,
     Decoder,
-    DesignCache,
     DesignKey,
     DesignStore,
     available_decoders,
     compile_design,
     compile_from_key,
-    default_design_cache,
     make_decoder,
-    reset_default_design_cache,
     reset_default_design_store,
     resolve_design_store,
 )
@@ -246,20 +243,20 @@ def test_ragged_k_batch(name, instance, request):
 
 class TestArtifactPathIndependence:
     def test_cache_and_store_read_through(self, tmp_path):
-        """Direct compile, cache hit, and store attach all decode identically."""
+        """Direct compile, a cold store compile-and-publish and a warm store attach all decode identically."""
         key = DesignKey.for_stream(N, M, root_seed=5)
         compiled = compile_from_key(key)
         sigma = random_signal(N, K, np.random.default_rng(3))
         y = compiled.query_results(sigma)
-        cache = DesignCache()
         store = DesignStore(tmp_path / "store")
         for name in ("omp", "amp", "comp", "dd"):
             base = make_decoder(name).compile(compiled)
-            via_cache = make_decoder(name).compile(key, cache=cache)
-            via_store = make_decoder(name).compile(key, store=store)
+            cold = make_decoder(name).compile(key, store=store)
+            warm = make_decoder(name).compile(key, store=store)
             expected = base.decode(y, K)
-            assert np.array_equal(via_cache.decode(y, K), expected)
-            assert np.array_equal(via_store.decode(y, K), expected)
+            assert np.array_equal(cold.decode(y, K), expected)
+            assert np.array_equal(warm.decode(y, K), expected)
+        assert store.stats.publishes == 1 and store.stats.hits == 7
 
 
 class TestRegistry:
@@ -340,26 +337,22 @@ class TestOneShots:
 
     @pytest.fixture
     def ambient(self, tmp_path, monkeypatch):
-        """Arm the ambient cache and store, fresh for this test only."""
-        monkeypatch.setenv("REPRO_DESIGN_CACHE", "1")
+        """Arm the ambient store, fresh for this test only."""
         monkeypatch.setenv("REPRO_DESIGN_STORE", str(tmp_path / "store"))
-        reset_default_design_cache()
         reset_default_design_store()
         yield
-        reset_default_design_cache()
         reset_default_design_store()
 
     @pytest.mark.parametrize("one_shot", ONE_SHOTS)
     def test_publishes_nothing_to_ambient_cache_or_store(self, one_shot, small, ambient):
         design, _, y = small
         one_shot(design, y, 3)
-        stats = default_design_cache().stats
-        assert (stats.hits, stats.misses, stats.entries) == (0, 0, 0)
-        assert len(resolve_design_store()) == 0
-        # The registry path over the same design does publish — the ambient layers are armed.
+        store = resolve_design_store()
+        assert len(store) == 0 and (store.stats.hits, store.stats.misses) == (0, 0)
+        # The registry path over the same design does publish — the ambient store is armed.
         make_decoder("omp").compile(design).decode(y, 3)
-        assert default_design_cache().stats.misses == 1
-        assert len(resolve_design_store()) == 1
+        assert store.stats.misses == 1
+        assert len(store) == 1
 
     @pytest.mark.parametrize("one_shot", ONE_SHOTS)
     def test_residency_bound_raises(self, one_shot, small, monkeypatch):

@@ -29,11 +29,10 @@ from repro.core.mn import MNDecoder, run_mn_trial
 from repro.designs import (
     DESIGN_STORE_BYTES_ENV,
     DESIGN_STORE_ENV,
-    DesignCache,
     DesignKey,
     DesignStore,
     compile_from_key,
-    fetch_compiled,
+    resolve_compiled,
     reset_default_design_store,
     resolve_design_store,
 )
@@ -308,24 +307,27 @@ class TestResolveAmbient:
         with pytest.raises(ValueError, match=f"^{DESIGN_STORE_BYTES_ENV}='{re.escape(raw)}' is not a positive integer"):
             resolve_design_store(None)
 
-    def test_fetch_compiled_layers_cache_over_store(self, store):
-        cache = DesignCache()
+    def test_resolve_compiled_layers_store_over_compile(self, store, monkeypatch):
+        from repro.designs import compiled as compiled_mod
+
         calls = []
+        real = compiled_mod.compile_from_key
 
-        def factory():
-            calls.append(1)
-            return compile_from_key(KEY)
+        def counting(key):
+            calls.append(key)
+            return real(key)
 
-        a = fetch_compiled(KEY, factory, cache=cache, store=store)
-        assert calls == [1] and store.stats.publishes == 1
-        # L1 hit: no store traffic at all.
-        before = store.stats.hits
-        b = fetch_compiled(KEY, factory, cache=cache, store=store)
-        assert b is a and store.stats.hits == before
-        # Fresh cache, same store: the L2 serves it, no recompilation.
-        c = fetch_compiled(KEY, factory, cache=DesignCache(), store=store)
-        assert calls == [1]
-        assert np.array_equal(np.asarray(c.dstar), np.asarray(a.dstar))
+        # The store's factory calls the module global bare, so a patched
+        # compile_from_key sees every regeneration and nothing else.
+        monkeypatch.setattr(compiled_mod, "compile_from_key", counting)
+        a = resolve_compiled(KEY, store=store)
+        assert calls == [KEY] and store.stats.publishes == 1
+        # Same store: the entry attaches, no recompilation.
+        b = resolve_compiled(KEY, store=store)
+        assert calls == [KEY] and store.stats.hits == 1
+        assert np.array_equal(np.asarray(b.dstar), np.asarray(a.dstar))
+        # A held artifact passes straight through, touching neither layer.
+        assert resolve_compiled(b, store=store) is b and store.stats.hits == 1
 
 
 class TestStoreParityAcceptance:

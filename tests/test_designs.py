@@ -1,4 +1,4 @@
-"""Tests for the compiled-design lifecycle: keys, cache, serving.
+"""Tests for the compiled-design lifecycle: keys, store reuse, serving.
 
 The central contract under test: the decode-only path is **bit-identical**
 to the one-shot paths for matched keys — for the serial and shared-memory
@@ -14,13 +14,10 @@ from repro.core.reconstruction import reconstruct
 from repro.core.signal import random_signal, random_signals
 from repro.designs import (
     CompiledDesign,
-    DesignCache,
     DesignKey,
+    DesignStore,
     compile_design,
     compile_from_key,
-    default_design_cache,
-    reset_default_design_cache,
-    resolve_design_cache,
 )
 from repro.engine import SerialBackend, SharedMemBackend, reconstruct_batch, run_trial_grid, signals_oracle
 from repro.noise.models import DropoutNoise, GaussianNoise
@@ -122,19 +119,70 @@ class TestCompiledDesign:
         CompiledDesign(design, dstar=mine, delta=design.delta())
         mine[0] += 1  # still writable
 
-    def test_cached_stream_stats_return_writable_arrays(self, sigma):
-        # Warm (cache-hit) calls must hand back the same mutability as cold
-        # calls — consumers may scribble on their stats.
-        cache = DesignCache()
-        stream_design_stats(sigma, M, root_seed=SEED, batch_queries=BQ, cache=cache)
-        warm = stream_design_stats(sigma, M, root_seed=SEED, batch_queries=BQ, cache=cache)
+    def test_cached_stream_stats_return_writable_arrays(self, sigma, key, tmp_path):
+        # Warm calls (a store attach, or an explicit design=) must hand back
+        # the same mutability as cold calls — consumers may scribble on
+        # their stats.
+        store = DesignStore(tmp_path)
+        stream_design_stats(sigma, M, root_seed=SEED, batch_queries=BQ, store=store)
+        warm = stream_design_stats(sigma, M, root_seed=SEED, batch_queries=BQ, store=store)
         warm.dstar[0] += 1
         warm.delta[0] += 1
-        # ... without corrupting the cached artifact.
-        key = DesignKey.for_stream(N, M, root_seed=SEED, batch_queries=BQ)
-        redecode = stream_design_stats(sigma, M, root_seed=SEED, batch_queries=BQ, cache=cache)
+        # ... without corrupting the stored artifact.
+        redecode = stream_design_stats(sigma, M, root_seed=SEED, batch_queries=BQ, store=store)
         assert redecode.dstar[0] == warm.dstar[0] - 1
-        assert cache.get(key) is not None
+        assert store.stats.hits == 2
+        # The same holds for one artifact held in-process and passed as design=.
+        held = compile_from_key(key)
+        first = stream_design_stats(sigma, M, root_seed=SEED, batch_queries=BQ, design=held)
+        first.dstar[0] += 1
+        again = stream_design_stats(sigma, M, root_seed=SEED, batch_queries=BQ, design=held)
+        assert again.dstar[0] == first.dstar[0] - 1
+
+    def test_blocks_build_once_under_concurrent_first_use(self, key):
+        # Threads sharing one fresh artifact (the serve pool's decode and
+        # admission lanes, or callers holding one CompiledDesign) must all
+        # get the same block objects, each built exactly once.
+        import sys
+        import threading
+
+        fresh = compile_from_key(key)
+        builds = {"cells": 0, "counts": 0}
+        cells, counts = fresh.design.incidence_cells, fresh.design.dense_counts
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                builds[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        fresh.design.incidence_cells = counted("cells", cells)
+        fresh.design.dense_counts = counted("counts", counts)
+        workers = 6
+        barrier = threading.Barrier(workers, timeout=30)
+        out: dict = {}
+
+        def worker(i):
+            barrier.wait()
+            out[i] = (fresh.incidence_block(), fresh.counts_block())
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(workers)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        assert len(out) == workers
+        assert all(out[i][0] is out[0][0] and out[i][1] is out[0][1] for i in range(workers))
+        # One scatter for the incidence block, one inside the single counts build.
+        assert builds == {"cells": 2, "counts": 1}
+        assert np.array_equal(out[0][0], (out[0][1] > 0).astype(out[0][0].dtype))
 
     def test_nbytes_accounts_for_block_before_materialisation(self, key):
         fresh = compile_from_key(key)
@@ -251,95 +299,6 @@ class TestBlockDtype:
         assert np.array_equal(MNDecoder().compile(loaded).decode(y, 6), MNDecoder().compile(compiled).decode(y, 6))
 
 
-class TestDesignCache:
-    def test_hit_miss_counters(self, key, compiled):
-        cache = DesignCache()
-        assert cache.get(key) is None
-        cache.put(key, compiled)
-        assert cache.get(key) is compiled
-        s = cache.stats
-        assert (s.hits, s.misses, s.entries) == (1, 1, 1)
-        assert 0.0 < s.hit_rate < 1.0
-
-    def test_get_or_compile_compiles_once(self, key):
-        cache = DesignCache()
-        calls = []
-
-        def factory():
-            calls.append(1)
-            return compile_from_key(key)
-
-        a = cache.get_or_compile(key, factory)
-        b = cache.get_or_compile(key, factory)
-        assert a is b and len(calls) == 1
-
-    def test_factory_key_mismatch_rejected(self, key):
-        cache = DesignCache()
-        other = DesignKey.for_stream(N, M, root_seed=SEED + 1, batch_queries=BQ)
-        with pytest.raises(ValueError, match="factory produced"):
-            cache.get_or_compile(other, lambda: compile_from_key(key))
-
-    def test_lru_eviction_by_bytes(self):
-        keys = [DesignKey.for_stream(64, 40, root_seed=s, batch_queries=16) for s in range(3)]
-        artifacts = [compile_from_key(k) for k in keys]
-        cache = DesignCache(max_bytes=2 * artifacts[0].nbytes + artifacts[0].nbytes // 2)
-        cache.put(keys[0], artifacts[0])
-        cache.put(keys[1], artifacts[1])
-        cache.get(keys[0])  # refresh 0 -> 1 becomes LRU
-        cache.put(keys[2], artifacts[2])
-        assert keys[1] not in cache and keys[0] in cache and keys[2] in cache
-        assert cache.stats.evictions == 1
-
-    def test_oversized_artifact_not_admitted(self, key, compiled):
-        cache = DesignCache(max_bytes=1)
-        cache.put(key, compiled)
-        assert len(cache) == 0 and cache.get(key) is None
-
-    def test_clear_keeps_counters(self, key, compiled):
-        cache = DesignCache()
-        cache.put(key, compiled)
-        cache.get(key)
-        cache.clear()
-        assert len(cache) == 0 and cache.stats.hits == 1
-
-    def test_get_or_compile_single_flight(self, key):
-        # Concurrent cold lookups on one key must compile exactly once.
-        import threading
-
-        calls, started = [], threading.Barrier(4)
-        cache = DesignCache()
-
-        def factory():
-            calls.append(1)
-            return compile_from_key(key)
-
-        def worker(out, i):
-            started.wait()
-            out[i] = cache.get_or_compile(key, factory)
-
-        out: dict = {}
-        threads = [threading.Thread(target=worker, args=(out, i)) for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(calls) == 1
-        assert all(out[i] is out[0] for i in range(4))
-
-    def test_ambient_cache_opt_in(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DESIGN_CACHE", raising=False)
-        reset_default_design_cache()
-        assert resolve_design_cache(None) is None
-        monkeypatch.setenv("REPRO_DESIGN_CACHE", "1")
-        ambient = resolve_design_cache(None)
-        assert ambient is default_design_cache()
-        explicit = DesignCache()
-        assert resolve_design_cache(explicit) is explicit
-        monkeypatch.setenv("REPRO_DESIGN_CACHE", "0")
-        assert resolve_design_cache(None) is None
-        reset_default_design_cache()
-
-
 class TestDecodeOnlyBitIdentity:
     """The acceptance contract: decode-only ≡ one-shot, serial + sharedmem, ± noise."""
 
@@ -351,23 +310,24 @@ class TestDecodeOnlyBitIdentity:
         assert np.array_equal(one_shot, served)
 
     @pytest.mark.parametrize("noise", [None, GaussianNoise(2.0)])
-    def test_cached_stream_stats_identical(self, sigma, noise):
-        cache = DesignCache()
-        cold = stream_design_stats(sigma, M, root_seed=SEED, batch_queries=BQ, noise=noise, cache=cache)
-        warm = stream_design_stats(sigma, M, root_seed=SEED, batch_queries=BQ, noise=noise, cache=cache)
+    def test_cached_stream_stats_identical(self, sigma, noise, tmp_path):
+        store = DesignStore(tmp_path)
+        cold = stream_design_stats(sigma, M, root_seed=SEED, batch_queries=BQ, noise=noise, store=store)
+        warm = stream_design_stats(sigma, M, root_seed=SEED, batch_queries=BQ, noise=noise, store=store)
         plain = stream_design_stats(sigma, M, root_seed=SEED, batch_queries=BQ, noise=noise)
-        assert cache.stats.hits == 1 and cache.stats.misses == 1
+        assert store.stats.hits == 1 and store.stats.misses == 1
         for field in ("y", "psi", "dstar", "delta"):
             assert np.array_equal(getattr(cold, field), getattr(plain, field)), field
             assert np.array_equal(getattr(warm, field), getattr(plain, field)), field
 
     @pytest.mark.parametrize("noise", [None, GaussianNoise(2.0)])
-    def test_sharedmem_stream_cache_identical(self, sigma, noise):
-        cache = DesignCache()
+    def test_sharedmem_stream_cache_identical(self, sigma, noise, tmp_path):
+        store = DesignStore(tmp_path)
         plain = stream_design_stats(sigma, M, root_seed=SEED, batch_queries=BQ, noise=noise)
         with SharedMemBackend(2) as backend:
-            cold = stream_design_stats(sigma, M, root_seed=SEED, batch_queries=BQ, noise=noise, backend=backend, cache=cache)
-            warm = stream_design_stats(sigma, M, root_seed=SEED, batch_queries=BQ, noise=noise, backend=backend, cache=cache)
+            cold = stream_design_stats(sigma, M, root_seed=SEED, batch_queries=BQ, noise=noise, backend=backend, store=store)
+            warm = stream_design_stats(sigma, M, root_seed=SEED, batch_queries=BQ, noise=noise, backend=backend, store=store)
+        assert store.stats.hits == 1 and store.stats.misses == 1
         for field in ("y", "psi", "dstar", "delta"):
             assert np.array_equal(getattr(cold, field), getattr(plain, field)), field
             assert np.array_equal(getattr(warm, field), getattr(plain, field)), field
@@ -388,11 +348,11 @@ class TestDecodeOnlyBitIdentity:
         with pytest.raises(ValueError, match="does not match"):
             stream_design_stats(sigma, M, root_seed=SEED, batch_queries=BQ + 1, design=compiled)
 
-    def test_run_mn_trial_cache_and_design(self):
+    def test_run_mn_trial_cache_and_design(self, tmp_path):
         base = run_mn_trial(N, 120, k=5, root_seed=7, trial=3, batch_queries=BQ)
-        cache = DesignCache()
-        cold = run_mn_trial(N, 120, k=5, root_seed=7, trial=3, batch_queries=BQ, cache=cache)
-        warm = run_mn_trial(N, 120, k=5, root_seed=7, trial=3, batch_queries=BQ, cache=cache)
+        store = DesignStore(tmp_path)
+        cold = run_mn_trial(N, 120, k=5, root_seed=7, trial=3, batch_queries=BQ, store=store)
+        warm = run_mn_trial(N, 120, k=5, root_seed=7, trial=3, batch_queries=BQ, store=store)
         assert base == cold == warm
         trial_key = DesignKey.for_stream(N, 120, root_seed=7, trial_key=(3,), batch_queries=BQ)
         explicit = run_mn_trial(N, 120, k=5, root_seed=7, trial=3, batch_queries=BQ, design=compile_from_key(trial_key))
@@ -400,16 +360,16 @@ class TestDecodeOnlyBitIdentity:
 
 
 class TestFacadeDesignReuse:
-    def test_reconstruct_with_deployed_design(self):
+    def test_reconstruct_with_deployed_design(self, tmp_path):
         sig = random_signal(N, 3, np.random.default_rng(5))
         oracle = lambda pools: [int(sig[p].sum()) for p in pools]
         base = reconstruct(N, 200, oracle, k=3, rng=np.random.default_rng(0))
-        cache = DesignCache()
-        for _ in range(2):  # second call hits the content-addressed cache
-            again = reconstruct(N, 200, oracle, k=3, design=base.design, cache=cache)
+        store = DesignStore(tmp_path)
+        for _ in range(2):  # second call attaches the content-addressed entry
+            again = reconstruct(N, 200, oracle, k=3, design=base.design, store=store)
             assert np.array_equal(base.sigma_hat, again.sigma_hat)
             assert np.array_equal(base.y, again.y)
-        assert cache.stats.hits == 1 and cache.stats.misses == 1
+        assert store.stats.hits == 1 and store.stats.misses == 1
 
     def test_reconstruct_noisy_with_deployed_design(self):
         sig = random_signal(N, 3, np.random.default_rng(5))
@@ -425,66 +385,67 @@ class TestFacadeDesignReuse:
         with pytest.raises(ValueError, match="asked for"):
             reconstruct(N, 200, lambda pools: [0] * len(pools), k=3, design=design)
 
-    def test_reconstruct_batch_with_deployed_design(self):
+    def test_reconstruct_batch_with_deployed_design(self, tmp_path):
         sigmas = random_signals(N, 3, 4, np.random.default_rng(7))
         base = reconstruct_batch(N, 200, signals_oracle(sigmas), 4, rng=np.random.default_rng(0))
-        again = reconstruct_batch(N, 200, signals_oracle(sigmas), 4, design=base.design, cache=DesignCache())
+        again = reconstruct_batch(N, 200, signals_oracle(sigmas), 4, design=base.design, store=DesignStore(tmp_path))
         assert np.array_equal(base.sigma_hat, again.sigma_hat)
         assert np.array_equal(base.y, again.y)
         assert np.array_equal(base.k, again.k)
 
 
 class TestGridAndNoisyTrialCaching:
-    def test_trial_grid_cache_parity(self):
+    def test_trial_grid_cache_parity(self, tmp_path):
         plain = run_trial_grid(200, [60, 140], theta=0.2, trials=5, root_seed=3)
-        cache = DesignCache()
+        store = DesignStore(tmp_path)
         for _ in range(2):
-            cached = run_trial_grid(200, [60, 140], theta=0.2, trials=5, root_seed=3, cache=cache)
+            cached = run_trial_grid(200, [60, 140], theta=0.2, trials=5, root_seed=3, store=store)
             for a, b in zip(plain, cached):
                 assert np.array_equal(a.success, b.success)
                 assert np.array_equal(a.overlap, b.overlap)
-        assert cache.stats.hits == 2 and cache.stats.misses == 2
+        assert store.stats.hits == 2 and store.stats.misses == 2
 
-    def test_trial_grid_worker_caches_honor_byte_budget(self):
-        # The caller's byte budget must reach fanned-out workers: with a
-        # 1-byte budget nothing is ever admitted, so results still match
-        # (admission failure only skips reuse, never changes output).
-        from repro.engine.grid import _WORKER_CACHE_SLOT, _grid_point_task
+    def test_trial_grid_worker_store_slot(self, tmp_path):
+        # A fanned-out grid hands each worker its store as a picklable
+        # (root, max_bytes) spec; the worker opens it once, reopens it when
+        # the spec changes, and drops it when a later grid runs storeless.
+        from repro.engine.grid import _WORKER_STORE_SLOT, _grid_point_task
 
         plain = run_trial_grid(200, [60], theta=0.2, trials=5, root_seed=3)
-        tiny = DesignCache(max_bytes=1)
-        cached = run_trial_grid(200, [60], theta=0.2, trials=5, root_seed=3, cache=tiny)
-        assert np.array_equal(plain[0].success, cached[0].success)
-        assert len(tiny) == 0  # nothing fit the budget
-        # The worker-side task builds its private cache at the same budget
-        # (trailing None: no design store for this grid).
-        payload = (200, 60, 0.2, None, 5, 3, 0, None, None, 1, "dense", "mn", tiny.max_bytes, None)
+        spec = (str(tmp_path / "a"), None)
+        payload = (200, 60, 0.2, None, 5, 3, 0, None, None, 1, "dense", "mn", spec)
         worker_cache: dict = {}
+        result = _grid_point_task(payload, worker_cache)
+        assert np.array_equal(plain[0].success, result.success)
+        opened = worker_cache[_WORKER_STORE_SLOT]
+        assert (str(opened.root), opened.max_bytes) == spec and len(opened) == 1
         _grid_point_task(payload, worker_cache)
-        assert worker_cache[_WORKER_CACHE_SLOT].max_bytes == 1
-        # A later grid with a different budget replaces the worker cache ...
-        _grid_point_task(payload[:12] + (1 << 20, None), worker_cache)
-        assert worker_cache[_WORKER_CACHE_SLOT].max_bytes == 1 << 20
-        # ... and caching-off actually releases it (memory contract).
-        _grid_point_task(payload[:12] + (None, None), worker_cache)
-        assert _WORKER_CACHE_SLOT not in worker_cache
+        assert worker_cache[_WORKER_STORE_SLOT] is opened and opened.stats.hits == 1
+        other = (str(tmp_path / "b"), 1 << 30)
+        _grid_point_task(payload[:12] + (other,), worker_cache)
+        assert (str(worker_cache[_WORKER_STORE_SLOT].root), worker_cache[_WORKER_STORE_SLOT].max_bytes) == other
+        _grid_point_task(payload[:12] + (None,), worker_cache)
+        assert _WORKER_STORE_SLOT not in worker_cache
 
-    def test_trial_grid_cache_parity_sharedmem(self):
+    def test_trial_grid_cache_parity_sharedmem(self, tmp_path):
         plain = run_trial_grid(200, [60, 140], theta=0.2, trials=5, root_seed=3, backend=SerialBackend())
+        store = DesignStore(tmp_path)
         with SharedMemBackend(2) as backend:
-            cached = run_trial_grid(200, [60, 140], theta=0.2, trials=5, root_seed=3, backend=backend, cache=DesignCache())
-        for a, b in zip(plain, cached):
-            assert np.array_equal(a.success, b.success)
-            assert np.array_equal(a.overlap, b.overlap)
+            for _ in range(2):  # cold: workers compile and publish; warm: they attach
+                cached = run_trial_grid(200, [60, 140], theta=0.2, trials=5, root_seed=3, backend=backend, store=store)
+                for a, b in zip(plain, cached):
+                    assert np.array_equal(a.success, b.success)
+                    assert np.array_equal(a.overlap, b.overlap)
+        assert len(store) == 2
 
-    def test_noisy_trial_cache_parity(self):
+    def test_noisy_trial_cache_parity(self, tmp_path):
         noise = GaussianNoise(1.0)
         plain = run_noisy_mn_trial(200, 150, noise, k=4, root_seed=5, trial=2)
-        cache = DesignCache()
-        cold = run_noisy_mn_trial(200, 150, noise, k=4, root_seed=5, trial=2, cache=cache)
-        warm = run_noisy_mn_trial(200, 150, noise, k=4, root_seed=5, trial=2, cache=cache)
+        store = DesignStore(tmp_path)
+        cold = run_noisy_mn_trial(200, 150, noise, k=4, root_seed=5, trial=2, store=store)
+        warm = run_noisy_mn_trial(200, 150, noise, k=4, root_seed=5, trial=2, store=store)
         assert plain == cold == warm
-        assert cache.stats.hits == 1 and cache.stats.misses == 1
+        assert store.stats.hits == 1 and store.stats.misses == 1
 
     def test_noisy_trial_design_shape_mismatch(self):
         design = compile_design(PoolingDesign.sample(200, 100, np.random.default_rng(0)))

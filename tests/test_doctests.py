@@ -11,14 +11,15 @@ import importlib
 
 import pytest
 
-from repro.designs import DesignStore
+from repro.core.mn import MNDecoder
+from repro.designs import DesignKey, DesignStore
+from repro.engine import run_trial_grid
 from repro.engine.backend import SerialBackend, SharedMemBackend
 from repro.parallel.pool import WorkerPool
 
 MODULES_WITH_DOCTESTS = [
     "repro",
     "repro.core.mn",
-    "repro.designs.cache",
     "repro.designs.compiled",
     "repro.designs.protocol",
     "repro.designs.registry",
@@ -74,6 +75,11 @@ def test_every_exported_name_resolves(package):
         ("repro.designs", "SharedCompiledDesign"),
         ("repro.designs", "CompiledDesignDescriptor"),
         ("repro.designs", "attach_compiled"),
+        ("repro.designs", "DesignCache"),
+        ("repro.designs", "CacheStats"),
+        ("repro.designs", "fetch_compiled"),
+        ("repro.designs", "resolve_design_cache"),
+        ("repro", "DesignCache"),
         ("repro.parallel", "CSRMatrix"),
         ("repro", "CSRMatrix"),
         ("repro.kernels.threads", "BLAS_THREADS_ENV"),
@@ -99,6 +105,8 @@ def test_deleted_names_are_not_exported(package, name):
         lambda root: SharedMemBackend(2, pin_workers=True),
         lambda root: WorkerPool(2, pin_cores=[(0,)]),
         lambda root: DesignStore(root, keep_blocks=False),
+        lambda root: MNDecoder().compile(DesignKey.for_stream(64, 12, root_seed=0), cache=None),
+        lambda root: run_trial_grid(64, [12], k=2, trials=1, cache=None),
     ],
     ids=[
         "SerialBackend-blas_threads",
@@ -106,6 +114,8 @@ def test_deleted_names_are_not_exported(package, name):
         "SharedMemBackend-pin_workers",
         "WorkerPool-pin_cores",
         "DesignStore-keep_blocks",
+        "MNDecoder.compile-cache",
+        "run_trial_grid-cache",
     ],
 )
 def test_deleted_arguments_are_rejected(make, tmp_path):
@@ -113,7 +123,7 @@ def test_deleted_arguments_are_rejected(make, tmp_path):
         make(tmp_path)
 
 
-@pytest.mark.parametrize("module_name", ["repro.designs.sharing", "repro.parallel.matvec"])
+@pytest.mark.parametrize("module_name", ["repro.designs.sharing", "repro.parallel.matvec", "repro.designs.cache"])
 def test_deleted_modules_are_gone(module_name):
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module(module_name)

@@ -115,7 +115,7 @@ class TestStreamParity:
         from repro.engine.grid import run_trial_grid
         from repro.kernels import dense, legacy
 
-        for env in (kernels.KERNEL_ENV, "REPRO_DESIGN_CACHE", "REPRO_DESIGN_STORE"):
+        for env in (kernels.KERNEL_ENV, "REPRO_DESIGN_STORE"):
             monkeypatch.delenv(env, raising=False)
         ran = []
 

@@ -9,7 +9,7 @@ from repro.core.design import PoolingDesign
 from repro.core.mn import mn_reconstruct
 from repro.core.serialization import FORMAT_VERSION, load_compiled_design, load_design, save_design
 from repro.core.signal import random_signal
-from repro.designs import CompiledDesign, DesignCache, DesignKey, compile_design, compile_from_key
+from repro.designs import CompiledDesign, DesignKey, DesignStore, compile_design, compile_from_key
 
 
 @pytest.fixture
@@ -178,16 +178,16 @@ class TestCompiledRoundtrip:
 
 
 class TestCacheKeying:
-    """Same key → hit; any key component change → miss."""
+    """Same key → store hit; any key component change → miss."""
 
     BASE = dict(n=120, m=80, gamma=60, root_seed=4, trial_key=(7,), batch_queries=32)
 
-    def test_same_key_hits(self):
+    def test_same_key_hits(self, tmp_path):
         key = DesignKey(**self.BASE)
-        cache = DesignCache()
-        cache.put(key, CompiledDesign(compile_from_key(key).design, key=key))
-        assert cache.get(DesignKey(**self.BASE)) is not None
-        assert cache.stats.hits == 1
+        store = DesignStore(tmp_path)
+        store.publish(CompiledDesign(compile_from_key(key).design, key=key))
+        assert store.get(DesignKey(**self.BASE)) is not None
+        assert store.stats.hits == 1
 
     @pytest.mark.parametrize(
         "change",
@@ -201,14 +201,13 @@ class TestCacheKeying:
             {"batch_queries": 64},
         ],
     )
-    def test_any_component_change_misses(self, change):
+    def test_any_component_change_misses(self, change, tmp_path):
         key = DesignKey(**self.BASE)
-        cache = DesignCache()
-        compiled = compile_from_key(key)
-        cache.put(key, compiled)
+        store = DesignStore(tmp_path)
+        store.publish(compile_from_key(key))
         probe = dataclasses.replace(key, **change)
-        assert cache.get(probe) is None
-        assert cache.stats.misses == 1 and cache.stats.hits == 0
+        assert store.get(probe) is None
+        assert store.stats.misses == 1 and store.stats.hits == 0
 
 
 class TestValidation:

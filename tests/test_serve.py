@@ -62,7 +62,7 @@ class _FakeDecoder:
         self._delay = compile_delay
         self.compiles = 0
 
-    def compile(self, key, *, cache=None, store=None):
+    def compile(self, key, *, store=None):
         self.compiles += 1
         if self._delay:
             time.sleep(self._delay)
@@ -279,7 +279,7 @@ class _LaneDecoder:
         self.gate = threading.Event()
         self.started = threading.Event()
 
-    def compile(self, key, *, cache=None, store=None):
+    def compile(self, key, *, store=None):
         return _LaneCompiled("A" if key == KEY_A else "B", self.log, self.gate, self.started)
 
 
@@ -356,11 +356,11 @@ class TestLaneBatching:
         started, gate = threading.Event(), threading.Event()
 
         class GatedCold(_FakeDecoder):
-            def compile(self, key, *, cache=None, store=None):
+            def compile(self, key, *, store=None):
                 if key == KEY_B:
                     started.set()
                     assert gate.wait(30), "test gate never opened"
-                return super().compile(key, cache=cache, store=store)
+                return super().compile(key, store=store)
 
         async def run():
             from concurrent.futures import ThreadPoolExecutor
@@ -716,6 +716,25 @@ class TestServeConfig:
         with pytest.raises(ValueError):
             ServeConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["batch_window_ms", "timeout_ms", "breaker_cooldown_ms", "drain_timeout_s"])
+    def test_rejects_non_finite_durations(self, field, value):
+        # NaN passes every ordered comparison, and asyncio treats a NaN or
+        # infinite timeout as no deadline at all.
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            ServeConfig(**{field: value})
+
+    def test_rejects_negative_drain_timeout(self):
+        with pytest.raises(ValueError, match="^drain_timeout_s must be non-negative"):
+            ServeConfig(drain_timeout_s=-1.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_breaker_rejects_non_finite_cooldown(self, value):
+        from repro.serve.breaker import CircuitBreaker
+
+        with pytest.raises(ValueError, match="^cooldown_s must be finite"):
+            CircuitBreaker(cooldown_s=value)
+
     def test_coalescer_and_pool_defaults_follow_serveconfig(self):
         """``ServeConfig`` holds the defaults; the components' keyword defaults equal them."""
         import inspect
@@ -730,7 +749,7 @@ class TestServeConfig:
             (Coalescer, "breaker_cooldown_s"): config.breaker_cooldown_s,
             (DecoderPool, "max_designs"): config.max_designs,
         }
-        wiring = {"executor", "cache", "store"}  # objects, not settings
+        wiring = {"executor", "store"}  # objects, not settings
         for cls in (Coalescer, DecoderPool):
             params = inspect.signature(cls).parameters.values()
             knobs = {p.name for p in params if p.default is not inspect.Parameter.empty} - wiring
@@ -751,11 +770,11 @@ class TestAdmissionThread:
         started, gate = threading.Event(), threading.Event()
 
         class GatedCold(_FakeDecoder):
-            def compile(self, key, *, cache=None, store=None):
+            def compile(self, key, *, store=None):
                 if key == KEY_B:
                     started.set()
                     gate.wait(30)
-                return super().compile(key, cache=cache, store=store)
+                return super().compile(key, store=store)
 
         async def run():
             server = DecodeServer(GatedCold(), ServeConfig(batch_window_ms=0.0))
@@ -775,16 +794,17 @@ class TestAdmissionThread:
 
         asyncio.run(run())
 
-    def test_churn_across_both_threads_stays_bit_identical(self):
-        """Attach/compile on one thread, decodes on the other, shared L1 artifacts.
+    def test_churn_across_both_threads_stays_bit_identical(self, tmp_path):
+        """Attach/compile on one thread, decodes on the other, over one design store.
 
         A two-entry pool over three keys and two decoders keeps admission
-        busy while decodes run; with one L1 cache, both threads use the same
-        ``CompiledDesign`` objects (their lazy blocks sit behind its lock).
+        busy while decodes run: every readmission after an eviction
+        attaches (and verifies) the stored design while the decode thread
+        serves the entries still pooled.
         """
         import sys
 
-        from repro.designs import DesignCache, make_decoder
+        from repro.designs import DesignStore, make_decoder
 
         keys = [DesignKey.for_stream(90 + 10 * i, 30, root_seed=40 + i) for i in range(3)]
         names = ("mn", "comp")
@@ -797,7 +817,7 @@ class TestAdmissionThread:
 
         async def run():
             server = DecodeServer(
-                {name: make_decoder(name) for name in names}, ServeConfig(batch_window_ms=0.5, max_designs=2), cache=DesignCache()
+                {name: make_decoder(name) for name in names}, ServeConfig(batch_window_ms=0.5, max_designs=2), store=DesignStore(tmp_path)
             )
             submits = [server.coalescer.submit(_request(key, y, 3, f"r{i}", decoder=name)) for i, (key, name, y, _) in enumerate(cases)]
             supports = await asyncio.wait_for(asyncio.gather(*submits), 60)
