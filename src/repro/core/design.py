@@ -442,6 +442,25 @@ class PoolingDesign:
             gamma=self.mean_pool_size,
         )
 
+    def stats_for(self, y: np.ndarray, *, kernel: "str | None" = None) -> DesignStats:
+        """MN inputs for observed results ``y`` (``(m,)`` or ``(B, m)``).
+
+        The materialised twin of
+        :meth:`~repro.designs.compiled.CompiledDesign.stats_for`: ``Ψ``
+        and ``Δ*`` through the selected kernel, and no ``Δ`` (the MN decode
+        reads only ``Ψ`` and ``Δ*``).  Both forms give equal statistics.
+        """
+        y = np.asarray(y, dtype=np.int64)
+        return DesignStats(
+            y=y,
+            psi=self.psi(y, kernel=kernel),
+            dstar=self.dstar(kernel=kernel),
+            delta=None,
+            n=self.n,
+            m=self.m,
+            gamma=self.mean_pool_size,
+        )
+
 
 # -- streaming path ------------------------------------------------------------------
 

@@ -175,17 +175,19 @@ class MNDecoder:
 
 
 def mn_reconstruct(
-    design: PoolingDesign,
+    design: "PoolingDesign | CompiledDesign",
     y: np.ndarray,
     k: "int | np.ndarray",
     backend: "Backend | None" = None,
 ) -> np.ndarray:
-    """One-call MN decoding against a materialised design.
+    """One-call MN decoding of observed results.
 
     Parameters
     ----------
     design:
-        The pooling design that produced ``y``.
+        The pooling design that produced ``y``: materialised, or its
+        :class:`~repro.designs.compiled.CompiledDesign` (``Ψ`` from the
+        resident block).  Both decode bit-identically.
     y:
         Observed additive query results — ``(m,)`` for one signal, or
         ``(B, m)`` for a batch of signals queried through the same design
@@ -197,25 +199,7 @@ def mn_reconstruct(
         Optional unified execution configuration; selects the Ψ/Δ* kernel
         through its ``kernel`` field (:mod:`repro.kernels`).
     """
-    kernel = getattr(backend, "kernel", None)
-    y = np.asarray(y, dtype=np.int64)
-    if y.ndim == 2:
-        if y.shape[1] != design.m or y.shape[0] < 1:
-            raise ValueError(f"batched y must have shape (B, m={design.m})")
-    elif y.shape != (design.m,):
-        raise ValueError(f"y must have length m={design.m}")
-    stats = DesignStats(
-        y=y,
-        psi=design.psi(y, kernel=kernel),
-        dstar=design.dstar(kernel=kernel),
-        delta=None,  # MN reads only Ψ and Δ*
-        n=design.n,
-        m=design.m,
-        # Mean pool size: correct for ragged hand-built designs too (the
-        # first pool's size is arbitrary there).
-        gamma=design.mean_pool_size,
-    )
-    return MNDecoder().decode(stats, k)
+    return MNDecoder().decode(design.stats_for(y, kernel=getattr(backend, "kernel", None)), k)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,12 @@ pipeline, a neural-network batch evaluator) and want the signal back.
 design, submits every pool to the oracle **in one parallel batch** (the
 defining constraint of the paper), optionally spends one extra calibration
 query to learn ``k``, and runs the MN decoder.
+
+One pipeline serves both facades: :func:`reconstruct` is the ``B = 1``
+case of :func:`~repro.engine.batch.reconstruct_batch`.  Pools, the
+calibration query, repeats, noise and averaging run in
+``_reconstruct_pipeline``, and the decode reads ``Ψ``/``Δ*`` from the
+design's ``stats_for(y)`` — materialised or compiled alike.
 """
 
 from __future__ import annotations
@@ -17,8 +23,8 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 import numpy as np
 
 from repro.core.design import PoolingDesign
-from repro.core.mn import mn_reconstruct
-from repro.util.validation import check_positive_int
+from repro.core.mn import MNDecoder
+from repro.util.validation import check_positive_int, check_weight_vector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine builds on core)
     from repro.designs.compiled import CompiledDesign
@@ -143,77 +149,119 @@ def reconstruct(
     Raises
     ------
     ValueError
-        If the oracle returns the wrong number of results, negative counts,
-        or a calibration result of zero (no signal to find).
+        If the oracle returns the wrong number of results, a count that is
+        not a non-negative integer, or a calibration result of zero (no
+        signal to find).
+    """
+    def batch_oracle(pools: Sequence[np.ndarray]) -> "list[list[int]]":
+        results = list(oracle(pools))
+        if len(results) != len(pools):
+            raise ValueError(f"oracle returned {len(results)} results for {len(pools)} pools")
+        return [results]
+
+    pooling, y, k_arr, sigma_hat, calibrated = _reconstruct_pipeline(
+        n, m, batch_oracle, 1, k, rng, gamma, backend, noise, noise_seed, noise_index, repeats, design, store
+    )
+    return ReconstructionReport(sigma_hat=sigma_hat[0], k=int(k_arr[0]), design=pooling, y=y[0], calibrated=calibrated)
+
+
+def _reconstruct_pipeline(
+    n: int,
+    m: int,
+    oracle: "Callable[[Sequence[np.ndarray]], object]",
+    B: int,
+    k: "int | np.ndarray | None",
+    rng: "np.random.Generator | None",
+    gamma: "int | None",
+    backend: "Backend | None",
+    noise: "NoiseModel | None",
+    noise_seed: int,
+    noise_index: int,
+    repeats: int,
+    design: "CompiledDesign | PoolingDesign | None",
+    store: "DesignStore | None",
+) -> "tuple[PoolingDesign, np.ndarray, np.ndarray, np.ndarray, bool]":
+    """The one MN pipeline behind both facades: pools → oracle → noise → decode.
+
+    Arguments are the facades' own, in ``reconstruct_batch`` order, plus
+    ``noise_index``: signal ``b``'s corruption stream is ``noise_index + b``.
+    ``oracle`` answers the pool batch as a ``(B, len(pools))`` array-like.
+    Returns the materialised design, ``y`` ``(B, m)``, the weights
+    ``(B,)``, ``σ̂`` ``(B, n)`` and whether the weights were calibrated.
     """
     n = check_positive_int(n, "n")
     m = check_positive_int(m, "m")
+    B = check_positive_int(B, "B")
     repeats = check_positive_int(repeats, "repeats")
-    rng = rng if rng is not None else np.random.default_rng()
-
-    compiled = _resolve_reconstruct_design(design, n, m, store=store)
-    design = compiled.design if compiled is not None else PoolingDesign.sample(n, m, rng, gamma=gamma)
-    pools = [design.pool(j) for j in range(design.m)]
     calibrated = k is None
+    if not calibrated:
+        k_arr = np.full(B, check_positive_int(k, "k"), dtype=np.int64) if np.ndim(k) == 0 else check_weight_vector(k, B)
+
+    source: "CompiledDesign | PoolingDesign"
+    if design is None:
+        source = pooling = PoolingDesign.sample(n, m, rng if rng is not None else np.random.default_rng(), gamma=gamma)
+    else:
+        from repro.designs.compiled import resolve_compiled
+
+        source = resolve_compiled(design, store=store)
+        if source.n != n or source.m != m:
+            raise ValueError(f"design= has (n={source.n}, m={source.m}); this call asked for (n={n}, m={m})")
+        pooling = source.design
+    pools = [pooling.pool(j) for j in range(m)]
     if calibrated:
         pools.append(np.arange(n, dtype=np.int64))
     per_replica = len(pools)
     if repeats > 1:
         pools = pools * repeats
 
-    results = list(oracle(pools))
-    if len(results) != len(pools):
-        raise ValueError(f"oracle returned {len(results)} results for {len(pools)} pools")
-    y_all = np.asarray(results, dtype=np.int64).reshape(repeats, per_replica)
-    if np.any(y_all < 0):
-        raise ValueError("oracle returned a negative count")
+    results = np.asarray(oracle(pools))
+    if results.shape != (B, len(pools)):
+        raise ValueError(f"oracle returned shape {results.shape} for {B} signals x {len(pools)} pools")
+    # Replica-major view: replicas[r] is the (B, per_replica) answer to the
+    # r-th copy of the pool batch.
+    replicas = _oracle_counts(results).reshape(B, repeats, per_replica).transpose(1, 0, 2)
 
     if noise is not None:
-        from repro.noise.channel import corrupt_single
+        from repro.noise.channel import corrupt_batch
 
-        y_all = np.stack(
-            [corrupt_single(y_all[r], noise, noise_seed, index=noise_index, replica=r) for r in range(repeats)]
-        )
+        replicas = np.stack([corrupt_batch(replicas[r], noise, noise_seed, base_index=noise_index, replica=r) for r in range(repeats)])
 
     if calibrated:
         from repro.core.estimate import robust_calibrate_k
 
-        k = int(robust_calibrate_k(y_all[:, -1], n=n))
-        y_reps = y_all[:, :-1]
-    else:
-        k = check_positive_int(k, "k")
-        y_reps = y_all
+        k_arr = np.asarray(robust_calibrate_k(replicas[:, :, -1], n=n))
+        replicas = replicas[:, :, :-1]
 
     if repeats > 1:
         from repro.noise.channel import average_replicas
 
-        y = average_replicas(y_reps)
+        y = average_replicas(replicas)
     else:
-        y = y_reps[0]
+        y = replicas[0]
 
-    if compiled is not None:
-        # Decode-only: Δ* and the Ψ block come from the compiled artifact —
-        # bit-identical to mn_reconstruct (integer-exact throughout).
-        from repro.core.mn import MNDecoder
-
-        sigma_hat = MNDecoder().decode(compiled.stats_for(y), k)
-    else:
-        sigma_hat = mn_reconstruct(design, y, k, backend=backend)
-    return ReconstructionReport(sigma_hat=sigma_hat, k=k, design=design, y=y, calibrated=calibrated)
+    stats = source.stats_for(y, kernel=getattr(backend, "kernel", None))
+    # Uniform weights take the vectorised top-k path; ragged weights rank.
+    uniform = int(k_arr.min()) == int(k_arr.max())
+    sigma_hat = MNDecoder().decode(stats, int(k_arr[0]) if uniform else k_arr)
+    return pooling, y, k_arr, sigma_hat, calibrated
 
 
-def _resolve_reconstruct_design(
-    design: "CompiledDesign | PoolingDesign | None",
-    n: int,
-    m: int,
-    store: "DesignStore | None" = None,
-) -> "CompiledDesign | None":
-    """Validate and compile an explicit ``design=`` argument (``None`` passes through)."""
-    if design is None:
-        return None
-    from repro.designs.compiled import resolve_compiled
+def _oracle_counts(results: np.ndarray) -> np.ndarray:
+    """The oracle's answers as ``int64`` counts.
 
-    compiled = resolve_compiled(design, store=store)
-    if compiled.n != n or compiled.m != m:
-        raise ValueError(f"design= has (n={compiled.n}, m={compiled.m}); this call asked for (n={n}, m={m})")
-    return compiled
+    Integral floats (``2.0``) are counts; a non-finite, non-integral,
+    negative or out-of-``int64`` answer raises instead of being truncated
+    or wrapped by the cast.
+    """
+    if results.dtype.kind not in "biu":
+        values = results.astype(np.float64)
+        if not np.isfinite(values).all():
+            raise ValueError("oracle returned a non-finite count")
+        if (values != np.rint(values)).any():
+            raise ValueError("oracle returned a non-integral count")
+        if (np.abs(values) >= 2.0**63).any():
+            raise ValueError("oracle returned a count outside the int64 range")
+    counts = results.astype(np.int64)
+    if (counts < 0).any():
+        raise ValueError("oracle returned a negative count")
+    return counts

@@ -373,14 +373,14 @@ class CompiledDesign:
         with self._block_lock:
             self._block = block
 
-    def psi(self, y: np.ndarray) -> np.ndarray:
+    def psi(self, y: np.ndarray, *, kernel: "str | None" = None) -> np.ndarray:
         """``Ψ`` for ``(m,)`` or ``(B, m)`` results — one GEMM against the block.
 
         Bit-identical to :meth:`PoolingDesign.psi` under every kernel: the
         float32 GEMM runs only while every row's ``Σ|y_b|`` is under the
         2²³ budget, so all its partial sums are exact integers and
         accumulation order cannot matter; any other batch takes the exact
-        ``design.psi`` kernel path.
+        ``design.psi`` path through ``kernel``.
         """
         y = np.asarray(y, dtype=np.int64)
         y2 = y[None, :] if y.ndim == 1 else y
@@ -388,7 +388,7 @@ class CompiledDesign:
             raise ValueError(f"y must have shape (m={self.m},) or (B, m={self.m})")
         block = self.incidence_block()
         if block is None or (self.m and float(np.abs(y2).sum(axis=1, dtype=np.float64).max()) >= _EXACT_LIMIT32):
-            psi = self.design.psi(y2)
+            psi = self.design.psi(y2, kernel=kernel)
         else:
             psi = (y2.astype(block.dtype) @ block).astype(np.int64)
         return psi if y.ndim == 2 else psi[0]
@@ -401,16 +401,18 @@ class CompiledDesign:
         """The pool batch to submit to an oracle (one array per query)."""
         return [self.design.pool(j) for j in range(self.m)]
 
-    def stats_for(self, y: np.ndarray) -> DesignStats:
+    def stats_for(self, y: np.ndarray, *, kernel: "str | None" = None) -> DesignStats:
         """:class:`DesignStats` for observed results — no streaming, no scatter.
 
         The decode-only hot path: ``Ψ`` from the resident block, ``Δ*``/``Δ``
-        precompiled.  ``y`` may be ``(m,)`` or ``(B, m)``.
+        precompiled.  ``y`` may be ``(m,)`` or ``(B, m)``; ``kernel`` runs
+        :meth:`psi`'s exact fallback.  ``Ψ``/``Δ*`` equal
+        :meth:`PoolingDesign.stats_for` on the same design.
         """
         y = np.asarray(y, dtype=np.int64)
         return DesignStats(
             y=y,
-            psi=self.psi(y),
+            psi=self.psi(y, kernel=kernel),
             dstar=self.dstar,
             delta=self.delta,
             n=self.n,

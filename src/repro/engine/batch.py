@@ -9,10 +9,10 @@ one sampled design serves a whole batch of **second-stage** signals —
 design sampling, incidence deduplication and score ranking are paid once
 and amortised over the batch.
 
-:func:`reconstruct_batch` is the batched sibling of
-:func:`~repro.core.reconstruction.reconstruct`: with matched seeds it
-returns, per signal, bit-identical results to ``B`` independent
-single-signal calls sharing the design — at a fraction of the cost.
+:func:`reconstruct_batch` and :func:`~repro.core.reconstruction.reconstruct`
+run one pipeline (``reconstruct`` is its ``B = 1`` case): with matched
+seeds every row here is bit-identical to an independent single-signal
+call sharing the design — at a fraction of the cost.
 """
 
 from __future__ import annotations
@@ -22,12 +22,9 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.core.design import DesignStats, PoolingDesign
-from repro.core.estimate import robust_calibrate_k
-from repro.core.mn import MNDecoder
-from repro.core.reconstruction import ReconstructionReport
+from repro.core.design import PoolingDesign
+from repro.core.reconstruction import ReconstructionReport, _reconstruct_pipeline
 from repro.engine.backend import Backend
-from repro.util.validation import check_positive_int, check_weight_vector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.designs.compiled import CompiledDesign
@@ -187,77 +184,11 @@ def reconstruct_batch(
     Raises
     ------
     ValueError
-        If the oracle returns the wrong shape, negative counts, or a
-        calibration result of zero / above ``n`` for any signal.
+        If the oracle returns the wrong shape, a count that is not a
+        non-negative integer, or a calibration result of zero / above
+        ``n`` for any signal.
     """
-    n = check_positive_int(n, "n")
-    m = check_positive_int(m, "m")
-    B = check_positive_int(B, "B")
-    repeats = check_positive_int(repeats, "repeats")
-    rng = rng if rng is not None else np.random.default_rng()
-
-    from repro.core.reconstruction import _resolve_reconstruct_design
-
-    compiled = _resolve_reconstruct_design(design, n, m, store=store)
-    design = compiled.design if compiled is not None else PoolingDesign.sample(n, m, rng, gamma=gamma)
-    pools = [design.pool(j) for j in range(design.m)]
-    calibrated = k is None
-    if calibrated:
-        pools.append(np.arange(n, dtype=np.int64))
-    per_replica = len(pools)
-    if repeats > 1:
-        pools = pools * repeats
-
-    results = np.asarray(oracle(pools))
-    if results.shape != (B, len(pools)):
-        raise ValueError(f"oracle returned shape {results.shape} for {B} signals x {len(pools)} pools")
-    # Replica-major view: replicas[r] is the (B, per_replica) answer to the
-    # r-th copy of the pool batch.
-    replicas = results.astype(np.int64).reshape(B, repeats, per_replica).transpose(1, 0, 2)
-    if np.any(replicas < 0):
-        raise ValueError("oracle returned a negative count")
-
-    if noise is not None:
-        from repro.noise.channel import corrupt_batch
-
-        replicas = np.stack(
-            [corrupt_batch(replicas[r], noise, noise_seed, replica=r) for r in range(repeats)]
-        )
-
-    if calibrated:
-        k_arr = np.asarray(robust_calibrate_k(replicas[:, :, -1], n=n))
-        y_reps = replicas[:, :, :-1]
-    else:
-        if np.ndim(k) == 0:
-            k_arr = np.full(B, check_positive_int(k, "k"), dtype=np.int64)
-        else:
-            k_arr = check_weight_vector(k, B)
-        y_reps = replicas
-
-    if repeats > 1:
-        from repro.noise.channel import average_replicas
-
-        y = average_replicas(y_reps)
-    else:
-        y = y_reps[0]
-
-    if compiled is not None:
-        stats = compiled.stats_for(y)
-    else:
-        kernel = getattr(backend, "kernel", None)
-        stats = DesignStats(
-            y=y,
-            psi=design.psi(y, kernel=kernel),
-            dstar=design.dstar(kernel=kernel),
-            delta=None,  # MN reads only Ψ and Δ*
-            n=n,
-            m=m,
-            gamma=design.mean_pool_size,
-        )
-    decoder = MNDecoder()
-    # Uniform weights take the vectorised top-k path; ragged weights rank.
-    if int(k_arr.min()) == int(k_arr.max()):
-        sigma_hat = decoder.decode(stats, int(k_arr[0]))
-    else:
-        sigma_hat = decoder.decode(stats, k_arr)
-    return BatchReconstructionReport(sigma_hat=sigma_hat, k=k_arr, design=design, y=y, calibrated=calibrated)
+    design_obj, y, k_arr, sigma_hat, calibrated = _reconstruct_pipeline(
+        n, m, oracle, B, k, rng, gamma, backend, noise, noise_seed, 0, repeats, design, store
+    )
+    return BatchReconstructionReport(sigma_hat=sigma_hat, k=k_arr, design=design_obj, y=y, calibrated=calibrated)

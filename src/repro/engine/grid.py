@@ -23,7 +23,7 @@ throughput and wide grids.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -112,7 +112,8 @@ def run_batched_point(
         stats = DesignStats(y=y, psi=psi, dstar=dstar, delta=None, n=design.n, m=design.m, gamma=design.mean_pool_size)
         return _point_result(design, sigmas, MNDecoder().decode(stats, k), k)
     y_clean = design.query_results(sigmas, kernel=kernel)
-    return _decode_noisy_point(design, sigmas, y_clean, k, root_seed, point_id, noise, repeats, kernel=kernel, compiled=compiled, decoder=decoder)
+    decode = _point_decoder(design, compiled, decoder, kernel)
+    return _decode_noisy_point(design, sigmas, y_clean, k, root_seed, point_id, noise, repeats, decode)
 
 
 def _point_first_stage(
@@ -165,6 +166,22 @@ def _point_first_stage(
     return design, compiled, sigmas, k
 
 
+def _point_decoder(design: PoolingDesign, compiled, decoder: str, kernel: "str | None") -> "Callable[[np.ndarray, int], np.ndarray]":
+    """The batch decode ``(y, k) -> σ̂`` a point runs for every channel.
+
+    MN reads ``Ψ``/``Δ*`` through ``stats_for`` on the compiled artifact
+    when resolved, else on the design.  A registry baseline compiles here,
+    once, and decodes through its compiled batch port ((B,m)@(m,n) GEMMs).
+    """
+    source = compiled or design
+    if decoder == "mn":
+        return lambda y, k: MNDecoder().decode(source.stats_for(y, kernel=kernel), k)
+    from repro.designs import make_decoder
+
+    compiled_dec = make_decoder(decoder).compile(source)
+    return lambda y, k: compiled_dec.decode_batch(np.asarray(y, dtype=np.float64), k)
+
+
 def _decode_noisy_point(
     design: PoolingDesign,
     sigmas: np.ndarray,
@@ -174,18 +191,16 @@ def _decode_noisy_point(
     point_id: int,
     noise: "NoiseModel | None",
     repeats: int,
-    kernel: "str | None" = None,
-    compiled=None,
-    decoder: str = "mn",
+    decode: "Callable[[np.ndarray, int], np.ndarray]",
 ) -> BatchedPointResult:
     """Corrupt + decode one batched point against precomputed first-stage data.
 
     The shared tail of :func:`run_batched_point` and
     :func:`run_batched_point_sweep`: everything signal- and
     channel-dependent happens here, everything design-dependent
-    (``design``, ``sigmas``, ``y_clean``, the optional ``compiled``
-    artifact) is paid by the caller — once per point, or once per whole
-    level sweep.
+    (``design``, ``sigmas``, ``y_clean``, the ``decode`` from
+    :func:`_point_decoder`) is paid by the caller — once per point, or
+    once per whole level sweep.
     """
     if noise is None:
         y = y_clean
@@ -199,26 +214,7 @@ def _decode_noisy_point(
             ]
         )
         y = average_replicas(replicas) if repeats > 1 else replicas[0]
-    if decoder != "mn":
-        # Registry baselines decode the same batch through their compiled
-        # ports ((B,m)@(m,n) GEMMs); the artifact is reused when resolved.
-        from repro.designs import make_decoder
-
-        compiled_dec = make_decoder(decoder).compile(compiled if compiled is not None else design)
-        return _point_result(design, sigmas, compiled_dec.decode_batch(np.asarray(y, dtype=np.float64), k), k)
-    if compiled is not None:
-        stats = compiled.stats_for(y)
-    else:
-        stats = DesignStats(
-            y=y,
-            psi=design.psi(y, kernel=kernel),
-            dstar=design.dstar(kernel=kernel),
-            delta=None,  # MN reads only Ψ and Δ*
-            n=design.n,
-            m=design.m,
-            gamma=design.mean_pool_size,
-        )
-    return _point_result(design, sigmas, MNDecoder().decode(stats, k), k)
+    return _point_result(design, sigmas, decode(y, k), k)
 
 
 def _point_result(design: PoolingDesign, sigmas: np.ndarray, sigma_hat: np.ndarray, k: int) -> BatchedPointResult:
@@ -252,7 +248,8 @@ def run_batched_point_sweep(
 
     All ``models`` see the *same* design, signals and clean query results
     (sampled once — the two-stage amortisation that makes noisy scenario
-    sweeps cheap); only corruption + decode run per model.  Element ``i``
+    sweeps cheap), and a baseline ``decoder`` compiles once; only
+    corruption + decode run per model.  Element ``i``
     is bit-identical to ``run_batched_point(..., noise=models[i])``, and
     since corruption streams are keyed by trial id, not by model, a level
     sweep of one channel family is a paired (common-random-numbers)
@@ -261,10 +258,8 @@ def run_batched_point_sweep(
     repeats = check_positive_int(repeats, "repeats")
     design, compiled, sigmas, k = _point_first_stage(n, m, theta, k, trials, root_seed, point_id, gamma, store)
     y_clean = design.query_results(sigmas, kernel=kernel)
-    return [
-        _decode_noisy_point(design, sigmas, y_clean, k, root_seed, point_id, model, repeats, kernel=kernel, compiled=compiled, decoder=decoder)
-        for model in models
-    ]
+    decode = _point_decoder(design, compiled, decoder, kernel)
+    return [_decode_noisy_point(design, sigmas, y_clean, k, root_seed, point_id, model, repeats, decode) for model in models]
 
 
 #: Worker-cache slot holding each worker's :class:`DesignStore` handle.

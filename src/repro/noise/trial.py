@@ -3,18 +3,16 @@
 :func:`run_noisy_mn_trial` is the noisy-channel sibling of
 :func:`~repro.core.mn.run_mn_trial`: one signal, one materialised design,
 results corrupted *before* decoding — the decoder sees only the corrupted
-world, exactly as a lab would.  It now also hosts the baseline comparison
-hooks (``decoder="lp" | "omp" | "amp" | "comp" | "dd"``): every baseline
-consumes the same corrupted results through the same design, so the
-comparison isolates how each estimator copes with the channel rather than
-how it samples.
+world, exactly as a lab would.  ``decoder`` names any registry decoder
+(:func:`~repro.designs.make_decoder`): every baseline consumes the same
+corrupted results through the same design, so the comparison isolates how
+each estimator copes with the channel rather than how it samples.  MN
+decodes through the design's ``stats_for(y)``, compiled or materialised.
 
-Stream layout is unchanged from the original single-trial harness
-(``SeedSequence`` spawn key ``(941, trial)``, three child streams for
-signal / design / noise), so results with default arguments are
-bit-identical across the refactor; ``repeats`` draws further corruptions
-from the same noise stream, making ``repeats=1`` the historical behaviour
-rather than a special case.
+Streams: ``SeedSequence`` spawn key ``(941, trial)`` with three child
+streams for signal / design / noise; ``repeats`` draws further
+corruptions from the same noise stream, so ``repeats=1`` is the plain
+single-corruption trial rather than a special case.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.design import PoolingDesign
-from repro.core.mn import MNDecoder, MNTrialResult, mn_reconstruct
+from repro.core.mn import MNDecoder, MNTrialResult
 from repro.core.signal import exact_recovery, overlap_fraction, random_signal, theta_to_k
 from repro.noise.channel import average_replicas
 from repro.noise.models import NoiseModel
@@ -39,20 +37,6 @@ __all__ = ["run_noisy_mn_trial", "NOISY_TRIAL_SPAWN_TAG"]
 #: Historical spawn-key tag of the single-trial noisy harness (kept stable
 #: so archived robustness sweeps stay reproducible).
 NOISY_TRIAL_SPAWN_TAG = 941
-
-#: Decoders runnable against the corrupted results.  Baselines are
-#: imported lazily (scipy) and only when requested.
-_DECODERS = ("mn", "lp", "omp", "amp", "comp", "dd")
-
-
-def _decode(decoder: str, design: "PoolingDesign | CompiledDesign", y: np.ndarray, k: int) -> np.ndarray:
-    if decoder == "mn":
-        return mn_reconstruct(design, y, k)
-    if decoder in _DECODERS:
-        from repro.designs import make_decoder
-
-        return make_decoder(decoder).compile(design).decode(y, k)
-    raise ValueError(f"unknown decoder {decoder!r}; expected one of {_DECODERS}")
 
 
 def run_noisy_mn_trial(
@@ -81,16 +65,17 @@ def run_noisy_mn_trial(
     noise:
         The channel model.
     decoder:
-        ``"mn"`` (default), or a noisy comparison hook: ``"lp"``
-        (box-constrained basis pursuit), ``"omp"`` (centred OMP),
-        ``"amp"`` (Bernoulli-prior AMP), or the binary group-testing
-        decoders ``"comp"``/``"dd"`` (which binarise the counts to OR
-        observations) — identical signal, design and corrupted results,
-        different estimator.
+        ``"mn"`` (default), or any other registry name
+        (:func:`~repro.designs.make_decoder`, which rejects unknown ones
+        before the trial runs): ``"lp"`` (box-constrained basis pursuit),
+        ``"omp"`` (centred OMP), ``"amp"`` (Bernoulli-prior AMP), or the
+        binary group-testing decoders ``"comp"``/``"dd"`` (which binarise
+        the counts to OR observations) — identical signal, design and
+        corrupted results, different estimator.
     repeats:
         Repeat-query averaging: corrupt ``repeats`` independent replicas
-        of the results and decode their rounded mean.  ``repeats=1``
-        reproduces the historical single-corruption behaviour bit for bit.
+        of the results and decode their rounded mean.  ``repeats=1`` is the
+        single-corruption trial.
     design:
         A precompiled design to reuse instead of sampling one from this
         trial's design stream (must match ``n``/``m``).  The signal and
@@ -106,6 +91,9 @@ def run_noisy_mn_trial(
     n = check_positive_int(n, "n")
     check_positive_int(m, "m")
     repeats = check_positive_int(repeats, "repeats")
+    from repro.designs import make_decoder
+
+    baseline = None if decoder == "mn" else make_decoder(decoder)
     if (theta is None) == (k is None):
         raise ValueError("provide exactly one of theta or k")
     if k is None:
@@ -141,12 +129,12 @@ def run_noisy_mn_trial(
     y_clean = design_obj.query_results(sigma)
     replicas = np.stack([noise.corrupt(y_clean, noise_rng) for _ in range(repeats)])
     y_noisy = average_replicas(replicas)
-    if decoder == "mn" and compiled is not None:
-        sigma_hat = MNDecoder().decode(compiled.stats_for(y_noisy), k)
+    # Decoders read the already-resolved artifact, so a store hit is reused.
+    source = compiled or design_obj
+    if baseline is None:
+        sigma_hat = MNDecoder().decode(source.stats_for(y_noisy), k)
     else:
-        # Registry decoders compile against the already-resolved artifact,
-        # so the store hit is reused rather than re-deriving Ψ.
-        sigma_hat = _decode(decoder, compiled if compiled is not None else design_obj, y_noisy, k)
+        sigma_hat = baseline.compile(source).decode(y_noisy, k)
     return MNTrialResult(
         n=n,
         k=k,

@@ -201,6 +201,62 @@ class TestCompiledDesign:
             compiled.psi(np.zeros(M + 1, dtype=np.int64))
 
 
+def _mn_input_designs():
+    """A ragged hand-built design and a sampled regular one, with a signal and its weight."""
+    fig1, fig1_sigma = PoolingDesign.fig1_example()
+    sampled = PoolingDesign.sample(120, 40, np.random.default_rng(3))
+    return {"fig1": (fig1, fig1_sigma), "sampled": (sampled, random_signal(120, 4, np.random.default_rng(5)))}
+
+
+class TestStatsForBothForms:
+    """Both design forms turn observed results into the same MN inputs."""
+
+    @pytest.mark.parametrize("kernel", ["dense", "dense32", "legacy"])
+    @pytest.mark.parametrize("which", ["fig1", "sampled"])
+    def test_equal_psi_and_dstar(self, which, kernel):
+        design, _ = _mn_input_designs()[which]
+        compiled = CompiledDesign(design)
+        rng = np.random.default_rng(8)
+        for y in (rng.integers(0, 30, size=design.m), rng.integers(0, 30, size=(4, design.m))):
+            materialised = design.stats_for(y, kernel=kernel)
+            via_block = compiled.stats_for(y, kernel=kernel)
+            assert materialised.psi.shape == y.shape[:-1] + (design.n,)
+            assert np.array_equal(materialised.psi, via_block.psi)
+            assert np.array_equal(materialised.dstar, via_block.dstar)
+            assert materialised.delta is None
+
+    @pytest.mark.parametrize("which", ["fig1", "sampled"])
+    def test_over_budget_fallback_runs_the_callers_kernel(self, which, monkeypatch):
+        from repro.kernels import legacy
+
+        design, _ = _mn_input_designs()[which]
+        compiled = CompiledDesign(design)
+        assert compiled.incidence_block() is not None
+        monkeypatch.setenv("REPRO_KERNEL", "dense")
+        seen = []
+        original = legacy.materialised_psi
+
+        def spy(design_arg, y2, **kwargs):
+            seen.append(y2.shape)
+            return original(design_arg, y2, **kwargs)
+
+        monkeypatch.setattr(legacy, "materialised_psi", spy)
+        y = np.zeros((2, design.m), dtype=np.int64)
+        y[:, 0] = 2**23  # Σ|y| at the float32 budget: the exact path runs
+        got = compiled.stats_for(y, kernel="legacy")
+        assert seen == [(2, design.m)]
+        assert np.array_equal(got.psi, design.stats_for(y, kernel="dense").psi)
+
+    @pytest.mark.parametrize("which", ["fig1", "sampled"])
+    def test_mn_reconstruct_takes_either_form(self, which):
+        design, sigma = _mn_input_designs()[which]
+        k = int(sigma.sum())
+        compiled = CompiledDesign(design)
+        sigmas = np.stack([sigma, np.roll(sigma, 1)])
+        for y in (design.query_results(sigma), design.query_results(sigmas)):
+            assert np.array_equal(mn_reconstruct(compiled, y, k), mn_reconstruct(design, y, k))
+
+
 class TestBlockDtype:
     """The one float32 Ψ block on CompiledDesign and its per-call exactness guard."""
 

@@ -169,6 +169,34 @@ class TestPhaseDiagram:
             assert np.array_equal(r.success, single.success)
             assert np.array_equal(r.overlap, single.overlap)
 
+    def test_omp_sweep_matches_per_level_points(self):
+        from repro.engine.grid import run_batched_point, run_batched_point_sweep
+
+        models = [None, GaussianNoise(1.0), DropoutNoise(0.2)]
+        sweep = run_batched_point_sweep(N, M, models, theta=0.2, trials=TRIALS, root_seed=SEED, decoder="omp")
+        for model, r in zip(models, sweep):
+            single = run_batched_point(N, M, theta=0.2, trials=TRIALS, root_seed=SEED, noise=model, decoder="omp")
+            assert np.array_equal(r.success, single.success)
+            assert np.array_equal(r.overlap, single.overlap)
+
+    def test_sweep_compiles_a_baseline_once_per_point(self, monkeypatch):
+        """A baseline sweep compiles its one design once, not once per noise model."""
+        from repro.designs import compiled as compiled_mod
+        from repro.engine.grid import run_batched_point_sweep
+
+        monkeypatch.delenv("REPRO_DESIGN_STORE", raising=False)
+        compiles = []
+        original = compiled_mod.compile_design
+
+        def counting_compile(design, **kwargs):
+            compiles.append(design)
+            return original(design, **kwargs)
+
+        monkeypatch.setattr(compiled_mod, "compile_design", counting_compile)
+        models = [GaussianNoise(x) for x in (0.0, 0.5, 1.0, 2.0)]
+        run_batched_point_sweep(N, M, models, theta=0.2, trials=TRIALS, root_seed=SEED, decoder="omp")
+        assert len(compiles) == 1
+
     def test_common_random_numbers_pair_levels(self):
         """All levels of one θ share design and signals (paired comparison)."""
         a = run_fignoise(

@@ -1,10 +1,13 @@
 """Tests for the one-call reconstruction facade."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.core.reconstruction import reconstruct
-from repro.core.signal import random_signal
+from repro.core.signal import random_signal, random_signals
+from repro.engine import reconstruct_batch, signals_oracle
 
 
 def _oracle_for(sigma):
@@ -104,3 +107,43 @@ class TestReconstruct:
 
         again = mn_reconstruct(report.design, report.y, report.k)
         assert np.array_equal(again, report.sigma_hat)
+
+
+def _single_answering(answer):
+    return reconstruct(50, 10, lambda pools: [answer] * len(pools), k=2, rng=np.random.default_rng(0))
+
+
+def _batch_answering(answer):
+    return reconstruct_batch(50, 10, lambda pools: np.full((3, len(pools)), answer), 3, k=2, rng=np.random.default_rng(0))
+
+
+FACADES = {"reconstruct": _single_answering, "reconstruct_batch": _batch_answering}
+
+
+class TestOracleCounts:
+    """Both facades take only non-negative integer counts from the oracle."""
+
+    @pytest.mark.parametrize("facade", FACADES)
+    @pytest.mark.parametrize(
+        "answer, match",
+        [
+            (2.7, "non-integral"),
+            (-0.5, "non-integral"),
+            (np.nan, "non-finite"),
+            (np.inf, "non-finite"),
+            (1e30, "int64 range"),
+        ],
+    )
+    def test_rejects_answers_that_are_not_counts(self, facade, answer, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no cast warning on the way to the error
+            with pytest.raises(ValueError, match=match):
+                FACADES[facade](answer)
+
+    def test_integral_float_answers_are_counts(self):
+        sigmas = random_signals(200, 3, 3, np.random.default_rng(12))
+        ints = signals_oracle(sigmas)
+        batch = reconstruct_batch(200, 120, lambda pools: ints(pools).astype(np.float64), 3, rng=np.random.default_rng(1))
+        assert np.array_equal(batch.sigma_hat, sigmas)
+        single = reconstruct(200, 120, lambda pools: [float(sigmas[0][p].sum()) for p in pools], rng=np.random.default_rng(1))
+        assert np.array_equal(single.sigma_hat, sigmas[0])
