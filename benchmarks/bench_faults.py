@@ -192,8 +192,7 @@ class TestBreakerRecovery:
             set_ambient_plan(FaultPlan.parse("serve.decode:exception@1"))
             try:
                 coalescer = Coalescer(
-                    DecoderPool(MNDecoder()),
-                    window_s=0.0,
+                    DecoderPool({"mn": MNDecoder()}),
                     max_batch=1,
                     decode_retries=0,
                     breaker_threshold=1,

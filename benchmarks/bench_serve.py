@@ -9,10 +9,9 @@ clients spread over up to 4 OS processes (scaled to the cores actually
 available), so the load generator's own JSON/event-loop CPU competes as
 little as possible with the server under test:
 
-* **window sweep** — the 64-client load against four
-  ``--batch-window-ms`` settings; per-request p50/p99 latency and
-  aggregate throughput recorded per window, showing what an extra wait
-  at an idle bucket adds on top of the batches the decode lane forms.
+* **coalesced** — the 64-client load against a server at its default
+  settings, where micro-batches form at the decode lane (the only place
+  they form); per-request p50/p99 latency and aggregate throughput.
 * **sequential baseline** — one client process with one request
   outstanding at a time, so no request ever finds company in its bucket:
   what the same server does when coalescing can never happen.
@@ -35,7 +34,7 @@ import numpy as np
 from repro.core.mn import mn_reconstruct
 from repro.core.signal import random_signals
 from repro.designs import DesignKey, DesignStore, compile_from_key
-from repro.serve import ServeConfig
+
 
 def _cores() -> int:
     try:
@@ -50,7 +49,6 @@ K = 16
 CLIENTS = 64
 CLIENT_PROCS = min(4, _cores())
 PER_CLIENT = 6
-WINDOWS_MS = (0.0, 8.0, 16.0, 32.0)
 SEED = 2022
 
 KEY = DesignKey.for_stream(N, M, root_seed=SEED, batch_queries=256)
@@ -111,12 +109,11 @@ def _env() -> dict:
     return env
 
 
-def _spawn_server(store_root: Path, window_ms: float):
+def _spawn_server(store_root: Path):
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro.cli", "serve",
             "--port", "0",
-            "--batch-window-ms", str(window_ms),
             "--max-batch", str(CLIENTS),
             "--store", str(store_root),
         ],
@@ -176,7 +173,7 @@ def _drive(host: str, port: int, procs: int, clients_per_proc: int, per_client: 
 
 
 class TestServeLoad:
-    def test_window_sweep_vs_sequential(self, benchmark, repro_seed, tmp_path):
+    def test_coalesced_vs_sequential(self, benchmark, repro_seed, tmp_path):
         store_root = tmp_path / "store"
         compiled = DesignStore(store_root).get_or_compile(KEY, lambda: compile_from_key(KEY))
 
@@ -189,36 +186,25 @@ class TestServeLoad:
         clients_per_proc = CLIENTS // CLIENT_PROCS
 
         # Sequential baseline: one request outstanding, so nothing to coalesce with.
-        proc, host, port = _spawn_server(store_root, window_ms=0.0)
+        proc, host, port = _spawn_server(store_root)
         try:
             sequential = _drive(host, port, procs=1, clients_per_proc=1, per_client=2 * CLIENTS, data_path=data_path)
         finally:
             sequential["drain"] = _stop_server(proc)
 
-        sweep = {}
-        for window_ms in WINDOWS_MS:
-            proc, host, port = _spawn_server(store_root, window_ms=window_ms)
-            try:
-                result = _drive(host, port, CLIENT_PROCS, clients_per_proc, PER_CLIENT, data_path)
-            finally:
-                result["drain"] = _stop_server(proc)
-            sweep[window_ms] = result
-
-        best_window = max(sweep, key=lambda w: sweep[w]["throughput_rps"])
-        speedup = sweep[best_window]["throughput_rps"] / sequential["throughput_rps"]
-
-        # The tracked wall-time record: one concurrent burst at the default
-        # window against a live warm server (boot cost excluded).
-        proc, host, port = _spawn_server(store_root, window_ms=ServeConfig().batch_window_ms)
+        # The tracked wall-time record: one concurrent burst against a live
+        # warm server (boot cost excluded), batches formed at the decode lane.
+        proc, host, port = _spawn_server(store_root)
         try:
-            benchmark.pedantic(
+            coalesced = benchmark.pedantic(
                 lambda: _drive(host, port, CLIENT_PROCS, clients_per_proc, PER_CLIENT, data_path),
                 rounds=1,
                 iterations=1,
             )
         finally:
-            _stop_server(proc)
+            coalesced["drain"] = _stop_server(proc)
 
+        speedup = coalesced["throughput_rps"] / sequential["throughput_rps"]
         benchmark.extra_info.update(
             {
                 "n": N,
@@ -229,18 +215,17 @@ class TestServeLoad:
                 "per_client": PER_CLIENT,
                 "backend": "subprocess-serve",
                 "sequential": sequential,
-                "windows_ms": {str(w): sweep[w] for w in WINDOWS_MS},
-                "best_window_ms": best_window,
+                "coalesced": coalesced,
                 "speedup_vs_sequential_x": round(speedup, 2),
             }
         )
 
-        rows = [f"  sequential        : {sequential['throughput_rps']:8.1f} req/s  p50 {sequential['p50_ms']:7.2f}ms  p99 {sequential['p99_ms']:7.2f}ms"]
-        for w in WINDOWS_MS:
-            r = sweep[w]
-            rows.append(f"  window {w:4.1f}ms x{CLIENTS} : {r['throughput_rps']:8.1f} req/s  p50 {r['p50_ms']:7.2f}ms  p99 {r['p99_ms']:7.2f}ms  [{r['drain']}]")
+        rows = [
+            f"  {label:<10}: {r['throughput_rps']:8.1f} req/s  p50 {r['p50_ms']:7.2f}ms  p99 {r['p99_ms']:7.2f}ms  [{r['drain']}]"
+            for label, r in (("sequential", sequential), (f"x{CLIENTS}", coalesced))
+        ]
         print(f"\nserve load (n={N}, m={M}, k={K}, {CLIENT_PROCS} client procs):\n" + "\n".join(rows))
-        print(f"  best window {best_window}ms -> {speedup:.1f}x sequential throughput")
+        print(f"  coalesced -> {speedup:.1f}x sequential throughput")
 
         # The serve PR's acceptance contract: coalescing pays >= 3x at 64 clients.
         assert speedup >= 3.0

@@ -6,7 +6,7 @@ split into the library's unified compile/decode lifecycle
 
 * a frozen-dataclass **Decoder** (:class:`LPDecoder`, :class:`OMPDecoder`,
   :class:`AMPDecoder`, :class:`COMPDecoder`, :class:`DDDecoder`) whose
-  ``compile(design)`` hoists all signal-independent ``O(m·n)`` work — dense
+  ``compile(compiled)`` hoists all signal-independent ``O(m·n)`` work — dense
   counts materialisation (:meth:`~repro.designs.compiled.CompiledDesign.counts_block`),
   centring constants, OMP's column norms — into
 * a **Compiled** artifact (:class:`CompiledLPDecoder`, …) whose
@@ -46,9 +46,11 @@ Parity contract (asserted by ``tests/test_decoders.py``): single-signal
   float GEMMs are precision-pinned to float64 so results do not depend on
   ``REPRO_KERNEL``.
 
-Compiled artifacts derive entirely from a :class:`CompiledDesign`, obtained
-through the store lookup exactly like the MN path.  Only the compiled design
-is persisted; the counts block is rebuilt once per process and is not in
+Compiled artifacts derive entirely from the :class:`CompiledDesign` they
+bind; a key or a materialised design is resolved to one (through the store,
+when there is one) by :func:`~repro.designs.compiled.resolve_compiled`
+first, exactly like the MN path.  Only the compiled design is persisted;
+the counts block is rebuilt once per process and is not in
 ``CompiledDesign.nbytes``.
 """
 
@@ -67,13 +69,11 @@ from repro.baselines.centring import (
     pool_gamma,
     pool_variance,
 )
-from repro.designs.compiled import resolve_compiled
+from repro.designs.protocol import require_compiled
 from repro.util.validation import check_positive_int, check_weight_vector
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.designs.compiled import CompiledDesign, DesignKey
-    from repro.designs.store import DesignStore
-    from repro.core.design import PoolingDesign
+    from repro.designs.compiled import CompiledDesign
 
 __all__ = [
     "LPDecoder",
@@ -144,7 +144,7 @@ class _CompiledBaseline:
     """
 
     def __init__(self, compiled: "CompiledDesign", decoder):
-        self.compiled = compiled
+        self.compiled = require_compiled(compiled)
         self.decoder = decoder
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -160,14 +160,9 @@ class _CompiledBaseline:
 class LPDecoder:
     """Basis-pursuit decoder in compile/decode form (see :mod:`repro.baselines.lp`)."""
 
-    def compile(
-        self,
-        design: "CompiledDesign | PoolingDesign | DesignKey",
-        *,
-        store: "DesignStore | None" = None,
-    ) -> "CompiledLPDecoder":
+    def compile(self, compiled: "CompiledDesign") -> "CompiledLPDecoder":
         """Hoist the dense counts matrix; every decode is then LP-only."""
-        return CompiledLPDecoder(resolve_compiled(design, store=store), self)
+        return CompiledLPDecoder(compiled, self)
 
 
 class CompiledLPDecoder(_CompiledBaseline):
@@ -223,14 +218,9 @@ class CompiledLPDecoder(_CompiledBaseline):
 class OMPDecoder:
     """Centred-OMP decoder in compile/decode form (see :mod:`repro.baselines.omp`)."""
 
-    def compile(
-        self,
-        design: "CompiledDesign | PoolingDesign | DesignKey",
-        *,
-        store: "DesignStore | None" = None,
-    ) -> "CompiledOMPDecoder":
+    def compile(self, compiled: "CompiledDesign") -> "CompiledOMPDecoder":
         """Hoist the counts block and centred column norms; decodes pay greedy rounds only."""
-        return CompiledOMPDecoder(resolve_compiled(design, store=store), self)
+        return CompiledOMPDecoder(compiled, self)
 
 
 class CompiledOMPDecoder(_CompiledBaseline):
@@ -323,14 +313,9 @@ class AMPDecoder:
         if not (np.isfinite(self.tol) and self.tol >= 0):
             raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
 
-    def compile(
-        self,
-        design: "CompiledDesign | PoolingDesign | DesignKey",
-        *,
-        store: "DesignStore | None" = None,
-    ) -> "CompiledAMPDecoder":
+    def compile(self, compiled: "CompiledDesign") -> "CompiledAMPDecoder":
         """Hoist the counts block and the standardising constants; decodes pay iterations only."""
-        return CompiledAMPDecoder(resolve_compiled(design, store=store), self)
+        return CompiledAMPDecoder(compiled, self)
 
 
 class CompiledAMPDecoder(_CompiledBaseline):
@@ -494,25 +479,15 @@ class CompiledGTDecoder(_CompiledBaseline):
 class COMPDecoder:
     """COMP decoder in compile/decode form (see :mod:`repro.baselines.bin_gt`)."""
 
-    def compile(
-        self,
-        design: "CompiledDesign | PoolingDesign | DesignKey",
-        *,
-        store: "DesignStore | None" = None,
-    ) -> CompiledGTDecoder:
+    def compile(self, compiled: "CompiledDesign") -> CompiledGTDecoder:
         """Bind to the design's resident incidence block; decodes are two integer products."""
-        return CompiledGTDecoder(resolve_compiled(design, store=store), self, definite_defectives=False)
+        return CompiledGTDecoder(compiled, self, definite_defectives=False)
 
 
 @dataclass(frozen=True)
 class DDDecoder:
     """DD decoder in compile/decode form (see :mod:`repro.baselines.bin_gt`)."""
 
-    def compile(
-        self,
-        design: "CompiledDesign | PoolingDesign | DesignKey",
-        *,
-        store: "DesignStore | None" = None,
-    ) -> CompiledGTDecoder:
+    def compile(self, compiled: "CompiledDesign") -> CompiledGTDecoder:
         """Bind to the design's resident incidence block; decodes are three integer products."""
-        return CompiledGTDecoder(resolve_compiled(design, store=store), self, definite_defectives=True)
+        return CompiledGTDecoder(compiled, self, definite_defectives=True)

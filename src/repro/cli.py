@@ -201,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--port", type=int, default=0, help="TCP port (0 = ephemeral; the bound port is printed on startup)")
     # Every tuning flag defaults to None: an omitted flag keeps its
     # ServeConfig field default, the one place those defaults live.
-    ps.add_argument("--batch-window-ms", type=float, default=None, help="extra wait for company at a design key with no batch in flight (batches form at the decode lane)")
     ps.add_argument("--max-batch", type=int, default=None, help="largest micro-batch; a full bucket dispatches at once")
     ps.add_argument(
         "--max-queue",
@@ -209,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="admission bound on pending requests; beyond it requests get a structured 'overloaded' error",
     )
-    ps.add_argument("--timeout-ms", type=float, default=None, help="per-request deadline, queueing and window wait included")
+    ps.add_argument("--timeout-ms", type=float, default=None, help="per-request deadline, queueing included")
     ps.add_argument("--max-designs", type=int, default=None, help="LRU capacity of attached decoders (designs served concurrently)")
     ps.add_argument("--breaker-threshold", type=int, default=None, help="consecutive batch failures that open a key's circuit breaker")
     ps.add_argument("--breaker-cooldown-ms", type=float, default=None, help="open-breaker cooldown before a half-open probe")

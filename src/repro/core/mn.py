@@ -32,7 +32,7 @@ from repro.rng.streams import batch_generator
 from repro.util.validation import check_positive_int, check_weight_vector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine builds on core)
-    from repro.designs.compiled import CompiledDesign, DesignKey
+    from repro.designs.compiled import CompiledDesign
     from repro.designs.store import DesignStore
     from repro.designs.serving import CompiledMNDecoder
     from repro.engine.backend import Backend
@@ -126,31 +126,22 @@ class MNDecoder:
         sigma_hat[rows, order[:, :kmax][take]] = 1
         return sigma_hat
 
-    def compile(
-        self,
-        design: "CompiledDesign | PoolingDesign | DesignKey",
-        *,
-        store: "DesignStore | None" = None,
-    ) -> "CompiledMNDecoder":
+    def compile(self, compiled: "CompiledDesign") -> "CompiledMNDecoder":
         """Bind this decoder to a compiled design for decode-only serving.
 
-        Accepts a ready :class:`~repro.designs.compiled.CompiledDesign`, a
-        materialised :class:`PoolingDesign` (compiled content-addressed), or
-        a :class:`~repro.designs.compiled.DesignKey` (design regenerated
-        from the key).  With ``store=`` (or the ambient
-        ``REPRO_DESIGN_STORE``), the file-backed cross-process store is
-        consulted first, so a key any process on the machine already
-        compiled mmap-attaches instead of recompiling.
+        Takes a :class:`~repro.designs.compiled.CompiledDesign`; resolve a
+        key or a materialised design first with
+        :func:`~repro.designs.compiled.resolve_compiled` (``store=`` makes a
+        key any process on the machine already compiled mmap-attach).
 
         The returned :class:`~repro.designs.serving.CompiledMNDecoder`
         exposes ``decode(y, k)`` / ``decode_batch(Y, k)`` — the hot path
         that skips design sampling and streaming entirely, bit-identical
         to the one-shot routes.
         """
-        from repro.designs.compiled import resolve_compiled
         from repro.designs.serving import CompiledMNDecoder
 
-        return CompiledMNDecoder(resolve_compiled(design, store=store), self)
+        return CompiledMNDecoder(compiled, self)
 
     def rank_entries(self, stats: DesignStats, k: int) -> np.ndarray:
         """Full score ranking — the literal Lines 7–9 of Algorithm 1.

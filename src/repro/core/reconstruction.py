@@ -129,10 +129,12 @@ def reconstruct(
     design:
         Deploy-time design reuse: a
         :class:`~repro.designs.compiled.CompiledDesign` (or a materialised
-        :class:`PoolingDesign`, compiled on the spot) to query instead of
-        sampling a fresh one — ``rng``/``gamma`` are then unused and the
-        decode consumes the precompiled ``Δ*``/``Ψ`` artifacts.  Results
-        are bit-identical to a one-shot call that sampled this same design.
+        :class:`PoolingDesign`) to query instead of sampling a fresh one —
+        ``rng``/``gamma`` are then unused and the decode consumes the
+        precompiled ``Δ*``/``Ψ`` artifacts.  A materialised design with no
+        store decodes from its own ``Ψ``/``Δ*``, without compiling.
+        Results are bit-identical to a one-shot call that sampled this
+        same design.
     store:
         A :class:`~repro.designs.store.DesignStore` — the file-backed,
         cross-process store: the compiled form of ``design``
@@ -202,11 +204,17 @@ def _reconstruct_pipeline(
         source = pooling = PoolingDesign.sample(n, m, rng if rng is not None else np.random.default_rng(), gamma=gamma)
     else:
         from repro.designs.compiled import resolve_compiled
+        from repro.designs.store import resolve_design_store
 
-        source = resolve_compiled(design, store=store)
+        if isinstance(design, PoolingDesign) and resolve_design_store(store) is None:
+            # Nothing to publish to: the design's own Ψ/Δ* are the
+            # compiled ones, so compiling it would buy this call nothing.
+            source = pooling = design
+        else:
+            source = resolve_compiled(design, store=store)
+            pooling = source.design
         if source.n != n or source.m != m:
             raise ValueError(f"design= has (n={source.n}, m={source.m}); this call asked for (n={n}, m={m})")
-        pooling = source.design
     pools = [pooling.pool(j) for j in range(m)]
     if calibrated:
         pools.append(np.arange(n, dtype=np.int64))

@@ -445,13 +445,13 @@ def resolve_compiled(
     *,
     store: "DesignStore | None" = None,
 ) -> CompiledDesign:
-    """Resolve any design form a ``Decoder.compile`` accepts into an artifact.
+    """Resolve a key or a design into the artifact a ``Decoder.compile`` binds.
 
-    The one layered front door (**store → compile**) for every decoder
-    implementation (MN and the compiled baselines alike) and every core
-    entry point: a ready :class:`CompiledDesign` passes through, a
-    :class:`DesignKey` regenerates via :func:`compile_from_key`, and a
-    materialised :class:`~repro.core.design.PoolingDesign` compiles
+    The one layered front door (**store → compile**): the serve pool
+    resolves each key it admits here, and so does every core entry point
+    taking ``design=``/``store=``.  A ready :class:`CompiledDesign` passes
+    through, a :class:`DesignKey` regenerates via :func:`compile_from_key`,
+    and a materialised :class:`~repro.core.design.PoolingDesign` compiles
     content-addressed via :func:`compile_design`.  ``store`` resolves
     through the ambient ``REPRO_DESIGN_STORE``; with a store, a hit
     mmap-attaches and a miss compiles once machine-wide and publishes.

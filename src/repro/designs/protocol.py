@@ -9,12 +9,12 @@ pair so that layers above the decoders — the serve front-end
 (:mod:`repro.serve`), benchmarks, future baseline ports — type against
 the seam instead of against :class:`~repro.core.mn.MNDecoder` concretely:
 
-* :class:`Decoder` — a configured algorithm; ``compile(design, *,
-  store=)`` accepts a :class:`~repro.designs.compiled.CompiledDesign`,
-  a :class:`~repro.core.design.PoolingDesign` or a
-  :class:`~repro.designs.compiled.DesignKey` and returns a
-  :class:`CompiledDecoder`, consulting the
-  :class:`~repro.designs.store.DesignStore` when given;
+* :class:`Decoder` — a configured algorithm; ``compile(compiled)`` binds
+  a :class:`~repro.designs.compiled.CompiledDesign` and returns a
+  :class:`CompiledDecoder`.  A key or a materialised design is resolved
+  first, through the store when there is one, by
+  :func:`~repro.designs.compiled.resolve_compiled` — the one store-aware
+  resolver, so ``compile(resolve_compiled(key, store=store))``;
 * :class:`CompiledDecoder` — the artifact bound to one design;
   ``decode(y, k)`` serves a single ``(m,)`` result vector and
   ``decode_batch(Y, k)`` a ``(B, m)`` micro-batch (``k`` scalar or
@@ -30,10 +30,15 @@ be checked with a plain ``isinstance``:
 >>> from repro.designs import CompiledDecoder, Decoder
 >>> isinstance(MNDecoder(), Decoder)
 True
->>> from repro.designs import DesignKey
->>> compiled = MNDecoder().compile(DesignKey.for_stream(64, 12, root_seed=0))
+>>> from repro.designs import DesignKey, resolve_compiled
+>>> key, store = DesignKey.for_stream(64, 12, root_seed=0), None
+>>> compiled = MNDecoder().compile(resolve_compiled(key, store=store))
 >>> isinstance(compiled, CompiledDecoder)
 True
+>>> MNDecoder().compile(key)
+Traceback (most recent call last):
+...
+TypeError: cannot compile a DesignKey: Decoder.compile binds a CompiledDesign; resolve it first with resolve_compiled(design, store=...)
 
 The decode contract the serve layer relies on: for one
 :class:`CompiledDecoder`, ``decode_batch(Y, k)[b]`` is bit-identical to
@@ -43,16 +48,13 @@ ever change *when* work runs, never what any caller gets back.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.core.design import PoolingDesign
-    from repro.designs.compiled import CompiledDesign, DesignKey
-    from repro.designs.store import DesignStore
+from repro.designs.compiled import CompiledDesign
 
-__all__ = ["Decoder", "CompiledDecoder"]
+__all__ = ["Decoder", "CompiledDecoder", "require_compiled"]
 
 
 @runtime_checkable
@@ -76,11 +78,21 @@ class CompiledDecoder(Protocol):
 class Decoder(Protocol):
     """A configured reconstruction algorithm, pre-compilation."""
 
-    def compile(
-        self,
-        design: "CompiledDesign | PoolingDesign | DesignKey",
-        *,
-        store: "DesignStore | None" = None,
-    ) -> CompiledDecoder:
-        """Bind to a design (store read-through) for decode-only serving."""
+    def compile(self, compiled: CompiledDesign) -> CompiledDecoder:
+        """Bind to a compiled design for decode-only serving."""
         ...  # pragma: no cover - protocol stub
+
+
+def require_compiled(design: object) -> CompiledDesign:
+    """``design`` if it is a :class:`~repro.designs.compiled.CompiledDesign`.
+
+    The one argument check behind every ``Decoder.compile``: the compiled
+    artifacts of all families call it when they bind.  Any other form
+    raises :class:`TypeError` naming the resolver that turns it into one.
+    """
+    if not isinstance(design, CompiledDesign):
+        raise TypeError(
+            f"cannot compile a {type(design).__name__}: Decoder.compile binds a CompiledDesign; "
+            "resolve it first with resolve_compiled(design, store=...)"
+        )
+    return design

@@ -112,7 +112,8 @@ def register_decoder(name: str, factory: "Callable[..., Decoder]") -> None:
     """Register (or override) a decoder factory under ``name``.
 
     The extension hook for out-of-tree decoders: anything whose
-    ``compile(design, *, store=None)`` returns a
+    ``compile(compiled)`` binds a
+    :class:`~repro.designs.compiled.CompiledDesign` and returns a
     :class:`~repro.designs.protocol.CompiledDecoder` can be served.
     """
     if not name or not isinstance(name, str):

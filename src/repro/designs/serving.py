@@ -1,6 +1,6 @@
 """The decode-only serving path: compile once, decode forever.
 
-``MNDecoder.compile(design)`` binds a configured decoder to a
+``MNDecoder.compile(compiled)`` binds a configured decoder to a
 :class:`~repro.designs.compiled.CompiledDesign` and returns a
 :class:`CompiledMNDecoder` whose :meth:`~CompiledMNDecoder.decode` /
 :meth:`~CompiledMNDecoder.decode_batch` skip design streaming entirely:
@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.designs.compiled import CompiledDesign
+from repro.designs.protocol import require_compiled
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.mn import MNDecoder
@@ -41,7 +42,7 @@ class CompiledMNDecoder:
     """
 
     def __init__(self, compiled: CompiledDesign, decoder: "MNDecoder"):
-        self.compiled = compiled
+        self.compiled = require_compiled(compiled)
         self.decoder = decoder
 
     # -- the hot path -----------------------------------------------------------

@@ -173,9 +173,10 @@ def reconstruct_batch(
     design:
         Deploy-time design reuse: a
         :class:`~repro.designs.compiled.CompiledDesign` (or materialised
-        :class:`PoolingDesign`, compiled on the spot) shared by the batch
-        instead of sampling via ``rng`` — the decode then consumes the
-        precompiled ``Δ*`` and ``Ψ`` artifacts.
+        :class:`PoolingDesign`) shared by the batch instead of sampling via
+        ``rng`` — the decode then consumes the precompiled ``Δ*`` and ``Ψ``
+        artifacts.  A materialised design with no store decodes straight
+        from its own ``Ψ``/``Δ*``, without compiling.
     store:
         A :class:`~repro.designs.store.DesignStore` for the compiled form
         of ``design`` (content-addressed), amortising compilation of the

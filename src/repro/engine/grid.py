@@ -170,15 +170,17 @@ def _point_decoder(design: PoolingDesign, compiled, decoder: str, kernel: "str |
     """The batch decode ``(y, k) -> σ̂`` a point runs for every channel.
 
     MN reads ``Ψ``/``Δ*`` through ``stats_for`` on the compiled artifact
-    when resolved, else on the design.  A registry baseline compiles here,
-    once, and decodes through its compiled batch port ((B,m)@(m,n) GEMMs).
+    when resolved, else on the design.  A registry baseline binds the
+    resolved artifact (compiling the design here, once, without a store) and
+    decodes through its compiled batch port ((B,m)@(m,n) GEMMs).
     """
-    source = compiled or design
     if decoder == "mn":
+        source = compiled or design
         return lambda y, k: MNDecoder().decode(source.stats_for(y, kernel=kernel), k)
     from repro.designs import make_decoder
+    from repro.designs.compiled import compile_design
 
-    compiled_dec = make_decoder(decoder).compile(source)
+    compiled_dec = make_decoder(decoder).compile(compiled or compile_design(design))
     return lambda y, k: compiled_dec.decode_batch(np.asarray(y, dtype=np.float64), k)
 
 

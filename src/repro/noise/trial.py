@@ -92,6 +92,7 @@ def run_noisy_mn_trial(
     check_positive_int(m, "m")
     repeats = check_positive_int(repeats, "repeats")
     from repro.designs import make_decoder
+    from repro.designs.compiled import compile_design
 
     baseline = None if decoder == "mn" else make_decoder(decoder)
     if (theta is None) == (k is None):
@@ -130,11 +131,10 @@ def run_noisy_mn_trial(
     replicas = np.stack([noise.corrupt(y_clean, noise_rng) for _ in range(repeats)])
     y_noisy = average_replicas(replicas)
     # Decoders read the already-resolved artifact, so a store hit is reused.
-    source = compiled or design_obj
     if baseline is None:
-        sigma_hat = MNDecoder().decode(source.stats_for(y_noisy), k)
+        sigma_hat = MNDecoder().decode((compiled or design_obj).stats_for(y_noisy), k)
     else:
-        sigma_hat = baseline.compile(source).decode(y_noisy, k)
+        sigma_hat = baseline.compile(compiled or compile_design(design_obj)).decode(y_noisy, k)
     return MNTrialResult(
         n=n,
         k=k,

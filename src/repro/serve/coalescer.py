@@ -8,9 +8,7 @@ decodes (the engine and design PRs measured ~5× at ``B = 64``,
 ``(design key, decoder)`` pair share a per-key bucket, and a micro-batch
 forms when the **decode lane** takes it:
 
-* a bucket with no batch in flight dispatches at once (after the
-  optional ``--batch-window-ms`` wait, the extra time a request at an
-  idle bucket spends waiting for company; default 0);
+* a bucket with no batch in flight dispatches at once;
 * requests that arrive while that batch is being admitted or waits for
   the lane join it when the lane takes it, up to ``--max-batch``;
 * requests that arrive while it decodes form the bucket's next batch,
@@ -19,10 +17,13 @@ forms when the **decode lane** takes it:
 Each bucket has at most one batch in flight, and every batch decodes
 through one FIFO lane, so a burst merges into as few GEMMs as the decode
 thread's pace allows, and a lone request at an idle server waits for
-nothing.  Row results demultiplex back to each awaiting request's future.
-Because ``decode_batch`` is bit-identical row-wise to ``decode`` (the
-:class:`~repro.designs.protocol.CompiledDecoder` contract), coalescing
-changes *when* work runs, never what any client gets back.
+nothing.  There is no timer: the lane is the only place batches form (a
+fixed wait for company at an idle bucket lost on throughput and latency
+alike in ``benchmarks/bench_serve.py``).  Row results demultiplex back to
+each awaiting request's future.  Because ``decode_batch`` is bit-identical
+row-wise to ``decode`` (the :class:`~repro.designs.protocol.CompiledDecoder`
+contract), coalescing changes *when* work runs, never what any client gets
+back.
 
 Robustness is structural, not best-effort:
 
@@ -31,9 +32,10 @@ Robustness is structural, not best-effort:
   raises a structured ``overloaded`` error immediately instead of growing
   a queue without bound (degrade-and-recover, never crash-on-burst);
 * **per-design decoder LRU** — :class:`DecoderPool` holds at most
-  ``max_designs`` attached decoders, read-through compiled (or attached
-  from the design store) on first request (single-flight per key), evicting
-  least-recently-served designs;
+  ``max_designs`` attached decoders, each bound on first request
+  (single-flight per key) to the design the pool resolved once through
+  :func:`~repro.designs.compiled.resolve_compiled` (a store attach, or a
+  compile), evicting least-recently-served designs;
 * **isolation** — a failing compile or decode fails exactly the requests
   in that batch, each with a structured error; the loop, the pool and
   other keys' batches are untouched;
@@ -69,6 +71,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.designs.compiled import resolve_compiled
 from repro.faults import trip as _fault_trip
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.protocol import DecodeRequest, ProtocolError
@@ -106,24 +109,25 @@ class CoalescerStats:
 class DecoderPool:
     """Per-``(design, decoder)`` LRU of attached decoders over the design store.
 
-    ``get`` is read-through: an entry served for the first time compiles
-    (or mmap-attaches from the :class:`~repro.designs.store.DesignStore`)
-    on ``executor`` — the server's admission thread, not its decode
-    thread — single-flight per entry: concurrent batches for one cold
-    entry await one compilation.  The pool holds at most
+    ``get`` is read-through: an entry served for the first time resolves
+    its design through :func:`~repro.designs.compiled.resolve_compiled`
+    (an mmap attach from the :class:`~repro.designs.store.DesignStore`, or
+    a compile) and binds the decoder to it, on ``executor`` — the server's
+    admission thread, not its decode thread — single-flight per entry:
+    concurrent batches for one cold entry await one admission.  The pool
+    is the only serve code that touches the store.  It holds at most
     ``max_designs`` attached decoders; the least recently *served* one is
     dropped when a new entry crowds it out.
 
-    ``decoder`` may be a single :class:`~repro.designs.protocol.Decoder`
-    (the historical single-algorithm pool; served under the name ``mn``)
-    or a mapping of registry names to decoders — the multi-decoder server
-    passes the whole registry, so one pool serves every family keyed by
-    ``(DesignKey, name)``.
+    ``decoders`` maps registry names to
+    :class:`~repro.designs.protocol.Decoder` instances — the server passes
+    the whole registry, so one pool serves every family keyed by
+    ``(DesignKey, name)``; the first name is the default.
     """
 
     def __init__(
         self,
-        decoder: "Decoder | Mapping[str, Decoder]",
+        decoders: "Mapping[str, Decoder]",
         *,
         max_designs: int = 8,
         store: "DesignStore | None" = None,
@@ -131,12 +135,9 @@ class DecoderPool:
     ):
         if max_designs < 1:
             raise ValueError("max_designs must be positive")
-        if isinstance(decoder, Mapping):
-            if not decoder:
-                raise ValueError("decoder mapping must not be empty")
-            self._decoders: "dict[str, Decoder]" = dict(decoder)
-        else:
-            self._decoders = {"mn": decoder}
+        self._decoders: "dict[str, Decoder]" = dict(decoders)
+        if not self._decoders:
+            raise ValueError("decoder mapping must not be empty")
         self.default_decoder = next(iter(self._decoders))
         self.max_designs = int(max_designs)
         self._store = store
@@ -199,9 +200,9 @@ class DecoderPool:
         return compiled
 
     def _compile(self, entry_key: "tuple[DesignKey, str]") -> "CompiledDecoder":
-        """Executor-side compile — the only place the Decoder protocol is used."""
+        """Executor-side admission: resolve the key's design once, bind the decoder to it."""
         key, name = entry_key
-        return self._decoders[name].compile(key, store=self._store)
+        return self._decoders[name].compile(resolve_compiled(key, store=self._store))
 
     def evict(self, key: "DesignKey", decoder: "str | None" = None) -> bool:
         """Drop the ``(key, decoder)`` attached decoder, if any.
@@ -235,7 +236,6 @@ class Coalescer:
         self,
         pool: DecoderPool,
         *,
-        window_s: float = 0.0,
         max_batch: int = 64,
         max_queue: int = 1024,
         executor: "Executor | None" = None,
@@ -243,8 +243,6 @@ class Coalescer:
         breaker_threshold: int = 5,
         breaker_cooldown_s: float = 5.0,
     ):
-        if window_s < 0:
-            raise ValueError("window_s must be non-negative")
         if max_batch < 1:
             raise ValueError("max_batch must be positive")
         if max_queue < 1:
@@ -252,7 +250,6 @@ class Coalescer:
         if decode_retries < 0:
             raise ValueError("decode_retries must be non-negative")
         self._pool = pool
-        self.window_s = float(window_s)
         self.max_batch = int(max_batch)
         self.max_queue = int(max_queue)
         self.decode_retries = int(decode_retries)
@@ -262,7 +259,6 @@ class Coalescer:
         # Coalescing unit: one (design key, decoder name) pair — requests
         # for the same design under different decoders never share a GEMM.
         self._buckets: "dict[tuple[DesignKey, str], list[_Pending]]" = {}
-        self._timers: "dict[tuple[DesignKey, str], asyncio.TimerHandle]" = {}
         self._breakers: "dict[tuple[DesignKey, str], CircuitBreaker]" = {}
         # Buckets with a batch in flight: new requests only append, and the
         # batch takes them when it reaches the lane (or they form the next
@@ -313,29 +309,19 @@ class Coalescer:
                 f"design key is failing (circuit breaker {breaker.state}); retry after cooldown",
                 request.request_id,
             )
-        loop = asyncio.get_running_loop()
         self.stats.admitted += 1
         self.stats.peak_admitted = max(self.stats.peak_admitted, self.stats.admitted)
-        future: "asyncio.Future[np.ndarray]" = loop.create_future()
-        bucket = self._buckets.setdefault(bucket_key, [])
-        bucket.append(_Pending(request, future))
-        if bucket_key in self._busy:
-            return future  # the batch in flight takes it at the lane, or the next one does
-        if len(bucket) >= self.max_batch or not self.window_s:
-            self._flush(bucket_key)
-        elif len(bucket) == 1:
-            # First request at an idle bucket opens its window; the timer is
-            # cancelled if the size trigger (or a drain) flushes first.
-            self._timers[bucket_key] = loop.call_later(self.window_s, self._flush, bucket_key)
+        future: "asyncio.Future[np.ndarray]" = asyncio.get_running_loop().create_future()
+        self._buckets.setdefault(bucket_key, []).append(_Pending(request, future))
+        # A busy bucket's batch takes the request at the lane (or the next
+        # batch does); an idle bucket dispatches it now.
+        self._flush(bucket_key)
         return future
 
     # -- dispatch ---------------------------------------------------------------
 
     def _flush(self, bucket_key: "tuple[DesignKey, str]") -> None:
         """Dispatch the bucket's oldest ``max_batch`` requests unless a batch is in flight."""
-        timer = self._timers.pop(bucket_key, None)
-        if timer is not None:
-            timer.cancel()
         if bucket_key in self._busy:
             return
         pending = self._take(bucket_key, [])
@@ -452,14 +438,13 @@ class Coalescer:
     # -- drain ------------------------------------------------------------------
 
     def begin_drain(self) -> None:
-        """Refuse new submissions and flush every open bucket immediately.
+        """Refuse new submissions.
 
-        A bucket with a batch in flight keeps its requests: that batch
-        takes them at the lane, or they dispatch when it finishes.
+        Nothing needs flushing: a request waits in a bucket only while that
+        bucket's batch is in flight, and that batch takes it at the lane or
+        dispatches it when it finishes.
         """
         self._draining = True
-        for key in list(self._buckets):
-            self._flush(key)
 
     async def drain(self) -> None:
         """Wait for every dispatched batch to finish (call after ``begin_drain``).

@@ -33,12 +33,12 @@ fails)::
 Error codes are a closed set (:data:`ERROR_CODES`): ``bad_request``
 (non-JSON line, wrong top-level type, missing/ill-typed fields),
 ``bad_key`` (unparseable or unservable design key), ``bad_y`` (wrong
-length or non-integer results), ``bad_k`` (non-positive or out of range),
-``overloaded`` (admission queue full — resubmit later), ``unavailable``
-(the key's circuit breaker is open after repeated decode failures —
-resubmit after the cooldown), ``timeout`` (deadline elapsed before the
-decode ran), ``shutting_down`` (server draining), ``internal``
-(unexpected decode failure).
+length, or a result that is not a non-negative ``int64`` count),
+``bad_k`` (non-positive or out of range), ``overloaded`` (admission
+queue full — resubmit later), ``unavailable`` (the key's circuit breaker
+is open after repeated decode failures — resubmit after the cooldown),
+``timeout`` (deadline elapsed before the decode ran), ``shutting_down``
+(server draining), ``internal`` (unexpected decode failure).
 
 Parsing never raises anything but :class:`ProtocolError`, which carries
 the structured ``(code, message, request_id)`` triple the server turns
@@ -178,7 +178,12 @@ def parse_request(line: "str | bytes", *, default_decoder: str = "mn") -> Decode
         raise ProtocolError("bad_y", f"y has length {len(y_field)}, design key has m={key.m}", request_id)
     if not all(isinstance(v, int) and not isinstance(v, bool) for v in y_field):
         raise ProtocolError("bad_y", "y entries must be integers", request_id)
-    y = np.asarray(y_field, dtype=np.int64)
+    try:
+        y = np.asarray(y_field, dtype=np.int64)
+    except OverflowError:
+        raise ProtocolError("bad_y", "y entries must fit in int64", request_id) from None
+    if (y < 0).any():
+        raise ProtocolError("bad_y", "y entries are counts and must be non-negative", request_id)
     y.setflags(write=False)
 
     k_field = raw["k"]

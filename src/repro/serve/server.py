@@ -22,12 +22,15 @@ Lifecycle guarantees (the tentpole's robustness contract):
 * every admitted request resolves within ``timeout_ms`` or receives a
   structured ``timeout`` error;
 * ``SIGTERM``/``SIGINT`` (and stdin EOF in stdio mode) trigger a graceful
-  drain — stop admitting, flush open buckets, decode what was admitted,
-  deliver every response, then exit 0.
+  drain — stop admitting, decode what was admitted, deliver every
+  response, then exit 0.
 
-The server types against the :class:`~repro.designs.protocol.Decoder`
-protocol only; :class:`~repro.core.mn.MNDecoder` is simply the reference
-implementation the CLI plugs in.
+Batches form only at the decode lane (see :mod:`repro.serve.coalescer`):
+there is no batching timer to tune.  The server types against the
+:class:`~repro.designs.protocol.Decoder` protocol only and takes a mapping
+of registry names to decoders — the CLI passes the whole registry.  Its
+pool resolves each admitted key's design through the store once and binds
+the named decoder to it.
 """
 
 from __future__ import annotations
@@ -64,13 +67,6 @@ class ServeConfig:
     flag overrides its field (``--max-batch`` sets ``max_batch``,
     ``--decoder`` sets ``default_decoder``), and an omitted flag keeps it.
 
-    ``batch_window_ms`` is the extra wait at an idle bucket: a request for
-    a ``(key, decoder)`` pair with no batch in flight waits this long for
-    company before it dispatches (a full ``max_batch`` dispatches at
-    once).  Batches form at the decode lane regardless — requests that
-    arrive while their key's batch is admitted or queued join it — so the
-    default 0 adds no latency and loses no coalescing.
-
     ``decode_retries`` failed ``decode_batch`` calls per micro-batch are
     retried on a freshly attached decoder before the batch fails;
     ``breaker_threshold`` consecutive batch failures for one key open its
@@ -81,7 +77,6 @@ class ServeConfig:
     explicit ``decoder`` field runs under.
     """
 
-    batch_window_ms: float = 0.0
     max_batch: int = 64
     max_queue: int = 1024
     timeout_ms: float = 10_000.0
@@ -95,11 +90,9 @@ class ServeConfig:
     def __post_init__(self) -> None:
         # NaN passes every ordered comparison below, and asyncio takes a NaN
         # or infinite timeout as "no deadline": check finiteness first.
-        for name in ("batch_window_ms", "timeout_ms", "drain_timeout_s", "breaker_cooldown_ms"):
+        for name in ("timeout_ms", "drain_timeout_s", "breaker_cooldown_ms"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.batch_window_ms < 0:
-            raise ValueError("batch_window_ms must be non-negative")
         if self.max_batch < 1 or self.max_queue < 1 or self.max_designs < 1:
             raise ValueError("max_batch, max_queue and max_designs must be positive")
         if self.timeout_ms <= 0:
@@ -116,10 +109,6 @@ class ServeConfig:
             raise ValueError("default_decoder must be a non-empty string")
 
     @property
-    def window_s(self) -> float:
-        return self.batch_window_ms / 1e3
-
-    @property
     def timeout_s(self) -> float:
         return self.timeout_ms / 1e3
 
@@ -133,23 +122,23 @@ class DecodeServer:
 
     Parameters
     ----------
-    decoder:
-        Any :class:`~repro.designs.protocol.Decoder`, or a mapping of
-        registry names to decoders for a multi-decoder server — the
-        server never imports a concrete decoder class.  A bare decoder is
-        served under the ``"mn"`` name for back-compat.
+    decoders:
+        A mapping of registry names to
+        :class:`~repro.designs.protocol.Decoder` instances — the server
+        never imports a concrete decoder class.
     config:
         The :class:`ServeConfig` knobs.
     store:
-        Optional :class:`~repro.designs.store.DesignStore` handed to every
-        read-through ``compile`` (ambient ``REPRO_DESIGN_STORE``
-        resolution happens in the CLI, not here).  The pool is the only
-        in-process tier: one attached decoder per ``(key, decoder)``.
+        Optional :class:`~repro.designs.store.DesignStore` the pool
+        resolves every admitted key through (ambient
+        ``REPRO_DESIGN_STORE`` resolution happens in the CLI, not here).
+        The pool is the only in-process tier: one attached decoder per
+        ``(key, decoder)``.
     """
 
     def __init__(
         self,
-        decoder: "Decoder | Mapping[str, Decoder]",
+        decoders: "Mapping[str, Decoder]",
         config: "ServeConfig | None" = None,
         *,
         store: "DesignStore | None" = None,
@@ -165,14 +154,13 @@ class DecodeServer:
         self._executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-serve-decode")
         self._admit_executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-serve-admit")
         self.pool = DecoderPool(
-            decoder,
+            decoders,
             max_designs=self.config.max_designs,
             store=store,
             executor=self._admit_executor,
         )
         self.coalescer = Coalescer(
             self.pool,
-            window_s=self.config.window_s,
             max_batch=self.config.max_batch,
             max_queue=self.config.max_queue,
             executor=self._executor,
@@ -293,9 +281,8 @@ class DecodeServer:
     async def drain(self) -> None:
         """Graceful drain: admit nothing new, decode and answer the admitted.
 
-        1. stop accepting connections; 2. flush every open bucket and
-        refuse new submissions (``shutting_down``); 3. wait for dispatched
-        batches; 4. wait for response writes (bounded by
+        1. stop accepting connections; 2. refuse new submissions
+        (``shutting_down``); 3. wait for dispatched batches; 4. wait for response writes (bounded by
         ``drain_timeout_s``); 5. close connections and decoders, and join
         the decode and admission threads.
         """
@@ -329,7 +316,7 @@ class DecodeServer:
 
 
 async def serve_forever(
-    decoder: "Decoder | Mapping[str, Decoder]",
+    decoders: "Mapping[str, Decoder]",
     config: "ServeConfig | None" = None,
     *,
     stdio: bool = False,
@@ -346,7 +333,11 @@ async def serve_forever(
     benchmark learn the ephemeral port.  In stdio mode it resolves to
     ``None`` when the stream handler is up.
     """
-    server = DecodeServer(decoder, config, store=store)
+    server = DecodeServer(
+        decoders,
+        config,
+        store=store,
+    )
     loop = asyncio.get_running_loop()
     if install_signal_handlers:
         for sig in (signal.SIGTERM, signal.SIGINT):

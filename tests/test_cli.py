@@ -307,8 +307,15 @@ class TestServeFlags:
         assert main(["serve", "--stdio", *flags]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_batch_window_flag_is_gone(self, capsys):
+        # Batches form only at the decode lane; there is no timer to set.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--stdio", "--batch-window-ms", "1"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --batch-window-ms" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
-    @pytest.mark.parametrize("flag", ["--batch-window-ms", "--timeout-ms", "--breaker-cooldown-ms"])
+    @pytest.mark.parametrize("flag", ["--timeout-ms", "--breaker-cooldown-ms"])
     def test_non_finite_flag_exits_2_naming_the_field(self, flag, value, capsys, monkeypatch):
         import repro.serve
 

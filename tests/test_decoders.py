@@ -46,6 +46,7 @@ from repro.designs import (
     compile_from_key,
     make_decoder,
     reset_default_design_store,
+    resolve_compiled,
     resolve_design_store,
 )
 from repro.designs import compiled as compiled_mod
@@ -251,8 +252,8 @@ class TestArtifactPathIndependence:
         store = DesignStore(tmp_path / "store")
         for name in ("omp", "amp", "comp", "dd"):
             base = make_decoder(name).compile(compiled)
-            cold = make_decoder(name).compile(key, store=store)
-            warm = make_decoder(name).compile(key, store=store)
+            cold = make_decoder(name).compile(resolve_compiled(key, store=store))
+            warm = make_decoder(name).compile(resolve_compiled(key, store=store))
             expected = base.decode(y, K)
             assert np.array_equal(cold.decode(y, K), expected)
             assert np.array_equal(warm.decode(y, K), expected)
@@ -271,6 +272,15 @@ class TestRegistry:
             # Compiled decoders hold only the compiled design: nothing to release.
             for hook in ("close", "__enter__", "__exit__"):
                 assert not hasattr(compiled_decoder, hook), (name, hook)
+
+    def test_compile_binds_only_a_compiled_design(self):
+        # One check for every family: a key or a materialised design must be
+        # resolved (through the store, if any) before it is bound.
+        key = DesignKey.for_stream(40, 20, root_seed=0)
+        for name in available_decoders():
+            for form in (key, compile_from_key(key).design):
+                with pytest.raises(TypeError, match=r"^cannot compile a .*resolve_compiled\(design, store=\.\.\.\)"):
+                    make_decoder(name).compile(form)
 
     def test_unknown_name_lists_the_menu(self):
         with pytest.raises(ValueError, match="unknown decoder 'nope'.*mn"):
@@ -349,8 +359,8 @@ class TestOneShots:
         one_shot(design, y, 3)
         store = resolve_design_store()
         assert len(store) == 0 and (store.stats.hits, store.stats.misses) == (0, 0)
-        # The registry path over the same design does publish — the ambient store is armed.
-        make_decoder("omp").compile(design).decode(y, 3)
+        # Resolving the same design does publish — the ambient store is armed.
+        make_decoder("omp").compile(resolve_compiled(design)).decode(y, 3)
         assert store.stats.misses == 1
         assert len(store) == 1
 

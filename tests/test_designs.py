@@ -441,6 +441,31 @@ class TestFacadeDesignReuse:
         with pytest.raises(ValueError, match="asked for"):
             reconstruct(N, 200, lambda pools: [0] * len(pools), k=3, design=design)
 
+    def test_materialised_design_without_a_store_is_not_compiled(self, tmp_path, monkeypatch):
+        from repro.designs import compiled as compiled_mod
+
+        monkeypatch.delenv("REPRO_DESIGN_STORE", raising=False)
+        sigmas = random_signals(N, 3, 4, np.random.default_rng(8))
+        base = reconstruct_batch(N, 200, signals_oracle(sigmas), 4, rng=np.random.default_rng(0))
+        original = compiled_mod.compile_design
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("compile_design called")
+
+        monkeypatch.setattr(compiled_mod, "compile_design", refuse)
+        # No store: Ψ/Δ* straight from the design, bit-identical to the sampled call.
+        again = reconstruct_batch(N, 200, signals_oracle(sigmas), 4, k=base.k, design=base.design)
+        assert np.array_equal(base.sigma_hat, again.sigma_hat)
+        assert again.design is base.design
+        single = reconstruct(N, 200, lambda pools: [int(sigmas[0][p].sum()) for p in pools], k=3, design=base.design)
+        assert np.array_equal(single.sigma_hat, again.sigma_hat[0])
+        # With a store the design is still compiled once and published.
+        monkeypatch.setattr(compiled_mod, "compile_design", original)
+        store = DesignStore(tmp_path)
+        stored = reconstruct_batch(N, 200, signals_oracle(sigmas), 4, k=base.k, design=base.design, store=store)
+        assert np.array_equal(base.sigma_hat, stored.sigma_hat)
+        assert store.stats.publishes == 1 and len(store) == 1
+
     def test_reconstruct_batch_with_deployed_design(self, tmp_path):
         sigmas = random_signals(N, 3, 4, np.random.default_rng(7))
         base = reconstruct_batch(N, 200, signals_oracle(sigmas), 4, rng=np.random.default_rng(0))

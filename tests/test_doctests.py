@@ -16,6 +16,7 @@ from repro.designs import DesignKey, DesignStore
 from repro.engine import run_trial_grid
 from repro.engine.backend import SerialBackend, SharedMemBackend
 from repro.parallel.pool import WorkerPool
+from repro.serve import Coalescer, DecoderPool, ServeConfig
 
 MODULES_WITH_DOCTESTS = [
     "repro",
@@ -107,6 +108,10 @@ def test_deleted_names_are_not_exported(package, name):
         lambda root: DesignStore(root, keep_blocks=False),
         lambda root: MNDecoder().compile(DesignKey.for_stream(64, 12, root_seed=0), cache=None),
         lambda root: run_trial_grid(64, [12], k=2, trials=1, cache=None),
+        lambda root: ServeConfig(batch_window_ms=1.0),
+        lambda root: Coalescer(DecoderPool({"mn": MNDecoder()}), window_s=0.0),
+        lambda root: MNDecoder().compile(DesignKey.for_stream(64, 12, root_seed=0), store=DesignStore(root)),
+        lambda root: DecoderPool(MNDecoder()),
     ],
     ids=[
         "SerialBackend-blas_threads",
@@ -116,6 +121,10 @@ def test_deleted_names_are_not_exported(package, name):
         "DesignStore-keep_blocks",
         "MNDecoder.compile-cache",
         "run_trial_grid-cache",
+        "ServeConfig-batch_window_ms",
+        "Coalescer-window_s",
+        "MNDecoder.compile-store",
+        "DecoderPool-bare_decoder",
     ],
 )
 def test_deleted_arguments_are_rejected(make, tmp_path):

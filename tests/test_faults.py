@@ -393,8 +393,8 @@ class TestServeDegradation:
         async def run():
             plan = FaultPlan.parse("serve.decode:exception@1")
             ambient_fault(plan)
-            pool = DecoderPool(MNDecoder())
-            coalescer = Coalescer(pool, window_s=0.0, max_batch=1)  # decode_retries=1 default
+            pool = DecoderPool({"mn": MNDecoder()})
+            coalescer = Coalescer(pool, max_batch=1)  # decode_retries=1 default
             y, offline = make_case(KEY, 4, seed=40)
             support = await coalescer.submit(_request(KEY, y, 4, "r1"))
             assert support.tolist() == offline  # healed invisibly, bit-identical
@@ -408,8 +408,7 @@ class TestServeDegradation:
         async def run():
             ambient_fault(FaultPlan.parse("serve.decode:exception@1x2"))
             coalescer = Coalescer(
-                DecoderPool(MNDecoder()),
-                window_s=0.0,
+                DecoderPool({"mn": MNDecoder()}),
                 max_batch=1,
                 decode_retries=0,
                 breaker_threshold=1,
@@ -446,10 +445,8 @@ class TestServeDegradation:
     def test_server_end_to_end_degrades_then_recovers(self, ambient_fault):
         async def run():
             ambient_fault(FaultPlan.parse("serve.decode:exception@1x2"))
-            config = ServeConfig(
-                batch_window_ms=0.0, decode_retries=0, breaker_threshold=1, breaker_cooldown_ms=5.0
-            )
-            server = DecodeServer(MNDecoder(), config)
+            config = ServeConfig(decode_retries=0, breaker_threshold=1, breaker_cooldown_ms=5.0)
+            server = DecodeServer({"mn": MNDecoder()}, config)
             host, port = await server.start_tcp()
             y, offline = make_case(KEY, 4, seed=42)
             async with await ServeClient.connect(host, port) as client:

@@ -36,12 +36,12 @@ sys.path.insert(0, sys.argv[1])
 import tracing
 tracer = tracing.install()
 import numpy as np
-from repro.designs import DesignKey, DesignStore, make_decoder
+from repro.designs import DesignKey, DesignStore, make_decoder, resolve_compiled
 key = DesignKey.for_stream(200, 60, root_seed=3)
 store = DesignStore(sys.argv[2])
 supports = []
 for _ in range(2):  # cold: compile and publish; warm: attach
-    decoder = make_decoder("mn").compile(key, store=store)
+    decoder = make_decoder("mn").compile(resolve_compiled(key, store=store))
     sigma = np.zeros(200, dtype=np.int8)
     sigma[[5, 50, 150]] = 1
     supports.append(np.flatnonzero(decoder.decode(decoder.compiled.query_results(sigma), 3)).tolist())

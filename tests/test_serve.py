@@ -62,7 +62,7 @@ class _FakeDecoder:
         self._delay = compile_delay
         self.compiles = 0
 
-    def compile(self, key, *, store=None):
+    def compile(self, compiled):
         self.compiles += 1
         if self._delay:
             time.sleep(self._delay)
@@ -76,7 +76,7 @@ class TestDecoderProtocol:
         assert isinstance(MNDecoder(), Decoder)
 
     def test_compiled_mn_decoder_satisfies_compiled_protocol(self):
-        compiled = MNDecoder().compile(KEY_B)
+        compiled = MNDecoder().compile(compile_from_key(KEY_B))
         assert isinstance(compiled, CompiledDecoder)
 
     def test_fakes_satisfy_the_protocols_structurally(self):
@@ -89,7 +89,7 @@ class TestDecoderProtocol:
 class TestDecoderPool:
     def test_read_through_then_hit(self):
         async def run():
-            pool = DecoderPool(_FakeDecoder(), max_designs=4)
+            pool = DecoderPool({"mn": _FakeDecoder()}, max_designs=4)
             first = await pool.get(KEY_A)
             second = await pool.get(KEY_A)
             assert first is second
@@ -100,7 +100,7 @@ class TestDecoderPool:
     def test_single_flight_compile(self):
         async def run():
             decoder = _FakeDecoder(compile_delay=0.05)
-            pool = DecoderPool(decoder, max_designs=4)
+            pool = DecoderPool({"mn": decoder}, max_designs=4)
             a, b, c = await asyncio.gather(pool.get(KEY_A), pool.get(KEY_A), pool.get(KEY_A))
             assert a is b is c
             assert decoder.compiles == 1
@@ -109,7 +109,7 @@ class TestDecoderPool:
 
     def test_lru_eviction_at_capacity(self):
         async def run():
-            pool = DecoderPool(_FakeDecoder(), max_designs=1)
+            pool = DecoderPool({"mn": _FakeDecoder()}, max_designs=1)
             await pool.get(KEY_A)
             await pool.get(KEY_B)
             assert len(pool) == 1
@@ -125,7 +125,7 @@ class TestDecoderPool:
 
     def test_unservable_key_raises_structured_bad_key(self):
         async def run():
-            pool = DecoderPool(_FakeDecoder(compile_error=ValueError("no such design")))
+            pool = DecoderPool({"mn": _FakeDecoder(compile_error=ValueError("no such design"))})
             with pytest.raises(ProtocolError) as err:
                 await pool.get(KEY_A)
             assert err.value.code == "bad_key"
@@ -136,7 +136,39 @@ class TestDecoderPool:
 
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
-            DecoderPool(_FakeDecoder(), max_designs=0)
+            DecoderPool({"mn": _FakeDecoder()}, max_designs=0)
+
+    def test_each_admission_resolves_the_design_through_the_store(self, tmp_path):
+        from repro.core.design import PoolingDesign
+        from repro.designs import CompiledDesign, DesignStore
+
+        class Recording(_FakeDecoder):
+            def __init__(self):
+                super().__init__()
+                self.bound = []
+
+            def compile(self, compiled):
+                self.bound.append(compiled)
+                return super().compile(compiled)
+
+        async def run():
+            store = DesignStore(tmp_path)
+            decoder = Recording()
+            pool = DecoderPool({"mn": decoder}, store=store)
+            await pool.get(KEY_A)
+            pool.evict(KEY_A)
+            await pool.get(KEY_A)
+            # The decoder binds what the pool resolved: compiled once, then attached.
+            assert [(type(c), c.key) for c in decoder.bound] == [(CompiledDesign, KEY_A)] * 2
+            assert (store.stats.publishes, store.stats.hits) == (1, 1)
+            # A content key names a design only its publisher had: not servable.
+            unknown = DesignKey.for_content(PoolingDesign.sample(30, 10, np.random.default_rng(0)))
+            with pytest.raises(ProtocolError) as err:
+                await pool.get(unknown)
+            assert err.value.code == "bad_key"
+            assert len(decoder.bound) == 2
+
+        asyncio.run(run())
 
 
 def _request(key, y, k, request_id, decoder="mn"):
@@ -149,8 +181,8 @@ class TestCoalescerAdmission:
     def test_overload_is_bounded_and_structured(self):
         async def run():
             gate = threading.Event()
-            pool = DecoderPool(_FakeDecoder(gate))
-            coalescer = Coalescer(pool, window_s=0.0, max_batch=1, max_queue=3)
+            pool = DecoderPool({"mn": _FakeDecoder(gate)})
+            coalescer = Coalescer(pool, max_batch=1, max_queue=3)
             y = [0] * KEY_A.m
             futures = [coalescer.submit(_request(KEY_A, y, 2, i)) for i in range(3)]
             assert coalescer.stats.admitted == 3
@@ -174,9 +206,9 @@ class TestCoalescerAdmission:
 
     def test_drain_refuses_new_submissions(self):
         async def run():
-            coalescer = Coalescer(DecoderPool(_FakeDecoder()), window_s=5.0)
+            coalescer = Coalescer(DecoderPool({"mn": _FakeDecoder()}))
             first = coalescer.submit(_request(KEY_A, [0] * KEY_A.m, 2, "in-before"))
-            coalescer.begin_drain()  # flushes the open bucket immediately
+            coalescer.begin_drain()  # the admitted request's batch is already dispatched
             with pytest.raises(ProtocolError) as err:
                 coalescer.submit(_request(KEY_A, [0] * KEY_A.m, 2, "too-late"))
             assert err.value.code == "shutting_down"
@@ -187,8 +219,8 @@ class TestCoalescerAdmission:
 
     def test_compile_failure_fails_each_request_with_its_own_id(self):
         async def run():
-            pool = DecoderPool(_FakeDecoder(compile_error=ValueError("bad")))
-            coalescer = Coalescer(pool, window_s=0.0, max_batch=2)
+            pool = DecoderPool({"mn": _FakeDecoder(compile_error=ValueError("bad"))})
+            coalescer = Coalescer(pool, max_batch=2)
             futures = [coalescer.submit(_request(KEY_A, [0] * KEY_A.m, 2, f"r{i}")) for i in range(2)]
             results = await asyncio.gather(*futures, return_exceptions=True)
             assert [r.code for r in results] == ["bad_key", "bad_key"]
@@ -198,10 +230,12 @@ class TestCoalescerAdmission:
 
 
 class TestCoalescerBatching:
-    def test_size_trigger_flushes_immediately(self):
+    def test_requests_of_one_turn_join_one_batch(self):
         async def run():
-            pool = DecoderPool(MNDecoder())
-            coalescer = Coalescer(pool, window_s=60.0, max_batch=4)  # window too long to fire in-test
+            # The first request dispatches at once; the other three join its
+            # batch while it is admitted, so the lane takes all four.
+            pool = DecoderPool({"mn": MNDecoder()})
+            coalescer = Coalescer(pool, max_batch=4)
             cases = [make_case(KEY_A, 5, seed) for seed in range(4)]
             futures = [coalescer.submit(_request(KEY_A, y, 5, i)) for i, (y, _) in enumerate(cases)]
             supports = await asyncio.gather(*futures)
@@ -212,11 +246,12 @@ class TestCoalescerBatching:
 
         asyncio.run(run())
 
-    def test_window_trigger_flushes_partial_batch(self):
+    def test_lone_request_dispatches_at_once(self):
         async def run():
-            coalescer = Coalescer(DecoderPool(MNDecoder()), window_s=0.01, max_batch=64)
+            coalescer = Coalescer(DecoderPool({"mn": MNDecoder()}), max_batch=64)
             y, offline = make_case(KEY_A, 4, seed=11)
-            support = await coalescer.submit(_request(KEY_A, y, 4, "solo"))
+            # No timer: the bucket is idle, so the batch is in flight on submit.
+            support = await asyncio.wait_for(coalescer.submit(_request(KEY_A, y, 4, "solo")), 5)
             assert support.tolist() == offline
             assert coalescer.stats.batches == 1
             assert coalescer.stats.mean_batch == 1.0
@@ -225,7 +260,7 @@ class TestCoalescerBatching:
 
     def test_heterogeneous_k_in_one_batch_stays_bit_identical(self):
         async def run():
-            coalescer = Coalescer(DecoderPool(MNDecoder()), window_s=60.0, max_batch=3)
+            coalescer = Coalescer(DecoderPool({"mn": MNDecoder()}), max_batch=3)
             cases = [make_case(KEY_A, k, seed=20 + k) for k in (3, 5, 8)]
             futures = [coalescer.submit(_request(KEY_A, y, k, k)) for (y, _), k in zip(cases, (3, 5, 8))]
             supports = await asyncio.gather(*futures)
@@ -237,7 +272,7 @@ class TestCoalescerBatching:
 
     def test_distinct_keys_batch_separately(self):
         async def run():
-            coalescer = Coalescer(DecoderPool(MNDecoder()), window_s=0.01, max_batch=64)
+            coalescer = Coalescer(DecoderPool({"mn": MNDecoder()}), max_batch=64)
             ya, offline_a = make_case(KEY_A, 5, seed=31)
             yb, offline_b = make_case(KEY_B, 5, seed=32)
             sa, sb = await asyncio.gather(
@@ -279,8 +314,8 @@ class _LaneDecoder:
         self.gate = threading.Event()
         self.started = threading.Event()
 
-    def compile(self, key, *, store=None):
-        return _LaneCompiled("A" if key == KEY_A else "B", self.log, self.gate, self.started)
+    def compile(self, compiled):
+        return _LaneCompiled("A" if compiled.key == KEY_A else "B", self.log, self.gate, self.started)
 
 
 def _tagged(key, tag):
@@ -309,7 +344,7 @@ class TestLaneBatching:
     def test_requests_parked_across_loop_turns_form_one_next_batch(self):
         async def run():
             decoder = _LaneDecoder()
-            coalescer = Coalescer(DecoderPool(decoder), window_s=0.0)
+            coalescer = Coalescer(DecoderPool({"mn": decoder}))
             futures = [await self._busy(coalescer, decoder)]
             for tag in (1, 2, 3):
                 futures.append(coalescer.submit(_tagged(KEY_A, tag)))
@@ -325,7 +360,7 @@ class TestLaneBatching:
     def test_bucket_past_max_batch_drains_in_arrival_order(self):
         async def run():
             decoder = _LaneDecoder()
-            coalescer = Coalescer(DecoderPool(decoder), window_s=0.0, max_batch=2)
+            coalescer = Coalescer(DecoderPool({"mn": decoder}), max_batch=2)
             futures = [await self._busy(coalescer, decoder)]
             futures += [coalescer.submit(_tagged(KEY_A, tag)) for tag in range(1, 6)]
             decoder.gate.set()
@@ -339,9 +374,9 @@ class TestLaneBatching:
     def test_busy_key_does_not_hold_back_another_key(self):
         async def run():
             decoder = _LaneDecoder()
-            pool = DecoderPool(decoder)
+            pool = DecoderPool({"mn": decoder})
             await pool.get(KEY_B)  # warm: B's batch goes straight to the lane
-            coalescer = Coalescer(pool, window_s=0.0)
+            coalescer = Coalescer(pool)
             a0 = await self._busy(coalescer, decoder)
             a1 = coalescer.submit(_tagged(KEY_A, 1))  # parked behind A's batch
             b0 = coalescer.submit(_tagged(KEY_B, 0))  # B is idle: queues for the lane
@@ -356,19 +391,19 @@ class TestLaneBatching:
         started, gate = threading.Event(), threading.Event()
 
         class GatedCold(_FakeDecoder):
-            def compile(self, key, *, store=None):
-                if key == KEY_B:
+            def compile(self, compiled):
+                if compiled.key == KEY_B:
                     started.set()
                     assert gate.wait(30), "test gate never opened"
-                return super().compile(key, store=store)
+                return super().compile(compiled)
 
         async def run():
             from concurrent.futures import ThreadPoolExecutor
 
             with ThreadPoolExecutor(1) as admit, ThreadPoolExecutor(1) as decode:
-                pool = DecoderPool(GatedCold(), executor=admit)
+                pool = DecoderPool({"mn": GatedCold()}, executor=admit)
                 await pool.get(KEY_A)  # warm before KEY_B's compile takes the admission thread
-                coalescer = Coalescer(pool, window_s=0.0, executor=decode)
+                coalescer = Coalescer(pool, executor=decode)
                 zeros = {key: np.zeros(key.m, dtype=np.int64) for key in (KEY_A, KEY_B)}
                 try:
                     cold = coalescer.submit(_request(KEY_B, zeros[KEY_B], 1, "cold"))
@@ -388,7 +423,7 @@ class TestLaneBatching:
     def test_parked_request_that_times_out_is_not_decoded(self):
         async def run():
             decoder = _LaneDecoder()
-            coalescer = Coalescer(DecoderPool(decoder), window_s=0.0)
+            coalescer = Coalescer(DecoderPool({"mn": decoder}))
             first = await self._busy(coalescer, decoder)
             late = coalescer.submit(_tagged(KEY_A, 1))
             live = coalescer.submit(_tagged(KEY_A, 2))
@@ -406,7 +441,7 @@ class TestLaneBatching:
     def test_drain_during_a_running_batch_answers_every_parked_request(self):
         async def run():
             decoder = _LaneDecoder()
-            coalescer = Coalescer(DecoderPool(decoder), window_s=0.0, max_batch=2)
+            coalescer = Coalescer(DecoderPool({"mn": decoder}), max_batch=2)
             futures = [await self._busy(coalescer, decoder)]
             futures += [coalescer.submit(_tagged(KEY_A, tag)) for tag in (1, 2, 3)]
             coalescer.begin_drain()
@@ -425,8 +460,8 @@ class TestLaneBatching:
     def test_pool_counts_one_lookup_per_batch(self):
         async def run():
             decoder = _LaneDecoder()
-            pool = DecoderPool(decoder)
-            coalescer = Coalescer(pool, window_s=0.0, max_batch=3)
+            pool = DecoderPool({"mn": decoder})
+            coalescer = Coalescer(pool, max_batch=3)
             futures = [await self._busy(coalescer, decoder)]
             futures += [coalescer.submit(_tagged(key, tag)) for tag in range(1, 5) for key in (KEY_A, KEY_B)]
             decoder.gate.set()
@@ -470,15 +505,6 @@ class TestMultiDecoder:
         with pytest.raises(ValueError):
             DecoderPool({})
 
-    def test_bare_decoder_serves_under_mn(self):
-        async def run():
-            pool = DecoderPool(_FakeDecoder())
-            assert pool.decoder_names() == ("mn",)
-            await pool.get(KEY_A, "mn")  # explicit name hits the wrapped entry
-            assert len(pool) == 1
-
-        asyncio.run(run())
-
     def test_pool_evict_is_per_decoder(self):
         async def run():
             pool = DecoderPool({"mn": _FakeDecoder(), "omp": _FakeDecoder()}, max_designs=4)
@@ -494,7 +520,7 @@ class TestMultiDecoder:
     def test_same_key_different_decoders_never_share_a_batch(self):
         async def run():
             pool = DecoderPool({"mn": _FakeDecoder(), "omp": _FakeDecoder()})
-            coalescer = Coalescer(pool, window_s=0.01, max_batch=64)
+            coalescer = Coalescer(pool, max_batch=64)
             y = [0] * KEY_A.m
             await asyncio.gather(
                 coalescer.submit(_request(KEY_A, y, 2, "a", decoder="mn")),
@@ -519,7 +545,7 @@ class TestMultiDecoder:
 
         async def run():
             pool = DecoderPool({name: make_decoder(name) for name in ("mn", "omp")})
-            coalescer = Coalescer(pool, window_s=0.01, max_batch=64)
+            coalescer = Coalescer(pool, max_batch=64)
             compiled = compile_from_key(KEY_A)
             sigma = random_signal(KEY_A.n, 4, np.random.default_rng(44))
             y = compiled.query_results(sigma)
@@ -536,18 +562,57 @@ class TestMultiDecoder:
         asyncio.run(run())
 
 
+class _GatedMN:
+    """The real MN decoder, with every batch waiting for ``gate``: a held decode lane.
+
+    Requests that arrive while a gated batch decodes wait in their bucket,
+    so a test can park them without any timer.  ``batches`` records the
+    row count of each decoded batch.
+    """
+
+    def __init__(self):
+        self.gate = threading.Event()
+        self.started = threading.Event()
+        self.batches = []
+
+    def compile(self, compiled):
+        return _GatedCompiled(MNDecoder().compile(compiled), self)
+
+
+class _GatedCompiled:
+    def __init__(self, inner, owner):
+        self._inner, self._owner = inner, owner
+
+    def decode(self, y, k):
+        return self.decode_batch(np.asarray(y)[None, :], k)[0]
+
+    def decode_batch(self, Y, k):
+        self._owner.batches.append(len(Y))
+        self._owner.started.set()
+        assert self._owner.gate.wait(30), "test gate never opened"
+        return self._inner.decode_batch(Y, k)
+
+
 class TestDecodeServer:
     """The full server core over a real TCP transport, in-loop."""
 
     @staticmethod
-    async def _start(config):
-        server = DecodeServer(MNDecoder(), config)
+    async def _start(config, decoder=None):
+        server = DecodeServer({"mn": decoder if decoder is not None else MNDecoder()}, config)
         host, port = await server.start_tcp()
         return server, host, port
 
+    @staticmethod
+    async def _hold_lane(server, decoder):
+        """Admit one request in-process (no deadline); return once its gated decode runs."""
+        y, offline = make_case(KEY_A, 3, seed=0)
+        future = server.coalescer.submit(_request(KEY_A, y, 3, "holder"))
+        await _until(decoder.started.is_set)
+        return future, offline
+
     def test_interleaved_clients_get_their_own_rows(self):
         async def run():
-            server, host, port = await self._start(ServeConfig(batch_window_ms=5.0))
+            server, host, port = await self._start(ServeConfig())
             n_clients, per_client = 6, 2
             cases = {
                 (c, i): make_case(KEY_A if (c + i) % 2 == 0 else KEY_B, 5, seed=100 + 10 * c + i)
@@ -579,7 +644,7 @@ class TestDecodeServer:
 
     def test_malformed_line_answers_and_connection_survives(self):
         async def run():
-            server, host, port = await self._start(ServeConfig(batch_window_ms=1.0))
+            server, host, port = await self._start(ServeConfig())
             async with await ServeClient.connect(host, port) as client:
                 await client.send_raw("definitely not json")
                 err = await client.next_unmatched()
@@ -596,7 +661,7 @@ class TestDecodeServer:
 
     def test_structured_errors_carry_offending_request_id(self):
         async def run():
-            server, host, port = await self._start(ServeConfig(batch_window_ms=1.0))
+            server, host, port = await self._start(ServeConfig())
             import json
 
             async with await ServeClient.connect(host, port) as client:
@@ -614,66 +679,90 @@ class TestDecodeServer:
 
         asyncio.run(run())
 
-    def test_request_timeout_is_structured(self):
+    def test_y_outside_int64_gets_exactly_one_error(self):
         async def run():
-            # Window far beyond the deadline: the batch never flushes in time.
-            server, host, port = await self._start(ServeConfig(batch_window_ms=10_000.0, timeout_ms=50.0))
-            async with await ServeClient.connect(host, port) as client:
-                y, _ = make_case(KEY_A, 3, seed=60)
-                response = await client.decode(KEY_A, y, 3, request_id="slow")
-                assert response["ok"] is False
-                assert response["error"]["code"] == "timeout"
-                assert response["request_id"] == "slow"
+            import json
+
+            server, host, port = await self._start(ServeConfig())
+            reader, writer = await asyncio.open_connection(host, port)
+            key = json.loads(KEY_B.to_json())
+            y, offline = make_case(KEY_B, 4, seed=51)
+            bad = {"request_id": "big", "design_key": key, "y": [0] * (KEY_B.m - 1) + [2**70], "k": 4}
+            good = {"request_id": "good", "design_key": key, "y": y.tolist(), "k": 4}
+            writer.write((json.dumps(bad) + "\n" + json.dumps(good) + "\n").encode())
+            await writer.drain()
+            responses = [json.loads(await asyncio.wait_for(reader.readline(), 5)) for _ in range(2)]
+            by_id = {r["request_id"]: r for r in responses}
+            assert by_id["big"]["error"]["code"] == "bad_y"
+            assert by_id["good"]["ok"] and by_id["good"]["support"] == offline
+            with pytest.raises(asyncio.TimeoutError):  # nothing else is coming
+                await asyncio.wait_for(reader.readline(), 0.2)
+            writer.close()
+            await writer.wait_closed()
             await server.drain()
 
         asyncio.run(run())
 
-    def test_timed_out_rows_are_dropped_before_decode(self, monkeypatch):
-        from repro.designs.serving import CompiledMNDecoder
-
-        seen = []
-        original = CompiledMNDecoder.decode_batch
-
-        def spy(self, Y, k):
-            seen.append(np.asarray(Y).shape[0])
-            return original(self, Y, k)
-
-        monkeypatch.setattr(CompiledMNDecoder, "decode_batch", spy)
-
+    def test_request_timeout_is_structured(self):
         async def run():
-            # Window far beyond the deadline; the second request fills the
-            # batch and flushes it, with the first row already timed out.
-            config = ServeConfig(batch_window_ms=10_000.0, max_batch=2, timeout_ms=300.0)
-            server, host, port = await self._start(config)
+            # The lane is held past the deadline: the decode never finishes in time.
+            decoder = _GatedMN()
+            server, host, port = await self._start(ServeConfig(timeout_ms=50.0), decoder)
+            try:
+                async with await ServeClient.connect(host, port) as client:
+                    y, _ = make_case(KEY_A, 3, seed=60)
+                    response = await client.decode(KEY_A, y, 3, request_id="slow")
+                    assert response["ok"] is False
+                    assert response["error"]["code"] == "timeout"
+                    assert response["request_id"] == "slow"
+            finally:
+                decoder.gate.set()
+            await server.drain()
+
+        asyncio.run(run())
+
+    def test_timed_out_rows_are_dropped_before_decode(self):
+        async def run():
+            # Both requests park behind the held lane; the first times out
+            # while parked, so only the second reaches decode_batch.
+            decoder = _GatedMN()
+            server, host, port = await self._start(ServeConfig(timeout_ms=300.0), decoder)
+            holder, held_offline = await self._hold_lane(server, decoder)
             async with await ServeClient.connect(host, port) as client:
                 y_slow, _ = make_case(KEY_A, 3, seed=90)
                 y_live, offline = make_case(KEY_A, 3, seed=91)
                 slow = await client.decode(KEY_A, y_slow, 3, request_id="slow")
                 assert (slow["ok"], slow["error"]["code"], slow["request_id"]) == (False, "timeout", "slow")
-                live = await client.decode(KEY_A, y_live, 3, request_id="live")
+                live = asyncio.ensure_future(client.decode(KEY_A, y_live, 3, request_id="live"))
+                await _until(lambda: server.coalescer.stats.admitted == 3)  # holder, slow, live
+                decoder.gate.set()
+                live = await live
                 assert live["ok"] and live["support"] == offline
+            assert (await holder).tolist() == held_offline
             await server.drain()
-            assert seen == [1]  # only the live row reached decode_batch
+            assert decoder.batches == [1, 1]  # the holder, then the live row alone
             stats = server.coalescer.stats
-            assert (stats.admitted, stats.requests, stats.batches) == (0, 1, 1)
+            assert (stats.admitted, stats.requests, stats.batches) == (0, 2, 2)
 
         asyncio.run(run())
 
     def test_server_overload_response(self):
         async def run():
-            config = ServeConfig(batch_window_ms=10_000.0, max_batch=1024, max_queue=2, timeout_ms=200.0)
-            server, host, port = await self._start(config)
+            decoder = _GatedMN()
+            server, host, port = await self._start(ServeConfig(max_queue=2), decoder)
+            holder, held_offline = await self._hold_lane(server, decoder)
             async with await ServeClient.connect(host, port) as client:
-                y, _ = make_case(KEY_A, 3, seed=70)
-                pending = [asyncio.ensure_future(client.decode(KEY_A, y, 3, request_id=f"p{i}")) for i in range(2)]
-                while server.coalescer.stats.admitted < 2:  # both admitted, parked in the window
-                    await asyncio.sleep(0.001)
+                y, offline = make_case(KEY_A, 3, seed=70)
+                parked = asyncio.ensure_future(client.decode(KEY_A, y, 3, request_id="parked"))
+                await _until(lambda: server.coalescer.stats.admitted == 2)  # one decoding, one parked
                 refused = await client.decode(KEY_A, y, 3, request_id="over")
                 assert refused["ok"] is False
                 assert refused["error"]["code"] == "overloaded"
                 assert refused["request_id"] == "over"
-                parked = await asyncio.gather(*pending)
-                assert all(r["error"]["code"] == "timeout" for r in parked)
+                decoder.gate.set()
+                parked = await parked
+                assert parked["ok"] and parked["support"] == offline  # the admitted are still served
+            assert (await holder).tolist() == held_offline
             await server.drain()
             assert server.coalescer.stats.overloaded == 1
 
@@ -681,21 +770,28 @@ class TestDecodeServer:
 
     def test_drain_answers_admitted_requests(self):
         async def run():
-            # Long window: requests are parked when the drain begins, and the
-            # drain's bucket flush must still decode and answer them.
-            server, host, port = await self._start(ServeConfig(batch_window_ms=10_000.0))
+            # Held lane: requests are parked when the drain begins, and the
+            # drain must still decode and answer every one of them.
+            decoder = _GatedMN()
+            server, host, port = await self._start(ServeConfig(), decoder)
+            holder, held_offline = await self._hold_lane(server, decoder)
             client = await ServeClient.connect(host, port)
             cases = [make_case(KEY_A, 5, seed=80 + i) for i in range(3)]
             pending = [
                 asyncio.ensure_future(client.decode(KEY_A, y, 5, request_id=i)) for i, (y, _) in enumerate(cases)
             ]
-            while server.coalescer.stats.admitted < 3:
-                await asyncio.sleep(0.001)
-            await server.drain()
+            await _until(lambda: server.coalescer.stats.admitted == 4)
+            drain = asyncio.ensure_future(server.drain())
+            await asyncio.sleep(0.02)
+            assert not drain.done()  # the drain waits for the parked requests
+            decoder.gate.set()
+            await drain
             responses = await asyncio.gather(*pending)
             for response, (_, offline) in zip(responses, cases):
                 assert response["ok"], response
                 assert response["support"] == offline
+            assert (await holder).tolist() == held_offline
+            assert decoder.batches == [1, 3]
             await client.close()
 
         asyncio.run(run())
@@ -705,7 +801,6 @@ class TestServeConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"batch_window_ms": -1.0},
             {"max_batch": 0},
             {"max_queue": 0},
             {"max_designs": 0},
@@ -717,7 +812,7 @@ class TestServeConfig:
             ServeConfig(**kwargs)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    @pytest.mark.parametrize("field", ["batch_window_ms", "timeout_ms", "breaker_cooldown_ms", "drain_timeout_s"])
+    @pytest.mark.parametrize("field", ["timeout_ms", "breaker_cooldown_ms", "drain_timeout_s"])
     def test_rejects_non_finite_durations(self, field, value):
         # NaN passes every ordered comparison, and asyncio treats a NaN or
         # infinite timeout as no deadline at all.
@@ -741,7 +836,6 @@ class TestServeConfig:
 
         config = ServeConfig()
         expected = {
-            (Coalescer, "window_s"): config.window_s,
             (Coalescer, "max_batch"): config.max_batch,
             (Coalescer, "max_queue"): config.max_queue,
             (Coalescer, "decode_retries"): config.decode_retries,
@@ -758,9 +852,9 @@ class TestServeConfig:
             assert inspect.signature(cls).parameters[name].default == value, f"{cls.__name__}({name}=...)"
 
     def test_unit_conversions(self):
-        config = ServeConfig(batch_window_ms=2.5, timeout_ms=1500.0)
-        assert config.window_s == pytest.approx(0.0025)
+        config = ServeConfig(timeout_ms=1500.0, breaker_cooldown_ms=2.5)
         assert config.timeout_s == pytest.approx(1.5)
+        assert config.breaker_cooldown_s == pytest.approx(0.0025)
 
 
 class TestAdmissionThread:
@@ -770,14 +864,14 @@ class TestAdmissionThread:
         started, gate = threading.Event(), threading.Event()
 
         class GatedCold(_FakeDecoder):
-            def compile(self, key, *, store=None):
-                if key == KEY_B:
+            def compile(self, compiled):
+                if compiled.key == KEY_B:
                     started.set()
                     gate.wait(30)
-                return super().compile(key, store=store)
+                return super().compile(compiled)
 
         async def run():
-            server = DecodeServer(GatedCold(), ServeConfig(batch_window_ms=0.0))
+            server = DecodeServer({"mn": GatedCold()}, ServeConfig())
             zeros = {key: np.zeros(key.m, dtype=np.int64) for key in (KEY_A, KEY_B)}
             try:
                 await asyncio.wait_for(server.coalescer.submit(_request(KEY_A, zeros[KEY_A], 1, "warm-0")), 5)
@@ -817,7 +911,7 @@ class TestAdmissionThread:
 
         async def run():
             server = DecodeServer(
-                {name: make_decoder(name) for name in names}, ServeConfig(batch_window_ms=0.5, max_designs=2), store=DesignStore(tmp_path)
+                {name: make_decoder(name) for name in names}, ServeConfig(max_designs=2), store=DesignStore(tmp_path)
             )
             submits = [server.coalescer.submit(_request(key, y, 3, f"r{i}", decoder=name)) for i, (key, name, y, _) in enumerate(cases)]
             supports = await asyncio.wait_for(asyncio.gather(*submits), 60)
@@ -851,8 +945,7 @@ class TestAdmissionThread:
 
         async def run():
             ready = asyncio.get_running_loop().create_future()
-            config = ServeConfig(batch_window_ms=0.0)
-            task = asyncio.ensure_future(server_mod.serve_forever(MNDecoder(), config, ready=ready, install_signal_handlers=False))
+            task = asyncio.ensure_future(server_mod.serve_forever({"mn": MNDecoder()}, ServeConfig(), ready=ready, install_signal_handlers=False))
             host, port = await asyncio.wait_for(ready, 5)
             y, offline = make_case(KEY_B, 4, seed=7)
             async with await ServeClient.connect(host, port) as client:

@@ -106,14 +106,15 @@ def concurrent_load_then_drain(*serve_args, clients=4):
 
 class TestTcpEndToEnd:
     def test_concurrent_load_bit_identity_then_sigterm_drain(self):
-        concurrent_load_then_drain("--batch-window-ms", "2")
+        # A small cap: a burst at one key splits into several lane-formed batches.
+        concurrent_load_then_drain("--max-batch", "4")
 
     def test_concurrent_load_at_default_settings(self):
-        """No tuning flag: batches form at the decode lane with the default window."""
+        """No tuning flag: the ServeConfig defaults."""
         concurrent_load_then_drain(clients=8)
 
     def test_malformed_lines_answered_without_crash(self):
-        proc = spawn_server("--port", "0", "--batch-window-ms", "1")
+        proc = spawn_server("--port", "0")
         try:
             host, port = read_banner(proc)
 
@@ -144,7 +145,7 @@ class TestMultiDecoderEndToEnd:
         """The ``decoder`` request field selects the family, per request."""
         from repro.designs import make_decoder
 
-        proc = spawn_server("--port", "0", "--batch-window-ms", "1")
+        proc = spawn_server("--port", "0")
         try:
             host, port = read_banner(proc)
             compiled = compile_from_key(KEY_A)
@@ -184,7 +185,7 @@ class TestMultiDecoderEndToEnd:
                 proc.wait()
 
     def test_decoder_flag_sets_the_default(self):
-        proc = spawn_server("--port", "0", "--batch-window-ms", "1", "--decoder", "comp")
+        proc = spawn_server("--port", "0", "--decoder", "comp")
         try:
             host, port = read_banner(proc)
             compiled = compile_from_key(KEY_A)
@@ -207,7 +208,7 @@ class TestMultiDecoderEndToEnd:
 
 class TestStdioEndToEnd:
     def test_request_response_then_eof_drain(self):
-        proc = spawn_server("--stdio", "--batch-window-ms", "1")
+        proc = spawn_server("--stdio")
         try:
             (key, y, k, offline) = make_cases(KEY_B, 6, 1, seed0=4000)[0]
             request = {"request_id": "s1", "design_key": json.loads(key.to_json()), "y": y.tolist(), "k": k}

@@ -112,6 +112,10 @@ class TestParseRequest:
             ([0.5] * KEY.m, "integers"),
             ([True] * KEY.m, "integers"),
             ("not a list", "list"),
+            ([0] * (KEY.m - 1) + [2**70], "int64"),
+            ([0] * (KEY.m - 1) + [2**63], "int64"),
+            ([0] * (KEY.m - 1) + [-(2**63) - 1], "int64"),
+            ([0] * (KEY.m - 1) + [-1], "non-negative"),
         ],
     )
     def test_bad_y(self, bad_y, fragment):
@@ -120,6 +124,10 @@ class TestParseRequest:
         assert err.value.code == "bad_y"
         assert fragment in err.value.message
         assert err.value.request_id == "r1"
+
+    def test_y_at_the_int64_bound_parses(self):
+        y = [0] * (KEY.m - 1) + [2**63 - 1]
+        assert parse_request(make_line(y=y)).y.tolist() == y
 
     @pytest.mark.parametrize("bad_k", [0, -1, KEY.n + 1, 1.5, True, "3"])
     def test_bad_k(self, bad_k):
