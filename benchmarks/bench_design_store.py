@@ -2,8 +2,9 @@
 
 A process that holds a compiled design decodes warm; the ``DesignStore``
 extends that across processes: a compiled design (entries, indptr, ``Δ*``,
-``Δ`` **and** the dense ``Ψ`` block) persists in a content-addressed
-directory and later processes mmap-attach it instead of recompiling.  This
+``Δ`` **and** the bit-packed ``Ψ`` block) persists in a content-addressed
+directory and later processes attach it — hash every file, unpack the
+block — instead of recompiling.  This
 benchmark measures the store's cross-process contract at paper-panel scale
 (``n = 10^4``): a *second* Python process (stand-in for a repeated CLI
 invocation or a forked grid worker) attaches from the store and decodes;

@@ -43,6 +43,7 @@ one, bit for bit.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -158,6 +159,10 @@ class DesignStats:
         )
 
 
+#: Serialises the one-time widening of narrow entries (:attr:`PoolingDesign.entries`).
+_WIDEN_LOCK = threading.Lock()
+
+
 class PoolingDesign:
     """A materialised pooling design (CSR layout over queries).
 
@@ -170,6 +175,9 @@ class PoolingDesign:
         Signal length.
     entries:
         Flat entry indices, query ``j`` owning ``entries[indptr[j]:indptr[j+1]]``.
+        A narrower integer array (such as the int16 entries a store attach
+        maps) is held as given and widened to int64 on the first read of
+        :attr:`entries`.
     indptr:
         Query pointer array of length ``m+1``.
     """
@@ -193,19 +201,39 @@ class PoolingDesign:
 
     def _setup(self, n: int, entries: np.ndarray, indptr: np.ndarray, entry_range: "tuple[int, int] | None") -> None:
         self.n = check_positive_int(n, "n")
-        self.entries = np.asarray(entries, dtype=np.int64)
+        narrow = isinstance(entries, np.ndarray) and entries.dtype.kind in "iu" and entries.dtype.itemsize < 8
+        # The checks below read sizes and bounds only, never the widened copy.
+        self._entries = entries if narrow else np.asarray(entries, dtype=np.int64)
         self.indptr = np.asarray(indptr, dtype=np.int64)
         if self.indptr.ndim != 1 or self.indptr.size < 1 or self.indptr[0] != 0:
             raise ValueError("indptr must be 1-D starting at 0")
-        if np.any(np.diff(self.indptr) < 0) or self.indptr[-1] != self.entries.size:
+        if np.any(np.diff(self.indptr) < 0) or self.indptr[-1] != self._entries.size:
             raise ValueError("indptr inconsistent with entries")
-        if self.entries.size:
-            lo, hi = (self.entries.min(), self.entries.max()) if entry_range is None else entry_range
+        if self._entries.size:
+            lo, hi = (self._entries.min(), self._entries.max()) if entry_range is None else entry_range
             if lo < 0 or hi >= n:
                 raise ValueError("entry index out of range")
         self._distinct_cache: "tuple[np.ndarray, np.ndarray] | None" = None
         self._entry_groups_cache: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None
         self._dstar_cache: "np.ndarray | None" = None
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The flat entry indices as int64.
+
+        A narrow array given to the constructor is widened here once, on
+        the first read, and the int64 copy replaces it; concurrent first
+        reads build one copy.  :attr:`mean_pool_size`, the constructor's
+        checks and :meth:`incidence_cells` (so the dense blocks built from
+        it) read the held array and never widen.
+        """
+        entries = self._entries
+        if entries.dtype != np.int64:
+            with _WIDEN_LOCK:
+                entries = self._entries
+                if entries.dtype != np.int64:
+                    entries = self._entries = entries.astype(np.int64)
+        return entries
 
     # -- constructors ---------------------------------------------------------
 
@@ -279,7 +307,7 @@ class PoolingDesign:
         """
         if not self.m:
             return 0
-        mean = self.entries.size / self.m
+        mean = self._entries.size / self.m
         return int(mean) if mean.is_integer() else mean
 
     def pool(self, j: int) -> np.ndarray:
@@ -335,9 +363,10 @@ class PoolingDesign:
         ``block.reshape(-1)[cells] = 1`` marks the distinct incidence in one
         flat scatter and a ``bincount`` gives the counts.  The dtype is
         intp, which fancy indexing consumes natively; a narrower index
-        would be cast to intp first, costing more than it saves.
+        would be cast to intp first, costing more than it saves.  Reads
+        the held entries, so narrow ones are not widened.
         """
-        draws = self.entries[int(self.indptr[lo]) : int(self.indptr[hi])]
+        draws = self._entries[int(self.indptr[lo]) : int(self.indptr[hi])]
         return row_cells(self.indptr, lo, hi, self.n, draws, np.intp)
 
     # -- neighbourhood statistics ------------------------------------------------------

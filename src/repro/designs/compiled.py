@@ -28,7 +28,7 @@ import hashlib
 import json
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 import numpy as np
 
@@ -54,6 +54,10 @@ __all__ = [
 #: keep resident, in bytes.  Beyond this, ``psi`` falls back to the chunked
 #: kernel path (same values, recomputed scatter) instead of pinning gigabytes.
 BLOCK_RESIDENCY_LIMIT = 256 * 1024 * 1024
+
+#: Cells per row chunk when a block is bit-packed, unpacked or counted: the
+#: temporaries stay a few MiB whatever the block size.
+_ROW_CHUNK_CELLS = 1 << 20
 
 #: ``trial_key`` scheme tags for keys whose designs are *sampled* from a
 #: keyed generator (grid points) or *content-addressed* (hand-built designs)
@@ -259,6 +263,7 @@ class CompiledDesign:
         self.dstar.setflags(write=False)
         self.delta.setflags(write=False)
         self._block: "np.ndarray | None" = None
+        self._packed: "np.ndarray | None" = None
         self._counts: "np.ndarray | None" = None
         self._block_lock = threading.Lock()
 
@@ -297,9 +302,13 @@ class CompiledDesign:
 
         Includes the dense block whenever it is *eligible* for residency —
         even before first use — so the figure does not depend on whether a
-        decode has run yet.
+        decode has run yet (an adopted packed block, 1/32 of it, is not
+        counted beside it).  The entries count at the width held: narrow
+        for a store attach until a first read of ``design.entries`` widens
+        them (no decoder's compile or decode does).
         """
-        base = self.design.entries.nbytes + self.design.indptr.nbytes + self.dstar.nbytes + self.delta.nbytes
+        entries = self.design._entries  # the held array; reading it never widens
+        base = entries.nbytes + self.design.indptr.nbytes + self.dstar.nbytes + self.delta.nbytes
         return base + (self.block_bytes if self.block_resident else 0)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -310,9 +319,11 @@ class CompiledDesign:
     def incidence_block(self) -> "np.ndarray | None":
         """The ``(m, n)`` distinct-incidence block, materialised once.
 
-        Always float32 (:attr:`block_dtype`).  ``None`` when the block
-        exceeds :data:`BLOCK_RESIDENCY_LIMIT` — the ``psi`` path then
-        recomputes chunked scatters per call instead.
+        Always float32 (:attr:`block_dtype`).  Unpacked from the adopted
+        bits when the store supplied them (:meth:`adopt_packed_block`),
+        else scattered from the entries.  ``None`` when the block exceeds
+        :data:`BLOCK_RESIDENCY_LIMIT` — the ``psi`` path then recomputes
+        chunked scatters per call instead.
         """
         if not self.block_resident:
             return None
@@ -321,8 +332,12 @@ class CompiledDesign:
             # not each build (and briefly double-hold) the up-to-256MB block.
             with self._block_lock:
                 if self._block is None:
-                    block = np.zeros((self.m, self.n), dtype=self.block_dtype)
-                    block.reshape(-1)[self.design.incidence_cells(0, self.m)] = 1.0
+                    if self._packed is not None:
+                        block = _unpack_block(self._packed, self.m, self.n)
+                        self._packed = None
+                    else:
+                        block = np.zeros((self.m, self.n), dtype=self.block_dtype)
+                        block.reshape(-1)[self.design.incidence_cells(0, self.m)] = 1.0
                     block.setflags(write=False)
                     self._block = block
         return self._block
@@ -342,36 +357,40 @@ class CompiledDesign:
 
         ``None`` when an ``(m, n)`` float64 block would exceed
         :data:`BLOCK_RESIDENCY_LIMIT` — callers must fall back to (or
-        refuse) the materialised path explicitly.
+        refuse) the materialised path explicitly.  Built row chunk by row
+        chunk, so no whole-block index or int64 copy is held beside it.
         """
         if np.dtype(np.float64).itemsize * self.m * self.n > BLOCK_RESIDENCY_LIMIT:
             return None
         if self._counts is None:
             with self._block_lock:
                 if self._counts is None:
-                    counts = self.design.dense_counts().astype(np.float64)
+                    counts = np.empty((self.m, self.n), dtype=np.float64)
+                    for rows in _row_chunks(self.m, self.n):
+                        cells = self.design.incidence_cells(rows.start, rows.stop)
+                        counts[rows] = np.bincount(cells, minlength=counts[rows].size).reshape(-1, self.n)
                     counts.setflags(write=False)
                     self._counts = counts
         return self._counts
 
-    def adopt_block(self, block: np.ndarray) -> None:
-        """Adopt an externally materialised dense block zero-copy.
+    def adopt_packed_block(self, packed: np.ndarray) -> None:
+        """Adopt the ``Ψ`` block in its bit-packed form (:func:`_pack_block`).
 
         The store (:mod:`repro.designs.store`) persists the ``(m, n)``
-        incidence block with each entry; attaching processes adopt its
-        read-only mmap here so they never rebuild it.  Only float32 — the
-        one resident block format — is accepted.  The block's content is
-        defined entirely by the design, so adopting a persisted block can
-        never change a decode — only skip its materialisation.
+        incidence block bit-packed with each entry; an attach hands the
+        verified bits over here, and the first :meth:`incidence_block`
+        unpacks them instead of scattering the entries.  A design whose
+        decoders never read the ``Ψ`` block (LP/OMP/AMP) never holds it.
+        The block's content is defined entirely by the design, so adopting
+        a persisted block can never change a decode — only skip its
+        materialisation.
         """
-        block = np.asarray(block)
-        if block.shape != (self.m, self.n) or block.dtype != self.block_dtype:
-            raise ValueError(f"adopted block must be ({self.m}, {self.n}) float32, got {block.dtype} {block.shape}")
+        _check_packed_block(packed, self.m, self.n)
         if not self.block_resident:
             raise ValueError("design exceeds the block residency budget; nothing should adopt a block for it")
-        block.setflags(write=False)
         with self._block_lock:
-            self._block = block
+            if self._block is None:
+                self._packed = packed
 
     def psi(self, y: np.ndarray, *, kernel: "str | None" = None) -> np.ndarray:
         """``Ψ`` for ``(m,)`` or ``(B, m)`` results — one GEMM against the block.
@@ -419,6 +438,40 @@ class CompiledDesign:
             m=self.m,
             gamma=self.gamma,
         )
+
+
+def _row_chunks(m: int, n: int) -> "Iterator[slice]":
+    """Row slices of an ``(m, n)`` block, ~``_ROW_CHUNK_CELLS`` cells each."""
+    rows = max(1, _ROW_CHUNK_CELLS // max(n, 1))
+    for lo in range(0, m, rows):
+        yield slice(lo, min(m, lo + rows))
+
+
+def _pack_block(block: np.ndarray) -> np.ndarray:
+    """The 0/1 ``(m, n)`` block bit-packed along rows: uint8 ``(m, ceil(n/8))``."""
+    m, n = block.shape
+    packed = np.empty((m, (n + 7) // 8), dtype=np.uint8)
+    for rows in _row_chunks(m, n):
+        packed[rows] = np.packbits(block[rows] != 0, axis=1)
+    return packed
+
+
+def _check_packed_block(packed: np.ndarray, m: int, n: int) -> None:
+    """Raise ``ValueError`` unless ``packed`` has the shape ``_pack_block`` gives ``(m, n)``."""
+    if packed.dtype != np.uint8 or packed.shape != (m, (n + 7) // 8):
+        raise ValueError(f"packed block must be ({m}, {(n + 7) // 8}) uint8, got {packed.dtype} {packed.shape}")
+
+
+def _unpack_block(packed: np.ndarray, m: int, n: int) -> np.ndarray:
+    """The float32 ``(m, n)`` block a :func:`_pack_block` array holds.
+
+    Unpacks row chunk by row chunk into one preallocated block, so no
+    whole-block uint8 temporary is ever held beside it.
+    """
+    block = np.empty((m, n), dtype=CompiledDesign.block_dtype)
+    for rows in _row_chunks(m, n):
+        block[rows] = np.unpackbits(packed[rows], axis=1, count=n)
+    return block
 
 
 def _stream_entries(key: DesignKey) -> np.ndarray:

@@ -44,6 +44,9 @@ class CompiledMNDecoder:
     def __init__(self, compiled: CompiledDesign, decoder: "MNDecoder"):
         self.compiled = require_compiled(compiled)
         self.decoder = decoder
+        # Build (or unpack) the Ψ block here, where the serve pool compiles
+        # on its admission thread, not in the first decode.
+        compiled.incidence_block()
 
     # -- the hot path -----------------------------------------------------------
 

@@ -10,10 +10,23 @@ directory so that every process on the machine shares one compilation:
 
 * **layout** — one subdirectory per key, named by the SHA-256 of the key's
   canonical JSON; inside it ``meta.json`` plus one ``.npy`` per compiled
-  array (``entries``, ``indptr``, ``dstar``, ``delta``);
-* **zero-copy reads** — :meth:`DesignStore.get` attaches the arrays with
-  ``np.load(mmap_mode="r")``, so a warm process pays page faults, not
-  array copies, and N processes share one page cache;
+  array (``entries``, ``indptr``, ``dstar``, ``delta``) and, for a design
+  whose block fits the residency budget, ``block.npy``.  Each payload is
+  stored at its information size: ``block.npy`` is the 0/1 incidence block
+  bit-packed along rows (``np.packbits(block, axis=1)``: uint8,
+  ``(m, ceil(n/8))``), and ``entries.npy`` holds the indices in the
+  narrowest signed integer dtype that holds ``n − 1`` (int16 up to
+  ``n = 2¹⁵``, int32 up to ``2³¹``, else int64);
+* **attach** — :meth:`DesignStore.get` maps the arrays with
+  ``np.load(mmap_mode="r")``, so the degree vectors and entries cost page
+  faults, not copies, and the narrow entries widen to int64 only when
+  something reads ``design.entries`` (no decoder's compile or decode
+  does).  The artifact adopts a private copy of the verified packed
+  bits, and the block's first use (an MN or COMP/DD compile) unpacks
+  them, row chunk by row chunk, into the one float32 ``Ψ`` block.  That
+  block is private memory of the attaching process: N processes
+  attaching one design each hold their own float32 block (the packed
+  file, 1/32 of its size, is what they share through the page cache);
 * **atomic publication** — artifacts are written into a hidden temp
   directory and renamed into place, so readers never observe a partial
   entry (a lost publication race is silently discarded);
@@ -28,12 +41,12 @@ directory so that every process on the machine shares one compilation:
   period;
 * **integrity + self-repair** — every publication writes a per-file
   SHA-256 manifest into ``meta.json``; every attach re-hashes every
-  payload file against it (skippable via ``verify=False``; the files are
-  hashed side by side on a per-call thread pool).  The entry range check
-  rides in the same read: the hash of ``entries.npy`` also takes the
-  ``(min, max)`` of its values, so an attach never scans the mapped
-  entries, and an MN attach (whose decode reads only the Ψ block and
-  ``Δ*``) maps no entries page at all.  A corrupt, torn or out-of-range
+  payload file in full against it, one file after another (skippable via
+  ``verify=False``).  The entry range check rides in the same read: the
+  hash of ``entries.npy`` also takes the ``(min, max)`` of its values in
+  the stored dtype, so an attach never scans the mapped entries, and an
+  MN attach (whose decode reads only the Ψ block and ``Δ*``) maps no
+  entries page at all.  A corrupt, torn or out-of-range
   entry is **quarantined** — renamed into ``.quarantine/`` for
   post-mortem, counted in :class:`StoreStats` — then transparently
   recompiled through the existing single-flight path.  :meth:`fsck`
@@ -69,7 +82,7 @@ Examples
 >>> with tempfile.TemporaryDirectory() as root:
 ...     store = DesignStore(root)
 ...     cold = store.get_or_compile(key, lambda: compile_from_key(key))
-...     warm = store.get(key)                     # second lookup: mmap attach
+...     warm = store.get(key)                     # second lookup: verified attach
 ...     bool((cold.dstar == warm.dstar).all())
 True
 """
@@ -82,7 +95,6 @@ import os
 import shutil
 import time
 import uuid
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -90,9 +102,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.designs.compiled import CompiledDesign, DesignKey
+from repro.designs.compiled import CompiledDesign, DesignKey, _check_packed_block, _pack_block
 from repro.faults import trip as _fault_trip
-from repro.kernels.threads import cpu_count
 
 try:  # POSIX advisory locking; degraded (still correct single-process) elsewhere
     import fcntl
@@ -129,9 +140,11 @@ DESIGN_STORE_BYTES_ENV = "REPRO_DESIGN_STORE_BYTES"
 #: treated as misses instead of being misread.  Version 2 added the
 #: per-file SHA-256 integrity manifest; version 3 made ``block.npy``
 #: always float32 (version 2 stored float64 blocks for designs of 2²³+
-#: draws).  Stale entries read as misses — not as corrupt — and are
-#: replaced by a recompile, never half-trusted.
-STORE_FORMAT_VERSION = 3
+#: draws); version 4 bit-packs ``block.npy`` and stores ``entries.npy``
+#: in the narrowest signed dtype that holds ``n − 1``.  Stale entries
+#: read as misses — not as corrupt — and are replaced by a recompile,
+#: never half-trusted.
+STORE_FORMAT_VERSION = 4
 
 #: The compiled arrays every entry persists, in publication order.
 _ARRAY_FIELDS = ("entries", "indptr", "dstar", "delta")
@@ -232,6 +245,14 @@ class FsckReport:
         return not self.quarantined and self.residue == 0 and self.quarantine_held == 0
 
 
+def _entries_dtype(n: int) -> np.dtype:
+    """The narrowest signed integer dtype that holds every index ``< n``."""
+    for dtype in (np.int16, np.int32):
+        if n - 1 <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
 def _sha256_file(path: Path) -> str:
     """Streaming SHA-256 of one file (256 KiB reads into one reused buffer)."""
     return _sha256_and_range(path)[0]
@@ -245,18 +266,17 @@ def _sha256_and_range(path: Path, data: "np.memmap | None" = None) -> "tuple[str
     reads them.  The map itself is never touched — the values are read
     out of the buffer the hash streams through, so the range costs no
     second pass over the file and faults no page of the map.  The range
-    is returned only for non-empty native int64 data read to its end;
-    otherwise it is ``None`` and the caller checks the values itself.
+    is returned only for non-empty native signed-integer data read to its
+    end; otherwise it is ``None`` and the caller checks the values itself.
 
-    One small buffer reused across reads keeps the memory that each
-    verify thread's malloc arena retains after the call to about one
-    buffer.
+    One small buffer is reused across reads, so the call holds about one
+    buffer of memory whatever the file size.
     """
     h = hashlib.sha256()
     buf = bytearray(1 << 18)
     view = memoryview(buf)
     start = stop = 0
-    if data is not None and data.dtype == np.int64 and data.size:
+    if data is not None and data.dtype.kind == "i" and data.dtype.isnative and data.size:
         start, stop = int(data.offset), int(data.offset) + data.nbytes
     lo, hi = np.iinfo(np.int64).max, np.iinfo(np.int64).min
     pos = 0
@@ -266,9 +286,9 @@ def _sha256_and_range(path: Path, data: "np.memmap | None" = None) -> "tuple[str
         # on a whole element.
         while size := _read_full(f, view[: start - pos] if pos < start else view):
             h.update(view[:size])
-            count = (min(pos + size, stop) - pos) // 8 if start <= pos < stop else 0
+            count = (min(pos + size, stop) - pos) // data.itemsize if start <= pos < stop else 0
             if count:
-                values = np.frombuffer(buf, dtype=np.int64, count=count)
+                values = np.frombuffer(buf, dtype=data.dtype, count=count)
                 lo, hi = min(lo, int(values.min())), max(hi, int(values.max()))
             pos += size
     return h.hexdigest(), ((lo, hi) if stop and pos >= stop else None)
@@ -369,12 +389,12 @@ class DesignStore:
         Check each entry's SHA-256 manifest on attach (the default).  The
         cost is one streaming hash of every payload file on *every*
         attach — including each re-attach after a decoder-pool eviction —
-        with the files hashed side by side on up to one thread per core;
-        it never runs on the decode hot path.  The same read of
-        ``entries.npy`` yields the entry range check, so a verified attach
-        never touches the mapped entries.  Pass ``False`` to trust the
-        filesystem (e.g. an immutable read-only image already verified
-        once); the entry range is then checked by a scan of the map.
+        over files kept small by the packed layout; it never runs on the
+        decode hot path.  The same read of ``entries.npy`` yields the
+        entry range check, so a verified attach never touches the mapped
+        entries.  Pass ``False`` to trust the filesystem (e.g. an
+        immutable read-only image already verified once); the entry range
+        is then checked by a scan of the map.
 
     Examples
     --------
@@ -420,13 +440,14 @@ class DesignStore:
     # -- lookups ----------------------------------------------------------------
 
     def get(self, key: DesignKey) -> "CompiledDesign | None":
-        """Attach ``key``'s persisted artifact zero-copy, or ``None``.
+        """Attach ``key``'s persisted artifact, or ``None``.
 
         The returned :class:`~repro.designs.compiled.CompiledDesign` wraps
-        read-only memory maps of the stored arrays and holds a shared
-        advisory lock on the entry, so :meth:`gc` (in this or any other
-        process) will not evict it mid-read.  A corrupt or partially
-        deleted entry counts as a miss and is quarantined.
+        read-only memory maps of the stored arrays plus the packed ``Ψ``
+        bits of ``block.npy`` (unpacked on the block's first use), and
+        holds a shared advisory lock on the entry, so :meth:`gc` (in this
+        or any other process) will not evict it mid-read.  A corrupt or
+        partially deleted entry counts as a miss and is quarantined.
         """
         return self._lookup(key, count=True)
 
@@ -491,10 +512,11 @@ class DesignStore:
         The arrays are written into a hidden temp directory and renamed
         into place, so concurrent readers only ever see complete entries.
         Losing a publication race to another process is silent — the
-        surviving entry is bit-identical by the key invariant.  A design
+        surviving entry is bit-identical by the key invariant.  The
+        entries are written in :func:`_entries_dtype` of ``n``.  A design
         whose ``block_resident`` is true also persists its dense ``Ψ``
-        block as ``block.npy``, which every warm attach adopts as a
-        read-only memory map.
+        block bit-packed as ``block.npy``, which every warm attach adopts
+        and unpacks instead of rebuilding the block from the entries.
         """
         path = self.entry_dir(compiled.key)
         if (path / _META_NAME).is_file():
@@ -504,7 +526,8 @@ class DesignStore:
         try:
             design = compiled.design
             arrays = {
-                "entries": design.entries,
+                # The held array, so narrow attached entries are never widened here.
+                "entries": design._entries.astype(_entries_dtype(compiled.n), copy=False),
                 "indptr": design.indptr,
                 "dstar": compiled.dstar,
                 "delta": compiled.delta,
@@ -516,10 +539,9 @@ class DesignStore:
             with_block = compiled.block_resident
             if with_block:
                 # Materialise (at most once — idempotent on the artifact)
-                # and persist the float32 dense Ψ block: warm attachers then
-                # adopt it as a read-only mmap and skip the block rebuild
-                # that otherwise dominates a cold-process decode.
-                np.save(tmp / "block.npy", compiled.incidence_block())
+                # and persist the dense Ψ block, one bit per cell: warm
+                # attachers unpack it and skip the scatter from the entries.
+                np.save(tmp / "block.npy", _pack_block(compiled.incidence_block()))
                 nbytes += (tmp / "block.npy").stat().st_size
             (tmp / _LOCK_NAME).touch()
             (tmp / _USED_NAME).touch()
@@ -570,7 +592,7 @@ class DesignStore:
     # -- attachment internals ---------------------------------------------------
 
     def _attach(self, path: Path, key: DesignKey) -> CompiledDesign:
-        """Build a read-only, mmap-backed artifact from a complete entry."""
+        """Build a read-only artifact from a complete entry: mapped arrays, packed block bits."""
         read_lock = _EntryReadLock(path / _LOCK_NAME)
         try:
             meta = json.loads((path / _META_NAME).read_text())
@@ -601,9 +623,9 @@ class DesignStore:
             design = _design_from_maps(key.n, loaded["entries"], loaded["indptr"], entry_range)
             compiled = CompiledDesign(design, dstar=loaded["dstar"], delta=loaded["delta"], key=key, copy=False)
             if meta.get("block") and (path / "block.npy").is_file():
-                # Adopt the persisted Ψ block zero-copy: decode-ready with
-                # no scatter, and N attached processes share one page cache.
-                compiled.adopt_block(np.load(path / "block.npy", mmap_mode="r"))
+                # A private copy of the verified Ψ bits (1/32 of the block):
+                # its first use unpacks it, with no scatter from the entries.
+                compiled.adopt_packed_block(np.load(path / "block.npy"))
         except Exception as exc:
             read_lock.close()
             raise ValueError(f"corrupt store entry {path.name}: {exc}") from exc
@@ -618,12 +640,8 @@ class DesignStore:
         Raises ``ValueError`` on a missing manifest, a missing file or a
         digest mismatch — all of which the caller treats as a corrupt
         entry (quarantine + recompile).  Presence is checked first; the
-        files are then hashed side by side on a per-call thread pool
-        (``hashlib`` and file reads release the GIL, and ``entries.npy``
-        and ``block.npy`` are about equally large), and digests are
-        compared in manifest order, so the first reported failure is the
-        same as a one-by-one check.  The pool is joined before returning:
-        no thread outlives the call or crosses a fork.
+        files are then hashed in full, one after another in manifest
+        order, on the calling thread.
 
         With ``entries`` (the attach's map of ``entries.npy``), the hash of
         that file also takes the ``(min, max)`` of its values from the same
@@ -637,15 +655,12 @@ class DesignStore:
             if not (path / name).is_file():
                 raise ValueError(f"integrity: store entry {path.name} is missing {name}")
 
-        def digest(name: str) -> "tuple[str, tuple[int, int] | None]":
-            if name == "entries.npy" and entries is not None:
-                return _sha256_and_range(path / name, entries)
-            return _sha256_file(path / name), None
-
-        with ThreadPoolExecutor(max_workers=min(len(manifest), cpu_count())) as pool:
-            results = list(pool.map(digest, manifest))
         entry_range = None
-        for (name, expected), (actual, observed) in zip(manifest.items(), results):
+        for name, expected in manifest.items():
+            if name == "entries.npy" and entries is not None:
+                actual, observed = _sha256_and_range(path / name, entries)
+            else:
+                actual, observed = _sha256_file(path / name), None
             if actual != expected:
                 raise ValueError(
                     f"integrity: store entry {path.name} file {name} hash mismatch "
@@ -810,8 +825,8 @@ class DesignStore:
         entry range from the ``entries.npy`` bytes it hashes; the arrays
         are mapped for their headers only, so auditing a large store never
         perturbs reader page caches.  The entry then passes the attach's
-        design checks (entry range, ``indptr`` shape), so ``fsck`` and
-        :meth:`get` agree on every entry.  Entries failing any check are
+        design checks (entry range, ``indptr`` shape, packed block shape),
+        so ``fsck`` and :meth:`get` agree on every entry.  Entries failing any check are
         quarantined exactly as a corrupt attach would be; stale-format
         entries are dropped (the next lookup recompiles them).  Exposed as
         ``design store fsck`` on the CLI.
@@ -825,7 +840,10 @@ class DesignStore:
                     raise _StaleEntry(f"unsupported format {meta.get('format_version')!r}")
                 loaded = {name: np.load(entry.path / f"{name}.npy", mmap_mode="r") for name in ("entries", "indptr")}
                 entry_range = self._verify_manifest(entry.path, meta, entries=loaded["entries"])
-                _design_from_maps(entry.key.n, loaded["entries"], loaded["indptr"], entry_range)
+                design = _design_from_maps(entry.key.n, loaded["entries"], loaded["indptr"], entry_range)
+                if meta.get("block"):
+                    packed = np.load(entry.path / "block.npy", mmap_mode="r")
+                    _check_packed_block(packed, design.m, design.n)
             except _StaleEntry:
                 self._discard(entry.path)  # stale, not corrupt: the next lookup recompiles
                 continue

@@ -33,7 +33,9 @@ fails)::
 Error codes are a closed set (:data:`ERROR_CODES`): ``bad_request``
 (non-JSON line, wrong top-level type, missing/ill-typed fields),
 ``bad_key`` (unparseable or unservable design key), ``bad_y`` (wrong
-length, or a result that is not a non-negative ``int64`` count),
+length, a result that is not a non-negative ``int64`` count, a result
+above the pool size ``Γ`` of a stream or sampled key, or results whose
+sum — the bound on every ``Ψ`` entry — overflows ``int64``),
 ``bad_k`` (non-positive or out of range), ``overloaded`` (admission
 queue full — resubmit later), ``unavailable`` (the key's circuit breaker
 is open after repeated decode failures — resubmit after the cooldown),
@@ -77,6 +79,8 @@ ERROR_CODES = (
     "shutting_down",
     "internal",
 )
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 #: Cap on accepted request-line length (bytes).  Bounds per-connection
 #: buffering the same way the admission queue bounds decode work; a 1M-entry
@@ -176,7 +180,7 @@ def parse_request(line: "str | bytes", *, default_decoder: str = "mn") -> Decode
         raise ProtocolError("bad_y", "y must be a list of integer query results", request_id)
     if len(y_field) != key.m:
         raise ProtocolError("bad_y", f"y has length {len(y_field)}, design key has m={key.m}", request_id)
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in y_field):
+    if not set(map(type, y_field)) <= {int}:  # exact type: no bool, float or str
         raise ProtocolError("bad_y", "y entries must be integers", request_id)
     try:
         y = np.asarray(y_field, dtype=np.int64)
@@ -184,6 +188,12 @@ def parse_request(line: "str | bytes", *, default_decoder: str = "mn") -> Decode
         raise ProtocolError("bad_y", "y entries must fit in int64", request_id) from None
     if (y < 0).any():
         raise ProtocolError("bad_y", "y entries are counts and must be non-negative", request_id)
+    top = int(y.max(initial=0))
+    if key.scheme in ("stream", "sampled") and isinstance(key.gamma, (int, float)) and top > key.gamma:
+        # A query result counts the draws of one pool: it never exceeds Γ.
+        raise ProtocolError("bad_y", f"y entry {top} exceeds the pool size Γ={key.gamma} of this design key", request_id)
+    if y.size and top > _INT64_MAX // y.size and sum(y_field) > _INT64_MAX:
+        raise ProtocolError("bad_y", "y entries sum past int64, so Ψ would overflow", request_id)
     y.setflags(write=False)
 
     k_field = raw["k"]

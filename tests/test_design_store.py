@@ -36,6 +36,7 @@ from repro.designs import (
     reset_default_design_store,
     resolve_design_store,
 )
+from repro.designs.store import _entries_dtype
 from repro.engine import SerialBackend, SharedMemBackend, run_trial_grid
 from repro.noise import GaussianNoise
 from repro.noise.trial import run_noisy_mn_trial
@@ -148,18 +149,19 @@ class TestStoreBasics:
         (entry / "meta.json").write_text(json.dumps(meta))
         assert store.get(KEY) is None
 
-    def test_v2_float64_entry_is_a_miss_and_republishes_as_v3(self, store):
+    def test_v3_entry_is_a_miss_and_republishes_as_v4(self, store):
         import hashlib
 
-        # Rewrite a fresh entry into the version-2 layout: a float64 block
-        # with a matching manifest and the old block_dtype meta field.
+        # Rewrite a fresh entry into the version-3 layout: an unpacked
+        # float32 block and int64 entries, with a matching manifest.
         store.publish(compile_from_key(KEY))
         entry = store.entry_dir(KEY)
-        block64 = np.load(entry / "block.npy").astype(np.float64)
-        np.save(entry / "block.npy", block64)
+        np.save(entry / "block.npy", compile_from_key(KEY).incidence_block())
+        np.save(entry / "entries.npy", np.load(entry / "entries.npy").astype(np.int64))
         meta = json.loads((entry / "meta.json").read_text())
-        meta.update(format_version=2, block_dtype="float64")
-        meta["sha256"]["block.npy"] = hashlib.sha256((entry / "block.npy").read_bytes()).hexdigest()
+        meta["format_version"] = 3
+        for name in ("block.npy", "entries.npy"):
+            meta["sha256"][name] = hashlib.sha256((entry / name).read_bytes()).hexdigest()
         (entry / "meta.json").write_text(json.dumps(meta, sort_keys=True))
 
         assert store.get(KEY) is None  # stale: a miss, never adopted
@@ -167,8 +169,9 @@ class TestStoreBasics:
         healed = store.get_or_compile(KEY, lambda: compile_from_key(KEY))
         assert healed.incidence_block().dtype == np.dtype(np.float32)
         meta = json.loads((entry / "meta.json").read_text())
-        assert meta["format_version"] == 3 and "block_dtype" not in meta
-        assert np.load(entry / "block.npy").dtype == np.dtype(np.float32)
+        assert meta["format_version"] == 4
+        assert np.load(entry / "block.npy").dtype == np.dtype(np.uint8)
+        assert np.load(entry / "entries.npy").dtype == np.dtype(np.int16)
         assert store.stats.publishes == 2
         warm = store.get(KEY)
         sigma = np.zeros(KEY.n, dtype=np.int64)
@@ -628,9 +631,19 @@ class TestMachineLocalStore:
         assert np.array_equal(MNDecoder().compile(attached).decode(y, 6), MNDecoder().compile(compiled).decode(y, 6))
 
 
-#: Elements of an int64 ``.npy`` file in its first 256 KiB hash read (the
-#: 128-byte header is read on its own): entry 32752 opens the second read.
-_FIRST_READ_VALUES = ((1 << 18) - 128) // 8
+#: A stream key whose ``entries.npy`` spans three 256 KiB hash reads.
+_WIDE = DesignKey.for_stream(2000, 300, root_seed=3)
+
+
+def _first_read_values(itemsize):
+    """Elements of a ``.npy`` file in its first 256 KiB hash read (the
+    128-byte header is read on its own)."""
+    return ((1 << 18) - 128) // itemsize
+
+
+#: Elements of ``_WIDE``'s stored entries in the first hash read: the
+#: element at this position opens the second read.
+_FIRST_READ_VALUES = _first_read_values(_entries_dtype(_WIDE.n).itemsize)
 
 
 def _forge_entry(store, key, position, value):
@@ -650,7 +663,7 @@ def _forge_entry(store, key, position, value):
 class TestEntryRangeInHashPass:
     """The verify pass takes the entry range from the bytes it hashes."""
 
-    WIDE = DesignKey.for_stream(2000, 120, root_seed=3)  # 120 000 entries: four hash reads
+    WIDE = _WIDE  # 300 000 int16 entries: three hash reads
 
     @pytest.mark.parametrize("position", [0, _FIRST_READ_VALUES - 1, _FIRST_READ_VALUES, -1])
     @pytest.mark.parametrize("bad", ["n", "negative"])
@@ -711,15 +724,19 @@ class TestEntryRangeInHashPass:
         expected = (int(entries.min()), int(entries.max())) if verify else None
         assert seen == [expected]
 
-    @pytest.mark.parametrize("size", [1, _FIRST_READ_VALUES, _FIRST_READ_VALUES + 1, 100_003])
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+    @pytest.mark.parametrize("size", ["one", "first-read", "first-read+1", 100_003])
     @pytest.mark.parametrize("max_read", [None, 7], ids=["full-reads", "short-reads"])
-    def test_hash_and_range_match_a_direct_read(self, tmp_path, monkeypatch, size, max_read):
+    def test_hash_and_range_match_a_direct_read(self, tmp_path, monkeypatch, dtype, size, max_read):
         import builtins
         import hashlib
 
         import repro.designs.store as store_mod
 
-        values = np.random.default_rng(size).integers(-(2**40), 2**40, size=size, dtype=np.int64)
+        first = _first_read_values(np.dtype(dtype).itemsize)
+        size = {"one": 1, "first-read": first, "first-read+1": first + 1}.get(size, size)
+        bound = np.iinfo(dtype).max
+        values = np.random.default_rng(size).integers(-bound, bound, size=size, dtype=dtype)
         np.save(tmp_path / "v.npy", values)
         if max_read is not None:
             # A file object whose reads stop short at odd byte counts: values
@@ -754,9 +771,151 @@ class TestEntryRangeInHashPass:
     def test_other_dtypes_leave_the_range_to_the_caller(self, tmp_path):
         import repro.designs.store as store_mod
 
-        np.save(tmp_path / "v.npy", np.arange(10, dtype=np.int32))
+        np.save(tmp_path / "v.npy", np.arange(10, dtype=np.float64))
         digest, observed = store_mod._sha256_and_range(tmp_path / "v.npy", np.load(tmp_path / "v.npy", mmap_mode="r"))
         assert digest == store_mod._sha256_file(tmp_path / "v.npy") and observed is None
+
+
+class TestPackedFormat:
+    """Format 4: a bit-packed Ψ block and entries at the width ``n`` needs."""
+
+    @pytest.mark.parametrize("n, dtype", [(2**15, np.int16), (2**15 + 1, np.int32), (2**31, np.int32), (2**31 + 1, np.int64)])
+    def test_entries_dtype_is_the_narrowest_signed_that_holds_n_minus_1(self, n, dtype):
+        assert _entries_dtype(n) == np.dtype(dtype)
+
+    @pytest.mark.parametrize("n, dtype", [(2**15, np.int16), (2**15 + 1, np.int32)])
+    def test_published_entries_use_that_dtype(self, store, n, dtype):
+        key = DesignKey.for_stream(n, 2, root_seed=1, gamma=40)
+        compiled = compile_from_key(key)
+        store.publish(compiled)
+        stored = np.load(store.entry_dir(key) / "entries.npy")
+        assert stored.dtype == np.dtype(dtype)
+        assert np.array_equal(stored, compiled.design.entries)
+        attached = store.get(key)
+        assert attached.design.entries.dtype == np.int64
+        assert np.array_equal(attached.design.entries, compiled.design.entries)
+
+    @pytest.mark.parametrize(
+        "n, m, chunk_cells",
+        [(203, 70, 4096), (1001, 1100, None)],
+        ids=["small-chunks", "module-chunks"],
+    )
+    def test_unpacked_block_is_bit_identical(self, store, monkeypatch, n, m, chunk_cells):
+        import repro.designs.compiled as compiled_mod
+
+        if chunk_cells is not None:
+            monkeypatch.setattr(compiled_mod, "_ROW_CHUNK_CELLS", chunk_cells)
+        rows = max(1, compiled_mod._ROW_CHUNK_CELLS // n)
+        assert n % 8 and m > rows and m % rows  # several chunks, the last one short
+        key = DesignKey.for_stream(n, m, root_seed=9)
+        store.publish(compile_from_key(key))
+        packed = np.load(store.entry_dir(key) / "block.npy")
+        assert packed.dtype == np.uint8 and packed.shape == (m, (n + 7) // 8)
+        block = store.get(key).incidence_block()
+        assert block.dtype == np.float32 and not block.flags.writeable
+        assert np.array_equal(block, compile_from_key(key).incidence_block())
+
+    def test_block_unpacks_at_mn_compile_and_never_for_counts_decoders(self, store):
+        from repro.designs import make_decoder
+
+        store.publish(compile_from_key(KEY))
+        attached = store.get(KEY)
+        assert attached._block is None and attached._packed.dtype == np.uint8  # the verified bits only
+        make_decoder("omp").compile(attached)  # decodes against the counts block
+        assert attached._block is None
+        assert attached.design._entries.dtype == np.int16  # the counts read the narrow entries
+        MNDecoder().compile(attached)
+        assert attached._packed is None and attached._block is not None
+
+    def test_mn_attach_and_decode_never_widen_the_entries(self, store):
+        store.publish(compile_from_key(KEY))
+        attached = store.get(KEY)
+        held = attached.design._entries
+        assert held.dtype == np.int16 and isinstance(held, np.memmap)  # the stored map, not a copy
+        assert attached.nbytes == held.nbytes + 8 * (KEY.m + 1 + 2 * KEY.n) + attached.block_bytes
+        y = compile_from_key(KEY).query_results(np.arange(KEY.n) < 4)
+        MNDecoder().compile(attached).decode(y, 4)
+        assert attached.design._entries is held
+        assert attached.gamma == KEY.gamma  # mean_pool_size reads the size only
+        assert attached.design._entries is held
+
+    def test_concurrent_first_reads_widen_once(self):
+        import threading
+
+        from repro.core.design import PoolingDesign
+
+        rng = np.random.default_rng(0)
+        narrow = rng.integers(0, 500, size=200_000, dtype=np.int16)
+        design = PoolingDesign(500, narrow, np.arange(0, 200_001, 100, dtype=np.int64))
+        workers = 6
+        barrier = threading.Barrier(workers, timeout=30)
+        seen = []
+
+        def read():
+            barrier.wait()
+            seen.append(design.entries)
+
+        threads = [threading.Thread(target=read) for _ in range(workers)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads) and len(seen) == workers
+        assert all(entries is seen[0] for entries in seen) and seen[0].dtype == np.int64
+        assert np.array_equal(seen[0], narrow)
+
+    def test_attached_content_key_equals_the_original(self, store):
+        from repro.core.design import PoolingDesign
+        from repro.designs import compile_design
+
+        compiled = compile_design(PoolingDesign.from_pools(9, [[0, 1, 8], [2, 2, 5], [7, 3, 0, 4]]))
+        assert compiled.key.scheme == "content"
+        store.publish(compiled)
+        attached = store.get(compiled.key)
+        assert attached.design._entries.dtype == np.int16
+        assert DesignKey.for_content(attached.design) == compiled.key
+
+    @pytest.mark.parametrize("reader", ["get", "fsck"])
+    def test_misshapen_packed_block_under_a_matching_digest_is_quarantined(self, store, reader):
+        import hashlib
+
+        store.publish(compile_from_key(KEY))
+        path = store.entry_dir(KEY)
+        np.save(path / "block.npy", np.load(path / "block.npy")[:, :-1])
+        meta = json.loads((path / "meta.json").read_text())
+        meta["sha256"]["block.npy"] = hashlib.sha256((path / "block.npy").read_bytes()).hexdigest()
+        (path / "meta.json").write_text(json.dumps(meta, sort_keys=True))
+        if reader == "get":
+            assert store.get(KEY) is None
+        else:
+            assert store.fsck().quarantined == (store.digest(KEY),)
+        assert store.stats.quarantined == 1 and not path.exists()
+
+    def test_every_verified_attach_hashes_every_file_in_full(self, store, monkeypatch):
+        import repro.designs.store as store_mod
+
+        store.publish(compile_from_key(KEY))
+        path = store.entry_dir(KEY)
+        manifest = json.loads((path / "meta.json").read_text())["sha256"]
+        assert set(manifest) == {"entries.npy", "indptr.npy", "dstar.npy", "delta.npy", "block.npy"}
+        hashed = {}
+        original = store_mod._read_full
+
+        def counting(f, view):
+            got = original(f, view)
+            hashed[Path(f.name).name] = hashed.get(Path(f.name).name, 0) + got
+            return got
+
+        monkeypatch.setattr(store_mod, "_read_full", counting)
+        for _ in range(3):
+            hashed.clear()
+            assert store.get(KEY) is not None
+            assert hashed == {name: (path / name).stat().st_size for name in manifest}
 
 
 _RSS_SCRIPT = """
@@ -765,11 +924,10 @@ import numpy as np
 from repro.core.mn import MNDecoder
 from repro.designs import DesignKey, DesignStore
 
-def rss_file_bytes():
+def rss_bytes():  # (total, file-backed) resident bytes of this process
     with open("/proc/self/status") as f:
-        for line in f:
-            if line.startswith("RssFile:"):
-                return int(line.split()[1]) * 1024
+        fields = dict(line.split(":", 1) for line in f)
+    return tuple(int(fields[name].split()[0]) * 1024 for name in ("VmRSS", "RssFile"))
 
 store = DesignStore(sys.argv[1])
 # A small attach and decode first, so every lazily loaded module is mapped
@@ -777,12 +935,16 @@ store = DesignStore(sys.argv[1])
 small = store.get(DesignKey.for_stream(300, 40, root_seed=11))
 MNDecoder().compile(small).decode_batch(np.ones((2, 40), dtype=np.int64), 3)
 key = DesignKey.for_stream(10_000, 600, root_seed=5)
-before = rss_file_bytes()
+before = rss_bytes()
 compiled = store.get(key)
 MNDecoder().compile(compiled).decode_batch(np.ones((2, key.m), dtype=np.int64), 3)
+after = rss_bytes()
 print(json.dumps({
-    "grew": rss_file_bytes() - before,
-    "entries": compiled.design.entries.nbytes,
+    "grew": after[0] - before[0],
+    "grew_file": after[1] - before[1],
+    "stored_entries": compiled.design._entries.nbytes,
+    "wide_entries": key.m * int(key.gamma) * 8,
+    "held_dtype": str(compiled.design._entries.dtype),
     "block": compiled.block_bytes,
 }))
 """
@@ -798,6 +960,9 @@ def test_mn_attach_and_decode_map_no_entries_pages(tmp_path):
         [sys.executable, "-c", _RSS_SCRIPT, str(store.root)], capture_output=True, text=True, env=env, check=True
     )
     run = json.loads(proc.stdout)
-    # The decode faults in the whole Ψ block; the entries (24 MB here, as
-    # large as the block) are hashed with read(), never mapped page by page.
-    assert run["grew"] - run["block"] < run["entries"] / 2, run
+    # The attach unpacks the whole float32 Ψ block (24 MB here) into private
+    # memory; the int16 entries (6 MB) are hashed with read(), never mapped
+    # page by page, and never widened into their 24 MB int64 copy.
+    assert run["held_dtype"] == "int16", run
+    assert run["grew"] - run["block"] < run["wide_entries"] / 2, run
+    assert run["grew_file"] < run["stored_entries"] / 2, run

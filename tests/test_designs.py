@@ -146,9 +146,11 @@ class TestCompiledDesign:
         import sys
         import threading
 
+        from repro.designs.compiled import _row_chunks
+
         fresh = compile_from_key(key)
-        builds = {"cells": 0, "counts": 0}
-        cells, counts = fresh.design.incidence_cells, fresh.design.dense_counts
+        builds = {"cells": 0}
+        cells = fresh.design.incidence_cells
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -158,7 +160,6 @@ class TestCompiledDesign:
             return wrapper
 
         fresh.design.incidence_cells = counted("cells", cells)
-        fresh.design.dense_counts = counted("counts", counts)
         workers = 6
         barrier = threading.Barrier(workers, timeout=30)
         out: dict = {}
@@ -180,9 +181,23 @@ class TestCompiledDesign:
         assert not any(t.is_alive() for t in threads)
         assert len(out) == workers
         assert all(out[i][0] is out[0][0] and out[i][1] is out[0][1] for i in range(workers))
-        # One scatter for the incidence block, one inside the single counts build.
-        assert builds == {"cells": 2, "counts": 1}
+        # One scatter for the incidence block, one per row chunk of the single counts build.
+        assert builds == {"cells": 1 + len(list(_row_chunks(fresh.m, fresh.n)))}
         assert np.array_equal(out[0][0], (out[0][1] > 0).astype(out[0][0].dtype))
+
+    @pytest.mark.parametrize("which", ["regular", "ragged"])
+    def test_counts_block_built_in_row_chunks_equals_dense_counts(self, which, monkeypatch):
+        import repro.designs.compiled as compiled_mod
+
+        rng = np.random.default_rng(3)
+        if which == "regular":
+            design = PoolingDesign.sample(37, 23, rng, gamma=9)
+        else:
+            design = PoolingDesign.from_pools(37, [rng.integers(0, 37, size=s) for s in rng.integers(0, 12, size=23)])
+        monkeypatch.setattr(compiled_mod, "_ROW_CHUNK_CELLS", 5 * 37)  # 5-row chunks, the last one short
+        counts = CompiledDesign(design).counts_block()
+        assert counts.dtype == np.float64 and not counts.flags.writeable
+        assert np.array_equal(counts, design.dense_counts())
 
     def test_nbytes_accounts_for_block_before_materialisation(self, key):
         fresh = compile_from_key(key)
@@ -311,23 +326,27 @@ class TestBlockDtype:
         y = np.array([big, 0, 0], dtype=np.int64)
         assert compiled.psi(y)[4] == big
 
-    def test_adopt_block_rejects_float64(self, compiled):
+    def test_adopted_packed_block_decodes_like_the_scatter(self, compiled):
+        from repro.designs.compiled import _pack_block
+
         fresh = CompiledDesign(compiled.design, key=compiled.key)
-        block = np.zeros((fresh.m, fresh.n), dtype=np.float64)
-        rows = np.repeat(np.arange(fresh.m), np.diff(fresh.design.indptr))
-        block[rows, fresh.design.entries] = 1.0
-        with pytest.raises(ValueError, match="float32"):
-            fresh.adopt_block(block)
-        fresh.adopt_block(block.astype(np.float32))  # the one accepted format
+        with pytest.raises(ValueError, match="uint8"):
+            fresh.adopt_packed_block(compiled.incidence_block())  # dense float32 is not the packed form
+        fresh.adopt_packed_block(_pack_block(compiled.incidence_block()))
+        assert np.array_equal(fresh.incidence_block(), compiled.incidence_block())
+        assert fresh.incidence_block().dtype == np.dtype(np.float32)
         y = np.arange(fresh.m, dtype=np.int64)
         assert np.array_equal(fresh.psi(y), compiled.design.psi(y))
 
-    def test_adopt_block_rejects_bad_dtype_and_shape(self, compiled):
+    def test_adopt_packed_block_rejects_bad_dtype_and_shape(self, compiled):
         fresh = CompiledDesign(compiled.design, key=compiled.key)
-        with pytest.raises(ValueError, match="float32"):
-            fresh.adopt_block(np.zeros((fresh.m, fresh.n), dtype=np.int64))
-        with pytest.raises(ValueError, match="float32"):
-            fresh.adopt_block(np.zeros((fresh.m + 1, fresh.n), dtype=np.float32))
+        packed_cols = (fresh.n + 7) // 8
+        with pytest.raises(ValueError, match="uint8"):
+            fresh.adopt_packed_block(np.zeros((fresh.m, packed_cols), dtype=np.int64))
+        with pytest.raises(ValueError, match="uint8"):
+            fresh.adopt_packed_block(np.zeros((fresh.m + 1, packed_cols), dtype=np.uint8))
+        with pytest.raises(ValueError, match="uint8"):
+            fresh.adopt_packed_block(np.zeros((fresh.m, packed_cols + 1), dtype=np.uint8))
 
     def test_serialization_writes_no_block_dtype(self, compiled, tmp_path):
         from repro.core.serialization import load_compiled_design, save_design

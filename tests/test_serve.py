@@ -703,6 +703,31 @@ class TestDecodeServer:
 
         asyncio.run(run())
 
+    def test_y_above_the_pool_size_gets_exactly_one_error(self):
+        async def run():
+            import json
+
+            server, host, port = await self._start(ServeConfig())
+            reader, writer = await asyncio.open_connection(host, port)
+            key = json.loads(KEY_B.to_json())
+            y, offline = make_case(KEY_B, 4, seed=52)
+            # Fits int64, but no pool of Γ draws can count this many ones.
+            bad = {"request_id": "wrap", "design_key": key, "y": [2**62] * KEY_B.m, "k": 4}
+            good = {"request_id": "good", "design_key": key, "y": y.tolist(), "k": 4}
+            writer.write((json.dumps(bad) + "\n" + json.dumps(good) + "\n").encode())
+            await writer.drain()
+            responses = [json.loads(await asyncio.wait_for(reader.readline(), 5)) for _ in range(2)]
+            by_id = {r["request_id"]: r for r in responses}
+            assert by_id["wrap"]["error"]["code"] == "bad_y"
+            assert by_id["good"]["ok"] and by_id["good"]["support"] == offline
+            with pytest.raises(asyncio.TimeoutError):  # nothing else is coming
+                await asyncio.wait_for(reader.readline(), 0.2)
+            writer.close()
+            await writer.wait_closed()
+            await server.drain()
+
+        asyncio.run(run())
+
     def test_request_timeout_is_structured(self):
         async def run():
             # The lane is held past the deadline: the decode never finishes in time.

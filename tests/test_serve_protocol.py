@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.design import PoolingDesign
 from repro.designs import DesignKey
 from repro.serve import (
     ERROR_CODES,
@@ -22,6 +23,7 @@ from repro.serve import (
 )
 
 KEY = DesignKey.for_stream(32, 8, root_seed=7)
+CONTENT_KEY = DesignKey.for_content(PoolingDesign.from_pools(16, [[0, 1], [2, 3, 3], [4], [5, 6, 7], [8], [9, 15]]))
 
 
 def make_line(**overrides):
@@ -125,9 +127,33 @@ class TestParseRequest:
         assert fragment in err.value.message
         assert err.value.request_id == "r1"
 
-    def test_y_at_the_int64_bound_parses(self):
-        y = [0] * (KEY.m - 1) + [2**63 - 1]
+    def test_y_at_the_pool_size_parses(self):
+        y = [0] * (KEY.m - 1) + [KEY.gamma]
         assert parse_request(make_line(y=y)).y.tolist() == y
+
+    @pytest.mark.parametrize("big", [KEY.gamma + 1, 2**62, 2**63 - 1])
+    @pytest.mark.parametrize("scheme", ["stream", "sampled"])
+    def test_y_above_the_pool_size_is_bad_y(self, big, scheme):
+        key = KEY if scheme == "stream" else DesignKey.for_sampled(KEY.n, KEY.m, root_seed=7, tag=1, index=0)
+        line = make_line(design_key=json.loads(key.to_json()), y=[big] * key.m)
+        with pytest.raises(ProtocolError) as err:
+            parse_request(line)
+        assert err.value.code == "bad_y"
+        assert f"Γ={key.gamma}" in err.value.message
+        assert err.value.request_id == "r1"
+
+    def test_content_key_y_summing_to_the_int64_bound_parses(self):
+        y = [0] * (CONTENT_KEY.m - 2) + [2**62, 2**62 - 1]
+        line = make_line(design_key=json.loads(CONTENT_KEY.to_json()), y=y)
+        assert parse_request(line).y.tolist() == y
+
+    @pytest.mark.parametrize("y", [[2**62] * 2, [2**63 - 1, 1], [2**61] * 5])
+    def test_content_key_y_summing_past_int64_is_bad_y(self, y):
+        line = make_line(design_key=json.loads(CONTENT_KEY.to_json()), y=[0] * (CONTENT_KEY.m - len(y)) + y)
+        with pytest.raises(ProtocolError) as err:
+            parse_request(line)
+        assert err.value.code == "bad_y"
+        assert "overflow" in err.value.message
 
     @pytest.mark.parametrize("bad_k", [0, -1, KEY.n + 1, 1.5, True, "3"])
     def test_bad_k(self, bad_k):
