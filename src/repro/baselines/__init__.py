@@ -30,7 +30,6 @@ from repro.baselines.bin_gt import (
 )
 from repro.baselines.centring import (
     centre_observations,
-    check_observations,
     column_mean,
     pool_gamma,
     pool_variance,
@@ -51,6 +50,7 @@ from repro.baselines.sequential import (
     adaptive_binary_splitting,
     oracle_from_signal,
 )
+from repro.designs.protocol import check_observations
 
 __all__ = [
     "basis_pursuit_decode",

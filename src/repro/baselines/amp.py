@@ -20,10 +20,11 @@ rounds, and the final binary estimate takes the top-``k`` posterior means
 (same rounding as every other decoder in the suite, for comparability).
 
 The iteration itself lives in
-:class:`~repro.baselines.compiled.CompiledAMPDecoder` (``run`` for one
-signal, ``decode_batch`` for many); :func:`amp_decode` is its one-shot
-form.  This module holds the pieces both share: the Bernoulli denoiser and
-the :class:`AMPResult` trajectory record.
+:class:`~repro.baselines.compiled.CompiledAMPDecoder` as one round loop
+over a batch: ``run`` for one signal (the one-row batch, with its
+trajectory), ``decode_batch`` for many; :func:`amp_decode` is the one-shot
+form of ``run``.  This module holds the Bernoulli denoiser and the
+:class:`AMPResult` trajectory record.
 """
 
 from __future__ import annotations

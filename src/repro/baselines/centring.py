@@ -29,7 +29,6 @@ __all__ = [
     "column_mean",
     "pool_variance",
     "centre_observations",
-    "check_observations",
 ]
 
 
@@ -67,18 +66,3 @@ def centre_observations(y: np.ndarray, k: "int | np.ndarray", mean: float) -> np
     if np.ndim(k) > 0 and y.ndim == 2:
         return y - np.asarray(k, dtype=np.float64)[:, None] * mean
     return y - np.asarray(k, dtype=np.float64) * mean
-
-
-def check_observations(y: np.ndarray, m: int, *, name: str = "y") -> np.ndarray:
-    """Validate one observation vector: shape ``(m,)``, finite, float64.
-
-    Raises a clean :class:`ValueError` for the wrong length or non-finite
-    entries (NaN/±inf) instead of letting them surface as opaque numpy
-    errors deep inside ``lstsq`` or the AMP iteration.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (m,):
-        raise ValueError(f"{name} must have length m={m}")
-    if not np.isfinite(y).all():
-        raise ValueError(f"{name} must be finite; got NaN or infinity")
-    return y

@@ -10,10 +10,12 @@ split into the library's unified compile/decode lifecycle
   counts materialisation (:meth:`~repro.designs.compiled.CompiledDesign.counts_block`),
   centring constants, OMP's column norms — into
 * a **Compiled** artifact (:class:`CompiledLPDecoder`, …) whose
-  ``decode(y, k)`` runs the per-signal algorithm against the hoisted arrays,
-  and whose ``decode_batch(Y, k)`` runs the per-round correlation / residual /
-  message-passing updates as real ``(B, m) @ (m, n)`` BLAS GEMMs instead of
-  per-signal Python loops.
+  ``decode_batch(Y, k)`` runs the algorithm against the hoisted arrays, the
+  per-round correlation / residual / message-passing updates as real
+  ``(B, m) @ (m, n)`` BLAS GEMMs instead of per-signal Python loops.  Its
+  ``decode(y, k)`` is the one-row batch, written once in
+  :class:`~repro.designs.protocol.CompiledDecoderBase`, so each family has
+  one decode path.
 
 LP, OMP and AMP hold one ``(m, n)`` operand, the counts block ``C``; OMP and
 AMP centre algebraically, ``v @ (C − μ) = v @ C − μ·Σv``.
@@ -21,30 +23,33 @@ AMP centre algebraically, ``v @ (C − μ) = v @ C − μ·Σv``.
 The one-shot functions (:func:`~repro.baselines.lp.basis_pursuit_decode`,
 :func:`~repro.baselines.omp.omp_decode`, :func:`~repro.baselines.amp.amp_decode`)
 are thin ``compile(compile_design(design)).decode(y, k)`` calls into this
-module, compiled with no store.  The binary group-testing decoders have one
-decode path, ``decode_batch``; the reference
+module, compiled with no store (``amp_decode`` returns
+:meth:`CompiledAMPDecoder.run`).  The reference
 :func:`~repro.baselines.bin_gt.comp_decode`/
-:func:`~repro.baselines.bin_gt.dd_decode` stay as their test oracle.
+:func:`~repro.baselines.bin_gt.dd_decode` stay as the binary decoders' test
+oracle.
 
 Residency bound: LP/OMP/AMP need the dense float64 counts matrix resident,
 so a design whose ``(m, n)`` float64 block exceeds
 :data:`~repro.designs.compiled.BLOCK_RESIDENCY_LIMIT` (256 MB, ``m·n`` up to
 ~33.5M) raises :class:`ValueError` at compile time — one-shots included.
 
-Parity contract (asserted by ``tests/test_decoders.py``): single-signal
-``decode`` is the oracle for ``decode_batch``.
+Parity contract (asserted by ``tests/test_decoders.py``): ``decode`` is the
+one-row ``decode_batch``, bit for bit in every family.  Row ``b`` of a
+``B > 1`` batch against ``decode`` of that row alone:
 
-* COMP/DD ``decode`` is ``decode_batch`` on one row; both are integer-exact
-  (their products route through the kernel-dispatched
+* COMP/DD rows are bit-identical: their products are integer-exact (they
+  route through the kernel-dispatched
   :meth:`~repro.designs.compiled.CompiledDesign.psi` seam) and match the
   reference :func:`~repro.baselines.bin_gt.comp_decode`/``dd_decode``
   bit for bit.
-* For the float decoders (LP/OMP/AMP) a batched GEMM may round differently
-  from the single-vector matvec in the last bits, so batch rows are
-  guaranteed *thresholded-identical* (same recovered support) rather than
+* For the float decoders (LP/OMP/AMP) a GEMM may round differently with
+  the batch shape in the last bits, so batch rows are guaranteed
+  *thresholded-identical* (same recovered support) rather than
   bit-identical — the documented tolerance of the iterative baselines.  The
   float GEMMs are precision-pinned to float64 so results do not depend on
-  ``REPRO_KERNEL``.
+  ``REPRO_KERNEL``.  Their reference is the literal single-row supports
+  pinned in the test suite, not a second implementation.
 
 Compiled artifacts derive entirely from the :class:`CompiledDesign` they
 bind; a key or a materialised design is resolved to one (through the store,
@@ -64,12 +69,11 @@ import numpy as np
 from repro.baselines.amp import AMPResult, _denoise
 from repro.baselines.centring import (
     centre_observations,
-    check_observations,
     column_mean,
     pool_gamma,
     pool_variance,
 )
-from repro.designs.protocol import require_compiled
+from repro.designs.protocol import CompiledDecoderBase, check_observations
 from repro.util.validation import check_positive_int, check_weight_vector
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
@@ -105,16 +109,6 @@ def _centred_product(v: np.ndarray, a: np.ndarray, mean: float) -> np.ndarray:
     return out
 
 
-def _check_batch(Y: np.ndarray, m: int) -> np.ndarray:
-    """Validate a ``(B, m)`` float observation batch (finite, right width)."""
-    Y = np.asarray(Y, dtype=np.float64)
-    if Y.ndim != 2 or Y.shape[1] != m or Y.shape[0] < 1:
-        raise ValueError(f"Y must have shape (B, m={m})")
-    if not np.isfinite(Y).all():
-        raise ValueError("Y must be finite; got NaN or infinity")
-    return Y
-
-
 def _batch_weights(k: "int | np.ndarray", batch: int, n: int, *, strict_upper: bool = False) -> np.ndarray:
     """Per-row weights for a batch: scalar ``k`` broadcasts, arrays validate."""
     if np.ndim(k) == 0:
@@ -135,22 +129,6 @@ def _scatter_support(n: int, support: np.ndarray) -> np.ndarray:
     return sigma_hat
 
 
-class _CompiledBaseline:
-    """Common base of the compiled baseline artifacts: the design and its decoder.
-
-    Like :class:`~repro.designs.serving.CompiledMNDecoder`, instances hold
-    nothing to release — their ``(m, n)`` operand is one of the compiled
-    design's blocks — so dropping the last reference frees them.
-    """
-
-    def __init__(self, compiled: "CompiledDesign", decoder):
-        self.compiled = require_compiled(compiled)
-        self.decoder = decoder
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(compiled={self.compiled!r}, decoder={self.decoder!r})"
-
-
 # ---------------------------------------------------------------------------
 # LP — box-constrained basis pursuit
 # ---------------------------------------------------------------------------
@@ -165,7 +143,7 @@ class LPDecoder:
         return CompiledLPDecoder(compiled, self)
 
 
-class CompiledLPDecoder(_CompiledBaseline):
+class CompiledLPDecoder(CompiledDecoderBase):
     """Basis pursuit against a pre-materialised counts matrix.
 
     The LP itself is inherently per-signal (HiGHS solves one instance at a
@@ -195,16 +173,9 @@ class CompiledLPDecoder(_CompiledBaseline):
 
         return _scatter_support(n, parallel_top_k(x, k))
 
-    def decode(self, y: np.ndarray, k: int) -> np.ndarray:
-        """Solve the box-constrained LP and round to weight ``k``."""
-        k = check_positive_int(k, "k")
-        if k > self.compiled.n:
-            raise ValueError(f"k={k} exceeds n={self.compiled.n}")
-        y = check_observations(y, self.compiled.m)
-        return self._solve(y, k)
-
     def decode_batch(self, Y: np.ndarray, k: "int | np.ndarray") -> np.ndarray:
-        Y = _check_batch(Y, self.compiled.m)
+        """Solve the box-constrained LP per row and round each to its weight."""
+        Y = np.asarray(check_observations(Y, self.compiled.m), dtype=np.float64)
         k_arr = _batch_weights(k, Y.shape[0], self.compiled.n)
         return np.stack([self._solve(Y[b], int(k_arr[b])) for b in range(Y.shape[0])])
 
@@ -223,14 +194,14 @@ class OMPDecoder:
         return CompiledOMPDecoder(compiled, self)
 
 
-class CompiledOMPDecoder(_CompiledBaseline):
+class CompiledOMPDecoder(CompiledDecoderBase):
     """OMP against the counts block, centred algebraically, with pre-computed column norms.
 
-    ``decode`` runs ``k`` greedy rounds for one signal;
-    ``decode_batch`` turns each round's correlation into one
-    ``(B, m) @ (m, n)`` GEMM across all still-active rows, with per-row
-    least-squares refits (supports differ per row, so the refit cannot
-    batch — but it is ``O(m·k)``, not the ``O(m·n)`` that dominated).
+    ``decode_batch`` runs ``max(k)`` greedy rounds and turns each round's
+    correlation into one ``(B, m) @ (m, n)`` GEMM across all still-active
+    rows, with per-row least-squares refits (supports differ per row, so
+    the refit cannot batch — but it is ``O(m·k)``, not the ``O(m·n)`` that
+    dominated).  ``decode`` is its one-row case.
     """
 
     def __init__(self, compiled: "CompiledDesign", decoder: OMPDecoder):
@@ -244,32 +215,10 @@ class CompiledOMPDecoder(_CompiledBaseline):
         self.col_norms[self.col_norms == 0] = 1.0
         self.col_norms.setflags(write=False)
 
-    def decode(self, y: np.ndarray, k: int) -> np.ndarray:
-        """``k`` rounds of select / least-squares refit / residual update."""
-        n, m = self.compiled.n, self.compiled.m
-        k = check_positive_int(k, "k")
-        if k > n:
-            raise ValueError(f"k={k} exceeds n={n}")
-        y = check_observations(y, m)
-        y_c = centre_observations(y, k, self.mean)
-
-        support: "list[int]" = []
-        residual = y_c.copy()
-        available = np.ones(n, dtype=bool)
-        for _ in range(k):
-            corr = np.abs(_centred_product(residual, self.counts, self.mean)) / self.col_norms
-            corr[~available] = -np.inf
-            pick = int(np.argmax(corr))
-            support.append(pick)
-            available[pick] = False
-            sub = self.counts[:, support] - self.mean
-            coef, *_ = np.linalg.lstsq(sub, y_c, rcond=None)
-            residual = y_c - sub @ coef
-        return _scatter_support(n, np.asarray(support, dtype=np.int64))
-
     def decode_batch(self, Y: np.ndarray, k: "int | np.ndarray") -> np.ndarray:
+        """``k`` rounds of select / least-squares refit / residual update per row."""
         n, m = self.compiled.n, self.compiled.m
-        Y = _check_batch(Y, m)
+        Y = check_observations(Y, m)
         batch = Y.shape[0]
         k_arr = _batch_weights(k, batch, n)
         Y_c = centre_observations(Y, k_arr, self.mean)
@@ -318,16 +267,16 @@ class AMPDecoder:
         return CompiledAMPDecoder(compiled, self)
 
 
-class CompiledAMPDecoder(_CompiledBaseline):
+class CompiledAMPDecoder(CompiledDecoderBase):
     """AMP against the counts block; ``F = (C − μ)/s`` is applied, never formed.
 
-    :meth:`run` holds the scalar iteration for one signal and returns its
-    trajectory (:class:`~repro.baselines.amp.AMPResult`); ``decode`` is its
-    ``sigma_hat``.  ``decode_batch`` vectorises the iteration across rows —
-    the two matrix products per round become ``(B, m) @ (m, n)`` GEMMs —
-    with per-row effective-noise tracking and per-row convergence freezing,
-    so each row follows the same trajectory the scalar path would (up to
-    GEMM-vs-matvec rounding).
+    One round loop runs the iteration across the rows of a batch — the two
+    matrix products per round are ``(B, m) @ (m, n)`` GEMMs — with per-row
+    effective-noise tracking and per-row convergence freezing, so each row
+    follows its own trajectory.  ``decode_batch`` rounds the posteriors to
+    weight ``k``; :meth:`run` is the one-row batch with its trajectory
+    (:class:`~repro.baselines.amp.AMPResult`), and ``decode`` is its
+    ``sigma_hat``.
     """
 
     def __init__(self, compiled: "CompiledDesign", decoder: AMPDecoder):
@@ -339,51 +288,30 @@ class CompiledAMPDecoder(_CompiledBaseline):
 
     def run(self, y: np.ndarray, k: int) -> AMPResult:
         """Iterate AMP on one signal to convergence (or ``max_iter``) and round to weight ``k``."""
-        from repro.parallel.sort import parallel_top_k
-
-        n, m = self.compiled.n, self.compiled.m
-        k = check_positive_int(k, "k")
-        if k >= n:
-            raise ValueError(f"require k < n, got k={k}, n={n}")
-        y = check_observations(y, m)
-        c, mu, scale = self.counts, self.mu, self.scale
-        y_t = centre_observations(y, k, mu) / scale
-
-        eps = k / n
-        x = np.full(n, eps, dtype=np.float64)
-        z = y_t - _centred_product(x, c.T, mu) / scale
-        onsager_gain = 0.0
-        tau_hist: "list[float]" = []
-        converged = False
-        it = 0
-        for it in range(1, self.decoder.max_iter + 1):
-            z = y_t - _centred_product(x, c.T, mu) / scale + z * onsager_gain
-            tau2 = max(float(z @ z) / m, 1e-12)
-            tau_hist.append(tau2)
-            r = x + _centred_product(z / scale, c, mu)
-            x_new, dx = _denoise(r, tau2, eps)
-            onsager_gain = float(dx.mean()) * (n / m)
-            delta = float(np.abs(x_new - x).mean())
-            x = x_new
-            if delta < self.decoder.tol:
-                converged = True
-                break
+        X, k_arr, iterations, converged, tau2 = self._iterate(self._one_row(y), k)
+        rounds = int(iterations[0])
         return AMPResult(
-            sigma_hat=_scatter_support(n, parallel_top_k(x, k)),
-            posterior=x,
-            iterations=it,
-            converged=converged,
-            tau_history=tuple(tau_hist),
+            sigma_hat=self._round(X, k_arr)[0],
+            posterior=X[0],
+            iterations=rounds,
+            converged=bool(converged[0]),
+            tau_history=tuple(tau2[:rounds, 0].tolist()),
         )
 
-    def decode(self, y: np.ndarray, k: int) -> np.ndarray:
-        return self.run(y, k).sigma_hat
-
     def decode_batch(self, Y: np.ndarray, k: "int | np.ndarray") -> np.ndarray:
-        from repro.parallel.sort import parallel_top_k
+        """Iterate AMP on every row and round each posterior to its weight."""
+        X, k_arr, *_ = self._iterate(Y, k)
+        return self._round(X, k_arr)
 
+    def _iterate(self, Y: np.ndarray, k: "int | np.ndarray") -> "tuple[np.ndarray, ...]":
+        """The AMP rounds over a ``(B, m)`` batch.
+
+        Returns the ``(B, n)`` posteriors, the per-row weights, the rounds
+        each row ran, whether each row converged, and the ``(rounds, B)``
+        effective-noise history (NaN once a row has stopped).
+        """
         n, m = self.compiled.n, self.compiled.m
-        Y = _check_batch(Y, m)
+        Y = check_observations(Y, m)
         batch = Y.shape[0]
         k_arr = _batch_weights(k, batch, n, strict_upper=True)
         c, mu, scale = self.counts, self.mu, self.scale
@@ -394,12 +322,17 @@ class CompiledAMPDecoder(_CompiledBaseline):
         Z = Y_t - _centred_product(X, c.T, mu) / scale
         onsager = np.zeros(batch, dtype=np.float64)
         active = np.ones(batch, dtype=bool)
-        for _ in range(1, self.decoder.max_iter + 1):
+        iterations = np.zeros(batch, dtype=np.int64)
+        tau_rounds: "list[np.ndarray]" = []
+        for _ in range(self.decoder.max_iter):
             if not active.any():
                 break
             rows = np.flatnonzero(active)
             Za = Y_t[rows] - _centred_product(X[rows], c.T, mu) / scale + Z[rows] * onsager[rows, None]
             tau2 = np.maximum(np.einsum("bm,bm->b", Za, Za) / m, 1e-12)
+            tau_rounds.append(np.full(batch, np.nan))
+            tau_rounds[-1][rows] = tau2
+            iterations[rows] += 1
             R = X[rows] + _centred_product(Za / scale, c, mu)  # (B, m) @ (m, n): the pseudo-data GEMM
             eta, deta = _denoise(R, tau2[:, None], eps[rows, None])
             onsager[rows] = deta.mean(axis=1) * (n / m)
@@ -407,11 +340,14 @@ class CompiledAMPDecoder(_CompiledBaseline):
             X[rows] = eta
             Z[rows] = Za
             active[rows] = delta >= self.decoder.tol
-        sigma_hat = np.zeros((batch, n), dtype=np.int8)
-        for row in range(batch):
-            top = parallel_top_k(X[row], int(k_arr[row]))
-            sigma_hat[row, top] = 1
-        return sigma_hat
+        return X, k_arr, iterations, ~active, np.stack(tau_rounds)
+
+    @staticmethod
+    def _round(X: np.ndarray, k_arr: np.ndarray) -> np.ndarray:
+        """Each posterior row rounded to its top-``k`` support."""
+        from repro.parallel.sort import parallel_top_k
+
+        return np.stack([_scatter_support(X.shape[1], parallel_top_k(x, int(kb))) for x, kb in zip(X, k_arr)])
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +355,7 @@ class CompiledAMPDecoder(_CompiledBaseline):
 # ---------------------------------------------------------------------------
 
 
-class CompiledGTDecoder(_CompiledBaseline):
+class CompiledGTDecoder(CompiledDecoderBase):
     """COMP/DD against the design's distinct-incidence membership.
 
     The binary decoders observe only the OR channel, so additive results
@@ -431,7 +367,7 @@ class CompiledGTDecoder(_CompiledBaseline):
     ``decode_batch`` expresses both phases as integer-exact products
     through the kernel-dispatched
     :meth:`~repro.designs.compiled.CompiledDesign.psi` seam and the
-    resident block; ``decode`` is its one-row case.  Both are bit-identical
+    resident block; ``decode`` is its one-row case.  Rows are bit-identical
     to the reference :func:`~repro.baselines.bin_gt.comp_decode`/
     :func:`~repro.baselines.bin_gt.dd_decode`.  ``k`` is accepted for
     protocol compatibility but unused — COMP/DD do not need the weight.
@@ -448,17 +384,9 @@ class CompiledGTDecoder(_CompiledBaseline):
         self.block = block
         self.definite_defectives = definite_defectives
 
-    def decode(self, y: np.ndarray, k: int = 1) -> np.ndarray:
-        y = np.asarray(y)
-        if y.shape != (self.compiled.m,):
-            raise ValueError(f"y must have length m={self.compiled.m}")
-        return self.decode_batch(y[None])[0]
-
     def decode_batch(self, Y: np.ndarray, k: "int | np.ndarray" = 1) -> np.ndarray:
-        Y = np.asarray(Y)
-        if Y.ndim != 2 or Y.shape[1] != self.compiled.m or Y.shape[0] < 1:
-            raise ValueError(f"Y must have shape (B, m={self.compiled.m})")
-        positive = Y > 0
+        """COMP (and, for DD, the definite-defectives pass) on every row."""
+        positive = check_observations(Y, self.compiled.m) > 0
         # COMP phase: an entry survives iff no negative test contains it.
         # psi of the negative-test indicator counts, per entry, the negative
         # tests it appears in — integer-exact under every kernel.

@@ -13,7 +13,9 @@ correlated with the residual, re-fit by least squares on the support,
 update the residual — for exactly ``k`` rounds, after which the support is
 declared one (the discrete projection step).
 
-The rounds run in :class:`~repro.baselines.compiled.CompiledOMPDecoder`;
+The rounds run once, in
+:meth:`~repro.baselines.compiled.CompiledOMPDecoder.decode_batch`, across
+the rows of a batch; a single signal is the one-row batch, and
 :func:`omp_decode` is its one-shot form.
 """
 

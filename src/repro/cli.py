@@ -561,8 +561,18 @@ def _cmd_design(args) -> int:
         if y.shape != (compiled.m,):
             print(f"error: expected {compiled.m} result counts, got {y.shape}", file=sys.stderr)
             return 2
-        decoder = make_decoder(args.decoder).compile(compiled)
-        sigma_hat = decoder.decode(y, args.k)
+        # A query result counts the draws of one pool, as the server checks.
+        pool_sizes = np.diff(compiled.design.indptr)
+        bad = np.flatnonzero((y < 0) | (y > pool_sizes))
+        if bad.size:
+            j = int(bad[0])
+            print(f"error: y[{j}] = {int(y[j])} is not a count of query {j}, whose pool holds {int(pool_sizes[j])} draws", file=sys.stderr)
+            return 2
+        try:
+            sigma_hat = make_decoder(args.decoder).compile(compiled).decode(y, args.k)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         support = np.flatnonzero(sigma_hat)
         print(f"decoder = {args.decoder}")
         print(f"k = {args.k}")

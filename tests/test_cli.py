@@ -137,6 +137,45 @@ class TestDesignCommands:
         assert main(["design", "decode", str(out) + ".npz", "--k", "2", "--y-file", str(bad)]) == 2
         assert "could not parse" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("counts", [[2**62] * 8, [-1] + [0] * 7, [17] + [0] * 7])
+    def test_decode_rejects_results_that_are_not_pool_counts(self, tmp_path, capsys, counts):
+        # n=32 stream design: every pool holds Γ=16 draws, so a result is in [0, 16].
+        out = tmp_path / "d"
+        assert main(["design", "build", "--n", "32", "--m", "8", "--seed", "7", "--out", str(out)]) == 0
+        capsys.readouterr()
+        y_file = tmp_path / "y.txt"
+        y_file.write_text(" ".join(str(v) for v in counts))
+        assert main(["design", "decode", str(out) + ".npz", "--k", "2", "--y-file", str(y_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: y[0] = ") and "pool holds 16 draws" in err
+
+    def test_decode_rejects_stored_results_that_are_not_pool_counts(self, tmp_path, capsys):
+        import numpy as np
+
+        from repro.core.serialization import load_compiled_design, save_design
+
+        out = tmp_path / "d"
+        assert main(["design", "build", "--n", "32", "--m", "8", "--seed", "7", "--out", str(out)]) == 0
+        capsys.readouterr()
+        compiled, _ = load_compiled_design(str(out) + ".npz")
+        stored = tmp_path / "observed"
+        save_design(stored, compiled, y=np.array([0, 0, 0, 0, 0, 0, 0, -3]))
+        assert main(["design", "decode", str(stored) + ".npz", "--k", "2"]) == 2
+        assert "error: y[7] = -3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("decoder", ["mn", "lp", "omp", "amp"])
+    @pytest.mark.parametrize("k", ["0", "33"])
+    def test_decode_bad_k_is_a_clean_error(self, tmp_path, capsys, decoder, k):
+        out = tmp_path / "d"
+        assert main(["design", "build", "--n", "32", "--m", "8", "--seed", "7", "--out", str(out)]) == 0
+        capsys.readouterr()
+        y_file = tmp_path / "y.txt"
+        y_file.write_text("1 0 0 1 0 1 0 1")
+        argv = ["design", "decode", str(out) + ".npz", "--k", k, "--y-file", str(y_file), "--decoder", decoder]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_decode_without_results_errors(self, tmp_path, capsys):
         out = tmp_path / "empty"
         assert main(["design", "build", "--n", "50", "--m", "30", "--out", str(out)]) == 0

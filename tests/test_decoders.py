@@ -6,15 +6,18 @@ The contract (module docstring of :mod:`repro.baselines.compiled`):
   are the registry decoders compiled with no cache or store — same output,
   nothing published to an ambient cache/store, same residency bound;
   ``CompiledGTDecoder.decode`` matches ``comp_decode`` / ``dd_decode``;
+* every family's ``decode`` is the one-row ``decode_batch``, bit for bit,
+  with one shape message and one finiteness check;
 * single-signal ``decode`` supports are pinned as literal index lists, so
-  drift in the one remaining float op sequence shows up here;
+  drift in the float op sequence shows up here — they are the float
+  families' reference;
 * LP/OMP/AMP decode against the compiled design's one counts block and
   hold no ``(m, n)`` array of their own;
-* single-signal ``decode`` is the oracle for ``decode_batch``: rows are
+* row ``b`` of a ``B``-row batch against ``decode`` of that row alone:
   bit-identical for the integer-exact COMP/DD decoders (they route through
   the kernel-dispatched ``Ψ`` seam) and support-identical (same thresholded
   output) for the float LP/OMP/AMP decoders, whose GEMMs round differently
-  from per-signal matvecs;
+  with the batch shape — this checks the cross-row masking and per-row k;
 * results are independent of how the artifact was obtained — direct
   compile or cache/store read-through.
 
@@ -173,6 +176,62 @@ def test_float_decoders_share_the_counts_block(instance):
     assert omp.mean == 1.0 and (flat.counts_block()[:, 0] == 1.0).all() and omp.col_norms[0] == 1.0
 
 
+@pytest.mark.parametrize("name", available_decoders())
+def test_decode_is_the_one_row_batch(name, instance):
+    """``decode(y, k)`` equals ``decode_batch(y[None], k)[0]`` bit for bit, clean and noisy."""
+    _, compiled, Y, noisy = instance
+    decoder = make_decoder(name).compile(compiled)
+    for observed in (Y, noisy):
+        for i in range(2):
+            try:
+                expected = decoder.decode_batch(observed[i][None], K)[0]
+            except RuntimeError:  # LP infeasible under corruption: the same failure
+                with pytest.raises(RuntimeError, match="basis pursuit"):
+                    decoder.decode(observed[i], K)
+                continue
+            assert np.array_equal(decoder.decode(observed[i], K), expected)
+
+
+@pytest.mark.parametrize("name", available_decoders())
+def test_decode_rejects_all_but_one_vector_with_one_message(name, small):
+    """A ``(1, m)`` array or a wrong-length vector gets one message in every family."""
+    _, compiled, y = small
+    decoder = make_decoder(name).compile(compiled)
+    for bad in (y[None], y[:-1], np.append(y, 0)):
+        with pytest.raises(ValueError, match=rf"^y must be one \(m={compiled.m},\) result vector, got shape \({bad.shape[0]},"):
+            decoder.decode(bad, 3)
+
+
+class TestAMPRun:
+    """``run`` is row 0 of the one round loop ``decode_batch`` iterates."""
+
+    @pytest.mark.parametrize("max_iter, tol", [(50, 1e-7), (3, 0.0), (50, 1e-2)])
+    def test_run_is_row_zero_of_the_batch_rounds(self, instance, max_iter, tol):
+        _, compiled, Y, noisy = instance
+        decoder = make_decoder("amp", max_iter=max_iter, tol=tol).compile(compiled)
+        for y in (Y[0], noisy[1]):
+            result = decoder.run(y, K)
+            X, _, iterations, converged, tau2 = decoder._iterate(y[None], K)
+            assert np.array_equal(result.posterior, X[0])
+            assert result.iterations == iterations[0] == len(result.tau_history) <= max_iter
+            assert result.converged == converged[0]
+            assert result.tau_history == tuple(tau2[:, 0])
+            assert np.array_equal(result.sigma_hat, decoder.decode(y, K))
+            if tol == 0.0:
+                assert (result.iterations, result.converged) == (max_iter, False)
+
+    def test_rows_keep_their_own_round_count(self, instance):
+        _, compiled, Y, noisy = instance
+        decoder = make_decoder("amp", tol=1e-4).compile(compiled)
+        batch = np.concatenate([Y, noisy])
+        _, _, iterations, converged, tau2 = decoder._iterate(batch, K)
+        assert tau2.shape == (iterations.max(), len(batch))
+        for b, rounds in enumerate(iterations):
+            # A row's history is its first ``rounds`` entries; it has stopped after them.
+            assert np.isfinite(tau2[:rounds, b]).all() and np.isnan(tau2[rounds:, b]).all()
+            assert converged[b] or rounds == decoder.decoder.max_iter
+
+
 @pytest.mark.parametrize("name", GT_DECODERS)
 class TestGTBatchParity:
     def test_batch_rows_bit_identical_to_legacy(self, name, instance):
@@ -303,18 +362,19 @@ class TestGuards:
         with pytest.raises(ValueError, match="finite"):
             legacy(design, bad, 3)
 
-    @pytest.mark.parametrize("name", FLOAT_DECODERS)
+    @pytest.mark.parametrize("name", available_decoders())
     def test_compiled_rejects_nonfinite_y(self, name, small):
         _, compiled, y = small
         decoder = make_decoder(name).compile(compiled)
-        bad = y.astype(np.float64)
-        bad[-1] = np.inf
-        with pytest.raises(ValueError, match="finite"):
-            decoder.decode(bad, 3)
-        batch = np.tile(y.astype(np.float64), (2, 1))
-        batch[1, 0] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            decoder.decode_batch(batch, 3)
+        for value in (np.nan, np.inf, -np.inf):
+            bad = y.astype(np.float64)
+            bad[-1] = value
+            with pytest.raises(ValueError, match="finite"):
+                decoder.decode(bad, 3)
+            batch = np.tile(y.astype(np.float64), (2, 1))
+            batch[1, 0] = value
+            with pytest.raises(ValueError, match="finite"):
+                decoder.decode_batch(batch, 3)
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-3])
     def test_amp_rejects_bad_tol(self, tol, small):

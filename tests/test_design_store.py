@@ -75,14 +75,15 @@ class TestStoreBasics:
         fresh = DesignStore(tmp_path / "store")  # a different "process view"
         attached = fresh.get(KEY)
         assert attached is not None and attached.key == KEY
+        # Zero-copy: the arrays are views of on-disk memory maps, read-only.
+        # Read the held entries before ``.entries`` widens them to an int64 copy.
+        held = attached.design._entries
+        assert isinstance(held, np.memmap) and held._mmap is not None  # a widened copy maps nothing
+        assert not attached.dstar.flags.writeable
         assert np.array_equal(np.asarray(attached.design.entries), compiled.design.entries)
         assert np.array_equal(np.asarray(attached.design.indptr), compiled.design.indptr)
         assert np.array_equal(np.asarray(attached.dstar), compiled.dstar)
         assert np.array_equal(np.asarray(attached.delta), compiled.delta)
-        # Zero-copy: the arrays are views of on-disk memory maps, read-only.
-        entries = attached.design.entries
-        assert isinstance(entries, np.memmap) or isinstance(np.asarray(entries).base, np.memmap)
-        assert not attached.dstar.flags.writeable
 
     def test_get_or_compile_compiles_once(self, store):
         calls = []
