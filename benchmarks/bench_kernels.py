@@ -6,10 +6,8 @@ dense-vs-legacy kernel pairs (``TestDenseVsLegacy``), whose
 ``speedup_x`` extra records track the dense incidence-block layer's win
 over the sort-based reference at several problem sizes, plus one
 end-to-end ``reconstruct_batch`` pair showing the compounding effect on
-the batched engine — and the generation-2 float32 tier
-(``TestKernelGen2``), whose ``gen2_speedup_x`` records track dense32
-against dense on the same hot kernels alongside the shared-memory
-BLAS-cap throughput probe — and the compiled-design float32 Ψ block at
+the batched engine — and the dense Ψ pass in float32 against float64
+(``TestKernelGen2``, ``gen2_speedup_x``) — and the compiled-design float32 Ψ block at
 the serve operating point (``TestCompiledBlockPsi``), recording ms per
 call and block bytes for B ∈ {1, 8, 64} against a float64 copy — and the
 fused query + Ψ/Δ* pass of a noiseless grid point against the two passes
@@ -167,15 +165,12 @@ class TestDenseVsLegacy:
 
 
 class TestKernelGen2:
-    """Generation 2: float32-tier kernels vs the float64 dense generation.
+    """The dense kernel's float32 Ψ tier against its float64 one.
 
-    ``gen2_speedup_x`` records dense/dense32 time per hot kernel at
-    n=10⁴ — the acceptance gate asks for ≥ 1.3× on at least one (the
-    GEMM-bound Ψ pass is the expected winner: half the memory traffic,
-    twice the SIMD lanes).  The Ψ record pits ``psi_pass`` in float64
-    against float32, the tier every kernel's materialised Ψ now picks
-    when the budget allows.  Parity is asserted once per pairing; the
-    full boundary matrix lives in tests/test_kernels.py.
+    ``gen2_speedup_x`` records ``psi_pass`` (Ψ with Δ* in the ones row)
+    in float64 over the same pass in float32 at n=10⁴ — the tier the
+    materialised Ψ picks per call when the budget allows.  Parity is
+    asserted once; the full boundary matrix lives in tests/test_kernels.py.
     """
 
     N, M, B = 10_000, 400, 64
@@ -186,47 +181,24 @@ class TestKernelGen2:
         design = PoolingDesign.sample(self.N, self.M, rng)
         sigmas = np.stack([random_signal(self.N, 16, np.random.default_rng(i)) for i in range(self.B)])
         y = design.query_results(sigmas, kernel="dense")
-        return design, sigmas, y
+        return design, y
 
-    def _record(self, benchmark, run, out_check):
-        assert np.array_equal(run("dense"), run("dense32"))
-        dense_s = _best_of(lambda: run("dense"), repeats=3)
-        gen2_s = _best_of(lambda: run("dense32"), repeats=3)
-        out = benchmark.pedantic(lambda: run("dense32"), rounds=3, iterations=1)
-        out_check(out)
+    def test_materialised_psi_dense32_vs_dense(self, benchmark, workload):
+        design, y = workload
+
+        def run(dtype):
+            return dense.psi_pass(design, y, True, dtype)[0]
+
+        assert np.array_equal(run(np.float64), run(np.float32))
+        dense_s = _best_of(lambda: run(np.float64), repeats=3)
+        gen2_s = _best_of(lambda: run(np.float32), repeats=3)
+        out = benchmark.pedantic(lambda: run(np.float32), rounds=3, iterations=1)
+        assert out.shape == (self.B, self.N)
         benchmark.extra_info.update(n=self.N, m=self.M, B=self.B, kernel="dense32")
         benchmark.extra_info["dense_s"] = round(dense_s, 6)
         benchmark.extra_info["gen2_speedup_x"] = round(dense_s / gen2_s, 2)
-
-    def test_stream_stats_dense32_vs_dense(self, benchmark):
-        sigma = random_signal(self.N, 16, np.random.default_rng(0))
-
-        def run(kernel):
-            return stream_design_stats(sigma, 200, root_seed=1, backend=SerialBackend(kernel=kernel)).psi
-
-        self._record(benchmark, run, lambda psi: psi.shape == (self.N,))
-
-    def test_materialised_psi_dense32_vs_dense(self, benchmark, workload):
-        # Every kernel's materialised Ψ picks its float tier per call, so the
-        # two operands are that pass (Ψ with Δ* in the ones row) in each
-        # dtype: "dense" runs float64, "dense32" float32.
-        design, _, y = workload
-        dtypes = {"dense": np.float64, "dense32": np.float32}
-
-        def run(kernel):
-            return dense.psi_pass(design, y, True, dtypes[kernel])[0]
-
-        self._record(benchmark, run, lambda out: out.shape == (self.B, self.N))
         # The GEMM-bound pass is where the float32 tier must pay off.
         assert benchmark.extra_info["gen2_speedup_x"] > 1.0
-
-    def test_query_results_dense32_vs_dense(self, benchmark, workload):
-        design, sigmas, _ = workload
-
-        def run(kernel):
-            return design.query_results(sigmas, kernel=kernel)
-
-        self._record(benchmark, run, lambda out: out.shape == (self.B, self.M))
 
 
 class TestCompiledBlockPsi:

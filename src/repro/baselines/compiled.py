@@ -74,7 +74,7 @@ from repro.baselines.centring import (
     pool_variance,
 )
 from repro.designs.protocol import CompiledDecoderBase, check_observations
-from repro.util.validation import check_positive_int, check_weight_vector
+from repro.util.validation import check_counts, check_positive_int, check_weight_vector
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.designs.compiled import CompiledDesign
@@ -369,8 +369,8 @@ class CompiledGTDecoder(CompiledDecoderBase):
     :meth:`~repro.designs.compiled.CompiledDesign.psi` seam and the
     resident block; ``decode`` is its one-row case.  Rows are bit-identical
     to the reference :func:`~repro.baselines.bin_gt.comp_decode`/
-    :func:`~repro.baselines.bin_gt.dd_decode`.  ``k`` is accepted for
-    protocol compatibility but unused — COMP/DD do not need the weight.
+    :func:`~repro.baselines.bin_gt.dd_decode`.  ``k`` is validated as
+    every family validates it, then unused — COMP/DD do not need the weight.
     """
 
     def __init__(self, compiled: "CompiledDesign", decoder, *, definite_defectives: bool):
@@ -384,9 +384,11 @@ class CompiledGTDecoder(CompiledDecoderBase):
         self.block = block
         self.definite_defectives = definite_defectives
 
-    def decode_batch(self, Y: np.ndarray, k: "int | np.ndarray" = 1) -> np.ndarray:
+    def decode_batch(self, Y: np.ndarray, k: "int | np.ndarray") -> np.ndarray:
         """COMP (and, for DD, the definite-defectives pass) on every row."""
-        positive = check_observations(Y, self.compiled.m) > 0
+        Y = check_counts(check_observations(Y, self.compiled.m), "Y")
+        _batch_weights(k, Y.shape[0], self.compiled.n)
+        positive = Y > 0
         # COMP phase: an entry survives iff no negative test contains it.
         # psi of the negative-test indicator counts, per entry, the negative
         # tests it appears in — integer-exact under every kernel.

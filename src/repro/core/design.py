@@ -55,7 +55,7 @@ from repro.kernels.dense import row_cells
 from repro.parallel.partition import chunk_count
 from repro.parallel.sharedmem import SharedArray, SharedArrayDescriptor
 from repro.rng.streams import StreamFamily
-from repro.util.validation import check_binary_batch, check_binary_signal, check_positive_int
+from repro.util.validation import check_binary_batch, check_binary_signal, check_counts, check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine builds on core)
     from repro.designs.compiled import CompiledDesign
@@ -477,9 +477,11 @@ class PoolingDesign:
         The materialised twin of
         :meth:`~repro.designs.compiled.CompiledDesign.stats_for`: ``Ψ``
         and ``Δ*`` through the selected kernel, and no ``Δ`` (the MN decode
-        reads only ``Ψ`` and ``Δ*``).  Both forms give equal statistics.
+        reads only ``Ψ`` and ``Δ*``).  Both forms give equal statistics,
+        and both refuse a float ``y`` that is not a count
+        (:func:`~repro.util.validation.check_counts`).
         """
-        y = np.asarray(y, dtype=np.int64)
+        y = check_counts(y, "y")
         return DesignStats(
             y=y,
             psi=self.psi(y, kernel=kernel),

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.design import PoolingDesign
 from repro.core.mn import MNDecoder
-from repro.util.validation import check_positive_int, check_weight_vector
+from repro.util.validation import check_counts, check_positive_int, check_weight_vector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine builds on core)
     from repro.designs.compiled import CompiledDesign
@@ -255,21 +255,8 @@ def _reconstruct_pipeline(
 
 
 def _oracle_counts(results: np.ndarray) -> np.ndarray:
-    """The oracle's answers as ``int64`` counts.
-
-    Integral floats (``2.0``) are counts; a non-finite, non-integral,
-    negative or out-of-``int64`` answer raises instead of being truncated
-    or wrapped by the cast.
-    """
-    if results.dtype.kind not in "biu":
-        values = results.astype(np.float64)
-        if not np.isfinite(values).all():
-            raise ValueError("oracle returned a non-finite count")
-        if (values != np.rint(values)).any():
-            raise ValueError("oracle returned a non-integral count")
-        if (np.abs(values) >= 2.0**63).any():
-            raise ValueError("oracle returned a count outside the int64 range")
-    counts = results.astype(np.int64)
+    """The oracle's answers as non-negative ``int64`` counts (see :func:`check_counts`)."""
+    counts = check_counts(results, "oracle answer")
     if (counts < 0).any():
-        raise ValueError("oracle returned a negative count")
+        raise ValueError("oracle answer holds a negative count")
     return counts

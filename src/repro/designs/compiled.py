@@ -36,7 +36,7 @@ from repro.core.design import DEFAULT_BATCH_QUERIES, DesignStats, PoolingDesign,
 from repro.kernels.dense import _EXACT_LIMIT32
 from repro.parallel.partition import chunk_count
 from repro.rng.streams import StreamFamily, batch_generator
-from repro.util.validation import check_nonneg_int, check_positive_int
+from repro.util.validation import check_counts, check_nonneg_int, check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.designs.store import DesignStore
@@ -191,8 +191,9 @@ class DesignKey:
         Raises
         ------
         ValueError
-            On malformed JSON or missing/ill-typed fields (a corrupted
-            artifact must fail loudly, not decode under the wrong key).
+            On malformed JSON or missing/ill-typed fields, an infinite
+            number among them included (a corrupted artifact must fail
+            loudly, not decode under the wrong key).
         """
         try:
             raw = json.loads(payload)
@@ -205,7 +206,7 @@ class DesignKey:
                 trial_key=trial_key,
                 batch_queries=int(raw["batch_queries"]),
             )
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"corrupted compiled-design key: {exc}") from exc
 
 
@@ -424,11 +425,12 @@ class CompiledDesign:
         """:class:`DesignStats` for observed results — no streaming, no scatter.
 
         The decode-only hot path: ``Ψ`` from the resident block, ``Δ*``/``Δ``
-        precompiled.  ``y`` may be ``(m,)`` or ``(B, m)``; ``kernel`` runs
-        :meth:`psi`'s exact fallback.  ``Ψ``/``Δ*`` equal
+        precompiled.  ``y`` may be ``(m,)`` or ``(B, m)`` counts; a float
+        that is not one raises (:func:`~repro.util.validation.check_counts`).
+        ``kernel`` runs :meth:`psi`'s exact fallback.  ``Ψ``/``Δ*`` equal
         :meth:`PoolingDesign.stats_for` on the same design.
         """
-        y = np.asarray(y, dtype=np.int64)
+        y = check_counts(y, "y")
         return DesignStats(
             y=y,
             psi=self.psi(y, kernel=kernel),

@@ -114,7 +114,11 @@ def check_observations(Y: object, m: int) -> np.ndarray:
     The one input check: every compiled family's ``decode_batch`` runs it
     first.  Integer (and boolean) input is finite by type and is returned
     as given, so served int64 rows pay no scan; any other input is returned
-    as float64 once a scan finds no NaN or infinity.
+    as float64 once a scan finds no NaN or infinity.  LP, OMP and AMP take
+    those real values as they are; the count families (MN through
+    ``stats_for``, COMP and DD) then pass them through
+    :func:`~repro.util.validation.check_counts`, so a float that is not a
+    count raises instead of being truncated.
     """
     Y = np.asarray(Y)
     if Y.ndim != 2 or Y.shape[0] < 1 or Y.shape[1] != m:

@@ -2,7 +2,7 @@
 
 The engine's hot kernels — per-batch streaming statistics, materialised
 ``Ψ``/``Δ*`` accumulation, batched query evaluation, and the fused query +
-``Ψ``/``Δ*`` pass of a noiseless batch — ship in three interchangeable
+``Ψ``/``Δ*`` pass of a noiseless batch — ship in two interchangeable
 implementations:
 
 * :mod:`repro.kernels.dense` — exploits the density of the paper's design
@@ -13,15 +13,10 @@ implementations:
   as its all-ones row — in float32 whenever a per-call exactness budget
   proves the integer results cannot round, else float64, else exact
   integer matmul.
-* :mod:`repro.kernels.dense32` — the second kernel generation: the
-  stream and query passes run in float32 (half the memory traffic, twice
-  the SIMD width) under the same per-call budget, with automatic fallback
-  to the float64 ``dense`` tier (and from there to exact integer matmul)
-  when they could round.
 * :mod:`repro.kernels.legacy` — the historical sort-based dedup and
   per-row accumulation, kept as the bit-exact reference.
 
-All produce **bit-identical integer outputs** on the same sampled edges —
+Both produce **bit-identical integer outputs** on the same sampled edges —
 asserted by the parity test suite — so the kernel choice is a pure
 performance knob that never perturbs the library's reproducibility
 invariants (stream keys, ``batch_queries`` design-key semantics,
@@ -95,7 +90,6 @@ DEFAULT_KERNEL = "dense"
 #: parity-suite sweeps all derive from this dict.
 _REGISTRY: "dict[str, str]" = {
     "dense": "repro.kernels.dense",
-    "dense32": "repro.kernels.dense32",
     "legacy": "repro.kernels.legacy",
 }
 

@@ -60,13 +60,6 @@ and legacy kernels are therefore bit-identical on identical sampled
 edges *always*, not just typically.  Scratch blocks are reset by re-zeroing only the touched
 rows and reused across batches via :class:`DenseStreamWorkspace`, so the
 steady-state streaming loop performs no ``O(b·n)`` allocations.
-
-This module also hosts the shared machinery of the second kernel
-generation: the workspace, :func:`stream_y`, :func:`fold_stream`,
-:func:`psi_pass`, :func:`stats_pass` and :func:`query_pass` are all
-parametrised by the GEMM dtype so :mod:`repro.kernels.dense32` runs the
-stream and query passes in float32 under the same 2²³ budget — which is
-what makes the two generations bit-identical by construction.
 """
 
 from __future__ import annotations
@@ -137,14 +130,10 @@ class DenseStreamWorkspace:
     steady-state loop allocates none of the ``O(b·n)`` / ``O(b·Γ)``
     intermediates.  The incidence block is kept all-zero between calls
     (re-zeroed after every chunk), which is what makes reuse sound.
-
-    ``dtype`` selects the GEMM precision of every float buffer (block,
-    coefficients, accumulators) — float64 here, float32 for the
-    :mod:`~repro.kernels.dense32` generation.
+    Every float buffer (block, coefficients, accumulators) is float64.
     """
 
-    def __init__(self, dtype: "np.dtype | type" = np.float64) -> None:
-        self.dtype = np.dtype(dtype)
+    def __init__(self) -> None:
         self._block: "np.ndarray | None" = None
         self._hits: "np.ndarray | None" = None
         self._coef: "np.ndarray | None" = None
@@ -156,7 +145,7 @@ class DenseStreamWorkspace:
     def block(self, rows: int, n: int) -> np.ndarray:
         """An all-zero ``(rows, n)`` block (callers must re-zero it)."""
         if self._block is None or self._block.shape[1] != n or self._block.shape[0] < rows:
-            self._block = np.zeros((rows, n), dtype=self.dtype)
+            self._block = np.zeros((rows, n), dtype=np.float64)
         return self._block[:rows]
 
     def hits(self, shape: "tuple[int, int]", dtype: np.dtype) -> np.ndarray:
@@ -168,19 +157,19 @@ class DenseStreamWorkspace:
     def coef(self, rows: int) -> np.ndarray:
         """``(2, rows)`` GEMM coefficients: all-ones row (Δ*) over ``y`` row (Ψ)."""
         if self._coef is None or self._coef.shape[1] < rows:
-            self._coef = np.empty((2, rows), dtype=self.dtype)
+            self._coef = np.empty((2, rows), dtype=np.float64)
         return self._coef[:, :rows]
 
     def acc(self, n: int) -> np.ndarray:
         """``(2, n)`` accumulator for the (Δ*, Ψ) GEMM rows."""
         if self._acc is None or self._acc.shape[1] != n:
-            self._acc = np.empty((2, n), dtype=self.dtype)
+            self._acc = np.empty((2, n), dtype=np.float64)
         return self._acc
 
     def tmp(self, n: int) -> np.ndarray:
         """``(2, n)`` GEMM output buffer for non-first chunks."""
         if self._tmp is None or self._tmp.shape[1] != n:
-            self._tmp = np.empty((2, n), dtype=self.dtype)
+            self._tmp = np.empty((2, n), dtype=np.float64)
         return self._tmp
 
     def row_offsets(self, rows: int, n: int) -> np.ndarray:
@@ -196,28 +185,6 @@ def make_stream_workspace() -> DenseStreamWorkspace:
     return DenseStreamWorkspace()
 
 
-def stream_y(
-    edges: np.ndarray,
-    sigma: np.ndarray,
-    noise: "NoiseModel | None",
-    noise_rng: "np.random.Generator | None",
-    workspace: DenseStreamWorkspace,
-) -> np.ndarray:
-    """The batch's result vector: one gather + row sum, noise-corrupted.
-
-    Shared verbatim by every dense-generation kernel — ``y`` is computed
-    and corrupted in int64 regardless of the GEMM dtype, so the noise
-    contract (corrupt *before* the Ψ contribution) and the values
-    themselves are identical across generations by construction.
-    """
-    hits = workspace.hits(edges.shape, sigma.dtype)
-    np.take(sigma, edges, out=hits)
-    y = hits.sum(axis=1, dtype=np.int64)
-    if noise is not None:
-        y = noise.corrupt(y, noise_rng)
-    return y
-
-
 def fold_stream(
     edges: np.ndarray,
     y: np.ndarray,
@@ -231,12 +198,12 @@ def fold_stream(
     """Fold a batch's scattered incidence into ``Ψ/Δ*/Δ`` (in place).
 
     With ``exact`` the (Δ*, Ψ) contributions are the two rows of one
-    ``(2, rc) @ (rc, n)`` GEMM per chunk in the workspace dtype — the
-    caller guarantees every running sum is exactly representable there.
+    ``(2, rc) @ (rc, n)`` float64 GEMM per chunk — the caller guarantees
+    every running sum is exactly representable there.
     Otherwise the same chunks accumulate through exact integer matmul.
     """
     b = edges.shape[0]
-    rows_per = _rows_per_block(n, STREAM_BLOCK_BYTES, workspace.dtype.itemsize)
+    rows_per = _rows_per_block(n, STREAM_BLOCK_BYTES)
     acc_int: "np.ndarray | None" = None if exact else np.zeros((2, n), dtype=np.int64)
     acc = workspace.acc(n)
     first = True
@@ -292,7 +259,11 @@ def stream_batch(
     too.
     """
     ws = workspace if workspace is not None else DenseStreamWorkspace()
-    y = stream_y(edges, sigma, noise, noise_rng, ws)
+    hits = ws.hits(edges.shape, sigma.dtype)
+    np.take(sigma, edges, out=hits)
+    y = hits.sum(axis=1, dtype=np.int64)
+    if noise is not None:
+        y = noise.corrupt(y, noise_rng)
     # Joint exactness bound for both GEMM rows: every running Ψ sum is
     # ≤ Σ|y| and every Δ* count is ≤ b.
     exact = float(np.abs(y).sum(dtype=np.float64)) + edges.shape[0] < _EXACT_LIMIT
@@ -476,8 +447,15 @@ def materialised_stats(design: "PoolingDesign", batch: np.ndarray) -> "tuple[np.
     return y, psi, dstar  # type: ignore[return-value]
 
 
-def query_pass(design: "PoolingDesign", batch: np.ndarray, dtype: "np.dtype | type") -> np.ndarray:
-    """Chunked count-block ``σ @ countsᵀ`` evaluation in ``dtype``.
+def query_results_batch(design: "PoolingDesign", batch: np.ndarray) -> np.ndarray:
+    """``(B, m)`` additive results as ``σ @ countsᵀ`` — one GEMM per chunk.
+
+    The per-chunk *count* block (multiplicities preserved, unlike the
+    deduplicating scatter) is built with a single ``bincount`` over
+    linearised ``(row, column)`` indices; all ``B`` signals then evaluate
+    against it in one BLAS call.  The bincount is paid once per chunk and
+    amortised over the whole batch, which is why this beats the
+    cache-friendly per-signal gather loop for every ``B > 1``.
 
     Only the columns some signal of the batch touches can contribute, so
     the count block spans the batch's union support ``cols`` (``u``
@@ -488,49 +466,8 @@ def query_pass(design: "PoolingDesign", batch: np.ndarray, dtype: "np.dtype | ty
     is the identity and the pass costs what a full ``(rc, n)`` count block
     does.  Chunks keep the full-width row count, so a chunk's count block
     is at most one column wider than the unrestricted ``(rc, n)`` block.
-
-    The caller guarantees every count product is exactly representable in
-    ``dtype`` (results are bounded by total draws).  The linearised
-    ``(row, column)`` bincount index is int32 whenever the chunk's cell
-    space fits, halving its index traffic.
-    """
-    B, n = batch.shape
-    m = design.m
-    work_dtype = np.dtype(dtype)
-    out = np.zeros((B, m), dtype=np.int64)
-    cols = np.flatnonzero(batch.any(axis=0))
-    u = cols.size
-    if u == 0:
-        return out
-    width = u + 1  # the support, then the spare column for untouched entries
-    remap = np.full(n, u, dtype=np.int32)
-    remap[cols] = np.arange(u, dtype=np.int32)
-    bf = np.zeros((B, width), dtype=work_dtype)
-    bf[:, :u] = batch[:, cols]
-    rows_per = _rows_per_block(n, BLOCK_BYTES, work_dtype.itemsize)
-    idx = _index_dtype(rows_per * width)
-    entries, indptr = design.entries, design.indptr
-    tmp = np.empty((B, min(m, rows_per)), dtype=work_dtype)
-    for qlo in range(0, m, rows_per):
-        qhi = min(m, qlo + rows_per)
-        rc = qhi - qlo
-        lin = row_cells(indptr, qlo, qhi, width, np.take(remap, entries[int(indptr[qlo]) : int(indptr[qhi])]), idx)
-        counts = np.bincount(lin, minlength=rc * width).reshape(rc, width)
-        np.matmul(bf, counts.astype(work_dtype).T, out=tmp[:, :rc])
-        out[:, qlo:qhi] = tmp[:, :rc]
-    return out
-
-
-def query_results_batch(design: "PoolingDesign", batch: np.ndarray) -> np.ndarray:
-    """``(B, m)`` additive results as ``σ @ countsᵀ`` — one GEMM per chunk.
-
-    The per-chunk *count* block (multiplicities preserved, unlike the
-    deduplicating scatter) is built with a single ``bincount`` over
-    linearised ``(row, column)`` indices, the columns being the batch's
-    union support (:func:`query_pass`); all ``B`` signals then evaluate
-    against it in one BLAS call.  The bincount is paid once per chunk and
-    amortised over the whole batch, which is why this beats the
-    cache-friendly per-signal gather loop for every ``B > 1``.
+    The linearised ``(row, column)`` bincount index is int32 whenever the
+    chunk's cell space fits, halving its index traffic.
 
     Exactness: results are bounded by the pool sizes, so the float64
     products are exact far below the 2⁵³ mantissa limit; the guard falls
@@ -539,10 +476,31 @@ def query_results_batch(design: "PoolingDesign", batch: np.ndarray) -> np.ndarra
     """
     B, n = batch.shape
     m = design.m
+    out = np.zeros((B, m), dtype=np.int64)
     if design.entries.size == 0 or m == 0:
-        return np.zeros((B, m), dtype=np.int64)
+        return out
     if not float(design.entries.size) < _EXACT_LIMIT:  # pragma: no cover - unreachable scale
         from repro.kernels import legacy
 
         return legacy.query_results_batch(design, batch)
-    return query_pass(design, batch, np.float64)
+    cols = np.flatnonzero(batch.any(axis=0))
+    u = cols.size
+    if u == 0:
+        return out
+    width = u + 1  # the support, then the spare column for untouched entries
+    remap = np.full(n, u, dtype=np.int32)
+    remap[cols] = np.arange(u, dtype=np.int32)
+    bf = np.zeros((B, width), dtype=np.float64)
+    bf[:, :u] = batch[:, cols]
+    rows_per = _rows_per_block(n, BLOCK_BYTES)
+    idx = _index_dtype(rows_per * width)
+    entries, indptr = design.entries, design.indptr
+    tmp = np.empty((B, min(m, rows_per)), dtype=np.float64)
+    for qlo in range(0, m, rows_per):
+        qhi = min(m, qlo + rows_per)
+        rc = qhi - qlo
+        lin = row_cells(indptr, qlo, qhi, width, np.take(remap, entries[int(indptr[qlo]) : int(indptr[qhi])]), idx)
+        counts = np.bincount(lin, minlength=rc * width).reshape(rc, width)
+        np.matmul(bf, counts.astype(np.float64).T, out=tmp[:, :rc])
+        out[:, qlo:qhi] = tmp[:, :rc]
+    return out

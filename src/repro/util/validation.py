@@ -22,6 +22,7 @@ __all__ = [
     "check_binary_signal",
     "check_binary_batch",
     "check_weight_vector",
+    "check_counts",
 ]
 
 
@@ -110,6 +111,29 @@ def check_weight_vector(value: Any, batch: int, *, n: int | None = None, name: s
     if n is not None and np.any(arr > n):
         raise ValueError(f"{name}={int(arr.max())} exceeds n={n}")
     return arr.astype(np.int64)
+
+
+def check_counts(value: Any, name: str) -> np.ndarray:
+    """Coerce query-result counts to ``int64`` without truncating or wrapping any.
+
+    The one count check behind the MN statistics (both design forms'
+    ``stats_for``), the COMP/DD decoders and the reconstruction facades.
+    Input whose dtype casts to int64 safely (boolean, signed integers,
+    unsigned up to 32 bits) is cast without a scan, so int64 rows pay
+    nothing.  Any other input (floats, uint64) is scanned once: a
+    non-finite, non-integral or out-of-``int64`` value raises instead of
+    reaching the cast.  The sign is the caller's to check.
+    """
+    arr = np.asarray(value)
+    if not np.can_cast(arr.dtype, np.int64):
+        floats = arr.astype(np.float64)
+        if not np.isfinite(floats).all():
+            raise ValueError(f"{name} holds a non-finite count")
+        if (floats != np.rint(floats)).any():
+            raise ValueError(f"{name} holds a non-integral count")
+        if (np.abs(floats) >= 2.0**63).any():
+            raise ValueError(f"{name} holds a count outside the int64 range")
+    return arr.astype(np.int64, copy=False)
 
 
 def _is_binary(arr: np.ndarray) -> bool:

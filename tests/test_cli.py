@@ -163,7 +163,7 @@ class TestDesignCommands:
         assert main(["design", "decode", str(stored) + ".npz", "--k", "2"]) == 2
         assert "error: y[7] = -3" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("decoder", ["mn", "lp", "omp", "amp"])
+    @pytest.mark.parametrize("decoder", ["mn", "lp", "omp", "amp", "comp", "dd"])
     @pytest.mark.parametrize("k", ["0", "33"])
     def test_decode_bad_k_is_a_clean_error(self, tmp_path, capsys, decoder, k):
         out = tmp_path / "d"

@@ -21,10 +21,12 @@ The contract (module docstring of :mod:`repro.baselines.compiled`):
 * results are independent of how the artifact was obtained — direct
   compile or cache/store read-through.
 
-Run under ``REPRO_KERNEL=dense|dense32|legacy`` in CI: the float paths
+Run under ``REPRO_KERNEL=dense|legacy`` in CI: the float paths
 are float64-pinned (kernel-independent by construction) and the GT paths
 go through ``compiled.psi`` (kernel-dispatched, integer-exact).
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -391,12 +393,31 @@ class TestGuards:
         with pytest.raises(ValueError):
             legacy(design, y, 0)
 
-    @pytest.mark.parametrize("name", FLOAT_DECODERS)
-    def test_compiled_rejects_k_zero(self, name, small):
+    @pytest.mark.parametrize("name", available_decoders())
+    @pytest.mark.parametrize("k", [0, 61])
+    def test_compiled_rejects_bad_k(self, name, k, small):
+        """``k`` must lie in ``[1, n]`` for every family, COMP/DD included, though they never read it."""
         _, compiled, y = small
         decoder = make_decoder(name).compile(compiled)
         with pytest.raises(ValueError):
-            decoder.decode(y, 0)
+            decoder.decode(y, k)
+        with pytest.raises(ValueError):
+            decoder.decode_batch(np.tile(y, (2, 1)), k)
+
+    @pytest.mark.parametrize("name", ["mn", *GT_DECODERS])
+    @pytest.mark.parametrize("shift, match", [(0.7, "non-integral"), (1e30, "int64 range")])
+    def test_count_decoders_reject_floats_that_are_not_counts(self, name, shift, match, small):
+        """MN, COMP and DD raise on a float row the int64 cast would truncate or wrap."""
+        _, compiled, y = small
+        decoder = make_decoder(name).compile(compiled)
+        bad = y + shift
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no cast warning on the way to the error
+            with pytest.raises(ValueError, match=match):
+                decoder.decode(bad, 3)
+            with pytest.raises(ValueError, match=match):
+                decoder.decode_batch(np.stack([y.astype(np.float64), bad]), 3)
+        assert np.array_equal(decoder.decode(y.astype(np.float64), 3), decoder.decode(y, 3))  # integral floats are counts
 
 
 ONE_SHOTS = [basis_pursuit_decode, omp_decode, amp_decode]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.core.design import DesignStats, PoolingDesign, default_gamma, stream_design_stats
 from repro.core.signal import random_signal
 from repro.engine.backend import SharedMemBackend
+from repro.rng.streams import batch_generator
 
 
 @pytest.fixture
@@ -42,6 +43,18 @@ class TestSampling:
         rng = np.random.default_rng(1)
         d = PoolingDesign.sample(50, 4, rng, gamma=10)
         assert d.gamma == 10
+
+    @pytest.mark.parametrize("gamma", [5000, 4999], ids=["even-gamma", "odd-gamma"])
+    @pytest.mark.parametrize("rows", [1, 3, 7, 13, 64])
+    def test_chunked_draws_equal_the_one_call_sample(self, rows, gamma):
+        """Drawing ``rc·Γ`` entries chunk by chunk from one generator yields
+        the one-call ``m·Γ`` sequence ``sample`` draws.  m = 97 leaves a
+        short last chunk for every chunk size but 1."""
+        n, m = 10_000, 97
+        design = PoolingDesign.sample(n, m, batch_generator(3, 64007, 5), gamma=gamma)
+        rng = batch_generator(3, 64007, 5)
+        chunks = [rng.integers(0, n, size=(min(m, lo + rows) - lo) * gamma) for lo in range(0, m, rows)]
+        assert np.array_equal(np.concatenate(chunks), design.entries)
 
     def test_pool_accessor(self):
         rng = np.random.default_rng(2)

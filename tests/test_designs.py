@@ -226,7 +226,7 @@ def _mn_input_designs():
 class TestStatsForBothForms:
     """Both design forms turn observed results into the same MN inputs."""
 
-    @pytest.mark.parametrize("kernel", ["dense", "dense32", "legacy"])
+    @pytest.mark.parametrize("kernel", ["dense", "legacy"])
     @pytest.mark.parametrize("which", ["fig1", "sampled"])
     def test_equal_psi_and_dstar(self, which, kernel):
         design, _ = _mn_input_designs()[which]

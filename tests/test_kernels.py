@@ -1,4 +1,4 @@
-"""Kernel parity across generations: the dispatch seam and bit-identity.
+"""Kernel parity: the dispatch seam and dense == legacy bit-identity.
 
 The kernel layer (:mod:`repro.kernels`) is a pure performance knob; every
 test here asserts *exact* equality of the integer outputs — the library's
@@ -24,7 +24,7 @@ from repro.noise.models import DropoutNoise, GaussianNoise
 from repro.parallel.sort import parallel_top_k
 
 STATS_FIELDS = ("y", "psi", "dstar", "delta")
-ALL_KERNELS = ("dense", "dense32", "legacy")
+ALL_KERNELS = ("dense", "legacy")
 
 
 def assert_stats_equal(a, b, context=""):
@@ -56,9 +56,10 @@ class TestDispatch:
         # An explicit argument beats the environment.
         assert kernels.resolve_kernel("dense") == "dense"
 
-    def test_env_invalid_rejected(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_ENV, "fast")
-        with pytest.raises(ValueError, match="REPRO_KERNEL"):
+    @pytest.mark.parametrize("name", ["fast", "dense32"])
+    def test_env_invalid_rejected(self, monkeypatch, name):
+        monkeypatch.setenv(kernels.KERNEL_ENV, name)
+        with pytest.raises(ValueError, match=f"REPRO_KERNEL='{name}' is not a known kernel; available: dense, legacy"):
             kernels.resolve_kernel(None)
 
     def test_backend_carries_kernel(self):
@@ -85,17 +86,15 @@ class TestStreamParity:
     def test_noiseless(self, n, m, gamma, batch_queries):
         sigma = random_signal(n, max(1, n // 8), np.random.default_rng(0))
         legacy = stream_design_stats(sigma, m, root_seed=7, gamma=gamma, batch_queries=batch_queries, backend=SerialBackend(kernel="legacy"))
-        for kernel in ("dense", "dense32"):
-            got = stream_design_stats(sigma, m, root_seed=7, gamma=gamma, batch_queries=batch_queries, backend=SerialBackend(kernel=kernel))
-            assert_stats_equal(got, legacy, f"(kernel={kernel}, n={n}, m={m}, gamma={gamma}, bq={batch_queries})")
+        got = stream_design_stats(sigma, m, root_seed=7, gamma=gamma, batch_queries=batch_queries, backend=SerialBackend(kernel="dense"))
+        assert_stats_equal(got, legacy, f"(n={n}, m={m}, gamma={gamma}, bq={batch_queries})")
 
     @pytest.mark.parametrize("noise", [GaussianNoise(1.5), DropoutNoise(0.2)])
     def test_noisy(self, noise):
         sigma = random_signal(90, 11, np.random.default_rng(1))
         legacy = stream_design_stats(sigma, 41, root_seed=3, batch_queries=8, noise=noise, backend=SerialBackend(kernel="legacy"))
-        for kernel in ("dense", "dense32"):
-            got = stream_design_stats(sigma, 41, root_seed=3, batch_queries=8, noise=noise, backend=SerialBackend(kernel=kernel))
-            assert_stats_equal(got, legacy, f"(kernel={kernel}, {noise!r})")
+        got = stream_design_stats(sigma, 41, root_seed=3, batch_queries=8, noise=noise, backend=SerialBackend(kernel="dense"))
+        assert_stats_equal(got, legacy, f"({noise!r})")
 
     @pytest.mark.parametrize("kernel", list(ALL_KERNELS))
     @pytest.mark.parametrize("noise", [None, GaussianNoise(1.0)])
@@ -151,11 +150,11 @@ class TestStreamParity:
         assert ws.block(2, 50).base is block_a.base  # smaller slice, same buffer
         assert not ws.block(4, 50).any()  # and it stays all-zero
 
-    @pytest.mark.parametrize("kernel", ["dense", "dense32"])
-    def test_workspace_follows_a_new_width(self, kernel):
+    def test_workspace_follows_a_new_width(self):
         """A worker's cached workspace serves streams of several ``n``: each
         batch scatters at its own width, matching a fresh workspace."""
-        mod = kernels.dispatch(kernel)
+        from repro.kernels import dense as mod
+
         ws = mod.make_stream_workspace()
         for n in (50, 60, 50, 40):
             edges = np.random.default_rng(n).integers(0, n, size=(5, 9))
@@ -181,32 +180,29 @@ class TestMaterialisedParity:
         pools = [[0, 1, 2, 2, 5], [3], [], [6, 6, 6], [0, 5, 1], list(range(7))]
         return PoolingDesign.from_pools(7, pools)
 
-    @pytest.mark.parametrize("kernel", ["dense", "dense32"])
     @pytest.mark.parametrize("B", [1, 5])
-    def test_regular_stats(self, regular, B, kernel):
+    def test_regular_stats(self, regular, B):
         sigmas = np.stack([random_signal(101, 9, np.random.default_rng(i)) for i in range(B)])
         fresh = PoolingDesign(regular.n, regular.entries, regular.indptr)  # isolate caches
-        got = regular.stats(sigmas, kernel=kernel)
+        got = regular.stats(sigmas, kernel="dense")
         legacy = fresh.stats(sigmas, kernel="legacy")
-        assert_stats_equal(got, legacy, f"(kernel={kernel}, B={B})")
+        assert_stats_equal(got, legacy, f"(B={B})")
 
-    @pytest.mark.parametrize("kernel", ["dense", "dense32"])
-    def test_single_signal_stats(self, regular, kernel):
+    def test_single_signal_stats(self, regular):
         sigma = random_signal(101, 9, np.random.default_rng(0))
         fresh = PoolingDesign(regular.n, regular.entries, regular.indptr)
-        assert_stats_equal(regular.stats(sigma, kernel=kernel), fresh.stats(sigma, kernel="legacy"))
+        assert_stats_equal(regular.stats(sigma, kernel="dense"), fresh.stats(sigma, kernel="legacy"))
 
-    @pytest.mark.parametrize("kernel", ["dense", "dense32"])
-    def test_ragged_from_pools(self, ragged, kernel):
+    def test_ragged_from_pools(self, ragged):
         fresh = PoolingDesign(ragged.n, ragged.entries, ragged.indptr)
         y = np.array([3, 1, 0, 2, 4, 7], dtype=np.int64)
-        assert np.array_equal(ragged.psi(y, kernel=kernel), fresh.psi(y, kernel="legacy"))
-        assert np.array_equal(ragged.dstar(kernel=kernel), fresh.dstar(kernel="legacy"))
+        assert np.array_equal(ragged.psi(y, kernel="dense"), fresh.psi(y, kernel="legacy"))
+        assert np.array_equal(ragged.dstar(kernel="dense"), fresh.dstar(kernel="legacy"))
         yB = np.stack([y, 2 * y, np.zeros(6, dtype=np.int64)])
-        assert np.array_equal(ragged.psi(yB, kernel=kernel), fresh.psi(yB, kernel="legacy"))
+        assert np.array_equal(ragged.psi(yB, kernel="dense"), fresh.psi(yB, kernel="legacy"))
         sigmas = np.stack([np.array([1, 0, 1, 0, 0, 1, 1], dtype=np.int8)] * 3)
         assert np.array_equal(
-            ragged.query_results(sigmas, kernel=kernel), fresh.query_results(sigmas, kernel="legacy")
+            ragged.query_results(sigmas, kernel="dense"), fresh.query_results(sigmas, kernel="legacy")
         )
 
     def test_batched_query_results_match_single(self, regular):
@@ -242,7 +238,7 @@ class TestMaterialisedParity:
 
 
 class TestSupportRestrictedQueries:
-    """``query_pass`` counts only the batch's union support: dense == dense32 == legacy.
+    """Dense queries count only the batch's union support: dense == legacy.
 
     Each case also checks the int64 oracle ``σ @ countsᵀ`` over the full
     count matrix, which shares no code with either kernel.
@@ -290,8 +286,8 @@ class TestSupportRestrictedQueries:
 
     @pytest.mark.parametrize("density", [0.004, 0.6], ids=["sparse-support", "dense-support"])
     def test_m_spans_several_chunks(self, density):
-        # n=2000 gives 524 float64 / 1048 float32 rows per chunk: m=1200 is
-        # three chunks under dense, two under dense32, the last one short.
+        # n=2000 gives 524 float64 rows per chunk: m=1200 is three chunks,
+        # the last one short.
         design = PoolingDesign.sample(2000, 1200, np.random.default_rng(5))
         batch = (np.random.default_rng(6).random((6, design.n)) < density).astype(np.int8)
         self.assert_queries_agree(design, batch)
@@ -366,19 +362,16 @@ class TestEndToEndParity:
                 rng=np.random.default_rng(9),
                 backend=SerialBackend(kernel=kernel),
             )
-        for kernel in ("dense32", "legacy"):
-            assert np.array_equal(reports["dense"].sigma_hat, reports[kernel].sigma_hat), kernel
-            assert np.array_equal(reports["dense"].y, reports[kernel].y), kernel
-            assert np.array_equal(reports["dense"].k, reports[kernel].k), kernel
+        for field in ("sigma_hat", "y", "k"):
+            assert np.array_equal(getattr(reports["dense"], field), getattr(reports["legacy"], field)), field
 
     def test_batched_grid_point_kernels_identical(self):
         from repro.engine.grid import run_batched_point
 
         a = run_batched_point(90, 60, theta=0.35, trials=5, root_seed=11, kernel="dense")
-        for kernel in ("dense32", "legacy"):
-            b = run_batched_point(90, 60, theta=0.35, trials=5, root_seed=11, kernel=kernel)
-            assert np.array_equal(a.success, b.success), kernel
-            assert np.array_equal(a.overlap, b.overlap), kernel
+        b = run_batched_point(90, 60, theta=0.35, trials=5, root_seed=11, kernel="legacy")
+        assert np.array_equal(a.success, b.success)
+        assert np.array_equal(a.overlap, b.overlap)
 
 
 class _ShiftNoise:
@@ -400,7 +393,7 @@ class TestExactnessBoundaries:
 
     Each case drives ``y`` just below / just above a budget and asserts
     (a) the expected tier actually ran and (b) the outputs stay
-    bit-identical across all kernels either way.
+    bit-identical across both kernels either way.
     """
 
     N = 6
@@ -423,8 +416,8 @@ class TestExactnessBoundaries:
     @pytest.mark.parametrize(
         "shift",
         [
-            2**21,  # Σ|y| below 2²³: float32 tier
-            2**23,  # Σ|y| above 2²³, below 2⁵²: float64 tier
+            2**21,  # Σ|y| below 2²³: float64 tier
+            2**23,  # Σ|y| above 2²³, below 2⁵²: float64 tier (the stream has no float32 tier)
             2**52,  # Σ|y| above 2⁵²: exact integer tier
         ],
     )
@@ -432,29 +425,28 @@ class TestExactnessBoundaries:
         results = self._stream_all_kernels(shift)
         y_ref, psi_ref, dstar_ref, delta_ref = results["legacy"]
         assert np.array_equal(psi_ref, y_ref[[0, 0, 1, 1, 2, 2]])  # one query per entry
-        for name in ("dense", "dense32"):
-            y, psi, dstar, delta = results[name]
-            assert np.array_equal(y, y_ref), f"y differs (kernel={name}, shift=2^{shift.bit_length() - 1})"
-            assert np.array_equal(psi, psi_ref), f"psi differs (kernel={name}, shift=2^{shift.bit_length() - 1})"
-            assert np.array_equal(dstar, dstar_ref) and np.array_equal(delta, delta_ref), name
+        y, psi, dstar, delta = results["dense"]
+        assert np.array_equal(y, y_ref), f"y differs (shift=2^{shift.bit_length() - 1})"
+        assert np.array_equal(psi, psi_ref), f"psi differs (shift=2^{shift.bit_length() - 1})"
+        assert np.array_equal(dstar, dstar_ref) and np.array_equal(delta, delta_ref)
 
     def test_stream_tier_selection(self, monkeypatch):
-        """The dense32 guard picks exactly the promised workspace per batch."""
-        from repro.kernels import dense, dense32
+        """The dense stream guard runs the float64 GEMM below 2⁵², integer matmul above."""
+        from repro.kernels import dense
 
         tiers = []
         real = dense.fold_stream
 
         def spy(edges, y, n, psi, dstar, delta, workspace, exact):
-            tiers.append((str(workspace.dtype), exact))
+            tiers.append(exact)
             return real(edges, y, n, psi, dstar, delta, workspace, exact)
 
         monkeypatch.setattr(dense, "fold_stream", spy)
         sigma = np.ones(self.N, dtype=np.int8)
         for shift in (2**21, 2**23, 2**52):
             z = np.zeros(self.N, dtype=np.int64)
-            dense32.stream_batch(self.EDGES, sigma, self.N, _ShiftNoise(shift), None, z, z.copy(), z.copy())
-        assert tiers == [("float32", True), ("float64", True), ("float64", False)]
+            dense.stream_batch(self.EDGES, sigma, self.N, _ShiftNoise(shift), None, z, z.copy(), z.copy())
+        assert tiers == [True, True, False]
 
     @pytest.mark.parametrize(
         "value, tier",
@@ -464,8 +456,7 @@ class TestExactnessBoundaries:
             (2**52 + 10, "exact-int"),  # over both: integer matmul
         ],
     )
-    @pytest.mark.parametrize("kernel", ["dense", "dense32"])
-    def test_psi_tier_and_value(self, value, tier, kernel, monkeypatch):
+    def test_psi_tier_and_value(self, value, tier, monkeypatch):
         from repro.kernels import dense
 
         dtypes = []
@@ -478,36 +469,21 @@ class TestExactnessBoundaries:
         monkeypatch.setattr(dense, "psi_pass", spy)
         design = PoolingDesign.from_pools(5, [[4], [0, 1], [2, 3]])  # entry 4 in exactly one query
         y = np.array([value, 0, 0], dtype=np.int64)
-        got = design.psi(y, kernel=kernel)
+        got = design.psi(y, kernel="dense")
         assert got[4] == value  # Ψ_4 = y of entry 4's only query, bit-exact
         assert dtypes == [tier]
         fresh = PoolingDesign(design.n, design.entries, design.indptr)
         assert np.array_equal(got, fresh.psi(y, kernel="legacy"))
 
-    def test_query_fallback_over_budget(self, monkeypatch):
-        """Shrinking the float32 budget must push queries onto the float64 path."""
-        from repro.kernels import dense, dense32
-
-        design = PoolingDesign.sample(40, 9, np.random.default_rng(0))
-        sigmas = np.stack([random_signal(40, 5, np.random.default_rng(i)) for i in range(3)])
-        expected = design.query_results(sigmas, kernel="legacy")
-        assert np.array_equal(dense32.query_results_batch(design, sigmas), expected)
-        called = []
-        real = dense.query_results_batch
-        monkeypatch.setattr(dense, "query_results_batch", lambda d, b: called.append(1) or real(d, b))
-        monkeypatch.setattr(dense32, "_EXACT_LIMIT32", 4.0)
-        assert np.array_equal(dense32.query_results_batch(design, sigmas), expected)
-        assert called, "over-budget query batch did not fall back to the float64 generation"
-
     @pytest.mark.parametrize("workers", [1, 2])
     def test_over_budget_stream_sharedmem(self, workers):
-        """A noise channel blowing the float32 budget: still bit-identical,
-        serial and across a worker pool."""
+        """Counts past float32's exact range: still bit-identical, serial
+        and across a worker pool."""
         sigma = random_signal(16, 3, np.random.default_rng(5))
-        noise = GaussianNoise(5e6)  # |y| ~ 5·10⁶ ≫ 2²³/m: every batch over budget
+        noise = GaussianNoise(5e6)  # |y| ~ 5·10⁶ ≫ 2²³/m
         legacy = stream_design_stats(sigma, 33, root_seed=2, batch_queries=8, noise=noise, backend=SerialBackend(kernel="legacy"))
-        assert float(np.abs(legacy.y).sum()) > 2**23  # the guard genuinely trips
-        with SharedMemBackend(workers, kernel="dense32") as backend:
+        assert float(np.abs(legacy.y).sum()) > 2**23  # Σ|y| is past float32's budget
+        with SharedMemBackend(workers, kernel="dense") as backend:
             got = stream_design_stats(sigma, 33, root_seed=2, batch_queries=8, noise=noise, backend=backend)
         assert_stats_equal(got, legacy, f"(workers={workers})")
 
@@ -546,8 +522,7 @@ class TestDstarOnesRow:
         sigmas = np.stack([random_signal(50, 4, np.random.default_rng(i)) for i in range(3)])
         self.assert_matches_legacy(design, design.query_results(sigmas), kernel)
 
-    @pytest.mark.parametrize("kernel", ["dense", "dense32"])
-    def test_dstar_over_float32_budget_takes_float64(self, kernel, monkeypatch):
+    def test_dstar_over_float32_budget_takes_float64(self, monkeypatch):
         from repro.kernels import dense
 
         design = PoolingDesign.sample(30, 17, np.random.default_rng(3))
@@ -562,8 +537,8 @@ class TestDstarOnesRow:
             return real(design, y, with_dstar, dtype)
 
         monkeypatch.setattr(dense, "psi_pass", spy)
-        self.assert_matches_legacy(design, y, kernel)
-        kernels.dispatch(kernel).materialised_psi(design, y)
+        self.assert_matches_legacy(design, y, "dense")
+        dense.materialised_psi(design, y)
         # Ψ + Δ* and Δ* alone go float64 (m over budget); Ψ alone stays float32.
         assert dtypes == [(True, "float64"), (True, "float64"), (False, "float32")]
 
@@ -633,19 +608,17 @@ class TestMaterialisedStats:
         batch = np.stack([random_signal(50, 4, np.random.default_rng(i)) for i in range(3)])
         self.assert_matches_legacy(design, batch, kernel)
 
-    @pytest.mark.parametrize("kernel", ["dense", "dense32"])
-    def test_over_float32_budget_takes_float64(self, kernel, monkeypatch, tiers):
+    def test_over_float32_budget_takes_float64(self, monkeypatch, tiers):
         from repro.kernels import dense
 
         design = PoolingDesign.sample(40, 13, np.random.default_rng(4))
         batch = np.stack([random_signal(40, 5, np.random.default_rng(i)) for i in range(4)])
-        self.assert_matches_legacy(design, batch, kernel)
+        self.assert_matches_legacy(design, batch, "dense")
         monkeypatch.setattr(dense, "_EXACT_LIMIT32", float(design.entries.size))  # entries.size is not below it
-        self.assert_matches_legacy(design, batch, kernel)
+        self.assert_matches_legacy(design, batch, "dense")
         assert tiers == ["float32", "float64"]
 
-    @pytest.mark.parametrize("kernel", ["dense", "dense32"])
-    def test_over_float64_budget_runs_the_two_passes(self, kernel, monkeypatch, tiers):
+    def test_over_float64_budget_runs_the_two_passes(self, monkeypatch, tiers):
         from repro.kernels import dense
 
         design = PoolingDesign.sample(40, 13, np.random.default_rng(5))
@@ -656,7 +629,7 @@ class TestMaterialisedStats:
             monkeypatch.setattr(dense, name, lambda *a, _real=real, _name=name, **kw: ran.append(_name) or _real(*a, **kw))
         monkeypatch.setattr(dense, "_EXACT_LIMIT32", 1.0)
         monkeypatch.setattr(dense, "_EXACT_LIMIT", float(design.m))  # m is not below it
-        self.assert_matches_legacy(design, batch, kernel)
+        self.assert_matches_legacy(design, batch, "dense")
         assert tiers == [] and ran == ["query_results_batch", "materialised_psi"]
 
     def test_block_is_left_zeroed_and_reused(self, monkeypatch):
@@ -692,9 +665,8 @@ class TestMNSkipsDelta:
 
         got = {kernel: run_batched_point(90, 60, theta=0.35, trials=5, root_seed=11, kernel=kernel) for kernel in ALL_KERNELS}
         assert no_delta == []
-        for kernel in ("dense", "dense32"):
-            assert np.array_equal(got[kernel].success, got["legacy"].success), kernel
-            assert np.array_equal(got[kernel].overlap, got["legacy"].overlap), kernel
+        assert np.array_equal(got["dense"].success, got["legacy"].success)
+        assert np.array_equal(got["dense"].overlap, got["legacy"].overlap)
 
     def test_mn_reconstruct_and_reconstruct_batch(self, no_delta):
         from repro.core.mn import mn_reconstruct
@@ -727,8 +699,8 @@ class TestThreadGovernor:
     def test_capped_pool_end_to_end(self, workers):
         """A worker pool under its per-worker BLAS budget still bit-matches serial."""
         sigma = random_signal(60, 7, np.random.default_rng(6))
-        serial = stream_design_stats(sigma, 21, root_seed=9, batch_queries=8, backend=SerialBackend(kernel="dense32"))
-        with SharedMemBackend(workers, kernel="dense32") as backend:
+        serial = stream_design_stats(sigma, 21, root_seed=9, batch_queries=8, backend=SerialBackend(kernel="dense"))
+        with SharedMemBackend(workers, kernel="dense") as backend:
             got = stream_design_stats(sigma, 21, root_seed=9, batch_queries=8, backend=backend)
         assert_stats_equal(got, serial, f"(workers={workers}, capped)")
 

@@ -8,6 +8,7 @@ drift between the design, the statistics, the decoders and the theory.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -158,8 +159,8 @@ class TestKernelParity:
     """Dense kernels equal the legacy reference on arbitrary ragged designs.
 
     The ambient kernel (``REPRO_KERNEL``, dense by default) and the explicit
-    dense generations are all checked, so each CI kernel leg runs its own
-    tier here.
+    ``dense`` kernel are both checked, so each CI kernel leg runs its own
+    kernel here.
     """
 
     @given(instances)
@@ -181,7 +182,7 @@ class TestKernelParity:
         expected_y = fresh().query_results(batch, kernel="legacy")
         expected_psi = fresh().psi(y, kernel="legacy")
         assert np.array_equal(expected_y, batch.astype(np.int64) @ design.dense_counts().T)
-        for kernel in (None, "dense", "dense32"):
+        for kernel in (None, "dense"):
             assert np.array_equal(fresh().query_results(batch, kernel=kernel), expected_y), kernel
             assert np.array_equal(fresh().psi(y, kernel=kernel), expected_psi), kernel
 
@@ -190,7 +191,7 @@ class TestFusedStatsParity:
     """The fused query + Ψ/Δ* pass equals the legacy passes on ragged designs.
 
     ``materialised_stats`` of the ambient kernel (each CI kernel leg's own)
-    and of both dense generations against legacy's query results, Ψ of
+    and of ``dense`` against legacy's query results, Ψ of
     those results and Δ*, each computed on its own.
     """
 
@@ -210,7 +211,7 @@ class TestFusedStatsParity:
         reference = PoolingDesign(n, design.entries, design.indptr)
         want_y = reference.query_results(batch, kernel="legacy")
         want = (want_y, reference.psi(want_y, kernel="legacy"), reference.dstar(kernel="legacy"))
-        for kernel in (None, "dense", "dense32"):
+        for kernel in (None, "dense"):
             got = kernels.dispatch(kernel).materialised_stats(PoolingDesign(n, design.entries, design.indptr), batch)
             for name, left, right in zip(("y", "psi", "dstar"), got, want):
                 assert left.dtype == np.int64 and np.array_equal(left, right), (kernel, name)
@@ -258,6 +259,15 @@ class TestSerializationRoundTrips:
         # that differs from the original must hash to a different digest.
         if parsed != key:
             assert DesignStore.digest(parsed) != DesignStore.digest(key)
+
+    def test_infinite_number_is_a_corrupted_key(self):
+        """A mutated digit can turn a number into ``6E59612``, which JSON reads as infinity."""
+        from repro.designs import DesignKey
+
+        payload = DesignKey.for_sampled(50, 9, root_seed=3, tag=4, index=659612).to_json()
+        with pytest.raises(ValueError, match="corrupted compiled-design key"):
+            DesignKey.from_json(payload.replace("659612", "6E59612"))
+
 
 class TestSampledEntryRange:
     """Sampled and stream-regenerated designs skip the constructor's range scan.

@@ -7,6 +7,7 @@ from repro.util.validation import (
     check_array_1d,
     check_binary_batch,
     check_binary_signal,
+    check_counts,
     check_in_open_unit_interval,
     check_nonneg_int,
     check_positive_int,
@@ -159,3 +160,27 @@ class TestBinaryChecksAgree:
             check_binary_batch(np.zeros(3))
         with pytest.raises(ValueError, match="must have row length 4, got 3"):
             check_binary_batch(np.zeros((2, 3)), length=4)
+
+
+class TestCheckCounts:
+    def test_int64_rows_pass_through_unscanned(self):
+        y = np.array([[0, 3, -1]], dtype=np.int64)
+        assert check_counts(y, "y") is y  # no copy, and the sign is the caller's
+        assert check_counts(np.array([1, 2], dtype=np.uint32), "y").dtype == np.int64
+
+    def test_integral_floats_are_counts(self):
+        got = check_counts([2.0, 0.0, 7.0], "y")
+        assert got.dtype == np.int64 and got.tolist() == [2, 0, 7]
+
+    @pytest.mark.parametrize(
+        "values, match",
+        [
+            (np.array([1.0, 2.5]), "non-integral"),
+            (np.array([np.nan]), "non-finite"),
+            (np.array([1e30]), "int64 range"),
+            (np.array([2**63], dtype=np.uint64), "int64 range"),  # would wrap to -2**63
+        ],
+    )
+    def test_values_the_cast_would_change_raise(self, values, match):
+        with pytest.raises(ValueError, match=f"^y holds a .*{match}"):
+            check_counts(values, "y")
