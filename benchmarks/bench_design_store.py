@@ -90,12 +90,19 @@ class TestWarmCrossProcessDecode:
         y_path = tmp_path / "y.npy"
         np.save(y_path, _observed(1)[0])
 
-        rounds = 3
-        cold = [_run_child("cold", root, y_path) for _ in range(rounds)]
-        warm = [_run_child("warm", root, y_path) for _ in range(rounds)]
-        cold_s = float(np.median([r["seconds"] for r in cold]))
-        warm_s = float(np.median([r["seconds"] for r in warm]))
-        speedup = cold_s / warm_s
+        # Interleaved cold/warm child pairs, alternating which arm runs
+        # first, so both arms see the same machine drift; the speedup is
+        # the median of the per-pair ratios.
+        pairs = 7
+        cold, warm = [], []
+        for i in range(pairs):
+            for mode in ("cold", "warm") if i % 2 == 0 else ("warm", "cold"):
+                (cold if mode == "cold" else warm).append(_run_child(mode, root, y_path))
+        cold_times = [r["seconds"] for r in cold]
+        warm_times = [r["seconds"] for r in warm]
+        speedup = float(np.median(np.divide(cold_times, warm_times)))
+        cold_q1, cold_s, cold_q3 = (float(q) for q in np.percentile(cold_times, [25, 50, 75]))
+        warm_q1, warm_s, warm_q3 = (float(q) for q in np.percentile(warm_times, [25, 50, 75]))
 
         # The tracked wall-time record: one full warm child invocation
         # (interpreter startup included — the honest CLI-reinvocation cost).
@@ -107,14 +114,20 @@ class TestWarmCrossProcessDecode:
                 "k": K,
                 "B": 1,
                 "backend": "subprocess",
+                "pairs": pairs,
                 "cold_s": round(cold_s, 5),
+                "cold_iqr_s": round(cold_q3 - cold_q1, 5),
                 "warm_s": round(warm_s, 5),
+                "warm_iqr_s": round(warm_q3 - warm_q1, 5),
                 "speedup_x": round(speedup, 2),
                 "store_stats": dataclasses.asdict(store.stats),
                 "store_cumulative": store.persistent_stats(),
             }
         )
-        print(f"\ncross-process: cold compile+decode {cold_s * 1e3:.1f}ms vs warm attach+decode {warm_s * 1e3:.2f}ms -> {speedup:.1f}x")
+        print(
+            f"\ncross-process: cold compile+decode {cold_s * 1e3:.1f}ms (IQR {(cold_q3 - cold_q1) * 1e3:.1f}) vs "
+            f"warm attach+decode {warm_s * 1e3:.2f}ms (IQR {(warm_q3 - warm_q1) * 1e3:.2f}) -> {speedup:.1f}x median pair"
+        )
 
         # Bit-identical supports across every child, warm or cold.
         supports = {tuple(r["support"]) for r in cold + warm}

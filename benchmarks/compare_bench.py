@@ -10,7 +10,9 @@ the median wall times are compared; any fresh median more than
 ``threshold``× the baseline fails the gate (exit code 1) with a per-key
 table.  Keys present on only one side are reported but never fail — CI
 only measures a subset of the suite, and new benchmarks have no history
-yet.  Empty directories (first run on a fresh branch) pass trivially.
+yet.  An empty baseline (first run on a fresh branch) passes trivially;
+a fresh directory holding no record while the baseline holds some fails,
+since a bench step that wrote nothing measured nothing.
 
 Shared-runner medians are noisy, hence the deliberately loose default
 threshold: the gate exists to catch order-of-magnitude hot-path
@@ -117,6 +119,12 @@ def main(argv: "list[str] | None" = None) -> int:
     if only_fresh:
         print(f"{len(only_fresh)} new record(s) without history: {', '.join(only_fresh)}")
 
+    if baseline and not fresh:
+        print(
+            f"FAIL: {args.fresh} holds no benchmark record to compare with the {len(baseline)} baseline record(s)",
+            file=sys.stderr,
+        )
+        return 1
     if regressions:
         print(
             f"FAIL: {len(regressions)} record(s) regressed beyond {args.threshold}x: {', '.join(regressions)}",

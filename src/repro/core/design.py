@@ -502,25 +502,29 @@ def _stream_task(payload, cache):
     The ground truth crosses the process boundary once via shared memory;
     the batch RNG (and the optional corruption RNG) are derived from
     logical indices only.  The kernel name travels with the payload so
-    workers execute the same kernel the parent resolved; each worker
-    caches one reusable kernel workspace.
+    workers execute the same kernel the parent resolved.
     """
     (batch_idx, lo, hi, n, gamma, root_seed, trial_key, sigma_desc, noise, kernel_name) = payload
     if sigma_desc.name not in cache:
         cache[sigma_desc.name] = SharedArray.attach(sigma_desc)
     sigma = cache[sigma_desc.name].array
-    kern = dispatch_kernel(kernel_name)
-    ws_key = ("stream-workspace", kernel_name)
-    if ws_key not in cache:
-        cache[ws_key] = kern.make_stream_workspace()
-    rng = StreamFamily(root_seed).generator(*trial_key, batch_idx)
-    edges = rng.integers(0, n, size=(hi - lo, gamma), dtype=np.int64)
+    design = _stream_batch_design(StreamFamily(root_seed).generator(*trial_key, batch_idx), n, hi - lo, gamma)
     noise_rng = _stream_noise_rng(root_seed, trial_key, batch_idx) if noise is not None else None
     psi = np.zeros(n, dtype=np.int64)
     dstar = np.zeros(n, dtype=np.int64)
     delta = np.zeros(n, dtype=np.int64)
-    y = kern.stream_batch(edges, sigma, n, noise, noise_rng, psi, dstar, delta, cache[ws_key])
+    y = dispatch_kernel(kernel_name).stream_batch(design, sigma, noise, noise_rng, psi, dstar, delta)
     return (lo, y, psi, dstar, delta)
+
+
+def _stream_batch_design(rng: np.random.Generator, n: int, rows: int, gamma: int) -> PoolingDesign:
+    """One stream batch's ``rows`` queries of ``gamma`` draws, as a regular design.
+
+    Every draw is ``integers(0, n)``, so the entry range is known and the
+    constructor's min/max scan is skipped, as in :meth:`PoolingDesign.sample`.
+    """
+    edges = rng.integers(0, n, size=(rows, gamma), dtype=np.int64)
+    return PoolingDesign._with_range(n, edges.reshape(-1), np.arange(rows + 1, dtype=np.int64) * gamma, (0, n - 1))
 
 
 def _stream_noise_rng(root_seed: int, trial_key: "tuple[int, ...]", batch_idx: int) -> np.random.Generator:
@@ -648,14 +652,12 @@ def stream_design_stats(
         collected: "list[np.ndarray] | None" = [] if store_obj is not None and exec_backend.workers == 1 else None
         if exec_backend.workers == 1:
             family = StreamFamily(root_seed)
-            workspace = kern.make_stream_workspace()
             for b, lo, hi in batches:
-                rng = family.generator(*trial_key, b)
-                edges = rng.integers(0, n, size=(hi - lo, gamma), dtype=np.int64)
+                batch = _stream_batch_design(family.generator(*trial_key, b), n, hi - lo, gamma)
                 noise_rng = _stream_noise_rng(root_seed, tuple(trial_key), b) if noise is not None else None
-                y[lo:hi] = kern.stream_batch(edges, sigma, n, noise, noise_rng, psi, dstar, delta, workspace)
+                y[lo:hi] = kern.stream_batch(batch, sigma, noise, noise_rng, psi, dstar, delta)
                 if collected is not None:
-                    collected.append(edges.reshape(-1))
+                    collected.append(batch.entries)
         else:
             shared_sigma = SharedArray.from_array(sigma)
             try:

@@ -39,13 +39,9 @@ Kernel-module contract (what :func:`dispatch` returns)
 
 ``NAME``
     The kernel's registry name.
-``make_stream_workspace()``
-    Opaque reusable scratch for the streaming kernel (``None`` when the
-    implementation needs none).  One workspace serves one sequential
-    stream loop; it is what makes the steady-state loop allocation-free
-    for the big ``O(b·n)`` buffers.
-``stream_batch(edges, sigma, n, noise, noise_rng, psi, dstar, delta, workspace=None)``
-    Fold one ``(b, Γ)`` batch of sampled query edges into the running
+``stream_batch(design, sigma, noise, noise_rng, psi, dstar, delta)``
+    Fold one stream batch — its ``b`` queries of ``Γ`` draws each, as a
+    regular :class:`~repro.core.design.PoolingDesign` — into the running
     ``Ψ/Δ*/Δ`` accumulators (in place) and return the batch's result
     vector ``y``.  With ``noise`` given, ``y`` is corrupted *before* its
     ``Ψ`` contribution — the streaming noise contract.

@@ -7,9 +7,9 @@ the incidence structure is dense, not sparse.  These kernels exploit that:
 * **Dedup by scatter** — marking ``block[row, edges] = 1`` on a dense
   ``(b, n)`` block resolves distinctness for free (duplicate draws land on
   the same cell), replacing the legacy ``O(b·Γ·log Γ)`` row sorts with an
-  ``O(b·Γ)`` scatter.  Both passes write it as one flat scatter,
-  ``block.reshape(-1)[row·n + edge] = 1`` (the materialised pass through
-  :meth:`~repro.core.design.PoolingDesign.incidence_cells`): cheaper
+  ``O(b·Γ)`` scatter.  Every pass writes it as one flat scatter,
+  ``block.reshape(-1)[row·n + edge] = 1``, through
+  :meth:`~repro.core.design.PoolingDesign.incidence_cells`: cheaper
   than the 2-D fancy index, which resolves two index arrays per cell.
 * **Ψ as GEMM** — with the block in hand, the per-entry result sums for a
   whole batch of signals collapse into one BLAS call:
@@ -37,29 +37,33 @@ the incidence structure is dense, not sparse.  These kernels exploit that:
   of a float32 block took 240 ms with a Python ``1.0`` against 5.8 ms
   with ``np.float32(1)``.  The index is intp: an int32 one took 12 ms.
 
+A stream batch is a regular design of its own (the stream loop wraps
+each batch's draws in a :class:`~repro.core.design.PoolingDesign`), so
+:func:`stream_batch` runs these same passes over it; there is no
+separate streaming machinery.
+
 Blocks are stored in a floating dtype so the products run through BLAS,
-and chunked over queries so peak scratch stays cache-sized: streaming
-blocks target :data:`STREAM_BLOCK_BYTES` (the scatter is the bottleneck
-there and wants L2-resident blocks), materialised ones :data:`BLOCK_BYTES`
-(larger, to amortise the per-chunk ``(B, n)`` accumulate).  Full-width
-cell indices are intp, the dtype fancy indexing consumes without a cast;
-the support-restricted query index is int32 where its cell space provably
+and every pass chunks over queries so that one block stays within
+:data:`BLOCK_BYTES` (1 MiB): the random scatter dominates a chunk's cost
+and wants its block cache-resident.  A Ψ/Δ* chunk still holds at least
+one query per GEMM coefficient row, so that adding its ``(B + 1, n)``
+product into the accumulator never outweighs the block.  Full-width cell indices are intp,
+the dtype fancy indexing consumes without a cast; the
+support-restricted query index is int32 where its cell space provably
 fits, halving the index traffic of the bincount.
 
 Exactness: every output is integer-valued, and float accumulation of
 integers is exact while all running sums stay below the mantissa limit.
-The materialised Ψ/Δ* pass (:func:`materialised_psi`) picks the cheapest
-exact tier per call: float32 while every ``Σ|y[b]|`` — and, with ``Δ*``
-in the ones row, ``m`` — is below 2²³ (:data:`_EXACT_LIMIT32`, a 2× margin
-under float32's 2²⁴); else float64 below 2⁵² (:data:`_EXACT_LIMIT`, the
-same margin under 2⁵³); else exact integer matmul.  The fused pass
+The Ψ/Δ* pass (:func:`materialised_psi`) picks the cheapest exact tier
+per call: float32 while every ``Σ|y[b]|`` — and, with ``Δ*`` in the ones
+row, ``m`` — is below 2²³ (:data:`_EXACT_LIMIT32`, a 2× margin under
+float32's 2²⁴); else float64 below 2⁵² (:data:`_EXACT_LIMIT`, the same
+margin under 2⁵³); else exact integer matmul.  The fused pass
 (:func:`materialised_stats`) takes the same two float tiers on
 ``max(entries.size, m)`` and beyond them runs the two separate passes.
-The streaming and query passes run float64 under the 2⁵² guard.  Dense
-and legacy kernels are therefore bit-identical on identical sampled
-edges *always*, not just typically.  Scratch blocks are reset by re-zeroing only the touched
-rows and reused across batches via :class:`DenseStreamWorkspace`, so the
-steady-state streaming loop performs no ``O(b·n)`` allocations.
+The query pass runs float64 under the 2⁵² guard.  Dense and legacy
+kernels are therefore bit-identical on identical sampled edges *always*,
+not just typically.
 """
 
 from __future__ import annotations
@@ -76,14 +80,10 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 
 NAME = "dense"
 
-#: Cap on one materialised dense block, in bytes.  Large enough to
-#: amortise per-chunk GEMM and accumulate overhead for big signal batches.
-BLOCK_BYTES = 8 * 1024 * 1024
-
-#: Cap on one streaming block.  The streaming kernel's cost is dominated
-#: by the random scatter, which wants the block cache-resident; the
-#: per-chunk accumulate is only two rows, so small chunks are free.
-STREAM_BLOCK_BYTES = 1024 * 1024
+#: Cap on one chunk's dense block, in bytes, for every pass.  The
+#: random scatter into the block dominates a chunk's cost and wants the
+#: block cache-resident; the per-chunk GEMM and accumulate stay cheap.
+BLOCK_BYTES = 1024 * 1024
 
 #: Conservative bound under which float64 integer accumulation is exact
 #: (2⁵² leaves a 2× margin over the true 2⁵³ mantissa limit, absorbing the
@@ -95,9 +95,9 @@ _EXACT_LIMIT = float(2**52)
 _EXACT_LIMIT32 = float(2**23)
 
 
-def _rows_per_block(n: int, block_bytes: int = BLOCK_BYTES, itemsize: int = 8) -> int:
-    """Query rows fitting one ``itemsize``-byte-cell block of width ``n``."""
-    return max(1, block_bytes // (itemsize * max(1, n)))
+def _rows_per_block(n: int, itemsize: int = 8) -> int:
+    """Query rows fitting one :data:`BLOCK_BYTES` block of ``itemsize``-byte cells and width ``n``."""
+    return max(1, BLOCK_BYTES // (itemsize * max(1, n)))
 
 
 def _index_dtype(cells: int) -> np.dtype:
@@ -122,163 +122,49 @@ def row_cells(indptr: np.ndarray, lo: int, hi: int, width: int, values: np.ndarr
     return cells
 
 
-class DenseStreamWorkspace:
-    """Reusable scratch buffers for :func:`stream_batch`.
-
-    One workspace serves one sequential stream loop; buffers grow to the
-    first batch's shape and are reused verbatim afterwards, so the
-    steady-state loop allocates none of the ``O(b·n)`` / ``O(b·Γ)``
-    intermediates.  The incidence block is kept all-zero between calls
-    (re-zeroed after every chunk), which is what makes reuse sound.
-    Every float buffer (block, coefficients, accumulators) is float64.
-    """
-
-    def __init__(self) -> None:
-        self._block: "np.ndarray | None" = None
-        self._hits: "np.ndarray | None" = None
-        self._coef: "np.ndarray | None" = None
-        self._acc: "np.ndarray | None" = None
-        self._tmp: "np.ndarray | None" = None
-        self._offsets: "np.ndarray | None" = None
-        self._n = 0
-
-    def block(self, rows: int, n: int) -> np.ndarray:
-        """An all-zero ``(rows, n)`` block (callers must re-zero it)."""
-        if self._block is None or self._block.shape[1] != n or self._block.shape[0] < rows:
-            self._block = np.zeros((rows, n), dtype=np.float64)
-        return self._block[:rows]
-
-    def hits(self, shape: "tuple[int, int]", dtype: np.dtype) -> np.ndarray:
-        """Gather target for the ``sigma[edges]`` lookup."""
-        if self._hits is None or self._hits.dtype != dtype or self._hits.shape[1] != shape[1] or self._hits.shape[0] < shape[0]:
-            self._hits = np.empty(shape, dtype=dtype)
-        return self._hits[: shape[0]]
-
-    def coef(self, rows: int) -> np.ndarray:
-        """``(2, rows)`` GEMM coefficients: all-ones row (Δ*) over ``y`` row (Ψ)."""
-        if self._coef is None or self._coef.shape[1] < rows:
-            self._coef = np.empty((2, rows), dtype=np.float64)
-        return self._coef[:, :rows]
-
-    def acc(self, n: int) -> np.ndarray:
-        """``(2, n)`` accumulator for the (Δ*, Ψ) GEMM rows."""
-        if self._acc is None or self._acc.shape[1] != n:
-            self._acc = np.empty((2, n), dtype=np.float64)
-        return self._acc
-
-    def tmp(self, n: int) -> np.ndarray:
-        """``(2, n)`` GEMM output buffer for non-first chunks."""
-        if self._tmp is None or self._tmp.shape[1] != n:
-            self._tmp = np.empty((2, n), dtype=np.float64)
-        return self._tmp
-
-    def row_offsets(self, rows: int, n: int) -> np.ndarray:
-        """``(rows, 1)`` intp flat offsets ``row·n`` for the block scatter."""
-        if self._offsets is None or self._offsets.shape[0] < rows or self._n != n:
-            self._offsets = np.arange(0, rows * n, n, dtype=np.intp)[:, None]
-            self._n = n
-        return self._offsets[:rows]
-
-
-def make_stream_workspace() -> DenseStreamWorkspace:
-    """Fresh reusable scratch for a sequential stream loop."""
-    return DenseStreamWorkspace()
-
-
-def fold_stream(
-    edges: np.ndarray,
-    y: np.ndarray,
-    n: int,
-    psi: np.ndarray,
-    dstar: np.ndarray,
-    delta: np.ndarray,
-    workspace: DenseStreamWorkspace,
-    exact: bool,
-) -> None:
-    """Fold a batch's scattered incidence into ``Ψ/Δ*/Δ`` (in place).
-
-    With ``exact`` the (Δ*, Ψ) contributions are the two rows of one
-    ``(2, rc) @ (rc, n)`` float64 GEMM per chunk — the caller guarantees
-    every running sum is exactly representable there.
-    Otherwise the same chunks accumulate through exact integer matmul.
-    """
-    b = edges.shape[0]
-    rows_per = _rows_per_block(n, STREAM_BLOCK_BYTES)
-    acc_int: "np.ndarray | None" = None if exact else np.zeros((2, n), dtype=np.int64)
-    acc = workspace.acc(n)
-    first = True
-    for lo in range(0, b, rows_per):
-        hi = min(b, lo + rows_per)
-        rc = hi - lo
-        sub = edges[lo:hi]
-        blk = workspace.block(min(b, rows_per), n)[:rc]
-        blk.reshape(-1)[workspace.row_offsets(rc, n) + sub] = 1.0
-        if exact:
-            out = acc if first else workspace.tmp(n)
-            coef = workspace.coef(rc)
-            coef[0] = 1.0
-            coef[1] = y[lo:hi]
-            np.matmul(coef, blk, out=out)
-            if not first:
-                acc += out
-        else:
-            coef_int = np.empty((2, rc), dtype=np.int64)
-            coef_int[0] = 1
-            coef_int[1] = y[lo:hi]
-            acc_int += coef_int @ (blk != 0)
-        blk.fill(0.0)
-        first = False
-
-    if exact:
-        np.add(dstar, acc[0], out=dstar, casting="unsafe")
-        np.add(psi, acc[1], out=psi, casting="unsafe")
-    else:
-        dstar += acc_int[0]
-        psi += acc_int[1]
-    delta += np.bincount(edges.ravel(), minlength=n)
-
-
 def stream_batch(
-    edges: np.ndarray,
+    design: "PoolingDesign",
     sigma: np.ndarray,
-    n: int,
     noise: "NoiseModel | None",
     noise_rng: "np.random.Generator | None",
     psi: np.ndarray,
     dstar: np.ndarray,
     delta: np.ndarray,
-    workspace: "DenseStreamWorkspace | None" = None,
 ) -> np.ndarray:
-    """Fold one ``(b, Γ)`` edge batch into the running accumulators.
+    """Fold one stream batch, a regular ``design``, into the running accumulators.
 
-    ``y`` comes from a single gather + row sum; distinct hits are marked by
-    scattering into the dense block; ``Δ*`` and ``Ψ`` contributions are the
-    two rows of one ``(2, b) @ (b, n)`` BLAS product per chunk.  With
-    ``noise`` given, ``y`` is corrupted *before* the Ψ product — exactly
-    the legacy kernel's ordering, so noisy statistics stay bit-identical
-    too.
+    A noiseless batch runs the fused :func:`materialised_stats` pass; with
+    ``noise`` the gathered results are corrupted *before* their
+    :func:`materialised_psi` contribution — exactly the legacy kernel's
+    ordering, so noisy statistics stay bit-identical too.
     """
-    ws = workspace if workspace is not None else DenseStreamWorkspace()
-    hits = ws.hits(edges.shape, sigma.dtype)
-    np.take(sigma, edges, out=hits)
-    y = hits.sum(axis=1, dtype=np.int64)
-    if noise is not None:
-        y = noise.corrupt(y, noise_rng)
-    # Joint exactness bound for both GEMM rows: every running Ψ sum is
-    # ≤ Σ|y| and every Δ* count is ≤ b.
-    exact = float(np.abs(y).sum(dtype=np.float64)) + edges.shape[0] < _EXACT_LIMIT
-    fold_stream(edges, y, n, psi, dstar, delta, ws, exact)
+    if noise is None:
+        ys, psi_b, dstar_b = materialised_stats(design, sigma[None])
+        y = ys[0]
+    else:
+        y = noise.corrupt(design._query_results_kernel(sigma), noise_rng)
+        psi_b, dstar_b = materialised_psi(design, y[None], with_dstar=True)
+    psi += psi_b[0]
+    dstar += dstar_b
+    delta += np.bincount(design.entries, minlength=design.n)
     return y
 
 
-def _chunk_block(design: "PoolingDesign", dtype: np.dtype) -> np.ndarray:
-    """The all-zero ``dtype`` block one chunk of ``_rows_per_block(n, BLOCK_BYTES, itemsize)`` queries fills.
+def _chunk_block(design: "PoolingDesign", dtype: np.dtype, coef_rows: int) -> np.ndarray:
+    """The all-zero ``dtype`` block one chunk of queries fills.
 
-    The pass allocates it first and holds it until it returns, past its
-    int64 casts: a loop that freed the block before them raised
+    A chunk holds ``_rows_per_block(n, itemsize)`` queries, or
+    ``coef_rows`` if more: each chunk adds a ``(coef_rows, n)`` GEMM
+    product into the accumulator, and a chunk at least that tall keeps
+    that add from moving more bytes than the block itself.  On a 2-vCPU
+    host with one BLAS thread, a B=64 fused pass at n=10⁴, m=832 took
+    46 ms in 26-row chunks and 38 ms in 65-row ones.
+
+    The pass allocates the block first and holds it until it returns,
+    past its int64 casts: a loop that freed the block before them raised
     perfbench serve-churn's peak RSS from 604.9 to 616.6 MB.
     """
-    rows_per = _rows_per_block(design.n, BLOCK_BYTES, dtype.itemsize)
+    rows_per = max(_rows_per_block(design.n, dtype.itemsize), coef_rows)
     return np.zeros((min(max(design.m, 1), rows_per), design.n), dtype=dtype)
 
 
@@ -331,7 +217,7 @@ def psi_pass(
     leaves ``Δ*`` alone in the GEMM.
     """
     B = y.shape[0]
-    block = _chunk_block(design, np.dtype(np.float64 if dtype is None else dtype))
+    block = _chunk_block(design, np.dtype(np.float64 if dtype is None else dtype), B + int(with_dstar))
 
     def mark(qlo: int, qhi: int, blk: np.ndarray) -> None:
         blk.reshape(-1)[design.incidence_cells(qlo, qhi)] = 1  # duplicates land on one cell: the dedup
@@ -408,7 +294,7 @@ def stats_pass(design: "PoolingDesign", batch: np.ndarray, dtype: "np.dtype | ty
     """
     B = batch.shape[0]
     work = np.dtype(dtype)
-    block = _chunk_block(design, work)
+    block = _chunk_block(design, work, B + 1)
     # ``ufunc.at`` takes its fast indexed loop only for a value of the
     # block's own dtype (see the module docstring).
     one = work.type(1)
@@ -492,7 +378,7 @@ def query_results_batch(design: "PoolingDesign", batch: np.ndarray) -> np.ndarra
     remap[cols] = np.arange(u, dtype=np.int32)
     bf = np.zeros((B, width), dtype=np.float64)
     bf[:, :u] = batch[:, cols]
-    rows_per = _rows_per_block(n, BLOCK_BYTES)
+    rows_per = _rows_per_block(n)
     idx = _index_dtype(rows_per * width)
     entries, indptr = design.entries, design.indptr
     tmp = np.empty((B, min(m, rows_per)), dtype=np.float64)

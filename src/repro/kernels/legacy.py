@@ -28,26 +28,20 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 NAME = "legacy"
 
 
-def make_stream_workspace() -> None:
-    """The sort-based streaming kernel keeps no reusable scratch."""
-    return None
-
-
 def stream_batch(
-    edges: np.ndarray,
+    design: "PoolingDesign",
     sigma: np.ndarray,
-    n: int,
     noise: "NoiseModel | None",
     noise_rng: "np.random.Generator | None",
     psi: np.ndarray,
     dstar: np.ndarray,
     delta: np.ndarray,
-    workspace: object = None,
 ) -> np.ndarray:
-    """Fold one ``(b, Γ)`` edge batch into the running accumulators.
+    """Fold one stream batch, a regular ``design``, into the running accumulators.
 
-    Distinctness is resolved by sorting each row and masking repeats — the
-    standard vectorised dedup that keeps everything inside NumPy, at
+    The batch's draws are read as ``(b, Γ)`` edge rows.  Distinctness is
+    resolved by sorting each row and masking repeats — the standard
+    vectorised dedup that keeps everything inside NumPy, at
     ``O(b·Γ·log Γ)`` per batch.
 
     With ``noise`` given, results are corrupted *before* the Ψ
@@ -55,6 +49,8 @@ def stream_batch(
     world — mirroring the materialised path
     (:func:`repro.noise.trial.run_noisy_mn_trial`).
     """
+    edges = design.entries.reshape(design.m, -1)
+    n = design.n
     y = sigma[edges].astype(np.int64).sum(axis=1)
     if noise is not None:
         y = noise.corrupt(y, noise_rng)

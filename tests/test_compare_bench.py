@@ -132,6 +132,17 @@ class TestMain:
         out = capsys.readouterr().out
         assert "baseline-only" in out
 
+    @pytest.mark.parametrize("fresh_exists", [True, False])
+    def test_empty_fresh_dir_fails_naming_it(self, dirs, capsys, fresh_exists):
+        """A bench step that wrote no record leaves nothing to gate: that fails."""
+        base, fresh = dirs
+        _write_bench(base, "kernels", {"test_psi": 0.10, "test_topk": 0.20})
+        if fresh_exists:
+            fresh.mkdir()
+        assert compare_bench.main([str(base), str(fresh)]) == 1
+        err = capsys.readouterr().err
+        assert str(fresh) in err and "no benchmark record" in err
+
     def test_custom_threshold_respected(self, dirs):
         base, fresh = dirs
         _write_bench(base, "kernels", {"t": 0.10})

@@ -108,9 +108,10 @@ class TestStreamParity:
 
     def test_backend_kernel_field_is_honoured(self, monkeypatch):
         """The backend's kernel field picks the kernel module that runs —
-        in the streaming path and in the inline grid path, whose noiseless
-        MN points run the fused ``materialised_stats`` pass — and the
-        default runs dense."""
+        in the streaming path, where dense runs each batch through its
+        fused ``materialised_stats`` pass, and in the inline grid path,
+        whose noiseless MN points run that pass too — and the default
+        runs dense.  The other kernel never runs."""
         from repro.engine.grid import run_trial_grid
         from repro.kernels import dense, legacy
 
@@ -131,39 +132,87 @@ class TestStreamParity:
             spy_on(module, "stream_batch")
             spy_on(module, "materialised_stats")
 
+        streamed = {"legacy": {("legacy", "stream_batch")}, "dense": {("dense", "stream_batch"), ("dense", "materialised_stats")}}
         sigma = random_signal(60, 7, np.random.default_rng(3))
         for backend, expected in ((SerialBackend(kernel="legacy"), "legacy"), (None, "dense")):
             ran.clear()
             stream_design_stats(sigma, 21, root_seed=1, backend=backend)
-            assert set(ran) == {(expected, "stream_batch")}
+            assert set(ran) == streamed[expected]
             ran.clear()
             run_trial_grid(60, [21], k=3, trials=2, root_seed=1, backend=backend)
             assert set(ran) == {(expected, "materialised_stats")}
 
-    def test_reuses_workspace_across_batches(self):
-        """The dense stream loop reuses one scratch block per loop."""
+    def test_one_pool_serves_several_widths(self):
+        """One worker pool streams signals of several ``n`` in turn, each
+        equal to the serial stream."""
+        with SharedMemBackend(2) as backend:
+            for n in (50, 60, 40):
+                sigma = random_signal(n, 4, np.random.default_rng(n))
+                serial = stream_design_stats(sigma, 23, root_seed=n, batch_queries=5)
+                forked = stream_design_stats(sigma, 23, root_seed=n, batch_queries=5, backend=backend)
+                assert_stats_equal(forked, serial, f"n={n}")
+
+
+class TestMultiChunkStream:
+    """A stream batch spanning several chunks of the dense walk equals legacy.
+
+    ``BLOCK_BYTES`` is patched to three float64 rows (six float32 rows) of
+    width ``n``, so each 20-query batch spans at least four chunks in every
+    tier.  The pool forks after the patch, so its workers walk the same
+    chunks.  An ambient design store is switched off: a store hit would
+    skip the stream.
+    """
+
+    N, M, BQ = 80, 45, 20
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
         from repro.kernels import dense
 
-        ws = dense.make_stream_workspace()
-        block_a = ws.block(4, 50)
-        assert block_a.base is ws.block(4, 50).base  # same backing buffer
-        assert ws.block(2, 50).base is block_a.base  # smaller slice, same buffer
-        assert not ws.block(4, 50).any()  # and it stays all-zero
+        monkeypatch.delenv("REPRO_DESIGN_STORE", raising=False)
+        monkeypatch.setattr(dense, "BLOCK_BYTES", 8 * self.N * 3)
 
-    def test_workspace_follows_a_new_width(self):
-        """A worker's cached workspace serves streams of several ``n``: each
-        batch scatters at its own width, matching a fresh workspace."""
-        from repro.kernels import dense as mod
+    def _check(self, sigma, noise, workers):
+        legacy = stream_design_stats(sigma, self.M, root_seed=4, batch_queries=self.BQ, noise=noise, backend=SerialBackend(kernel="legacy"))
+        if workers == 1:
+            got = stream_design_stats(sigma, self.M, root_seed=4, batch_queries=self.BQ, noise=noise, backend=SerialBackend(kernel="dense"))
+        else:
+            with SharedMemBackend(workers, kernel="dense") as backend:
+                got = stream_design_stats(sigma, self.M, root_seed=4, batch_queries=self.BQ, noise=noise, backend=backend)
+        assert_stats_equal(got, legacy, f"(noise={noise!r}, workers={workers})")
 
-        ws = mod.make_stream_workspace()
-        for n in (50, 60, 50, 40):
-            edges = np.random.default_rng(n).integers(0, n, size=(5, 9))
-            sigma = random_signal(n, 4, np.random.default_rng(1))
-            got, want = ([np.zeros(n, dtype=np.int64) for _ in range(3)] for _ in range(2))
-            mod.stream_batch(edges, sigma, n, None, None, *got, ws)
-            mod.stream_batch(edges, sigma, n, None, None, *want, mod.make_stream_workspace())
-            for a, b in zip(got, want):
-                assert np.array_equal(a, b), f"n={n}"
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("noise", [None, GaussianNoise(1.0)], ids=["noiseless", "gaussian"])
+    def test_noise(self, noise, workers):
+        self._check(random_signal(self.N, 9, np.random.default_rng(6)), noise, workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("shift", [2**21, 2**23, 2**52])
+    def test_shift(self, shift, workers):
+        # Beyond 2⁵² the legacy stream accumulates Ψ through float64
+        # bincount weights, exact only while every sum is; an all-zero
+        # signal makes every result exactly the shift, so it is.
+        sigma = np.zeros(self.N, dtype=np.int8) if shift == 2**52 else random_signal(self.N, 9, np.random.default_rng(6))
+        self._check(sigma, _ShiftNoise(shift), workers)
+
+    def test_batches_span_several_chunks(self, monkeypatch):
+        from repro.kernels import dense
+
+        chunks = []
+        real = dense._incidence_chunks
+
+        def spy(design, block):
+            chunks.append(0)
+            for chunk in real(design, block):
+                chunks[-1] += 1
+                yield chunk
+
+        monkeypatch.setattr(dense, "_incidence_chunks", spy)
+        sigma = random_signal(self.N, 9, np.random.default_rng(6))
+        for noise in (None, _ShiftNoise(2**21), _ShiftNoise(2**23), _ShiftNoise(2**52)):
+            chunks.clear()
+            stream_design_stats(sigma, self.M, root_seed=4, batch_queries=self.BQ, noise=noise, backend=SerialBackend(kernel="dense"))
+            assert min(chunks[:-1]) >= 3, (noise, chunks)  # the 5-query tail batch may take fewer
 
 
 class TestMaterialisedParity:
@@ -401,23 +450,22 @@ class TestExactnessBoundaries:
 
     def _stream_all_kernels(self, shift):
         sigma = np.ones(self.N, dtype=np.int8)
+        design = PoolingDesign.from_pools(self.N, self.EDGES)
         out = {}
         for name in ALL_KERNELS:
             mod = kernels.dispatch(name)
             psi = np.zeros(self.N, dtype=np.int64)
             dstar = np.zeros(self.N, dtype=np.int64)
             delta = np.zeros(self.N, dtype=np.int64)
-            y = mod.stream_batch(
-                self.EDGES, sigma, self.N, _ShiftNoise(shift), None, psi, dstar, delta, mod.make_stream_workspace()
-            )
+            y = mod.stream_batch(design, sigma, _ShiftNoise(shift), None, psi, dstar, delta)
             out[name] = (y, psi, dstar, delta)
         return out
 
     @pytest.mark.parametrize(
         "shift",
         [
-            2**21,  # Σ|y| below 2²³: float64 tier
-            2**23,  # Σ|y| above 2²³, below 2⁵²: float64 tier (the stream has no float32 tier)
+            2**21,  # Σ|y| below 2²³: float32 tier
+            2**23,  # Σ|y| above 2²³, below 2⁵²: float64 tier
             2**52,  # Σ|y| above 2⁵²: exact integer tier
         ],
     )
@@ -431,22 +479,22 @@ class TestExactnessBoundaries:
         assert np.array_equal(dstar, dstar_ref) and np.array_equal(delta, delta_ref)
 
     def test_stream_tier_selection(self, monkeypatch):
-        """The dense stream guard runs the float64 GEMM below 2⁵², integer matmul above."""
+        """A noisy dense stream batch takes ``psi_pass``'s tiers: float32
+        while Σ|y| is below 2²³, float64 below 2⁵², integer matmul above."""
         from repro.kernels import dense
 
         tiers = []
-        real = dense.fold_stream
+        real = dense.psi_pass
 
-        def spy(edges, y, n, psi, dstar, delta, workspace, exact):
-            tiers.append(exact)
-            return real(edges, y, n, psi, dstar, delta, workspace, exact)
+        def spy(design, y, with_dstar, dtype):
+            tiers.append(dtype)
+            return real(design, y, with_dstar, dtype)
 
-        monkeypatch.setattr(dense, "fold_stream", spy)
-        sigma = np.ones(self.N, dtype=np.int8)
-        for shift in (2**21, 2**23, 2**52):
-            z = np.zeros(self.N, dtype=np.int64)
-            dense.stream_batch(self.EDGES, sigma, self.N, _ShiftNoise(shift), None, z, z.copy(), z.copy())
-        assert tiers == [True, True, False]
+        monkeypatch.setattr(dense, "psi_pass", spy)
+        self._stream_all_kernels(2**21)
+        self._stream_all_kernels(2**23)
+        self._stream_all_kernels(2**52)
+        assert tiers == [np.float32, np.float64, None]
 
     @pytest.mark.parametrize(
         "value, tier",
@@ -518,7 +566,7 @@ class TestDstarOnesRow:
         from repro.kernels import dense
 
         design = PoolingDesign.sample(50, 17, np.random.default_rng(2))
-        monkeypatch.setattr(dense, "BLOCK_BYTES", 4 * design.n * 3)  # 3 rows per float32 chunk
+        monkeypatch.setattr(dense, "BLOCK_BYTES", 4 * design.n * 3)  # 3 float32 rows; B=3 Ψ rows + Δ* make it 4
         sigmas = np.stack([random_signal(50, 4, np.random.default_rng(i)) for i in range(3)])
         self.assert_matches_legacy(design, design.query_results(sigmas), kernel)
 
@@ -604,9 +652,32 @@ class TestMaterialisedStats:
         from repro.kernels import dense
 
         design = PoolingDesign.sample(50, 17, np.random.default_rng(2))
-        monkeypatch.setattr(dense, "BLOCK_BYTES", 4 * design.n * 3)  # 3 rows per float32 chunk, the last short
+        monkeypatch.setattr(dense, "BLOCK_BYTES", 4 * design.n * 3)  # 3 float32 rows; B + 1 = 4 rows per chunk, the last short
         batch = np.stack([random_signal(50, 4, np.random.default_rng(i)) for i in range(3)])
         self.assert_matches_legacy(design, batch, kernel)
+
+    def test_chunk_holds_the_coefficient_rows(self, monkeypatch):
+        """Under a one-row budget a chunk still holds one query per GEMM
+        coefficient row: ``B + 1`` for the fused pass and for Ψ with Δ*,
+        ``B`` for Ψ alone, and one for Δ* alone."""
+        from repro.kernels import dense
+
+        heights = []
+        real = dense._incidence_chunks
+
+        def spy(design, block):
+            heights.append(block.shape[0])
+            return real(design, block)
+
+        monkeypatch.setattr(dense, "_incidence_chunks", spy)
+        design = PoolingDesign.sample(30, 23, np.random.default_rng(7))
+        monkeypatch.setattr(dense, "BLOCK_BYTES", 4 * design.n)  # one float32 row
+        batch = np.stack([random_signal(30, 3, np.random.default_rng(i)) for i in range(4)])
+        self.assert_matches_legacy(design, batch, "dense")
+        y = design.query_results(batch)
+        dense.materialised_psi(design, y)
+        dense.materialised_dstar(design)
+        assert heights == [5, 4, 1]
 
     def test_over_float32_budget_takes_float64(self, monkeypatch, tiers):
         from repro.kernels import dense
