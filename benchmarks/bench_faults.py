@@ -15,9 +15,11 @@ and recovery is *affordable*.  This module prices the affordable half:
   failure to the first healthy response once the half-open probe closes
   the circuit again.
 * **warm-decode integrity tax** — the steady-state serving cost of
-  ``verify=True``: manifest hashing runs *once at attach* and never on
-  the per-decode hot path, so over an attach + decode-loop session the
-  overhead must stay **< 3 %** (asserted, min-of-interleaved-runs).
+  ``verify=True``: manifest hashing runs *once per file before its first
+  use* (at attach; ``entries.npy``, which no MN decode reads, at the
+  first read of entry values) and never on the per-decode hot path, so
+  over an attach + decode-loop session the overhead must stay **< 3 %**
+  (asserted, median of interleaved pairs).
 * **fresh-process integrity tax** — the same hash priced where it is not
   amortised: a new child process's attach plus first decode at
   ``n = 10^4``, ``m ∈ {600, 2400}``, ``verify=True`` against

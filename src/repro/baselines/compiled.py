@@ -319,7 +319,9 @@ class CompiledAMPDecoder(CompiledDecoderBase):
 
         eps = k_arr.astype(np.float64) / n  # per-row prior
         X = np.tile(eps[:, None], (1, n))
-        Z = Y_t - _centred_product(X, c.T, mu) / scale
+        # Round 1 scales the previous residual by onsager = 0, so it starts
+        # at zero instead of costing a product over the counts block.
+        Z = np.zeros_like(Y_t)
         onsager = np.zeros(batch, dtype=np.float64)
         active = np.ones(batch, dtype=bool)
         iterations = np.zeros(batch, dtype=np.int64)

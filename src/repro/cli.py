@@ -430,7 +430,7 @@ def _design_rows(compiled, y) -> "list[tuple[str, str]]":
         ("n", str(compiled.n)),
         ("m", str(compiled.m)),
         ("gamma", str(compiled.gamma)),
-        ("edges", str(compiled.design.entries.size)),
+        ("edges", str(compiled.design.draws)),
         ("scheme", key.scheme),
         ("key", f"(n={key.n}, m={key.m}, gamma={key.gamma}, root_seed={key.root_seed}, trial_key={key.trial_key}, batch_queries={key.batch_queries})"),
         ("bytes", str(compiled.nbytes)),

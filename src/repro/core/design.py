@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -159,7 +159,8 @@ class DesignStats:
         )
 
 
-#: Serialises the one-time widening of narrow entries (:attr:`PoolingDesign.entries`).
+#: Serialises the one-time check (:meth:`PoolingDesign._held_entries`) and
+#: widening (:attr:`PoolingDesign.entries`) of held entries.
 _WIDEN_LOCK = threading.Lock()
 
 
@@ -177,7 +178,9 @@ class PoolingDesign:
         Flat entry indices, query ``j`` owning ``entries[indptr[j]:indptr[j+1]]``.
         A narrower integer array (such as the int16 entries a store attach
         maps) is held as given and widened to int64 on the first read of
-        :attr:`entries`.
+        :attr:`entries`.  Every read of entry values goes through
+        :meth:`_held_entries`, where a store attach's deferred verification
+        runs before the first one.
     indptr:
         Query pointer array of length ``m+1``.
     """
@@ -199,6 +202,22 @@ class PoolingDesign:
         design._setup(n, entries, indptr, entry_range)
         return design
 
+    @classmethod
+    def _with_pending_check(cls, n: int, entries: np.ndarray, indptr: np.ndarray, check: "Callable[[np.ndarray], np.ndarray]") -> "PoolingDesign":
+        """Build over ``entries`` that ``check`` verifies before their values are first read.
+
+        ``check(held)`` runs once, on the first :meth:`_held_entries`, and
+        returns the array to hold from then on: ``held`` when it passes, or
+        replacement entries with the correct values.  The range bound
+        ``[0, n)`` is taken on the check's word, so the constructor reads
+        no value.  For the store's attach (:mod:`repro.designs.store`),
+        which defers the hash and range check of ``entries.npy`` to the
+        first read, since an MN, COMP or DD decode never makes one.
+        """
+        design = cls._with_range(n, entries, indptr, (0, n - 1))
+        design._pending_check = check
+        return design
+
     def _setup(self, n: int, entries: np.ndarray, indptr: np.ndarray, entry_range: "tuple[int, int] | None") -> None:
         self.n = check_positive_int(n, "n")
         narrow = isinstance(entries, np.ndarray) and entries.dtype.kind in "iu" and entries.dtype.itemsize < 8
@@ -213,9 +232,26 @@ class PoolingDesign:
             lo, hi = (self._entries.min(), self._entries.max()) if entry_range is None else entry_range
             if lo < 0 or hi >= n:
                 raise ValueError("entry index out of range")
+        self._pending_check: "Callable[[np.ndarray], np.ndarray] | None" = None
         self._distinct_cache: "tuple[np.ndarray, np.ndarray] | None" = None
         self._entry_groups_cache: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None
         self._dstar_cache: "np.ndarray | None" = None
+
+    def _held_entries(self) -> np.ndarray:
+        """The entries as held, narrow or int64: the one read of entry values.
+
+        A pending check (:meth:`_with_pending_check`) runs here before the
+        first read, once: concurrent first reads wait for one check, under
+        the lock the widening takes.  If the check raises, it stays
+        pending, so no unchecked value is ever returned.  Size and dtype
+        reads (:attr:`draws`, :attr:`mean_pool_size`) need no gate.
+        """
+        if self._pending_check is not None:
+            with _WIDEN_LOCK:
+                if self._pending_check is not None:
+                    self._entries = self._pending_check(self._entries)
+                    self._pending_check = None
+        return self._entries
 
     @property
     def entries(self) -> np.ndarray:
@@ -223,11 +259,11 @@ class PoolingDesign:
 
         A narrow array given to the constructor is widened here once, on
         the first read, and the int64 copy replaces it; concurrent first
-        reads build one copy.  :attr:`mean_pool_size`, the constructor's
-        checks and :meth:`incidence_cells` (so the dense blocks built from
-        it) read the held array and never widen.
+        reads build one copy.  :meth:`incidence_cells` and the query
+        gathers (so the dense blocks and results built from them) index
+        with the held array through :meth:`_held_entries` and never widen.
         """
-        entries = self._entries
+        entries = self._held_entries()
         if entries.dtype != np.int64:
             with _WIDEN_LOCK:
                 entries = self._entries
@@ -296,6 +332,11 @@ class PoolingDesign:
         return g
 
     @property
+    def draws(self) -> int:
+        """Total draws ``entries.size`` (``indptr[-1]``), read without the values."""
+        return int(self._entries.size)
+
+    @property
     def mean_pool_size(self) -> "int | float":
         """Exact mean pool size ``entries.size / m`` — defined for ragged designs too.
 
@@ -307,7 +348,7 @@ class PoolingDesign:
         """
         if not self.m:
             return 0
-        mean = self._entries.size / self.m
+        mean = self.draws / self.m
         return int(mean) if mean.is_integer() else mean
 
     def pool(self, j: int) -> np.ndarray:
@@ -336,8 +377,8 @@ class PoolingDesign:
         return self._query_results_kernel(check_binary_signal(sigma, length=self.n))
 
     def _query_results_kernel(self, sigma: np.ndarray) -> np.ndarray:
-        """Segment-sum of one validated ``int8`` signal over the pools."""
-        hits = sigma[self.entries].astype(np.int64)
+        """Segment-sum of one validated ``int8`` signal over the pools (held entries, never widened)."""
+        hits = sigma[self._held_entries()].astype(np.int64)
         out = np.zeros(self.m, dtype=np.int64)
         lens = np.diff(self.indptr)
         nonempty = lens > 0
@@ -366,7 +407,7 @@ class PoolingDesign:
         would be cast to intp first, costing more than it saves.  Reads
         the held entries, so narrow ones are not widened.
         """
-        draws = self._entries[int(self.indptr[lo]) : int(self.indptr[hi])]
+        draws = self._held_entries()[int(self.indptr[lo]) : int(self.indptr[hi])]
         return row_cells(self.indptr, lo, hi, self.n, draws, np.intp)
 
     # -- neighbourhood statistics ------------------------------------------------------

@@ -306,9 +306,10 @@ class CompiledDesign:
         decode has run yet (an adopted packed block, 1/32 of it, is not
         counted beside it).  The entries count at the width held: narrow
         for a store attach until a first read of ``design.entries`` widens
-        them (no decoder's compile or decode does).
+        them (no decoder's compile or decode does).  A size read: it runs
+        no pending entries check.
         """
-        entries = self.design._entries  # the held array; reading it never widens
+        entries = self.design._entries  # the held array's size; never checked or widened here
         base = entries.nbytes + self.design.indptr.nbytes + self.dstar.nbytes + self.delta.nbytes
         return base + (self.block_bytes if self.block_resident else 0)
 
@@ -541,14 +542,27 @@ def compile_from_key(key: DesignKey) -> CompiledDesign:
     materialised — compile those via :func:`compile_design`.  A pure
     compile: :func:`resolve_compiled` layers the store lookup over it.
     """
+    return CompiledDesign(_design_from_key(key), key=key)
+
+
+#: Key schemes whose design :func:`_design_from_key` draws from the key
+#: alone; the store defers and heals the entries check of these only.
+_REGENERABLE_SCHEMES = ("stream", "sampled")
+
+
+def _design_from_key(key: DesignKey) -> PoolingDesign:
+    """Draw the design a ``stream`` or ``sampled`` key addresses; ``ValueError`` for any other.
+
+    The one regeneration step: :func:`compile_from_key` compiles it, and
+    a store attach whose deferred entries check fails heals its entries
+    from it (:mod:`repro.designs.store`).
+    """
     if key.scheme == "stream":
-        gamma = int(key.gamma)
-        entries = _stream_entries(key)
-        indptr = np.arange(key.m + 1, dtype=np.int64) * gamma
+        indptr = np.arange(key.m + 1, dtype=np.int64) * int(key.gamma)
         # Every draw is integers(0, n): the bound is known, no scan needed.
-        return CompiledDesign(PoolingDesign._with_range(key.n, entries, indptr, (0, key.n - 1)), key=key)
+        return PoolingDesign._with_range(key.n, _stream_entries(key), indptr, (0, key.n - 1))
     if key.scheme == "sampled":
         _, tag, index = key.trial_key
         rng = batch_generator(key.root_seed, int(tag), int(index))
-        return CompiledDesign(PoolingDesign.sample(key.n, key.m, rng, gamma=int(key.gamma)), key=key)
+        return PoolingDesign.sample(key.n, key.m, rng, gamma=int(key.gamma))
     raise ValueError(f"cannot regenerate a {key.scheme!r}-scheme design from its key; compile the materialised design instead")

@@ -39,20 +39,37 @@ directory so that every process on the machine shares one compilation:
   and reaps crash residue: orphaned publication temp dirs, stale
   ``.stats-*`` counter files and aged quarantine holdings past a grace
   period;
-* **integrity + self-repair** — every publication writes a per-file
-  SHA-256 manifest into ``meta.json``; every attach re-hashes every
-  payload file in full against it, one file after another (skippable via
-  ``verify=False``).  The entry range check rides in the same read: the
-  hash of ``entries.npy`` also takes the ``(min, max)`` of its values in
-  the stored dtype, so an attach never scans the mapped entries, and an
-  MN attach (whose decode reads only the Ψ block and ``Δ*``) maps no
-  entries page at all.  A corrupt, torn or out-of-range
-  entry is **quarantined** — renamed into ``.quarantine/`` for
-  post-mortem, counted in :class:`StoreStats` — then transparently
-  recompiled through the existing single-flight path.  :meth:`fsck`
-  audits the whole store on demand (``design store fsck``).
-  Verification runs *once per attach*, never on the decode hot path, so
-  warm-decode cost is untouched;
+* **integrity + self-repair** — no unverified byte is ever used.  Every
+  publication writes a per-file SHA-256 manifest into ``meta.json``, and
+  every payload file is hashed in full against it before its first use
+  (skippable via ``verify=False``):
+
+  - at attach, ``indptr``, ``dstar``, ``delta`` and ``block.npy``, one
+    file after another;
+  - ``entries.npy`` (most of an entry's bytes, and read by no MN, COMP or
+    DD compile or decode) on the first read of entry *values*, through
+    the design's one gate (``PoolingDesign._held_entries``), once per
+    artifact.  The entry range check rides in the same read: the hash
+    takes the ``(min, max)`` of the values in the stored dtype, so a
+    check never scans the mapped entries, and an MN attach maps no
+    entries page at all.  A late mismatch — a digest that differs, a
+    value outside ``[0, n)``, a file gone or unreadable — **heals in
+    place**: the entries are regenerated from the key, bit-identical to
+    the published ones, and swapped into the design, so the artifact
+    and every decoder bound to it carry on unchanged.  The entry is
+    quarantined, and until then (another reader's pin defers it) this
+    store hashes its ``entries.npy`` at attach;
+  - ``entries.npy`` stays eager, hashed at attach, where no regeneration
+    is possible or nothing is saved: ``content`` and ``custom`` keys, and
+    an entry without ``block.npy`` (its block is scattered from the
+    entries).
+
+  A corrupt, torn or out-of-range entry met at attach is **quarantined**
+  — renamed into ``.quarantine/`` for post-mortem, counted in
+  :class:`StoreStats` — then transparently recompiled through the
+  existing single-flight path.  :meth:`fsck` audits the whole store on
+  demand (``design store fsck``), hashing every file.  Verification
+  never runs on the decode hot path, so warm-decode cost is untouched;
 * **telemetry** — per-instance :attr:`stats` counters (hits, misses,
   evictions, publishes, quarantines), plus cumulative cross-process
   counters: every lookup or publish appends one JSON delta line to
@@ -102,7 +119,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.designs.compiled import CompiledDesign, DesignKey, _check_packed_block, _pack_block
+from repro.core.design import PoolingDesign
+from repro.designs.compiled import _REGENERABLE_SCHEMES, CompiledDesign, DesignKey, _check_packed_block, _design_from_key, _pack_block
 from repro.faults import trip as _fault_trip
 
 try:  # POSIX advisory locking; degraded (still correct single-process) elsewhere
@@ -294,15 +312,13 @@ def _sha256_and_range(path: Path, data: "np.memmap | None" = None) -> "tuple[str
     return h.hexdigest(), ((lo, hi) if stop and pos >= stop else None)
 
 
-def _design_from_maps(n: int, entries: np.ndarray, indptr: np.ndarray, entry_range: "tuple[int, int] | None") -> "PoolingDesign":
+def _design_from_maps(n: int, entries: np.ndarray, indptr: np.ndarray, entry_range: "tuple[int, int] | None") -> PoolingDesign:
     """The entry's design over its maps, with the constructor's checks.
 
     With the ``(min, max)`` a hash pass read, the range check runs on it
     and no entries page is mapped (an MN decode reads only Ψ's block and
     Δ*); without one, the constructor scans the map.
     """
-    from repro.core.design import PoolingDesign
-
     if entry_range is None:
         return PoolingDesign(n, entries, indptr)
     return PoolingDesign._with_range(n, entries, indptr, entry_range)
@@ -386,15 +402,20 @@ class DesignStore:
         Byte budget enforced after every publication (and by :meth:`gc`).
         ``None`` (default) disables automatic eviction.
     verify:
-        Check each entry's SHA-256 manifest on attach (the default).  The
-        cost is one streaming hash of every payload file on *every*
+        Check each payload file against the entry's SHA-256 manifest before
+        its first use (the default): no unverified byte is ever used.  The
+        cost is one streaming hash per file, over files kept small by the
+        packed layout, and it never runs on the decode hot path.  An
         attach — including each re-attach after a decoder-pool eviction —
-        over files kept small by the packed layout; it never runs on the
-        decode hot path.  The same read of ``entries.npy`` yields the
-        entry range check, so a verified attach never touches the mapped
-        entries.  Pass ``False`` to trust the filesystem (e.g. an
-        immutable read-only image already verified once); the entry range
-        is then checked by a scan of the map.
+        hashes ``indptr``, ``dstar``, ``delta`` and ``block.npy``.  The
+        hash of ``entries.npy``, with the entry range check taken from the
+        same read, waits for the first read of entry values, which no MN,
+        COMP or DD compile or decode makes; a mismatch then regenerates
+        the entries from the key in place and quarantines the entry.
+        ``content``/``custom`` keys and entries without ``block.npy`` hash
+        ``entries.npy`` at attach.  Pass ``False`` to trust the filesystem
+        (e.g. an immutable read-only image already verified once); the
+        entry range is then checked at attach by a scan of the map.
 
     Examples
     --------
@@ -422,6 +443,9 @@ class DesignStore:
         self._evictions = 0
         self._publishes = 0
         self._quarantined = 0
+        # Entries whose late entries check failed while another reader's pin
+        # deferred their quarantine: attached with an eager entries hash.
+        self._suspect: "set[str]" = set()
 
     # -- addressing -------------------------------------------------------------
 
@@ -526,8 +550,8 @@ class DesignStore:
         try:
             design = compiled.design
             arrays = {
-                # The held array, so narrow attached entries are never widened here.
-                "entries": design._entries.astype(_entries_dtype(compiled.n), copy=False),
+                # The held array, checked but never widened here.
+                "entries": design._held_entries().astype(_entries_dtype(compiled.n), copy=False),
                 "indptr": design.indptr,
                 "dstar": compiled.dstar,
                 "delta": compiled.delta,
@@ -592,7 +616,14 @@ class DesignStore:
     # -- attachment internals ---------------------------------------------------
 
     def _attach(self, path: Path, key: DesignKey) -> CompiledDesign:
-        """Build a read-only artifact from a complete entry: mapped arrays, packed block bits."""
+        """Build a read-only artifact from a complete entry: mapped arrays, packed block bits.
+
+        A verified attach hashes every payload file but ``entries.npy``,
+        whose check :meth:`_entries_check` leaves on the design's first
+        read of entry values.  It hashes ``entries.npy`` too when a late
+        mismatch could not heal or would save nothing (see the module
+        docstring), or when the entry failed a late check in this store.
+        """
         read_lock = _EntryReadLock(path / _LOCK_NAME)
         try:
             meta = json.loads((path / _META_NAME).read_text())
@@ -612,15 +643,30 @@ class DesignStore:
         except Exception as exc:
             read_lock.close()
             raise ValueError(f"corrupt store entry {path.name}: {exc}") from exc
+        manifest = meta.get("sha256")
+        deferred = (
+            self.verify
+            and key.scheme in _REGENERABLE_SCHEMES
+            and bool(meta.get("block"))
+            and isinstance(manifest, dict)
+            and {"entries.npy", "block.npy"} <= manifest.keys()
+            and path.name not in self._suspect
+        )
         entry_range = None
         if self.verify:
             try:
-                entry_range = self._verify_manifest(path, meta, entries=loaded["entries"])
+                entry_range = self._verify_manifest(path, meta, entries=loaded["entries"], skip=("entries.npy",) if deferred else ())
             except ValueError:
                 read_lock.close()
                 raise
+            if not deferred:
+                self._suspect.discard(path.name)  # hashed in full and intact
         try:
-            design = _design_from_maps(key.n, loaded["entries"], loaded["indptr"], entry_range)
+            if deferred:
+                check = self._entries_check(path, key, manifest["entries.npy"], loaded["entries"], read_lock)
+                design = PoolingDesign._with_pending_check(key.n, loaded["entries"], loaded["indptr"], check)
+            else:
+                design = _design_from_maps(key.n, loaded["entries"], loaded["indptr"], entry_range)
             compiled = CompiledDesign(design, dstar=loaded["dstar"], delta=loaded["delta"], key=key, copy=False)
             if meta.get("block") and (path / "block.npy").is_file():
                 # A private copy of the verified Ψ bits (1/32 of the block):
@@ -633,15 +679,53 @@ class DesignStore:
         compiled._store_read_lock = read_lock  # type: ignore[attr-defined]
         return compiled
 
+    def _entries_check(self, path: Path, key: DesignKey, expected: str, mapped: np.ndarray, read_lock: _EntryReadLock) -> "Callable[[np.ndarray], np.ndarray]":
+        """The check an attach defers to its design's first read of entry values.
+
+        ``check(held)`` hashes ``entries.npy`` against ``expected`` and
+        takes the range of its values from the same read
+        (:func:`_sha256_and_range` over ``mapped``, the attach's map).  The
+        artifact's read lock pins the entry directory, so the path still
+        names the mapped file.  It returns ``held`` when the digest
+        matches and every value lies in ``[0, n)``.  Otherwise — a
+        mismatch, a wild value, a file gone or unreadable — the mapped
+        values are never used: the entries are regenerated from the key,
+        the artifact's own pin is dropped (it reads ``entries.npy`` no
+        more, and its maps of the other files survive a rename) and the
+        entry is quarantined.  When another reader's pin defers the
+        quarantine, the entry is remembered, so its next attach in this
+        store hashes ``entries.npy`` eagerly and misses.
+        """
+
+        def check(held: np.ndarray) -> np.ndarray:
+            try:
+                actual, observed = _sha256_and_range(path / "entries.npy", mapped)
+            except OSError:  # gone or unreadable: a mismatch
+                actual, observed = "", None
+            if actual == expected:
+                # A range the hash pass could not take is scanned, as at an unverified attach.
+                lo, hi = observed or ((int(held.min()), int(held.max())) if held.size else (0, 0))
+                if lo >= 0 and hi < key.n:
+                    return held
+            healed = _design_from_key(key).entries.astype(_entries_dtype(key.n))
+            healed.setflags(write=False)
+            read_lock.close()
+            if not self._quarantine(path):
+                self._suspect.add(path.name)
+            return healed
+
+        return check
+
     @staticmethod
-    def _verify_manifest(path: Path, meta: dict, *, entries: "np.memmap | None" = None) -> "tuple[int, int] | None":
-        """Check every payload file against the entry's SHA-256 manifest.
+    def _verify_manifest(path: Path, meta: dict, *, entries: "np.memmap | None" = None, skip: "tuple[str, ...]" = ()) -> "tuple[int, int] | None":
+        """Check the payload files against the entry's SHA-256 manifest.
 
         Raises ``ValueError`` on a missing manifest, a missing file or a
         digest mismatch — all of which the caller treats as a corrupt
-        entry (quarantine + recompile).  Presence is checked first; the
-        files are then hashed in full, one after another in manifest
-        order, on the calling thread.
+        entry (quarantine + recompile).  Presence is checked first, for
+        every file; the files are then hashed in full, one after another
+        in manifest order, on the calling thread — all but the ``skip``
+        names, whose hash the caller defers.
 
         With ``entries`` (the attach's map of ``entries.npy``), the hash of
         that file also takes the ``(min, max)`` of its values from the same
@@ -657,6 +741,8 @@ class DesignStore:
 
         entry_range = None
         for name, expected in manifest.items():
+            if name in skip:
+                continue
             if name == "entries.npy" and entries is not None:
                 actual, observed = _sha256_and_range(path / name, entries)
             else:
@@ -727,6 +813,7 @@ class DesignStore:
                 return True  # raced: another process already moved/removed it
             if not self._discard(path):
                 return False
+        self._suspect.discard(path.name)
         self._quarantined += 1
         self._bump(quarantined=1)
         return True

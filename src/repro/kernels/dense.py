@@ -323,7 +323,7 @@ def materialised_stats(design: "PoolingDesign", batch: np.ndarray) -> "tuple[np.
     beyond that the two separate passes (:func:`query_results_batch`,
     then :func:`materialised_psi` with ``Δ*``).
     """
-    bound = float(max(design.entries.size, design.m))
+    bound = float(max(design.draws, design.m))
     if bound < _EXACT_LIMIT32:
         return stats_pass(design, batch, np.float32)
     if bound < _EXACT_LIMIT:
@@ -363,9 +363,9 @@ def query_results_batch(design: "PoolingDesign", batch: np.ndarray) -> np.ndarra
     B, n = batch.shape
     m = design.m
     out = np.zeros((B, m), dtype=np.int64)
-    if design.entries.size == 0 or m == 0:
+    if design.draws == 0 or m == 0:
         return out
-    if not float(design.entries.size) < _EXACT_LIMIT:  # pragma: no cover - unreachable scale
+    if not float(design.draws) < _EXACT_LIMIT:  # pragma: no cover - unreachable scale
         from repro.kernels import legacy
 
         return legacy.query_results_batch(design, batch)
@@ -380,7 +380,7 @@ def query_results_batch(design: "PoolingDesign", batch: np.ndarray) -> np.ndarra
     bf[:, :u] = batch[:, cols]
     rows_per = _rows_per_block(n)
     idx = _index_dtype(rows_per * width)
-    entries, indptr = design.entries, design.indptr
+    entries, indptr = design._held_entries(), design.indptr  # indexes only: narrow entries stay narrow
     tmp = np.empty((B, min(m, rows_per)), dtype=np.float64)
     for qlo in range(0, m, rows_per):
         qhi = min(m, qlo + rows_per)

@@ -6,13 +6,14 @@ row.  Kept verbatim as the bit-exact reference the dense kernels are
 tested against, and selectable via ``REPRO_KERNEL=legacy`` or
 ``Backend(kernel="legacy")``.
 
-One deliberate change from the historical code: the materialised ``Ψ``
-accumulation no longer round-trips through ``np.bincount``'s float64
-weights.  Pairs are grouped entry-major once (cached on the design) and
-summed with an integer ``np.add.reduceat``, so ``Ψ`` stays exact for
-results beyond 2⁵³ in principle and no silent float casts remain on the
-materialised path.  For every integer-valued input the outputs are
-bit-identical to the historical float path.
+One deliberate change from the historical code: ``Ψ`` no longer
+round-trips through ``np.bincount``'s float64 weights.  The materialised
+path groups pairs entry-major once (cached on the design) and sums them
+with an integer ``np.add.reduceat``; the stream path adds each batch's
+distinct pairs with an int64 ``np.add.at``.  So ``Ψ`` stays exact for
+results beyond 2⁵³ on both paths, and no silent float casts remain.
+For every input whose sums stay below 2⁵³ the outputs are bit-identical
+to the historical float path.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def stream_batch(
     first[:, 1:] = sorted_edges[:, 1:] != sorted_edges[:, :-1]
     row_of = np.nonzero(first)[0]
     distinct_entries = sorted_edges[first]
-    psi += np.bincount(distinct_entries, weights=y[row_of].astype(np.float64), minlength=n).astype(np.int64)
+    np.add.at(psi, distinct_entries, y[row_of])  # int64 throughout: exact past 2⁵³
     dstar += np.bincount(distinct_entries, minlength=n)
     delta += np.bincount(edges.ravel(), minlength=n)
     return y

@@ -222,6 +222,23 @@ class TestAMPRun:
             if tol == 0.0:
                 assert (result.iterations, result.converged) == (max_iter, False)
 
+    def test_each_round_runs_two_products_and_nothing_runs_before_it(self, instance, monkeypatch):
+        import repro.baselines.compiled as baselines_mod
+
+        _, compiled, Y, noisy = instance
+        decoder = make_decoder("amp", tol=1e-4).compile(compiled)
+        real = baselines_mod._centred_product
+        rows = []
+
+        def counting(v, a, mean):
+            rows.append(v.shape[0])
+            return real(v, a, mean)
+
+        monkeypatch.setattr(baselines_mod, "_centred_product", counting)
+        _, _, _, _, tau2 = decoder._iterate(np.concatenate([Y, noisy]), K)
+        # The residual and the pseudo-data product, each over the rows still active.
+        assert rows == [int(active) for active in np.isfinite(tau2).sum(axis=1) for _ in range(2)]
+
     def test_rows_keep_their_own_round_count(self, instance):
         _, compiled, Y, noisy = instance
         decoder = make_decoder("amp", tol=1e-4).compile(compiled)

@@ -79,6 +79,42 @@ class TestSampling:
             PoolingDesign(5, np.array([0, 1]), np.array([0, 3]))
 
 
+class TestPendingCheck:
+    """Every read of entry values passes one gate, where a deferred check runs first."""
+
+    def _design(self, check):
+        entries = np.array([0, 3, 3, 1, 2, 4], dtype=np.int16)
+        return PoolingDesign._with_pending_check(5, entries, np.array([0, 3, 6]), check), entries
+
+    def test_runs_once_before_the_first_value_read_and_may_swap_the_entries(self):
+        calls = []
+
+        def check(held):
+            calls.append(held.dtype)
+            return held[::-1].copy()
+
+        design, entries = self._design(check)
+        assert (design.draws, design.mean_pool_size, design.m) == (6, 3, 2) and calls == []  # sizes need no gate
+        # The swapped entries answer: query 0 held entry 3 twice before the swap.
+        assert design.query_results(np.array([0, 0, 0, 1, 0], dtype=np.int8)).tolist() == [0, 2]
+        assert calls == [np.int16]
+        assert design.entries.tolist() == entries[::-1].tolist() and calls == [np.int16]
+
+    def test_a_check_that_raises_stays_pending(self):
+        outcomes = [RuntimeError("unreadable"), None]
+
+        def check(held):
+            outcome = outcomes.pop(0)
+            if outcome is not None:
+                raise outcome
+            return held
+
+        design, entries = self._design(check)
+        with pytest.raises(RuntimeError, match="unreadable"):
+            design.incidence_cells(0, design.m)
+        assert design.entries.tolist() == entries.tolist() and outcomes == []
+
+
 class TestFig1:
     def test_results_match_paper(self):
         design, sigma = PoolingDesign.fig1_example()

@@ -668,24 +668,34 @@ class TestEntryRangeInHashPass:
 
     @pytest.mark.parametrize("position", [0, _FIRST_READ_VALUES - 1, _FIRST_READ_VALUES, -1])
     @pytest.mark.parametrize("bad", ["n", "negative"])
-    def test_verified_attach_rejects_and_quarantines(self, store, position, bad):
+    def test_first_read_heals_a_wild_index_and_quarantines(self, store, position, bad):
         store.publish(compile_from_key(self.WIDE))
         path = _forge_entry(store, self.WIDE, position, self.WIDE.n if bad == "n" else -1)
-        with pytest.raises(ValueError, match="entry index out of range"):
-            store._attach(path, self.WIDE)
-        assert store.get(self.WIDE) is None  # a miss, never a design with a wild index
+        attached = store.get(self.WIDE)  # the entries check waits for the first read of their values
+        assert attached is not None and path.exists() and store.stats.quarantined == 0
+        # That read never sees the wild index: the entries heal from the key, in place.
+        assert np.array_equal(attached.design.entries, compile_from_key(self.WIDE).design.entries)
         assert store.stats.quarantined == 1 and not path.exists()
+        assert store.get(self.WIDE) is None  # a miss now, then a recompile
 
     @pytest.mark.parametrize("bad", ["n", "negative"])
     def test_fsck_quarantines_a_forged_index_like_get(self, tmp_path, bad):
-        """An out-of-range index under a matching digest fails fsck, as it fails every attach."""
+        """An out-of-range index under a matching digest fails fsck, as it fails every first read."""
+        import gc
+
         good = DesignKey.for_stream(2000, 30, root_seed=4)
         store = DesignStore(tmp_path / "store")
         for key in (self.WIDE, good):
             store.publish(compile_from_key(key))
         path = _forge_entry(store, self.WIDE, -1, self.WIDE.n if bad == "n" else -1)
-        with pytest.raises(ValueError, match="entry index out of range"):
-            store._attach(path, self.WIDE)  # what every get would meet
+        pin = store.get(self.WIDE)  # a reader that never reads the entries
+        reader = store.get(self.WIDE)
+        # What every first read meets: the wild index is never used.  The
+        # pin defers the quarantine, so the entry is still there for fsck.
+        assert np.array_equal(reader.design.entries, compile_from_key(self.WIDE).design.entries)
+        assert path.exists() and store.stats.quarantined == 0
+        del pin, reader
+        gc.collect()
         report = store.fsck()
         assert report.quarantined == (store.digest(self.WIDE),)
         assert report.ok == (store.digest(good),)
@@ -708,6 +718,7 @@ class TestEntryRangeInHashPass:
 
     @pytest.mark.parametrize("verify", [True, False])
     def test_only_a_verified_attach_hands_over_the_range(self, tmp_path, monkeypatch, verify):
+        """A verified attach hands over ``[0, n)`` on the word of its pending entries check; an unverified one scans."""
         from repro.core.design import PoolingDesign
 
         DesignStore(tmp_path / "store").publish(compile_from_key(self.WIDE))
@@ -721,9 +732,10 @@ class TestEntryRangeInHashPass:
         monkeypatch.setattr(PoolingDesign, "_setup", spy)
         attached = DesignStore(tmp_path / "store", verify=verify).get(self.WIDE)
         assert attached is not None
+        assert (attached.design._pending_check is not None) == verify
         entries = np.asarray(attached.design.entries)
-        expected = (int(entries.min()), int(entries.max())) if verify else None
-        assert seen == [expected]
+        assert seen == [(0, self.WIDE.n - 1) if verify else None]
+        assert attached.design._pending_check is None and 0 <= entries.min() and entries.max() < self.WIDE.n
 
     @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
     @pytest.mark.parametrize("size", ["one", "first-read", "first-read+1", 100_003])
@@ -840,6 +852,40 @@ class TestPackedFormat:
         assert attached.gamma == KEY.gamma  # mean_pool_size reads the size only
         assert attached.design._entries is held
 
+    def test_query_results_index_with_the_narrow_entries(self, store):
+        from repro.core.signal import random_signals
+
+        key = DesignKey.for_stream(10_000, 600, root_seed=5)
+        fresh = compile_from_key(key)
+        store.publish(fresh)
+        attached = store.get(key)
+        sigmas = random_signals(key.n, 16, 3, np.random.default_rng(2))
+        assert np.array_equal(attached.query_results(sigmas), fresh.query_results(sigmas))  # the dense batch gather
+        assert np.array_equal(attached.query_results(sigmas[0]), fresh.query_results(sigmas[0]))  # the one-row gather
+        assert attached.design._entries.dtype == np.int16  # checked through the gate, never widened
+        assert attached.design._pending_check is None
+
+    def test_entries_stay_eager_where_a_late_mismatch_cannot_heal(self, store):
+        """Content keys and entries without block.npy hash entries.npy at attach."""
+        from repro.core.design import PoolingDesign
+        from repro.designs import compile_design
+        from repro.faults import bitflip_file
+
+        content = compile_design(PoolingDesign.sample(300, 40, np.random.default_rng(8)))
+        store.publish(content)
+        store.publish(compile_from_key(KEY))
+        blockless = store.entry_dir(KEY)
+        meta = json.loads((blockless / "meta.json").read_text())
+        meta["block"] = False
+        del meta["sha256"]["block.npy"]
+        (blockless / "meta.json").write_text(json.dumps(meta, sort_keys=True))
+        (blockless / "block.npy").unlink()
+        for key in (content.key, KEY):
+            assert store.get(key).design._pending_check is None  # entries.npy hashed at attach
+            bitflip_file(store.entry_dir(key) / "entries.npy")
+            assert store.get(key) is None  # so a corrupt one is a miss there, as before
+        assert store.stats.quarantined == 2
+
     def test_concurrent_first_reads_widen_once(self):
         import threading
 
@@ -897,13 +943,15 @@ class TestPackedFormat:
             assert store.fsck().quarantined == (store.digest(KEY),)
         assert store.stats.quarantined == 1 and not path.exists()
 
-    def test_every_verified_attach_hashes_every_file_in_full(self, store, monkeypatch):
+    def test_each_file_is_hashed_in_full_before_its_first_use(self, store, monkeypatch):
+        """Attach hashes four files; entries.npy waits for a read of its values, then hashes once."""
         import repro.designs.store as store_mod
 
         store.publish(compile_from_key(KEY))
         path = store.entry_dir(KEY)
         manifest = json.loads((path / "meta.json").read_text())["sha256"]
         assert set(manifest) == {"entries.npy", "indptr.npy", "dstar.npy", "delta.npy", "block.npy"}
+        size = {name: (path / name).stat().st_size for name in manifest}
         hashed = {}
         original = store_mod._read_full
 
@@ -913,11 +961,19 @@ class TestPackedFormat:
             return got
 
         monkeypatch.setattr(store_mod, "_read_full", counting)
+        fresh = compile_from_key(KEY)
+        y = fresh.query_results(np.arange(KEY.n) < 4)
         for _ in range(3):
             hashed.clear()
-            assert store.get(KEY) is not None
-            assert hashed == {name: (path / name).stat().st_size for name in manifest}
-
+            attached = store.get(KEY)
+            assert attached is not None
+            assert hashed == {name: size[name] for name in manifest if name != "entries.npy"}
+            hashed.clear()
+            MNDecoder().compile(attached).decode(y, 4)
+            assert hashed == {}  # an MN compile and decode read no entry value
+            for _ in range(2):
+                assert np.array_equal(attached.design.entries, fresh.design.entries)
+            assert hashed == {"entries.npy": size["entries.npy"]}  # the first read hashed them, once
 
 _RSS_SCRIPT = """
 import json, sys

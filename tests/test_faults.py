@@ -82,10 +82,10 @@ def make_case(key, k, seed):
     return y, support
 
 
-def _request(key, y, k, request_id):
+def _request(key, y, k, request_id, decoder="mn"):
     y = np.asarray(y, dtype=np.int64)
     y.setflags(write=False)
-    return DecodeRequest(request_id=request_id, key=key, y=y, k=k)
+    return DecodeRequest(request_id=request_id, key=key, y=y, k=k, decoder=decoder)
 
 
 class TestFaultPlan:
@@ -207,7 +207,14 @@ class TestStoreIntegrity:
     def test_corrupt_artifact_quarantines_and_recompiles_bit_identically(self, tmp_path, corrupt, payload):
         store = self._publish(tmp_path / "store")
         corrupt(store.entry_dir(KEY) / f"{payload}.npy")
-        assert store.get(KEY) is None  # integrity manifest catches it: clean miss
+        if (payload, corrupt) == ("entries", bitflip_file):
+            # A flipped entries byte still maps, so its check waits for the
+            # first read of entry values: that read heals in place.
+            attached = store.get(KEY)
+            assert attached is not None and store.stats.quarantined == 0
+            assert np.array_equal(attached.design.entries, compile_from_key(KEY).design.entries)
+        else:
+            assert store.get(KEY) is None  # integrity manifest catches it: clean miss
         assert store.stats.quarantined == 1
         assert store.persistent_stats()["quarantined"] == 1
         held = list((store.root / ".quarantine").iterdir())
@@ -327,6 +334,64 @@ class TestStoreIntegrity:
         assert unpinned.get(KEY) is None
         assert unpinned.stats.quarantined == 1  # now it is set aside for good
 
+    def test_pinned_corrupt_entries_heal_then_miss_then_quarantine_on_release(self, tmp_path):
+        """The pinned-entry rule above, for entries.npy, whose check runs on first read."""
+        import gc
+
+        store = DesignStore(tmp_path / "store")
+        store.publish(compile_from_key(KEY))
+        pinned = store.get(KEY)  # never reads its entries
+        bitflip_file(store.entry_dir(KEY) / "entries.npy")
+        reader = store.get(KEY)
+        assert np.array_equal(reader.design.entries, compile_from_key(KEY).design.entries)  # healed in place
+        assert store.stats.quarantined == 0  # the other reader's pin defers the quarantine
+        assert store.get(KEY) is None  # remembered: this attach hashes entries.npy and misses
+        assert store.stats.quarantined == 0
+        del pinned
+        gc.collect()
+        assert store.get(KEY) is None
+        assert store.stats.quarantined == 1  # now it is set aside for good
+        healed = store.get_or_compile(KEY, lambda: compile_from_key(KEY))
+        assert np.array_equal(np.asarray(healed.design.entries), compile_from_key(KEY).design.entries)
+
+    def test_concurrent_first_reads_hash_the_entries_once(self, tmp_path, monkeypatch):
+        import threading
+
+        import repro.designs.store as store_mod
+
+        store = self._publish(tmp_path / "store")
+        attached = store.get(KEY)
+        hashed = []
+        original = store_mod._sha256_and_range
+
+        def counting(path, data=None):
+            hashed.append(path.name)
+            return original(path, data)
+
+        monkeypatch.setattr(store_mod, "_sha256_and_range", counting)
+        workers = 4
+        barrier = threading.Barrier(workers, timeout=30)
+        seen = []
+
+        def read():
+            barrier.wait()
+            seen.append(attached.design.entries)
+
+        threads = [threading.Thread(target=read) for _ in range(workers)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads) and len(seen) == workers
+        assert hashed == ["entries.npy"]
+        assert all(entries is seen[0] for entries in seen)
+        assert np.array_equal(seen[0], compile_from_key(KEY).design.entries)
+
     def test_publisher_crash_leaves_no_entry_and_second_process_heals(self, tmp_path):
         root = tmp_path / "store"
         child = (
@@ -401,6 +466,36 @@ class TestServeDegradation:
             assert coalescer.stats.retries == 1
             assert pool.evictions == 1  # the suspect decoder was dropped
             assert plan.fired("serve.decode") == 1
+
+        asyncio.run(run())
+
+    def test_corrupt_entries_heal_in_place_under_the_decoder_pool(self, tmp_path):
+        """MN never reads the entries, OMP's admission heals them, and the release quarantines."""
+        import gc
+
+        from repro.designs import make_decoder
+
+        store = DesignStore(tmp_path / "store")
+        store.publish(compile_from_key(KEY))
+        bitflip_file(store.entry_dir(KEY) / "entries.npy")
+        y, offline = make_case(KEY, 4, seed=43)
+        omp_offline = np.flatnonzero(make_decoder("omp").compile(compile_from_key(KEY)).decode(y, 4)).tolist()
+
+        async def run():
+            pool = DecoderPool({"mn": MNDecoder(), "omp": make_decoder("omp")}, store=store)
+            coalescer = Coalescer(pool, max_batch=1)
+            for i in range(3):
+                assert (await coalescer.submit(_request(KEY, y, 4, f"mn{i}"))).tolist() == offline
+            assert store.stats.quarantined == 0  # no MN compile or decode reads an entry value
+            support = await coalescer.submit(_request(KEY, y, 4, "omp", decoder="omp"))
+            assert support.tolist() == omp_offline  # the counts block read healed entries
+            assert store.stats.quarantined == 0 and KEY in store  # the MN decoder's pin defers it
+            assert pool.evict(KEY, "mn")
+            gc.collect()
+            support = await coalescer.submit(_request(KEY, y, 4, "mn-again"))
+            assert support.tolist() == offline
+            assert store.stats.quarantined == 1  # that admission set the entry aside and recompiled
+            assert coalescer.stats.retries == 0
 
         asyncio.run(run())
 

@@ -189,11 +189,7 @@ class TestMultiChunkStream:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("shift", [2**21, 2**23, 2**52])
     def test_shift(self, shift, workers):
-        # Beyond 2⁵² the legacy stream accumulates Ψ through float64
-        # bincount weights, exact only while every sum is; an all-zero
-        # signal makes every result exactly the shift, so it is.
-        sigma = np.zeros(self.N, dtype=np.int8) if shift == 2**52 else random_signal(self.N, 9, np.random.default_rng(6))
-        self._check(sigma, _ShiftNoise(shift), workers)
+        self._check(random_signal(self.N, 9, np.random.default_rng(6)), _ShiftNoise(shift), workers)
 
     def test_batches_span_several_chunks(self, monkeypatch):
         from repro.kernels import dense
